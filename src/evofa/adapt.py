@@ -3,12 +3,17 @@
 Target embeddings are aligned to an ordered series of source snapshots
 (time buckets within a session, or one snapshot per training subject) by
 kernel two-sample distance. Only the adapter parameters move: the encoder
-and classifier head are frozen, so every sample is encoded exactly once
-and gradients flow purely through the adapter.
+and classifier head are frozen, so gradients flow purely through the
+adapter and a sample's encoder row never changes during adaptation.
+evofa_test therefore encodes its test and train pools once per call and
+passes rows of them (as :class:`Encoded`) wherever samples would otherwise
+be encoded again; every sample is encoded exactly once per evaluation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +24,7 @@ from .autodiff import ParamGroup, Tensor
 from .backbone import Model
 from .data import LabeledSample
 from .errors import ConfigError, ContractError, ProtocolError, SamplingError
-from .fsl import Episode, classify_query, sample_episode
+from .fsl import Episode, classify_embedded, sample_episode
 from .mmd import KernelSpec, default_spec, mmd2
 
 _key = lambda s: (s.subject_id, s.session_id, s.trial_id, s.time_index)
@@ -44,11 +49,27 @@ class Snapshot:
 
 
 @dataclass(frozen=True)
+class Encoded:
+    """Frozen-encoder rows [m x q], accepted wherever samples or features would be encoded."""
+
+    rows: np.ndarray
+
+
+@dataclass(frozen=True)
+class EncodedSnapshot:
+    """A checked Snapshot's halves as encoder rows, in the snapshot's sample order."""
+
+    tag: int
+    spt: Encoded
+    qry: Encoded
+
+
+@dataclass(frozen=True)
 class SnapshotSet:
     """Ordered stages of the evolving source distribution."""
 
     kind: str  # "intra": chronological time buckets; "inter": per-subject
-    snapshots: tuple[Snapshot, ...]
+    snapshots: tuple[Snapshot | EncodedSnapshot, ...]
 
     def __post_init__(self):
         if self.kind not in ("intra", "inter"):
@@ -83,10 +104,10 @@ class AdaptConfig:
             raise ConfigError(f"n_snapshots must be positive, got {self.n_snapshots}")
         if self.snapshot_size < 1:
             raise ConfigError(f"snapshot_size must be positive, got {self.snapshot_size}")
-        if self.eta_in < 0 or self.eta_out < 0:
-            raise ConfigError(
-                f"learning rates must be nonnegative, got {self.eta_in}, {self.eta_out}"
-            )
+        for name in ("eta_in", "eta_out"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
         if self.max_iter < 0:
             raise ConfigError(f"max_iter must be nonnegative, got {self.max_iter}")
         if self.target_calibration_size < 0:
@@ -183,6 +204,27 @@ def _encode_samples(model: Model, samples: Sequence[LabeledSample]) -> np.ndarra
     return _encode_rows(model, np.stack([s.features for s in samples]))
 
 
+def _rows(model: Model, x) -> np.ndarray:
+    """Encoder rows of samples or an [m x n x d] stack; Encoded rows pass through."""
+    return x.rows if isinstance(x, Encoded) else _encode_rows(model, _as_features(x))
+
+
+def _pool_rows(
+    model: Model, pool: list[LabeledSample], batch_size: int = 64
+) -> Callable[[Sequence[LabeledSample]], np.ndarray]:
+    """Encode a pool once, in forward batches; return a lookup of its samples' rows.
+
+    An eval-mode row does not depend on its batch, so looked-up rows equal
+    the rows that encoding the same samples directly would give.
+    """
+    chunks = [
+        _encode_samples(model, pool[i : i + batch_size]) for i in range(0, len(pool), batch_size)
+    ]
+    rows = np.concatenate(chunks) if chunks else np.empty((0, model.config.embedding_dim))
+    index = {id(s): i for i, s in enumerate(pool)}  # ids hold while the caller keeps the pool
+    return lambda samples: rows[[index[id(s)] for s in samples]]
+
+
 def _pair_loss(
     src_enc: np.ndarray, tgt_enc: np.ndarray, phi: ParamGroup, cfg: AdaptConfig
 ) -> Tensor:
@@ -211,14 +253,15 @@ def inner_adapt(
 
     Starts from the model's current adapter and returns the stepped copy,
     leaving the model's own parameters untouched. Labels never enter: the
-    target is a raw feature stack (or samples used for features only).
+    target is a raw feature stack, samples used for features only, or
+    their Encoded rows.
     """
     phi = model.phi.copy()
     if cfg.eta_in == 0.0:
         return phi
-    tgt_enc = _encode_rows(model, _as_features(target_spt))
+    tgt_enc = _rows(model, target_spt)
     for snap in snapshots.snapshots:
-        src_enc = _encode_samples(model, snap.spt)
+        src_enc = _rows(model, snap.spt)
         phi.zero_grad()
         loss = _pair_loss(src_enc, tgt_enc, phi, cfg)
         if not loss.is_finite():
@@ -233,10 +276,10 @@ def alignment_loss(
     model: Model, phi: ParamGroup, snapshots: SnapshotSet, target_spt, cfg: AdaptConfig
 ) -> Tensor:
     """Mean squared MMD between each snapshot's query half and the target support."""
-    tgt_enc = _encode_rows(model, _as_features(target_spt))
+    tgt_enc = _rows(model, target_spt)
     total = None
     for snap in snapshots.snapshots:
-        term = _pair_loss(_encode_samples(model, snap.qry), tgt_enc, phi, cfg)
+        term = _pair_loss(_rows(model, snap.qry), tgt_enc, phi, cfg)
         total = term if total is None else ad.add(total, term)
     return ad.mul(total, Tensor(1.0 / len(snapshots)))
 
@@ -328,27 +371,27 @@ class EvalReport:
     per_episode: tuple[float, ...]
 
 
-def _target_features(
+def _target_samples(
     episode: Episode,
     test_pool: Sequence[LabeledSample],
     cfg: AdaptConfig,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Support features plus optional extra unlabeled draws from the test pool.
+) -> list[LabeledSample]:
+    """Support samples plus optional extra unlabeled draws from the test pool.
 
     Extras never include the episode's own samples (classifying the query
     after aligning on it would be transductive). Supply shortfalls are
     tolerated: at most the available sample count is drawn.
     """
-    feats = [s.features for s in episode.support]
-    extra = cfg.target_calibration_size - len(feats)
+    target = list(episode.support)
+    extra = cfg.target_calibration_size - len(target)
     if extra > 0:
         used = {_key(s) for s in episode.support + episode.query}
         rest = [s for s in test_pool if _key(s) not in used]
         if rest:
             picks = rng.choice(len(rest), size=min(extra, len(rest)), replace=False)
-            feats.extend(rest[int(i)].features for i in picks)
-    return np.stack(feats)
+            target.extend(rest[int(i)] for i in picks)
+    return target
 
 
 def evofa_test(
@@ -368,6 +411,12 @@ def evofa_test(
     with adaptation on, off, or disabled consume identical episodes. The
     model is returned to its initial adapter state on exit even when
     persist_adaptation carries state across episodes.
+
+    Encoding happens once, up front: the test pool (and, when adapting, the
+    train pool) goes through the frozen encoder in eval mode, in forward
+    batches of at most 64 samples. Snapshot halves, the target support and
+    the episode's support and query then take their rows from those
+    matrices; only the adapter and the head run per episode.
     """
     if split_kind == "intra":
         sampler = sample_snapshots_intra
@@ -376,6 +425,21 @@ def evofa_test(
     else:
         raise ConfigError(f"split kind must be intra or inter, got {split_kind!r}")
     pool = list(test_pool)
+    test_rows = _pool_rows(model, pool)
+    if adapt_cfg is not None:
+        train = list(train_pool)
+        train_rows = _pool_rows(model, train)
+
+        def encoded_snapshots(ep_idx: int, it: int) -> SnapshotSet:
+            snaps = sampler(
+                train, adapt_cfg, np.random.default_rng([eval_cfg.rng_seed, 12, ep_idx, it])
+            )
+            stages = tuple(
+                EncodedSnapshot(s.tag, Encoded(train_rows(s.spt)), Encoded(train_rows(s.qry)))
+                for s in snaps.snapshots
+            )
+            return SnapshotSet(kind=snaps.kind, snapshots=stages)
+
     saved_phi = model.phi.copy()
     accuracies = []
     try:
@@ -388,20 +452,17 @@ def evofa_test(
                 np.random.default_rng([eval_cfg.rng_seed, 10, ep_idx]),
             )
             if adapt_cfg is not None:
-                target = _target_features(
+                target = _target_samples(
                     episode,
                     pool,
                     adapt_cfg,
                     np.random.default_rng([eval_cfg.rng_seed, 11, ep_idx]),
                 )
-                snapshot_source = lambda it, _ep=ep_idx: sampler(
-                    train_pool,
-                    adapt_cfg,
-                    np.random.default_rng([eval_cfg.rng_seed, 12, _ep, it]),
-                )
-                evofa_run(model, snapshot_source, target, adapt_cfg)
+                source = partial(encoded_snapshots, ep_idx)
+                evofa_run(model, source, Encoded(test_rows(target)), adapt_cfg)
             with ad.no_grad():
-                _, acc = classify_query(episode, model)
+                emb = model.adapt(Tensor(test_rows(episode.support + episode.query)))
+                _, acc = classify_embedded(episode, model, emb)
             accuracies.append(acc)
             if adapt_cfg is not None and not eval_cfg.persist_adaptation:
                 model.phi.load_from(saved_phi)

@@ -281,11 +281,12 @@ def take(a: Tensor, idx) -> Tensor:
     advanced = _has_advanced_index(idx)
 
     def grad_fn(g):
+        if advanced:  # repeated indices accumulate, in index order
+            flat = np.arange(a.size).reshape(a.shape)[idx]
+            summed = np.bincount(flat.ravel(), weights=g.ravel(), minlength=a.size)
+            return (summed.reshape(a.shape),)
         out = np.zeros_like(a.data)
-        if advanced:
-            np.add.at(out, idx, g)
-        else:
-            out[idx] += g
+        out[idx] += g
         return (out,)
 
     return _make(data, (a,), grad_fn)
@@ -433,13 +434,16 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     def grad_fn(g):
         g2 = g.reshape(batch, c_out, -1)
         gk = np.einsum("bol,bkl->ok", g2, cols).reshape(k.shape)
-        gcols = np.matmul(kmat.T, g2)
+        gcols = np.matmul(kmat.T, g2).reshape(batch, c_in, kh, kw, out_h, out_w)
+        # col2im one kernel tap at a time: a tap writes each padded position at
+        # most once, and taps run in column order, so every element sums its
+        # contributions in the same order as a scatter-add over the columns.
         gxp = np.zeros_like(xp)
-        np.add.at(
-            gxp,
-            (np.arange(batch)[:, None, None], chan[None], rows[None], cols_ix[None]),
-            gcols,
-        )
+        for i in range(kh):
+            for j in range(kw):
+                rows_ij = slice(i, i + stride * out_h, stride)
+                cols_ij = slice(j, j + stride * out_w, stride)
+                gxp[:, :, rows_ij, cols_ij] += gcols[:, :, i, j]
         gx = gxp[:, :, pad : pad + height, pad : pad + width] if pad else gxp
         return (gx, gk)
 

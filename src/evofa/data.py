@@ -8,6 +8,7 @@ pass through float32 on generation so export/import round-trips exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -235,8 +236,8 @@ class DriftConfig:
             "noise_std": self.noise_std,
         }
         for name, value in scales.items():
-            if value < 0:
-                raise ConfigError(f"{name} must be nonnegative, got {value}")
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
         if self.n_electrodes * self.d_bands < self.num_classes:
             raise ConfigError(
                 "feature dimension must be at least num_classes for orthogonal class means"
@@ -334,6 +335,24 @@ def _write_feature_file(path: Path, features: np.ndarray) -> None:
     os.replace(tmp, path)
 
 
+def _trial_entries(
+    manifest_path: Path, subject_id: int, session_id: int, entries: list
+) -> list[tuple[int, int, str, int]]:
+    """(id, label, file, count) of each trial entry, sorted by id."""
+    trials = []
+    for position, entry in enumerate(entries):
+        fields = ("id", "label", "file", "count")
+        missing = [f for f in fields if not isinstance(entry, dict) or f not in entry]
+        if missing:
+            trial = entry["id"] if "id" not in missing else f"at position {position}"
+            raise DatasetSchemaError(
+                f"{manifest_path}: subject {subject_id} session {session_id} trial {trial} "
+                f"is missing field {missing[0]!r}"
+            )
+        trials.append((int(entry["id"]), int(entry["label"]), entry["file"], int(entry["count"])))
+    return sorted(trials, key=lambda t: t[0])
+
+
 def import_features(manifest_path: str | Path) -> DatasetIndex:
     """Load a manifest plus its binaries into a sorted, validated DatasetIndex."""
     manifest_path = Path(manifest_path)
@@ -357,16 +376,14 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
         for sess_entry in sorted(subj_entry["sessions"], key=lambda s: int(s["id"])):
             session_id = int(sess_entry["id"])
             time_index = 0
-            for trial_entry in sorted(sess_entry["trials"], key=lambda t: int(t["id"])):
-                trial_id = int(trial_entry["id"])
-                label = int(trial_entry["label"])
+            trials = _trial_entries(manifest_path, subject_id, session_id, sess_entry["trials"])
+            for trial_id, label, file, count in trials:
                 if not (0 <= label < len(classes)):
                     raise DatasetSchemaError(
                         f"label {label} outside class map (size {len(classes)}) for "
                         f"subject {subject_id} session {session_id} trial {trial_id}"
                     )
-                count = int(trial_entry["count"])
-                feats = _read_feature_file(base / trial_entry["file"], count, schema)
+                feats = _read_feature_file(base / file, count, schema)
                 bad = np.argwhere(~np.isfinite(feats))
                 if bad.size:
                     row, i, j = bad[0]

@@ -1,6 +1,7 @@
 """Episodic few-shot learning: sampling, losses, classification, meta-training."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -95,16 +96,26 @@ def sample_episode(
 
 # -- episode forward and losses -----------------------------------------------------
 
+def _embed_episode(episode: Episode, model: Model, mode: str) -> Tensor:
+    feats = np.stack([s.features for s in episode.support + episode.query])
+    return model.embed(Tensor(feats), mode=mode)
+
+
 def episode_scores(episode: Episode, model: Model, mode: str = "eval") -> tuple[Tensor, np.ndarray]:
     """Class scores [Q' x N] for the episode's queries, plus local targets."""
+    return _scores_from_embeddings(episode, model, _embed_episode(episode, model, mode))
+
+
+def _scores_from_embeddings(
+    episode: Episode, model: Model, emb: Tensor
+) -> tuple[Tensor, np.ndarray]:
+    """episode_scores given the adapted embeddings [S+Q x q] of support then query."""
     if model.config.head_kind == "linear":
         raise ProtocolError("linear head is not episodic; use classify_pool")
     if model.config.num_classes != episode.way:
         raise ProtocolError(
             f"model is {model.config.num_classes}-way, episode is {episode.way}-way"
         )
-    feats = np.stack([s.features for s in episode.support + episode.query])
-    emb = model.embed(Tensor(feats), mode=mode)
     split = len(episode.support)
     support_emb = ad.take(emb, slice(0, split))
     query_emb = ad.take(emb, slice(split, emb.shape[0]))
@@ -149,7 +160,12 @@ def episode_loss(episode: Episode, model: Model, mode: str = "train") -> Tensor:
 
 def classify_query(episode: Episode, model: Model) -> tuple[np.ndarray, float]:
     """Argmax predictions (original class ids, ties to the lowest id) and accuracy."""
-    scores, targets = episode_scores(episode, model, mode="eval")
+    return classify_embedded(episode, model, _embed_episode(episode, model, "eval"))
+
+
+def classify_embedded(episode: Episode, model: Model, emb: Tensor) -> tuple[np.ndarray, float]:
+    """classify_query given the adapted embeddings [S+Q x q] of support then query."""
+    scores, targets = _scores_from_embeddings(episode, model, emb)
     local = np.argmax(scores.data, axis=1)
     predictions = np.array([episode.class_ids[i] for i in local], dtype=np.int64)
     accuracy = float(np.mean(local == targets))
@@ -175,6 +191,11 @@ def classify_pool(
 
 
 # -- training loops --------------------------------------------------------------------
+
+def _check_learning_rate(value: float) -> None:
+    if not math.isfinite(value) or value <= 0:
+        raise ConfigError(f"learning_rate must be finite and positive, got {value}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -204,8 +225,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if self.max_epochs < 0:
             raise ConfigError(f"max_epochs must be nonnegative, got {self.max_epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        _check_learning_rate(self.learning_rate)
 
     def model_config(self) -> BackboneConfig:
         return replace(self.backbone, head_kind=self.head_kind, num_classes=self.way)
@@ -274,8 +294,7 @@ class SupervisedConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        _check_learning_rate(self.learning_rate)
         if self.max_epochs < 0:
             raise ConfigError(f"max_epochs must be nonnegative, got {self.max_epochs}")
         if self.num_classes < 2:

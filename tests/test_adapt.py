@@ -4,6 +4,7 @@ import pytest
 
 from evofa import adapt as adapt_mod
 from evofa import autodiff as ad
+from evofa import backbone
 from evofa.adapt import (
     AdaptConfig,
     EvalConfig,
@@ -22,7 +23,7 @@ from evofa.autodiff import ParamGroup, Tensor
 from evofa.backbone import BackboneConfig, create_model
 from evofa.data import DriftConfig, LabeledSample, generate_synthetic_drift, make_intra_split
 from evofa.errors import ConfigError, ContractError, ProtocolError, SamplingError
-from evofa.fsl import sample_episode
+from evofa.fsl import classify_query, sample_episode
 from evofa.mmd import KernelSpec, default_spec, mmd2
 
 BACKBONE = BackboneConfig(
@@ -124,6 +125,13 @@ def test_adapt_config_validation():
         AdaptConfig(kernel="gaussian-auto")
     # zero rates and zero iterations are legal no-op settings
     AdaptConfig(eta_in=0.0, eta_out=0.0, max_iter=0)
+
+
+@pytest.mark.parametrize("field", ["eta_in", "eta_out"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_adapt_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(ConfigError, match=field):
+        AdaptConfig(**{field: value})
 
 
 # -- intra snapshot sampling ----------------------------------------------------------
@@ -503,6 +511,33 @@ def test_eval_deterministic(eval_setup):
     assert a.per_episode == b.per_episode
 
 
+def test_eval_encodes_each_pool_sample_at_most_once(eval_setup, monkeypatch):
+    m, train, test, ecfg = eval_setup
+    encoded = []
+    original = backbone.encode
+
+    def counting_encode(features, model, mode="eval"):
+        encoded.extend(row.tobytes() for row in features.data)
+        return original(features, model, mode=mode)
+
+    monkeypatch.setattr(backbone, "encode", counting_encode)
+    evofa_test(m, test, train, "intra", ecfg, AdaptConfig(n_snapshots=3, snapshot_size=20))
+    assert 0 < len(encoded) <= len(test) + len(train)
+    assert len(set(encoded)) == len(encoded)
+
+
+def test_eval_without_adaptation_matches_classify_query(eval_setup):
+    m, train, test, ecfg = eval_setup
+    report = evofa_test(m, test, train, "intra", ecfg, None)
+    expect = []
+    for ep_idx in range(ecfg.episodes):
+        rng = np.random.default_rng([ecfg.rng_seed, 10, ep_idx])
+        episode = sample_episode(list(test), ecfg.way, ecfg.shot, ecfg.queries, rng)
+        with ad.no_grad():
+            expect.append(classify_query(episode, m)[1])
+    assert report.per_episode == tuple(expect)
+
+
 def test_eval_rejects_unknown_split(eval_setup):
     m, train, test, ecfg = eval_setup
     with pytest.raises(ConfigError):
@@ -517,7 +552,8 @@ def test_target_features_support_plus_extras(pools):
         for s in episode.support + episode.query
     }
     cfg = AdaptConfig(target_calibration_size=20)
-    target = adapt_mod._target_features(episode, list(test), cfg, np.random.default_rng(1))
+    samples = adapt_mod._target_samples(episode, list(test), cfg, np.random.default_rng(1))
+    target = np.stack([s.features for s in samples])
     assert target.shape == (20, 6, 4)
     support_feats = np.stack([s.features for s in episode.support])
     assert np.array_equal(target[:3], support_feats)
@@ -534,5 +570,5 @@ def test_target_features_default_is_support_only(pools):
     _, _, test = pools
     episode = sample_episode(list(test), 3, 1, 10, np.random.default_rng(2))
     cfg = AdaptConfig()  # target_calibration_size 0
-    target = adapt_mod._target_features(episode, list(test), cfg, np.random.default_rng(3))
-    assert target.shape == (3, 6, 4)
+    target = adapt_mod._target_samples(episode, list(test), cfg, np.random.default_rng(3))
+    assert target == list(episode.support)

@@ -101,6 +101,57 @@ def test_conv2d_linearity():
     assert np.allclose(mixed, parts, atol=1e-9)
 
 
+def _scatter_add_input_grad(x, k, g, stride, pad):
+    """Reference conv2d input gradient: scatter-add every column entry with np.add.at."""
+    batch, c_in, height, width = x.shape
+    c_out, _, kh, kw = k.shape
+    out_h, out_w = g.shape[2:]
+    gcols = np.matmul(k.reshape(c_out, -1).T, g.reshape(batch, c_out, -1))
+    chan = np.repeat(np.arange(c_in), kh * kw)[:, None]
+    rows = np.tile(np.repeat(np.arange(kh), kw), c_in)[:, None] + stride * np.repeat(
+        np.arange(out_h), out_w
+    )
+    cols = np.tile(np.tile(np.arange(kw), kh), c_in)[:, None] + stride * np.tile(
+        np.arange(out_w), out_h
+    )
+    gxp = np.zeros((batch, c_in, height + 2 * pad, width + 2 * pad))
+    np.add.at(gxp, (np.arange(batch)[:, None, None], chan[None], rows[None], cols[None]), gcols)
+    return gxp[:, :, pad : pad + height, pad : pad + width]
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("c_in", [1, 3])
+def test_conv2d_input_grad_bitwise_equals_scatter_add(stride, pad, c_in):
+    rng = np.random.default_rng([stride, pad, c_in])
+    x = rng.normal(size=(3, c_in, 7, 9))  # non-square; (7 + 2p - 3) and (9 + 2p - 3) are even
+    k = t(rng.normal(size=(4, c_in, 3, 3)), grad=True)
+    xt = t(x, grad=True)
+    out = ad.conv2d(xt, k, stride=stride, pad=pad)
+    g = rng.normal(size=out.shape)
+    ad.backward(ad.tensor_sum(ad.mul(out, t(g))))
+    expect = _scatter_add_input_grad(x, k.data, g, stride, pad)
+    assert xt.grad.tobytes() == expect.tobytes()
+
+
+def test_take_grad_with_repeated_indices_bitwise_equals_scatter_add():
+    rng = np.random.default_rng(5)
+    a = t(rng.normal(size=(5, 4)), grad=True)
+    cases = [
+        np.array([0, 3, 3, 1, 0, 0, 4, 3]),
+        (np.array([0, 1, 1, 2, 1]), np.array([3, 3, 3, 0, 3])),
+        (slice(None), np.array([1, 1, 0, 1])),
+    ]
+    for idx in cases:
+        picked = ad.take(a, idx)
+        g = rng.normal(size=picked.shape)
+        a.grad = None
+        ad.backward(ad.tensor_sum(ad.mul(picked, t(g))))
+        expect = np.zeros(a.shape)
+        np.add.at(expect, idx, g)
+        assert a.grad.tobytes() == expect.tobytes()
+
+
 # -- batch norm ---------------------------------------------------------------
 
 def test_batch_norm_near_identity_on_standardized_batch():

@@ -125,6 +125,21 @@ def test_import_label_outside_class_map_rejected(tmp_path):
         data.import_features(write_manifest(tmp_path, trials))
 
 
+@pytest.mark.parametrize("field", ["count", "file", "label", "id"])
+def test_import_trial_missing_field_names_manifest_trial_and_field(tmp_path, field):
+    write_binary(tmp_path / "features" / "t7.evfa", np.zeros((1, 4, 2)))
+    trial = {"id": 7, "label": 0, "file": "features/t7.evfa", "count": 1}
+    del trial[field]
+    path = write_manifest(tmp_path, [trial])
+    which = "trial at position 0" if field == "id" else "trial 7"
+    with pytest.raises(DatasetSchemaError) as err:
+        data.import_features(path)
+    message = str(err.value)
+    assert str(path) in message
+    assert f"subject 1 session 1 {which}" in message
+    assert repr(field) in message
+
+
 def test_import_missing_manifest(tmp_path):
     with pytest.raises(IngestError):
         data.import_features(tmp_path / "nope.json")
@@ -206,6 +221,15 @@ def test_generator_config_validation():
         data.DriftConfig(noise_std=-1.0)
     with pytest.raises(ConfigError):
         data.DriftConfig(n_electrodes=1, d_bands=1, num_classes=3)
+
+
+@pytest.mark.parametrize(
+    "field", ["class_separation", "intra_drift_rate", "inter_subject_offset_scale", "noise_std"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_generator_rejects_non_finite_scales(field, value):
+    with pytest.raises(ConfigError, match=field):
+        data.DriftConfig(**{field: value})
 
 
 def test_class_separation_is_exact_in_the_noiseless_limit():

@@ -417,6 +417,13 @@ def test_train_config_rejects_bad_values():
         TrainConfig(max_epochs=-1)
 
 
+@pytest.mark.parametrize("config", [TrainConfig, SupervisedConfig])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_learning_rate_must_be_finite(config, value):
+    with pytest.raises(ConfigError, match="learning_rate"):
+        config(learning_rate=value)
+
+
 def test_train_config_propagates_head_and_way():
     cfg = TrainConfig(head_kind="matching", way=5, shot=1, queries=5)
     mc = cfg.model_config()
