@@ -14,23 +14,20 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .adapt import EvalConfig, evofa_test
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DriftConfig, export_features, generate_synthetic_drift, import_features
 from .errors import ConfigError
-from .fsl import meta_train
 from .harness import (
-    ResultRow,
     ResultTable,
-    _atomic_write_text,
-    derive_seed,
+    atomic_write_text,
+    cell_pools,
+    evaluate_cell,
     load_dataset,
     load_experiment_config,
-    write_run_manifest,
-    _check_compatible,
-    _plan_cells,
-    _split_for_cell,
+    plan_cells,
     run_protocol,
+    train_cell,
+    write_run_manifest,
 )
 
 
@@ -57,16 +54,24 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _pick_cell(cfg, ds, args):
-    cells = _plan_cells(cfg, ds)
-    subject = getattr(args, "subject", None)
-    session = getattr(args, "session", None)
-    if subject is None:
-        return cells[0]
-    wanted = (subject, session if cfg.protocol == "inter" else None)
-    if wanted not in cells:
-        raise ConfigError(f"cell subject={subject} session={session} not in the protocol plan")
-    return wanted
+def _parse_shots(text: str) -> list[int]:
+    try:
+        shots = [int(k) for k in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--shots must be comma-separated integers, got {text!r}") from None
+    if any(k < 1 for k in shots):
+        raise ConfigError(f"--shots counts must be positive, got {text!r}")
+    if len(set(shots)) != len(shots):
+        raise ConfigError(f"--shots names a count more than once: {text!r}")
+    return shots
+
+
+def _write_results(out: _Outputs, out_dir: Path, table: ResultTable, cfg) -> Path:
+    csv_path, json_path = table.write(out_dir)
+    out.track(csv_path)
+    out.track(json_path)
+    out.track(write_run_manifest(out_dir, cfg))
+    return csv_path
 
 
 def _cmd_synth_gen(args, out: _Outputs) -> int:
@@ -98,7 +103,7 @@ def _write_manifest_stub(out: _Outputs, out_dir: Path, dataset_obj: dict) -> Non
         "created_unix": time.time(),
     }
     path = Path(out_dir) / "run-manifest.json"
-    _atomic_write_text(path, json.dumps(stub, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(stub, indent=2) + "\n")
     out.track(path)
 
 
@@ -115,20 +120,17 @@ def _cmd_import_check(args, out: _Outputs) -> int:
 def _cmd_train(args, out: _Outputs) -> int:
     cfg = load_experiment_config(args.config)
     ds = load_dataset(cfg)
-    _check_compatible(cfg, ds)
-    subject, session = _pick_cell(cfg, ds, args)
-    split = _split_for_cell(cfg, ds, subject, session)
-    train = split.select(ds, "train")
-    val = split.select(ds, "val")
-    sess = 0 if session is None else 1 + session
-    tcfg = replace(cfg.train, rng_seed=derive_seed(cfg.seed, 1, subject, sess))
+    subject, session = plan_cells(cfg, ds, args.subject, args.session)[0]
+    pools = cell_pools(cfg, ds, subject, session)
     history: list[tuple[int, float]] = []
-    model = meta_train(train, val, tcfg, on_epoch=lambda e, a: history.append((e, a)))
+    model = train_cell(
+        cfg, pools, subject, session, on_epoch=lambda e, a: history.append((e, a))
+    )
     out_dir = Path(args.out)
     ckpt_path = out.track(save_checkpoint(model, out_dir / "checkpoints" / "model.ckpt"))
     log_lines = ["epoch,val_accuracy"] + [f"{e},{a:.12g}" for e, a in history]
     log_path = out_dir / "logs" / "train_log.csv"
-    _atomic_write_text(log_path, "\n".join(log_lines) + "\n")
+    atomic_write_text(log_path, "\n".join(log_lines) + "\n")
     out.track(log_path)
     out.track(write_run_manifest(out_dir, cfg))
     best = max((a for _, a in history), default=float("nan"))
@@ -145,55 +147,18 @@ def _cmd_evaluate(args, out: _Outputs) -> int:
         cfg = replace(cfg, eval_episodes=args.episodes)
     if args.persist_adaptation:
         cfg = replace(cfg, persist_adaptation=True)
+    shots = _parse_shots(args.shots) if args.shots is not None else [cfg.train.shot]
     ds = load_dataset(cfg)
-    _check_compatible(cfg, ds)
+    subject, session = plan_cells(cfg, ds, args.subject, args.session)[0]
     model = load_checkpoint(args.checkpoint)
     if model.config != cfg.train.backbone:
         raise ConfigError(
             "checkpoint architecture disagrees with the experiment backbone config"
         )
-    subject, session = _pick_cell(cfg, ds, args)
-    split = _split_for_cell(cfg, ds, subject, session)
-    train = split.select(ds, "train")
-    test = split.select(ds, "test")
-    sess = 0 if session is None else 1 + session
-    shots = [int(k) for k in args.shots.split(",")] if args.shots else [cfg.train.shot]
-    if any(k < 1 for k in shots):
-        raise ConfigError(f"shot counts must be positive, got {shots}")
     adapt_cfg = cfg.adapt if args.adapt == "on" else None
-    rows = []
-    for k in shots:
-        eval_cfg = EvalConfig(
-            episodes=cfg.eval_episodes,
-            way=cfg.train.way,
-            shot=k,
-            queries=cfg.train.queries,
-            rng_seed=derive_seed(cfg.seed, 2, subject, sess, k),
-            persist_adaptation=cfg.persist_adaptation,
-        )
-        report = evofa_test(model, test, train, cfg.protocol, eval_cfg, adapt_cfg)
-        rows.append(
-            ResultRow(
-                protocol=cfg.protocol,
-                subject=str(subject),
-                session=str(session) if session is not None else "3",
-                method=report.method,
-                shots=k,
-                way=eval_cfg.way,
-                queries=eval_cfg.queries,
-                episodes=report.episodes,
-                mean_accuracy=report.mean_accuracy,
-                std_accuracy=report.std_accuracy,
-                std_over="episodes",
-                wall_clock_seconds=0.0,
-            )
-        )
-    table = ResultTable(rows).with_aggregates()
-    out_dir = Path(args.out)
-    csv_path, json_path = table.write(out_dir)
-    out.track(csv_path)
-    out.track(json_path)
-    out.track(write_run_manifest(out_dir, cfg))
+    pools = cell_pools(cfg, ds, subject, session)
+    rows = evaluate_cell(cfg, model, pools, subject, session, (adapt_cfg,), shots)
+    _write_results(out, Path(args.out), ResultTable(rows).with_aggregates(), cfg)
     for row in rows:
         print(
             f"{row.method} {row.shots}-shot: {row.mean_accuracy:.4f} "
@@ -205,11 +170,7 @@ def _cmd_evaluate(args, out: _Outputs) -> int:
 def _cmd_compare(args, out: _Outputs) -> int:
     cfg = load_experiment_config(args.config)
     table = run_protocol(cfg)
-    out_dir = Path(args.out)
-    csv_path, json_path = table.write(out_dir)
-    out.track(csv_path)
-    out.track(json_path)
-    out.track(write_run_manifest(out_dir, cfg))
+    csv_path = _write_results(out, Path(args.out), table, cfg)
     for row in table.aggregate_rows():
         print(
             f"{row.method} {row.shots}-shot: {row.mean_accuracy:.4f} "
@@ -269,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--subject", type=int, help="protocol cell subject (default: first)")
-    p.add_argument("--session", type=int, help="protocol cell session (inter only)")
+    p.add_argument("--session", type=int, help="protocol cell session (inter only, with --subject)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on one protocol cell")
@@ -280,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", help="comma-separated support sizes, e.g. 1,5")
     p.add_argument("--episodes", type=int, help="override evaluation episode count")
     p.add_argument("--subject", type=int, help="protocol cell subject (default: first)")
-    p.add_argument("--session", type=int, help="protocol cell session (inter only)")
+    p.add_argument("--session", type=int, help="protocol cell session (inter only, with --subject)")
     p.add_argument(
         "--persist-adaptation",
         action="store_true",

@@ -335,22 +335,19 @@ def _write_feature_file(path: Path, features: np.ndarray) -> None:
     os.replace(tmp, path)
 
 
-def _trial_entries(
-    manifest_path: Path, subject_id: int, session_id: int, entries: list
-) -> list[tuple[int, int, str, int]]:
-    """(id, label, file, count) of each trial entry, sorted by id."""
-    trials = []
+def _checked_entries(manifest_path: Path, where: str, entries: list, fields: tuple) -> list:
+    """Manifest entries sorted by id, each checked for its fields.
+
+    ``where`` names the entry kind and its parents, e.g. "subject 2 session 1 trial".
+    """
     for position, entry in enumerate(entries):
-        fields = ("id", "label", "file", "count")
         missing = [f for f in fields if not isinstance(entry, dict) or f not in entry]
         if missing:
-            trial = entry["id"] if "id" not in missing else f"at position {position}"
+            name = entry["id"] if "id" not in missing else f"at position {position}"
             raise DatasetSchemaError(
-                f"{manifest_path}: subject {subject_id} session {session_id} trial {trial} "
-                f"is missing field {missing[0]!r}"
+                f"{manifest_path}: {where} {name} is missing field {missing[0]!r}"
             )
-        trials.append((int(entry["id"]), int(entry["label"]), entry["file"], int(entry["count"])))
-    return sorted(trials, key=lambda t: t[0])
+    return sorted(entries, key=lambda e: int(e["id"]))
 
 
 def import_features(manifest_path: str | Path) -> DatasetIndex:
@@ -371,13 +368,23 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
 
     base = manifest_path.parent
     samples = []
-    for subj_entry in sorted(subjects, key=lambda s: int(s["id"])):
+    for subj_entry in _checked_entries(manifest_path, "subject", subjects, ("id", "sessions")):
         subject_id = int(subj_entry["id"])
-        for sess_entry in sorted(subj_entry["sessions"], key=lambda s: int(s["id"])):
+        sessions = _checked_entries(
+            manifest_path, f"subject {subject_id} session", subj_entry["sessions"], ("id", "trials")
+        )
+        for sess_entry in sessions:
             session_id = int(sess_entry["id"])
             time_index = 0
-            trials = _trial_entries(manifest_path, subject_id, session_id, sess_entry["trials"])
-            for trial_id, label, file, count in trials:
+            trials = _checked_entries(
+                manifest_path,
+                f"subject {subject_id} session {session_id} trial",
+                sess_entry["trials"],
+                ("id", "label", "file", "count"),
+            )
+            for entry in trials:
+                trial_id, label, count = int(entry["id"]), int(entry["label"]), int(entry["count"])
+                file = entry["file"]
                 if not (0 <= label < len(classes)):
                     raise DatasetSchemaError(
                         f"label {label} outside class map (size {len(classes)}) for "

@@ -12,21 +12,17 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from . import autodiff as ad
 from .adapt import AdaptConfig, EvalConfig, evofa_test
-from .autodiff import Tensor
-from .backbone import BackboneConfig, Model
+from .backbone import BackboneConfig
 from .data import (
     DatasetIndex,
     DriftConfig,
-    LabeledSample,
     generate_synthetic_drift,
     import_features,
     make_inter_split,
@@ -209,12 +205,12 @@ class ResultTable:
         out = Path(out_dir)
         csv_path = out / "results.csv"
         json_path = out / "results.json"
-        _atomic_write_text(csv_path, self.to_csv_text())
-        _atomic_write_text(json_path, json.dumps(self.to_json_obj(), indent=2) + "\n")
+        atomic_write_text(csv_path, self.to_csv_text())
+        atomic_write_text(json_path, json.dumps(self.to_json_obj(), indent=2) + "\n")
         return csv_path, json_path
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
@@ -229,239 +225,167 @@ def write_run_manifest(out_dir: str | Path, cfg: ExperimentConfig) -> Path:
         "config": config_to_obj(cfg),
         "created_unix": time.time(),
     }
-    _atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
     return path
 
 
 # -- protocol execution ----------------------------------------------------------------
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("EVOFA_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"EVOFA_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"EVOFA_THREADS must be at least 1, got {n}")
-    return n
+def plan_cells(
+    cfg: ExperimentConfig,
+    ds: DatasetIndex,
+    subject: int | None = None,
+    session: int | None = None,
+) -> list[tuple[int, int | None]]:
+    """The protocol's (subject, session) cells, or just the one cell asked for.
 
-
-def _plan_cells(cfg: ExperimentConfig, ds: DatasetIndex) -> list[tuple[int, int | None]]:
+    Checks the config against the dataset first. Intra cells have session None.
+    """
+    _check_compatible(cfg, ds)
     subjects = list(cfg.subjects) if cfg.subjects else ds.subjects()
     for s in subjects:
         if s not in ds.subjects():
             raise ProtocolError(f"subject {s} not in dataset")
     if cfg.protocol == "intra":
-        return [(s, None) for s in subjects]
-    sessions = list(cfg.sessions) if cfg.sessions else sorted(
-        {s.session_id for s in ds.samples}
-    )
-    return [(subj, sess) for sess in sessions for subj in subjects]
+        if session is not None:
+            raise ConfigError(f"intra protocol cells have no session, got session {session}")
+        cells = [(s, None) for s in subjects]
+    else:
+        if session is not None and subject is None:
+            raise ConfigError(f"session {session} given without a subject to pick the cell")
+        sessions = list(cfg.sessions) if cfg.sessions else sorted(
+            {s.session_id for s in ds.samples}
+        )
+        cells = [(subj, sess) for sess in sessions for subj in subjects]
+    if subject is None:
+        return cells
+    wanted = (subject, session)
+    if wanted not in cells:
+        raise ConfigError(f"cell subject={subject} session={session} not in the protocol plan")
+    return [wanted]
 
 
-def _split_for_cell(cfg, ds, subject, session):
+def cell_seed(
+    cfg: ExperimentConfig, stream: int, subject: int, session: int | None, *key: int
+) -> int:
+    """Seed of one random stream of a cell: 1 meta-training, 2 evaluation, 4 supervised."""
+    return derive_seed(cfg.seed, stream, subject, 0 if session is None else 1 + session, *key)
+
+
+def cell_pools(cfg: ExperimentConfig, ds: DatasetIndex, subject: int, session: int | None):
+    """The cell's (train, val, test) sample pools."""
     if cfg.protocol == "intra":
-        return make_intra_split(ds, subject)
-    rng = np.random.default_rng([cfg.seed, 3, session, subject])
-    return make_inter_split(ds, session, subject, rng)
+        split = make_intra_split(ds, subject)
+    else:
+        rng = np.random.default_rng([cfg.seed, 3, session, subject])
+        split = make_inter_split(ds, session, subject, rng)
+    return tuple(split.select(ds, part) for part in ("train", "val", "test"))
 
 
-def _train_models(cfg, ds, pools, subject, session):
-    """Meta-trained episodic model plus (optionally) the supervised baseline."""
+def train_cell(cfg: ExperimentConfig, pools, subject: int, session: int | None, on_epoch=None):
+    """Meta-train the cell's episodic model on its train pool, validating on its val pool."""
     train, val, _ = pools
-    sess = 0 if session is None else 1 + session
-    tcfg = replace(cfg.train, rng_seed=derive_seed(cfg.seed, 1, subject, sess))
+    tcfg = replace(cfg.train, rng_seed=cell_seed(cfg, 1, subject, session))
+    return meta_train(train, val, tcfg, on_epoch=on_epoch)
+
+
+def evaluate_cell(
+    cfg: ExperimentConfig,
+    model,
+    pools,
+    subject: int,
+    session: int | None,
+    adapt_cfgs,
+    shots: list[int] | None = None,
+    supervised=None,
+) -> list[ResultRow]:
+    """Result rows of one cell, each timed by its own evaluation.
+
+    The supervised model, if given, is scored on the whole test pool first. Then
+    the episodic model runs once per (shot, adaptation config), ordered by shot
+    and then by ``adapt_cfgs`` (None is the unadapted baseline); every config of
+    one shot sees the same episodes.
+    """
+    train, _, test = pools
+    # compare (shots=None) evaluates the config's shot from the cell's evaluation
+    # seed; evaluate keys each requested shot's seed by k. The two stay apart:
+    # merging them would change the bytes of every results.csv either command wrote.
+    if shots is None:
+        plans = [(cfg.train.shot, cell_seed(cfg, 2, subject, session))]
+    else:
+        plans = [(k, cell_seed(cfg, 2, subject, session, k)) for k in shots]
+    rows = []
+
+    def add(method, k, episodes, mean, std, std_over, t0):
+        rows.append(
+            ResultRow(
+                protocol=cfg.protocol,
+                subject=str(subject),
+                session=str(session) if session is not None else "3",  # intra tests session 3
+                method=method,
+                shots=k,
+                way=cfg.train.way,
+                queries=cfg.train.queries,
+                episodes=episodes,
+                mean_accuracy=mean,
+                std_accuracy=std,
+                std_over=std_over,
+                wall_clock_seconds=time.perf_counter() - t0,
+            )
+        )
+
+    if supervised is not None:
+        t0 = time.perf_counter()
+        _, acc = classify_pool(supervised, test)
+        add("supervised", 0, 0, acc, 0.0, "pool", t0)
+    for k, seed in plans:
+        eval_cfg = EvalConfig(
+            episodes=cfg.eval_episodes,
+            way=cfg.train.way,
+            shot=k,
+            queries=cfg.train.queries,
+            rng_seed=seed,
+            persist_adaptation=cfg.persist_adaptation,
+        )
+        for adapt_cfg in adapt_cfgs:
+            t0 = time.perf_counter()
+            r = evofa_test(model, test, train, cfg.protocol, eval_cfg, adapt_cfg)
+            add(r.method, k, r.episodes, r.mean_accuracy, r.std_accuracy, "episodes", t0)
+    return rows
+
+
+def _run_cell(cfg: ExperimentConfig, ds: DatasetIndex, subject: int, session: int | None):
+    """Train and evaluate one cell: supervised, fsl and fsl+evofa rows."""
+    pools = cell_pools(cfg, ds, subject, session)
     t0 = time.perf_counter()
-    model = meta_train(train, val, tcfg)
-    train_seconds = time.perf_counter() - t0
+    model = train_cell(cfg, pools, subject, session)
+    seconds = {"fsl": time.perf_counter() - t0}
     supervised = None
-    sup_seconds = 0.0
     if cfg.include_supervised:
         base = cfg.supervised if cfg.supervised is not None else SupervisedConfig(
             backbone=cfg.train.backbone, num_classes=ds.num_classes
         )
-        scfg = replace(base, rng_seed=derive_seed(cfg.seed, 4, subject, sess))
+        scfg = replace(base, rng_seed=cell_seed(cfg, 4, subject, session))
         t0 = time.perf_counter()
-        supervised = train_supervised_baseline(train, val, scfg)
-        sup_seconds = time.perf_counter() - t0
-    return model, train_seconds, supervised, sup_seconds
-
-
-def _run_cell(cfg: ExperimentConfig, ds: DatasetIndex, subject: int, session: int | None):
-    split = _split_for_cell(cfg, ds, subject, session)
-    pools = tuple(split.select(ds, part) for part in ("train", "val", "test"))
-    train, _, test = pools
-    model, train_seconds, supervised, sup_seconds = _train_models(
-        cfg, ds, pools, subject, session
+        supervised = train_supervised_baseline(pools[0], pools[1], scfg)
+        seconds["supervised"] = time.perf_counter() - t0
+    rows = evaluate_cell(
+        cfg, model, pools, subject, session, (None, cfg.adapt), supervised=supervised
     )
-    sess = 0 if session is None else 1 + session
-    eval_cfg = EvalConfig(
-        episodes=cfg.eval_episodes,
-        way=cfg.train.way,
-        shot=cfg.train.shot,
-        queries=cfg.train.queries,
-        rng_seed=derive_seed(cfg.seed, 2, subject, sess),
-        persist_adaptation=cfg.persist_adaptation,
-    )
-    session_label = str(session) if session is not None else "3"  # intra tests session 3
-    common = dict(
-        protocol=cfg.protocol,
-        subject=str(subject),
-        session=session_label,
-        way=eval_cfg.way,
-        queries=eval_cfg.queries,
-    )
-    rows = []
-    if supervised is not None:
-        t0 = time.perf_counter()
-        _, acc = classify_pool(supervised, test)
-        rows.append(
-            ResultRow(
-                method="supervised",
-                shots=0,
-                episodes=0,
-                mean_accuracy=acc,
-                std_accuracy=0.0,
-                std_over="pool",
-                wall_clock_seconds=sup_seconds + time.perf_counter() - t0,
-                **common,
-            )
-        )
-    t0 = time.perf_counter()
-    base = evofa_test(model, test, train, cfg.protocol, eval_cfg, None)
-    base_seconds = time.perf_counter() - t0
-    rows.append(
-        ResultRow(
-            method="fsl",
-            shots=eval_cfg.shot,
-            episodes=base.episodes,
-            mean_accuracy=base.mean_accuracy,
-            std_accuracy=base.std_accuracy,
-            std_over="episodes",
-            wall_clock_seconds=train_seconds + base_seconds,
-            **common,
-        )
-    )
-    t0 = time.perf_counter()
-    adapted = evofa_test(model, test, train, cfg.protocol, eval_cfg, cfg.adapt)
-    rows.append(
-        ResultRow(
-            method="fsl+evofa",
-            shots=eval_cfg.shot,
-            episodes=adapted.episodes,
-            mean_accuracy=adapted.mean_accuracy,
-            std_accuracy=adapted.std_accuracy,
-            std_over="episodes",
-            wall_clock_seconds=time.perf_counter() - t0,
-            **common,
-        )
-    )
-    return rows
-
-
-def _run_cells(worker, cells) -> list:
-    threads = min(_thread_count(), len(cells)) if cells else 1
-    if threads <= 1:
-        return [worker(*cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, *cell) for cell in cells]
-        return [f.result() for f in futures]  # submission order keeps output stable
+    # a model's training time is charged to its first row, so a cell's rows sum to its run time
+    return [
+        replace(r, wall_clock_seconds=r.wall_clock_seconds + seconds.pop(r.method, 0.0))
+        for r in rows
+    ]
 
 
 def run_protocol(cfg: ExperimentConfig, ds: DatasetIndex | None = None) -> ResultTable:
     """Train and evaluate every protocol cell; baseline and adapted runs share episodes."""
     if ds is None:
         ds = load_dataset(cfg)
-    _check_compatible(cfg, ds)
-    cells = _plan_cells(cfg, ds)
-    per_cell = _run_cells(lambda subj, sess: _run_cell(cfg, ds, subj, sess), cells)
-    rows = [row for rows in per_cell for row in rows]
+    rows = [row for cell in plan_cells(cfg, ds) for row in _run_cell(cfg, ds, *cell)]
     return ResultTable(rows).with_aggregates()
-
-
-def shot_sweep(
-    cfg: ExperimentConfig,
-    shots: list[int],
-    ds: DatasetIndex | None = None,
-    include_adapted: bool = False,
-) -> ResultTable:
-    """Evaluate each cell's trained model at several support sizes K."""
-    if not shots:
-        raise ConfigError("shot sweep needs at least one shot count")
-    if any(k < 1 for k in shots):
-        raise ConfigError(f"shot counts must be positive, got {shots}")
-    if ds is None:
-        ds = load_dataset(cfg)
-    _check_compatible(cfg, ds)
-    cells = _plan_cells(cfg, ds)
-
-    def sweep_cell(subject, session):
-        split = _split_for_cell(cfg, ds, subject, session)
-        pools = tuple(split.select(ds, part) for part in ("train", "val", "test"))
-        train, _, test = pools
-        model, train_seconds, _, _ = _train_models(
-            replace(cfg, include_supervised=False), ds, pools, subject, session
-        )
-        sess = 0 if session is None else 1 + session
-        rows = []
-        for k in shots:
-            eval_cfg = EvalConfig(
-                episodes=cfg.eval_episodes,
-                way=cfg.train.way,
-                shot=k,
-                queries=cfg.train.queries,
-                rng_seed=derive_seed(cfg.seed, 2, subject, sess, k),
-                persist_adaptation=cfg.persist_adaptation,
-            )
-            plans = [("fsl", None)] + ([("fsl+evofa", cfg.adapt)] if include_adapted else [])
-            for method, adapt_cfg in plans:
-                t0 = time.perf_counter()
-                report = evofa_test(model, test, train, cfg.protocol, eval_cfg, adapt_cfg)
-                rows.append(
-                    ResultRow(
-                        protocol=cfg.protocol,
-                        subject=str(subject),
-                        session=str(session) if session is not None else "3",
-                        method=method,
-                        shots=k,
-                        way=eval_cfg.way,
-                        queries=eval_cfg.queries,
-                        episodes=report.episodes,
-                        mean_accuracy=report.mean_accuracy,
-                        std_accuracy=report.std_accuracy,
-                        std_over="episodes",
-                        wall_clock_seconds=train_seconds + time.perf_counter() - t0,
-                    )
-                )
-        return rows
-
-    per_cell = _run_cells(sweep_cell, cells)
-    rows = [row for rows in per_cell for row in rows]
-    return ResultTable(rows).with_aggregates()
-
-
-def export_embeddings(model: Model, pool: list[LabeledSample], path: str | Path) -> Path:
-    """Write one CSV row per sample: identity columns, label, then the embedding."""
-    dim = model.config.embedding_dim
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["subject", "session", "trial", "time_index", "label"] + [f"e{i + 1}" for i in range(dim)]
-    )
-    for start in range(0, len(pool), 64):
-        chunk = pool[start : start + 64]
-        feats = np.stack([s.features for s in chunk])
-        with ad.no_grad():
-            emb = model.embed(Tensor(feats), mode="eval").data
-        for s, row in zip(chunk, emb):
-            writer.writerow(
-                [s.subject_id, s.session_id, s.trial_id, s.time_index, s.label]
-                + [f"{v:.12g}" for v in row]
-            )
-    path = Path(path)
-    _atomic_write_text(path, buf.getvalue())
-    return path
 
 
 # -- config (de)serialization ------------------------------------------------------
@@ -543,7 +467,11 @@ def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     if "synthetic" in dataset_obj:
         dataset = build(DriftConfig, "synthetic dataset", **dataset_obj["synthetic"])
     elif "import" in dataset_obj:
-        dataset = str(dataset_obj["import"])
+        dataset = dataset_obj["import"]
+        if not isinstance(dataset, str):
+            raise ConfigError(
+                f'dataset "import" must be a manifest path string, got {type(dataset).__name__}'
+            )
     else:
         raise ConfigError('dataset must be {"synthetic": {...}} or {"import": "path"}')
     backbone_obj = dict(obj.get("backbone", {}))

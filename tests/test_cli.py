@@ -159,6 +159,34 @@ def test_train_rejects_subject_outside_plan(workspace, tmp_path, capsys):
     assert "not in the protocol plan" in capsys.readouterr().err
 
 
+def test_train_rejects_session_on_intra_config(workspace, tmp_path, capsys):
+    rc = main(
+        [
+            "train",
+            "--config",
+            str(workspace / "exp.json"),
+            "--out",
+            str(tmp_path / "t"),
+            "--subject",
+            "1",
+            "--session",
+            "2",
+        ]
+    )
+    assert rc == 1
+    assert "intra protocol cells have no session" in capsys.readouterr().err
+    assert not (tmp_path / "t" / "checkpoints" / "model.ckpt").exists()
+
+
+def test_train_rejects_session_without_subject_on_inter_config(workspace, tmp_path, capsys):
+    config = tmp_path / "inter.json"
+    config.write_text(json.dumps({**CONFIG_OBJ, "protocol": "inter", "subjects": []}))
+    rc = main(["train", "--config", str(config), "--out", str(tmp_path / "t"), "--session", "2"])
+    assert rc == 1
+    assert "without a subject" in capsys.readouterr().err
+    assert not (tmp_path / "t" / "checkpoints" / "model.ckpt").exists()
+
+
 def test_failing_train_discards_partial_outputs(workspace, tmp_path, monkeypatch, capsys):
     import evofa.cli as cli
 
@@ -197,7 +225,8 @@ def test_evaluate_baseline(workspace, trained, tmp_path, capsys):
     rows = read_csv_rows(out / "results.csv")
     assert [r["method"] for r in rows] == ["fsl", "fsl"]  # cell then aggregate
     assert rows[0]["episodes"] == "4"
-    assert (out / "results.json").exists()
+    report = json.loads((out / "results.json").read_text())
+    assert all(r["wall_clock_seconds"] > 0 for r in report["rows"])  # timed, unlike the CSV
     assert (out / "run-manifest.json").exists()
 
 
@@ -243,7 +272,33 @@ def test_evaluate_rejects_zero_shots(workspace, trained, tmp_path, capsys):
         ]
     )
     assert rc == 1
-    assert "positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "positive" in err and "--shots" in err
+
+
+@pytest.mark.parametrize(
+    "shots",
+    ["", "1,,2", "1,x", "1,1", "2,-1"],
+    ids=["empty", "empty-item", "not-an-integer", "duplicate", "negative"],
+)
+def test_evaluate_rejects_bad_shot_lists(workspace, trained, tmp_path, capsys, shots):
+    out = tmp_path / "e"
+    rc = main(
+        [
+            "evaluate",
+            "--config",
+            str(workspace / "exp.json"),
+            "--checkpoint",
+            str(trained / "checkpoints" / "model.ckpt"),
+            "--out",
+            str(out),
+            "--shots",
+            shots,
+        ]
+    )
+    assert rc == 1
+    assert "--shots" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
 
 
 def test_evaluate_rejects_architecture_mismatch(workspace, tmp_path, capsys):

@@ -125,19 +125,35 @@ def test_import_label_outside_class_map_rejected(tmp_path):
         data.import_features(write_manifest(tmp_path, trials))
 
 
-@pytest.mark.parametrize("field", ["count", "file", "label", "id"])
+# where the error names the entry that lacks each field: trial, session or subject level
+MISSING_FIELD_WHERE = {
+    "count": "subject 1 session 1 trial 7",
+    "file": "subject 1 session 1 trial 7",
+    "label": "subject 1 session 1 trial 7",
+    "id": "subject 1 session 1 trial at position 0",
+    "session.id": "subject 1 session at position 0",
+    "session.trials": "subject 1 session 1",
+    "subject.id": "subject at position 0",
+    "subject.sessions": "subject 1",
+}
+
+
+@pytest.mark.parametrize("field", list(MISSING_FIELD_WHERE))
 def test_import_trial_missing_field_names_manifest_trial_and_field(tmp_path, field):
     write_binary(tmp_path / "features" / "t7.evfa", np.zeros((1, 4, 2)))
     trial = {"id": 7, "label": 0, "file": "features/t7.evfa", "count": 1}
-    del trial[field]
     path = write_manifest(tmp_path, [trial])
-    which = "trial at position 0" if field == "id" else "trial 7"
+    manifest = json.loads(path.read_text())
+    subject = manifest["subjects"][0]
+    session = subject["sessions"][0]
+    level, _, key = field.rpartition(".")
+    del {"subject": subject, "session": session, "": session["trials"][0]}[level][key]
+    path.write_text(json.dumps(manifest))
     with pytest.raises(DatasetSchemaError) as err:
         data.import_features(path)
     message = str(err.value)
     assert str(path) in message
-    assert f"subject 1 session 1 {which}" in message
-    assert repr(field) in message
+    assert f"{MISSING_FIELD_WHERE[field]} is missing field {key!r}" in message
 
 
 def test_import_missing_manifest(tmp_path):

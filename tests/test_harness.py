@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from evofa import harness
 from evofa.adapt import AdaptConfig
-from evofa.backbone import BackboneConfig, create_model
-from evofa.data import DriftConfig, generate_synthetic_drift, make_intra_split
+from evofa.backbone import BackboneConfig
+from evofa.data import DriftConfig, generate_synthetic_drift
 from evofa.errors import ConfigError, ProtocolError
 from evofa.fsl import SupervisedConfig, TrainConfig
 from evofa.harness import (
@@ -15,15 +16,16 @@ from evofa.harness import (
     ExperimentConfig,
     ResultRow,
     ResultTable,
-    _plan_cells,
-    _thread_count,
+    cell_pools,
+    cell_seed,
     config_to_obj,
     derive_seed,
+    evaluate_cell,
     experiment_config_from_obj,
-    export_embeddings,
     load_experiment_config,
+    plan_cells,
     run_protocol,
-    shot_sweep,
+    train_cell,
     write_run_manifest,
 )
 from evofa.mmd import KernelSpec
@@ -190,33 +192,20 @@ def test_derive_seed_is_deterministic_and_sensitive():
     assert all(0 <= s < 2**32 for s in seen)
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("EVOFA_THREADS", raising=False)
-    assert _thread_count() == 1
-    monkeypatch.setenv("EVOFA_THREADS", "4")
-    assert _thread_count() == 4
-    monkeypatch.setenv("EVOFA_THREADS", "zero")
-    with pytest.raises(ConfigError, match="integer"):
-        _thread_count()
-    monkeypatch.setenv("EVOFA_THREADS", "0")
-    with pytest.raises(ConfigError, match="at least 1"):
-        _thread_count()
-
-
 def test_plan_cells_intra_lists_subjects(dataset):
-    assert _plan_cells(CONFIG, dataset) == [(1, None), (2, None)]
+    assert plan_cells(CONFIG, dataset) == [(1, None), (2, None)]
     only_two = replace(CONFIG, subjects=(2,))
-    assert _plan_cells(only_two, dataset) == [(2, None)]
+    assert plan_cells(only_two, dataset) == [(2, None)]
 
 
 def test_plan_cells_inter_is_session_major(dataset):
     cfg = replace(CONFIG, protocol="inter", sessions=(1, 2))
-    assert _plan_cells(cfg, dataset) == [(1, 1), (2, 1), (1, 2), (2, 2)]
+    assert plan_cells(cfg, dataset) == [(1, 1), (2, 1), (1, 2), (2, 2)]
 
 
 def test_plan_cells_rejects_unknown_subject(dataset):
     with pytest.raises(ProtocolError, match="subject 9"):
-        _plan_cells(replace(CONFIG, subjects=(9,)), dataset)
+        plan_cells(replace(CONFIG, subjects=(9,)), dataset)
 
 
 def test_run_protocol_rejects_schema_mismatch(dataset):
@@ -259,12 +248,6 @@ def test_csv_bytes_deterministic_across_runs(table, dataset):
     assert again.to_csv_text() == table.to_csv_text()
 
 
-def test_threaded_run_matches_serial(table, dataset, monkeypatch):
-    monkeypatch.setenv("EVOFA_THREADS", "2")
-    threaded = run_protocol(CONFIG, dataset)
-    assert threaded.to_csv_text() == table.to_csv_text()
-
-
 def test_zero_rate_adaptation_reduces_to_baseline(dataset):
     noop = replace(
         CONFIG,
@@ -280,42 +263,47 @@ def test_zero_rate_adaptation_reduces_to_baseline(dataset):
     assert fsl[0].std_accuracy == evofa[0].std_accuracy
 
 
-def test_shot_sweep_rows(dataset):
-    cfg = replace(CONFIG, subjects=(1,), include_supervised=False)
-    t = shot_sweep(cfg, [1, 2], dataset, include_adapted=True)
-    cells = t.cell_rows()
-    assert [(r.method, r.shots) for r in cells] == [
+@pytest.fixture(scope="module")
+def trained_cell(dataset):
+    pools = cell_pools(CONFIG, dataset, 1, None)
+    return train_cell(CONFIG, pools, 1, None), pools
+
+
+def test_evaluate_cell_orders_rows_by_shot_then_method(trained_cell):
+    model, pools = trained_cell
+    rows = evaluate_cell(CONFIG, model, pools, 1, None, (None, CONFIG.adapt), [1, 2])
+    assert [(r.method, r.shots) for r in rows] == [
         ("fsl", 1),
         ("fsl+evofa", 1),
         ("fsl", 2),
         ("fsl+evofa", 2),
     ]
-    assert all(r.episodes == 6 for r in cells)
-    assert len(t.aggregate_rows()) == 4
+    assert all(r.episodes == CONFIG.eval_episodes for r in rows)
+    assert all(r.wall_clock_seconds > 0 for r in rows)
+    assert len(ResultTable(rows).with_aggregates().aggregate_rows()) == 4
 
 
-def test_shot_sweep_rejects_bad_shot_lists(dataset):
-    with pytest.raises(ConfigError, match="at least one"):
-        shot_sweep(CONFIG, [], dataset)
-    with pytest.raises(ConfigError, match="positive"):
-        shot_sweep(CONFIG, [1, 0], dataset)
+def test_compare_and_evaluate_draw_from_distinct_seeds(trained_cell, monkeypatch):
+    model, pools = trained_cell
+    seeds = []
+    real = harness.evofa_test
+
+    def spy(*args):
+        seeds.append(args[4].rng_seed)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "evofa_test", spy)
+    evaluate_cell(CONFIG, model, pools, 1, None, (None,))  # compare: the config's shot
+    evaluate_cell(CONFIG, model, pools, 1, None, (None,), [1, 2])  # evaluate --shots 1,2
+    unkeyed = derive_seed(CONFIG.seed, 2, 1, 0)
+    per_shot = [derive_seed(CONFIG.seed, 2, 1, 0, k) for k in (1, 2)]
+    assert seeds == [unkeyed] + per_shot
+    assert len(set(seeds)) == 3
+    assert cell_seed(CONFIG, 2, 1, None) == unkeyed
+    assert cell_seed(CONFIG, 2, 1, 2) == derive_seed(CONFIG.seed, 2, 1, 3)  # inter: 1 + session
 
 
 # -- artifacts -------------------------------------------------------------------------
-
-
-def test_export_embeddings_layout(dataset, tmp_path):
-    split = make_intra_split(dataset, 1)
-    pool = split.select(dataset, "test")
-    model = create_model(BACKBONE, seed=0)
-    path = export_embeddings(model, pool, tmp_path / "emb.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "subject,session,trial,time_index,label,e1,e2,e3,e4"
-    assert len(lines) == 1 + len(pool)
-    first = lines[1].split(",")
-    assert first[0] == "1" and first[1] == "3"
-    again = export_embeddings(model, pool, tmp_path / "emb2.csv")
-    assert again.read_bytes() == path.read_bytes()
 
 
 def test_run_manifest_round_trips_config(tmp_path):
@@ -379,6 +367,9 @@ def test_config_rejects_malformed_dataset():
         experiment_config_from_obj(obj)
     obj["dataset"] = {"records": []}
     with pytest.raises(ConfigError, match="synthetic.*import"):
+        experiment_config_from_obj(obj)
+    obj["dataset"] = {"import": {"manifest": "data/manifest.json"}}
+    with pytest.raises(ConfigError, match="import.*path string"):
         experiment_config_from_obj(obj)
 
 
