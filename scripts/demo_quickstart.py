@@ -21,7 +21,7 @@ from evofa.adapt import (
     mean_alignment,
     sample_snapshots_intra,
 )
-from evofa.backbone import BackboneConfig
+from evofa.backbone import BackboneConfig, encode_rows
 from evofa.data import DriftConfig, generate_synthetic_drift, make_intra_split
 from evofa.fsl import (
     SupervisedConfig,
@@ -62,7 +62,7 @@ def main() -> int:
     train = split.select(ds, "train")
     val = split.select(ds, "val")
     test = split.select(ds, "test")
-    print(f"dataset: {len(ds.samples)} samples, schema {ds.schema}, {ds.num_classes} classes")
+    print(f"dataset: {len(ds)} samples, schema {ds.schema}, {ds.num_classes} classes")
     print(f"splits: train {len(train)} / val {len(val)} / test {len(test)} (sessions 1/2/3)")
 
     t0 = time.time()
@@ -113,12 +113,12 @@ def main() -> int:
     # measured under one fixed kernel so before/after are comparable
     fixed = replace(adapt, kernel=KernelSpec.single(2.0))
     snaps = sample_snapshots_intra(train, fixed, np.random.default_rng(7))
-    rng = np.random.default_rng(8)
-    picks = rng.choice(len(test), size=30, replace=False)
-    target = np.stack([test[int(i)].features for i in picks])
-    before = mean_alignment(model, snaps, target, fixed)
-    evofa_run(model, snaps, target, fixed)
-    after = mean_alignment(model, snaps, target, fixed)
+    picks = np.random.default_rng(8).choice(len(test), size=30, replace=False)
+    train_rows = encode_rows(model, train.features)  # the frozen encoder runs once
+    target = encode_rows(model, test.features[picks])
+    before = mean_alignment(model, train_rows, snaps, target, fixed)
+    evofa_run(model, train_rows, snaps, target, fixed)
+    after = mean_alignment(model, train_rows, snaps, target, fixed)
     print(f"adapter alignment: snapshot-vs-target MMD^2 {before:.5f} -> {after:.5f}")
     return 0
 

@@ -3,65 +3,48 @@
 Target embeddings are aligned to an ordered series of source snapshots
 (time buckets within a session, or one snapshot per training subject) by
 kernel two-sample distance. Only the adapter parameters move: the encoder
-and classifier head are frozen, so gradients flow purely through the
-adapter and a sample's encoder row never changes during adaptation.
-evofa_test therefore encodes its test and train pools once per call and
-passes rows of them (as :class:`Encoded`) wherever samples would otherwise
-be encoded again; every sample is encoded exactly once per evaluation.
+and classifier head are frozen, so a sample's encoder row never changes
+during adaptation. The adaptation core therefore takes encoder rows: the
+train pool's (``backbone.encode_rows``), snapshots that index them, and the
+target's. ``evofa_test`` encodes each of its pools once per call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from . import backbone
 from .autodiff import ParamGroup, Tensor
-from .backbone import Model
-from .data import LabeledSample
+from .backbone import Model, encode_rows
+from .data import DatasetIndex
 from .errors import ConfigError, ContractError, ProtocolError, SamplingError
 from .fsl import Episode, classify_embedded, sample_episode
 from .mmd import KernelSpec, default_spec, mmd2
 
-_key = lambda s: (s.subject_id, s.session_id, s.trial_id, s.time_index)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Snapshot:
-    """One stage of the evolving source: disjoint support/query halves and a stage tag."""
+    """One stage of the evolving source: disjoint support/query halves and a stage tag.
+
+    The halves are row indices into the train pool the snapshot was drawn from.
+    """
 
     tag: int
-    spt: tuple[LabeledSample, ...]
-    qry: tuple[LabeledSample, ...]
+    spt: np.ndarray
+    qry: np.ndarray
 
     def __post_init__(self):
-        if not self.spt or not self.qry:
+        if not len(self.spt) or not len(self.qry):
             raise ProtocolError(f"snapshot {self.tag} has an empty half")
-        overlap = {_key(s) for s in self.spt} & {_key(s) for s in self.qry}
-        if overlap:
+        overlap = np.intersect1d(self.spt, self.qry)
+        if overlap.size:
             raise ProtocolError(
-                f"snapshot {self.tag} halves overlap on {sorted(overlap)[:3]}"
+                f"snapshot {self.tag} halves overlap on rows {overlap[:3].tolist()}"
             )
-
-
-@dataclass(frozen=True)
-class Encoded:
-    """Frozen-encoder rows [m x q], accepted wherever samples or features would be encoded."""
-
-    rows: np.ndarray
-
-
-@dataclass(frozen=True)
-class EncodedSnapshot:
-    """A checked Snapshot's halves as encoder rows, in the snapshot's sample order."""
-
-    tag: int
-    spt: Encoded
-    qry: Encoded
 
 
 @dataclass(frozen=True)
@@ -69,7 +52,7 @@ class SnapshotSet:
     """Ordered stages of the evolving source distribution."""
 
     kind: str  # "intra": chronological time buckets; "inter": per-subject
-    snapshots: tuple[Snapshot | EncodedSnapshot, ...]
+    snapshots: tuple[Snapshot, ...]
 
     def __post_init__(self):
         if self.kind not in ("intra", "inter"):
@@ -123,112 +106,59 @@ class AdaptConfig:
 # -- snapshot sampling ------------------------------------------------------------
 
 
-def sample_snapshots_intra(
-    train_pool: Sequence[LabeledSample], cfg: AdaptConfig, rng: np.random.Generator
+def _draw_halves(
+    kind: str, stages: dict[int, np.ndarray], what: str, cfg: AdaptConfig, rng: np.random.Generator
 ) -> SnapshotSet:
-    """Cut the pool's timeline into n contiguous buckets and draw halves from each."""
-    if not train_pool:
-        raise SamplingError("cannot sample snapshots from an empty pool")
-    ordered = sorted(train_pool, key=_key)
-    buckets = np.array_split(np.arange(len(ordered)), cfg.n_snapshots)
+    """One snapshot per stage, in order: disjoint halves drawn from the stage's pool rows."""
     need = 2 * cfg.snapshot_size
     snapshots = []
-    for i, idx in enumerate(buckets):
-        if len(idx) < need:
-            raise SamplingError(f"time bucket {i} has {len(idx)} samples, needs {need}")
-        picks = rng.choice(idx, size=need, replace=False)
-        snapshots.append(
-            Snapshot(
-                tag=i,
-                spt=tuple(ordered[j] for j in picks[: cfg.snapshot_size]),
-                qry=tuple(ordered[j] for j in picks[cfg.snapshot_size :]),
-            )
-        )
-    return SnapshotSet(kind="intra", snapshots=tuple(snapshots))
+    for tag, rows in stages.items():
+        if len(rows) < need:
+            raise SamplingError(f"{what} {tag} has {len(rows)} samples, needs {need}")
+        picks = rows[rng.choice(len(rows), size=need, replace=False)]
+        snapshots.append(Snapshot(tag, picks[: cfg.snapshot_size], picks[cfg.snapshot_size :]))
+    return SnapshotSet(kind=kind, snapshots=tuple(snapshots))
+
+
+def sample_snapshots_intra(
+    train_pool: DatasetIndex, cfg: AdaptConfig, rng: np.random.Generator
+) -> SnapshotSet:
+    """Cut the pool's timeline into n contiguous buckets and draw halves from each.
+
+    A pool is in dataset order, which is chronological within its one session.
+    """
+    if not len(train_pool):
+        raise SamplingError("cannot sample snapshots from an empty pool")
+    buckets = np.array_split(np.arange(len(train_pool)), cfg.n_snapshots)
+    return _draw_halves("intra", dict(enumerate(buckets)), "time bucket", cfg, rng)
 
 
 def sample_snapshots_inter(
-    train_pool: Sequence[LabeledSample], cfg: AdaptConfig, rng: np.random.Generator
+    train_pool: DatasetIndex, cfg: AdaptConfig, rng: np.random.Generator
 ) -> SnapshotSet:
     """One snapshot per training subject, capped at n subjects drawn without replacement."""
-    by_subject: dict[int, list[LabeledSample]] = {}
-    for s in train_pool:
-        by_subject.setdefault(s.subject_id, []).append(s)
-    subjects = sorted(by_subject)
+    subjects = train_pool.subjects()
     if not subjects:
         raise SamplingError("cannot sample snapshots from an empty pool")
     if cfg.n_snapshots < len(subjects):
         subjects = sorted(
             int(x) for x in rng.choice(subjects, size=cfg.n_snapshots, replace=False)
         )
-    need = 2 * cfg.snapshot_size
-    snapshots = []
-    for subj in subjects:
-        rows = by_subject[subj]
-        if len(rows) < need:
-            raise SamplingError(f"subject {subj} has {len(rows)} samples, needs {need}")
-        picks = rng.choice(len(rows), size=need, replace=False)
-        snapshots.append(
-            Snapshot(
-                tag=subj,
-                spt=tuple(rows[j] for j in picks[: cfg.snapshot_size]),
-                qry=tuple(rows[j] for j in picks[cfg.snapshot_size :]),
-            )
-        )
-    return SnapshotSet(kind="inter", snapshots=tuple(snapshots))
+    stages = {subj: np.flatnonzero(train_pool.subject == subj) for subj in subjects}
+    return _draw_halves("inter", stages, "subject", cfg, rng)
 
 
 # -- alignment losses -------------------------------------------------------------
-
-
-def _as_features(target) -> np.ndarray:
-    if isinstance(target, np.ndarray):
-        arr = np.asarray(target, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[0] == 0:
-            raise ProtocolError(
-                f"target support must be a nonempty [m x n x d] stack, got shape {arr.shape}"
-            )
-        return arr
-    if not target:
-        raise ProtocolError("target support must be nonempty")
-    return np.stack([s.features for s in target])
-
-
-def _encode_rows(model: Model, features: np.ndarray) -> np.ndarray:
-    """Frozen-encoder embeddings [m x q]; nothing here ever reaches the tape."""
-    with ad.no_grad():
-        return model.encode(Tensor(features), mode="eval").data
-
-
-def _encode_samples(model: Model, samples: Sequence[LabeledSample]) -> np.ndarray:
-    return _encode_rows(model, np.stack([s.features for s in samples]))
-
-
-def _rows(model: Model, x) -> np.ndarray:
-    """Encoder rows of samples or an [m x n x d] stack; Encoded rows pass through."""
-    return x.rows if isinstance(x, Encoded) else _encode_rows(model, _as_features(x))
-
-
-def _pool_rows(
-    model: Model, pool: list[LabeledSample], batch_size: int = 64
-) -> Callable[[Sequence[LabeledSample]], np.ndarray]:
-    """Encode a pool once, in forward batches; return a lookup of its samples' rows.
-
-    An eval-mode row does not depend on its batch, so looked-up rows equal
-    the rows that encoding the same samples directly would give.
-    """
-    chunks = [
-        _encode_samples(model, pool[i : i + batch_size]) for i in range(0, len(pool), batch_size)
-    ]
-    rows = np.concatenate(chunks) if chunks else np.empty((0, model.config.embedding_dim))
-    index = {id(s): i for i, s in enumerate(pool)}  # ids hold while the caller keeps the pool
-    return lambda samples: rows[[index[id(s)] for s in samples]]
 
 
 def _pair_loss(
     src_enc: np.ndarray, tgt_enc: np.ndarray, phi: ParamGroup, cfg: AdaptConfig
 ) -> Tensor:
     """Squared MMD between two encoded sets after passing both through the adapter."""
+    if tgt_enc.ndim != 2 or not len(tgt_enc):
+        raise ProtocolError(
+            f"target support must be a nonempty [m x q] row matrix, got shape {tgt_enc.shape}"
+        )
     src = backbone.adapt(Tensor(src_enc), phi)
     tgt = backbone.adapt(Tensor(tgt_enc), phi)
     if isinstance(cfg.kernel, KernelSpec):
@@ -247,23 +177,24 @@ def _require_finite_grads(group: ParamGroup, where: str) -> None:
 
 
 def inner_adapt(
-    model: Model, snapshots: SnapshotSet, target_spt, cfg: AdaptConfig
+    model: Model,
+    train_rows: np.ndarray,
+    snapshots: SnapshotSet,
+    target_rows: np.ndarray,
+    cfg: AdaptConfig,
 ) -> ParamGroup:
-    """Sequential adapter steps, one per snapshot in order, toward the target support.
+    """Sequential adapter steps, one per snapshot in order, toward the target rows.
 
     Starts from the model's current adapter and returns the stepped copy,
     leaving the model's own parameters untouched. Labels never enter: the
-    target is a raw feature stack, samples used for features only, or
-    their Encoded rows.
+    target is encoder rows only.
     """
     phi = model.phi.copy()
     if cfg.eta_in == 0.0:
         return phi
-    tgt_enc = _rows(model, target_spt)
     for snap in snapshots.snapshots:
-        src_enc = _rows(model, snap.spt)
         phi.zero_grad()
-        loss = _pair_loss(src_enc, tgt_enc, phi, cfg)
+        loss = _pair_loss(train_rows[snap.spt], target_rows, phi, cfg)
         if not loss.is_finite():
             raise ContractError(f"non-finite alignment loss at snapshot {snap.tag}")
         ad.backward(loss)
@@ -273,25 +204,39 @@ def inner_adapt(
 
 
 def alignment_loss(
-    model: Model, phi: ParamGroup, snapshots: SnapshotSet, target_spt, cfg: AdaptConfig
+    phi: ParamGroup,
+    train_rows: np.ndarray,
+    snapshots: SnapshotSet,
+    target_rows: np.ndarray,
+    cfg: AdaptConfig,
 ) -> Tensor:
-    """Mean squared MMD between each snapshot's query half and the target support."""
-    tgt_enc = _rows(model, target_spt)
+    """Mean squared MMD between each snapshot's query half and the target rows."""
     total = None
     for snap in snapshots.snapshots:
-        term = _pair_loss(_rows(model, snap.qry), tgt_enc, phi, cfg)
+        term = _pair_loss(train_rows[snap.qry], target_rows, phi, cfg)
         total = term if total is None else ad.add(total, term)
     return ad.mul(total, Tensor(1.0 / len(snapshots)))
 
 
-def mean_alignment(model: Model, snapshots: SnapshotSet, target_spt, cfg: AdaptConfig) -> float:
+def mean_alignment(
+    model: Model,
+    train_rows: np.ndarray,
+    snapshots: SnapshotSet,
+    target_rows: np.ndarray,
+    cfg: AdaptConfig,
+) -> float:
     """alignment_loss evaluated at the model's current adapter, as a plain float."""
     with ad.no_grad():
-        return alignment_loss(model, model.phi, snapshots, target_spt, cfg).item()
+        return alignment_loss(model.phi, train_rows, snapshots, target_rows, cfg).item()
 
 
 def outer_update(
-    model: Model, phi_n: ParamGroup, snapshots: SnapshotSet, target_spt, cfg: AdaptConfig
+    model: Model,
+    phi_n: ParamGroup,
+    train_rows: np.ndarray,
+    snapshots: SnapshotSet,
+    target_rows: np.ndarray,
+    cfg: AdaptConfig,
 ) -> None:
     """Aggregated adapter update: the gradient taken at phi_n steps the model's adapter.
 
@@ -304,7 +249,7 @@ def outer_update(
     if [n for n, _ in model.phi.entries] != [n for n, _ in phi_n.entries]:
         raise ContractError("adapter parameter tables disagree")
     phi_n.zero_grad()
-    loss = alignment_loss(model, phi_n, snapshots, target_spt, cfg)
+    loss = alignment_loss(phi_n, train_rows, snapshots, target_rows, cfg)
     if not loss.is_finite():
         raise ContractError("non-finite aggregated alignment loss")
     ad.backward(loss)
@@ -317,17 +262,23 @@ def outer_update(
 SnapshotSource = SnapshotSet | Callable[[int], SnapshotSet]
 
 
-def evofa_run(model: Model, snapshots: SnapshotSource, target_spt, cfg: AdaptConfig) -> Model:
+def evofa_run(
+    model: Model,
+    train_rows: np.ndarray,
+    snapshots: SnapshotSource,
+    target_rows: np.ndarray,
+    cfg: AdaptConfig,
+) -> Model:
     """max_iter rounds of inner adaptation plus outer update on the model's adapter.
 
-    snapshots is either a fixed SnapshotSet reused every round or a callable
-    iteration -> SnapshotSet giving a freshly sampled evolving source per
-    round. The encoder and head never change.
+    snapshots index ``train_rows`` and are either a fixed SnapshotSet reused
+    every round or a callable iteration -> SnapshotSet giving a freshly
+    sampled evolving source per round. The encoder and head never change.
     """
     for it in range(cfg.max_iter):
         snaps = snapshots(it) if callable(snapshots) else snapshots
-        phi_n = inner_adapt(model, snaps, target_spt, cfg)
-        outer_update(model, phi_n, snaps, target_spt, cfg)
+        phi_n = inner_adapt(model, train_rows, snaps, target_rows, cfg)
+        outer_update(model, phi_n, train_rows, snaps, target_rows, cfg)
     return model
 
 
@@ -371,33 +322,29 @@ class EvalReport:
     per_episode: tuple[float, ...]
 
 
-def _target_samples(
-    episode: Episode,
-    test_pool: Sequence[LabeledSample],
-    cfg: AdaptConfig,
-    rng: np.random.Generator,
-) -> list[LabeledSample]:
-    """Support samples plus optional extra unlabeled draws from the test pool.
+def _target_indices(
+    episode: Episode, pool_size: int, cfg: AdaptConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Test-pool rows of the target: the support plus optional extra unlabeled draws.
 
     Extras never include the episode's own samples (classifying the query
     after aligning on it would be transductive). Supply shortfalls are
     tolerated: at most the available sample count is drawn.
     """
-    target = list(episode.support)
+    target = episode.support
     extra = cfg.target_calibration_size - len(target)
     if extra > 0:
-        used = {_key(s) for s in episode.support + episode.query}
-        rest = [s for s in test_pool if _key(s) not in used]
-        if rest:
+        rest = np.setdiff1d(np.arange(pool_size), np.concatenate([episode.support, episode.query]))
+        if len(rest):
             picks = rng.choice(len(rest), size=min(extra, len(rest)), replace=False)
-            target.extend(rest[int(i)] for i in picks)
+            target = np.concatenate([target, rest[picks]])
     return target
 
 
 def evofa_test(
     model: Model,
-    test_pool: Sequence[LabeledSample],
-    train_pool: Sequence[LabeledSample],
+    test_pool: DatasetIndex,
+    train_pool: DatasetIndex,
     split_kind: str,
     eval_cfg: EvalConfig,
     adapt_cfg: AdaptConfig | None = None,
@@ -413,9 +360,8 @@ def evofa_test(
     persist_adaptation carries state across episodes.
 
     Encoding happens once, up front: the test pool (and, when adapting, the
-    train pool) goes through the frozen encoder in eval mode, in forward
-    batches of at most 64 samples. Snapshot halves, the target support and
-    the episode's support and query then take their rows from those
+    train pool) goes through ``encode_rows``. Snapshot halves, the target
+    support and the episode's support and query then index those row
     matrices; only the adapter and the head run per episode.
     """
     if split_kind == "intra":
@@ -424,45 +370,26 @@ def evofa_test(
         sampler = sample_snapshots_inter
     else:
         raise ConfigError(f"split kind must be intra or inter, got {split_kind!r}")
-    pool = list(test_pool)
-    test_rows = _pool_rows(model, pool)
+    test_rows = encode_rows(model, test_pool.features)
     if adapt_cfg is not None:
-        train = list(train_pool)
-        train_rows = _pool_rows(model, train)
-
-        def encoded_snapshots(ep_idx: int, it: int) -> SnapshotSet:
-            snaps = sampler(
-                train, adapt_cfg, np.random.default_rng([eval_cfg.rng_seed, 12, ep_idx, it])
-            )
-            stages = tuple(
-                EncodedSnapshot(s.tag, Encoded(train_rows(s.spt)), Encoded(train_rows(s.qry)))
-                for s in snaps.snapshots
-            )
-            return SnapshotSet(kind=snaps.kind, snapshots=stages)
-
+        train_rows = encode_rows(model, train_pool.features)
     saved_phi = model.phi.copy()
     accuracies = []
     try:
         for ep_idx in range(eval_cfg.episodes):
-            episode = sample_episode(
-                pool,
-                eval_cfg.way,
-                eval_cfg.shot,
-                eval_cfg.queries,
-                np.random.default_rng([eval_cfg.rng_seed, 10, ep_idx]),
-            )
+            rng = np.random.default_rng([eval_cfg.rng_seed, 10, ep_idx])
+            episode = sample_episode(test_pool, eval_cfg.way, eval_cfg.shot, eval_cfg.queries, rng)
             if adapt_cfg is not None:
-                target = _target_samples(
-                    episode,
-                    pool,
-                    adapt_cfg,
-                    np.random.default_rng([eval_cfg.rng_seed, 11, ep_idx]),
+                rng = np.random.default_rng([eval_cfg.rng_seed, 11, ep_idx])
+                target = _target_indices(episode, len(test_pool), adapt_cfg, rng)
+                # each adaptation round draws a fresh evolving source
+                source = lambda it: sampler(
+                    train_pool, adapt_cfg, np.random.default_rng([eval_cfg.rng_seed, 12, ep_idx, it])
                 )
-                source = partial(encoded_snapshots, ep_idx)
-                evofa_run(model, source, Encoded(test_rows(target)), adapt_cfg)
+                evofa_run(model, train_rows, source, test_rows[target], adapt_cfg)
             with ad.no_grad():
-                emb = model.adapt(Tensor(test_rows(episode.support + episode.query)))
-                _, acc = classify_embedded(episode, model, emb)
+                rows = np.concatenate([episode.support, episode.query])
+                _, acc = classify_embedded(episode, model, model.adapt(Tensor(test_rows[rows])))
             accuracies.append(acc)
             if adapt_cfg is not None and not eval_cfg.persist_adaptation:
                 model.phi.load_from(saved_phi)

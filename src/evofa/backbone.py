@@ -223,6 +223,22 @@ def encode(features: Tensor, model: Model, mode: str = "eval") -> Tensor:
     return ad.reshape(pooled, (pooled.shape[1],)) if single else pooled
 
 
+ENCODE_BATCH = 64  # rows per frozen-encoder forward pass
+
+
+def encode_rows(model: Model, features: np.ndarray) -> np.ndarray:
+    """Frozen-encoder embeddings [m x q] of a [m x n x d] stack: eval mode, off the tape.
+
+    An eval-mode row does not depend on its batch, so it equals its sample encoded alone.
+    """
+    with ad.no_grad():
+        chunks = [
+            model.encode(Tensor(features[i : i + ENCODE_BATCH]), mode="eval").data
+            for i in range(0, len(features), ENCODE_BATCH)
+        ]
+    return np.concatenate(chunks) if chunks else np.empty((0, model.config.embedding_dim))
+
+
 def adapt(embedding: Tensor, phi: ParamGroup) -> Tensor:
     """FC -> relu -> FC over the embedding; shape preserved."""
     single = embedding.ndim == 1

@@ -13,12 +13,12 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import BatchNormState, ParamGroup, Tensor
-from .backbone import BackboneConfig, Model
+from .backbone import BackboneConfig, Model, create_model
 from .errors import CheckpointError
 
 MAGIC = b"EVCK"
@@ -144,60 +144,61 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(raw[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"checkpoint {path} has an unreadable header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint {path} header is not a JSON object")
     payload = np.frombuffer(raw[header_end:-8], dtype="<f4")
     total = header.get("total_floats", -1)
     if payload.size != total:
         raise CheckpointError(
             f"checkpoint {path} payload holds {payload.size} floats, header says {total}"
         )
-    backbone = dict(header["backbone"])
-    backbone["conv_channels"] = tuple(backbone["conv_channels"])
+    for name, kind in (("backbone", dict), ("params", list), ("bn", list)):
+        if not isinstance(header.get(name), kind):
+            raise CheckpointError(
+                f"checkpoint {path} header field {name!r} is missing or not a {kind.__name__}"
+            )
+    try:
+        backbone = dict(header["backbone"])
+        backbone["conv_channels"] = tuple(backbone["conv_channels"])
+        config = BackboneConfig(**backbone)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint {path} header field 'backbone' is invalid: {e!r}") from e
     return Checkpoint(
         version=version,
-        config=BackboneConfig(**backbone),
+        config=config,
         params=tuple(header["params"]),
         bn=tuple(header["bn"]),
         payload=payload,
     )
 
 
-def _slice(payload: np.ndarray, offset: int, size: int, what: str, path) -> np.ndarray:
-    if offset < 0 or offset + size > payload.size:
-        raise CheckpointError(f"checkpoint {path}: {what} lies outside the payload")
-    return payload[offset : offset + size]
-
-
 def load_checkpoint(path: str | Path) -> Model:
-    """Rebuild a model from a checkpoint file; parameters widen to float64."""
+    """Rebuild a model from a checkpoint file; parameters widen to float64.
+
+    The header's parameter table ({group, name, shape, offset} entries), its
+    batch-norm table and its float count must be exactly those that saving a
+    model of the architecture it names writes.
+    """
     ckpt = read_checkpoint(path)
-    groups = {name: ParamGroup(name) for name in ("theta", "phi", "w")}
-    for entry in ckpt.params:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        flat = _slice(ckpt.payload, entry["offset"], size, f"parameter {entry['name']}", path)
-        if entry["group"] not in groups:
-            raise CheckpointError(f"checkpoint {path} names unknown group {entry['group']!r}")
-        groups[entry["group"]].add(
-            entry["name"],
-            Tensor(flat.astype(np.float64).reshape(shape), requires_grad=True),
+    model = create_model(ckpt.config)
+    want, _ = _header_dict(model)
+    for field in ("params", "bn"):
+        for i, (have, need) in enumerate(zip_longest(getattr(ckpt, field), want[field])):
+            if have != need:
+                raise CheckpointError(
+                    f"checkpoint {path} header field {field!r} entry {i} is {have}, "
+                    f"the architecture has {need}"
+                )
+    if ckpt.payload.size != want["total_floats"]:
+        raise CheckpointError(
+            f"checkpoint {path} header field 'total_floats' is {ckpt.payload.size}, "
+            f"the architecture has {want['total_floats']}"
         )
-    bn_states = []
-    for entry in ckpt.bn:
-        c = int(entry["channels"])
-        mean = _slice(ckpt.payload, entry["mean_offset"], c, "bn mean", path)
-        var = _slice(ckpt.payload, entry["var_offset"], c, "bn var", path)
-        bn_states.append(
-            BatchNormState(
-                running_mean=mean.astype(np.float64),
-                running_var=var.astype(np.float64),
-                momentum=float(entry["momentum"]),
-                eps=float(entry["eps"]),
-            )
-        )
-    return Model(
-        config=ckpt.config,
-        theta=groups["theta"],
-        phi=groups["phi"],
-        w=groups["w"],
-        bn_states=bn_states,
-    )
+    floats = lambda offset, size: ckpt.payload[offset : offset + size].astype(np.float64)
+    tensors = [t for group in model.groups() for _, t in group.entries]
+    for t, entry in zip(tensors, want["params"]):
+        t.data = floats(entry["offset"], t.size).reshape(t.shape)
+    for state, entry in zip(model.bn_states, want["bn"]):
+        state.running_mean = floats(entry["mean_offset"], entry["channels"])
+        state.running_var = floats(entry["var_offset"], entry["channels"])
+    return model

@@ -109,9 +109,8 @@ def _write_manifest_stub(out: _Outputs, out_dir: Path, dataset_obj: dict) -> Non
 
 def _cmd_import_check(args, out: _Outputs) -> int:
     ds = import_features(args.manifest)
-    sessions = sorted({s.session_id for s in ds.samples})
     print(
-        f"ok: {len(ds)} samples, {len(ds.subjects())} subjects, sessions {sessions}, "
+        f"ok: {len(ds)} samples, {len(ds.subjects())} subjects, sessions {ds.sessions()}, "
         f"schema {ds.schema[0]}x{ds.schema[1]}, {ds.num_classes} classes"
     )
     return 0

@@ -11,9 +11,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -29,121 +28,131 @@ FEATURE_MAGIC = b"EVFA"
 FEATURE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """One feature matrix with its position in the recording timeline."""
-
-    subject_id: int
-    session_id: int
-    trial_id: int
-    time_index: int
-    features: np.ndarray  # [n_electrodes x d_bands] float64
-    label: int
+COLUMNS = ("subject", "session", "trial", "time", "label")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetIndex:
-    """Immutable, chronologically sorted sample collection."""
+    """Immutable, chronologically sorted samples, stored column-wise.
 
-    samples: tuple[LabeledSample, ...]
+    Row i is the feature matrix ``features[i]`` with its position in the
+    recording timeline (``subject[i]``, ``session[i]``, ``trial[i]``,
+    ``time[i]``) and its ``label[i]``. Rows are sorted by (subject, session,
+    trial, time), and time strictly increases within a (subject, session).
+    """
+
+    features: np.ndarray  # [N x n_electrodes x d_bands] float64
+    subject: np.ndarray  # [N] int64, like every column below
+    session: np.ndarray
+    trial: np.ndarray
+    time: np.ndarray
+    label: np.ndarray
     num_classes: int
     schema: tuple[int, int]
     class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        key = None
-        for s in self.samples:
-            if s.features.shape != self.schema:
+        features = np.asarray(self.features, dtype=np.float64)
+        object.__setattr__(self, "features", features)
+        for name in COLUMNS:
+            column = np.asarray(getattr(self, name), dtype=np.int64)
+            if column.shape != features.shape[:1]:
                 raise DatasetSchemaError(
-                    f"sample (subject {s.subject_id}, session {s.session_id}, trial {s.trial_id}) "
-                    f"has shape {s.features.shape}, schema says {self.schema}"
+                    f"column {name} has shape {column.shape}, features hold {len(features)} rows"
                 )
-            if not (0 <= s.label < self.num_classes):
+            object.__setattr__(self, name, column)
+        subject, session, trial, time, label = (getattr(self, name) for name in COLUMNS)
+        if features.shape[1:] != tuple(self.schema):
+            raise DatasetSchemaError(
+                f"samples have shape {features.shape[1:]}, schema says {self.schema}"
+            )
+        bad = np.flatnonzero((label < 0) | (label >= self.num_classes))
+        if bad.size:
+            i = bad[0]
+            raise DataError(
+                f"label {label[i]} out of range at subject {subject[i]}, "
+                f"session {session[i]}, trial {trial[i]}"
+            )
+        # each row against the row before it
+        same_cell = (subject[1:] == subject[:-1]) & (session[1:] == session[:-1])
+        time_back = same_cell & (time[1:] <= time[:-1])
+        cell_back = (subject[1:] < subject[:-1]) | (
+            (subject[1:] == subject[:-1]) & (session[1:] < session[:-1])
+        )
+        bad = np.flatnonzero(time_back | cell_back | (same_cell & (trial[1:] < trial[:-1])))
+        if bad.size:
+            i = bad[0]
+            if time_back[i]:
                 raise DataError(
-                    f"label {s.label} out of range at subject {s.subject_id}, "
-                    f"session {s.session_id}, trial {s.trial_id}"
+                    f"time_index not strictly increasing within subject {subject[i + 1]} "
+                    f"session {session[i + 1]}"
                 )
-            k = (s.subject_id, s.session_id, s.trial_id, s.time_index)
-            if key is not None:
-                if k[:2] == key[:2] and s.time_index <= key[3]:
-                    raise DataError(
-                        f"time_index not strictly increasing within subject {s.subject_id} "
-                        f"session {s.session_id}"
-                    )
-                if k[:2] < key[:2] or (k[:2] == key[:2] and k[2] < key[2]):
-                    raise DataError("samples not sorted by (subject, session, trial, time)")
-            key = k
+            raise DataError("samples not sorted by (subject, session, trial, time)")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.label)
 
     def subjects(self) -> list[int]:
-        return sorted({s.subject_id for s in self.samples})
+        return np.unique(self.subject).tolist()
 
-    def sessions(self, subject_id: int) -> list[int]:
-        return sorted({s.session_id for s in self.samples if s.subject_id == subject_id})
+    def sessions(self, subject_id: int | None = None) -> list[int]:
+        """Session ids of one subject, or of the whole dataset."""
+        rows = self.session if subject_id is None else self.session[self.subject == subject_id]
+        return np.unique(rows).tolist()
+
+    def _subset(self, keep: np.ndarray) -> "DatasetIndex":
+        """The rows where the boolean mask ``keep`` holds, in dataset order."""
+        return replace(
+            self,
+            features=self.features[keep],
+            **{name: getattr(self, name)[keep] for name in COLUMNS},
+        )
 
     def select(
-        self,
-        subject: int | None = None,
-        session: int | None = None,
-        trial: int | None = None,
-        predicate: Callable[[int, int], bool] | None = None,
-    ) -> list[LabeledSample]:
-        out = []
-        for s in self.samples:
-            if subject is not None and s.subject_id != subject:
-                continue
-            if session is not None and s.session_id != session:
-                continue
-            if trial is not None and s.trial_id != trial:
-                continue
-            if predicate is not None and not predicate(s.subject_id, s.session_id):
-                continue
-            out.append(s)
-        return out
-
-
-def feature_matrix(samples: list[LabeledSample]) -> np.ndarray:
-    """Stack features into [m x n x d] float64."""
-    if not samples:
-        return np.zeros((0, 0, 0))
-    return np.stack([s.features for s in samples])
-
-
-def labels_of(samples: list[LabeledSample]) -> np.ndarray:
-    return np.array([s.label for s in samples], dtype=np.int64)
+        self, subject: int | None = None, session: int | None = None, trial: int | None = None
+    ) -> "DatasetIndex":
+        """The rows matching every given id, in dataset order."""
+        keep = np.ones(len(self), dtype=bool)
+        for name, value in (("subject", subject), ("session", session), ("trial", trial)):
+            if value is not None:
+                keep &= getattr(self, name) == value
+        return self._subset(keep)
 
 
 # -- split protocols -----------------------------------------------------------
 
+Cells = frozenset[tuple[int, int]]
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    """Three disjoint (subject, session) predicates."""
+    """Three disjoint sets of (subject, session) cells."""
 
     kind: str  # "intra" or "inter"
-    train: Callable[[int, int], bool]
-    val: Callable[[int, int], bool]
-    test: Callable[[int, int], bool]
+    train: Cells
+    val: Cells
+    test: Cells
 
-    def part(self, name: str) -> Callable[[int, int], bool]:
+    def __post_init__(self):
+        self.check_disjoint()
+
+    def part(self, name: str) -> Cells:
         if name not in ("train", "val", "test"):
             raise ConfigError(f"unknown split part {name!r}")
         return getattr(self, name)
 
-    def select(self, ds: DatasetIndex, name: str) -> list[LabeledSample]:
-        return ds.select(predicate=self.part(name))
+    def select(self, ds: DatasetIndex, name: str) -> DatasetIndex:
+        """The part's rows of ``ds``, in dataset order."""
+        keep = np.zeros(len(ds), dtype=bool)
+        for subject, session in self.part(name):
+            keep |= (ds.subject == subject) & (ds.session == session)
+        return ds._subset(keep)
 
-    def check_disjoint(self, ds: DatasetIndex) -> None:
-        keys = {(s.subject_id, s.session_id) for s in ds.samples}
-        for subject, session in keys:
-            hits = sum(
-                1 for p in (self.train, self.val, self.test) if p(subject, session)
-            )
-            if hits > 1:
-                raise ProtocolError(
-                    f"split parts overlap on subject {subject}, session {session}"
-                )
+    def check_disjoint(self) -> None:
+        overlap = (self.train & self.val) | (self.train & self.test) | (self.val & self.test)
+        if overlap:
+            subject, session = min(overlap)
+            raise ProtocolError(f"split parts overlap on subject {subject}, session {session}")
 
 
 def make_intra_split(ds: DatasetIndex, subject_id: int) -> SplitSpec:
@@ -156,14 +165,12 @@ def make_intra_split(ds: DatasetIndex, subject_id: int) -> SplitSpec:
             raise ProtocolError(
                 f"intra protocol needs sessions 1..3 for subject {subject_id}, found {sessions}"
             )
-    spec = SplitSpec(
+    return SplitSpec(
         kind="intra",
-        train=lambda subj, sess: subj == subject_id and sess == 1,
-        val=lambda subj, sess: subj == subject_id and sess == 2,
-        test=lambda subj, sess: subj == subject_id and sess == 3,
+        train=frozenset({(subject_id, 1)}),
+        val=frozenset({(subject_id, 2)}),
+        test=frozenset({(subject_id, 3)}),
     )
-    spec.check_disjoint(ds)
-    return spec
 
 
 def make_inter_split(
@@ -179,15 +186,13 @@ def make_inter_split(
         raise ProtocolError(f"subject {test_subject} has no session {session_id}")
     pool = [s for s in subjects if s != test_subject]
     train_subjects = set(rng.choice(pool, size=12, replace=False).tolist())
-    val_subjects = set(pool) - train_subjects
-    spec = SplitSpec(
+    cells = lambda subjects: frozenset((s, session_id) for s in subjects)
+    return SplitSpec(
         kind="inter",
-        train=lambda subj, sess: subj in train_subjects and sess == session_id,
-        val=lambda subj, sess: subj in val_subjects and sess == session_id,
-        test=lambda subj, sess: subj == test_subject and sess == session_id,
+        train=cells(train_subjects),
+        val=cells(set(pool) - train_subjects),
+        test=cells([test_subject]),
     )
-    spec.check_disjoint(ds)
-    return spec
 
 
 # -- synthetic drift generator ----------------------------------------------------
@@ -264,7 +269,11 @@ def _class_means(cfg: DriftConfig) -> np.ndarray:
 def generate_synthetic_drift(cfg: DriftConfig) -> DatasetIndex:
     """Gaussian class clusters whose means drift linearly over the session clock."""
     means = _class_means(cfg)
-    samples = []
+    n = cfg.samples_per_session
+    time = np.arange(n)
+    trial = 1 + time // cfg.samples_per_trial
+    label = (trial - 1) % cfg.num_classes
+    features, subjects, sessions = [], [], []
     for subject in range(1, cfg.num_subjects + 1):
         rng_subject = np.random.default_rng([cfg.rng_seed, 1, subject])
         offset = cfg.inter_subject_offset_scale * rng_subject.normal(size=cfg.dim)
@@ -273,43 +282,34 @@ def generate_synthetic_drift(cfg: DriftConfig) -> DatasetIndex:
         drift_dirs *= np.sqrt(cfg.dim) / np.linalg.norm(drift_dirs, axis=1, keepdims=True)
         for session in range(1, cfg.num_sessions + 1):
             rng_noise = np.random.default_rng([cfg.rng_seed, 2, subject, session])
-            for trial in range(1, cfg.trials_per_session + 1):
-                label = (trial - 1) % cfg.num_classes
-                for i in range(cfg.samples_per_trial):
-                    time_index = (trial - 1) * cfg.samples_per_trial + i
-                    tau = (session - 1) + time_index / cfg.samples_per_session
-                    mean = (
-                        means[label]
-                        + offset
-                        + cfg.intra_drift_rate * tau * drift_dirs[label]
-                    )
-                    x = mean + cfg.noise_std * rng_noise.normal(size=cfg.dim)
-                    x32 = x.astype(np.float32).astype(np.float64)
-                    samples.append(
-                        LabeledSample(
-                            subject_id=subject,
-                            session_id=session,
-                            trial_id=trial,
-                            time_index=time_index,
-                            features=x32.reshape(cfg.n_electrodes, cfg.d_bands),
-                            label=label,
-                        )
-                    )
-    names = tuple(f"class{k}" for k in range(cfg.num_classes))
+            tau = (session - 1) + time / n
+            mean = means[label] + offset + (cfg.intra_drift_rate * tau)[:, None] * drift_dirs[label]
+            x = mean + cfg.noise_std * rng_noise.normal(size=(n, cfg.dim))
+            x32 = x.astype(np.float32).astype(np.float64)
+            features.append(x32.reshape(n, cfg.n_electrodes, cfg.d_bands))
+            subjects.append(np.full(n, subject))
+            sessions.append(np.full(n, session))
+    repeat = lambda column: np.tile(column, cfg.num_subjects * cfg.num_sessions)
     return DatasetIndex(
-        samples=tuple(samples),
+        features=np.concatenate(features),
+        subject=np.concatenate(subjects),
+        session=np.concatenate(sessions),
+        trial=repeat(trial),
+        time=repeat(time),
+        label=repeat(label),
         num_classes=cfg.num_classes,
         schema=(cfg.n_electrodes, cfg.d_bands),
-        class_names=names,
+        class_names=tuple(f"class{k}" for k in range(cfg.num_classes)),
     )
 
 
 # -- binary feature container --------------------------------------------------------
 
 def _read_feature_file(path: Path, count: int, schema: tuple[int, int]) -> np.ndarray:
-    if not path.exists():
-        raise IngestError(f"feature file missing: {path}")
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as e:
+        raise IngestError(f"cannot read feature file {path}: {e}") from e
     head = len(FEATURE_MAGIC) + 4
     if len(blob) < head:
         raise DatasetSchemaError(f"feature file truncated before header: {path}")
@@ -335,62 +335,112 @@ def _write_feature_file(path: Path, features: np.ndarray) -> None:
     os.replace(tmp, path)
 
 
+_SCHEMA_MAX = 2**16  # electrodes or bands per sample
+
+
+def _is_int(value, low: int = -(2**63), high: int = 2**63 - 1) -> bool:
+    """An integer in [low, high]; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+
+
+_is_list = lambda value: isinstance(value, list)
+_in_schema = lambda value: _is_int(value, 1, _SCHEMA_MAX)
+
+# every manifest field: (test its value must pass, what the value must be)
+_FIELDS = {
+    "schema": (lambda value: isinstance(value, dict), "an object"),
+    "electrodes": (_in_schema, f"an integer from 1 to {_SCHEMA_MAX}"),
+    "bands": (_in_schema, f"an integer from 1 to {_SCHEMA_MAX}"),
+    "classes": (_is_list, "a list"),
+    "subjects": (_is_list, "a list"),
+    "sessions": (_is_list, "a list"),
+    "trials": (_is_list, "a list"),
+    "id": (_is_int, "an integer"),
+    "label": (_is_int, "an integer"),
+    "count": (lambda value: _is_int(value, 0), "a nonnegative integer"),
+    "file": (lambda value: isinstance(value, str), "a string"),
+}
+
+
+def _check_fields(manifest_path: Path, where: str, entry, fields: tuple) -> None:
+    """Raise, naming the manifest, the entry and the field, unless each field is valid."""
+    if not isinstance(entry, dict):
+        raise DatasetSchemaError(
+            f"{manifest_path}: {where} must be an object, got {type(entry).__name__}"
+        )
+    for name in fields:
+        if name not in entry:
+            raise DatasetSchemaError(f"{manifest_path}: {where} is missing field {name!r}")
+        test, kind = _FIELDS[name]
+        if not test(entry[name]):
+            raise DatasetSchemaError(
+                f"{manifest_path}: {where} field {name!r} must be {kind}, got {entry[name]!r}"
+            )
+
+
 def _checked_entries(manifest_path: Path, where: str, entries: list, fields: tuple) -> list:
-    """Manifest entries sorted by id, each checked for its fields.
+    """Manifest entries sorted by id, each checked for its fields; ids must be unique.
 
     ``where`` names the entry kind and its parents, e.g. "subject 2 session 1 trial".
     """
     for position, entry in enumerate(entries):
-        missing = [f for f in fields if not isinstance(entry, dict) or f not in entry]
-        if missing:
-            name = entry["id"] if "id" not in missing else f"at position {position}"
+        named = isinstance(entry, dict) and _is_int(entry.get("id"))
+        name = entry["id"] if named else f"at position {position}"
+        _check_fields(manifest_path, f"{where} {name}", entry, fields)
+    entries = sorted(entries, key=lambda e: e["id"])
+    for a, b in zip(entries, entries[1:]):
+        if a["id"] == b["id"]:
             raise DatasetSchemaError(
-                f"{manifest_path}: {where} {name} is missing field {missing[0]!r}"
+                f"{manifest_path}: {where} {a['id']} is listed more than once (field 'id')"
             )
-    return sorted(entries, key=lambda e: int(e["id"]))
+    return entries
 
 
 def import_features(manifest_path: str | Path) -> DatasetIndex:
-    """Load a manifest plus its binaries into a sorted, validated DatasetIndex."""
+    """Load a manifest plus its binaries into a sorted, validated DatasetIndex.
+
+    Every feature file must lie inside the manifest's directory.
+    """
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise IngestError(f"manifest missing: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
+    except OSError as e:
+        raise IngestError(f"cannot read manifest {manifest_path}: {e}") from e
     except json.JSONDecodeError as e:
         raise DatasetSchemaError(f"manifest is not valid JSON: {manifest_path}: {e}") from e
-    try:
-        schema = (int(manifest["schema"]["electrodes"]), int(manifest["schema"]["bands"]))
-        classes = [str(c) for c in manifest["classes"]]
-        subjects = manifest["subjects"]
-    except (KeyError, TypeError) as e:
-        raise DatasetSchemaError(f"manifest missing required field: {e}") from e
+    _check_fields(manifest_path, "manifest", manifest, ("schema", "classes", "subjects"))
+    _check_fields(manifest_path, "manifest schema", manifest["schema"], ("electrodes", "bands"))
+    schema = (manifest["schema"]["electrodes"], manifest["schema"]["bands"])
+    classes, subjects = [str(c) for c in manifest["classes"]], manifest["subjects"]
 
-    base = manifest_path.parent
-    samples = []
+    base = manifest_path.parent.resolve()
+    parts = []  # per trial: features, then one array per column
     for subj_entry in _checked_entries(manifest_path, "subject", subjects, ("id", "sessions")):
-        subject_id = int(subj_entry["id"])
+        subject_id = subj_entry["id"]
         sessions = _checked_entries(
             manifest_path, f"subject {subject_id} session", subj_entry["sessions"], ("id", "trials")
         )
         for sess_entry in sessions:
-            session_id = int(sess_entry["id"])
+            session_id = sess_entry["id"]
+            where = f"subject {subject_id} session {session_id} trial"
             time_index = 0
             trials = _checked_entries(
-                manifest_path,
-                f"subject {subject_id} session {session_id} trial",
-                sess_entry["trials"],
-                ("id", "label", "file", "count"),
+                manifest_path, where, sess_entry["trials"], ("id", "label", "file", "count")
             )
             for entry in trials:
-                trial_id, label, count = int(entry["id"]), int(entry["label"]), int(entry["count"])
-                file = entry["file"]
+                trial_id, label, count = entry["id"], entry["label"], entry["count"]
                 if not (0 <= label < len(classes)):
                     raise DatasetSchemaError(
                         f"label {label} outside class map (size {len(classes)}) for "
                         f"subject {subject_id} session {session_id} trial {trial_id}"
                     )
-                feats = _read_feature_file(base / file, count, schema)
+                path = (base / entry["file"]).resolve()
+                if not path.is_relative_to(base):
+                    raise DatasetSchemaError(
+                        f"{manifest_path}: {where} {trial_id} field 'file' lies outside "
+                        f"the manifest directory: {entry['file']!r}"
+                    )
+                feats = _read_feature_file(path, count, schema)
                 bad = np.argwhere(~np.isfinite(feats))
                 if bad.size:
                     row, i, j = bad[0]
@@ -398,20 +448,17 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
                         f"non-finite value at subject {subject_id} session {session_id} "
                         f"trial {trial_id} row {row} position ({i},{j})"
                     )
-                for row in range(count):
-                    samples.append(
-                        LabeledSample(
-                            subject_id=subject_id,
-                            session_id=session_id,
-                            trial_id=trial_id,
-                            time_index=time_index,
-                            features=feats[row],
-                            label=label,
-                        )
-                    )
-                    time_index += 1
+                full = lambda value: np.full(count, value)
+                time = np.arange(time_index, time_index + count)
+                parts.append(
+                    (feats, full(subject_id), full(session_id), full(trial_id), time, full(label))
+                )
+                time_index += count
+    empty = [np.empty((0, *schema))] + [np.empty(0, dtype=np.int64)] * len(COLUMNS)
+    features, *columns = [np.concatenate(p) for p in zip(*parts)] or empty
     return DatasetIndex(
-        samples=tuple(samples),
+        features,
+        *columns,
         num_classes=len(classes),
         schema=schema,
         class_names=tuple(classes),
@@ -425,26 +472,27 @@ def export_features(ds: DatasetIndex, out_dir: str | Path) -> Path:
     feat_dir.mkdir(parents=True, exist_ok=True)
     names = ds.class_names or tuple(f"class{k}" for k in range(ds.num_classes))
 
+    # rows are sorted, so each (subject, session, trial) is one contiguous run
+    keys = np.stack([ds.subject, ds.session, ds.trial], axis=1)
+    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
     subjects_json = []
-    for subject in ds.subjects():
-        sessions_json = []
-        for session in ds.sessions(subject):
-            trials_json = []
-            trial_ids = sorted({s.trial_id for s in ds.select(subject=subject, session=session)})
-            for trial in trial_ids:
-                rows = ds.select(subject=subject, session=session, trial=trial)
-                fname = f"sub{subject:02d}_ses{session}_trial{trial:02d}.evfa"
-                _write_feature_file(feat_dir / fname, feature_matrix(rows))
-                trials_json.append(
-                    {
-                        "id": trial,
-                        "label": rows[0].label,
-                        "file": f"features/{fname}",
-                        "count": len(rows),
-                    }
-                )
-            sessions_json.append({"id": session, "trials": trials_json})
-        subjects_json.append({"id": subject, "sessions": sessions_json})
+    for start, stop in zip(starts, np.r_[starts[1:], len(ds)]):
+        subject, session, trial = keys[start].tolist()
+        fname = f"sub{subject:02d}_ses{session}_trial{trial:02d}.evfa"
+        _write_feature_file(feat_dir / fname, ds.features[start:stop])
+        if not subjects_json or subjects_json[-1]["id"] != subject:
+            subjects_json.append({"id": subject, "sessions": []})
+        sessions_json = subjects_json[-1]["sessions"]
+        if not sessions_json or sessions_json[-1]["id"] != session:
+            sessions_json.append({"id": session, "trials": []})
+        sessions_json[-1]["trials"].append(
+            {
+                "id": trial,
+                "label": int(ds.label[start]),
+                "file": f"features/{fname}",
+                "count": int(stop - start),
+            }
+        )
 
     manifest = {
         "schema": {"electrodes": ds.schema[0], "bands": ds.schema[1]},

@@ -8,23 +8,29 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import BackboneConfig, Model, create_model, head_forward
-from .data import LabeledSample
+from .backbone import ENCODE_BATCH, BackboneConfig, Model, create_model, encode_rows, head_forward
+from .data import DatasetIndex
 from .errors import ConfigError, ContractError, ProtocolError, SamplingError
 
 _PROB_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Episode:
-    """N-way K-shot task: disjoint support and query sets over the same classes."""
+    """N-way K-shot task: disjoint support and query sets over the same classes.
+
+    ``support`` and ``query`` are row indices into the pool the episode was
+    drawn from; ``features`` and ``labels`` are those rows, support first.
+    """
 
     way: int
     shot: int
     queries_per_class: int
     class_ids: tuple[int, ...]
-    support: tuple[LabeledSample, ...]
-    query: tuple[LabeledSample, ...]
+    support: np.ndarray  # [way * shot] int
+    query: np.ndarray  # [way * queries_per_class] int
+    features: np.ndarray  # [S+Q x n x d]
+    labels: np.ndarray  # [S+Q]
 
     def __post_init__(self):
         if len(self.class_ids) != self.way or len(set(self.class_ids)) != self.way:
@@ -37,73 +43,75 @@ class Episode:
             raise ProtocolError(
                 f"query size {len(self.query)} != way*queries {self.way * self.queries_per_class}"
             )
+        rows = len(self.support) + len(self.query)
+        if len(self.features) != rows or len(self.labels) != rows:
+            raise ProtocolError(
+                f"episode of {rows} samples carries {len(self.features)} feature rows "
+                f"and {len(self.labels)} labels"
+            )
+        split = len(self.support)
         for k in self.class_ids:
-            ns = sum(1 for s in self.support if s.label == k)
-            nq = sum(1 for s in self.query if s.label == k)
+            ns = int(np.sum(self.labels[:split] == k))
+            nq = int(np.sum(self.labels[split:] == k))
             if ns != self.shot or nq != self.queries_per_class:
                 raise ProtocolError(
                     f"class {k} has {ns} support / {nq} query samples, "
                     f"expected {self.shot} / {self.queries_per_class}"
                 )
-        keys = lambda rows: {
-            (s.subject_id, s.session_id, s.trial_id, s.time_index) for s in rows
-        }
-        overlap = keys(self.support) & keys(self.query)
-        if overlap:
-            raise ProtocolError(f"support and query overlap on {sorted(overlap)[:3]}")
+        overlap = np.intersect1d(self.support, self.query)
+        if overlap.size:
+            raise ProtocolError(f"support and query overlap on rows {overlap[:3].tolist()}")
+
+    def _local(self, labels: np.ndarray) -> np.ndarray:
+        index = {c: i for i, c in enumerate(self.class_ids)}
+        return np.array([index[k] for k in labels.tolist()], dtype=np.int64)
 
     def support_targets(self) -> np.ndarray:
-        index = {c: i for i, c in enumerate(self.class_ids)}
-        return np.array([index[s.label] for s in self.support], dtype=np.int64)
+        return self._local(self.labels[: len(self.support)])
 
     def query_targets(self) -> np.ndarray:
-        index = {c: i for i, c in enumerate(self.class_ids)}
-        return np.array([index[s.label] for s in self.query], dtype=np.int64)
+        return self._local(self.labels[len(self.support) :])
 
 
 def sample_episode(
-    pool: list[LabeledSample], way: int, shot: int, queries: int, rng: np.random.Generator
+    pool: DatasetIndex, way: int, shot: int, queries: int, rng: np.random.Generator
 ) -> Episode:
     """Uniformly sample an N-way K-shot episode without replacement per class."""
-    by_class: dict[int, list[LabeledSample]] = {}
-    for s in pool:
-        by_class.setdefault(s.label, []).append(s)
+    classes, counts = np.unique(pool.label, return_counts=True)
     need = shot + queries
-    eligible = sorted(k for k, rows in by_class.items() if len(rows) >= need)
+    eligible = [k for k, n in zip(classes.tolist(), counts.tolist()) if n >= need]
     if len(eligible) < way:
-        short = {k: len(rows) for k, rows in sorted(by_class.items()) if len(rows) < need}
+        short = {k: n for k, n in zip(classes.tolist(), counts.tolist()) if n < need}
         raise SamplingError(
             f"need {way} classes with at least {need} samples, "
             f"only {len(eligible)} qualify; deficient classes: {short}"
         )
     chosen = sorted(int(c) for c in rng.choice(eligible, size=way, replace=False))
-    support: list[LabeledSample] = []
-    query: list[LabeledSample] = []
+    support, query = [], []
     for k in chosen:
-        rows = by_class[k]
+        rows = np.flatnonzero(pool.label == k)
         picks = rng.choice(len(rows), size=need, replace=False)
-        support.extend(rows[i] for i in picks[:shot])
-        query.extend(rows[i] for i in picks[shot:])
+        support.append(rows[picks[:shot]])
+        query.append(rows[picks[shot:]])
+    support, query = np.concatenate(support), np.concatenate(query)
+    rows = np.concatenate([support, query])
     return Episode(
         way=way,
         shot=shot,
         queries_per_class=queries,
         class_ids=tuple(chosen),
-        support=tuple(support),
-        query=tuple(query),
+        support=support,
+        query=query,
+        features=pool.features[rows],
+        labels=pool.label[rows],
     )
 
 
 # -- episode forward and losses -----------------------------------------------------
 
-def _embed_episode(episode: Episode, model: Model, mode: str) -> Tensor:
-    feats = np.stack([s.features for s in episode.support + episode.query])
-    return model.embed(Tensor(feats), mode=mode)
-
-
 def episode_scores(episode: Episode, model: Model, mode: str = "eval") -> tuple[Tensor, np.ndarray]:
     """Class scores [Q' x N] for the episode's queries, plus local targets."""
-    return _scores_from_embeddings(episode, model, _embed_episode(episode, model, mode))
+    return _scores_from_embeddings(episode, model, model.embed(Tensor(episode.features), mode=mode))
 
 
 def _scores_from_embeddings(
@@ -160,7 +168,7 @@ def episode_loss(episode: Episode, model: Model, mode: str = "train") -> Tensor:
 
 def classify_query(episode: Episode, model: Model) -> tuple[np.ndarray, float]:
     """Argmax predictions (original class ids, ties to the lowest id) and accuracy."""
-    return classify_embedded(episode, model, _embed_episode(episode, model, "eval"))
+    return classify_embedded(episode, model, model.embed(Tensor(episode.features), mode="eval"))
 
 
 def classify_embedded(episode: Episode, model: Model, emb: Tensor) -> tuple[np.ndarray, float]:
@@ -172,21 +180,17 @@ def classify_embedded(episode: Episode, model: Model, emb: Tensor) -> tuple[np.n
     return predictions, accuracy
 
 
-def classify_pool(
-    model: Model, samples: list[LabeledSample], batch_size: int = 64
-) -> tuple[np.ndarray, float]:
+def classify_pool(model: Model, pool: DatasetIndex) -> tuple[np.ndarray, float]:
     """Whole-pool classification for non-episodic (linear-head) models."""
+    rows = encode_rows(model, pool.features)
     predictions = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
-        feats = np.stack([s.features for s in chunk])
-        with ad.no_grad():
-            emb = model.embed(Tensor(feats), mode="eval")
+    with ad.no_grad():  # the adapter and head run in the encoder's batches
+        for start in range(0, len(rows), ENCODE_BATCH):
+            emb = model.adapt(Tensor(rows[start : start + ENCODE_BATCH]))
             scores = model.head(Tensor(np.zeros((0, emb.shape[1]))), np.array([], dtype=np.int64), emb)
-        predictions.append(np.argmax(scores.data, axis=1))
+            predictions.append(np.argmax(scores.data, axis=1))
     predictions = np.concatenate(predictions) if predictions else np.array([], dtype=np.int64)
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    accuracy = float(np.mean(predictions == labels)) if len(samples) else 0.0
+    accuracy = float(np.mean(predictions == pool.label)) if len(pool) else 0.0
     return predictions, accuracy
 
 
@@ -231,7 +235,7 @@ class TrainConfig:
         return replace(self.backbone, head_kind=self.head_kind, num_classes=self.way)
 
 
-def validation_accuracy(model: Model, pool: list[LabeledSample], cfg: TrainConfig) -> float:
+def validation_accuracy(model: Model, pool: DatasetIndex, cfg: TrainConfig) -> float:
     """Mean accuracy over fixed-seed validation episodes (stable across epochs)."""
     total = 0.0
     for j in range(cfg.validation_episodes):
@@ -244,8 +248,8 @@ def validation_accuracy(model: Model, pool: list[LabeledSample], cfg: TrainConfi
 
 
 def meta_train(
-    train_pool: list[LabeledSample],
-    val_pool: list[LabeledSample],
+    train_pool: DatasetIndex,
+    val_pool: DatasetIndex,
     cfg: TrainConfig,
     on_epoch=None,
 ) -> Model:
@@ -305,8 +309,8 @@ class SupervisedConfig:
 
 
 def train_supervised_baseline(
-    train_pool: list[LabeledSample],
-    val_pool: list[LabeledSample],
+    train_pool: DatasetIndex,
+    val_pool: DatasetIndex,
     cfg: SupervisedConfig,
     on_epoch=None,
 ) -> Model:
@@ -319,7 +323,6 @@ def train_supervised_baseline(
     model = create_model(cfg.model_config(), seed=cfg.rng_seed)
     if cfg.max_epochs == 0:
         return model
-    labels = np.array([s.label for s in train_pool], dtype=np.int64)
     best_acc = -1.0
     best = model.copy()
     for epoch in range(cfg.max_epochs):
@@ -327,14 +330,13 @@ def train_supervised_baseline(
         order = rng.permutation(len(train_pool))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            feats = np.stack([train_pool[i].features for i in idx])
             model.zero_grad()
-            emb = model.embed(Tensor(feats), mode="train")
+            emb = model.embed(Tensor(train_pool.features[idx]), mode="train")
             scores = model.head(
                 Tensor(np.zeros((0, emb.shape[1]))), np.array([], dtype=np.int64), emb
             )
             logp = ad.log_softmax(scores, axis=-1)
-            picked = ad.take(logp, (np.arange(len(idx)), labels[idx]))
+            picked = ad.take(logp, (np.arange(len(idx)), train_pool.label[idx]))
             loss = ad.neg(picked.mean())
             if not loss.is_finite():
                 raise ContractError(f"non-finite supervised loss at epoch {epoch}")

@@ -254,9 +254,7 @@ def plan_cells(
     else:
         if session is not None and subject is None:
             raise ConfigError(f"session {session} given without a subject to pick the cell")
-        sessions = list(cfg.sessions) if cfg.sessions else sorted(
-            {s.session_id for s in ds.samples}
-        )
+        sessions = list(cfg.sessions) if cfg.sessions else ds.sessions()
         cells = [(subj, sess) for sess in sessions for subj in subjects]
     if subject is None:
         return cells
@@ -274,7 +272,7 @@ def cell_seed(
 
 
 def cell_pools(cfg: ExperimentConfig, ds: DatasetIndex, subject: int, session: int | None):
-    """The cell's (train, val, test) sample pools."""
+    """The cell's (train, val, test) pools, each a DatasetIndex in dataset order."""
     if cfg.protocol == "intra":
         split = make_intra_split(ds, subject)
     else:

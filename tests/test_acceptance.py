@@ -24,7 +24,7 @@ from evofa.adapt import (
     sample_snapshots_intra,
 )
 from evofa.autodiff import BatchNormState, Tensor, finite_diff_check
-from evofa.backbone import BackboneConfig, create_model
+from evofa.backbone import BackboneConfig, create_model, encode_rows
 from evofa.checkpoint import load_checkpoint, save_checkpoint
 from evofa.data import DriftConfig, generate_synthetic_drift, make_intra_split
 from evofa.fsl import (
@@ -80,10 +80,10 @@ def synthetic_pools(sep: float, drift: float, seed: int, schema: str = "wide"):
     return tuple(split.select(ds, part) for part in ("train", "val", "test"))
 
 
-def target_rows(pool, count: int, seed: int) -> np.ndarray:
+def target_rows(model, pool, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed, 90])
     picks = rng.choice(len(pool), size=count, replace=False)
-    return np.stack([pool[int(i)].features for i in picks])
+    return encode_rows(model, pool.features[picks])
 
 
 # -- 1. gradient correctness ----------------------------------------------------------
@@ -391,7 +391,8 @@ def test_criterion_04_encoder_and_head_frozen_through_adaptation():
     assert model.w.state_bytes() == w0
     # non-vacuity: the same settings really do move the adapter
     snaps = sample_snapshots_intra(train, acfg, np.random.default_rng(9))
-    evofa_run(model, snaps, target_rows(test, 12, seed=10), acfg)
+    train_rows = encode_rows(model, train.features)
+    evofa_run(model, train_rows, snaps, target_rows(model, test, 12, seed=10), acfg)
     assert model.phi.state_bytes() != phi0
     assert model.theta.state_bytes() == theta0
     assert model.w.state_bytes() == w0
@@ -542,14 +543,14 @@ def test_criterion_08_alignment_descends():
             kernel=KernelSpec.single(2.0),
         )
         snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 51]))
-        target = target_rows(test, 30, seed=seed)
-        tgt_enc = adapt_mod._encode_rows(m, target)
-        src_enc = adapt_mod._encode_samples(m, snaps.snapshots[0].spt)
+        target = target_rows(m, test, 30, seed=seed)
+        train_rows = encode_rows(m, train.features)
+        src_enc = train_rows[snaps.snapshots[0].spt]
         with ad.no_grad():
-            before = adapt_mod._pair_loss(src_enc, tgt_enc, m.phi, cfg).item()
-        phi_n = inner_adapt(m, snaps, target, cfg)
+            before = adapt_mod._pair_loss(src_enc, target, m.phi, cfg).item()
+        phi_n = inner_adapt(m, train_rows, snaps, target, cfg)
         with ad.no_grad():
-            after = adapt_mod._pair_loss(src_enc, tgt_enc, phi_n, cfg).item()
+            after = adapt_mod._pair_loss(src_enc, target, phi_n, cfg).item()
         step_wins += after <= before
     assert step_wins >= 45, f"inner step reduced alignment on only {step_wins}/{trials} trials"
     # (b) a full adaptation run lowers mean query-vs-target alignment
@@ -566,10 +567,11 @@ def test_criterion_08_alignment_descends():
             kernel=KernelSpec.single(2.0),
         )
         snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 53]))
-        target = target_rows(test, 30, seed=seed)
-        before = mean_alignment(m, snaps, target, cfg)
-        evofa_run(m, snaps, target, cfg)
-        run_wins += mean_alignment(m, snaps, target, cfg) < before
+        target = target_rows(m, test, 30, seed=seed)
+        train_rows = encode_rows(m, train.features)
+        before = mean_alignment(m, train_rows, snaps, target, cfg)
+        evofa_run(m, train_rows, snaps, target, cfg)
+        run_wins += mean_alignment(m, train_rows, snaps, target, cfg) < before
     assert run_wins >= 14, f"full run reduced alignment on only {run_wins}/20 seeds"
     print(f"\ncriterion 8: inner step {step_wins}/50 trials, full run {run_wins}/20 seeds")
 

@@ -20,8 +20,8 @@ from evofa.adapt import (
     sample_snapshots_intra,
 )
 from evofa.autodiff import ParamGroup, Tensor
-from evofa.backbone import BackboneConfig, create_model
-from evofa.data import DriftConfig, LabeledSample, generate_synthetic_drift, make_intra_split
+from evofa.backbone import BackboneConfig, create_model, encode_rows
+from evofa.data import DriftConfig, generate_synthetic_drift, make_intra_split
 from evofa.errors import ConfigError, ContractError, ProtocolError, SamplingError
 from evofa.fsl import classify_query, sample_episode
 from evofa.mmd import KernelSpec, default_spec, mmd2
@@ -74,40 +74,36 @@ def model_bytes(m):
     return tuple(g.state_bytes() for g in m.groups())
 
 
-def target_from(pool, count=30, seed=0):
+def target_from(model, pool, count=30, seed=0):
+    """Encoder rows of ``count`` samples drawn from the pool."""
     rng = np.random.default_rng([seed, 90])
     picks = rng.choice(len(pool), size=count, replace=False)
-    return np.stack([pool[int(i)].features for i in picks])
+    return encode_rows(model, pool.features[picks])
 
 
-def make_sample(trial, label=0, subject=1, session=1):
-    return LabeledSample(
-        subject_id=subject,
-        session_id=session,
-        trial_id=trial,
-        time_index=trial,
-        features=np.zeros((6, 4)),
-        label=label,
-    )
+def rows_of(model, pool):
+    return encode_rows(model, pool.features)
+
+
+def halves(spt, qry):
+    return np.array(spt, dtype=np.int64), np.array(qry, dtype=np.int64)
 
 
 # -- snapshot types -----------------------------------------------------------------
 
 
 def test_snapshot_rejects_empty_half():
-    s = make_sample(0)
     with pytest.raises(ProtocolError, match="empty"):
-        Snapshot(tag=0, spt=(s,), qry=())
+        Snapshot(0, *halves([0], []))
 
 
 def test_snapshot_rejects_overlapping_halves():
-    s = make_sample(0)
-    with pytest.raises(ProtocolError, match="overlap"):
-        Snapshot(tag=0, spt=(s,), qry=(s,))
+    with pytest.raises(ProtocolError, match="overlap on rows \\[3\\]"):
+        Snapshot(0, *halves([1, 3], [3, 4]))
 
 
 def test_snapshot_set_rejects_empty_and_bad_kind():
-    s = Snapshot(tag=0, spt=(make_sample(0),), qry=(make_sample(1),))
+    s = Snapshot(0, *halves([0], [1]))
     with pytest.raises(ProtocolError):
         SnapshotSet(kind="intra", snapshots=())
     with pytest.raises(ConfigError):
@@ -143,8 +139,8 @@ def test_intra_buckets_partition_the_timeline(pools):
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
     assert len(snaps) == 3
     for i, snap in enumerate(snaps.snapshots):
-        times = [s.time_index for s in snap.spt + snap.qry]
-        assert all(100 * i <= t < 100 * (i + 1) for t in times)
+        times = train.time[np.concatenate([snap.spt, snap.qry])]
+        assert np.all((100 * i <= times) & (times < 100 * (i + 1)))
 
 
 def test_intra_tags_strictly_increase(pools):
@@ -173,9 +169,7 @@ def test_intra_small_bucket_names_it(pools):
 def test_intra_deterministic_under_rng(pools):
     train, _, _ = pools
     cfg = AdaptConfig(n_snapshots=3, snapshot_size=15)
-    key = lambda ss: [
-        [(s.trial_id, s.time_index) for s in snap.spt + snap.qry] for snap in ss.snapshots
-    ]
+    key = lambda ss: [np.concatenate([s.spt, s.qry]).tolist() for s in ss.snapshots]
     a = sample_snapshots_intra(train, cfg, np.random.default_rng(7))
     b = sample_snapshots_intra(train, cfg, np.random.default_rng(7))
     assert key(a) == key(b)
@@ -186,7 +180,7 @@ def test_drift_accumulates_across_buckets(pools):
     train, _, _ = pools
     cfg = AdaptConfig(n_snapshots=3, snapshot_size=30)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([0, 50]))
-    flat = lambda rows: np.stack([s.features.ravel() for s in rows])
+    flat = lambda rows: train.features[rows].reshape(len(rows), -1)
     first = flat(snaps.snapshots[0].spt)
     mid = flat(snaps.snapshots[1].spt)
     last = flat(snaps.snapshots[2].spt)
@@ -222,8 +216,8 @@ def test_inter_snapshots_are_single_subject(multi_subject_pool):
     cfg = AdaptConfig(n_snapshots=12, snapshot_size=10)
     snaps = sample_snapshots_inter(multi_subject_pool, cfg, np.random.default_rng(0))
     for snap in snaps.snapshots:
-        subjects = {s.subject_id for s in snap.spt + snap.qry}
-        assert subjects == {snap.tag}
+        subjects = multi_subject_pool.subject[np.concatenate([snap.spt, snap.qry])]
+        assert set(subjects.tolist()) == {snap.tag}
 
 
 def test_inter_cap_chooses_without_replacement(multi_subject_pool):
@@ -248,7 +242,7 @@ def test_inner_zero_rate_is_exact_noop(pools, model):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=0.0)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
-    phi_n = inner_adapt(model, snaps, target_from(test), cfg)
+    phi_n = inner_adapt(model, rows_of(model, train), snaps, target_from(model, test), cfg)
     assert phi_n is not model.phi
     assert phi_n.state_bytes() == model.phi.state_bytes()
 
@@ -258,26 +252,32 @@ def test_inner_leaves_model_parameters_untouched(pools, model):
     before = model_bytes(model)
     cfg = AdaptConfig(n_snapshots=3, snapshot_size=15, eta_in=1e-2)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(1))
-    phi_n = inner_adapt(model, snaps, target_from(test), cfg)
+    phi_n = inner_adapt(model, rows_of(model, train), snaps, target_from(model, test), cfg)
     assert model_bytes(model) == before
     assert phi_n.state_bytes() != model.phi.state_bytes()
 
 
-def test_inner_accepts_sample_lists_as_target(pools, model):
+def test_inner_pool_rows_equal_rows_encoded_alone(pools, model):
+    # pool rows encoded in batches of 64 step the adapter exactly as rows encoded alone
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=1, snapshot_size=10, eta_in=1e-3)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(2))
-    by_array = inner_adapt(model, snaps, np.stack([s.features for s in test[:20]]), cfg)
-    by_list = inner_adapt(model, snaps, list(test[:20]), cfg)
-    assert by_array.state_bytes() == by_list.state_bytes()
+    spt = snaps.snapshots[0].spt
+    alone = np.zeros((len(train), model.config.embedding_dim))
+    alone[spt] = np.concatenate([encode_rows(model, train.features[[i]]) for i in spt])
+    target = rows_of(model, test)[:20]
+    by_pool = inner_adapt(model, rows_of(model, train), snaps, target, cfg)
+    by_one = inner_adapt(model, alone, snaps, target, cfg)
+    assert by_pool.state_bytes() == by_one.state_bytes()
 
 
 def test_inner_rejects_empty_target(pools, model):
     train, _, _ = pools
     cfg = AdaptConfig(n_snapshots=1, snapshot_size=10)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
+    empty = np.zeros((0, model.config.embedding_dim))
     with pytest.raises(ProtocolError, match="nonempty"):
-        inner_adapt(model, snaps, [], cfg)
+        inner_adapt(model, rows_of(model, train), snaps, empty, cfg)
 
 
 def test_inner_step_does_not_increase_alignment():
@@ -298,14 +298,14 @@ def test_inner_step_does_not_increase_alignment():
             kernel=KernelSpec.single(2.0),
         )
         snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 51]))
-        target = target_from(test, seed=seed)
-        tgt_enc = adapt_mod._encode_rows(m, target)
-        src_enc = adapt_mod._encode_samples(m, snaps.snapshots[0].spt)
+        target = target_from(m, test, seed=seed)
+        train_rows = rows_of(m, train)
+        src_enc = train_rows[snaps.snapshots[0].spt]
         with ad.no_grad():
-            before = adapt_mod._pair_loss(src_enc, tgt_enc, m.phi, cfg).item()
-        phi_n = inner_adapt(m, snaps, target, cfg)
+            before = adapt_mod._pair_loss(src_enc, target, m.phi, cfg).item()
+        phi_n = inner_adapt(m, train_rows, snaps, target, cfg)
         with ad.no_grad():
-            after = adapt_mod._pair_loss(src_enc, tgt_enc, phi_n, cfg).item()
+            after = adapt_mod._pair_loss(src_enc, target, phi_n, cfg).item()
         wins += after <= before
     assert wins >= 0.9 * trials
 
@@ -318,18 +318,21 @@ def test_alignment_loss_nonnegative_and_finite(pools, model):
     for seed in range(5):
         cfg = AdaptConfig(n_snapshots=3, snapshot_size=12)
         snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(seed))
-        value = mean_alignment(model, snaps, target_from(test, seed=seed), cfg)
+        target = target_from(model, test, seed=seed)
+        value = mean_alignment(model, rows_of(model, train), snaps, target, cfg)
         assert np.isfinite(value) and value >= 0.0
+        phi_value = alignment_loss(model.phi, rows_of(model, train), snaps, target, cfg).item()
+        assert phi_value == value
 
 
 def test_outer_zero_rate_leaves_adapter(pools, model):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=1e-2, eta_out=0.0)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
-    target = target_from(test)
-    phi_n = inner_adapt(model, snaps, target, cfg)
+    target, train_rows = target_from(model, test), rows_of(model, train)
+    phi_n = inner_adapt(model, train_rows, snaps, target, cfg)
     before = model.phi.state_bytes()
-    outer_update(model, phi_n, snaps, target, cfg)
+    outer_update(model, phi_n, train_rows, snaps, target, cfg)
     assert model.phi.state_bytes() == before
 
 
@@ -338,12 +341,12 @@ def test_outer_moves_only_the_adapter(pools):
     m = create_model(BACKBONE, seed=5)
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=15, eta_in=1e-2, eta_out=1e-2)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(3))
-    target = target_from(test)
+    target, train_rows = target_from(m, test), rows_of(m, train)
     theta_before = m.theta.state_bytes()
     w_before = m.w.state_bytes()
     phi_before = m.phi.state_bytes()
-    phi_n = inner_adapt(m, snaps, target, cfg)
-    outer_update(m, phi_n, snaps, target, cfg)
+    phi_n = inner_adapt(m, train_rows, snaps, target, cfg)
+    outer_update(m, phi_n, train_rows, snaps, target, cfg)
     assert m.theta.state_bytes() == theta_before
     assert m.w.state_bytes() == w_before
     assert m.phi.state_bytes() != phi_before
@@ -356,7 +359,7 @@ def test_outer_rejects_foreign_parameter_table(pools, model):
     alien = ParamGroup("phi")
     alien.add("other", Tensor(np.zeros((2, 2)), requires_grad=True))
     with pytest.raises(ContractError):
-        outer_update(model, alien, snaps, target_from(test), cfg)
+        outer_update(model, alien, rows_of(model, train), snaps, target_from(model, test), cfg)
 
 
 # -- full adaptation runs ---------------------------------------------------------------
@@ -367,7 +370,7 @@ def test_run_zero_iterations_changes_nothing(pools, model):
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, max_iter=0)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
     before = model_bytes(model)
-    evofa_run(model, snaps, target_from(test), cfg)
+    evofa_run(model, rows_of(model, train), snaps, target_from(model, test), cfg)
     assert model_bytes(model) == before
 
 
@@ -376,7 +379,7 @@ def test_run_zero_rates_change_nothing(pools, model):
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=0.0, eta_out=0.0, max_iter=3)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
     before = model_bytes(model)
-    evofa_run(model, snaps, target_from(test), cfg)
+    evofa_run(model, rows_of(model, train), snaps, target_from(model, test), cfg)
     assert model_bytes(model) == before
 
 
@@ -387,7 +390,7 @@ def test_run_freezes_encoder_and_head(pools):
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(1))
     theta_before = m.theta.state_bytes()
     w_before = m.w.state_bytes()
-    evofa_run(m, snaps, target_from(test), cfg)
+    evofa_run(m, rows_of(m, train), snaps, target_from(m, test), cfg)
     assert m.theta.state_bytes() == theta_before
     assert m.w.state_bytes() == w_before
 
@@ -396,9 +399,10 @@ def test_run_deterministic(pools):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=12, eta_in=1e-2, eta_out=1e-2)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(4))
-    target = target_from(test)
-    a = evofa_run(create_model(BACKBONE, seed=7), snaps, target, cfg)
-    b = evofa_run(create_model(BACKBONE, seed=7), snaps, target, cfg)
+    m = create_model(BACKBONE, seed=7)
+    target, train_rows = target_from(m, test), rows_of(m, train)
+    a = evofa_run(m, train_rows, snaps, target, cfg)
+    b = evofa_run(create_model(BACKBONE, seed=7), train_rows, snaps, target, cfg)
     assert a.phi.state_bytes() == b.phi.state_bytes()
 
 
@@ -411,7 +415,7 @@ def test_run_calls_snapshot_source_per_iteration(pools, model):
         calls.append(it)
         return sample_snapshots_intra(train, cfg, np.random.default_rng([it]))
 
-    evofa_run(model, source, target_from(test), cfg)
+    evofa_run(model, rows_of(model, train), source, target_from(model, test), cfg)
     assert calls == [0, 1, 2]
 
 
@@ -431,10 +435,10 @@ def test_run_reduces_query_alignment():
             kernel=KernelSpec.single(2.0),
         )
         snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 53]))
-        target = target_from(test, seed=seed)
-        before = mean_alignment(m, snaps, target, cfg)
-        evofa_run(m, snaps, target, cfg)
-        after = mean_alignment(m, snaps, target, cfg)
+        target, train_rows = target_from(m, test, seed=seed), rows_of(m, train)
+        before = mean_alignment(m, train_rows, snaps, target, cfg)
+        evofa_run(m, train_rows, snaps, target, cfg)
+        after = mean_alignment(m, train_rows, snaps, target, cfg)
         assert after < before
 
 
@@ -532,7 +536,7 @@ def test_eval_without_adaptation_matches_classify_query(eval_setup):
     expect = []
     for ep_idx in range(ecfg.episodes):
         rng = np.random.default_rng([ecfg.rng_seed, 10, ep_idx])
-        episode = sample_episode(list(test), ecfg.way, ecfg.shot, ecfg.queries, rng)
+        episode = sample_episode(test, ecfg.way, ecfg.shot, ecfg.queries, rng)
         with ad.no_grad():
             expect.append(classify_query(episode, m)[1])
     assert report.per_episode == tuple(expect)
@@ -546,29 +550,21 @@ def test_eval_rejects_unknown_split(eval_setup):
 
 def test_target_features_support_plus_extras(pools):
     _, _, test = pools
-    episode = sample_episode(list(test), 3, 1, 10, np.random.default_rng(0))
-    used = {
-        (s.subject_id, s.session_id, s.trial_id, s.time_index)
-        for s in episode.support + episode.query
-    }
+    episode = sample_episode(test, 3, 1, 10, np.random.default_rng(0))
     cfg = AdaptConfig(target_calibration_size=20)
-    samples = adapt_mod._target_samples(episode, list(test), cfg, np.random.default_rng(1))
-    target = np.stack([s.features for s in samples])
-    assert target.shape == (20, 6, 4)
-    support_feats = np.stack([s.features for s in episode.support])
-    assert np.array_equal(target[:3], support_feats)
-    # the 17 extras all come from outside the episode
-    pool_by_feat = {
-        s.features.tobytes(): (s.subject_id, s.session_id, s.trial_id, s.time_index)
-        for s in test
-    }
-    for row in target[3:]:
-        assert pool_by_feat[row.tobytes()] not in used
+    target = adapt_mod._target_indices(episode, len(test), cfg, np.random.default_rng(1))
+    assert target.shape == (20,)
+    assert np.array_equal(target[:3], episode.support)
+    # the 17 extras are distinct pool rows from outside the episode
+    extras = target[3:]
+    assert len(set(extras.tolist())) == 17
+    assert np.all((0 <= extras) & (extras < len(test)))
+    assert not np.intersect1d(extras, np.concatenate([episode.support, episode.query])).size
 
 
 def test_target_features_default_is_support_only(pools):
     _, _, test = pools
-    episode = sample_episode(list(test), 3, 1, 10, np.random.default_rng(2))
+    episode = sample_episode(test, 3, 1, 10, np.random.default_rng(2))
     cfg = AdaptConfig()  # target_calibration_size 0
-    target = adapt_mod._target_samples(episode, list(test), cfg, np.random.default_rng(3))
-    assert target == list(episode.support)
+    target = adapt_mod._target_indices(episode, len(test), cfg, np.random.default_rng(3))
+    assert np.array_equal(target, episode.support)

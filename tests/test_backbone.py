@@ -137,6 +137,25 @@ def test_create_model_deterministic():
         assert ga.state_bytes() == gb.state_bytes()
 
 
+def test_encode_rows_batches_of_64_equal_rows_encoded_alone(monkeypatch):
+    model = backbone.create_model(TINY, seed=0)
+    features = np.random.default_rng(4).normal(size=(130, 4, 4))
+    batches = []
+    original = backbone.encode
+
+    def counting(features, model, mode="eval"):
+        batches.append((features.shape[0], mode, ad._grad_enabled()))
+        return original(features, model, mode=mode)
+
+    monkeypatch.setattr(backbone, "encode", counting)
+    rows = backbone.encode_rows(model, features)
+    assert batches == [(64, "eval", False), (64, "eval", False), (2, "eval", False)]
+    picks = [0, 63, 64, 129]
+    alone = np.concatenate([backbone.encode_rows(model, features[[i]]) for i in picks])
+    assert np.array_equal(rows[picks], alone)
+    assert backbone.encode_rows(model, features[:0]).shape == (0, TINY.embedding_dim)
+
+
 # -- adapter -------------------------------------------------------------------------
 
 def test_adapter_is_identity_at_init():

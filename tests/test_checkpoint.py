@@ -227,7 +227,7 @@ def test_parameter_outside_payload(tmp_path):
         "total_floats": 4,
     }
     path = fake_file(tmp_path, header, floats=4)
-    with pytest.raises(CheckpointError, match="outside the payload"):
+    with pytest.raises(CheckpointError, match="field 'params' entry 0 is .*'stray'"):
         load_checkpoint(path)
 
 
@@ -236,5 +236,64 @@ def test_unknown_group_rejected(model, tmp_path):
     blob = path.read_bytes()
     assert b'"group":"theta"' in blob
     path.write_bytes(refix_crc(blob.replace(b'"group":"theta"', b'"group":"bogus"', 1)))
-    with pytest.raises(CheckpointError, match="unknown group 'bogus'"):
+    with pytest.raises(CheckpointError, match="field 'params' entry 0 is .*'group': 'bogus'"):
         load_checkpoint(path)
+
+
+# -- header checks (each tampered header is re-signed, so the CRC check passes) ----------
+
+
+def rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to the checkpoint's JSON header and re-sign the file with crc64."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = blob[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + blob[16 + header_len : -8]
+    path.write_bytes(body + struct.pack("<Q", crc64(body)))
+
+
+def drop_param(name):
+    return lambda h: h.update(params=[e for e in h["params"] if e["name"] != name])
+
+
+def set_first(table, key, value):
+    return lambda h: h[table][0].update({key: value})
+
+
+HEADER_DEFECTS = {
+    "no_fc2_b": (drop_param("fc2_b"), "field 'params' entry 20 is None, the architecture has {"),
+    "no_bn": (lambda h: h.pop("bn"), "header field 'bn' is missing"),
+    "no_backbone": (lambda h: h.pop("backbone"), "header field 'backbone' is missing"),
+    "no_params": (lambda h: h.pop("params"), "header field 'params' is missing"),
+    "unknown_backbone_key": (
+        lambda h: h["backbone"].update(depth=7), "header field 'backbone' is invalid"
+    ),
+    "bad_backbone_value": (
+        lambda h: h["backbone"].update(conv_channels=[2, 2]), "header field 'backbone' is invalid"
+    ),
+    "wrong_shape": (set_first("params", "shape", [5, 5]), "header field 'params' entry 0 is"),
+    "renamed_param": (set_first("params", "name", "other"), "header field 'params' entry 0 is"),
+    "offset_not_int": (set_first("params", "offset", "0"), "header field 'params' entry 0 is"),
+    "repeated_param": (lambda h: h["params"].append(h["params"][0]), "'params' entry 21 is {"),
+    "bn_channels": (set_first("bn", "channels", 1), "header field 'bn' entry 0 is"),
+    "bn_missing_layer": (lambda h: h["bn"].pop(), "header field 'bn' entry 3 is None"),
+    "bn_no_eps": (lambda h: h["bn"][0].pop("eps"), "header field 'bn' entry 0 is"),
+    "params_not_list": (lambda h: h.update(params={}), "header field 'params' is missing or not a list"),
+    "header_not_object": (None, "header is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("defect", list(HEADER_DEFECTS))
+def test_tampered_header_raises_checkpoint_error_naming_path_and_field(model, tmp_path, defect):
+    edit, says = HEADER_DEFECTS[defect]
+    if edit is None:
+        path = fake_file(tmp_path, [], floats=0)
+    else:
+        path = save_checkpoint(model, tmp_path / "m.ckpt")
+        rewrite_header(path, edit)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+    assert says in str(err.value)

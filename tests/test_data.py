@@ -1,9 +1,12 @@
 """Dataset container, importer, synthetic drift, and split protocols."""
+import copy
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evofa import data, mmd
 from evofa.autodiff import Tensor
@@ -32,7 +35,7 @@ SMALL = data.DriftConfig(
 
 
 def write_manifest(tmp_path, trials, schema=(4, 2), classes=("neg", "neu", "pos")):
-    (tmp_path / "features").mkdir(exist_ok=True)
+    (tmp_path / "features").mkdir(parents=True, exist_ok=True)
     manifest = {
         "schema": {"electrodes": schema[0], "bands": schema[1]},
         "classes": list(classes),
@@ -67,7 +70,8 @@ def test_import_counts_and_schema(tmp_path):
     assert len(ds) == 6
     assert ds.schema == (4, 2)
     assert ds.num_classes == 3
-    assert [s.time_index for s in ds.samples] == [0, 1, 2, 3, 4, 5]
+    assert ds.time.tolist() == [0, 1, 2, 3, 4, 5]
+    assert ds.trial.tolist() == [1, 1, 1, 2, 2, 2]
 
 
 def test_import_missing_file_names_path(tmp_path):
@@ -156,6 +160,150 @@ def test_import_trial_missing_field_names_manifest_trial_and_field(tmp_path, fie
     assert f"{MISSING_FIELD_WHERE[field]} is missing field {key!r}" in message
 
 
+# (entry holding the field, field, wrong value, what the error says about it)
+WRONG_TYPE = [
+    ("subject", "sessions", 5, "subject 1 field 'sessions' must be a list"),
+    ("session", "trials", None, "subject 1 session 1 field 'trials' must be a list"),
+    ("session", "trials", [5], "subject 1 session 1 trial at position 0 must be an object"),
+    ("trial", "label", None, "trial 7 field 'label' must be an integer"),
+    ("trial", "label", "1", "trial 7 field 'label' must be an integer"),
+    ("trial", "file", 5, "trial 7 field 'file' must be a string"),
+    ("trial", "id", "x", "trial at position 0 field 'id' must be an integer"),
+    ("trial", "id", 1.7, "trial at position 0 field 'id' must be an integer"),
+    ("trial", "id", True, "trial at position 0 field 'id' must be an integer"),
+    ("trial", "count", "a", "trial 7 field 'count' must be a nonnegative integer"),
+    ("trial", "count", -1, "trial 7 field 'count' must be a nonnegative integer"),
+    ("schema", "electrodes", "x", "schema field 'electrodes' must be an integer"),
+    ("schema", "bands", 0, "schema field 'bands' must be an integer"),
+    ("manifest", "subjects", {}, "field 'subjects' must be a list"),
+    ("manifest", "classes", "abc", "field 'classes' must be a list"),
+]
+
+
+@pytest.mark.parametrize(
+    "level,key,value,says", WRONG_TYPE, ids=[f"{w[0]}.{w[1]}={w[2]!r}" for w in WRONG_TYPE]
+)
+def test_import_wrong_type_names_manifest_entry_and_field(tmp_path, level, key, value, says):
+    write_binary(tmp_path / "features" / "t7.evfa", np.zeros((1, 4, 2)))
+    trial = {"id": 7, "label": 0, "file": "features/t7.evfa", "count": 1}
+    path = write_manifest(tmp_path, [trial])
+    manifest = json.loads(path.read_text())
+    subject = manifest["subjects"][0]
+    session = subject["sessions"][0]
+    entries = {
+        "manifest": manifest,
+        "schema": manifest["schema"],
+        "subject": subject,
+        "session": session,
+        "trial": session["trials"][0],
+    }
+    entries[level][key] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetSchemaError) as err:
+        data.import_features(path)
+    message = str(err.value)
+    assert str(path) in message
+    assert says in message
+
+
+def test_import_rejects_repeated_trial_id(tmp_path):
+    write_binary(tmp_path / "features" / "t1.evfa", np.zeros((3, 4, 2)))
+    trial = {"id": 1, "label": 0, "file": "features/t1.evfa", "count": 3}
+    path = write_manifest(tmp_path, [trial, dict(trial)])
+    with pytest.raises(DatasetSchemaError, match="trial 1 is listed more than once"):
+        data.import_features(path)
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute"])
+def test_import_rejects_file_outside_manifest_directory(tmp_path, where):
+    container = tmp_path / "container"
+    outside = tmp_path / "outside.evfa"
+    write_binary(outside, np.zeros((1, 4, 2)))  # the file exists: only its place is wrong
+    file = "../outside.evfa" if where == "parent" else str(outside)
+    trials = [{"id": 1, "label": 0, "file": file, "count": 1}]
+    path = write_manifest(container, trials)
+    with pytest.raises(DatasetSchemaError, match="trial 1 field 'file' lies outside"):
+        data.import_features(path)
+
+
+# -- manifest fuzzing ---------------------------------------------------------------
+
+FUZZ_SOURCE = data.DriftConfig(
+    num_subjects=2, num_sessions=2, trials_per_session=2, samples_per_trial=2,
+    num_classes=2, n_electrodes=2, d_bands=1, rng_seed=4,
+)
+
+
+def _json_paths(obj, path=()):
+    """The key/index path of every value nested in a JSON document."""
+    if path:
+        yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_container(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    manifest = data.export_features(data.generate_synthetic_drift(FUZZ_SOURCE), root / "c")
+    write_binary(root / "outside.evfa", np.zeros((2, 2, 1)))  # loadable, were paths unconfined
+    return manifest, json.loads(manifest.read_text())
+
+
+def _mutated(manifest: dict, mutations) -> dict:
+    doc = copy.deepcopy(manifest)
+    for path, op, value in mutations:
+        holder = doc
+        try:
+            for key in path[:-1]:
+                holder = holder[key]
+            current = holder[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or retyped this path
+        if op == "drop":
+            del holder[path[-1]]
+        elif op == "retype":
+            holder[path[-1]] = value
+        elif op == "duplicate" and isinstance(holder, list):
+            holder.insert(path[-1], copy.deepcopy(current))
+        elif op == "shift" and isinstance(current, int):
+            holder[path[-1]] = current + value if isinstance(value, int) else -current
+    return doc
+
+
+FUZZ_OPS = ("drop", "retype", "duplicate", "shift")
+FUZZ_VALUES = (
+    None, True, -1, 0, 1, 2, 1.5, 2**70, "x", "", [], {}, [{}],
+    "features", "../outside.evfa", "/outside.evfa", "features/../../outside.evfa",
+    "features/sub01_ses1_trial01.evfa", "features/absent.evfa",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_manifest_loads_or_raises_ingest_error(fuzz_container, draw):
+    manifest_path, original = fuzz_container
+    mutation = st.tuples(
+        st.sampled_from(list(_json_paths(original))),
+        st.sampled_from(FUZZ_OPS),
+        st.sampled_from(FUZZ_VALUES),
+    )
+    mutations = draw.draw(st.lists(mutation, min_size=1, max_size=3))
+    manifest_path.write_text(json.dumps(_mutated(original, mutations)))
+    try:
+        ds = data.import_features(manifest_path)
+    except IngestError:
+        return
+    assert isinstance(ds, data.DatasetIndex)
+    assert ds.features.shape == (len(ds),) + ds.schema
+
+
 def test_import_missing_manifest(tmp_path):
     with pytest.raises(IngestError):
         data.import_features(tmp_path / "nope.json")
@@ -178,15 +326,8 @@ def test_export_import_round_trip_seed_convention(tmp_path):
     assert len(back) == len(ds) == 15 * 3 * 15 * 2
     assert back.schema == (62, 5)
     assert back.class_names == ds.class_names
-    for a, b in zip(ds.samples, back.samples):
-        assert (a.subject_id, a.session_id, a.trial_id, a.time_index, a.label) == (
-            b.subject_id,
-            b.session_id,
-            b.trial_id,
-            b.time_index,
-            b.label,
-        )
-        assert np.array_equal(a.features, b.features)
+    for column in ("features",) + data.COLUMNS:
+        assert np.array_equal(getattr(ds, column), getattr(back, column)), column
 
 
 # -- dataset invariants ---------------------------------------------------------
@@ -195,21 +336,68 @@ def test_time_index_strictly_increasing_per_session():
     ds = data.generate_synthetic_drift(SMALL)
     for subject in ds.subjects():
         for session in ds.sessions(subject):
-            times = [s.time_index for s in ds.select(subject=subject, session=session)]
-            assert all(b > a for a, b in zip(times, times[1:]))
+            times = ds.select(subject=subject, session=session).time
+            assert np.all(np.diff(times) > 0)
 
 
 def test_dataset_rejects_unsorted_samples():
     ds = data.generate_synthetic_drift(SMALL)
-    shuffled = ds.samples[::-1]
+    reversed_columns = [getattr(ds, c)[::-1] for c in ("features",) + data.COLUMNS]
     with pytest.raises(DataError):
-        data.DatasetIndex(samples=shuffled, num_classes=ds.num_classes, schema=ds.schema)
+        data.DatasetIndex(*reversed_columns, num_classes=ds.num_classes, schema=ds.schema)
 
 
 def test_dataset_rejects_schema_mismatch():
     ds = data.generate_synthetic_drift(SMALL)
+    columns = [getattr(ds, c) for c in ("features",) + data.COLUMNS]
     with pytest.raises(DatasetSchemaError):
-        data.DatasetIndex(samples=ds.samples, num_classes=ds.num_classes, schema=(9, 9))
+        data.DatasetIndex(*columns, num_classes=ds.num_classes, schema=(9, 9))
+
+
+def _columns(ds):
+    return {c: getattr(ds, c).copy() for c in ("features",) + data.COLUMNS}
+
+
+def test_dataset_rejects_short_column():
+    ds = data.generate_synthetic_drift(SMALL)
+    columns = _columns(ds)
+    columns["trial"] = columns["trial"][:-1]
+    with pytest.raises(DatasetSchemaError, match="column trial"):
+        data.DatasetIndex(**columns, num_classes=ds.num_classes, schema=ds.schema)
+
+
+def test_dataset_names_first_bad_label_and_repeated_time():
+    ds = data.generate_synthetic_drift(SMALL)
+    columns = _columns(ds)
+    columns["label"][40] = 7
+    with pytest.raises(DataError, match="label 7 out of range at subject 1, session 2, trial 3"):
+        data.DatasetIndex(**columns, num_classes=ds.num_classes, schema=ds.schema)
+    columns = _columns(ds)
+    columns["time"][31] = columns["time"][30]
+    with pytest.raises(DataError, match="time_index not strictly increasing within subject 1 session 2"):
+        data.DatasetIndex(**columns, num_classes=ds.num_classes, schema=ds.schema)
+
+
+def test_select_keeps_dataset_order_and_metadata():
+    ds = data.generate_synthetic_drift(SMALL)
+    part = ds.select(session=2)
+    assert isinstance(part, data.DatasetIndex)
+    assert len(part) == SMALL.num_subjects * SMALL.samples_per_session
+    assert part.subjects() == [1, 2] and part.sessions() == [2]
+    assert np.array_equal(part.features, ds.features[ds.session == 2])
+    assert (part.num_classes, part.schema, part.class_names) == (
+        ds.num_classes, ds.schema, ds.class_names
+    )
+
+
+def test_split_spec_rejects_overlapping_cells():
+    with pytest.raises(ProtocolError, match="overlap on subject 1, session 2"):
+        data.SplitSpec(
+            kind="intra",
+            train=frozenset({(1, 1)}),
+            val=frozenset({(1, 2)}),
+            test=frozenset({(1, 2), (1, 3)}),
+        )
 
 
 def test_labels_constant_within_trial():
@@ -217,8 +405,8 @@ def test_labels_constant_within_trial():
     for subject in ds.subjects():
         for session in ds.sessions(subject):
             for trial in range(1, SMALL.trials_per_session + 1):
-                labels = {s.label for s in ds.select(subject=subject, session=session, trial=trial)}
-                assert len(labels) == 1
+                labels = ds.select(subject=subject, session=session, trial=trial).label
+                assert len(set(labels.tolist())) == 1
 
 
 # -- synthetic generator ----------------------------------------------------------
@@ -227,7 +415,7 @@ def test_generator_deterministic():
     a = data.generate_synthetic_drift(SMALL)
     b = data.generate_synthetic_drift(SMALL)
     assert len(a) == len(b)
-    assert np.array_equal(data.feature_matrix(list(a.samples)), data.feature_matrix(list(b.samples)))
+    assert np.array_equal(a.features, b.features)
 
 
 def test_generator_config_validation():
@@ -266,8 +454,8 @@ def test_class_separation_is_exact_in_the_noiseless_limit():
     ds = data.generate_synthetic_drift(cfg)
     means = {}
     for label in range(3):
-        rows = [s.features.reshape(-1) for s in ds.samples if s.label == label]
-        means[label] = np.mean(rows, axis=0)
+        rows = ds.features[ds.label == label]
+        means[label] = rows.reshape(len(rows), -1).mean(axis=0)
     expect = 5.0 * np.sqrt(12)  # per-coordinate RMS units: distance scales with sqrt(dim)
     for a in range(3):
         for b in range(a + 1, 3):
@@ -277,7 +465,7 @@ def test_class_separation_is_exact_in_the_noiseless_limit():
 
 def _session_features(ds, subject, session):
     rows = ds.select(subject=subject, session=session)
-    return data.feature_matrix(rows).reshape(len(rows), -1)
+    return rows.features.reshape(len(rows), -1)
 
 
 def test_no_drift_sessions_are_stationary():
@@ -296,9 +484,10 @@ def test_no_drift_sessions_are_stationary():
         rng_seed=5,
     )
     ds = data.generate_synthetic_drift(cfg)
+    s1_all, s3_all = _session_features(ds, 1, 1), _session_features(ds, 1, 3)
     for label in range(3):
-        s1 = [s.features.reshape(-1) for s in ds.select(subject=1, session=1) if s.label == label]
-        s3 = [s.features.reshape(-1) for s in ds.select(subject=1, session=3) if s.label == label]
+        s1 = s1_all[ds.select(subject=1, session=1).label == label]
+        s3 = s3_all[ds.select(subject=1, session=3).label == label]
         count = len(s1)
         gap = np.mean(s1, axis=0) - np.mean(s3, axis=0)
         rms = np.linalg.norm(gap) / np.sqrt(gap.size)
@@ -370,17 +559,18 @@ def test_intra_split_maps_sessions():
     train = spec.select(ds, "train")
     val = spec.select(ds, "val")
     test = spec.select(ds, "test")
-    assert {s.session_id for s in train} == {1}
-    assert {s.session_id for s in val} == {2}
-    assert {s.session_id for s in test} == {3}
-    assert all(s.subject_id == 1 for s in train + val + test)
+    assert train.sessions() == [1]
+    assert val.sessions() == [2]
+    assert test.sessions() == [3]
+    assert train.subjects() == val.subjects() == test.subjects() == [1]
+    assert len(train) == len(ds.select(subject=1, session=1))
 
 
 def test_intra_split_disjoint():
     ds = data.generate_synthetic_drift(SMALL)
     spec = data.make_intra_split(ds, subject_id=2)
-    spec.check_disjoint(ds)
-    ids = lambda part: {id(s) for s in spec.select(ds, part)}
+    spec.check_disjoint()
+    ids = lambda part: set(zip(*(getattr(spec.select(ds, part), c).tolist() for c in data.COLUMNS)))
     assert not (ids("train") & ids("val"))
     assert not (ids("train") & ids("test"))
     assert not (ids("val") & ids("test"))
@@ -403,7 +593,7 @@ def test_intra_split_missing_subject():
 
 
 def _subjects_of(spec, ds, part):
-    return sorted({s.subject_id for s in spec.select(ds, part)})
+    return spec.select(ds, part).subjects()
 
 
 @pytest.mark.parametrize("subjects,expect_val", [(15, 2), (16, 3)])
@@ -417,7 +607,7 @@ def test_inter_split_subject_counts(subjects, expect_val):
     assert len(_subjects_of(spec, ds, "train")) == 12
     assert len(_subjects_of(spec, ds, "val")) == expect_val
     assert _subjects_of(spec, ds, "test") == [1]
-    spec.check_disjoint(ds)
+    spec.check_disjoint()
 
 
 def test_inter_split_seeded_reproducible():

@@ -1,4 +1,6 @@
 """Tests for episodic sampling, the three few-shot losses, and the training loops."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from evofa import autodiff as ad
 from evofa.autodiff import Tensor, finite_diff_check
 from evofa.backbone import BackboneConfig, create_model
-from evofa.data import DriftConfig, LabeledSample, generate_synthetic_drift, make_intra_split
+from evofa.data import DatasetIndex, DriftConfig, generate_synthetic_drift, make_intra_split
 from evofa.errors import ConfigError, ProtocolError, SamplingError
 from evofa.fsl import (
     Episode,
@@ -27,28 +29,21 @@ from evofa.fsl import (
 # -- helpers ---------------------------------------------------------------------
 
 
-def make_sample(trial, label, features=None, subject=1, session=1, time_index=None):
-    if features is None:
-        features = np.zeros((2, 2))
-    return LabeledSample(
-        subject_id=subject,
-        session_id=session,
-        trial_id=trial,
-        time_index=trial if time_index is None else time_index,
-        features=np.asarray(features, dtype=np.float64),
-        label=label,
-    )
-
-
 def toy_pool(num_classes=3, per_class=12, shape=(2, 2), seed=0):
+    """One subject and session, samples grouped by class, one trial per sample."""
     rng = np.random.default_rng(seed)
-    pool = []
-    t = 0
-    for k in range(num_classes):
-        for _ in range(per_class):
-            pool.append(make_sample(t, k, rng.normal(size=shape)))
-            t += 1
-    return pool
+    n = num_classes * per_class
+    t = np.arange(n)
+    return DatasetIndex(
+        features=rng.normal(size=(n, *shape)),
+        subject=np.ones(n),
+        session=np.ones(n),
+        trial=t,
+        time=t,
+        label=np.repeat(np.arange(num_classes), per_class),
+        num_classes=num_classes,
+        schema=shape,
+    )
 
 
 def tiny_backbone(**overrides):
@@ -66,24 +61,30 @@ def tiny_backbone(**overrides):
 
 
 def manual_episode(class_ids=(0, 1, 2), shot=1, queries=2, shape=(2, 2), seed=0):
+    """An episode over an implicit pool holding, per class, shot then query samples."""
     rng = np.random.default_rng(seed)
-    support, query = [], []
-    t = 0
-    for k in class_ids:
-        for _ in range(shot):
-            support.append(make_sample(t, k, rng.normal(size=shape)))
-            t += 1
-        for _ in range(queries):
-            query.append(make_sample(t, k, rng.normal(size=shape)))
-            t += 1
+    per_class = shot + queries
+    rows = np.arange(len(class_ids) * per_class).reshape(len(class_ids), per_class)
+    support, query = rows[:, :shot].ravel(), rows[:, shot:].ravel()
+    features = rng.normal(size=(rows.size, *shape))
+    labels = np.repeat(class_ids, per_class)
+    order = np.concatenate([support, query])
     return Episode(
         way=len(class_ids),
         shot=shot,
         queries_per_class=queries,
         class_ids=tuple(class_ids),
-        support=tuple(support),
-        query=tuple(query),
+        support=support,
+        query=query,
+        features=features[order],
+        labels=labels[order],
     )
+
+
+def with_support_order(ep, perm):
+    """The episode with its support rows permuted."""
+    order = np.concatenate([perm, np.arange(len(ep.support), len(ep.labels))])
+    return replace(ep, support=ep.support[perm], features=ep.features[order], labels=ep.labels[order])
 
 
 # -- Episode invariants ------------------------------------------------------------
@@ -99,72 +100,36 @@ def test_episode_valid_construction():
 def test_episode_rejects_duplicate_class_ids():
     ep = manual_episode()
     with pytest.raises(ProtocolError):
-        Episode(
-            way=3,
-            shot=1,
-            queries_per_class=2,
-            class_ids=(0, 0, 2),
-            support=ep.support,
-            query=ep.query,
-        )
+        replace(ep, class_ids=(0, 0, 2))
 
 
 def test_episode_rejects_wrong_support_size():
     ep = manual_episode()
     with pytest.raises(ProtocolError):
-        Episode(
-            way=3,
-            shot=2,
-            queries_per_class=2,
-            class_ids=ep.class_ids,
-            support=ep.support,
-            query=ep.query,
-        )
+        replace(ep, shot=2)
 
 
 def test_episode_rejects_wrong_query_size():
     ep = manual_episode()
     with pytest.raises(ProtocolError):
-        Episode(
-            way=3,
-            shot=1,
-            queries_per_class=3,
-            class_ids=ep.class_ids,
-            support=ep.support,
-            query=ep.query,
-        )
+        replace(ep, queries_per_class=3)
 
 
 def test_episode_rejects_per_class_miscount():
     ep = manual_episode()
     # right totals, wrong per-class composition: swap one support label
-    bad = list(ep.support)
-    s = bad[0]
-    bad[0] = make_sample(s.trial_id, 1, s.features)
+    labels = ep.labels.copy()
+    labels[0] = 1
     with pytest.raises(ProtocolError):
-        Episode(
-            way=3,
-            shot=1,
-            queries_per_class=2,
-            class_ids=ep.class_ids,
-            support=tuple(bad),
-            query=ep.query,
-        )
+        replace(ep, labels=labels)
 
 
 def test_episode_rejects_support_query_overlap():
     ep = manual_episode()
-    shared = ep.support[0]
-    bad_query = (shared,) + ep.query[1:]
+    query = ep.query.copy()
+    query[0] = ep.support[0]
     with pytest.raises(ProtocolError, match="overlap"):
-        Episode(
-            way=3,
-            shot=1,
-            queries_per_class=2,
-            class_ids=ep.class_ids,
-            support=ep.support,
-            query=tuple(bad_query),
-        )
+        replace(ep, query=query)
 
 
 def test_episode_local_targets_follow_class_id_order():
@@ -193,14 +158,13 @@ def test_sample_sizes_5way_5shot_5query():
 def test_sample_deficient_class_raises_naming_it():
     pool = toy_pool(num_classes=3, per_class=11)
     # class 2 ends up one sample short of shot + queries
-    short = [s for s in pool if not (s.label == 2 and s.trial_id == pool[-1].trial_id)]
+    short = pool._subset(np.arange(len(pool)) != len(pool) - 1)
     with pytest.raises(SamplingError, match="2"):
         sample_episode(short, 3, 1, 10, np.random.default_rng(0))
 
 
 def test_sample_composition_over_many_episodes():
     pool = toy_pool(num_classes=5, per_class=13)
-    pool_keys = {(s.subject_id, s.session_id, s.trial_id, s.time_index) for s in pool}
     seen_classes = set()
     for j in range(10_000):
         rng = np.random.default_rng([11, j])
@@ -208,16 +172,17 @@ def test_sample_composition_over_many_episodes():
         # Episode.__post_init__ already enforces counts, per-class balance,
         # and support/query disjointness; check the sampler-level contracts.
         assert list(ep.class_ids) == sorted(ep.class_ids)
-        keys = {(s.subject_id, s.session_id, s.trial_id, s.time_index) for s in ep.support + ep.query}
-        assert len(keys) == len(ep.support) + len(ep.query)
-        assert keys <= pool_keys
+        rows = np.concatenate([ep.support, ep.query])
+        assert len(set(rows.tolist())) == len(rows)
+        assert np.array_equal(ep.features, pool.features[rows])
+        assert np.array_equal(ep.labels, pool.label[rows])
         seen_classes.update(ep.class_ids)
     assert seen_classes == {0, 1, 2, 3, 4}
 
 
 def test_sample_deterministic_given_rng():
     pool = toy_pool(num_classes=5, per_class=12)
-    key = lambda ep: [(s.trial_id, s.label) for s in ep.support + ep.query]
+    key = lambda ep: (ep.support.tolist(), ep.query.tolist(), ep.labels.tolist())
     a = sample_episode(pool, 3, 1, 5, np.random.default_rng(42))
     b = sample_episode(pool, 3, 1, 5, np.random.default_rng(42))
     c = sample_episode(pool, 3, 1, 5, np.random.default_rng(43))
@@ -304,15 +269,7 @@ def test_way_mismatch_rejected():
 def test_proto_loss_permutation_invariant_in_support():
     model = create_model(tiny_backbone(head_kind="proto"), seed=0)
     ep = manual_episode(shot=3, queries=2)
-    perm = np.random.default_rng(5).permutation(len(ep.support))
-    shuffled = Episode(
-        way=ep.way,
-        shot=ep.shot,
-        queries_per_class=ep.queries_per_class,
-        class_ids=ep.class_ids,
-        support=tuple(ep.support[i] for i in perm),
-        query=ep.query,
-    )
+    shuffled = with_support_order(ep, np.random.default_rng(5).permutation(len(ep.support)))
     base = episode_loss(ep, model, mode="eval").item()
     moved = episode_loss(shuffled, model, mode="eval").item()
     assert abs(base - moved) < 1e-9
@@ -322,15 +279,7 @@ def test_proto_loss_permutation_invariant_in_support():
 def test_other_heads_permutation_invariant_too(kind):
     model = create_model(tiny_backbone(head_kind=kind), seed=0)
     ep = manual_episode(shot=2, queries=2)
-    perm = np.random.default_rng(9).permutation(len(ep.support))
-    shuffled = Episode(
-        way=ep.way,
-        shot=ep.shot,
-        queries_per_class=ep.queries_per_class,
-        class_ids=ep.class_ids,
-        support=tuple(ep.support[i] for i in perm),
-        query=ep.query,
-    )
+    shuffled = with_support_order(ep, np.random.default_rng(9).permutation(len(ep.support)))
     base = episode_loss(ep, model, mode="eval").item()
     moved = episode_loss(shuffled, model, mode="eval").item()
     assert abs(base - moved) < 1e-9
@@ -358,10 +307,15 @@ def test_episode_gradients_match_finite_differences():
 def test_tiebreak_picks_lowest_class_id():
     # all-zero features embed identically, so every class scores the same
     model = create_model(tiny_backbone(), seed=0)
-    support = tuple(make_sample(t, k) for t, k in enumerate((3, 5, 9)))
-    query = tuple(make_sample(10 + t, k) for t, k in enumerate((3, 5, 9)))
     ep = Episode(
-        way=3, shot=1, queries_per_class=1, class_ids=(3, 5, 9), support=support, query=query
+        way=3,
+        shot=1,
+        queries_per_class=1,
+        class_ids=(3, 5, 9),
+        support=np.arange(3),
+        query=np.arange(3, 6),
+        features=np.zeros((6, 2, 2)),
+        labels=np.array([3, 5, 9, 3, 5, 9]),
     )
     predictions, accuracy = classify_query(ep, model)
     assert predictions.tolist() == [3, 3, 3]
@@ -400,7 +354,7 @@ def test_untrained_model_sits_at_chance():
 
 def test_classify_pool_empty_is_defined():
     model = create_model(tiny_backbone(head_kind="linear"), seed=0)
-    predictions, accuracy = classify_pool(model, [])
+    predictions, accuracy = classify_pool(model, toy_pool(per_class=0))
     assert predictions.size == 0
     assert accuracy == 0.0
 

@@ -1,4 +1,5 @@
 """Tests for protocol orchestration, result tables, and config round trips."""
+import hashlib
 import json
 from dataclasses import replace
 
@@ -261,6 +262,73 @@ def test_zero_rate_adaptation_reduces_to_baseline(dataset):
     assert len(fsl) == len(evofa) == 1
     assert fsl[0].mean_accuracy == evofa[0].mean_accuracy
     assert fsl[0].std_accuracy == evofa[0].std_accuracy
+
+
+# Two micro protocols whose results.csv digests were recorded when pools were
+# still lists of per-sample objects: the column-wise data model must keep every
+# byte. Adaptation rates are high enough that fsl+evofa rows differ from fsl.
+GOLDEN = {
+    "intra": (
+        replace(
+            CONFIG,
+            adapt=AdaptConfig(
+                n_snapshots=2,
+                snapshot_size=8,
+                target_calibration_size=10,
+                eta_in=0.5,
+                eta_out=0.5,
+                max_iter=2,
+            ),
+            eval_episodes=4,
+        ),
+        "b211a8aec9314fb38371448b0c47e1f008087c0cd64369a9141adf0909c9c1b3",
+    ),
+    "inter": (
+        ExperimentConfig(
+            dataset=DriftConfig(
+                num_subjects=14,
+                num_sessions=1,
+                trials_per_session=3,
+                samples_per_trial=6,
+                num_classes=3,
+                n_electrodes=4,
+                d_bands=3,
+                rng_seed=5,
+            ),
+            protocol="inter",
+            train=TrainConfig(
+                backbone=BACKBONE,
+                episodes_per_epoch=3,
+                max_epochs=2,
+                learning_rate=0.1,
+                way=3,
+                shot=1,
+                queries=3,
+                validation_episodes=3,
+            ),
+            adapt=AdaptConfig(
+                n_snapshots=3,
+                snapshot_size=4,
+                target_calibration_size=6,
+                eta_in=0.5,
+                eta_out=0.5,
+                max_iter=2,
+            ),
+            supervised=SupervisedConfig(backbone=BACKBONE, num_classes=3, max_epochs=2),
+            eval_episodes=3,
+            seed=8,
+            subjects=(2, 9),
+        ),
+        "36463310c5bb89b965e124bd70de44abda15a7043d1e10402aa48aa1efd08a08",
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", list(GOLDEN))
+def test_results_csv_bytes_match_golden_digest(protocol):
+    cfg, digest = GOLDEN[protocol]
+    text = run_protocol(cfg).to_csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
