@@ -383,26 +383,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 # -- convolution ---------------------------------------------------------------
 
-_COL_INDEX_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _col_indices(c_in, kh, kw, out_h, out_w, stride):
-    key = (c_in, kh, kw, out_h, out_w, stride)
-    cached = _COL_INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    i0 = np.tile(np.repeat(np.arange(kh), kw), c_in)
-    j0 = np.tile(np.tile(np.arange(kw), kh), c_in)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    rows = i0[:, None] + i1[None, :]
-    cols = j0[:, None] + j1[None, :]
-    chan = np.repeat(np.arange(c_in), kh * kw)[:, None]
-    cached = (chan, rows, cols)
-    _COL_INDEX_CACHE[key] = cached
-    return cached
-
-
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of [c_in x H x W] (or batched [B x ...]) with [c_out x c_in x h x w]."""
     squeeze = x.ndim == 3
@@ -426,24 +406,35 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     out_w = num_w // stride + 1
 
     xp = np.pad(x4.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x4.data
-    chan, rows, cols_ix = _col_indices(c_in, kh, kw, out_h, out_w, stride)
-    cols = xp[:, chan, rows, cols_ix]  # (B, c_in*kh*kw, out_h*out_w)
-    kmat = k.data.reshape(c_out, -1)
-    data = np.matmul(kmat, cols).reshape(batch, c_out, out_h, out_w)
+
+    def tap(i, j):
+        """The [B x c_in x out_h*out_w] input positions that kernel tap (i, j) reads."""
+        view = xp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+        return view.reshape(batch, c_in, out_h * out_w)
+
+    # Shift-and-accumulate (Dukhan 2019): one [c_out x c_in] product per tap, no
+    # im2col buffer; the tape keeps only the padded input.
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    ktaps = k.data.transpose(2, 3, 0, 1).copy()  # contiguous [c_out x c_in] per tap
+    data = np.zeros((batch, c_out, out_h * out_w))
+    for i, j in taps:
+        data += np.matmul(ktaps[i, j], tap(i, j))
+    data = data.reshape(batch, c_out, out_h, out_w)
 
     def grad_fn(g):
         g2 = g.reshape(batch, c_out, -1)
-        gk = np.einsum("bol,bkl->ok", g2, cols).reshape(k.shape)
-        gcols = np.matmul(kmat.T, g2).reshape(batch, c_in, kh, kw, out_h, out_w)
+        gk = np.empty_like(k.data)
+        for i, j in taps:
+            gk[:, :, i, j] = np.matmul(g2, tap(i, j).transpose(0, 2, 1)).sum(axis=0)
+        gcols = np.matmul(k.data.reshape(c_out, -1).T, g2).reshape(batch, c_in, kh, kw, out_h, out_w)
         # col2im one kernel tap at a time: a tap writes each padded position at
         # most once, and taps run in column order, so every element sums its
         # contributions in the same order as a scatter-add over the columns.
         gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                rows_ij = slice(i, i + stride * out_h, stride)
-                cols_ij = slice(j, j + stride * out_w, stride)
-                gxp[:, :, rows_ij, cols_ij] += gcols[:, :, i, j]
+        for i, j in taps:
+            rows_ij = slice(i, i + stride * out_h, stride)
+            cols_ij = slice(j, j + stride * out_w, stride)
+            gxp[:, :, rows_ij, cols_ij] += gcols[:, :, i, j]
         gx = gxp[:, :, pad : pad + height, pad : pad + width] if pad else gxp
         return (gx, gk)
 

@@ -256,6 +256,9 @@ def plan_cells(
             raise ConfigError(f"session {session} given without a subject to pick the cell")
         sessions = list(cfg.sessions) if cfg.sessions else ds.sessions()
         cells = [(subj, sess) for sess in sessions for subj in subjects]
+    if not cells:
+        source = "synthetic" if isinstance(cfg.dataset, DriftConfig) else str(cfg.dataset)
+        raise ProtocolError(f"dataset {source} has no subjects: the {cfg.protocol} protocol plan is empty")
     if subject is None:
         return cells
     wanted = (subject, session)

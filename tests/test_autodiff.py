@@ -1,4 +1,6 @@
 """Numeric core: forward oracles, gradient checks, determinism."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,19 +77,76 @@ def test_conv2d_channel_mismatch_rejected():
         ad.conv2d(t(np.zeros((2, 4, 4))), t(np.zeros((1, 3, 3, 3))), stride=1, pad=1)
 
 
-def test_conv2d_matches_direct_sliding_window():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 3, 6, 6))
-    k = rng.normal(size=(4, 3, 3, 3))
-    out = ad.conv2d(t(x), t(k), stride=1, pad=1).data
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    expect = np.empty((2, 4, 6, 6))
-    for b in range(2):
-        for o in range(4):
-            for i in range(6):
-                for j in range(6):
-                    expect[b, o, i, j] = np.sum(xp[b, :, i : i + 3, j : j + 3] * k[o])
-    assert np.allclose(out, expect, atol=1e-12)
+def _direct_conv(x, k, stride, pad):
+    """Reference cross-correlation: one window sum per output element."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    batch, c_out, (kh, kw) = x.shape[0], k.shape[0], k.shape[2:]
+    out_h = (xp.shape[2] - kh) // stride + 1
+    out_w = (xp.shape[3] - kw) // stride + 1
+    out = np.empty((batch, c_out, out_h, out_w))
+    for b in range(batch):
+        for o in range(c_out):
+            for i in range(out_h):
+                for j in range(out_w):
+                    window = xp[b, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
+                    out[b, o, i, j] = np.sum(window * k[o])
+    return out
+
+
+def _direct_weight_grad(x, g, kshape, stride, pad):
+    """Reference conv2d weight gradient: gk[o, c, u, v] summed output element by element."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gk = np.zeros(kshape)
+    c_out, c_in, kh, kw = kshape
+    for o in range(c_out):
+        for c in range(c_in):
+            for u in range(kh):
+                for v in range(kw):
+                    for b in range(g.shape[0]):
+                        for i in range(g.shape[2]):
+                            for j in range(g.shape[3]):
+                                gk[o, c, u, v] += g[b, o, i, j] * xp[b, c, i * stride + u, j * stride + v]
+    return gk
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("c_in", [1, 3])
+def test_conv2d_matches_direct_sliding_window(stride, pad, c_in):
+    rng = np.random.default_rng([3, stride, pad, c_in])
+    x = rng.normal(size=(2, c_in, 7, 9))
+    k = rng.normal(size=(4, c_in, 3, 3))
+    out = ad.conv2d(t(x), t(k), stride=stride, pad=pad).data
+    assert np.allclose(out, _direct_conv(x, k, stride, pad), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("c_in", [1, 3])
+def test_conv2d_weight_grad_matches_direct_sum(stride, pad, c_in):
+    rng = np.random.default_rng([6, stride, pad, c_in])
+    x = rng.normal(size=(2, c_in, 7, 9))
+    k = t(rng.normal(size=(4, c_in, 3, 3)), grad=True)
+    out = ad.conv2d(t(x), k, stride=stride, pad=pad)
+    g = rng.normal(size=out.shape)
+    ad.backward(ad.tensor_sum(ad.mul(out, t(g))))
+    assert np.allclose(k.grad, _direct_weight_grad(x, g, k.shape, stride, pad), rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_forward_peak_memory_below_one_im2col_buffer():
+    rng = np.random.default_rng(7)
+    batch, c_in, side = 8, 8, 62
+    x = t(rng.normal(size=(batch, c_in, side, side)), grad=True)
+    k = t(rng.normal(size=(8, c_in, 3, 3)), grad=True)
+    im2col_bytes = batch * c_in * 9 * side * side * 8  # 16.9 MiB
+    tracemalloc.start()
+    try:
+        out = ad.conv2d(x, k, stride=1, pad=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (batch, 8, side, side)
+    assert peak < im2col_bytes
 
 
 def test_conv2d_linearity():

@@ -372,6 +372,22 @@ def test_compare_prints_aggregates(workspace, tmp_path, capsys):
         assert needle in printed
 
 
+def test_compare_rejects_dataset_without_subjects(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth-gen", "--config", str(workspace / "dataset.json"), "--out", str(data)]) == 0
+    manifest = data / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "subjects": []}))
+    obj = {k: v for k, v in CONFIG_OBJ.items() if k != "subjects"}
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({**obj, "dataset": {"import": str(manifest)}}))
+    capsys.readouterr()
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "protocol plan is empty" in err
+    assert not (out / "results.csv").exists()
+
+
 def test_report_renders_table(compared, capsys):
     assert main(["report", "--results", str(compared)]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -266,10 +266,12 @@ def _mutated(manifest: dict, mutations) -> dict:
             current = holder[path[-1]]
         except (KeyError, IndexError, TypeError):
             continue  # an earlier mutation removed or retyped this path
+        if not isinstance(holder, (dict, list)):
+            continue  # retyped to a string, which indexes but cannot be edited
         if op == "drop":
             del holder[path[-1]]
-        elif op == "retype":
-            holder[path[-1]] = value
+        elif op == "retype":  # a copy: later mutations must not edit FUZZ_VALUES
+            holder[path[-1]] = copy.deepcopy(value)
         elif op == "duplicate" and isinstance(holder, list):
             holder.insert(path[-1], copy.deepcopy(current))
         elif op == "shift" and isinstance(current, int):
@@ -302,6 +304,19 @@ def test_mutated_manifest_loads_or_raises_ingest_error(fuzz_container, draw):
         return
     assert isinstance(ds, data.DatasetIndex)
     assert ds.features.shape == (len(ds),) + ds.schema
+
+
+def test_mutated_leaves_fuzz_values_unchanged():
+    before = repr(FUZZ_VALUES)
+    for value in FUZZ_VALUES:
+        # retype a list to `value`, then mutate inside what was stored there
+        mutations = [
+            (("subjects",), "retype", value),
+            (("subjects", 0), "retype", value),
+            (("subjects", 0), "duplicate", value),
+        ]
+        json.dumps(_mutated({"subjects": [{"id": 1}]}, mutations))
+    assert repr(FUZZ_VALUES) == before
 
 
 def test_import_missing_manifest(tmp_path):
