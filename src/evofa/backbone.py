@@ -17,6 +17,11 @@ from .errors import ConfigError, ProtocolError, ShapeError
 HEAD_KINDS = ("matching", "relation", "proto", "linear")
 
 
+def _positive_int(value) -> bool:
+    """A positive int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class BackboneConfig:
     """Architecture knobs for the full pipeline."""
@@ -43,9 +48,9 @@ class BackboneConfig:
             "relation_hidden": self.relation_hidden,
         }
         for name, value in dims.items():
-            if not isinstance(value, int) or value < 1:
+            if not _positive_int(value):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if len(self.conv_channels) != 4 or any(c < 1 for c in self.conv_channels):
+        if len(self.conv_channels) != 4 or not all(map(_positive_int, self.conv_channels)):
             raise ConfigError(f"conv_channels must be 4 positive widths, got {self.conv_channels}")
         if self.d_bands % self.g2g_channels != 0:
             raise ConfigError(

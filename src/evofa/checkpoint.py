@@ -146,6 +146,10 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"checkpoint {path} has an unreadable header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointError(f"checkpoint {path} header is not a JSON object")
+    if (len(raw) - 8 - header_end) % 4:
+        raise CheckpointError(
+            f"checkpoint {path} payload of {len(raw) - 8 - header_end} bytes is not a whole number of floats"
+        )
     payload = np.frombuffer(raw[header_end:-8], dtype="<f4")
     total = header.get("total_floats", -1)
     if payload.size != total:
@@ -180,7 +184,12 @@ def load_checkpoint(path: str | Path) -> Model:
     model of the architecture it names writes.
     """
     ckpt = read_checkpoint(path)
-    model = create_model(ckpt.config)
+    try:
+        model = create_model(ckpt.config)
+    except (ValueError, MemoryError) as e:  # numpy refuses sizes no payload could hold
+        raise CheckpointError(
+            f"checkpoint {path} header field 'backbone' names an architecture that cannot be built: {e}"
+        ) from e
     want, _ = _header_dict(model)
     for field in ("params", "bn"):
         for i, (have, need) in enumerate(zip_longest(getattr(ckpt, field), want[field])):

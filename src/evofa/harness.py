@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -23,6 +24,7 @@ from .backbone import BackboneConfig
 from .data import (
     DatasetIndex,
     DriftConfig,
+    _is_int,
     generate_synthetic_drift,
     import_features,
     make_inter_split,
@@ -427,6 +429,94 @@ def config_to_obj(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """A finite int or float; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+_OBJECT = (lambda value: isinstance(value, dict), "an object")
+_INT = (_is_int, "an integer")
+_SEED = (lambda value: _is_int(value, 0), "a nonnegative integer")
+_NUMBER = (_is_number, "a finite number")
+_STRING = (lambda value: isinstance(value, str), "a string")
+_BOOL = (lambda value: isinstance(value, bool), "true or false")
+_INTS = (lambda value: isinstance(value, list) and all(map(_is_int, value)), "a list of integers")
+_NUMBERS = (lambda value: isinstance(value, list) and all(map(_is_number, value)), "a list of finite numbers")
+
+# every config field, by name in whichever section holds it: (test its value must pass, what it must be)
+_CONFIG_FIELDS = {
+    # top level
+    "dataset": _OBJECT,
+    "protocol": _STRING,
+    "backbone": _OBJECT,
+    "train": _OBJECT,
+    "adapt": _OBJECT,
+    "supervised": (lambda value: value is None or isinstance(value, dict), "an object or null"),
+    "eval_episodes": _INT,
+    "seed": _SEED,
+    "subjects": _INTS,
+    "sessions": _INTS,
+    "persist_adaptation": _BOOL,
+    "include_supervised": _BOOL,
+    # dataset and its synthetic generator
+    "synthetic": _OBJECT,
+    "import": (_STRING[0], "a manifest path string"),
+    "num_subjects": _INT,
+    "num_sessions": _INT,
+    "trials_per_session": _INT,
+    "samples_per_trial": _INT,
+    "num_classes": _INT,
+    "n_electrodes": _INT,
+    "d_bands": _INT,
+    "class_separation": _NUMBER,
+    "intra_drift_rate": _NUMBER,
+    "inter_subject_offset_scale": _NUMBER,
+    "noise_std": _NUMBER,
+    "rng_seed": _SEED,
+    # backbone
+    "g2g_channels": _INT,
+    "conv_channels": _INTS,
+    "embedding_dim": _INT,
+    "adapter_hidden": _INT,
+    "head_kind": _STRING,
+    "matching_temperature": _NUMBER,
+    "relation_hidden": _INT,
+    # train and supervised
+    "episodes_per_epoch": _INT,
+    "max_epochs": _INT,
+    "learning_rate": _NUMBER,
+    "way": _INT,
+    "shot": _INT,
+    "queries": _INT,
+    "validation_episodes": _INT,
+    "batch_size": _INT,
+    # adapt and its kernel
+    "n_snapshots": _INT,
+    "snapshot_size": _INT,
+    "eta_in": _NUMBER,
+    "eta_out": _NUMBER,
+    "max_iter": _INT,
+    "target_calibration_size": _INT,
+    "kernel": (lambda value: value == "median-auto" or isinstance(value, dict), '"median-auto" or an object'),
+    "bandwidths": _NUMBERS,
+    "weights": _NUMBERS,
+}
+
+
+def _check_fields(where: str, obj) -> dict:
+    """Raise, naming the field, unless obj is an object whose fields in the table pass it.
+
+    Keys outside the table are left to the section's constructor, which rejects them.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
+    for name, value in obj.items():
+        test, kind = _CONFIG_FIELDS.get(name, (lambda _: True, ""))
+        if not test(value):
+            raise ConfigError(f"{where} field {name!r} must be {kind}, got {value!r}")
+    return dict(obj)
+
+
 def _take(obj: dict, what: str, allowed: set[str]) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -434,9 +524,8 @@ def _take(obj: dict, what: str, allowed: set[str]) -> None:
 
 
 def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
-    """Parse a config dict (from JSON); unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"experiment config must be an object, got {type(obj).__name__}")
+    """Parse a config dict (from JSON); unknown keys and mistyped values are rejected."""
+    obj = _check_fields("experiment config", obj)
     allowed = {
         "dataset",
         "protocol",
@@ -456,8 +545,9 @@ def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
         dataset_obj = obj["dataset"]
     except KeyError:
         raise ConfigError("config needs a dataset entry")
-    if not isinstance(dataset_obj, dict) or len(dataset_obj) != 1:
+    if len(dataset_obj) != 1 or not {"synthetic", "import"} & set(dataset_obj):
         raise ConfigError('dataset must be {"synthetic": {...}} or {"import": "path"}')
+    _check_fields("config dataset", dataset_obj)
 
     def build(factory, what, **kwargs):
         try:
@@ -466,25 +556,22 @@ def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
             raise ConfigError(f"bad {what} config: {e}") from e
 
     if "synthetic" in dataset_obj:
-        dataset = build(DriftConfig, "synthetic dataset", **dataset_obj["synthetic"])
-    elif "import" in dataset_obj:
-        dataset = dataset_obj["import"]
-        if not isinstance(dataset, str):
-            raise ConfigError(
-                f'dataset "import" must be a manifest path string, got {type(dataset).__name__}'
-            )
+        synthetic = _check_fields("config dataset synthetic", dataset_obj["synthetic"])
+        dataset = build(DriftConfig, "synthetic dataset", **synthetic)
     else:
-        raise ConfigError('dataset must be {"synthetic": {...}} or {"import": "path"}')
-    backbone_obj = dict(obj.get("backbone", {}))
+        dataset = dataset_obj["import"]
+    backbone_obj = _check_fields("config backbone", obj.get("backbone", {}))
     if "conv_channels" in backbone_obj:
         backbone_obj["conv_channels"] = tuple(backbone_obj["conv_channels"])
     backbone = build(BackboneConfig, "backbone", **backbone_obj)
-    train_obj = dict(obj.get("train", {}))
+    train_obj = _check_fields("config train", obj.get("train", {}))
     train_obj.pop("backbone", None)
     train = build(TrainConfig, "train", backbone=backbone, **train_obj)
-    adapt_obj = dict(obj.get("adapt", {}))
+    adapt_obj = _check_fields("config adapt", obj.get("adapt", {}))
     kernel = adapt_obj.get("kernel")
     if isinstance(kernel, dict):
+        kernel = _check_fields("config adapt kernel", kernel)
+        _take(kernel, "kernel", {"bandwidths", "weights"})
         adapt_obj["kernel"] = KernelSpec(
             bandwidths=tuple(kernel.get("bandwidths", ())),
             weights=tuple(kernel.get("weights", ())),
@@ -492,25 +579,22 @@ def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     adapt = build(AdaptConfig, "adapt", **adapt_obj)
     supervised = None
     if obj.get("supervised") is not None:
-        sup_obj = dict(obj["supervised"])
+        sup_obj = _check_fields("config supervised", obj["supervised"])
         sup_obj.pop("backbone", None)
         supervised = build(SupervisedConfig, "supervised", backbone=backbone, **sup_obj)
-    try:
-        return ExperimentConfig(
-            dataset=dataset,
-            protocol=obj.get("protocol", "intra"),
-            train=train,
-            adapt=adapt,
-            supervised=supervised,
-            eval_episodes=obj.get("eval_episodes", 200),
-            seed=obj.get("seed", 0),
-            subjects=tuple(obj.get("subjects", ())),
-            sessions=tuple(obj.get("sessions", ())),
-            persist_adaptation=bool(obj.get("persist_adaptation", False)),
-            include_supervised=bool(obj.get("include_supervised", True)),
-        )
-    except TypeError as e:
-        raise ConfigError(f"bad experiment config: {e}") from e
+    return ExperimentConfig(
+        dataset=dataset,
+        protocol=obj.get("protocol", "intra"),
+        train=train,
+        adapt=adapt,
+        supervised=supervised,
+        eval_episodes=obj.get("eval_episodes", 200),
+        seed=obj.get("seed", 0),
+        subjects=tuple(obj.get("subjects", ())),
+        sessions=tuple(obj.get("sessions", ())),
+        persist_adaptation=obj.get("persist_adaptation", False),
+        include_supervised=obj.get("include_supervised", True),
+    )
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -520,4 +604,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    return experiment_config_from_obj(obj)
+    try:
+        return experiment_config_from_obj(obj)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e

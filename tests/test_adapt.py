@@ -1,4 +1,7 @@
 """Tests for snapshot sampling, adapter alignment updates, and adapted evaluation."""
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from evofa.autodiff import ParamGroup, Tensor
 from evofa.backbone import BackboneConfig, create_model, encode_rows
 from evofa.data import DriftConfig, generate_synthetic_drift, make_intra_split
 from evofa.errors import ConfigError, ContractError, ProtocolError, SamplingError
-from evofa.fsl import classify_query, sample_episode
+from evofa.fsl import classify_embedded, classify_query, sample_episode
 from evofa.mmd import KernelSpec, default_spec, mmd2
 
 BACKBONE = BackboneConfig(
@@ -568,3 +571,102 @@ def test_target_features_default_is_support_only(pools):
     cfg = AdaptConfig()  # target_calibration_size 0
     target = adapt_mod._target_indices(episode, len(test), cfg, np.random.default_rng(3))
     assert np.array_equal(target, episode.support)
+
+
+# -- episode groups against the per-episode reference ------------------------------------
+
+
+def per_episode_reference(model, test, train, kind, ecfg, acfg):
+    """Accuracies and adapted adapters of the episode-at-a-time loop on 2-D rows."""
+    sampler = sample_snapshots_intra if kind == "intra" else sample_snapshots_inter
+    test_rows, train_rows = rows_of(model, test), rows_of(model, train)
+    work = model.copy()
+    accuracies, phis = [], []
+    for ep_idx in range(ecfg.episodes):
+        if not ecfg.persist_adaptation:
+            work.phi = model.phi.copy()
+        rng = np.random.default_rng([ecfg.rng_seed, 10, ep_idx])
+        episode = sample_episode(test, ecfg.way, ecfg.shot, ecfg.queries, rng)
+        rng = np.random.default_rng([ecfg.rng_seed, 11, ep_idx])
+        target = adapt_mod._target_indices(episode, len(test), acfg, rng)
+        source = lambda it: sampler(train, acfg, np.random.default_rng([ecfg.rng_seed, 12, ep_idx, it]))
+        evofa_run(work, train_rows, source, test_rows[target], acfg)
+        with ad.no_grad():
+            rows = np.concatenate([episode.support, episode.query])
+            accuracies.append(classify_embedded(episode, work, work.adapt(Tensor(test_rows[rows])))[1])
+        phis.append(work.phi.copy())
+    return tuple(accuracies), phis
+
+
+def grouped_run(monkeypatch, model, test, train, kind, ecfg, acfg):
+    """evofa_test's report plus the adapted adapter of every episode, slice by slice."""
+    phis = []
+    real_run = adapt_mod.evofa_run
+
+    def recording_run(stacked, *args):
+        real_run(stacked, *args)
+        slices = stacked.phi.entries[0][1].shape[0]
+        phis.extend(adapt_mod._slice_adapter(stacked.phi, k) for k in range(slices))
+        return stacked
+
+    monkeypatch.setattr(adapt_mod, "evofa_run", recording_run)
+    return evofa_test(model, test, train, kind, ecfg, acfg), phis
+
+
+# case: (split kind, EvalConfig fields, AdaptConfig fields)
+GROUP_CASES = {
+    "intra-shot1": ("intra", dict(shot=1), dict(n_snapshots=3, target_calibration_size=20)),
+    "intra-shot5": ("intra", dict(shot=5), dict(n_snapshots=2)),
+    "inter-shot1": ("inter", dict(shot=1), dict(n_snapshots=4, snapshot_size=8, target_calibration_size=12)),
+    "inter-shot5": ("inter", dict(shot=5), dict(n_snapshots=3, snapshot_size=8)),
+    "supply-shortfall": ("intra", dict(shot=1), dict(n_snapshots=2, target_calibration_size=10_000)),
+    "persist": ("intra", dict(shot=1, persist_adaptation=True), dict(n_snapshots=2)),
+    "eta-0.5": ("intra", dict(shot=1), dict(n_snapshots=2, eta_in=0.5, eta_out=0.5, max_iter=2)),
+}
+
+
+@pytest.mark.parametrize("case", list(GROUP_CASES))
+def test_episode_groups_equal_per_episode_reference(case, pools, multi_subject_pool, monkeypatch):
+    kind, eval_kw, adapt_kw = GROUP_CASES[case]
+    _, _, test = pools
+    train = pools[0] if kind == "intra" else multi_subject_pool
+    model = create_model(BACKBONE, seed=3)
+    # not a multiple of the group size, so the last group is partial
+    ecfg = EvalConfig(episodes=adapt_mod.EPISODE_GROUP + 3, way=3, queries=4, rng_seed=2, **eval_kw)
+    acfg = AdaptConfig(**{"eta_in": 0.05, "eta_out": 0.05, "snapshot_size": 10, **adapt_kw})
+    report, phis = grouped_run(monkeypatch, model, test, train, kind, ecfg, acfg)
+    want_acc, want_phis = per_episode_reference(model, test, train, kind, ecfg, acfg)
+    assert report.per_episode == want_acc
+    assert len(phis) == len(want_phis) == ecfg.episodes
+    for got, want in zip(phis, want_phis):
+        for (name, g), (_, w) in zip(got.entries, want.entries):
+            assert np.max(np.abs(g.data.reshape(w.shape) - w.data)) <= 1e-15, name
+    moved = max(np.abs(p.entries[0][1].data - model.phi.entries[0][1].data).max() for p in want_phis)
+    assert moved > 1e-6  # the adapters really moved
+
+
+def test_adapted_group_peak_memory_below_stacked_pair_buffers(pools, model):
+    """One adapted group of the demo's shape (62 pooled points, 16 dims) under tracemalloc.
+
+    D^2 is built slice by slice; the pair buffers of a whole stack at once
+    (two gathers and their difference, [G x 1891 x 16] each) would alone
+    exceed the bound.
+    """
+    train, _, test = pools
+    group = adapt_mod.EPISODE_GROUP
+    acfg = AdaptConfig(n_snapshots=3, snapshot_size=32)
+    train_rows, test_rows = rows_of(model, train), rows_of(model, test)
+    sets = [sample_snapshots_intra(train, acfg, np.random.default_rng(k)) for k in range(group)]
+    picks = [np.random.default_rng(k).choice(len(test), 30, replace=False) for k in range(group)]
+    targets = test_rows[np.stack(picks)]
+    stacked = lambda: replace(model, phi=adapt_mod._stack_adapter(model.phi, group))
+    evofa_run(stacked(), train_rows, sets, targets, acfg)  # warm caches
+    tracemalloc.start()
+    try:
+        evofa_run(stacked(), train_rows, sets, targets, acfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = 62 * 61 // 2
+    bound = 3 * group * pairs * 16 * 8
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"

@@ -4,10 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evofa import autodiff as ad
 from evofa.autodiff import Tensor
-from evofa.backbone import BackboneConfig, create_model
+from evofa.backbone import BackboneConfig, Model, create_model
 from evofa.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -16,7 +18,9 @@ from evofa.checkpoint import (
     read_checkpoint,
     save_checkpoint,
 )
-from evofa.errors import CheckpointError
+from evofa.errors import CheckpointError, ConfigError
+
+from jsonfuzz import mutated, mutation_lists
 
 TINY = BackboneConfig(
     n_electrodes=4,
@@ -297,3 +301,83 @@ def test_tampered_header_raises_checkpoint_error_naming_path_and_field(model, tm
         load_checkpoint(path)
     assert str(path) in str(err.value)
     assert says in str(err.value)
+
+
+# -- fuzzing: every mutated file loads or is rejected with the package's own errors ------
+
+CHECKPOINT_FUZZ_VALUES = (
+    None, True, -1, 0, 1, 2, 3, 1.5, 2**70, float("nan"), "x", "", [], {}, [{}], [2, 2, 2, 4], "theta", "phi",
+)
+
+
+def _resigned(body: bytes) -> bytes:
+    return body + struct.pack("<Q", crc64(body))
+
+
+@st.composite
+def mutated_checkpoints(draw, blob: bytes) -> bytes:
+    """A checkpoint blob with its header JSON, bytes or lengths mutated, usually re-signed."""
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + header_len])
+    payload = blob[16 + header_len : -8]
+    kind = draw(st.sampled_from(("header", "bytes", "lengths")))
+    if kind == "header":
+        edited = mutated(header, draw(mutation_lists(header, CHECKPOINT_FUZZ_VALUES)))
+        header_bytes = json.dumps(edited, sort_keys=True, separators=(",", ":")).encode()
+        body = blob[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + payload
+    elif kind == "bytes":
+        body = bytearray(blob[:-8])
+        for position in draw(st.lists(st.integers(0, len(body) - 1), min_size=1, max_size=4)):
+            body[position] = draw(st.integers(0, 255))
+        body = bytes(body)
+    else:
+        cut = draw(st.integers(0, len(blob)))
+        extra = draw(st.binary(max_size=16))
+        header_len = draw(st.sampled_from((header_len, header_len - 1, header_len + 4, 0, 2**63)))
+        body = blob[:8] + struct.pack("<Q", header_len) + blob[16:cut] + extra
+    return _resigned(body) if draw(st.booleans()) or kind == "header" else body + blob[-8:]
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    return path, save_checkpoint(create_model(TINY, seed=5), path).read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_checkpoint_loads_or_raises_checkpoint_error(fuzz_checkpoint, draw):
+    path, blob = fuzz_checkpoint
+    path.write_bytes(draw.draw(mutated_checkpoints(blob)))
+    try:
+        loaded = load_checkpoint(path)
+    except (CheckpointError, ConfigError):
+        return
+    assert isinstance(loaded, Model)
+    assert [t.shape for g in loaded.groups() for _, t in g.entries] == [
+        t.shape for g in create_model(loaded.config).groups() for _, t in g.entries
+    ]
+
+
+def test_payload_not_whole_floats_rejected(model, tmp_path):
+    path = save_checkpoint(model, tmp_path / "m.ckpt")
+    blob = path.read_bytes()
+    path.write_bytes(_resigned(blob[:-8] + b"\x00"))
+    with pytest.raises(CheckpointError, match="not a whole number of floats"):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("width", [1.5, True])
+def test_non_integer_conv_width_rejected(model, tmp_path, width):
+    path = save_checkpoint(model, tmp_path / "m.ckpt")
+    rewrite_header(path, lambda h: h["backbone"].update(conv_channels=[2, 2, width, 4]))
+    with pytest.raises(CheckpointError, match="header field 'backbone' is invalid"):
+        load_checkpoint(path)
+
+
+def test_unbuildable_architecture_rejected(model, tmp_path):
+    path = save_checkpoint(model, tmp_path / "m.ckpt")
+    rewrite_header(path, lambda h: h["backbone"].update(d_bands=2**70))
+    with pytest.raises(CheckpointError, match="architecture that cannot be built"):
+        load_checkpoint(path)
+

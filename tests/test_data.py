@@ -1,5 +1,4 @@
 """Dataset container, importer, synthetic drift, and split protocols."""
-import copy
 import json
 import struct
 
@@ -17,6 +16,8 @@ from evofa.errors import (
     IngestError,
     ProtocolError,
 )
+
+from jsonfuzz import mutated, mutation_lists
 
 SMALL = data.DriftConfig(
     num_subjects=2,
@@ -234,20 +235,6 @@ FUZZ_SOURCE = data.DriftConfig(
 )
 
 
-def _json_paths(obj, path=()):
-    """The key/index path of every value nested in a JSON document."""
-    if path:
-        yield path
-    if isinstance(obj, dict):
-        items = obj.items()
-    elif isinstance(obj, list):
-        items = enumerate(obj)
-    else:
-        return
-    for key, value in items:
-        yield from _json_paths(value, path + (key,))
-
-
 @pytest.fixture(scope="module")
 def fuzz_container(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
@@ -256,30 +243,6 @@ def fuzz_container(tmp_path_factory):
     return manifest, json.loads(manifest.read_text())
 
 
-def _mutated(manifest: dict, mutations) -> dict:
-    doc = copy.deepcopy(manifest)
-    for path, op, value in mutations:
-        holder = doc
-        try:
-            for key in path[:-1]:
-                holder = holder[key]
-            current = holder[path[-1]]
-        except (KeyError, IndexError, TypeError):
-            continue  # an earlier mutation removed or retyped this path
-        if not isinstance(holder, (dict, list)):
-            continue  # retyped to a string, which indexes but cannot be edited
-        if op == "drop":
-            del holder[path[-1]]
-        elif op == "retype":  # a copy: later mutations must not edit FUZZ_VALUES
-            holder[path[-1]] = copy.deepcopy(value)
-        elif op == "duplicate" and isinstance(holder, list):
-            holder.insert(path[-1], copy.deepcopy(current))
-        elif op == "shift" and isinstance(current, int):
-            holder[path[-1]] = current + value if isinstance(value, int) else -current
-    return doc
-
-
-FUZZ_OPS = ("drop", "retype", "duplicate", "shift")
 FUZZ_VALUES = (
     None, True, -1, 0, 1, 2, 1.5, 2**70, "x", "", [], {}, [{}],
     "features", "../outside.evfa", "/outside.evfa", "features/../../outside.evfa",
@@ -291,13 +254,8 @@ FUZZ_VALUES = (
 @given(st.data())
 def test_mutated_manifest_loads_or_raises_ingest_error(fuzz_container, draw):
     manifest_path, original = fuzz_container
-    mutation = st.tuples(
-        st.sampled_from(list(_json_paths(original))),
-        st.sampled_from(FUZZ_OPS),
-        st.sampled_from(FUZZ_VALUES),
-    )
-    mutations = draw.draw(st.lists(mutation, min_size=1, max_size=3))
-    manifest_path.write_text(json.dumps(_mutated(original, mutations)))
+    mutations = draw.draw(mutation_lists(original, FUZZ_VALUES))
+    manifest_path.write_text(json.dumps(mutated(original, mutations)))
     try:
         ds = data.import_features(manifest_path)
     except IngestError:
@@ -315,7 +273,7 @@ def test_mutated_leaves_fuzz_values_unchanged():
             (("subjects", 0), "retype", value),
             (("subjects", 0), "duplicate", value),
         ]
-        json.dumps(_mutated({"subjects": [{"id": 1}]}, mutations))
+        json.dumps(mutated({"subjects": [{"id": 1}]}, mutations))
     assert repr(FUZZ_VALUES) == before
 
 

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evofa import harness
 from evofa.adapt import AdaptConfig
@@ -30,6 +32,8 @@ from evofa.harness import (
     write_run_manifest,
 )
 from evofa.mmd import KernelSpec
+
+from jsonfuzz import mutated, mutation_lists
 
 BACKBONE = BackboneConfig(
     n_electrodes=4,
@@ -484,3 +488,84 @@ def test_load_experiment_config_round_trip(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(config_to_obj(CONFIG)))
     assert load_experiment_config(path) == CONFIG
+
+
+def test_config_booleans_must_be_json_booleans():
+    for field in ("persist_adaptation", "include_supervised"):
+        obj = config_to_obj(CONFIG)
+        obj[field] = "false"  # a non-empty string is truthy: it must not switch the flag on
+        with pytest.raises(ConfigError, match=f"'{field}' must be true or false, got 'false'"):
+            experiment_config_from_obj(obj)
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+MISTYPED = [
+        (("backbone",), 5),
+        (("train",), []),
+        (("adapt",), "fast"),
+        (("supervised",), 3),
+        (("dataset", "synthetic"), 7),
+        (("backbone", "conv_channels"), 5),
+        (("adapt", "kernel"), {"bandwidths": 5, "weights": [1.0]}),
+        (("adapt", "kernel"), {"bandwidths": ["a"], "weights": [1.0]}),
+        (("seed",), "x"),
+        (("seed",), -1),
+        (("subjects",), "12"),
+        (("adapt", "n_snapshots"), 2.5),
+        (("adapt", "snapshot_size"), 3.0),
+        (("train", "learning_rate"), "0.1"),
+        (("backbone", "matching_temperature"), float("nan")),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value", MISTYPED, ids=[".".join(p) + "=" + repr(v) for p, v in MISTYPED]
+)
+def test_config_rejects_mistyped_field_naming_it(path, value):
+    obj = config_to_obj(CONFIG)
+    _set(obj, path, value)
+    field = "bandwidths" if isinstance(value, dict) else path[-1]
+    with pytest.raises(ConfigError, match=f"field '{field}' must be"):
+        experiment_config_from_obj(obj)
+
+
+def test_config_rejects_unknown_kernel_key():
+    obj = config_to_obj(CONFIG)
+    obj["adapt"]["kernel"] = {"bandwidths": [1.0], "weights": [1.0], "scale": 2}
+    with pytest.raises(ConfigError, match="unknown kernel keys.*scale"):
+        experiment_config_from_obj(obj)
+
+
+def test_load_experiment_config_names_file_and_field(tmp_path):
+    obj = config_to_obj(CONFIG)
+    obj["adapt"]["n_snapshots"] = 2.5
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match=f"{path}: config adapt field 'n_snapshots'"):
+        load_experiment_config(path)
+
+
+CONFIG_FUZZ_VALUES = (
+    None, True, False, "false", -1, 0, 1, 2, 1.5, 2**70, float("nan"), float("inf"),
+    "x", "", "median-auto", [], {}, [1], [0.5, 1.0], [{}],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_config_loads_or_raises_config_error(draw):
+    original = config_to_obj(replace(CONFIG, adapt=replace(CONFIG.adapt, kernel=KernelSpec((1.0, 2.0), (0.5, 0.5)))))
+    doc = mutated(original, draw.draw(mutation_lists(original, CONFIG_FUZZ_VALUES)))
+    try:
+        cfg = experiment_config_from_obj(json.loads(json.dumps(doc)))
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    assert isinstance(cfg.persist_adaptation, bool) and isinstance(cfg.include_supervised, bool)
+    assert all(isinstance(s, int) for s in cfg.subjects + cfg.sessions)
+    assert isinstance(cfg.seed, int) and cfg.seed >= 0

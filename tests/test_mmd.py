@@ -1,4 +1,6 @@
 """Kernel distance: hand oracles, brute-force equivalence, drift response."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,39 +35,18 @@ def test_kernel_spec_rejects_empty_and_nonpositive():
         mmd.KernelSpec((1.0, 2.0), (1.0,))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_kernel_spec_rejects_non_finite(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        mmd.KernelSpec((bad,), (1.0,))
+    with pytest.raises(ConfigError, match="finite"):
+        mmd.KernelSpec((1.0, 2.0), (1.0, bad))
+
+
 def test_kernel_ladder_around_sigma():
     spec = mmd.KernelSpec.around(2.0)
     assert spec.bandwidths == (1.0, 2.0, 4.0)
     assert all(w == pytest.approx(1.0 / 3.0) for w in spec.weights)
-
-
-# -- kernel_matrix -------------------------------------------------------------
-
-def test_kernel_matrix_unit_diagonal():
-    rng = np.random.default_rng(0)
-    x = t(rng.normal(size=(6, 3)))
-    spec = mmd.KernelSpec((0.5, 1.0, 3.0), (0.2, 0.3, 0.5))
-    k = mmd.kernel_matrix(x, x, spec).data
-    assert np.allclose(np.diag(k), 1.0)
-
-
-def test_kernel_matrix_hand_value():
-    k = mmd.kernel_matrix(t([[0.0]]), t([[1.0]]), SINGLE).data
-    assert k[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-9)
-    assert k[0, 0] == pytest.approx(0.60653, abs=1e-5)
-
-
-def test_kernel_matrix_symmetry():
-    rng = np.random.default_rng(1)
-    x = t(rng.normal(size=(5, 4)))
-    y = t(rng.normal(size=(3, 4)))
-    spec = mmd.KernelSpec.around(1.5)
-    assert np.allclose(mmd.kernel_matrix(x, y, spec).data, mmd.kernel_matrix(y, x, spec).data.T)
-
-
-def test_kernel_matrix_dim_mismatch_rejected():
-    with pytest.raises(ShapeError):
-        mmd.kernel_matrix(t(np.zeros((2, 3))), t(np.zeros((2, 4))), SINGLE)
 
 
 # -- mmd2 ------------------------------------------------------------------------
@@ -102,6 +83,98 @@ def test_mmd2_matches_brute_force():
 def test_mmd2_empty_set_rejected():
     with pytest.raises(ShapeError):
         mmd.mmd2(t(np.zeros((0, 3))), t(np.zeros((4, 3))), SINGLE)
+
+
+def test_mmd2_dim_mismatch_rejected():
+    with pytest.raises(ShapeError):
+        mmd.mmd2(t(np.zeros((2, 3))), t(np.zeros((2, 4))), SINGLE)
+    with pytest.raises(ShapeError):
+        mmd.mmd2(t(np.zeros((2, 2, 3))), t(np.zeros((3, 2, 3))), SINGLE)
+    with pytest.raises(ShapeError):
+        mmd.mmd2(t(np.zeros((2, 2, 3))), t(np.zeros((2, 2, 3))), [SINGLE])
+
+
+def test_mmd2_symmetric_in_its_arguments():
+    rng = np.random.default_rng(1)
+    x = t(rng.normal(size=(5, 4)))
+    y = t(rng.normal(size=(3, 4)))
+    spec = mmd.KernelSpec.around(1.5)
+    assert mmd.mmd2(x, y, spec).item() == pytest.approx(mmd.mmd2(y, x, spec).item(), abs=1e-15)
+
+
+# -- the fused node against the composed tape ------------------------------------
+
+
+def composed_mmd2(x: ad.Tensor, y: ad.Tensor, spec: mmd.KernelSpec) -> ad.Tensor:
+    """Reference: mmd2 built from elementwise tape ops, one kernel matrix per block."""
+
+    def kernel(a, b):
+        dist2 = ad.sq_euclidean_pairwise(a, b)
+        out = None
+        for sigma, w in zip(spec.bandwidths, spec.weights):
+            term = ad.mul(ad.exp(ad.mul(dist2, ad.Tensor(-0.5 / (sigma * sigma)))), ad.Tensor(w))
+            out = term if out is None else ad.add(out, term)
+        return out
+
+    kxx, kyy, kxy = kernel(x, x).mean(), kernel(y, y).mean(), kernel(x, y).mean()
+    return ad.sub(ad.add(kxx, kyy), ad.mul(kxy, ad.Tensor(2.0)))
+
+
+def random_sets(rng, slices=None):
+    m, n, e = (int(v) for v in rng.integers(1, 24, size=3))
+    lead = () if slices is None else (slices,)
+    x = rng.normal(size=lead + (m, e)) * rng.uniform(0.2, 4.0)
+    y = rng.normal(loc=rng.normal(), size=lead + (n, e))
+    if rng.random() < 0.3:  # duplicate points across the sets
+        y[..., :1, :] = x[..., :1, :]
+    return x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fused_mmd2_value_bitwise_and_grad_match_composed_tape(seed):
+    rng = np.random.default_rng(seed)
+    xs, ys = random_sets(rng)
+    spec = mmd.default_spec(xs, ys) if rng.random() < 0.5 else mmd.KernelSpec((0.7, 1.9), (0.3, 0.7))
+    x, y, xr, yr = t(xs, True), t(ys, True), t(xs, True), t(ys, True)
+    fused, ref = mmd.mmd2(x, y, spec), composed_mmd2(xr, yr, spec)
+    assert fused.item() == ref.item()  # bitwise
+    ad.backward(fused)
+    ad.backward(ref)
+    for got, want in ((x.grad, xr.grad), (y.grad, yr.grad)):  # atol: entries that cancel to ~0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15 + 1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stacked_mmd2_slices_equal_single_calls(seed):
+    rng = np.random.default_rng(seed)
+    xs, ys = random_sets(rng, slices=int(rng.integers(1, 6)))
+    specs = [mmd.default_spec(a, b) for a, b in zip(xs, ys)]
+    x, y = t(xs, True), t(ys, True)
+    stacked = mmd.mmd2(x, y, specs)
+    assert stacked.shape == (len(xs),)
+    ad.backward(stacked.sum())
+    for g, spec in enumerate(specs):
+        xg, yg = t(xs[g], True), t(ys[g], True)
+        single = mmd.mmd2(xg, yg, spec)
+        ad.backward(single)
+        assert stacked.data[g] == single.item()
+        np.testing.assert_array_equal(x.grad[g], xg.grad)
+        np.testing.assert_array_equal(y.grad[g], yg.grad)
+
+
+def test_stacked_mmd2_gradient_matches_finite_differences():
+    rng = np.random.default_rng(8)
+    x = t(rng.normal(size=(3, 4, 2)), grad=True)
+    y = t(rng.normal(loc=0.5, size=(3, 5, 2)), grad=True)
+    specs = [mmd.KernelSpec.around(s) for s in (0.8, 1.2, 2.0)]
+    weights = t([1.0, -0.5, 2.0])  # distinct upstream gradients per slice
+
+    def f(_):
+        return (mmd.mmd2(x, y, specs) * weights).sum()
+
+    assert ad.finite_diff_check(f, [x, y], eps=1e-6) < 1e-6
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,6 +233,31 @@ def test_median_heuristic_degenerate_falls_back():
 def test_median_heuristic_needs_two_points():
     with pytest.raises(ShapeError):
         mmd.median_heuristic(np.zeros((1, 2)), np.zeros((0, 2)))
+
+
+def full_difference_median(x, y):
+    """Reference: the median over the upper triangle of the full pairwise distance matrix."""
+    pooled = np.concatenate([x, y], axis=0)
+    diff = pooled[:, None, :] - pooled[None, :, :]
+    dist = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
+    upper = dist[np.triu_indices(pooled.shape[0], k=1)]
+    upper = upper[upper > 0.0]
+    return float(np.median(upper)) if upper.size else 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_median_heuristic_bitwise_equals_full_difference_form(seed):
+    rng = np.random.default_rng(seed)
+    xs, ys = random_sets(rng)
+    if rng.random() < 0.2:  # every point identical: the fallback
+        ys = np.broadcast_to(xs[:1], ys.shape).copy()
+        xs = np.broadcast_to(xs[:1], xs.shape).copy()
+    if xs.shape[0] + ys.shape[0] < 2:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert mmd.median_heuristic(xs, ys) == full_difference_median(xs, ys)
 
 
 def test_default_spec_builds_ladder():
