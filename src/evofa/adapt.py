@@ -31,7 +31,7 @@ from .autodiff import ParamGroup, Tensor
 from .backbone import Model, encode_rows
 from .data import DatasetIndex
 from .errors import ConfigError, ContractError, ProtocolError, SamplingError
-from .fsl import Episode, classify_embedded, sample_episode
+from .fsl import Episode, classify_query, sample_episode
 from .mmd import KernelSpec, default_spec, mmd2
 
 
@@ -467,11 +467,8 @@ def evofa_test(
             stacked = replace(model, phi=phi)
             evofa_run(stacked, train_rows, lambda it: rounds[it], test_rows[np.stack(targets)], adapt_cfg)
             adapters = [_slice_adapter(phi, k) for k in range(len(indices))]
-        with ad.no_grad():
-            for episode, adapter in zip(episodes, adapters):
-                rows = np.concatenate([episode.support, episode.query])
-                emb = backbone.adapt(Tensor(test_rows[rows]), adapter)
-                accuracies.append(classify_embedded(episode, model, emb)[1])
+        for episode, adapter in zip(episodes, adapters):
+            accuracies.append(classify_query(episode, model, test_rows, adapter)[1])
     arr = np.array(accuracies)
     return EvalReport(
         method="fsl" if adapt_cfg is None else "fsl+evofa",

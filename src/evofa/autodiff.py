@@ -2,7 +2,7 @@
 
 The tape is rebuilt on every forward pass; calling :func:`backward` on a
 scalar walks it once and accumulates gradients into the leaves. Repeated
-backward calls without :meth:`Tensor.zero_grad` accumulate.
+backward calls accumulate until :meth:`ParamGroup.zero_grad` clears them.
 """
 from __future__ import annotations
 
@@ -67,61 +67,6 @@ class Tensor:
         """Validity check: True iff the data holds no NaN or Inf."""
         return bool(np.isfinite(self.data).all())
 
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._grad_fn = None
-        return out
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return take(self, idx)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None) -> "Tensor":
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims=False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
@@ -130,12 +75,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _lift(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
@@ -169,7 +108,6 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise arithmetic ----------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     return _make(
         a.data + b.data,
         (a, b),
@@ -178,7 +116,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     return _make(
         a.data - b.data,
         (a, b),
@@ -187,7 +124,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     return _make(
         a.data * b.data,
         (a, b),
@@ -196,7 +132,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     return _make(
         a.data / b.data,
         (a, b),
@@ -263,7 +198,6 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_lift(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
@@ -333,7 +267,6 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- linear algebra ----------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs 2D+ operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -465,12 +398,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mo
     """Normalize per channel; batch statistics in train mode, running ones in eval."""
     if mode not in ("train", "eval"):
         raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-    if x.ndim == 4:
-        axes, view = (0, 2, 3), (1, -1, 1, 1)
-    elif x.ndim == 2:
-        axes, view = (0,), (1, -1)
-    else:
-        raise ShapeError(f"batch_norm expects 2D or 4D input, got {x.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"batch_norm expects [B x c x H x W] input, got {x.shape}")
+    axes, view = (0, 2, 3), (1, -1, 1, 1)
 
     if mode == "train":
         mu = tensor_mean(x, axis=axes, keepdims=True)
@@ -566,15 +496,6 @@ class ParamGroup:
             self.name,
             [(n, Tensor(t.data.copy(), requires_grad=t.requires_grad)) for n, t in self.entries],
         )
-
-    def load_from(self, other: "ParamGroup") -> None:
-        """Copy parameter values in place; shapes must match entry for entry."""
-        if [n for n, _ in self.entries] != [n for n, _ in other.entries]:
-            raise ContractError(f"parameter tables of group {self.name!r} disagree")
-        for (_, dst), (_, src) in zip(self.entries, other.entries):
-            if dst.shape != src.shape:
-                raise ContractError(f"shape mismatch while loading group {self.name!r}")
-            dst.data = src.data.copy()
 
     def zero_grad(self) -> None:
         for _, t in self.entries:

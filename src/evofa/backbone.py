@@ -3,6 +3,10 @@
 Stage layout: g2g -> 4 x (conv 3x3 s1 p1 -> batchnorm -> relu) -> global average
 pool -> flatten. The adapter is the only stage touched by test-time adaptation;
 it starts as an exact identity so adaptation-off equals the raw pipeline.
+
+Every stage takes a batch: ``encode`` maps features [B x n x d] to rows
+[B x q], and ``adapt`` maps rows [m x q], or a stack [G x m x q], to the same
+shape. A single sample is a batch of one.
 """
 from __future__ import annotations
 
@@ -84,15 +88,6 @@ class Model:
     w: ParamGroup
     bn_states: list[BatchNormState] = field(default_factory=list)
 
-    def encode(self, features: Tensor, mode: str = "eval") -> Tensor:
-        return encode(features, self, mode=mode)
-
-    def adapt(self, embedding: Tensor) -> Tensor:
-        return adapt(embedding, self.phi)
-
-    def embed(self, features: Tensor, mode: str = "eval") -> Tensor:
-        return self.adapt(self.encode(features, mode=mode))
-
     def head(self, support: Tensor, support_labels: np.ndarray, query: Tensor) -> Tensor:
         return head_forward(
             support,
@@ -119,6 +114,26 @@ class Model:
             w=self.w.copy(),
             bn_states=[s.copy() for s in self.bn_states],
         )
+
+
+def model_floats(config: BackboneConfig) -> int:
+    """Floats a model of this architecture holds, computed without building it.
+
+    Every parameter of ``create_model(config)`` plus each batch-norm stage's
+    running mean and variance.
+    """
+    q, h = config.embedding_dim, config.adapter_hidden
+    total = config.g2g_channels * config.group_width**2
+    c_in = config.g2g_channels
+    for c_out in config.conv_channels:
+        total += c_out * c_in * 9 + 5 * c_out  # kernel, bias, gamma, beta, two running stats
+        c_in = c_out
+    total += 2 * q * h + h + q  # adapter
+    if config.head_kind == "relation":
+        total += 2 * q * config.relation_hidden + 2 * config.relation_hidden + 1
+    elif config.head_kind == "linear":
+        total += (q + 1) * config.num_classes
+    return total
 
 
 def create_model(config: BackboneConfig, seed: int = 0) -> Model:
@@ -176,12 +191,10 @@ def _identity_adapter(config: BackboneConfig, rng: np.random.Generator) -> Param
 
 # -- pipeline stages ------------------------------------------------------------
 
-def g2g_transform(features: Tensor, projections: list[Tensor]) -> Tensor:
-    """Per-group projected Gram matrices: [n x d] -> [c x n x n] (batched: leading B)."""
-    single = features.ndim == 2
-    x = ad.reshape(features, (1,) + features.shape) if single else features
+def g2g_transform(x: Tensor, projections: list[Tensor]) -> Tensor:
+    """Per-group projected Gram matrices: [B x n x d] -> [B x c x n x n]."""
     if x.ndim != 3:
-        raise ShapeError(f"g2g expects [n x d] or [B x n x d], got {features.shape}")
+        raise ShapeError(f"g2g expects [B x n x d], got {x.shape}")
     _, n, d = x.shape
     c = len(projections)
     if d % c != 0:
@@ -195,22 +208,19 @@ def g2g_transform(features: Tensor, projections: list[Tensor]) -> Tensor:
         h = ad.matmul(group, proj)
         gram = ad.mul(ad.matmul(h, ad.transpose(h)), Tensor(1.0 / g))
         channels.append(ad.reshape(gram, (gram.shape[0], 1, n, n)))
-    out = channels[0] if c == 1 else ad.concat(channels, axis=1)
-    return ad.reshape(out, (c, n, n)) if single else out
+    return channels[0] if c == 1 else ad.concat(channels, axis=1)
 
 
 def encode(features: Tensor, model: Model, mode: str = "eval") -> Tensor:
-    """g2g -> conv stack -> global average pool; [n x d] -> [q] (batched: [B x q])."""
+    """g2g -> conv stack -> global average pool; [B x n x d] -> [B x q]."""
     cfg = model.config
     if features.shape[-2:] != (cfg.n_electrodes, cfg.d_bands):
         raise ShapeError(
             f"features {features.shape} do not match schema "
             f"({cfg.n_electrodes}, {cfg.d_bands})"
         )
-    single = features.ndim == 2
-    x = ad.reshape(features, (1,) + features.shape) if single else features
     projections = [model.theta.get(f"g2g_p{k}") for k in range(cfg.g2g_channels)]
-    x = g2g_transform(x, projections)
+    x = g2g_transform(features, projections)
     for i in range(4):
         w = model.theta.get(f"conv{i}_w")
         b = model.theta.get(f"conv{i}_b")
@@ -224,8 +234,7 @@ def encode(features: Tensor, model: Model, mode: str = "eval") -> Tensor:
             mode,
         )
         x = ad.relu(x)
-    pooled = x.mean(axis=(2, 3))
-    return ad.reshape(pooled, (pooled.shape[1],)) if single else pooled
+    return x.mean(axis=(2, 3))
 
 
 ENCODE_BATCH = 64  # rows per frozen-encoder forward pass
@@ -238,19 +247,16 @@ def encode_rows(model: Model, features: np.ndarray) -> np.ndarray:
     """
     with ad.no_grad():
         chunks = [
-            model.encode(Tensor(features[i : i + ENCODE_BATCH]), mode="eval").data
+            encode(Tensor(features[i : i + ENCODE_BATCH]), model, mode="eval").data
             for i in range(0, len(features), ENCODE_BATCH)
         ]
     return np.concatenate(chunks) if chunks else np.empty((0, model.config.embedding_dim))
 
 
 def adapt(embedding: Tensor, phi: ParamGroup) -> Tensor:
-    """FC -> relu -> FC over the embedding; shape preserved."""
-    single = embedding.ndim == 1
-    x = ad.reshape(embedding, (1, -1)) if single else embedding
-    hidden = ad.relu(ad.add(ad.matmul(x, phi.get("fc1_w")), phi.get("fc1_b")))
-    out = ad.add(ad.matmul(hidden, phi.get("fc2_w")), phi.get("fc2_b"))
-    return ad.reshape(out, (out.shape[1],)) if single else out
+    """FC -> relu -> FC over [m x q] embeddings, or a [G x m x q] stack; shape preserved."""
+    hidden = ad.relu(ad.add(ad.matmul(embedding, phi.get("fc1_w")), phi.get("fc1_b")))
+    return ad.add(ad.matmul(hidden, phi.get("fc2_w")), phi.get("fc2_b"))
 
 
 # -- classification heads ---------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneConfig, Model, create_model
+from .backbone import BackboneConfig, Model, create_model, model_floats
 from .errors import CheckpointError
 
 MAGIC = b"EVCK"
@@ -184,12 +184,14 @@ def load_checkpoint(path: str | Path) -> Model:
     model of the architecture it names writes.
     """
     ckpt = read_checkpoint(path)
-    try:
-        model = create_model(ckpt.config)
-    except (ValueError, MemoryError) as e:  # numpy refuses sizes no payload could hold
+    # sized before it is built, so a forged header cannot make loading allocate at will
+    size = model_floats(ckpt.config)
+    if ckpt.payload.size != size:
         raise CheckpointError(
-            f"checkpoint {path} header field 'backbone' names an architecture that cannot be built: {e}"
-        ) from e
+            f"checkpoint {path} header field 'backbone' names an architecture that cannot be built "
+            f"from the payload: it holds {size} floats, field 'total_floats' is {ckpt.payload.size}"
+        )
+    model = create_model(ckpt.config)
     want, _ = _header_dict(model)
     for field in ("params", "bn"):
         for i, (have, need) in enumerate(zip_longest(getattr(ckpt, field), want[field])):
@@ -198,11 +200,6 @@ def load_checkpoint(path: str | Path) -> Model:
                     f"checkpoint {path} header field {field!r} entry {i} is {have}, "
                     f"the architecture has {need}"
                 )
-    if ckpt.payload.size != want["total_floats"]:
-        raise CheckpointError(
-            f"checkpoint {path} header field 'total_floats' is {ckpt.payload.size}, "
-            f"the architecture has {want['total_floats']}"
-        )
     floats = lambda offset, size: ckpt.payload[offset : offset + size].astype(np.float64)
     tensors = [t for group in model.groups() for _, t in group.entries]
     for t, entry in zip(tensors, want["params"]):

@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import DriftConfig, export_features, generate_synthetic_drift, import_features
+from .data import export_features, generate_synthetic_drift, import_features
 from .errors import ConfigError
 from .harness import (
     ResultTable,
@@ -23,8 +23,10 @@ from .harness import (
     cell_pools,
     evaluate_cell,
     load_dataset,
+    load_drift_config,
     load_experiment_config,
     plan_cells,
+    read_json,
     run_protocol,
     train_cell,
     write_run_manifest,
@@ -75,13 +77,7 @@ def _write_results(out: _Outputs, out_dir: Path, table: ResultTable, cfg) -> Pat
 
 
 def _cmd_synth_gen(args, out: _Outputs) -> int:
-    obj = json.loads(Path(args.config).read_text())
-    if isinstance(obj, dict) and "synthetic" in obj:
-        obj = obj["synthetic"]
-    try:
-        cfg = DriftConfig(**obj)
-    except TypeError as e:
-        raise ConfigError(f"bad synthetic dataset config: {e}") from e
+    cfg = load_drift_config(args.config)
     ds = generate_synthetic_drift(cfg)
     out_dir = Path(args.out)
     manifest = export_features(ds, out_dir)
@@ -183,13 +179,10 @@ def _cmd_report(args, out: _Outputs) -> int:
     path = Path(args.results)
     if path.is_dir():
         path = path / "results.json"
-    try:
-        obj = json.loads(path.read_text())
-    except OSError as e:
-        raise ConfigError(f"cannot read results {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"results {path} is not valid JSON: {e}") from e
-    rows = obj.get("rows", [])
+    obj = read_json(path, "results")
+    rows = obj.get("rows", []) if isinstance(obj, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ConfigError(f"results {path} must be an object whose field 'rows' is a list of objects")
     if not rows:
         raise ConfigError(f"results {path} holds no rows")
     columns = ["protocol", "subject", "session", "method", "shots", "mean_accuracy", "std_accuracy"]

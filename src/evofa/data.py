@@ -232,7 +232,7 @@ class DriftConfig:
             "d_bands": self.d_bands,
         }
         for name, value in counts.items():
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value, 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         scales = {
             "class_separation": self.class_separation,
@@ -324,7 +324,8 @@ def _read_feature_file(path: Path, count: int, schema: tuple[int, int]) -> np.nd
         raise DatasetSchemaError(
             f"feature file {path} holds {len(payload)} payload bytes, manifest implies {expect}"
         )
-    arr = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a NaN payload is rejected by the caller, not warned about
+        arr = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     return arr.reshape(count, schema[0], schema[1])
 
 
@@ -406,7 +407,7 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
         manifest = json.loads(manifest_path.read_text())
     except OSError as e:
         raise IngestError(f"cannot read manifest {manifest_path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DatasetSchemaError(f"manifest is not valid JSON: {manifest_path}: {e}") from e
     _check_fields(manifest_path, "manifest", manifest, ("schema", "classes", "subjects"))
     _check_fields(manifest_path, "manifest schema", manifest["schema"], ("electrodes", "bands"))

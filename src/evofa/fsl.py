@@ -7,8 +7,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .backbone import ENCODE_BATCH, BackboneConfig, Model, create_model, encode_rows, head_forward
+from . import backbone
+from .autodiff import ParamGroup, Tensor
+from .backbone import ENCODE_BATCH, BackboneConfig, Model, create_model, encode_rows
 from .data import DatasetIndex
 from .errors import ConfigError, ContractError, ProtocolError, SamplingError
 
@@ -111,7 +112,8 @@ def sample_episode(
 
 def episode_scores(episode: Episode, model: Model, mode: str = "eval") -> tuple[Tensor, np.ndarray]:
     """Class scores [Q' x N] for the episode's queries, plus local targets."""
-    return _scores_from_embeddings(episode, model, model.embed(Tensor(episode.features), mode=mode))
+    emb = backbone.adapt(backbone.encode(Tensor(episode.features), model, mode=mode), model.phi)
+    return _scores_from_embeddings(episode, model, emb)
 
 
 def _scores_from_embeddings(
@@ -127,16 +129,7 @@ def _scores_from_embeddings(
     split = len(episode.support)
     support_emb = ad.take(emb, slice(0, split))
     query_emb = ad.take(emb, slice(split, emb.shape[0]))
-    scores = head_forward(
-        support_emb,
-        episode.support_targets(),
-        query_emb,
-        model.w,
-        model.config.head_kind,
-        episode.way,
-        temperature=model.config.matching_temperature,
-    )
-    return scores, episode.query_targets()
+    return model.head(support_emb, episode.support_targets(), query_emb), episode.query_targets()
 
 
 def loss_from_scores(scores: Tensor, targets: np.ndarray, kind: str) -> Tensor:
@@ -166,14 +159,17 @@ def episode_loss(episode: Episode, model: Model, mode: str = "train") -> Tensor:
     return loss
 
 
-def classify_query(episode: Episode, model: Model) -> tuple[np.ndarray, float]:
-    """Argmax predictions (original class ids, ties to the lowest id) and accuracy."""
-    return classify_embedded(episode, model, model.embed(Tensor(episode.features), mode="eval"))
+def classify_query(
+    episode: Episode, model: Model, pool_rows: np.ndarray, phi: ParamGroup
+) -> tuple[np.ndarray, float]:
+    """Argmax predictions (original class ids, ties to the lowest id) and accuracy.
 
-
-def classify_embedded(episode: Episode, model: Model, emb: Tensor) -> tuple[np.ndarray, float]:
-    """classify_query given the adapted embeddings [S+Q x q] of support then query."""
-    scores, targets = _scores_from_embeddings(episode, model, emb)
+    The adapter ``phi`` and the head run, off the tape, on the episode's rows of
+    ``pool_rows``, the frozen-encoder rows of the pool the episode was drawn from.
+    """
+    rows = pool_rows[np.concatenate([episode.support, episode.query])]
+    with ad.no_grad():
+        scores, targets = _scores_from_embeddings(episode, model, backbone.adapt(Tensor(rows), phi))
     local = np.argmax(scores.data, axis=1)
     predictions = np.array([episode.class_ids[i] for i in local], dtype=np.int64)
     accuracy = float(np.mean(local == targets))
@@ -186,7 +182,7 @@ def classify_pool(model: Model, pool: DatasetIndex) -> tuple[np.ndarray, float]:
     predictions = []
     with ad.no_grad():  # the adapter and head run in the encoder's batches
         for start in range(0, len(rows), ENCODE_BATCH):
-            emb = model.adapt(Tensor(rows[start : start + ENCODE_BATCH]))
+            emb = backbone.adapt(Tensor(rows[start : start + ENCODE_BATCH]), model.phi)
             scores = model.head(Tensor(np.zeros((0, emb.shape[1]))), np.array([], dtype=np.int64), emb)
             predictions.append(np.argmax(scores.data, axis=1))
     predictions = np.concatenate(predictions) if predictions else np.array([], dtype=np.int64)
@@ -236,14 +232,16 @@ class TrainConfig:
 
 
 def validation_accuracy(model: Model, pool: DatasetIndex, cfg: TrainConfig) -> float:
-    """Mean accuracy over fixed-seed validation episodes (stable across epochs)."""
+    """Mean accuracy over fixed-seed validation episodes (stable across epochs).
+
+    The pool goes through the frozen encoder once per call; its episodes index the rows.
+    """
+    rows = encode_rows(model, pool.features)
     total = 0.0
     for j in range(cfg.validation_episodes):
         rng = np.random.default_rng([cfg.rng_seed, 4, j])
         episode = sample_episode(pool, cfg.way, cfg.shot, cfg.queries, rng)
-        with ad.no_grad():
-            _, acc = classify_query(episode, model)
-        total += acc
+        total += classify_query(episode, model, rows, model.phi)[1]
     return total / cfg.validation_episodes
 
 
@@ -331,7 +329,8 @@ def train_supervised_baseline(
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             model.zero_grad()
-            emb = model.embed(Tensor(train_pool.features[idx]), mode="train")
+            enc = backbone.encode(Tensor(train_pool.features[idx]), model, mode="train")
+            emb = backbone.adapt(enc, model.phi)
             scores = model.head(
                 Tensor(np.zeros((0, emb.shape[1]))), np.array([], dtype=np.int64), emb
             )

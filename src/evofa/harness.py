@@ -523,6 +523,13 @@ def _take(obj: dict, what: str, allowed: set[str]) -> None:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
+def _build(factory, what, **kwargs):
+    try:
+        return factory(**kwargs)
+    except TypeError as e:
+        raise ConfigError(f"bad {what} config: {e}") from e
+
+
 def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     """Parse a config dict (from JSON); unknown keys and mistyped values are rejected."""
     obj = _check_fields("experiment config", obj)
@@ -548,25 +555,18 @@ def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     if len(dataset_obj) != 1 or not {"synthetic", "import"} & set(dataset_obj):
         raise ConfigError('dataset must be {"synthetic": {...}} or {"import": "path"}')
     _check_fields("config dataset", dataset_obj)
-
-    def build(factory, what, **kwargs):
-        try:
-            return factory(**kwargs)
-        except TypeError as e:
-            raise ConfigError(f"bad {what} config: {e}") from e
-
     if "synthetic" in dataset_obj:
         synthetic = _check_fields("config dataset synthetic", dataset_obj["synthetic"])
-        dataset = build(DriftConfig, "synthetic dataset", **synthetic)
+        dataset = _build(DriftConfig, "synthetic dataset", **synthetic)
     else:
         dataset = dataset_obj["import"]
     backbone_obj = _check_fields("config backbone", obj.get("backbone", {}))
     if "conv_channels" in backbone_obj:
         backbone_obj["conv_channels"] = tuple(backbone_obj["conv_channels"])
-    backbone = build(BackboneConfig, "backbone", **backbone_obj)
+    backbone = _build(BackboneConfig, "backbone", **backbone_obj)
     train_obj = _check_fields("config train", obj.get("train", {}))
     train_obj.pop("backbone", None)
-    train = build(TrainConfig, "train", backbone=backbone, **train_obj)
+    train = _build(TrainConfig, "train", backbone=backbone, **train_obj)
     adapt_obj = _check_fields("config adapt", obj.get("adapt", {}))
     kernel = adapt_obj.get("kernel")
     if isinstance(kernel, dict):
@@ -576,12 +576,12 @@ def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
             bandwidths=tuple(kernel.get("bandwidths", ())),
             weights=tuple(kernel.get("weights", ())),
         )
-    adapt = build(AdaptConfig, "adapt", **adapt_obj)
+    adapt = _build(AdaptConfig, "adapt", **adapt_obj)
     supervised = None
     if obj.get("supervised") is not None:
         sup_obj = _check_fields("config supervised", obj["supervised"])
         sup_obj.pop("backbone", None)
-        supervised = build(SupervisedConfig, "supervised", backbone=backbone, **sup_obj)
+        supervised = _build(SupervisedConfig, "supervised", backbone=backbone, **sup_obj)
     return ExperimentConfig(
         dataset=dataset,
         protocol=obj.get("protocol", "intra"),
@@ -597,14 +597,30 @@ def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     )
 
 
-def load_experiment_config(path: str | Path) -> ExperimentConfig:
+def read_json(path: str | Path, what: str):
+    """The JSON document in a file; an unreadable or malformed file raises ConfigError naming it."""
     try:
-        obj = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+        raise ConfigError(f"cannot read {what} {path}: {e}") from e
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"{what} {path} is not valid JSON: {e}") from e
+
+
+def load_experiment_config(path: str | Path) -> ExperimentConfig:
+    obj = read_json(path, "config")
     try:
         return experiment_config_from_obj(obj)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def load_drift_config(path: str | Path) -> DriftConfig:
+    """A synthetic generator config file: the generator's fields, bare or under "synthetic"."""
+    obj = read_json(path, "config")
+    if isinstance(obj, dict) and "synthetic" in obj:
+        obj = obj["synthetic"]
+    try:
+        return _build(DriftConfig, "synthetic dataset", **_check_fields("synthetic dataset config", obj))
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e

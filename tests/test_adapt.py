@@ -26,7 +26,7 @@ from evofa.autodiff import ParamGroup, Tensor
 from evofa.backbone import BackboneConfig, create_model, encode_rows
 from evofa.data import DriftConfig, generate_synthetic_drift, make_intra_split
 from evofa.errors import ConfigError, ContractError, ProtocolError, SamplingError
-from evofa.fsl import classify_embedded, classify_query, sample_episode
+from evofa.fsl import classify_query, episode_scores, sample_episode
 from evofa.mmd import KernelSpec, default_spec, mmd2
 
 BACKBONE = BackboneConfig(
@@ -540,8 +540,9 @@ def test_eval_without_adaptation_matches_classify_query(eval_setup):
     for ep_idx in range(ecfg.episodes):
         rng = np.random.default_rng([ecfg.rng_seed, 10, ep_idx])
         episode = sample_episode(test, ecfg.way, ecfg.shot, ecfg.queries, rng)
-        with ad.no_grad():
-            expect.append(classify_query(episode, m)[1])
+        with ad.no_grad():  # the episode's own features, encoded in one batch
+            scores, targets = episode_scores(episode, m, mode="eval")
+        expect.append(float(np.mean(np.argmax(scores.data, axis=1) == targets)))
     assert report.per_episode == tuple(expect)
 
 
@@ -591,9 +592,7 @@ def per_episode_reference(model, test, train, kind, ecfg, acfg):
         target = adapt_mod._target_indices(episode, len(test), acfg, rng)
         source = lambda it: sampler(train, acfg, np.random.default_rng([ecfg.rng_seed, 12, ep_idx, it]))
         evofa_run(work, train_rows, source, test_rows[target], acfg)
-        with ad.no_grad():
-            rows = np.concatenate([episode.support, episode.query])
-            accuracies.append(classify_embedded(episode, work, work.adapt(Tensor(test_rows[rows])))[1])
+        accuracies.append(classify_query(episode, work, test_rows, work.phi)[1])
         phis.append(work.phi.copy())
     return tuple(accuracies), phis
 

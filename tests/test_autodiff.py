@@ -215,7 +215,7 @@ def test_take_grad_with_repeated_indices_bitwise_equals_scatter_add():
 
 def test_batch_norm_near_identity_on_standardized_batch():
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(64, 3))
+    x = rng.normal(size=(64, 3, 1, 1))
     x = (x - x.mean(axis=0)) / x.std(axis=0)
     state = ad.BatchNormState.create(3)
     out = ad.batch_norm(t(x), t(np.ones(3)), t(np.zeros(3)), state, "train")
@@ -225,16 +225,16 @@ def test_batch_norm_near_identity_on_standardized_batch():
 
 def test_batch_norm_zero_gamma_gives_beta():
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(8, 4))
+    x = rng.normal(size=(8, 4, 2, 3))
     beta = np.array([1.0, -2.0, 0.5, 3.0])
     state = ad.BatchNormState.create(4)
     out = ad.batch_norm(t(x), t(np.zeros(4)), t(beta), state, "train")
-    assert np.allclose(out.data, np.broadcast_to(beta, (8, 4)))
+    assert np.allclose(out.data, np.broadcast_to(beta[:, None, None], x.shape))
 
 
 def test_batch_norm_eval_is_pure():
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(8, 4))
+    x = rng.normal(size=(8, 4, 2, 2))
     state = ad.BatchNormState.create(4)
     state.running_mean = rng.normal(size=4)
     state.running_var = rng.uniform(0.5, 2.0, size=4)
@@ -249,15 +249,15 @@ def test_batch_norm_eval_is_pure():
 
 def test_batch_norm_train_updates_running_stats():
     rng = np.random.default_rng(8)
-    x = rng.normal(loc=3.0, size=(32, 2))
+    x = rng.normal(loc=3.0, size=(32, 2, 2, 2))
     state = ad.BatchNormState.create(2, momentum=0.1)
     ad.batch_norm(t(x), t(np.ones(2)), t(np.zeros(2)), state, "train")
-    expect_mean = 0.9 * np.zeros(2) + 0.1 * x.mean(axis=0)
+    expect_mean = 0.9 * np.zeros(2) + 0.1 * x.mean(axis=(0, 2, 3))
     assert np.allclose(state.running_mean, expect_mean)
 
 
 def test_batch_norm_zero_variance_is_guarded():
-    x = np.ones((4, 2)) * 7.0
+    x = np.ones((4, 2, 3, 3)) * 7.0
     state = ad.BatchNormState.create(2)
     out = ad.batch_norm(t(x), t(np.ones(2)), t(np.zeros(2)), state, "train")
     assert out.is_finite()
@@ -276,7 +276,13 @@ def test_batch_norm_4d_normalizes_per_channel():
 def test_batch_norm_bad_mode_rejected():
     state = ad.BatchNormState.create(2)
     with pytest.raises(ConfigError):
-        ad.batch_norm(t(np.zeros((4, 2))), t(np.ones(2)), t(np.zeros(2)), state, "test")
+        ad.batch_norm(t(np.zeros((4, 2, 1, 1))), t(np.ones(2)), t(np.zeros(2)), state, "test")
+
+
+def test_batch_norm_rejects_input_that_is_not_4d():
+    state = ad.BatchNormState.create(2)
+    with pytest.raises(ShapeError, match=r"\[B x c x H x W\]"):
+        ad.batch_norm(t(np.zeros((4, 2))), t(np.ones(2)), t(np.zeros(2)), state, "train")
 
 
 # -- activations and reductions ------------------------------------------------
@@ -348,14 +354,14 @@ def test_backward_quadratic_gives_two_x():
 def test_backward_requires_scalar():
     x = t(np.zeros((2, 2)), grad=True)
     with pytest.raises(ContractError):
-        ad.backward(x + x)
+        ad.backward(ad.add(x, x))
 
 def test_backward_accumulates_until_reset():
     x = t([1.0, 2.0], grad=True)
     ad.backward(x.sum())
     ad.backward(x.sum())
     assert np.array_equal(x.grad, [2.0, 2.0])
-    x.zero_grad()
+    ad.ParamGroup("phi", [("x", x)]).zero_grad()
     ad.backward(x.sum())
     assert np.array_equal(x.grad, [1.0, 1.0])
 
@@ -394,14 +400,6 @@ def test_no_grad_blocks_tape():
     assert z.requires_grad
 
 
-def test_detach_cuts_graph():
-    x = t([2.0], grad=True)
-    y = ad.mul(x, x).detach()
-    z = ad.mul(ad.mul(x, x), y)
-    ad.backward(z.sum())
-    assert np.allclose(x.grad, [2.0 * 2.0 * 4.0])
-
-
 # -- parameter groups -----------------------------------------------------------
 
 def test_param_group_rejects_bad_name():
@@ -422,22 +420,6 @@ def test_param_group_copy_is_independent():
     c.get("a").data[0] = 99.0
     assert g.get("a").data[0] == 1.0
     assert c.get("a").requires_grad
-
-
-def test_param_group_load_from_copies_values():
-    g = ad.ParamGroup("phi", [("a", t([1.0], grad=True))])
-    h = ad.ParamGroup("phi", [("a", t([5.0], grad=True))])
-    g.load_from(h)
-    assert g.get("a").data[0] == 5.0
-    h.get("a").data[0] = 7.0
-    assert g.get("a").data[0] == 5.0
-
-
-def test_param_group_load_from_rejects_mismatch():
-    g = ad.ParamGroup("phi", [("a", t([1.0]))])
-    h = ad.ParamGroup("phi", [("b", t([1.0]))])
-    with pytest.raises(ContractError):
-        g.load_from(h)
 
 
 def test_sgd_step_zero_lr_is_noop():

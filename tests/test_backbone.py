@@ -1,4 +1,6 @@
 """Pipeline stages: Gram transform, encoder, identity adapter, heads."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,16 +52,16 @@ def test_config_rejects_unknown_head():
 # -- g2g ----------------------------------------------------------------------------
 
 def test_g2g_identity_projection_hand_case():
-    out = backbone.g2g_transform(t(np.eye(2)), [t(np.eye(2))])
-    assert out.shape == (1, 2, 2)
-    assert np.allclose(out.data[0], [[0.5, 0.0], [0.0, 0.5]])
+    out = backbone.g2g_transform(t(np.eye(2)[None]), [t(np.eye(2))])
+    assert out.shape == (1, 1, 2, 2)
+    assert np.allclose(out.data[0, 0], [[0.5, 0.0], [0.0, 0.5]])
 
 
 def test_g2g_channels_are_symmetric():
     rng = np.random.default_rng(0)
-    f = t(rng.normal(size=(5, 6)))
+    f = t(rng.normal(size=(1, 5, 6)))
     projections = [t(rng.normal(size=(3, 3))) for _ in range(2)]
-    out = backbone.g2g_transform(f, projections).data
+    out = backbone.g2g_transform(f, projections).data[0]
     for k in range(2):
         assert np.allclose(out[k], out[k].T, atol=1e-9)
 
@@ -69,15 +71,15 @@ def test_g2g_electrode_permutation_equivariance():
     f = rng.normal(size=(4, 4))
     perm = rng.permutation(4)
     projections = [t(rng.normal(size=(2, 2))) for _ in range(2)]
-    base = backbone.g2g_transform(t(f), projections).data
-    permuted = backbone.g2g_transform(t(f[perm]), projections).data
+    base = backbone.g2g_transform(t(f[None]), projections).data[0]
+    permuted = backbone.g2g_transform(t(f[perm][None]), projections).data[0]
     for k in range(2):
         assert np.allclose(permuted[k], base[k][np.ix_(perm, perm)], atol=1e-12)
 
 
 def test_g2g_group_mismatch_rejected():
     with pytest.raises(ConfigError):
-        backbone.g2g_transform(t(np.zeros((4, 5))), [t(np.eye(2)), t(np.eye(2))])
+        backbone.g2g_transform(t(np.zeros((1, 4, 5))), [t(np.eye(2)), t(np.eye(2))])
 
 
 def test_g2g_batched_matches_per_sample():
@@ -86,8 +88,18 @@ def test_g2g_batched_matches_per_sample():
     projections = [t(rng.normal(size=(4, 4)))]
     stacked = backbone.g2g_transform(t(batch), projections).data
     for i in range(3):
-        single = backbone.g2g_transform(t(batch[i]), projections).data
-        assert np.allclose(stacked[i], single)
+        single = backbone.g2g_transform(t(batch[i : i + 1]), projections).data
+        assert np.allclose(stacked[i], single[0])
+
+
+def test_stages_reject_unbatched_input():
+    model = backbone.create_model(TINY, seed=0)
+    with pytest.raises(ShapeError, match=r"\[B x n x d\]"):
+        backbone.g2g_transform(t(np.zeros((4, 4))), [t(np.eye(2)), t(np.eye(2))])
+    with pytest.raises(ShapeError):
+        backbone.encode(t(np.zeros((4, 4))), model)
+    with pytest.raises(ShapeError):
+        backbone.adapt(t(np.zeros(5)), model.phi)
 
 
 # -- encode ----------------------------------------------------------------------------
@@ -95,15 +107,15 @@ def test_g2g_batched_matches_per_sample():
 def test_encode_output_shape():
     model = backbone.create_model(TINY, seed=0)
     rng = np.random.default_rng(3)
-    single = model.encode(t(rng.normal(size=(4, 4))))
-    batch = model.encode(t(rng.normal(size=(7, 4, 4))))
-    assert single.shape == (5,)
+    one = backbone.encode(t(rng.normal(size=(1, 4, 4))), model)
+    batch = backbone.encode(t(rng.normal(size=(7, 4, 4))), model)
+    assert one.shape == (1, 5)
     assert batch.shape == (7, 5)
 
 
 def test_encode_zero_input_stays_zero_at_init():
     model = backbone.create_model(TINY, seed=1)
-    out = model.encode(t(np.zeros((4, 4))), mode="eval")
+    out = backbone.encode(t(np.zeros((1, 4, 4))), model, mode="eval")
     assert np.allclose(out.data, 0.0)
 
 
@@ -111,8 +123,8 @@ def test_encode_eval_mode_is_pure():
     model = backbone.create_model(TINY, seed=2)
     rng = np.random.default_rng(4)
     x = t(rng.normal(size=(3, 4, 4)))
-    a = model.encode(x, mode="eval").data
-    b = model.encode(x, mode="eval").data
+    a = backbone.encode(x, model, mode="eval").data
+    b = backbone.encode(x, model, mode="eval").data
     assert np.array_equal(a, b)
     assert np.array_equal(model.bn_states[0].running_mean, np.zeros(3))
 
@@ -120,14 +132,24 @@ def test_encode_eval_mode_is_pure():
 def test_encode_schema_mismatch_rejected():
     model = backbone.create_model(TINY, seed=0)
     with pytest.raises(ShapeError):
-        model.encode(t(np.zeros((5, 4))))
+        backbone.encode(t(np.zeros((1, 5, 4))), model)
 
 
 def test_encode_train_mode_updates_bn_stats():
     model = backbone.create_model(TINY, seed=3)
     rng = np.random.default_rng(5)
-    model.encode(t(rng.normal(size=(6, 4, 4))), mode="train")
+    backbone.encode(t(rng.normal(size=(6, 4, 4))), model, mode="train")
     assert not np.array_equal(model.bn_states[0].running_mean, np.zeros(3))
+
+
+@pytest.mark.parametrize("head", backbone.HEAD_KINDS)
+def test_model_floats_counts_what_create_model_builds(head):
+    wide = dict(g2g_channels=4, adapter_hidden=14, relation_hidden=7, num_classes=5)
+    for cfg in (replace(TINY, head_kind=head), replace(TINY, head_kind=head, **wide)):
+        model = backbone.create_model(cfg, seed=0)
+        params = sum(t.size for g in model.groups() for t in g.tensors())
+        stats = sum(s.running_mean.size + s.running_var.size for s in model.bn_states)
+        assert backbone.model_floats(cfg) == params + stats
 
 
 def test_create_model_deterministic():
@@ -164,9 +186,9 @@ def test_adapter_is_identity_at_init():
     x = rng.normal(size=(10, 5))
     out = backbone.adapt(t(x), model.phi)
     assert np.allclose(out.data, x, atol=1e-9)
-    single = backbone.adapt(t(x[0]), model.phi)
-    assert single.shape == (5,)
-    assert np.allclose(single.data, x[0], atol=1e-9)
+    stack = backbone.adapt(t(np.stack([x, -x])), model.phi)
+    assert stack.shape == (2, 10, 5)
+    assert np.allclose(stack.data, np.stack([x, -x]), atol=1e-9)
 
 
 def test_adapter_gradients_flow_to_phi():
@@ -188,8 +210,8 @@ def test_adapter_gradients_flow_to_phi():
 def test_pipeline_accuracy_unchanged_by_identity_adapter():
     model = backbone.create_model(TINY, seed=6)
     rng = np.random.default_rng(8)
-    support = model.encode(t(rng.normal(size=(6, 4, 4))))
-    query = model.encode(t(rng.normal(size=(9, 4, 4))))
+    support = backbone.encode(t(rng.normal(size=(6, 4, 4))), model)
+    query = backbone.encode(t(rng.normal(size=(9, 4, 4))), model)
     labels = np.array([0, 1, 2, 0, 1, 2])
     raw = model.head(support, labels, query).data
     adapted = model.head(
@@ -340,8 +362,8 @@ def test_pipeline_shape_total_over_random_configs(seed):
     support_x = Tensor(rng.normal(size=(num_classes * shots, n, d)))
     query_x = Tensor(rng.normal(size=(4, n, d)))
     labels = np.tile(np.arange(num_classes), shots)
-    support = model.adapt(model.encode(support_x))
-    query = model.adapt(model.encode(query_x))
+    support = backbone.adapt(backbone.encode(support_x, model), model.phi)
+    query = backbone.adapt(backbone.encode(query_x, model), model.phi)
     scores = model.head(support, labels, query)
     assert scores.shape == (4, num_classes)
     assert scores.is_finite()

@@ -1,6 +1,7 @@
 """Tests for the binary model checkpoint format and its error reporting."""
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from evofa import autodiff as ad
 from evofa.autodiff import Tensor
-from evofa.backbone import BackboneConfig, Model, create_model
+from evofa.backbone import BackboneConfig, Model, adapt, create_model, encode, model_floats
 from evofa.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -119,8 +120,8 @@ def test_float32_round_trip_embeddings_close(model, tmp_path):
     rng = np.random.default_rng(3)
     batch = Tensor(rng.normal(size=(16, TINY.n_electrodes, TINY.d_bands)))
     with ad.no_grad():
-        a = model.embed(batch, mode="eval").data
-        b = loaded.embed(batch, mode="eval").data
+        a = adapt(encode(batch, model, mode="eval"), model.phi).data
+        b = adapt(encode(batch, loaded, mode="eval"), loaded.phi).data
     assert np.allclose(a, b, rtol=1e-4, atol=1e-5)
 
 
@@ -224,13 +225,14 @@ def test_parameter_outside_payload(tmp_path):
 
     backbone = asdict(TINY)
     backbone["conv_channels"] = list(backbone["conv_channels"])
+    size = model_floats(TINY)  # the architecture's float count, so the table check is reached
     header = {
         "backbone": backbone,
-        "params": [{"group": "theta", "name": "stray", "shape": [4], "offset": 100}],
+        "params": [{"group": "theta", "name": "stray", "shape": [4], "offset": 10 * size}],
         "bn": [],
-        "total_floats": 4,
+        "total_floats": size,
     }
-    path = fake_file(tmp_path, header, floats=4)
+    path = fake_file(tmp_path, header, floats=size)
     with pytest.raises(CheckpointError, match="field 'params' entry 0 is .*'stray'"):
         load_checkpoint(path)
 
@@ -381,3 +383,18 @@ def test_unbuildable_architecture_rejected(model, tmp_path):
     with pytest.raises(CheckpointError, match="architecture that cannot be built"):
         load_checkpoint(path)
 
+
+def test_forged_architecture_rejected_before_it_is_built(model, tmp_path):
+    # a small re-signed file whose header names an architecture of millions of floats
+    path = save_checkpoint(model, tmp_path / "m.ckpt")
+    big = {"conv_channels": [2, 2, 2, 1500], "embedding_dim": 1500, "adapter_hidden": 3000}
+    rewrite_header(path, lambda h: h["backbone"].update(big))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="cannot be built from the payload") as err:
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(err.value)
+    assert peak < 4 * 2**20

@@ -102,6 +102,33 @@ def test_synth_gen_rejects_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "d" / "manifest.json").exists()
 
 
+SYNTH_GEN_DEFECTS = {
+    "bool_count": ({"synthetic": {**DATASET_OBJ, "num_subjects": True}}, "field 'num_subjects' must be an integer"),
+    "bare_bool_count": ({**DATASET_OBJ, "samples_per_trial": False}, "field 'samples_per_trial' must be an integer"),
+    "string_scale": ({"synthetic": {**DATASET_OBJ, "noise_std": "1"}}, "field 'noise_std' must be a finite number"),
+    "not_an_object": ([DATASET_OBJ], "synthetic dataset config must be an object"),
+    "malformed": ('{"synthetic": {num_subjects: 2}}', "is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("defect", list(SYNTH_GEN_DEFECTS))
+def test_synth_gen_rejects_config_naming_file_and_field(tmp_path, capsys, defect):
+    obj, says = SYNTH_GEN_DEFECTS[defect]
+    bad = tmp_path / "gen.json"
+    bad.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    assert main(["synth-gen", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert says in err
+    assert not (tmp_path / "d" / "manifest.json").exists()
+
+
+def test_synth_gen_missing_config_names_file(tmp_path, capsys):
+    absent = tmp_path / "absent.json"
+    assert main(["synth-gen", "--config", str(absent), "--out", str(tmp_path / "d")]) == 1
+    assert f"cannot read config {absent}" in capsys.readouterr().err
+
+
 def test_import_check_reports_inventory(workspace, capsys):
     out = workspace / "data"
     if not (out / "manifest.json").exists():
@@ -418,6 +445,15 @@ def test_report_rejects_empty_rows(tmp_path, capsys):
     (tmp_path / "results.json").write_text(json.dumps({"rows": []}))
     assert main(["report", "--results", str(tmp_path)]) == 1
     assert "holds no rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj", [[1, 2], {"rows": [1]}, {"rows": "abc"}], ids=["list", "row_not_object", "rows_string"])
+def test_report_rejects_malformed_rows_naming_file_and_field(tmp_path, capsys, obj):
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(obj))
+    assert main(["report", "--results", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"results {path} must be an object whose field 'rows' is a list of objects" in err
 
 
 # -- parser behavior ------------------------------------------------------------------------

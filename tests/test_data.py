@@ -1,6 +1,7 @@
 """Dataset container, importer, synthetic drift, and split protocols."""
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ def test_import_non_finite_reports_coordinates(tmp_path):
     trials = [{"id": 1, "label": 0, "file": "features/t1.evfa", "count": 3}]
     with pytest.raises(DataError, match="trial 1 row 1"):
         data.import_features(write_manifest(tmp_path, trials))
+
+
+def test_import_signaling_nan_rejected_without_runtime_warning(tmp_path):
+    # a float32 signaling NaN makes numpy warn when it is widened; the reader rejects it quietly
+    payload = np.zeros(4 * 2, dtype="<f4").tobytes()[:-4] + struct.pack("<I", 0x7FA00000)
+    (tmp_path / "features").mkdir(exist_ok=True)
+    (tmp_path / "features" / "t1.evfa").write_bytes(
+        data.FEATURE_MAGIC + struct.pack("<I", data.FEATURE_VERSION) + payload
+    )
+    trials = [{"id": 1, "label": 0, "file": "features/t1.evfa", "count": 1}]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="trial 1 row 0 position \\(3,1\\)"):
+            data.import_features(write_manifest(tmp_path, trials))
 
 
 def test_import_label_outside_class_map_rejected(tmp_path):
@@ -264,6 +279,64 @@ def test_mutated_manifest_loads_or_raises_ingest_error(fuzz_container, draw):
     assert ds.features.shape == (len(ds),) + ds.schema
 
 
+# -- feature binary fuzzing -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def feature_container(tmp_path_factory):
+    manifest = data.export_features(
+        data.generate_synthetic_drift(FUZZ_SOURCE), tmp_path_factory.mktemp("evfa")
+    )
+    blobs = {path: path.read_bytes() for path in sorted(manifest.parent.glob("features/*.evfa"))}
+    return manifest, manifest.read_text(), blobs
+
+
+@st.composite
+def mutated_feature_files(draw, blob: bytes, count: int) -> tuple[bytes, int]:
+    """An .evfa blob with its magic, version, length or payload bytes mutated, or a
+    manifest ``count`` for it, sometimes with the payload cut to that many rows."""
+    head = len(data.FEATURE_MAGIC) + 4
+    row = (len(blob) - head) // count
+    body = bytearray(blob)
+    kind = draw(st.sampled_from(("magic", "version", "length", "payload", "count")))
+    if kind == "magic":
+        body[:4] = draw(st.sampled_from((b"EVFB", b"evfa", b"AFVE", bytes(4))))
+    elif kind == "version":
+        body[4:8] = struct.pack("<I", draw(st.sampled_from((0, 2, 255, 2**32 - 1))))
+    elif kind == "length":
+        body = body[: draw(st.integers(0, len(blob)))] + draw(st.binary(max_size=12))
+    elif kind == "payload":
+        for position in draw(st.lists(st.integers(head, len(blob) - 1), min_size=1, max_size=4)):
+            body[position] = draw(st.integers(0, 255))
+    else:
+        count = draw(st.sampled_from((0, count - 1, count + 1, 2 * count, 2**40)))
+        if count <= len(blob) and draw(st.booleans()):
+            body = body[: head + count * row]
+    return bytes(body), count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_feature_file_loads_or_raises_ingest_error(feature_container, draw):
+    manifest_path, manifest_text, blobs = feature_container
+    target = draw.draw(st.sampled_from(list(blobs)))
+    manifest = json.loads(manifest_text)
+    trials = [t for s in manifest["subjects"] for x in s["sessions"] for t in x["trials"]]
+    trial = next(t for t in trials if t["file"] == f"features/{target.name}")
+    body, trial["count"] = draw.draw(mutated_feature_files(blobs[target], trial["count"]))
+    target.write_bytes(body)
+    manifest_path.write_text(json.dumps(manifest))
+    try:
+        ds = data.import_features(manifest_path)
+    except IngestError:
+        return
+    finally:
+        target.write_bytes(blobs[target])
+        manifest_path.write_text(manifest_text)
+    assert ds.features.shape == (len(ds),) + ds.schema
+    assert np.isfinite(ds.features).all()
+
+
 def test_mutated_leaves_fuzz_values_unchanged():
     before = repr(FUZZ_VALUES)
     for value in FUZZ_VALUES:
@@ -280,6 +353,13 @@ def test_mutated_leaves_fuzz_values_unchanged():
 def test_import_missing_manifest(tmp_path):
     with pytest.raises(IngestError):
         data.import_features(tmp_path / "nope.json")
+
+
+def test_import_non_utf8_manifest_names_it(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_bytes('{"classes": ["\xe9"]}'.encode("latin-1"))
+    with pytest.raises(DatasetSchemaError, match=f"manifest is not valid JSON: {path}"):
+        data.import_features(path)
 
 
 def test_export_import_round_trip_seed_convention(tmp_path):
@@ -398,6 +478,12 @@ def test_generator_config_validation():
         data.DriftConfig(noise_std=-1.0)
     with pytest.raises(ConfigError):
         data.DriftConfig(n_electrodes=1, d_bands=1, num_classes=3)
+
+
+@pytest.mark.parametrize("field", ["num_subjects", "samples_per_trial", "d_bands"])
+def test_generator_config_rejects_bool_counts(field):
+    with pytest.raises(ConfigError, match=f"{field} must be a positive integer, got True"):
+        data.DriftConfig(**{field: True})
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofa import autodiff as ad
+from evofa import backbone, fsl
 from evofa.autodiff import Tensor, finite_diff_check
-from evofa.backbone import BackboneConfig, create_model
+from evofa.backbone import BackboneConfig, create_model, encode_rows
 from evofa.data import DatasetIndex, DriftConfig, generate_synthetic_drift, make_intra_split
 from evofa.errors import ConfigError, ProtocolError, SamplingError
 from evofa.fsl import (
@@ -317,9 +318,42 @@ def test_tiebreak_picks_lowest_class_id():
         features=np.zeros((6, 2, 2)),
         labels=np.array([3, 5, 9, 3, 5, 9]),
     )
-    predictions, accuracy = classify_query(ep, model)
+    predictions, accuracy = classify_query(ep, model, encode_rows(model, ep.features), model.phi)
     assert predictions.tolist() == [3, 3, 3]
     assert accuracy == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize("head", ["matching", "relation", "proto"])
+def test_classify_query_on_pool_rows_equals_episode_encoded_alone(head, monkeypatch):
+    """Pool rows from encode_rows, indexed per episode, against the episode's own features
+    through the encoder, adapter and head in one batch."""
+    pool = toy_pool(per_class=30, seed=3)  # 90 rows: encode_rows runs two batches
+    model = create_model(tiny_backbone(head_kind=head, conv_channels=(3, 3, 3, 4), embedding_dim=4,
+                                       adapter_hidden=8), seed=2)
+    rng = np.random.default_rng(4)
+    phi = model.phi.copy()
+    for _, t in phi.entries:
+        t.data = t.data + rng.normal(scale=0.1, size=t.shape)
+    adapted = replace(model, phi=phi)
+    scores = []
+    real = fsl._scores_from_embeddings
+
+    def recording(*args):
+        scores.append(real(*args))
+        return scores[-1]
+
+    monkeypatch.setattr(fsl, "_scores_from_embeddings", recording)
+    rows = encode_rows(model, pool.features)
+    for j in range(6):
+        ep = sample_episode(pool, 3, j % 2 + 1, 4, np.random.default_rng([5, j]))
+        predictions, accuracy = classify_query(ep, model, rows, phi)
+        with ad.no_grad():
+            expect, targets = episode_scores(ep, adapted, mode="eval")
+        # scores[-2] was recorded inside classify_query, scores[-1] inside the reference
+        assert scores[-2][0].data.tobytes() == expect.data.tobytes()
+        local = np.argmax(expect.data, axis=1)
+        assert predictions.tolist() == [ep.class_ids[i] for i in local]
+        assert accuracy == float(np.mean(local == targets))
 
 
 def test_untrained_model_sits_at_chance():
@@ -342,13 +376,12 @@ def test_untrained_model_sits_at_chance():
         tiny_backbone(n_electrodes=4, d_bands=3, conv_channels=(4, 4, 4, 8), embedding_dim=8, adapter_hidden=16),
         seed=0,
     )
+    rows = encode_rows(model, pool.features)
     total = 0.0
     episodes = 200
     for j in range(episodes):
         ep = sample_episode(pool, 3, 1, 10, np.random.default_rng([7, j]))
-        with ad.no_grad():
-            _, acc = classify_query(ep, model)
-        total += acc
+        total += classify_query(ep, model, rows, model.phi)[1]
     assert abs(total / episodes - 1.0 / 3.0) < 0.1
 
 
@@ -458,12 +491,11 @@ def test_meta_train_reaches_high_validation_accuracy(trained_proto, separable_po
 def test_trained_model_separates_clusters_perfectly(trained_proto, separable_pools):
     model, _ = trained_proto
     _, _, test = separable_pools
+    rows = encode_rows(model, test.features)
     accs = []
     for j in range(20):
         ep = sample_episode(test, 3, 1, 10, np.random.default_rng([13, j]))
-        with ad.no_grad():
-            _, acc = classify_query(ep, model)
-        accs.append(acc)
+        accs.append(classify_query(ep, model, rows, model.phi)[1])
     assert np.mean(accs) == 1.0
 
 
@@ -496,6 +528,23 @@ def test_validation_accuracy_is_stable_across_calls(separable_pools):
     cfg = TrainConfig(backbone=SEPARABLE_BACKBONE, validation_episodes=10)
     model = create_model(cfg.model_config(), seed=1)
     assert validation_accuracy(model, val, cfg) == validation_accuracy(model, val, cfg)
+
+
+def test_validation_accuracy_encodes_each_pool_row_once_per_call(separable_pools, monkeypatch):
+    _, val, _ = separable_pools
+    cfg = TrainConfig(backbone=SEPARABLE_BACKBONE, validation_episodes=6)
+    model = create_model(cfg.model_config(), seed=1)
+    encoded = []
+    original = backbone.encode
+
+    def counting(features, model, mode="eval"):
+        encoded.extend(row.tobytes() for row in features.data)
+        return original(features, model, mode=mode)
+
+    monkeypatch.setattr(backbone, "encode", counting)
+    for calls in (1, 2):
+        validation_accuracy(model, val, cfg)
+        assert sorted(encoded) == sorted([row.tobytes() for row in val.features] * calls)
 
 
 @pytest.fixture(scope="module")

@@ -484,6 +484,13 @@ def test_load_experiment_config_errors(tmp_path):
         load_experiment_config(bad)
 
 
+def test_load_experiment_config_rejects_non_utf8_naming_file(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"protocol": "intra\xe9"}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match=f"config {bad} is not valid JSON"):
+        load_experiment_config(bad)
+
+
 def test_load_experiment_config_round_trip(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(config_to_obj(CONFIG)))

@@ -172,7 +172,7 @@ def test_stacked_mmd2_gradient_matches_finite_differences():
     weights = t([1.0, -0.5, 2.0])  # distinct upstream gradients per slice
 
     def f(_):
-        return (mmd.mmd2(x, y, specs) * weights).sum()
+        return ad.mul(mmd.mmd2(x, y, specs), weights).sum()
 
     assert ad.finite_diff_check(f, [x, y], eps=1e-6) < 1e-6
 
