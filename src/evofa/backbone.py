@@ -10,6 +10,7 @@ shape. A single sample is a batch of one.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +71,10 @@ class BackboneConfig:
             raise ConfigError(
                 "adapter_hidden must be even and at least 2 * embedding_dim for the identity init"
             )
-        if self.matching_temperature <= 0:
-            raise ConfigError(f"matching_temperature must be positive, got {self.matching_temperature}")
+        if not 0 < self.matching_temperature <= sys.float_info.max:  # NaN fails both
+            raise ConfigError(
+                f"matching_temperature must be finite and positive, got {self.matching_temperature}"
+            )
 
     @property
     def group_width(self) -> int:

@@ -146,7 +146,7 @@ def _cmd_evaluate(args, out: _Outputs) -> int:
     ds = load_dataset(cfg)
     subject, session = plan_cells(cfg, ds, args.subject, args.session)[0]
     model = load_checkpoint(args.checkpoint)
-    if model.config != cfg.train.backbone:
+    if model.config != cfg.train.model_config():
         raise ConfigError(
             "checkpoint architecture disagrees with the experiment backbone config"
         )

@@ -1,19 +1,26 @@
-"""Experiment orchestration: protocol loops, result tables, and report files.
+"""Experiment orchestration: configs, protocol loops, result tables, and report files.
 
 Runs are deterministic functions of (config, seed): per-cell training and
 evaluation seeds are derived from the master seed and the cell coordinates,
 and the results CSV contains no timing, so two identical runs produce byte
 identical CSV files. Wall-clock timings go to the JSON report only.
+
+An experiment config's JSON sections are read from the config dataclasses:
+a section's keys are its class's fields, a field's annotation picks its JSON
+test in ``_JSON_KINDS``, and a key left out takes the field's default. The
+layout adds two rules: "backbone" is written once, at the top level, and
+shared by train and supervised; "dataset" wraps a generator section or a
+manifest path.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-import math
 import os
+import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +71,10 @@ class ExperimentConfig:
             raise ConfigError(f"protocol must be intra or inter, got {self.protocol!r}")
         if self.eval_episodes < 1:
             raise ConfigError(f"eval_episodes must be positive, got {self.eval_episodes}")
+        for name in ("subjects", "sessions"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} names an entry more than once: {list(values)}")
 
 
 def derive_seed(*parts: int) -> int:
@@ -395,206 +406,126 @@ def run_protocol(cfg: ExperimentConfig, ds: DatasetIndex | None = None) -> Resul
 
 
 def config_to_obj(cfg: ExperimentConfig) -> dict:
-    """JSON-ready dict mirroring experiment_config_from_obj."""
-    if isinstance(cfg.dataset, DriftConfig):
-        dataset = {"synthetic": asdict(cfg.dataset)}
-    else:
-        dataset = {"import": str(cfg.dataset)}
-    train = asdict(cfg.train)
-    backbone = train.pop("backbone")
-    backbone["conv_channels"] = list(backbone["conv_channels"])
-    adapt = asdict(cfg.adapt)
-    if isinstance(cfg.adapt.kernel, KernelSpec):
-        adapt["kernel"] = {
-            "bandwidths": list(cfg.adapt.kernel.bandwidths),
-            "weights": list(cfg.adapt.kernel.weights),
-        }
-    supervised = None
-    if cfg.supervised is not None:
-        supervised = asdict(cfg.supervised)
-        supervised.pop("backbone")  # the experiment backbone is shared
-    return {
-        "dataset": dataset,
-        "protocol": cfg.protocol,
-        "backbone": backbone,
-        "train": train,
-        "adapt": adapt,
-        "supervised": supervised,
-        "eval_episodes": cfg.eval_episodes,
-        "seed": cfg.seed,
-        "subjects": list(cfg.subjects),
-        "sessions": list(cfg.sessions),
-        "persist_adaptation": cfg.persist_adaptation,
-        "include_supervised": cfg.include_supervised,
-    }
+    """JSON-ready dict mirroring experiment_config_from_obj: asdict plus the two layout rules."""
+    obj = json.loads(json.dumps(asdict(cfg)))  # tuples become lists
+    backbone = obj["train"].pop("backbone")
+    if obj["supervised"] is not None:
+        del obj["supervised"]["backbone"]
+    kind = "synthetic" if isinstance(cfg.dataset, DriftConfig) else "import"
+    return {"dataset": {kind: obj.pop("dataset")}, "backbone": backbone, **obj}
 
 
 def _is_number(value) -> bool:
-    """A finite int or float; a bool is not one."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """An int or float that a finite float holds; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
 
 
 _OBJECT = (lambda value: isinstance(value, dict), "an object")
-_INT = (_is_int, "an integer")
-_SEED = (lambda value: _is_int(value, 0), "a nonnegative integer")
-_NUMBER = (_is_number, "a finite number")
-_STRING = (lambda value: isinstance(value, str), "a string")
-_BOOL = (lambda value: isinstance(value, bool), "true or false")
 _INTS = (lambda value: isinstance(value, list) and all(map(_is_int, value)), "a list of integers")
-_NUMBERS = (lambda value: isinstance(value, list) and all(map(_is_number, value)), "a list of finite numbers")
+_SEEDS = ("seed", "rng_seed")  # nonnegative: numpy seeds take no negative entropy
+_SEED = (lambda value: _is_int(value, 0), "a nonnegative integer")
 
-# every config field, by name in whichever section holds it: (test its value must pass, what it must be)
-_CONFIG_FIELDS = {
-    # top level
-    "dataset": _OBJECT,
-    "protocol": _STRING,
-    "backbone": _OBJECT,
-    "train": _OBJECT,
-    "adapt": _OBJECT,
-    "supervised": (lambda value: value is None or isinstance(value, dict), "an object or null"),
-    "eval_episodes": _INT,
-    "seed": _SEED,
-    "subjects": _INTS,
-    "sessions": _INTS,
-    "persist_adaptation": _BOOL,
-    "include_supervised": _BOOL,
-    # dataset and its synthetic generator
-    "synthetic": _OBJECT,
-    "import": (_STRING[0], "a manifest path string"),
-    "num_subjects": _INT,
-    "num_sessions": _INT,
-    "trials_per_session": _INT,
-    "samples_per_trial": _INT,
-    "num_classes": _INT,
-    "n_electrodes": _INT,
-    "d_bands": _INT,
-    "class_separation": _NUMBER,
-    "intra_drift_rate": _NUMBER,
-    "inter_subject_offset_scale": _NUMBER,
-    "noise_std": _NUMBER,
-    "rng_seed": _SEED,
-    # backbone
-    "g2g_channels": _INT,
-    "conv_channels": _INTS,
-    "embedding_dim": _INT,
-    "adapter_hidden": _INT,
-    "head_kind": _STRING,
-    "matching_temperature": _NUMBER,
-    "relation_hidden": _INT,
-    # train and supervised
-    "episodes_per_epoch": _INT,
-    "max_epochs": _INT,
-    "learning_rate": _NUMBER,
-    "way": _INT,
-    "shot": _INT,
-    "queries": _INT,
-    "validation_episodes": _INT,
-    "batch_size": _INT,
-    # adapt and its kernel
-    "n_snapshots": _INT,
-    "snapshot_size": _INT,
-    "eta_in": _NUMBER,
-    "eta_out": _NUMBER,
-    "max_iter": _INT,
-    "target_calibration_size": _INT,
-    "kernel": (lambda value: value == "median-auto" or isinstance(value, dict), '"median-auto" or an object'),
-    "bandwidths": _NUMBERS,
-    "weights": _NUMBERS,
+# a config field's JSON test and what its value must be, by the field's annotation;
+# a field annotated BackboneConfig is the shared backbone, which no section repeats
+_JSON_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "str": (_is_str, "a string"),
+    "bool": (lambda value: isinstance(value, bool), "true or false"),
+    "tuple[int, ...]": _INTS,
+    "tuple[int, int, int, int]": _INTS,
+    "tuple[float, ...]": (
+        lambda value: isinstance(value, list) and all(map(_is_number, value)), "a list of finite numbers"
+    ),
+    "KernelSpec | str": (
+        lambda value: value == "median-auto" or isinstance(value, dict), '"median-auto" or an object'
+    ),
+    "DriftConfig | str": _OBJECT,
+    "TrainConfig": _OBJECT,
+    "AdaptConfig": _OBJECT,
+    "SupervisedConfig | None": (lambda value: value is None or isinstance(value, dict), "an object or null"),
 }
+_DATASET_KINDS = {"synthetic": _OBJECT, "import": (_is_str, "a manifest path string")}
 
 
-def _check_fields(where: str, obj) -> dict:
-    """Raise, naming the field, unless obj is an object whose fields in the table pass it.
+def _check(where: str, name: str, value, kind) -> None:
+    test, must = kind
+    if not test(value):
+        raise ConfigError(f"{where} field {name!r} must be {must}, got {value!r}")
 
-    Keys outside the table are left to the section's constructor, which rejects them.
+
+def _checked(cls, obj, where: str, **layout) -> dict:
+    """obj's entries, each checked against the JSON kind of cls's field of that name.
+
+    Lists load as tuples. ``layout`` gives the kinds of keys the layout puts beside
+    cls's fields. A key that is neither is passed on, for cls to reject.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
+    annotations = {f.name: f.type for f in fields(cls)}
+    out = {}
     for name, value in obj.items():
-        test, kind = _CONFIG_FIELDS.get(name, (lambda _: True, ""))
-        if not test(value):
-            raise ConfigError(f"{where} field {name!r} must be {kind}, got {value!r}")
-    return dict(obj)
+        if name in layout:
+            _check(where, name, value, layout[name])
+        elif annotations.get(name) == "BackboneConfig":
+            raise ConfigError(
+                f"{where} field {name!r} repeats the shared backbone: write it once, at the top level"
+            )
+        elif name in annotations:
+            _check(where, name, value, _SEED if name in _SEEDS else _JSON_KINDS[annotations[name]])
+        out[name] = tuple(value) if isinstance(value, list) else value
+    return out
 
 
-def _take(obj: dict, what: str, allowed: set[str]) -> None:
-    unknown = set(obj) - allowed
+def _build(cls, what: str, kwargs: dict, **shared):
+    try:
+        return cls(**kwargs, **shared)
+    except TypeError as e:  # a key that names no field
+        raise ConfigError(f"bad {what} config: {e}") from e
+
+
+def _read(cls, obj, where: str, what: str, **shared):
+    """A cls from its JSON section; ``shared`` holds the fields the layout writes elsewhere."""
+    return _build(cls, what, _checked(cls, obj, where), **shared)
+
+
+def _reject_unknown(obj: dict, cls, what: str, *layout: str) -> None:
+    unknown = obj.keys() - {f.name for f in fields(cls)} - set(layout)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
-def _build(factory, what, **kwargs):
-    try:
-        return factory(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"bad {what} config: {e}") from e
-
-
 def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     """Parse a config dict (from JSON); unknown keys and mistyped values are rejected."""
-    obj = _check_fields("experiment config", obj)
-    allowed = {
-        "dataset",
-        "protocol",
-        "backbone",
-        "train",
-        "adapt",
-        "supervised",
-        "eval_episodes",
-        "seed",
-        "subjects",
-        "sessions",
-        "persist_adaptation",
-        "include_supervised",
-    }
-    _take(obj, "config", allowed)
-    try:
-        dataset_obj = obj["dataset"]
-    except KeyError:
+    top = _checked(ExperimentConfig, obj, "experiment config", backbone=_OBJECT)
+    _reject_unknown(top, ExperimentConfig, "config", "backbone")
+    if "dataset" not in top:
         raise ConfigError("config needs a dataset entry")
-    if len(dataset_obj) != 1 or not {"synthetic", "import"} & set(dataset_obj):
+    dataset = top["dataset"]
+    if len(dataset) != 1 or not {"synthetic", "import"} & set(dataset):
         raise ConfigError('dataset must be {"synthetic": {...}} or {"import": "path"}')
-    _check_fields("config dataset", dataset_obj)
-    if "synthetic" in dataset_obj:
-        synthetic = _check_fields("config dataset synthetic", dataset_obj["synthetic"])
-        dataset = _build(DriftConfig, "synthetic dataset", **synthetic)
-    else:
-        dataset = dataset_obj["import"]
-    backbone_obj = _check_fields("config backbone", obj.get("backbone", {}))
-    if "conv_channels" in backbone_obj:
-        backbone_obj["conv_channels"] = tuple(backbone_obj["conv_channels"])
-    backbone = _build(BackboneConfig, "backbone", **backbone_obj)
-    train_obj = _check_fields("config train", obj.get("train", {}))
-    train_obj.pop("backbone", None)
-    train = _build(TrainConfig, "train", backbone=backbone, **train_obj)
-    adapt_obj = _check_fields("config adapt", obj.get("adapt", {}))
-    kernel = adapt_obj.get("kernel")
-    if isinstance(kernel, dict):
-        kernel = _check_fields("config adapt kernel", kernel)
-        _take(kernel, "kernel", {"bandwidths", "weights"})
-        adapt_obj["kernel"] = KernelSpec(
-            bandwidths=tuple(kernel.get("bandwidths", ())),
-            weights=tuple(kernel.get("weights", ())),
+    [(kind, source)] = dataset.items()
+    _check("config dataset", kind, source, _DATASET_KINDS[kind])
+    if kind == "synthetic":
+        source = _read(DriftConfig, source, "config dataset synthetic", "synthetic dataset")
+    top["dataset"] = source
+    backbone = _read(BackboneConfig, top.pop("backbone", {}), "config backbone", "backbone")
+    top["train"] = _read(TrainConfig, top.get("train", {}), "config train", "train", backbone=backbone)
+    adapt = _checked(AdaptConfig, top.get("adapt", {}), "config adapt")
+    if isinstance(adapt.get("kernel"), dict):
+        kernel = _checked(KernelSpec, adapt["kernel"], "config adapt kernel")
+        _reject_unknown(kernel, KernelSpec, "kernel")
+        adapt["kernel"] = KernelSpec(**kernel)
+    top["adapt"] = _build(AdaptConfig, "adapt", adapt)
+    if top.get("supervised") is not None:
+        top["supervised"] = _read(
+            SupervisedConfig, top["supervised"], "config supervised", "supervised", backbone=backbone
         )
-    adapt = _build(AdaptConfig, "adapt", **adapt_obj)
-    supervised = None
-    if obj.get("supervised") is not None:
-        sup_obj = _check_fields("config supervised", obj["supervised"])
-        sup_obj.pop("backbone", None)
-        supervised = _build(SupervisedConfig, "supervised", backbone=backbone, **sup_obj)
-    return ExperimentConfig(
-        dataset=dataset,
-        protocol=obj.get("protocol", "intra"),
-        train=train,
-        adapt=adapt,
-        supervised=supervised,
-        eval_episodes=obj.get("eval_episodes", 200),
-        seed=obj.get("seed", 0),
-        subjects=tuple(obj.get("subjects", ())),
-        sessions=tuple(obj.get("sessions", ())),
-        persist_adaptation=obj.get("persist_adaptation", False),
-        include_supervised=obj.get("include_supervised", True),
-    )
+    return ExperimentConfig(**top)
 
 
 def read_json(path: str | Path, what: str):
@@ -621,6 +552,6 @@ def load_drift_config(path: str | Path) -> DriftConfig:
     if isinstance(obj, dict) and "synthetic" in obj:
         obj = obj["synthetic"]
     try:
-        return _build(DriftConfig, "synthetic dataset", **_check_fields("synthetic dataset config", obj))
+        return _read(DriftConfig, obj, "synthetic dataset config", "synthetic dataset")
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e

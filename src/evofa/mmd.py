@@ -22,8 +22,9 @@ from .errors import ConfigError, ShapeError
 class KernelSpec:
     """Mixture of RBF kernels: sum_j w_j * exp(-dist2 / (2 * sigma_j^2))."""
 
-    bandwidths: tuple[float, ...]
-    weights: tuple[float, ...]
+    # empty defaults: a config kernel object that leaves one out meets __post_init__'s error
+    bandwidths: tuple[float, ...] = ()
+    weights: tuple[float, ...] = ()
 
     def __post_init__(self):
         if len(self.bandwidths) == 0:

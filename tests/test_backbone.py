@@ -49,6 +49,16 @@ def test_config_rejects_unknown_head():
         backbone.BackboneConfig(head_kind="softmax")
 
 
+@pytest.mark.parametrize(
+    "temperature",
+    [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 10**400],
+    ids=["nan", "inf", "-inf", "zero", "negative", "past-float-range"],
+)
+def test_config_rejects_matching_temperature_that_is_not_finite_and_positive(temperature):
+    with pytest.raises(ConfigError, match="matching_temperature must be finite and positive"):
+        backbone.BackboneConfig(matching_temperature=temperature)
+
+
 # -- g2g ----------------------------------------------------------------------------
 
 def test_g2g_identity_projection_hand_case():

@@ -279,6 +279,12 @@ HEADER_DEFECTS = {
     "bad_backbone_value": (
         lambda h: h["backbone"].update(conv_channels=[2, 2]), "header field 'backbone' is invalid"
     ),
+    "nan_temperature": (
+        lambda h: h["backbone"].update(matching_temperature=float("nan")), "header field 'backbone' is invalid"
+    ),
+    "inf_temperature": (
+        lambda h: h["backbone"].update(matching_temperature=float("inf")), "header field 'backbone' is invalid"
+    ),
     "wrong_shape": (set_first("params", "shape", [5, 5]), "header field 'params' entry 0 is"),
     "renamed_param": (set_first("params", "name", "other"), "header field 'params' entry 0 is"),
     "offset_not_int": (set_first("params", "offset", "0"), "header field 'params' entry 0 is"),

@@ -353,6 +353,21 @@ def test_evaluate_rejects_architecture_mismatch(workspace, tmp_path, capsys):
     assert not (tmp_path / "e" / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "train", [{"way": 2}, {"head_kind": "matching"}, {"head_kind": "relation"}], ids=["way2", "matching", "relation"]
+)
+def test_evaluate_accepts_the_checkpoint_train_wrote(tmp_path, capsys, train):
+    # train builds cfg.train.model_config(): head and way come from the train section, not the backbone
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({**CONFIG_OBJ, "train": {**CONFIG_OBJ["train"], **train}}))
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "t")]) == 0
+    ckpt = tmp_path / "t" / "checkpoints" / "model.ckpt"
+    out = tmp_path / "e"
+    assert main(["evaluate", "--config", str(config), "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+    rows = read_csv_rows(out / "results.csv")
+    assert rows[0]["way"] == str(train.get("way", 3))
+
+
 def test_evaluate_missing_checkpoint(workspace, tmp_path, capsys):
     rc = main(
         [

@@ -1,7 +1,8 @@
 """Tests for protocol orchestration, result tables, and config round trips."""
 import hashlib
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -555,6 +556,48 @@ def test_load_experiment_config_names_file_and_field(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(ConfigError, match=f"{path}: config adapt field 'n_snapshots'"):
         load_experiment_config(path)
+
+
+@pytest.mark.parametrize("section", ["train", "supervised"])
+def test_config_rejects_backbone_inside_section_naming_it(section):
+    obj = config_to_obj(CONFIG)
+    obj[section]["backbone"] = {"n_electrodes": 62}  # would be dropped for the shared backbone
+    with pytest.raises(ConfigError, match=f"config {section} field 'backbone' repeats the shared backbone"):
+        experiment_config_from_obj(obj)
+
+
+@pytest.mark.parametrize("name,values", [("subjects", [1, 1, 2]), ("sessions", [2, 3, 2])])
+def test_config_rejects_repeated_subjects_or_sessions(name, values):
+    obj = {**config_to_obj(CONFIG), name: values}
+    with pytest.raises(ConfigError, match=f"{name} names an entry more than once: \\{values}"):
+        experiment_config_from_obj(obj)
+    with pytest.raises(ConfigError, match=f"{name} names an entry more than once"):
+        replace(CONFIG, **{name: tuple(values)})
+
+
+def test_config_rejects_number_no_float_holds_naming_field():
+    obj = config_to_obj(CONFIG)
+    obj["train"]["learning_rate"] = 10**400  # a JSON integer; was a bare OverflowError
+    with pytest.raises(ConfigError, match="config train field 'learning_rate' must be a finite number"):
+        experiment_config_from_obj(json.loads(json.dumps(obj)))
+
+
+def test_config_keys_left_out_take_the_dataclass_defaults():
+    cfg = experiment_config_from_obj({"dataset": {"synthetic": {}}})
+    assert cfg == ExperimentConfig(dataset=DriftConfig())
+    assert cfg.train.backbone == BackboneConfig() and cfg.supervised is None
+
+
+CONFIG_CLASSES = (ExperimentConfig, DriftConfig, BackboneConfig, TrainConfig, SupervisedConfig, AdaptConfig, KernelSpec)
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+def test_reader_table_knows_every_config_field_annotation(cls):
+    # a field whose annotation the table lacks would load unchecked, or not at all
+    names = {c.__name__ for c in CONFIG_CLASSES}
+    for f in fields(cls):
+        assert f.name == "backbone" or f.type in harness._JSON_KINDS, f"{cls.__name__}.{f.name}: {f.type}"
+        assert set(re.findall(r"[A-Z]\w*", f.type)) - {"None"} <= names  # every section it holds is listed
 
 
 CONFIG_FUZZ_VALUES = (
