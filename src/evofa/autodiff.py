@@ -317,12 +317,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # -- convolution ---------------------------------------------------------------
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of [c_in x H x W] (or batched [B x ...]) with [c_out x c_in x h x w]."""
-    squeeze = x.ndim == 3
-    x4 = reshape(x, (1,) + x.shape) if squeeze else x
-    if x4.ndim != 4 or k.ndim != 4:
+    """Cross-correlation of [B x c_in x H x W] with [c_out x c_in x h x w]."""
+    if x.ndim != 4 or k.ndim != 4:
         raise ShapeError(f"conv2d needs [B x c x H x W] and [o x c x h x w]; got {x.shape}, {k.shape}")
-    batch, c_in, height, width = x4.shape
+    batch, c_in, height, width = x.shape
     c_out, kc, kh, kw = k.shape
     if kc != c_in:
         raise ShapeError(f"conv2d channel mismatch: input {c_in}, kernel {kc}")
@@ -338,7 +336,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     out_h = num_h // stride + 1
     out_w = num_w // stride + 1
 
-    xp = np.pad(x4.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x4.data
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
 
     def tap(i, j):
         """The [B x c_in x out_h*out_w] input positions that kernel tap (i, j) reads."""
@@ -371,8 +369,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         gx = gxp[:, :, pad : pad + height, pad : pad + width] if pad else gxp
         return (gx, gk)
 
-    out = _make(data, (x4, k), grad_fn)
-    return reshape(out, out.shape[1:]) if squeeze else out
+    return _make(data, (x, k), grad_fn)
 
 
 # -- batch normalization --------------------------------------------------------

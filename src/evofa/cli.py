@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -138,10 +138,6 @@ def _cmd_train(args, out: _Outputs) -> int:
 
 def _cmd_evaluate(args, out: _Outputs) -> int:
     cfg = load_experiment_config(args.config)
-    if args.episodes is not None:
-        cfg = replace(cfg, eval_episodes=args.episodes)
-    if args.persist_adaptation:
-        cfg = replace(cfg, persist_adaptation=True)
     shots = _parse_shots(args.shots) if args.shots is not None else [cfg.train.shot]
     ds = load_dataset(cfg)
     subject, session = plan_cells(cfg, ds, args.subject, args.session)[0]
@@ -231,14 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--adapt", choices=("on", "off"), default="off")
     p.add_argument("--shots", help="comma-separated support sizes, e.g. 1,5")
-    p.add_argument("--episodes", type=int, help="override evaluation episode count")
     p.add_argument("--subject", type=int, help="protocol cell subject (default: first)")
     p.add_argument("--session", type=int, help="protocol cell session (inter only, with --subject)")
-    p.add_argument(
-        "--persist-adaptation",
-        action="store_true",
-        help="carry adapted state across episodes instead of restoring",
-    )
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("compare", help="run the full protocol: supervised vs fsl vs fsl+evofa")

@@ -10,7 +10,7 @@ a section's keys are its class's fields, a field's annotation picks its JSON
 test in ``_JSON_KINDS``, and a key left out takes the field's default. The
 layout adds two rules: "backbone" is written once, at the top level, and
 shared by train and supervised; "dataset" wraps a generator section or a
-manifest path.
+manifest path. Fields with another owner (``_SET_ELSEWHERE``) are rejected.
 """
 from __future__ import annotations
 
@@ -93,6 +93,11 @@ def _check_compatible(cfg: ExperimentConfig, ds: DatasetIndex) -> None:
         raise ConfigError(
             f"{cfg.train.way}-way episodes need at least that many classes, "
             f"dataset has {ds.num_classes}"
+        )
+    if cfg.supervised is not None and cfg.supervised.num_classes != ds.num_classes:
+        raise ConfigError(
+            f"supervised num_classes {cfg.supervised.num_classes} must equal "
+            f"the dataset's {ds.num_classes} classes"
         )
     schema = (cfg.train.backbone.n_electrodes, cfg.train.backbone.d_bands)
     if schema != ds.schema:
@@ -406,11 +411,13 @@ def run_protocol(cfg: ExperimentConfig, ds: DatasetIndex | None = None) -> Resul
 
 
 def config_to_obj(cfg: ExperimentConfig) -> dict:
-    """JSON-ready dict mirroring experiment_config_from_obj: asdict plus the two layout rules."""
+    """JSON-ready dict mirroring experiment_config_from_obj: asdict less the fields set elsewhere."""
     obj = json.loads(json.dumps(asdict(cfg)))  # tuples become lists
-    backbone = obj["train"].pop("backbone")
-    if obj["supervised"] is not None:
-        del obj["supervised"]["backbone"]
+    backbone = obj["train"]["backbone"]
+    sections = ((BackboneConfig, backbone), (TrainConfig, obj["train"]), (SupervisedConfig, obj["supervised"]))
+    for cls, section in sections:
+        for name in _SET_ELSEWHERE[cls] if section is not None else ():
+            del section[name]
     kind = "synthetic" if isinstance(cfg.dataset, DriftConfig) else "import"
     return {"dataset": {kind: obj.pop("dataset")}, "backbone": backbone, **obj}
 
@@ -429,8 +436,7 @@ _INTS = (lambda value: isinstance(value, list) and all(map(_is_int, value)), "a 
 _SEEDS = ("seed", "rng_seed")  # nonnegative: numpy seeds take no negative entropy
 _SEED = (lambda value: _is_int(value, 0), "a nonnegative integer")
 
-# a config field's JSON test and what its value must be, by the field's annotation;
-# a field annotated BackboneConfig is the shared backbone, which no section repeats
+# a config field's JSON test and what its value must be, by the field's annotation
 _JSON_KINDS = {
     "int": (_is_int, "an integer"),
     "float": (_is_number, "a finite number"),
@@ -449,6 +455,19 @@ _JSON_KINDS = {
     "AdaptConfig": _OBJECT,
     "SupervisedConfig | None": (lambda value: value is None or isinstance(value, dict), "an object or null"),
 }
+# the fields of a section's class that the JSON layout does not take, and where each is set
+_SECTION_SET_ELSEWHERE = {
+    "backbone": "repeats the shared backbone: write it once, at the top level",
+    "rng_seed": "is derived for each cell from the top-level seed",
+}
+_SET_ELSEWHERE = {
+    BackboneConfig: {
+        "head_kind": "is set by train.head_kind; the supervised head is linear",
+        "num_classes": "is set by train.way and supervised.num_classes",
+    },
+    TrainConfig: _SECTION_SET_ELSEWHERE,
+    SupervisedConfig: _SECTION_SET_ELSEWHERE,
+}
 _DATASET_KINDS = {"synthetic": _OBJECT, "import": (_is_str, "a manifest path string")}
 
 
@@ -462,19 +481,18 @@ def _checked(cls, obj, where: str, **layout) -> dict:
     """obj's entries, each checked against the JSON kind of cls's field of that name.
 
     Lists load as tuples. ``layout`` gives the kinds of keys the layout puts beside
-    cls's fields. A key that is neither is passed on, for cls to reject.
+    cls's fields. A field set elsewhere is rejected; an unknown key passes, for cls to reject.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
     annotations = {f.name: f.type for f in fields(cls)}
+    elsewhere = _SET_ELSEWHERE.get(cls, {})
     out = {}
     for name, value in obj.items():
         if name in layout:
             _check(where, name, value, layout[name])
-        elif annotations.get(name) == "BackboneConfig":
-            raise ConfigError(
-                f"{where} field {name!r} repeats the shared backbone: write it once, at the top level"
-            )
+        elif name in elsewhere:
+            raise ConfigError(f"{where} field {name!r} {elsewhere[name]}")
         elif name in annotations:
             _check(where, name, value, _SEED if name in _SEEDS else _JSON_KINDS[annotations[name]])
         out[name] = tuple(value) if isinstance(value, list) else value

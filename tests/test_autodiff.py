@@ -45,36 +45,41 @@ def test_matmul_batched_matches_loop():
 
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(1, 4, 4))
+    x = rng.normal(size=(1, 1, 4, 4))
     k = np.ones((1, 1, 1, 1))
     out = ad.conv2d(t(x), t(k), stride=1, pad=0)
     assert np.allclose(out.data, x)
 
 
 def test_conv2d_sum_kernel():
-    out = ad.conv2d(t(np.ones((1, 3, 3))), t(np.ones((1, 1, 3, 3))), stride=1, pad=0)
-    assert out.shape == (1, 1, 1)
+    out = ad.conv2d(t(np.ones((1, 1, 3, 3))), t(np.ones((1, 1, 3, 3))), stride=1, pad=0)
+    assert out.shape == (1, 1, 1, 1)
     assert out.data.reshape(()) == pytest.approx(9.0)
 
 
 def test_conv2d_stride_shape():
-    out = ad.conv2d(t(np.zeros((1, 5, 5))), t(np.zeros((2, 1, 3, 3))), stride=2, pad=0)
-    assert out.shape == (2, 2, 2)
+    out = ad.conv2d(t(np.zeros((1, 1, 5, 5))), t(np.zeros((2, 1, 3, 3))), stride=2, pad=0)
+    assert out.shape == (1, 2, 2, 2)
 
 
 def test_conv2d_non_integral_output_rejected():
     with pytest.raises(ConfigError):
-        ad.conv2d(t(np.zeros((1, 6, 6))), t(np.zeros((1, 1, 3, 3))), stride=2, pad=0)
+        ad.conv2d(t(np.zeros((1, 1, 6, 6))), t(np.zeros((1, 1, 3, 3))), stride=2, pad=0)
 
 
 def test_conv2d_kernel_larger_than_input_rejected():
     with pytest.raises(ConfigError):
-        ad.conv2d(t(np.zeros((1, 2, 2))), t(np.zeros((1, 1, 3, 3))), stride=1, pad=0)
+        ad.conv2d(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 3, 3))), stride=1, pad=0)
 
 
 def test_conv2d_channel_mismatch_rejected():
     with pytest.raises(ShapeError):
-        ad.conv2d(t(np.zeros((2, 4, 4))), t(np.zeros((1, 3, 3, 3))), stride=1, pad=1)
+        ad.conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((1, 3, 3, 3))), stride=1, pad=1)
+
+
+def test_conv2d_rejects_unbatched_input():
+    with pytest.raises(ShapeError, match=r"\[B x c x H x W\]"):
+        ad.conv2d(t(np.zeros((1, 4, 4))), t(np.zeros((1, 1, 3, 3))), stride=1, pad=1)
 
 
 def _direct_conv(x, k, stride, pad):

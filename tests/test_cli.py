@@ -257,13 +257,15 @@ def test_evaluate_baseline(workspace, trained, tmp_path, capsys):
     assert (out / "run-manifest.json").exists()
 
 
-def test_evaluate_adapted_with_shot_list(workspace, trained, tmp_path, capsys):
+def test_evaluate_adapted_with_shot_list(trained, tmp_path, capsys):
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({**CONFIG_OBJ, "eval_episodes": 3}))
     out = tmp_path / "eval"
     rc = main(
         [
             "evaluate",
             "--config",
-            str(workspace / "exp.json"),
+            str(config),
             "--checkpoint",
             str(trained / "checkpoints" / "model.ckpt"),
             "--out",
@@ -272,8 +274,6 @@ def test_evaluate_adapted_with_shot_list(workspace, trained, tmp_path, capsys):
             "on",
             "--shots",
             "1,2",
-            "--episodes",
-            "3",
         ]
     )
     assert rc == 0
@@ -282,6 +282,16 @@ def test_evaluate_adapted_with_shot_list(workspace, trained, tmp_path, capsys):
     cells = [r for r in read_csv_rows(out / "results.csv") if r["subject"] != "all"]
     assert [r["shots"] for r in cells] == ["1", "2"]
     assert all(r["method"] == "fsl+evofa" and r["episodes"] == "3" for r in cells)
+
+
+@pytest.mark.parametrize("flag", [["--episodes", "3"], ["--persist-adaptation"]])
+def test_evaluate_has_no_flag_that_repeats_a_config_field(workspace, tmp_path, capsys, flag):
+    # eval_episodes and persist_adaptation are read from the config alone
+    args = ["evaluate", "--config", str(workspace / "exp.json"), "--checkpoint", "m.ckpt", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(args + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_zero_shots(workspace, trained, tmp_path, capsys):

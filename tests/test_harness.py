@@ -228,6 +228,14 @@ def test_run_protocol_rejects_too_many_ways(dataset):
         run_protocol(wide, dataset)
 
 
+@pytest.mark.parametrize("num_classes", [2, 5])
+def test_plan_cells_rejects_supervised_num_classes_other_than_the_datasets(dataset, num_classes):
+    # 2 was a bare IndexError mid-run; 5 trained a 5-class head on 3-class data
+    cfg = replace(CONFIG, supervised=replace(CONFIG.supervised, num_classes=num_classes))
+    with pytest.raises(ConfigError, match=f"supervised num_classes {num_classes} must equal the dataset's 3"):
+        plan_cells(cfg, dataset)
+
+
 # -- protocol execution ---------------------------------------------------------------
 
 
@@ -588,6 +596,42 @@ def test_config_keys_left_out_take_the_dataclass_defaults():
     assert cfg.train.backbone == BackboneConfig() and cfg.supervised is None
 
 
+SET_ELSEWHERE = [
+    ("backbone", "head_kind", "relation", "is set by train.head_kind"),
+    ("backbone", "num_classes", 5, "is set by train.way and supervised.num_classes"),
+    ("train", "rng_seed", 123, "is derived for each cell from the top-level seed"),
+    ("supervised", "rng_seed", 123, "is derived for each cell from the top-level seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "section,key,value,owner", SET_ELSEWHERE, ids=[f"{s}.{k}" for s, k, _, _ in SET_ELSEWHERE]
+)
+def test_config_rejects_field_with_another_owner_naming_file_section_and_field(tmp_path, section, key, value, owner):
+    # each was accepted, then overridden: the run's bytes were those of a config without it
+    obj = config_to_obj(CONFIG)
+    obj[section][key] = value
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: config {section} field '{key}' {owner}")):
+        load_experiment_config(path)
+
+
+def test_config_round_trip_leaves_out_fields_with_another_owner(tmp_path):
+    backbone = replace(BACKBONE, head_kind="relation", num_classes=5)
+    cfg = replace(
+        CONFIG,
+        train=replace(CONFIG.train, backbone=backbone, rng_seed=8),
+        supervised=replace(CONFIG.supervised, backbone=backbone, rng_seed=9),
+    )
+    obj = config_to_obj(cfg)
+    assert not {"head_kind", "num_classes"} & obj["backbone"].keys()
+    assert "rng_seed" not in obj["train"] and "rng_seed" not in obj["supervised"]
+    assert experiment_config_from_obj(obj) == CONFIG  # the four fields at their defaults
+    manifest = json.loads(write_run_manifest(tmp_path, cfg).read_text())
+    assert experiment_config_from_obj(manifest["config"]) == CONFIG
+
+
 CONFIG_CLASSES = (ExperimentConfig, DriftConfig, BackboneConfig, TrainConfig, SupervisedConfig, AdaptConfig, KernelSpec)
 
 
@@ -596,7 +640,7 @@ def test_reader_table_knows_every_config_field_annotation(cls):
     # a field whose annotation the table lacks would load unchecked, or not at all
     names = {c.__name__ for c in CONFIG_CLASSES}
     for f in fields(cls):
-        assert f.name == "backbone" or f.type in harness._JSON_KINDS, f"{cls.__name__}.{f.name}: {f.type}"
+        assert f.name in harness._SET_ELSEWHERE.get(cls, {}) or f.type in harness._JSON_KINDS, f"{cls.__name__}.{f.name}"
         assert set(re.findall(r"[A-Z]\w*", f.type)) - {"None"} <= names  # every section it holds is listed
 
 
