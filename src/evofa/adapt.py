@@ -60,12 +60,9 @@ class Snapshot:
 class SnapshotSet:
     """Ordered stages of the evolving source distribution."""
 
-    kind: str  # "intra": chronological time buckets; "inter": per-subject
-    snapshots: tuple[Snapshot, ...]
+    snapshots: tuple[Snapshot, ...]  # time buckets in order (intra) or one per subject (inter)
 
     def __post_init__(self):
-        if self.kind not in ("intra", "inter"):
-            raise ConfigError(f"snapshot kind must be intra or inter, got {self.kind!r}")
         if not self.snapshots:
             raise ProtocolError("snapshot set is empty")
 
@@ -119,7 +116,7 @@ Snapshots = SnapshotSet | Sequence[SnapshotSet]  # one set, or one per slice of 
 
 
 def _draw_halves(
-    kind: str, stages: dict[int, np.ndarray], what: str, cfg: AdaptConfig, rng: np.random.Generator
+    stages: dict[int, np.ndarray], what: str, cfg: AdaptConfig, rng: np.random.Generator
 ) -> SnapshotSet:
     """One snapshot per stage, in order: disjoint halves drawn from the stage's pool rows."""
     need = 2 * cfg.snapshot_size
@@ -129,7 +126,7 @@ def _draw_halves(
             raise SamplingError(f"{what} {tag} has {len(rows)} samples, needs {need}")
         picks = rows[rng.choice(len(rows), size=need, replace=False)]
         snapshots.append(Snapshot(tag, picks[: cfg.snapshot_size], picks[cfg.snapshot_size :]))
-    return SnapshotSet(kind=kind, snapshots=tuple(snapshots))
+    return SnapshotSet(tuple(snapshots))
 
 
 def sample_snapshots_intra(
@@ -142,7 +139,7 @@ def sample_snapshots_intra(
     if not len(train_pool):
         raise SamplingError("cannot sample snapshots from an empty pool")
     buckets = np.array_split(np.arange(len(train_pool)), cfg.n_snapshots)
-    return _draw_halves("intra", dict(enumerate(buckets)), "time bucket", cfg, rng)
+    return _draw_halves(dict(enumerate(buckets)), "time bucket", cfg, rng)
 
 
 def sample_snapshots_inter(
@@ -157,7 +154,7 @@ def sample_snapshots_inter(
             int(x) for x in rng.choice(subjects, size=cfg.n_snapshots, replace=False)
         )
     stages = {subj: np.flatnonzero(train_pool.subject == subj) for subj in subjects}
-    return _draw_halves("inter", stages, "subject", cfg, rng)
+    return _draw_halves(stages, "subject", cfg, rng)
 
 
 # -- alignment losses -------------------------------------------------------------
@@ -364,10 +361,8 @@ class EvalReport:
     per_episode: tuple[float, ...]
 
 
-def _target_indices(
-    episode: Episode, pool_size: int, cfg: AdaptConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Test-pool rows of the target: the support plus optional extra unlabeled draws.
+def _target_indices(episode: Episode, cfg: AdaptConfig, rng: np.random.Generator) -> np.ndarray:
+    """Rows of the episode's pool in the target: the support plus optional extra unlabeled draws.
 
     Extras never include the episode's own samples (classifying the query
     after aligning on it would be transductive). Supply shortfalls are
@@ -376,7 +371,7 @@ def _target_indices(
     target = episode.support
     extra = cfg.target_calibration_size - len(target)
     if extra > 0:
-        rest = np.setdiff1d(np.arange(pool_size), np.concatenate([episode.support, episode.query]))
+        rest = np.setdiff1d(np.arange(len(episode.pool)), np.concatenate([episode.support, episode.query]))
         if len(rest):
             picks = rng.choice(len(rest), size=min(extra, len(rest)), replace=False)
             target = np.concatenate([target, rest[picks]])
@@ -455,7 +450,7 @@ def evofa_test(
         adapters = [model.phi] * len(episodes)
         if adapt_cfg is not None:
             targets = [
-                _target_indices(episode, len(test_pool), adapt_cfg, rng(11, i))
+                _target_indices(episode, adapt_cfg, rng(11, i))
                 for episode, i in zip(episodes, indices)
             ]
             # each adaptation round draws a fresh evolving source per episode

@@ -6,13 +6,15 @@ before it. The header carries the architecture, a named parameter table with
 offsets into the payload, and the batch-norm running statistics table, so a
 file can be loaded without any out-of-band knowledge. Parameters are stored
 as float32; loading widens back to float64.
+
+Loading accepts only the exact header that saving the named architecture writes.
 """
 from __future__ import annotations
 
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from itertools import zip_longest
 from pathlib import Path
 
@@ -46,17 +48,6 @@ def crc64(data: bytes, crc: int = 0) -> int:
     for b in data:
         crc = ((crc << 8) & _MASK) ^ _TABLE[((crc >> 56) ^ b) & 0xFF]
     return crc
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """Decoded checkpoint: header fields plus the raw float32 payload."""
-
-    version: int
-    config: BackboneConfig
-    params: tuple[dict, ...]  # {group, name, shape, offset}
-    bn: tuple[dict, ...]  # {mean_offset, var_offset, channels, momentum, eps}
-    payload: np.ndarray  # float32, flat
 
 
 def _header_dict(model: Model) -> tuple[dict, np.ndarray]:
@@ -113,8 +104,37 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
     return path
 
 
-def read_checkpoint(path: str | Path) -> Checkpoint:
-    """Decode and verify a checkpoint file without building a model."""
+def _header_difference(have: dict, want: dict) -> str | None:
+    """The first field (and list entry) where ``have`` is not exactly ``want``, or None.
+
+    Values compare as the JSON they encode to, so ``1`` differs from ``true`` and ``1.0``.
+    """
+    text = lambda value: json.dumps(value, sort_keys=True)
+    for name in [*want, *sorted(have.keys() - want.keys())]:
+        if name not in want:
+            return f"field {name!r} is not one saving writes"
+        if name not in have:
+            return f"field {name!r} is missing"
+        a, b = have[name], want[name]
+        if text(a) == text(b):
+            continue
+        if isinstance(a, list) and isinstance(b, list):
+            i = next(i for i, (x, y) in enumerate(zip_longest(map(text, a), map(text, b))) if x != y)
+            x, y = (entries[i] if i < len(entries) else None for entries in (a, b))
+            return f"field {name!r} entry {i} is {x}, the architecture has {y}"
+        if isinstance(b, list):
+            return f"field {name!r} is {a!r}, not a list of {len(b)} entries"
+        return f"field {name!r} is {a!r}, the architecture has {b!r}"
+    return None
+
+
+def load_checkpoint(path: str | Path) -> Model:
+    """Verify a checkpoint file and rebuild its model; parameters widen to float64.
+
+    The decoded header must be exactly the header that saving a model of the
+    architecture it names writes: its parameter table ({group, name, shape,
+    offset} entries), its batch-norm table, its float count and no other field.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -151,56 +171,25 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             f"checkpoint {path} payload of {len(raw) - 8 - header_end} bytes is not a whole number of floats"
         )
     payload = np.frombuffer(raw[header_end:-8], dtype="<f4")
-    total = header.get("total_floats", -1)
-    if payload.size != total:
-        raise CheckpointError(
-            f"checkpoint {path} payload holds {payload.size} floats, header says {total}"
-        )
-    for name, kind in (("backbone", dict), ("params", list), ("bn", list)):
-        if not isinstance(header.get(name), kind):
-            raise CheckpointError(
-                f"checkpoint {path} header field {name!r} is missing or not a {kind.__name__}"
-            )
     try:
         backbone = dict(header["backbone"])
         backbone["conv_channels"] = tuple(backbone["conv_channels"])
         config = BackboneConfig(**backbone)
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint {path} header field 'backbone' is invalid: {e!r}") from e
-    return Checkpoint(
-        version=version,
-        config=config,
-        params=tuple(header["params"]),
-        bn=tuple(header["bn"]),
-        payload=payload,
-    )
-
-
-def load_checkpoint(path: str | Path) -> Model:
-    """Rebuild a model from a checkpoint file; parameters widen to float64.
-
-    The header's parameter table ({group, name, shape, offset} entries), its
-    batch-norm table and its float count must be exactly those that saving a
-    model of the architecture it names writes.
-    """
-    ckpt = read_checkpoint(path)
     # sized before it is built, so a forged header cannot make loading allocate at will
-    size = model_floats(ckpt.config)
-    if ckpt.payload.size != size:
+    size = model_floats(config)
+    if payload.size != size:
         raise CheckpointError(
             f"checkpoint {path} header field 'backbone' names an architecture that cannot be built "
-            f"from the payload: it holds {size} floats, field 'total_floats' is {ckpt.payload.size}"
+            f"from the payload: it holds {size} floats, the payload {payload.size}"
         )
-    model = create_model(ckpt.config)
+    model = create_model(config)
     want, _ = _header_dict(model)
-    for field in ("params", "bn"):
-        for i, (have, need) in enumerate(zip_longest(getattr(ckpt, field), want[field])):
-            if have != need:
-                raise CheckpointError(
-                    f"checkpoint {path} header field {field!r} entry {i} is {have}, "
-                    f"the architecture has {need}"
-                )
-    floats = lambda offset, size: ckpt.payload[offset : offset + size].astype(np.float64)
+    difference = _header_difference(header, want)
+    if difference is not None:
+        raise CheckpointError(f"checkpoint {path} header {difference}")
+    floats = lambda offset, size: payload[offset : offset + size].astype(np.float64)
     tensors = [t for group in model.groups() for _, t in group.entries]
     for t, entry in zip(tensors, want["params"]):
         t.data = floats(entry["offset"], t.size).reshape(t.shape)

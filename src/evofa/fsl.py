@@ -1,4 +1,7 @@
-"""Episodic few-shot learning: sampling, losses, classification, meta-training."""
+"""Episodic few-shot learning: sampling, losses, classification, meta-training.
+
+An episode copies no data: it holds row indices into the pool it was drawn from.
+"""
 from __future__ import annotations
 
 import math
@@ -20,58 +23,39 @@ _PROB_FLOOR = 1e-12
 class Episode:
     """N-way K-shot task: disjoint support and query sets over the same classes.
 
-    ``support`` and ``query`` are row indices into the pool the episode was
-    drawn from; ``features`` and ``labels`` are those rows, support first.
+    ``support`` and ``query`` are row indices into ``pool``, the DatasetIndex the
+    episode was drawn from. Each half lists its rows class by class, in
+    ``class_ids`` order, so a half's local targets are
+    ``np.repeat(np.arange(way), len(half) // way)``.
     """
 
-    way: int
-    shot: int
-    queries_per_class: int
+    pool: DatasetIndex
     class_ids: tuple[int, ...]
     support: np.ndarray  # [way * shot] int
-    query: np.ndarray  # [way * queries_per_class] int
-    features: np.ndarray  # [S+Q x n x d]
-    labels: np.ndarray  # [S+Q]
+    query: np.ndarray  # [way * queries] int
 
     def __post_init__(self):
-        if len(self.class_ids) != self.way or len(set(self.class_ids)) != self.way:
-            raise ProtocolError(f"episode needs {self.way} distinct classes, got {self.class_ids}")
-        if len(self.support) != self.way * self.shot:
-            raise ProtocolError(
-                f"support size {len(self.support)} != way*shot {self.way * self.shot}"
-            )
-        if len(self.query) != self.way * self.queries_per_class:
-            raise ProtocolError(
-                f"query size {len(self.query)} != way*queries {self.way * self.queries_per_class}"
-            )
-        rows = len(self.support) + len(self.query)
-        if len(self.features) != rows or len(self.labels) != rows:
-            raise ProtocolError(
-                f"episode of {rows} samples carries {len(self.features)} feature rows "
-                f"and {len(self.labels)} labels"
-            )
-        split = len(self.support)
-        for k in self.class_ids:
-            ns = int(np.sum(self.labels[:split] == k))
-            nq = int(np.sum(self.labels[split:] == k))
-            if ns != self.shot or nq != self.queries_per_class:
+        if not self.class_ids or len(set(self.class_ids)) != self.way:
+            raise ProtocolError(f"episode needs distinct classes, got {self.class_ids}")
+        for name, half in (("support", self.support), ("query", self.query)):
+            if len(half) % self.way:
+                raise ProtocolError(f"{name} of {len(half)} rows is not {self.way} whole classes")
+            if not np.array_equal(self.pool.label[half], np.repeat(self.class_ids, len(half) // self.way)):
                 raise ProtocolError(
-                    f"class {k} has {ns} support / {nq} query samples, "
-                    f"expected {self.shot} / {self.queries_per_class}"
+                    f"{name} rows are not {len(half) // self.way} per class "
+                    f"in class order {self.class_ids}"
                 )
         overlap = np.intersect1d(self.support, self.query)
         if overlap.size:
             raise ProtocolError(f"support and query overlap on rows {overlap[:3].tolist()}")
 
-    def _local(self, labels: np.ndarray) -> np.ndarray:
-        index = {c: i for i, c in enumerate(self.class_ids)}
-        return np.array([index[k] for k in labels.tolist()], dtype=np.int64)
+    @property
+    def way(self) -> int:
+        return len(self.class_ids)
 
-    def support_targets(self) -> np.ndarray:
-        return self._local(self.labels[: len(self.support)])
 
-    def query_targets(self) -> np.ndarray:
-        return self._local(self.labels[len(self.support) :])
+def _local_targets(half: np.ndarray, way: int) -> np.ndarray:
+    return np.repeat(np.arange(way), len(half) // way)
 
 
 def sample_episode(
@@ -94,25 +78,15 @@ def sample_episode(
         picks = rng.choice(len(rows), size=need, replace=False)
         support.append(rows[picks[:shot]])
         query.append(rows[picks[shot:]])
-    support, query = np.concatenate(support), np.concatenate(query)
-    rows = np.concatenate([support, query])
-    return Episode(
-        way=way,
-        shot=shot,
-        queries_per_class=queries,
-        class_ids=tuple(chosen),
-        support=support,
-        query=query,
-        features=pool.features[rows],
-        labels=pool.label[rows],
-    )
+    return Episode(pool, tuple(chosen), np.concatenate(support), np.concatenate(query))
 
 
 # -- episode forward and losses -----------------------------------------------------
 
 def episode_scores(episode: Episode, model: Model, mode: str = "eval") -> tuple[Tensor, np.ndarray]:
     """Class scores [Q' x N] for the episode's queries, plus local targets."""
-    emb = backbone.adapt(backbone.encode(Tensor(episode.features), model, mode=mode), model.phi)
+    features = episode.pool.features[np.concatenate([episode.support, episode.query])]
+    emb = backbone.adapt(backbone.encode(Tensor(features), model, mode=mode), model.phi)
     return _scores_from_embeddings(episode, model, emb)
 
 
@@ -129,7 +103,8 @@ def _scores_from_embeddings(
     split = len(episode.support)
     support_emb = ad.take(emb, slice(0, split))
     query_emb = ad.take(emb, slice(split, emb.shape[0]))
-    return model.head(support_emb, episode.support_targets(), query_emb), episode.query_targets()
+    scores = model.head(support_emb, _local_targets(episode.support, episode.way), query_emb)
+    return scores, _local_targets(episode.query, episode.way)
 
 
 def loss_from_scores(scores: Tensor, targets: np.ndarray, kind: str) -> Tensor:
@@ -171,7 +146,7 @@ def classify_query(
     with ad.no_grad():
         scores, targets = _scores_from_embeddings(episode, model, backbone.adapt(Tensor(rows), phi))
     local = np.argmax(scores.data, axis=1)
-    predictions = np.array([episode.class_ids[i] for i in local], dtype=np.int64)
+    predictions = np.array(episode.class_ids, dtype=np.int64)[local]
     accuracy = float(np.mean(local == targets))
     return predictions, accuracy
 

@@ -133,19 +133,7 @@ class ResultRow:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
 
 
-CSV_COLUMNS = (
-    "protocol",
-    "subject",
-    "session",
-    "method",
-    "shots",
-    "way",
-    "queries",
-    "episodes",
-    "mean_accuracy",
-    "std_accuracy",
-    "std_over",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name != "wall_clock_seconds")
 
 
 def _fmt(value) -> str:
@@ -167,17 +155,11 @@ class ResultTable:
     @staticmethod
     def aggregate(cell_rows: list[ResultRow]) -> list[ResultRow]:
         """Mean and across-subject std per (method, shots), in first-seen order."""
-        order: list[tuple[str, int]] = []
         groups: dict[tuple[str, int], list[ResultRow]] = {}
         for row in cell_rows:
-            key = (row.method, row.shots)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
+            groups.setdefault((row.method, row.shots), []).append(row)
         out = []
-        for key in order:
-            members = groups[key]
+        for key, members in groups.items():
             means = np.array([r.mean_accuracy for r in members])
             out.append(
                 ResultRow(

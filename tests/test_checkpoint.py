@@ -2,6 +2,7 @@
 import json
 import struct
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from evofa.checkpoint import (
     MAGIC,
     crc64,
     load_checkpoint,
-    read_checkpoint,
     save_checkpoint,
 )
 from evofa.errors import CheckpointError, ConfigError
@@ -82,19 +82,20 @@ def test_save_returns_path_and_leaves_no_tmp(model, tmp_path):
 
 
 def test_read_checkpoint_structure(model, tmp_path):
-    path = save_checkpoint(model, tmp_path / "m.ckpt")
-    ckpt = read_checkpoint(path)
-    assert ckpt.version == FORMAT_VERSION
-    assert ckpt.config == TINY
-    names = {(e["group"], e["name"]) for e in ckpt.params}
-    for group in model.groups():
-        for name, _ in group.entries:
-            assert (group.name, name) in names
-    assert len(ckpt.bn) == len(model.bn_states)
-    assert ckpt.payload.dtype == np.dtype("<f4")
-    sizes = sum(int(np.prod(e["shape"])) for e in ckpt.params)
-    sizes += sum(2 * e["channels"] for e in ckpt.bn)
-    assert ckpt.payload.size == sizes
+    """The file's own bytes describe it: version, architecture, both tables, float count."""
+    blob = save_checkpoint(model, tmp_path / "m.ckpt").read_bytes()
+    assert struct.unpack_from("<I", blob, 4) == (FORMAT_VERSION,)
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + header_len])
+    assert header["backbone"] == {**asdict(TINY), "conv_channels": list(TINY.conv_channels)}
+    assert [(e["group"], e["name"]) for e in header["params"]] == [
+        (group.name, name) for group in model.groups() for name, _ in group.entries
+    ]
+    assert len(header["bn"]) == len(model.bn_states)
+    sizes = sum(int(np.prod(e["shape"])) for e in header["params"])
+    sizes += sum(2 * e["channels"] for e in header["bn"])
+    assert header["total_floats"] == sizes == model_floats(TINY)
+    assert len(blob) - 8 - (16 + header_len) == 4 * sizes
 
 
 def test_loaded_model_matches_original_structure(model, tmp_path):
@@ -146,14 +147,14 @@ def test_load_is_deterministic(model, tmp_path):
 
 def test_missing_file_reports_path(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read"):
-        read_checkpoint(tmp_path / "absent.ckpt")
+        load_checkpoint(tmp_path / "absent.ckpt")
 
 
 def test_truncated_file(tmp_path):
     path = tmp_path / "t.ckpt"
     path.write_bytes(MAGIC)
     with pytest.raises(CheckpointError, match="truncated"):
-        read_checkpoint(path)
+        load_checkpoint(path)
 
 
 def test_bad_magic(model, tmp_path):
@@ -161,7 +162,7 @@ def test_bad_magic(model, tmp_path):
     blob = path.read_bytes()
     path.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(CheckpointError, match="bad magic"):
-        read_checkpoint(path)
+        load_checkpoint(path)
 
 
 def test_version_mismatch(model, tmp_path):
@@ -169,7 +170,7 @@ def test_version_mismatch(model, tmp_path):
     blob = path.read_bytes()
     path.write_bytes(refix_crc(blob[:4] + struct.pack("<I", FORMAT_VERSION + 1) + blob[8:]))
     with pytest.raises(CheckpointError, match="format version"):
-        read_checkpoint(path)
+        load_checkpoint(path)
 
 
 def test_truncated_inside_header(model, tmp_path):
@@ -178,7 +179,7 @@ def test_truncated_inside_header(model, tmp_path):
     huge = blob[:8] + struct.pack("<Q", 2**40) + blob[16:]
     path.write_bytes(huge)
     with pytest.raises(CheckpointError, match="truncated inside its header"):
-        read_checkpoint(path)
+        load_checkpoint(path)
 
 
 def test_checksum_mismatch_names_both_values(model, tmp_path):
@@ -187,7 +188,7 @@ def test_checksum_mismatch_names_both_values(model, tmp_path):
     blob[-9] ^= 0xFF  # flip a payload byte, leave the stored crc alone
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="stored 0x.*computed 0x"):
-        read_checkpoint(path)
+        load_checkpoint(path)
 
 
 def test_unreadable_header(model, tmp_path):
@@ -197,7 +198,7 @@ def test_unreadable_header(model, tmp_path):
     blob[16 : 16 + header_len] = b"{" * header_len
     path.write_bytes(refix_crc(bytes(blob)))
     with pytest.raises(CheckpointError, match="unreadable header"):
-        read_checkpoint(path)
+        load_checkpoint(path)
 
 
 def fake_file(tmp_path, header: dict, floats: int) -> "Path":
@@ -216,13 +217,11 @@ def fake_file(tmp_path, header: dict, floats: int) -> "Path":
 
 def test_payload_size_mismatch(tmp_path):
     path = fake_file(tmp_path, {"total_floats": 5}, floats=4)
-    with pytest.raises(CheckpointError, match="holds 4 floats, header says 5"):
-        read_checkpoint(path)
+    with pytest.raises(CheckpointError, match="header field 'backbone' is invalid"):
+        load_checkpoint(path)
 
 
 def test_parameter_outside_payload(tmp_path):
-    from dataclasses import asdict
-
     backbone = asdict(TINY)
     backbone["conv_channels"] = list(backbone["conv_channels"])
     size = model_floats(TINY)  # the architecture's float count, so the table check is reached
@@ -271,7 +270,7 @@ def set_first(table, key, value):
 HEADER_DEFECTS = {
     "no_fc2_b": (drop_param("fc2_b"), "field 'params' entry 20 is None, the architecture has {"),
     "no_bn": (lambda h: h.pop("bn"), "header field 'bn' is missing"),
-    "no_backbone": (lambda h: h.pop("backbone"), "header field 'backbone' is missing"),
+    "no_backbone": (lambda h: h.pop("backbone"), "header field 'backbone' is invalid: KeyError('backbone')"),
     "no_params": (lambda h: h.pop("params"), "header field 'params' is missing"),
     "unknown_backbone_key": (
         lambda h: h["backbone"].update(depth=7), "header field 'backbone' is invalid"
@@ -292,7 +291,16 @@ HEADER_DEFECTS = {
     "bn_channels": (set_first("bn", "channels", 1), "header field 'bn' entry 0 is"),
     "bn_missing_layer": (lambda h: h["bn"].pop(), "header field 'bn' entry 3 is None"),
     "bn_no_eps": (lambda h: h["bn"][0].pop("eps"), "header field 'bn' entry 0 is"),
-    "params_not_list": (lambda h: h.update(params={}), "header field 'params' is missing or not a list"),
+    "params_not_list": (lambda h: h.update(params={}), "header field 'params' is {}, not a list of 21 entries"),
+    "extra_field": (lambda h: h.update(comment=1), "header field 'comment' is not one saving writes"),
+    "total_floats_off": (
+        lambda h: h.update(total_floats=h["total_floats"] + 1), "header field 'total_floats' is "
+    ),
+    "bn_channels_as_float": (set_first("bn", "channels", 2.0), "header field 'bn' entry 0 is"),
+    "params_trailing_null": (lambda h: h["params"].append(None), "header field 'params' entry 21 is None"),
+    "backbone_default_left_out": (
+        lambda h: h["backbone"].pop("matching_temperature"), "header field 'backbone' is {"
+    ),
     "header_not_object": (None, "header is not a JSON object"),
 }
 
@@ -372,7 +380,7 @@ def test_payload_not_whole_floats_rejected(model, tmp_path):
     blob = path.read_bytes()
     path.write_bytes(_resigned(blob[:-8] + b"\x00"))
     with pytest.raises(CheckpointError, match="not a whole number of floats"):
-        read_checkpoint(path)
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("width", [1.5, True])

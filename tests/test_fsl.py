@@ -1,5 +1,5 @@
 """Tests for episodic sampling, the three few-shot losses, and the training loops."""
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -62,30 +62,12 @@ def tiny_backbone(**overrides):
 
 
 def manual_episode(class_ids=(0, 1, 2), shot=1, queries=2, shape=(2, 2), seed=0):
-    """An episode over an implicit pool holding, per class, shot then query samples."""
-    rng = np.random.default_rng(seed)
+    """An episode over a toy pool holding, per class in ``class_ids`` order, shot then query samples."""
     per_class = shot + queries
-    rows = np.arange(len(class_ids) * per_class).reshape(len(class_ids), per_class)
-    support, query = rows[:, :shot].ravel(), rows[:, shot:].ravel()
-    features = rng.normal(size=(rows.size, *shape))
-    labels = np.repeat(class_ids, per_class)
-    order = np.concatenate([support, query])
-    return Episode(
-        way=len(class_ids),
-        shot=shot,
-        queries_per_class=queries,
-        class_ids=tuple(class_ids),
-        support=support,
-        query=query,
-        features=features[order],
-        labels=labels[order],
-    )
-
-
-def with_support_order(ep, perm):
-    """The episode with its support rows permuted."""
-    order = np.concatenate([perm, np.arange(len(ep.support), len(ep.labels))])
-    return replace(ep, support=ep.support[perm], features=ep.features[order], labels=ep.labels[order])
+    pool = toy_pool(len(class_ids), per_class, shape, seed)
+    pool = replace(pool, label=np.repeat(class_ids, per_class), num_classes=max(class_ids) + 1)
+    rows = np.arange(len(pool)).reshape(len(class_ids), per_class)
+    return Episode(pool, tuple(class_ids), rows[:, :shot].ravel(), rows[:, shot:].ravel())
 
 
 # -- Episode invariants ------------------------------------------------------------
@@ -98,31 +80,52 @@ def test_episode_valid_construction():
     assert len(ep.query) == 6
 
 
+def test_episode_fields_are_pool_class_ids_and_row_indices():
+    assert [f.name for f in fields(Episode)] == ["pool", "class_ids", "support", "query"]
+
+
 def test_episode_rejects_duplicate_class_ids():
     ep = manual_episode()
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match="distinct classes"):
         replace(ep, class_ids=(0, 0, 2))
+    with pytest.raises(ProtocolError, match="distinct classes"):
+        replace(ep, class_ids=())
 
 
 def test_episode_rejects_wrong_support_size():
-    ep = manual_episode()
-    with pytest.raises(ProtocolError):
-        replace(ep, shot=2)
+    ep = manual_episode(shot=2)
+    with pytest.raises(ProtocolError, match="support of 5 rows is not 3 whole classes"):
+        replace(ep, support=ep.support[:5])
 
 
 def test_episode_rejects_wrong_query_size():
     ep = manual_episode()
-    with pytest.raises(ProtocolError):
-        replace(ep, queries_per_class=3)
+    with pytest.raises(ProtocolError, match="query of 7 rows is not 3 whole classes"):
+        replace(ep, query=np.append(ep.query, 0))
 
 
 def test_episode_rejects_per_class_miscount():
+    ep = manual_episode(queries=2)
+    # right totals, wrong per-class composition: a class-1 query row stands in for a class-0 one
+    query = ep.query.copy()
+    query[0] = query[2]
+    with pytest.raises(ProtocolError, match="query rows are not 2 per class"):
+        replace(ep, query=query)
+
+
+def test_episode_rejects_half_not_grouped_in_class_id_order():
+    ep = manual_episode(queries=2)
+    with pytest.raises(ProtocolError, match="support rows are not 1 per class in class order"):
+        replace(ep, support=ep.support[::-1])
+    interleaved = ep.query.reshape(3, 2).T.ravel()  # classes 0, 1, 2, 0, 1, 2
+    with pytest.raises(ProtocolError, match="query rows are not 2 per class"):
+        replace(ep, query=interleaved)
+
+
+def test_episode_rejects_class_ids_the_rows_do_not_have():
     ep = manual_episode()
-    # right totals, wrong per-class composition: swap one support label
-    labels = ep.labels.copy()
-    labels[0] = 1
-    with pytest.raises(ProtocolError):
-        replace(ep, labels=labels)
+    with pytest.raises(ProtocolError, match="support rows"):
+        replace(ep, class_ids=(0, 1, 3))
 
 
 def test_episode_rejects_support_query_overlap():
@@ -135,8 +138,10 @@ def test_episode_rejects_support_query_overlap():
 
 def test_episode_local_targets_follow_class_id_order():
     ep = manual_episode(class_ids=(4, 7, 9))
-    assert ep.support_targets().tolist() == [0, 1, 2]
-    assert ep.query_targets().tolist() == [0, 0, 1, 1, 2, 2]
+    model = create_model(tiny_backbone(), seed=0)
+    _, targets = episode_scores(ep, model)
+    assert targets.tolist() == [0, 0, 1, 1, 2, 2]
+    assert [ep.class_ids[i] for i in targets] == ep.pool.label[ep.query].tolist()
 
 
 # -- sample_episode ------------------------------------------------------------------
@@ -175,15 +180,14 @@ def test_sample_composition_over_many_episodes():
         assert list(ep.class_ids) == sorted(ep.class_ids)
         rows = np.concatenate([ep.support, ep.query])
         assert len(set(rows.tolist())) == len(rows)
-        assert np.array_equal(ep.features, pool.features[rows])
-        assert np.array_equal(ep.labels, pool.label[rows])
+        assert ep.pool is pool
         seen_classes.update(ep.class_ids)
     assert seen_classes == {0, 1, 2, 3, 4}
 
 
 def test_sample_deterministic_given_rng():
     pool = toy_pool(num_classes=5, per_class=12)
-    key = lambda ep: (ep.support.tolist(), ep.query.tolist(), ep.labels.tolist())
+    key = lambda ep: (ep.class_ids, ep.support.tolist(), ep.query.tolist())
     a = sample_episode(pool, 3, 1, 5, np.random.default_rng(42))
     b = sample_episode(pool, 3, 1, 5, np.random.default_rng(42))
     c = sample_episode(pool, 3, 1, 5, np.random.default_rng(43))
@@ -267,22 +271,30 @@ def test_way_mismatch_rejected():
         episode_scores(manual_episode(), model)
 
 
+def support_order_losses(kind, shot, seed):
+    """A 3-way loss through ``backbone.head_forward``, support rows in class order then shuffled."""
+    model = create_model(tiny_backbone(head_kind=kind), seed=0)
+    rng = np.random.default_rng(seed)
+    support, query = rng.normal(size=(3 * shot, 2)), rng.normal(size=(6, 2))
+    labels = np.repeat(np.arange(3), shot)
+    losses = []
+    for order in (np.arange(len(labels)), rng.permutation(len(labels))):
+        scores = backbone.head_forward(
+            Tensor(support[order]), labels[order], Tensor(query), model.w, kind, 3,
+            temperature=model.config.matching_temperature,
+        )
+        losses.append(loss_from_scores(scores, np.repeat(np.arange(3), 2), kind).item())
+    return losses
+
+
 def test_proto_loss_permutation_invariant_in_support():
-    model = create_model(tiny_backbone(head_kind="proto"), seed=0)
-    ep = manual_episode(shot=3, queries=2)
-    shuffled = with_support_order(ep, np.random.default_rng(5).permutation(len(ep.support)))
-    base = episode_loss(ep, model, mode="eval").item()
-    moved = episode_loss(shuffled, model, mode="eval").item()
+    base, moved = support_order_losses("proto", shot=3, seed=5)
     assert abs(base - moved) < 1e-9
 
 
 @pytest.mark.parametrize("kind", ["matching", "relation"])
 def test_other_heads_permutation_invariant_too(kind):
-    model = create_model(tiny_backbone(head_kind=kind), seed=0)
-    ep = manual_episode(shot=2, queries=2)
-    shuffled = with_support_order(ep, np.random.default_rng(9).permutation(len(ep.support)))
-    base = episode_loss(ep, model, mode="eval").item()
-    moved = episode_loss(shuffled, model, mode="eval").item()
+    base, moved = support_order_losses(kind, shot=2, seed=9)
     assert abs(base - moved) < 1e-9
 
 
@@ -308,17 +320,9 @@ def test_episode_gradients_match_finite_differences():
 def test_tiebreak_picks_lowest_class_id():
     # all-zero features embed identically, so every class scores the same
     model = create_model(tiny_backbone(), seed=0)
-    ep = Episode(
-        way=3,
-        shot=1,
-        queries_per_class=1,
-        class_ids=(3, 5, 9),
-        support=np.arange(3),
-        query=np.arange(3, 6),
-        features=np.zeros((6, 2, 2)),
-        labels=np.array([3, 5, 9, 3, 5, 9]),
-    )
-    predictions, accuracy = classify_query(ep, model, encode_rows(model, ep.features), model.phi)
+    ep = manual_episode(class_ids=(3, 5, 9), shot=1, queries=1)
+    ep = replace(ep, pool=replace(ep.pool, features=np.zeros((6, 2, 2))))
+    predictions, accuracy = classify_query(ep, model, encode_rows(model, ep.pool.features), model.phi)
     assert predictions.tolist() == [3, 3, 3]
     assert accuracy == pytest.approx(1.0 / 3.0)
 
