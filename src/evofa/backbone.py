@@ -290,7 +290,7 @@ def head_forward(
     if head_kind not in HEAD_KINDS:
         raise ConfigError(f"unknown head kind {head_kind!r}")
     if head_kind == "linear":
-        return ad.add(ad.matmul(query, w.get("lin_w")), w.get("lin_b"))
+        return linear_head(query, w)
 
     support_labels = np.asarray(support_labels, dtype=np.int64)
     if support.ndim != 2 or query.ndim != 2 or support.shape[1] != query.shape[1]:
@@ -323,6 +323,11 @@ def head_forward(
     hidden = ad.relu(ad.add(ad.matmul(pairs, w.get("rel_w1")), w.get("rel_b1")))
     scores = ad.sigmoid(ad.add(ad.matmul(hidden, w.get("rel_w2")), w.get("rel_b2")))
     return ad.reshape(scores, (num_query, num_classes))
+
+
+def linear_head(query: Tensor, w: ParamGroup) -> Tensor:
+    """Non-episodic class scores [Q x C]: an affine map that needs no support set."""
+    return ad.add(ad.matmul(query, w.get("lin_w")), w.get("lin_b"))
 
 
 def _row_normalize(x: Tensor) -> Tensor:

@@ -12,7 +12,6 @@ Loading accepts only the exact header that saving the named architecture writes.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import asdict
 from itertools import zip_longest
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import BackboneConfig, Model, create_model, model_floats
+from .data import atomic_write
 from .errors import CheckpointError
 
 MAGIC = b"EVCK"
@@ -97,10 +97,7 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
         + payload.astype("<f4").tobytes()
     )
     blob += struct.pack("<Q", crc64(blob))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    atomic_write(path, blob)
     return path
 
 

@@ -15,11 +15,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import export_features, generate_synthetic_drift, import_features
+from .data import atomic_write, export_features, generate_synthetic_drift, import_features
 from .errors import ConfigError
 from .harness import (
     ResultTable,
-    atomic_write_text,
     cell_pools,
     evaluate_cell,
     load_dataset,
@@ -99,7 +98,7 @@ def _write_manifest_stub(out: _Outputs, out_dir: Path, dataset_obj: dict) -> Non
         "created_unix": time.time(),
     }
     path = Path(out_dir) / "run-manifest.json"
-    atomic_write_text(path, json.dumps(stub, indent=2) + "\n")
+    atomic_write(path, (json.dumps(stub, indent=2) + "\n").encode())
     out.track(path)
 
 
@@ -125,7 +124,7 @@ def _cmd_train(args, out: _Outputs) -> int:
     ckpt_path = out.track(save_checkpoint(model, out_dir / "checkpoints" / "model.ckpt"))
     log_lines = ["epoch,val_accuracy"] + [f"{e},{a:.12g}" for e, a in history]
     log_path = out_dir / "logs" / "train_log.csv"
-    atomic_write_text(log_path, "\n".join(log_lines) + "\n")
+    atomic_write(log_path, ("\n".join(log_lines) + "\n").encode())
     out.track(log_path)
     out.track(write_run_manifest(out_dir, cfg))
     best = max((a for _, a in history), default=float("nan"))

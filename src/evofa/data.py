@@ -128,13 +128,15 @@ Cells = frozenset[tuple[int, int]]
 class SplitSpec:
     """Three disjoint sets of (subject, session) cells."""
 
-    kind: str  # "intra" or "inter"
     train: Cells
     val: Cells
     test: Cells
 
     def __post_init__(self):
-        self.check_disjoint()
+        overlap = (self.train & self.val) | (self.train & self.test) | (self.val & self.test)
+        if overlap:
+            subject, session = min(overlap)
+            raise ProtocolError(f"split parts overlap on subject {subject}, session {session}")
 
     def part(self, name: str) -> Cells:
         if name not in ("train", "val", "test"):
@@ -148,12 +150,6 @@ class SplitSpec:
             keep |= (ds.subject == subject) & (ds.session == session)
         return ds._subset(keep)
 
-    def check_disjoint(self) -> None:
-        overlap = (self.train & self.val) | (self.train & self.test) | (self.val & self.test)
-        if overlap:
-            subject, session = min(overlap)
-            raise ProtocolError(f"split parts overlap on subject {subject}, session {session}")
-
 
 def make_intra_split(ds: DatasetIndex, subject_id: int) -> SplitSpec:
     """Within one subject: session 1 trains, session 2 validates, session 3 tests."""
@@ -166,7 +162,6 @@ def make_intra_split(ds: DatasetIndex, subject_id: int) -> SplitSpec:
                 f"intra protocol needs sessions 1..3 for subject {subject_id}, found {sessions}"
             )
     return SplitSpec(
-        kind="intra",
         train=frozenset({(subject_id, 1)}),
         val=frozenset({(subject_id, 2)}),
         test=frozenset({(subject_id, 3)}),
@@ -188,7 +183,6 @@ def make_inter_split(
     train_subjects = set(rng.choice(pool, size=12, replace=False).tolist())
     cells = lambda subjects: frozenset((s, session_id) for s in subjects)
     return SplitSpec(
-        kind="inter",
         train=cells(train_subjects),
         val=cells(set(pool) - train_subjects),
         test=cells([test_subject]),
@@ -329,11 +323,20 @@ def _read_feature_file(path: Path, count: int, schema: tuple[int, int]) -> np.nd
     return arr.reshape(count, schema[0], schema[1])
 
 
+def atomic_write(path: Path, blob: bytes) -> None:
+    """Write ``blob`` to ``<name>.tmp`` beside ``path``, then rename it over ``path``.
+
+    A reader sees the old file or the whole new one, never a partial write.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(blob)
+    os.replace(tmp, path)
+
+
 def _write_feature_file(path: Path, features: np.ndarray) -> None:
     payload = np.ascontiguousarray(features, dtype="<f4").tobytes()
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(FEATURE_MAGIC + struct.pack("<I", FEATURE_VERSION) + payload)
-    os.replace(tmp, path)
+    atomic_write(path, FEATURE_MAGIC + struct.pack("<I", FEATURE_VERSION) + payload)
 
 
 _SCHEMA_MAX = 2**16  # electrodes or bands per sample
@@ -501,7 +504,5 @@ def export_features(ds: DatasetIndex, out_dir: str | Path) -> Path:
         "subjects": subjects_json,
     }
     manifest_path = out_dir / "manifest.json"
-    tmp = manifest_path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2))
-    os.replace(tmp, manifest_path)
+    atomic_write(manifest_path, json.dumps(manifest, indent=2).encode())
     return manifest_path

@@ -108,9 +108,9 @@ def _scores_from_embeddings(
 
 
 def loss_from_scores(scores: Tensor, targets: np.ndarray, kind: str) -> Tensor:
-    """Head-specific loss: matching/proto cross-entropies, relation MSE."""
+    """Head-specific loss: proto and linear softmax cross-entropy, matching NLL, relation MSE."""
     num_query = scores.shape[0]
-    if kind == "proto":
+    if kind in ("proto", "linear"):
         logp = ad.log_softmax(scores, axis=-1)
         picked = ad.take(logp, (np.arange(num_query), targets))
         return ad.neg(picked.mean())
@@ -127,11 +127,7 @@ def loss_from_scores(scores: Tensor, targets: np.ndarray, kind: str) -> Tensor:
 
 def episode_loss(episode: Episode, model: Model, mode: str = "train") -> Tensor:
     """Head-specific training loss over the episode's query set."""
-    scores, targets = episode_scores(episode, model, mode=mode)
-    loss = loss_from_scores(scores, targets, model.config.head_kind)
-    if not loss.is_finite():
-        raise ContractError(f"{model.config.head_kind} episode loss is non-finite")
-    return loss
+    return loss_from_scores(*episode_scores(episode, model, mode=mode), model.config.head_kind)
 
 
 def classify_query(
@@ -151,14 +147,18 @@ def classify_query(
     return predictions, accuracy
 
 
+def _linear_scores(model: Model, features: np.ndarray, mode: str) -> Tensor:
+    """Linear-head class scores [B x C] of a feature batch: encoder, adapter, head."""
+    emb = backbone.adapt(backbone.encode(Tensor(features), model, mode=mode), model.phi)
+    return backbone.linear_head(emb, model.w)
+
+
 def classify_pool(model: Model, pool: DatasetIndex) -> tuple[np.ndarray, float]:
     """Whole-pool classification for non-episodic (linear-head) models."""
-    rows = encode_rows(model, pool.features)
     predictions = []
-    with ad.no_grad():  # the adapter and head run in the encoder's batches
-        for start in range(0, len(rows), ENCODE_BATCH):
-            emb = backbone.adapt(Tensor(rows[start : start + ENCODE_BATCH]), model.phi)
-            scores = model.head(Tensor(np.zeros((0, emb.shape[1]))), np.array([], dtype=np.int64), emb)
+    with ad.no_grad():
+        for start in range(0, len(pool), ENCODE_BATCH):
+            scores = _linear_scores(model, pool.features[start : start + ENCODE_BATCH], "eval")
             predictions.append(np.argmax(scores.data, axis=1))
     predictions = np.concatenate(predictions) if predictions else np.array([], dtype=np.int64)
     accuracy = float(np.mean(predictions == pool.label)) if len(pool) else 0.0
@@ -220,37 +220,47 @@ def validation_accuracy(model: Model, pool: DatasetIndex, cfg: TrainConfig) -> f
     return total / cfg.validation_episodes
 
 
-def meta_train(
-    train_pool: DatasetIndex,
-    val_pool: DatasetIndex,
-    cfg: TrainConfig,
-    on_epoch=None,
-) -> Model:
-    """Episode-per-step training; returns the best-validation parameter snapshot.
+def _train(model: Model, groups: list[ParamGroup], cfg, step_losses, validate, on_epoch=None) -> Model:
+    """SGD on ``groups`` for ``cfg.max_epochs`` epochs; returns the best-validation snapshot.
+
+    Epoch ``e`` takes one step at ``cfg.learning_rate`` per loss that ``step_losses(e)``
+    yields, then passes ``validate()`` to ``on_epoch(e, accuracy)`` if given. A snapshot
+    is taken when the accuracy beats the best so far, so ties keep the earlier epoch and
+    zero epochs return the initial parameters.
+    """
+    best_acc, best = -1.0, model.copy()
+    for epoch in range(cfg.max_epochs):
+        for loss in step_losses(epoch):
+            if not loss.is_finite():
+                raise ContractError(f"non-finite {model.config.head_kind} loss at epoch {epoch}")
+            model.zero_grad()
+            ad.backward(loss)
+            del loss  # no step's tape may live on while the next step records its own
+            for group in groups:
+                ad.sgd_step(group, cfg.learning_rate)
+        acc = validate()
+        if on_epoch is not None:
+            on_epoch(epoch, acc)
+        if acc > best_acc:
+            best_acc, best = acc, model.copy()
+    return best
+
+
+def meta_train(train_pool: DatasetIndex, val_pool: DatasetIndex, cfg: TrainConfig, on_epoch=None) -> Model:
+    """Episode-per-step training of every group; returns the best-validation snapshot.
 
     on_epoch, if given, is called as on_epoch(epoch, validation_accuracy)
     after each epoch's validation pass.
     """
     model = create_model(cfg.model_config(), seed=cfg.rng_seed)
-    best_acc = -1.0
-    best = model.copy()
-    for epoch in range(cfg.max_epochs):
+
+    def episode_losses(epoch: int):
         for i in range(cfg.episodes_per_epoch):
             rng = np.random.default_rng([cfg.rng_seed, 3, epoch, i])
-            episode = sample_episode(train_pool, cfg.way, cfg.shot, cfg.queries, rng)
-            model.zero_grad()
-            loss = episode_loss(episode, model, mode="train")
-            ad.backward(loss)
-            for group in model.groups():
-                if group.entries:
-                    ad.sgd_step(group, cfg.learning_rate)
-        acc = validation_accuracy(model, val_pool, cfg)
-        if on_epoch is not None:
-            on_epoch(epoch, acc)
-        if acc > best_acc:
-            best_acc = acc
-            best = model.copy()
-    return best
+            yield episode_loss(sample_episode(train_pool, cfg.way, cfg.shot, cfg.queries, rng), model)
+
+    validate = lambda: validation_accuracy(model, val_pool, cfg)
+    return _train(model, model.groups(), cfg, episode_losses, validate, on_epoch)
 
 
 @dataclass(frozen=True)
@@ -281,40 +291,21 @@ def train_supervised_baseline(
     train_pool: DatasetIndex,
     val_pool: DatasetIndex,
     cfg: SupervisedConfig,
-    on_epoch=None,
 ) -> Model:
     """Backbone + linear softmax classifier; best-validation snapshot returned.
 
     The adapter stays at its identity initialization: it exists for test-time
-    adaptation and takes no part in the supervised objective. on_epoch, if
-    given, is called as on_epoch(epoch, validation_accuracy) per epoch.
+    adaptation and takes no part in the supervised objective.
     """
     model = create_model(cfg.model_config(), seed=cfg.rng_seed)
-    best_acc = -1.0
-    best = model.copy()
-    for epoch in range(cfg.max_epochs):
-        rng = np.random.default_rng([cfg.rng_seed, 5, epoch])
-        order = rng.permutation(len(train_pool))
+
+    def batch_losses(epoch: int):
+        order = np.random.default_rng([cfg.rng_seed, 5, epoch]).permutation(len(train_pool))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            model.zero_grad()
-            enc = backbone.encode(Tensor(train_pool.features[idx]), model, mode="train")
-            emb = backbone.adapt(enc, model.phi)
-            scores = model.head(
-                Tensor(np.zeros((0, emb.shape[1]))), np.array([], dtype=np.int64), emb
+            yield loss_from_scores(
+                _linear_scores(model, train_pool.features[idx], "train"), train_pool.label[idx], "linear"
             )
-            logp = ad.log_softmax(scores, axis=-1)
-            picked = ad.take(logp, (np.arange(len(idx)), train_pool.label[idx]))
-            loss = ad.neg(picked.mean())
-            if not loss.is_finite():
-                raise ContractError(f"non-finite supervised loss at epoch {epoch}")
-            ad.backward(loss)
-            ad.sgd_step(model.theta, cfg.learning_rate)
-            ad.sgd_step(model.w, cfg.learning_rate)
-        _, acc = classify_pool(model, val_pool)
-        if on_epoch is not None:
-            on_epoch(epoch, acc)
-        if acc > best_acc:
-            best_acc = acc
-            best = model.copy()
-    return best
+
+    validate = lambda: classify_pool(model, val_pool)[1]
+    return _train(model, [model.theta, model.w], cfg, batch_losses, validate)

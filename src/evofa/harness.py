@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -32,6 +31,7 @@ from .data import (
     DatasetIndex,
     DriftConfig,
     _is_int,
+    atomic_write,
     generate_synthetic_drift,
     import_features,
     make_inter_split,
@@ -205,16 +205,9 @@ class ResultTable:
         out = Path(out_dir)
         csv_path = out / "results.csv"
         json_path = out / "results.json"
-        atomic_write_text(csv_path, self.to_csv_text())
-        atomic_write_text(json_path, json.dumps(self.to_json_obj(), indent=2) + "\n")
+        atomic_write(csv_path, self.to_csv_text().encode())
+        atomic_write(json_path, (json.dumps(self.to_json_obj(), indent=2) + "\n").encode())
         return csv_path, json_path
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def write_run_manifest(out_dir: str | Path, cfg: ExperimentConfig) -> Path:
@@ -225,7 +218,7 @@ def write_run_manifest(out_dir: str | Path, cfg: ExperimentConfig) -> Path:
         "config": config_to_obj(cfg),
         "created_unix": time.time(),
     }
-    atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
+    atomic_write(path, (json.dumps(manifest, indent=2) + "\n").encode())
     return path
 
 

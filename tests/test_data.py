@@ -446,7 +446,6 @@ def test_select_keeps_dataset_order_and_metadata():
 def test_split_spec_rejects_overlapping_cells():
     with pytest.raises(ProtocolError, match="overlap on subject 1, session 2"):
         data.SplitSpec(
-            kind="intra",
             train=frozenset({(1, 1)}),
             val=frozenset({(1, 2)}),
             test=frozenset({(1, 2), (1, 3)}),
@@ -614,7 +613,6 @@ def test_no_drift_mmd_within_permutation_null(seed, pair):
 def test_intra_split_maps_sessions():
     ds = data.generate_synthetic_drift(SMALL)
     spec = data.make_intra_split(ds, subject_id=1)
-    assert spec.kind == "intra"
     train = spec.select(ds, "train")
     val = spec.select(ds, "val")
     test = spec.select(ds, "test")
@@ -628,7 +626,6 @@ def test_intra_split_maps_sessions():
 def test_intra_split_disjoint():
     ds = data.generate_synthetic_drift(SMALL)
     spec = data.make_intra_split(ds, subject_id=2)
-    spec.check_disjoint()
     ids = lambda part: set(zip(*(getattr(spec.select(ds, part), c).tolist() for c in data.COLUMNS)))
     assert not (ids("train") & ids("val"))
     assert not (ids("train") & ids("test"))
@@ -666,7 +663,6 @@ def test_inter_split_subject_counts(subjects, expect_val):
     assert len(_subjects_of(spec, ds, "train")) == 12
     assert len(_subjects_of(spec, ds, "val")) == expect_val
     assert _subjects_of(spec, ds, "test") == [1]
-    spec.check_disjoint()
 
 
 def test_inter_split_seeded_reproducible():

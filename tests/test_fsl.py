@@ -1,4 +1,6 @@
 """Tests for episodic sampling, the three few-shot losses, and the training loops."""
+import math
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,7 +13,7 @@ from evofa import backbone, fsl
 from evofa.autodiff import Tensor, finite_diff_check
 from evofa.backbone import BackboneConfig, create_model, encode_rows
 from evofa.data import DatasetIndex, DriftConfig, generate_synthetic_drift, make_intra_split
-from evofa.errors import ConfigError, ProtocolError, SamplingError
+from evofa.errors import ConfigError, ContractError, ProtocolError, SamplingError
 from evofa.fsl import (
     Episode,
     SupervisedConfig,
@@ -503,13 +505,81 @@ def test_trained_model_separates_clusters_perfectly(trained_proto, separable_poo
     assert np.mean(accs) == 1.0
 
 
-def test_meta_train_zero_epochs_returns_init(separable_pools):
+TRAINERS = ["meta_train", "train_supervised_baseline"]
+
+
+def small_trainer(name, **overrides):
+    """A trainer and a small config for it, for the separable pools."""
+    small = tiny_backbone(n_electrodes=6, d_bands=4, adapter_hidden=4)
+    if name == "meta_train":
+        return meta_train, TrainConfig(backbone=small, episodes_per_epoch=3, validation_episodes=2, **overrides)
+    return train_supervised_baseline, SupervisedConfig(backbone=small, **overrides)
+
+
+@pytest.mark.parametrize("name", TRAINERS)
+def test_zero_epochs_returns_init(name, separable_pools):
     train, val, _ = separable_pools
-    cfg = TrainConfig(backbone=SEPARABLE_BACKBONE, max_epochs=0, rng_seed=9)
-    model = meta_train(train, val, cfg)
+    trainer, cfg = small_trainer(name, max_epochs=0, rng_seed=9)
+    model = trainer(train, val, cfg)
     fresh = create_model(cfg.model_config(), seed=9)
     for got, want in zip(model.groups(), fresh.groups()):
         assert got.state_bytes() == want.state_bytes()
+
+
+@pytest.mark.parametrize("name", TRAINERS)
+def test_non_finite_loss_raises_naming_its_epoch(name, separable_pools, monkeypatch):
+    train, val, _ = separable_pools
+    trainer, cfg = small_trainer(name, max_epochs=2)
+    steps = cfg.episodes_per_epoch if name == "meta_train" else math.ceil(len(train) / cfg.batch_size)
+    calls = []
+    original = fsl.loss_from_scores
+
+    def nan_from_second_epoch(scores, targets, kind):
+        calls.append(kind)
+        loss = original(scores, targets, kind)
+        return ad.mul(loss, Tensor(np.nan)) if len(calls) > steps else loss
+
+    monkeypatch.setattr(fsl, "loss_from_scores", nan_from_second_epoch)
+    with pytest.raises(ContractError, match=f"non-finite {cfg.model_config().head_kind} loss at epoch 1"):
+        trainer(train, val, cfg)
+    assert len(calls) == steps + 1
+
+
+def _tape_array_ref(loss):
+    """A weakref to the first array of at least one dimension that the loss's tape recorded.
+
+    Tensors take no weakrefs and a scalar loss holds a numpy scalar, so the
+    reference is to a recorded node's ``.data`` array.
+    """
+    nodes = [loss]
+    for node in nodes:
+        if node._grad_fn is not None and node.data.ndim >= 1:
+            return weakref.ref(node.data)
+        nodes.extend(node._parents)
+    raise AssertionError("the loss recorded no array")
+
+
+@pytest.mark.parametrize("name", TRAINERS)
+def test_no_step_tape_alive_when_next_step_encodes(name, separable_pools, monkeypatch):
+    train, val, _ = separable_pools
+    trainer, cfg = small_trainer(name, max_epochs=2)
+    last_tape, alive = [], []
+    backward, encode = ad.backward, backbone.encode
+
+    def recording_backward(loss):
+        last_tape[:] = [_tape_array_ref(loss)]
+        return backward(loss)
+
+    def checking_encode(features, model, mode="eval"):
+        if mode == "train" and last_tape:
+            alive.append(last_tape[0]() is not None)
+        return encode(features, model, mode=mode)
+
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    monkeypatch.setattr(backbone, "encode", checking_encode)
+    trainer(train, val, cfg)
+    assert len(alive) > 2
+    assert not any(alive), f"{sum(alive)} of {len(alive)} steps began with the last tape alive"
 
 
 def test_meta_train_deterministic_across_runs(separable_pools):

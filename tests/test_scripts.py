@@ -1,4 +1,4 @@
-"""The README walkthrough script runs against the current API."""
+"""The README walkthrough script and the benchmark's smoke run work against the current code."""
 import os
 import subprocess
 import sys
@@ -29,3 +29,14 @@ def test_demo_quickstart_runs_and_prints_summary():
         "adapter alignment: snapshot-vs-target MMD^2",
     ):
         assert any(line.startswith(prefix) for line in lines), (prefix, result.stdout)
+
+
+@pytest.mark.slow
+def test_perfbench_smoke_passes():
+    # every workload at a tiny size, traced and untraced: metric names, units, spans, bindings
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
+    assert result.stdout.splitlines()[-1] == "smoke ok", result.stdout[-4000:]
