@@ -19,7 +19,6 @@ on stacks of one.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
@@ -29,7 +28,7 @@ from . import autodiff as ad
 from . import backbone
 from .autodiff import ParamGroup, Tensor
 from .backbone import Model, encode_rows
-from .data import DatasetIndex
+from .data import Count, DatasetIndex, Natural, Scale, check_fields
 from .errors import ConfigError, ContractError, ProtocolError, SamplingError
 from .fsl import Episode, classify_query, sample_episode
 from .mmd import KernelSpec, default_spec, mmd2
@@ -80,29 +79,16 @@ class AdaptConfig:
     keeps the support set alone.
     """
 
-    n_snapshots: int = 5
-    snapshot_size: int = 32  # per half
-    eta_in: float = 1e-2
-    eta_out: float = 1e-2
-    max_iter: int = 1
-    target_calibration_size: int = 0
+    n_snapshots: Count = 5
+    snapshot_size: Count = 32  # per half
+    eta_in: Scale = 1e-2
+    eta_out: Scale = 1e-2
+    max_iter: Natural = 1
+    target_calibration_size: Natural = 0
     kernel: KernelSpec | str = "median-auto"
 
     def __post_init__(self):
-        if self.n_snapshots < 1:
-            raise ConfigError(f"n_snapshots must be positive, got {self.n_snapshots}")
-        if self.snapshot_size < 1:
-            raise ConfigError(f"snapshot_size must be positive, got {self.snapshot_size}")
-        for name in ("eta_in", "eta_out"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
-        if self.max_iter < 0:
-            raise ConfigError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if self.target_calibration_size < 0:
-            raise ConfigError(
-                f"target_calibration_size must be nonnegative, got {self.target_calibration_size}"
-            )
+        check_fields(self)
         if not isinstance(self.kernel, KernelSpec) and self.kernel != "median-auto":
             raise ConfigError(
                 f"kernel must be a KernelSpec or 'median-auto', got {self.kernel!r}"
@@ -328,23 +314,15 @@ EPISODE_GROUP = 8
 class EvalConfig:
     """Episode-level evaluation protocol."""
 
-    episodes: int = 200
-    way: int = 3
-    shot: int = 1
-    queries: int = 10
-    rng_seed: int = 0
+    episodes: Count = 200
+    way: Count = 3
+    shot: Count = 1
+    queries: Count = 10
+    rng_seed: Natural = 0
     persist_adaptation: bool = False  # carry the adapted state across episodes
 
     def __post_init__(self):
-        counts = {
-            "episodes": self.episodes,
-            "way": self.way,
-            "shot": self.shot,
-            "queries": self.queries,
-        }
-        for name, value in counts.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be positive, got {value}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

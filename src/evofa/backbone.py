@@ -10,52 +10,36 @@ shape. A single sample is a batch of one.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, ParamGroup, Tensor
+from .data import Count, Positive, _is_int, check_fields
 from .errors import ConfigError, ProtocolError, ShapeError
 
 HEAD_KINDS = ("matching", "relation", "proto", "linear")
-
-
-def _positive_int(value) -> bool:
-    """A positive int; a bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
 class BackboneConfig:
     """Architecture knobs for the full pipeline."""
 
-    n_electrodes: int = 8
-    d_bands: int = 4
-    g2g_channels: int = 1
+    n_electrodes: Count = 8
+    d_bands: Count = 4
+    g2g_channels: Count = 1
     conv_channels: tuple[int, int, int, int] = (16, 32, 32, 64)
-    embedding_dim: int = 64
-    adapter_hidden: int = 128
+    embedding_dim: Count = 64
+    adapter_hidden: Count = 128
     head_kind: str = "proto"
-    num_classes: int = 3
-    matching_temperature: float = 10.0
-    relation_hidden: int = 32
+    num_classes: Count = 3
+    matching_temperature: Positive = 10.0
+    relation_hidden: Count = 32
 
     def __post_init__(self):
-        dims = {
-            "n_electrodes": self.n_electrodes,
-            "d_bands": self.d_bands,
-            "g2g_channels": self.g2g_channels,
-            "embedding_dim": self.embedding_dim,
-            "adapter_hidden": self.adapter_hidden,
-            "num_classes": self.num_classes,
-            "relation_hidden": self.relation_hidden,
-        }
-        for name, value in dims.items():
-            if not _positive_int(value):
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if len(self.conv_channels) != 4 or not all(map(_positive_int, self.conv_channels)):
+        check_fields(self)
+        if len(self.conv_channels) != 4 or not all(_is_int(w, 1) for w in self.conv_channels):
             raise ConfigError(f"conv_channels must be 4 positive widths, got {self.conv_channels}")
         if self.d_bands % self.g2g_channels != 0:
             raise ConfigError(
@@ -70,10 +54,6 @@ class BackboneConfig:
         if self.adapter_hidden % 2 != 0 or self.adapter_hidden < 2 * self.embedding_dim:
             raise ConfigError(
                 "adapter_hidden must be even and at least 2 * embedding_dim for the identity init"
-            )
-        if not 0 < self.matching_temperature <= sys.float_info.max:  # NaN fails both
-            raise ConfigError(
-                f"matching_temperature must be finite and positive, got {self.matching_temperature}"
             )
 
     @property
@@ -286,11 +266,11 @@ def head_forward(
     num_classes: int,
     temperature: float = 10.0,
 ) -> Tensor:
-    """Per-query class scores [Q x N]; semantics depend on the head kind."""
+    """Per-query class scores [Q x N] of an episodic head; semantics depend on the head kind."""
     if head_kind not in HEAD_KINDS:
         raise ConfigError(f"unknown head kind {head_kind!r}")
     if head_kind == "linear":
-        return linear_head(query, w)
+        raise ProtocolError("linear head is not episodic; use classify_pool")
 
     support_labels = np.asarray(support_labels, dtype=np.int64)
     if support.ndim != 2 or query.ndim != 2 or support.shape[1] != query.shape[1]:

@@ -8,10 +8,10 @@ pass through float32 on generation so export/import round-trips exactly.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +189,45 @@ def make_inter_split(
     )
 
 
+# -- config field rules -------------------------------------------------------------
+
+def _is_int(value, low: int = -(2**63), high: int = 2**63 - 1) -> bool:
+    """An integer in [low, high]; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+
+
+def _is_number(value) -> bool:
+    """An int or float that a finite float holds; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+# A config's number field is annotated with the rule its value must meet.
+# check_fields reads the annotation by name (each config module postpones
+# annotations); the alias gives the Python type of a value that meets it.
+Count = int
+Natural = int  # a count that may be zero, or a seed: numpy seeds take no negative entropy
+Positive = float
+Scale = float
+
+# each rule: (test its value must pass, what the value must be)
+FIELD_RULES = {
+    "Count": (lambda value: _is_int(value, 1), "a positive integer"),
+    "Natural": (lambda value: _is_int(value, 0), "a nonnegative integer"),
+    "Positive": (lambda value: _is_number(value) and value > 0, "a finite positive number"),
+    "Scale": (lambda value: _is_number(value) and value >= 0, "a finite nonnegative number"),
+}
+
+
+def check_fields(config) -> None:
+    """Raise ConfigError naming the first field of the dataclass ``config`` that breaks its rule."""
+    for f in fields(config):
+        if f.type in FIELD_RULES:
+            test, must = FIELD_RULES[f.type]
+            value = getattr(config, f.name)
+            if not test(value):
+                raise ConfigError(f"{f.name} must be {must}, got {value!r}")
+
+
 # -- synthetic drift generator ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -202,41 +241,21 @@ class DriftConfig:
     noise_std is the per-coordinate sample noise.
     """
 
-    num_subjects: int = 15
-    num_sessions: int = 3
-    trials_per_session: int = 15
-    samples_per_trial: int = 20
-    num_classes: int = 3
-    n_electrodes: int = 8
-    d_bands: int = 5
-    class_separation: float = 3.0
-    intra_drift_rate: float = 1.0
-    inter_subject_offset_scale: float = 1.0
-    noise_std: float = 1.0
-    rng_seed: int = 0
+    num_subjects: Count = 15
+    num_sessions: Count = 3
+    trials_per_session: Count = 15
+    samples_per_trial: Count = 20
+    num_classes: Count = 3
+    n_electrodes: Count = 8
+    d_bands: Count = 5
+    class_separation: Scale = 3.0
+    intra_drift_rate: Scale = 1.0
+    inter_subject_offset_scale: Scale = 1.0
+    noise_std: Scale = 1.0
+    rng_seed: Natural = 0
 
     def __post_init__(self):
-        counts = {
-            "num_subjects": self.num_subjects,
-            "num_sessions": self.num_sessions,
-            "trials_per_session": self.trials_per_session,
-            "samples_per_trial": self.samples_per_trial,
-            "num_classes": self.num_classes,
-            "n_electrodes": self.n_electrodes,
-            "d_bands": self.d_bands,
-        }
-        for name, value in counts.items():
-            if not _is_int(value, 1):
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        scales = {
-            "class_separation": self.class_separation,
-            "intra_drift_rate": self.intra_drift_rate,
-            "inter_subject_offset_scale": self.inter_subject_offset_scale,
-            "noise_std": self.noise_std,
-        }
-        for name, value in scales.items():
-            if not math.isfinite(value) or value < 0:
-                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
+        check_fields(self)
         if self.n_electrodes * self.d_bands < self.num_classes:
             raise ConfigError(
                 "feature dimension must be at least num_classes for orthogonal class means"
@@ -340,13 +359,6 @@ def _write_feature_file(path: Path, features: np.ndarray) -> None:
 
 
 _SCHEMA_MAX = 2**16  # electrodes or bands per sample
-
-
-def _is_int(value, low: int = -(2**63), high: int = 2**63 - 1) -> bool:
-    """An integer in [low, high]; a bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
-
-
 _is_list = lambda value: isinstance(value, list)
 _in_schema = lambda value: _is_int(value, 1, _SCHEMA_MAX)
 

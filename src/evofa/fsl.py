@@ -4,7 +4,6 @@ An episode copies no data: it holds row indices into the pool it was drawn from.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -13,7 +12,7 @@ from . import autodiff as ad
 from . import backbone
 from .autodiff import ParamGroup, Tensor
 from .backbone import ENCODE_BATCH, BackboneConfig, Model, create_model, encode_rows
-from .data import DatasetIndex
+from .data import Count, DatasetIndex, Natural, Positive, check_fields
 from .errors import ConfigError, ContractError, ProtocolError, SamplingError
 
 _PROB_FLOOR = 1e-12
@@ -94,8 +93,6 @@ def _scores_from_embeddings(
     episode: Episode, model: Model, emb: Tensor
 ) -> tuple[Tensor, np.ndarray]:
     """episode_scores given the adapted embeddings [S+Q x q] of support then query."""
-    if model.config.head_kind == "linear":
-        raise ProtocolError("linear head is not episodic; use classify_pool")
     if model.config.num_classes != episode.way:
         raise ProtocolError(
             f"model is {model.config.num_classes}-way, episode is {episode.way}-way"
@@ -167,40 +164,23 @@ def classify_pool(model: Model, pool: DatasetIndex) -> tuple[np.ndarray, float]:
 
 # -- training loops --------------------------------------------------------------------
 
-def _check_learning_rate(value: float) -> None:
-    if not math.isfinite(value) or value <= 0:
-        raise ConfigError(f"learning_rate must be finite and positive, got {value}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Episodic meta-training knobs."""
 
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     head_kind: str = "proto"
-    episodes_per_epoch: int = 50
-    max_epochs: int = 15
-    learning_rate: float = 0.05
-    way: int = 3
-    shot: int = 1
-    queries: int = 10
-    validation_episodes: int = 40
-    rng_seed: int = 0
+    episodes_per_epoch: Count = 50
+    max_epochs: Natural = 15
+    learning_rate: Positive = 0.05
+    way: Count = 3
+    shot: Count = 1
+    queries: Count = 10
+    validation_episodes: Count = 40
+    rng_seed: Natural = 0
 
     def __post_init__(self):
-        counts = {
-            "episodes_per_epoch": self.episodes_per_epoch,
-            "way": self.way,
-            "shot": self.shot,
-            "queries": self.queries,
-            "validation_episodes": self.validation_episodes,
-        }
-        for name, value in counts.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if self.max_epochs < 0:
-            raise ConfigError(f"max_epochs must be nonnegative, got {self.max_epochs}")
-        _check_learning_rate(self.learning_rate)
+        check_fields(self)
 
     def model_config(self) -> BackboneConfig:
         return replace(self.backbone, head_kind=self.head_kind, num_classes=self.way)
@@ -268,18 +248,14 @@ class SupervisedConfig:
     """Minibatch cross-entropy baseline knobs."""
 
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    num_classes: int = 3
-    batch_size: int = 32
-    learning_rate: float = 0.003
-    max_epochs: int = 30
-    rng_seed: int = 0
+    num_classes: Count = 3
+    batch_size: Count = 32
+    learning_rate: Positive = 0.003
+    max_epochs: Natural = 30
+    rng_seed: Natural = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        _check_learning_rate(self.learning_rate)
-        if self.max_epochs < 0:
-            raise ConfigError(f"max_epochs must be nonnegative, got {self.max_epochs}")
+        check_fields(self)
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
 

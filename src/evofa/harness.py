@@ -7,8 +7,11 @@ identical CSV files. Wall-clock timings go to the JSON report only.
 
 An experiment config's JSON sections are read from the config dataclasses:
 a section's keys are its class's fields, a field's annotation picks its JSON
-test in ``_JSON_KINDS``, and a key left out takes the field's default. The
-layout adds two rules: "backbone" is written once, at the top level, and
+test in ``_JSON_KINDS``, and a key left out takes the field's default. A
+number field's annotation names its range rule in ``data.FIELD_RULES``, the
+test the dataclass applies when built from Python, so a value out of range
+is rejected as the file is read, naming its section and field. The layout
+adds two rules: "backbone" is written once, at the top level, and
 shared by train and supervised; "dataset" wraps a generator section or a
 manifest path. Fields with another owner (``_SET_ELSEWHERE``) are rejected.
 """
@@ -17,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -28,10 +30,15 @@ from . import __version__
 from .adapt import AdaptConfig, EvalConfig, evofa_test
 from .backbone import BackboneConfig
 from .data import (
+    FIELD_RULES,
+    Count,
     DatasetIndex,
     DriftConfig,
+    Natural,
     _is_int,
+    _is_number,
     atomic_write,
+    check_fields,
     generate_synthetic_drift,
     import_features,
     make_inter_split,
@@ -59,18 +66,17 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
     supervised: SupervisedConfig | None = None
-    eval_episodes: int = 200
-    seed: int = 0
+    eval_episodes: Count = 200
+    seed: Natural = 0
     subjects: tuple[int, ...] = ()  # empty: every subject in the dataset
     sessions: tuple[int, ...] = ()  # inter protocol; empty: every session
     persist_adaptation: bool = False
     include_supervised: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if self.protocol not in ("intra", "inter"):
             raise ConfigError(f"protocol must be intra or inter, got {self.protocol!r}")
-        if self.eval_episodes < 1:
-            raise ConfigError(f"eval_episodes must be positive, got {self.eval_episodes}")
         for name in ("subjects", "sessions"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -378,7 +384,13 @@ def run_protocol(cfg: ExperimentConfig, ds: DatasetIndex | None = None) -> Resul
     """Train and evaluate every protocol cell; baseline and adapted runs share episodes."""
     if ds is None:
         ds = load_dataset(cfg)
-    rows = [row for cell in plan_cells(cfg, ds) for row in _run_cell(cfg, ds, *cell)]
+    cells = plan_cells(cfg, ds)
+    if cfg.include_supervised and ds.num_classes < 2:
+        raise ConfigError(
+            f"include_supervised needs a dataset of at least 2 classes for the supervised "
+            f"baseline, the dataset has {ds.num_classes}"
+        )
+    rows = [row for cell in cells for row in _run_cell(cfg, ds, *cell)]
     return ResultTable(rows).with_aggregates()
 
 
@@ -397,24 +409,16 @@ def config_to_obj(cfg: ExperimentConfig) -> dict:
     return {"dataset": {kind: obj.pop("dataset")}, "backbone": backbone, **obj}
 
 
-def _is_number(value) -> bool:
-    """An int or float that a finite float holds; a bool is not one."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
 def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
 _OBJECT = (lambda value: isinstance(value, dict), "an object")
 _INTS = (lambda value: isinstance(value, list) and all(map(_is_int, value)), "a list of integers")
-_SEEDS = ("seed", "rng_seed")  # nonnegative: numpy seeds take no negative entropy
-_SEED = (lambda value: _is_int(value, 0), "a nonnegative integer")
 
 # a config field's JSON test and what its value must be, by the field's annotation
 _JSON_KINDS = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a finite number"),
+    **FIELD_RULES,
     "str": (_is_str, "a string"),
     "bool": (lambda value: isinstance(value, bool), "true or false"),
     "tuple[int, ...]": _INTS,
@@ -469,7 +473,7 @@ def _checked(cls, obj, where: str, **layout) -> dict:
         elif name in elsewhere:
             raise ConfigError(f"{where} field {name!r} {elsewhere[name]}")
         elif name in annotations:
-            _check(where, name, value, _SEED if name in _SEEDS else _JSON_KINDS[annotations[name]])
+            _check(where, name, value, _JSON_KINDS[annotations[name]])
         out[name] = tuple(value) if isinstance(value, list) else value
     return out
 

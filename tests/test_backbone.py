@@ -55,7 +55,7 @@ def test_config_rejects_unknown_head():
     ids=["nan", "inf", "-inf", "zero", "negative", "past-float-range"],
 )
 def test_config_rejects_matching_temperature_that_is_not_finite_and_positive(temperature):
-    with pytest.raises(ConfigError, match="matching_temperature must be finite and positive"):
+    with pytest.raises(ConfigError, match="matching_temperature must be a finite positive number"):
         backbone.BackboneConfig(matching_temperature=temperature)
 
 
@@ -327,9 +327,11 @@ def test_linear_head_ignores_support():
     model = backbone.create_model(cfg, seed=4)
     rng = np.random.default_rng(12)
     query = t(rng.normal(size=(4, 3)))
-    scores = model.head(t(np.zeros((0, 3))), np.array([], dtype=np.int64), query)
+    scores = backbone.linear_head(query, model.w)
     expect = query.data @ model.w.get("lin_w").data + model.w.get("lin_b").data
     assert np.allclose(scores.data, expect)
+    with pytest.raises(ProtocolError, match="linear head is not episodic"):
+        model.head(t(np.zeros((0, 3))), np.array([], dtype=np.int64), query)
 
 
 def test_proto_argmax_translation_invariant():

@@ -284,6 +284,9 @@ HEADER_DEFECTS = {
     "inf_temperature": (
         lambda h: h["backbone"].update(matching_temperature=float("inf")), "header field 'backbone' is invalid"
     ),
+    "d_bands_past_int64": (
+        lambda h: h["backbone"].update(d_bands=2**70), "header field 'backbone' is invalid"
+    ),
     "wrong_shape": (set_first("params", "shape", [5, 5]), "header field 'params' entry 0 is"),
     "renamed_param": (set_first("params", "name", "other"), "header field 'params' entry 0 is"),
     "offset_not_int": (set_first("params", "offset", "0"), "header field 'params' entry 0 is"),
@@ -393,7 +396,7 @@ def test_non_integer_conv_width_rejected(model, tmp_path, width):
 
 def test_unbuildable_architecture_rejected(model, tmp_path):
     path = save_checkpoint(model, tmp_path / "m.ckpt")
-    rewrite_header(path, lambda h: h["backbone"].update(d_bands=2**70))
+    rewrite_header(path, lambda h: h["backbone"].update(d_bands=2**62))  # a valid count, 2**124 g2g floats
     with pytest.raises(CheckpointError, match="architecture that cannot be built"):
         load_checkpoint(path)
 

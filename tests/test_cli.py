@@ -103,9 +103,9 @@ def test_synth_gen_rejects_unknown_key(tmp_path, capsys):
 
 
 SYNTH_GEN_DEFECTS = {
-    "bool_count": ({"synthetic": {**DATASET_OBJ, "num_subjects": True}}, "field 'num_subjects' must be an integer"),
-    "bare_bool_count": ({**DATASET_OBJ, "samples_per_trial": False}, "field 'samples_per_trial' must be an integer"),
-    "string_scale": ({"synthetic": {**DATASET_OBJ, "noise_std": "1"}}, "field 'noise_std' must be a finite number"),
+    "bool_count": ({"synthetic": {**DATASET_OBJ, "num_subjects": True}}, "field 'num_subjects' must be a positive integer"),
+    "bare_bool_count": ({**DATASET_OBJ, "samples_per_trial": False}, "field 'samples_per_trial' must be a positive integer"),
+    "string_scale": ({"synthetic": {**DATASET_OBJ, "noise_std": "1"}}, "field 'noise_std' must be a finite nonnegative number"),
     "not_an_object": ([DATASET_OBJ], "synthetic dataset config must be an object"),
     "malformed": ('{"synthetic": {num_subjects: 2}}', "is not valid JSON"),
 }

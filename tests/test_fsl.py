@@ -263,7 +263,7 @@ def test_loss_nonnegativity(seed):
 
 def test_linear_head_is_not_episodic():
     model = create_model(tiny_backbone(head_kind="linear"), seed=0)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match="linear head is not episodic"):
         episode_scores(manual_episode(), model)
 
 

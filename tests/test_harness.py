@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofa import harness
-from evofa.adapt import AdaptConfig
+from evofa.adapt import AdaptConfig, EvalConfig
 from evofa.backbone import BackboneConfig
-from evofa.data import DriftConfig, generate_synthetic_drift
+from evofa.data import FIELD_RULES, DriftConfig, generate_synthetic_drift
 from evofa.errors import ConfigError, ProtocolError
 from evofa.fsl import SupervisedConfig, TrainConfig
 from evofa.harness import (
@@ -234,6 +234,18 @@ def test_plan_cells_rejects_supervised_num_classes_other_than_the_datasets(datas
     cfg = replace(CONFIG, supervised=replace(CONFIG.supervised, num_classes=num_classes))
     with pytest.raises(ConfigError, match=f"supervised num_classes {num_classes} must equal the dataset's 3"):
         plan_cells(cfg, dataset)
+
+
+def test_run_protocol_rejects_one_class_dataset_for_supervised_baseline_before_training(monkeypatch):
+    # the default supervised config takes the dataset's class count; one class used to
+    # fail only after the first cell had meta-trained, naming no config field
+    one_class = replace(CONFIG, dataset=replace(DATASET, num_classes=1), supervised=None,
+                        train=replace(CONFIG.train, way=1))
+    ds = generate_synthetic_drift(one_class.dataset)
+    monkeypatch.setattr(harness, "meta_train", lambda *args, **kwargs: pytest.fail("a cell trained"))
+    with pytest.raises(ConfigError, match="include_supervised needs .* the dataset has 1"):
+        run_protocol(one_class, ds)
+    assert plan_cells(one_class, ds) == [(1, None), (2, None)]  # train and evaluate plan no baseline
 
 
 # -- protocol execution ---------------------------------------------------------------
@@ -536,6 +548,14 @@ MISTYPED = [
         (("adapt", "snapshot_size"), 3.0),
         (("train", "learning_rate"), "0.1"),
         (("backbone", "matching_temperature"), float("nan")),
+        (("train", "learning_rate"), 0),
+        (("supervised", "learning_rate"), 0),
+        (("train", "way"), True),
+        (("adapt", "max_iter"), -1),
+        (("adapt", "eta_out"), -0.5),
+        (("eval_episodes",), 0),
+        (("dataset", "synthetic", "rng_seed"), -1),
+        (("dataset", "synthetic", "noise_std"), float("inf")),
 ]
 
 
@@ -545,8 +565,9 @@ MISTYPED = [
 def test_config_rejects_mistyped_field_naming_it(path, value):
     obj = config_to_obj(CONFIG)
     _set(obj, path, value)
-    field = "bandwidths" if isinstance(value, dict) else path[-1]
-    with pytest.raises(ConfigError, match=f"field '{field}' must be"):
+    section, field = (path, "bandwidths") if isinstance(value, dict) else (path[:-1], path[-1])
+    where = " ".join(("config",) + section) if section else "experiment config"
+    with pytest.raises(ConfigError, match=f"^{where} field '{field}' must be"):
         experiment_config_from_obj(obj)
 
 
@@ -586,7 +607,7 @@ def test_config_rejects_repeated_subjects_or_sessions(name, values):
 def test_config_rejects_number_no_float_holds_naming_field():
     obj = config_to_obj(CONFIG)
     obj["train"]["learning_rate"] = 10**400  # a JSON integer; was a bare OverflowError
-    with pytest.raises(ConfigError, match="config train field 'learning_rate' must be a finite number"):
+    with pytest.raises(ConfigError, match="config train field 'learning_rate' must be a finite positive number"):
         experiment_config_from_obj(json.loads(json.dumps(obj)))
 
 
@@ -635,13 +656,71 @@ def test_config_round_trip_leaves_out_fields_with_another_owner(tmp_path):
 CONFIG_CLASSES = (ExperimentConfig, DriftConfig, BackboneConfig, TrainConfig, SupervisedConfig, AdaptConfig, KernelSpec)
 
 
-@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", CONFIG_CLASSES + (EvalConfig,), ids=lambda cls: cls.__name__)
 def test_reader_table_knows_every_config_field_annotation(cls):
-    # a field whose annotation the table lacks would load unchecked, or not at all
-    names = {c.__name__ for c in CONFIG_CLASSES}
+    # a field whose annotation the table lacks would load unchecked, or not at all;
+    # a number field annotated bare int or float would skip its range rule
+    names = {c.__name__ for c in CONFIG_CLASSES} | FIELD_RULES.keys()
     for f in fields(cls):
+        assert f.type not in ("int", "float"), f"{cls.__name__}.{f.name} names no rule"
         assert f.name in harness._SET_ELSEWHERE.get(cls, {}) or f.type in harness._JSON_KINDS, f"{cls.__name__}.{f.name}"
         assert set(re.findall(r"[A-Z]\w*", f.type)) - {"None"} <= names  # every section it holds is listed
+
+
+# each config's number fields by rule, written out here so that a changed annotation shows
+RULED_FIELDS = {
+    DriftConfig: {
+        "Count": ("num_subjects", "num_sessions", "trials_per_session", "samples_per_trial",
+                  "num_classes", "n_electrodes", "d_bands"),
+        "Scale": ("class_separation", "intra_drift_rate", "inter_subject_offset_scale", "noise_std"),
+        "Natural": ("rng_seed",),
+    },
+    BackboneConfig: {
+        "Count": ("n_electrodes", "d_bands", "g2g_channels", "embedding_dim", "adapter_hidden",
+                  "num_classes", "relation_hidden"),
+        "Positive": ("matching_temperature",),
+    },
+    TrainConfig: {
+        "Count": ("episodes_per_epoch", "way", "shot", "queries", "validation_episodes"),
+        "Natural": ("max_epochs", "rng_seed"),
+        "Positive": ("learning_rate",),
+    },
+    SupervisedConfig: {
+        "Count": ("num_classes", "batch_size"),
+        "Natural": ("max_epochs", "rng_seed"),
+        "Positive": ("learning_rate",),
+    },
+    AdaptConfig: {
+        "Count": ("n_snapshots", "snapshot_size"),
+        "Natural": ("max_iter", "target_calibration_size"),
+        "Scale": ("eta_in", "eta_out"),
+    },
+    EvalConfig: {"Count": ("episodes", "way", "shot", "queries"), "Natural": ("rng_seed",)},
+    ExperimentConfig: {"Count": ("eval_episodes",), "Natural": ("seed",)},
+}
+RULE_BREAKERS = {  # what each rule's value must be, and values that break it
+    "Count": ("a positive integer", (True, 2.5, 0, np.int64(3))),
+    "Natural": ("a nonnegative integer", (False, 2.5, -1, 2**63)),
+    "Positive": ("a finite positive number", (True, 0.0, -1.0, float("nan"), float("inf"), 10**400)),
+    "Scale": ("a finite nonnegative number", (False, -0.5, float("nan"), float("-inf"), "1")),
+}
+RULE_CASES = [
+    (cls, name, rule, value)
+    for cls, rules in RULED_FIELDS.items()
+    for rule, names in rules.items()
+    for name in names
+    for value in RULE_BREAKERS[rule][1]
+]
+
+
+@pytest.mark.parametrize(
+    "cls,name,rule,value", RULE_CASES, ids=[f"{c.__name__}.{n}={v!r}" for c, n, _, v in RULE_CASES]
+)
+def test_config_rejects_value_breaking_its_field_rule_naming_field(cls, name, rule, value):
+    required = {"dataset": DATASET} if cls is ExperimentConfig else {}
+    must = RULE_BREAKERS[rule][0]
+    with pytest.raises(ConfigError, match=f"^{name} must be {must}, got {re.escape(repr(value))}$"):
+        cls(**required, **{name: value})
 
 
 CONFIG_FUZZ_VALUES = (
