@@ -316,8 +316,15 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 # -- convolution ---------------------------------------------------------------
 
+GCOLS_SLICE_BYTES = 8 << 20  # conv2d's input gradient builds its columns this much at a time
+
+
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of [B x c_in x H x W] with [c_out x c_in x h x w]."""
+    """Cross-correlation of [B x c_in x H x W] with [c_out x c_in x h x w].
+
+    The input gradient builds its columns and scatters them one slice of batch
+    rows at a time, at most ``GCOLS_SLICE_BYTES`` or one row.
+    """
     if x.ndim != 4 or k.ndim != 4:
         raise ShapeError(f"conv2d needs [B x c x H x W] and [o x c x h x w]; got {x.shape}, {k.shape}")
     batch, c_in, height, width = x.shape
@@ -357,15 +364,19 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         gk = np.empty_like(k.data)
         for i, j in taps:
             gk[:, :, i, j] = np.matmul(g2, tap(i, j).transpose(0, 2, 1)).sum(axis=0)
-        gcols = np.matmul(k.data.reshape(c_out, -1).T, g2).reshape(batch, c_in, kh, kw, out_h, out_w)
-        # col2im one kernel tap at a time: a tap writes each padded position at
-        # most once, and taps run in column order, so every element sums its
-        # contributions in the same order as a scatter-add over the columns.
+        kmat_t = k.data.reshape(c_out, -1).T
+        slice_rows = max(1, GCOLS_SLICE_BYTES // (8 * c_in * kh * kw * out_h * out_w))
         gxp = np.zeros_like(xp)
-        for i, j in taps:
-            rows_ij = slice(i, i + stride * out_h, stride)
-            cols_ij = slice(j, j + stride * out_w, stride)
-            gxp[:, :, rows_ij, cols_ij] += gcols[:, :, i, j]
+        for b0 in range(0, batch, slice_rows):  # matmul treats each batch row on its own
+            part = slice(b0, b0 + slice_rows)
+            gcols = np.matmul(kmat_t, g2[part]).reshape(-1, c_in, kh, kw, out_h, out_w)
+            # col2im one kernel tap at a time: a tap writes each padded position at
+            # most once, and taps run in column order, so every element sums its
+            # contributions in the same order as a scatter-add over the columns.
+            for i, j in taps:
+                rows_ij = slice(i, i + stride * out_h, stride)
+                cols_ij = slice(j, j + stride * out_w, stride)
+                gxp[part, :, rows_ij, cols_ij] += gcols[:, :, i, j]
         gx = gxp[:, :, pad : pad + height, pad : pad + width] if pad else gxp
         return (gx, gk)
 
@@ -392,28 +403,54 @@ class BatchNormState:
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: str) -> Tensor:
-    """Normalize per channel; batch statistics in train mode, running ones in eval."""
+    """Normalize per channel; batch statistics in train mode, running ones in eval.
+
+    One tape node with a closed-form backward pass (Ioffe & Szegedy, ICML 2015)
+    that keeps only the normalized input and recomputes x - mean. Each step repeats
+    the arithmetic of the equivalent tape of elementwise ops, in its order, so
+    outputs, gradients and running statistics are bitwise the same.
+    """
     if mode not in ("train", "eval"):
         raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects [B x c x H x W] input, got {x.shape}")
     axes, view = (0, 2, 3), (1, -1, 1, 1)
+    gamma_view = gamma.data.reshape(view)
+    channel = (1, x.shape[1], 1, 1)
 
     if mode == "train":
-        mu = tensor_mean(x, axis=axes, keepdims=True)
-        centered = sub(x, mu)
-        var = tensor_mean(mul(centered, centered), axis=axes, keepdims=True)
+        mu = np.mean(x.data, axis=axes, keepdims=True)
+        centered = x.data - mu
+        var = np.mean(centered * centered, axis=axes, keepdims=True)
         m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mu.data.reshape(-1)
-        state.running_var = (1.0 - m) * state.running_var + m * var.data.reshape(-1)
+        state.running_mean = (1.0 - m) * state.running_mean + m * mu.reshape(-1)
+        state.running_var = (1.0 - m) * state.running_var + m * var.reshape(-1)
     else:
-        mu = Tensor(state.running_mean.reshape(view))
-        var = Tensor(state.running_var.reshape(view))
-        centered = sub(x, mu)
+        mu = state.running_mean.reshape(view)
+        var = state.running_var.reshape(view)
+        centered = x.data - mu
+    v_eps = var + np.array(state.eps)
+    inv_std = v_eps ** -0.5
+    normalized = centered * inv_std
+    del centered
+    count = x.shape[0] * x.shape[2] * x.shape[3]
 
-    inv_std = power(add(var, Tensor(state.eps)), -0.5)
-    normalized = mul(centered, inv_std)
-    return add(mul(normalized, reshape(gamma, view)), reshape(beta, view))
+    def grad_fn(g):
+        g_gamma = _sum_to_shape(g * normalized, channel).reshape(gamma.shape)
+        g_beta = _sum_to_shape(g, channel).reshape(beta.shape)
+        g_norm = g * gamma_view
+        if mode == "eval":
+            return (g_norm * inv_std, g_gamma, g_beta)
+        c = x.data - mu
+        g_sq_c = _sum_to_shape(g_norm * c, channel) * -0.5 * v_eps**-1.5 / count * c
+        g_x = g_norm
+        g_x *= inv_std  # in place: g_norm is not needed again
+        g_x += g_sq_c  # once for each factor of var = mean(c * c), in tape order
+        g_x += g_sq_c
+        g_x -= _sum_to_shape(g_x, channel) / count  # through mu = mean(x)
+        return (g_x, g_gamma, g_beta)
+
+    return _make(normalized * gamma_view + beta.data.reshape(view), (x, gamma, beta), grad_fn)
 
 
 # -- backward pass -----------------------------------------------------------------

@@ -478,16 +478,19 @@ def _checked(cls, obj, where: str, **layout) -> dict:
     return out
 
 
-def _build(cls, what: str, kwargs: dict, **shared):
+def _build(cls, where: str, what: str, kwargs: dict, **shared):
+    """A cls from checked kwargs; a rule that cls itself enforces fails naming ``where``."""
     try:
         return cls(**kwargs, **shared)
     except TypeError as e:  # a key that names no field
         raise ConfigError(f"bad {what} config: {e}") from e
+    except ConfigError as e:  # a rule across fields, from __post_init__
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _read(cls, obj, where: str, what: str, **shared):
     """A cls from its JSON section; ``shared`` holds the fields the layout writes elsewhere."""
-    return _build(cls, what, _checked(cls, obj, where), **shared)
+    return _build(cls, where, what, _checked(cls, obj, where), **shared)
 
 
 def _reject_unknown(obj: dict, cls, what: str, *layout: str) -> None:
@@ -516,8 +519,8 @@ def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     if isinstance(adapt.get("kernel"), dict):
         kernel = _checked(KernelSpec, adapt["kernel"], "config adapt kernel")
         _reject_unknown(kernel, KernelSpec, "kernel")
-        adapt["kernel"] = KernelSpec(**kernel)
-    top["adapt"] = _build(AdaptConfig, "adapt", adapt)
+        adapt["kernel"] = _build(KernelSpec, "config adapt kernel", "kernel", kernel)
+    top["adapt"] = _build(AdaptConfig, "config adapt", "adapt", adapt)
     if top.get("supervised") is not None:
         top["supervised"] = _read(
             SupervisedConfig, top["supervised"], "config supervised", "supervised", backbone=backbone

@@ -154,6 +154,24 @@ def test_conv2d_forward_peak_memory_below_one_im2col_buffer():
     assert peak < im2col_bytes
 
 
+def test_conv2d_backward_peak_memory_below_one_gcols_buffer():
+    rng = np.random.default_rng(8)
+    batch, c_in, side = 8, 8, 62
+    x = t(rng.normal(size=(batch, c_in, side, side)), grad=True)
+    k = t(rng.normal(size=(8, c_in, 3, 3)), grad=True)
+    gcols_bytes = batch * c_in * 9 * side * side * 8  # 16.9 MiB, the whole batch's columns
+    assert gcols_bytes > ad.GCOLS_SLICE_BYTES  # so the batch is built in several slices
+    loss = ad.tensor_sum(ad.conv2d(x, k, stride=1, pad=1))
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape and k.grad.shape == k.shape
+    assert peak < gcols_bytes
+
+
 def test_conv2d_linearity():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(1, 2, 4, 4))
@@ -195,6 +213,21 @@ def test_conv2d_input_grad_bitwise_equals_scatter_add(stride, pad, c_in):
     g = rng.normal(size=out.shape)
     ad.backward(ad.tensor_sum(ad.mul(out, t(g))))
     expect = _scatter_add_input_grad(x, k.data, g, stride, pad)
+    assert xt.grad.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_conv2d_input_grad_built_in_row_slices_bitwise_equals_scatter_add(monkeypatch, rows):
+    rng = np.random.default_rng([9, rows])
+    x = rng.normal(size=(5, 3, 7, 9))
+    k = t(rng.normal(size=(4, 3, 3, 3)), grad=True)
+    # one batch row of columns is 3·9·7·9 floats; 2 rows per slice leaves a short last slice
+    monkeypatch.setattr(ad, "GCOLS_SLICE_BYTES", rows * 3 * 9 * 7 * 9 * 8)
+    xt = t(x, grad=True)
+    out = ad.conv2d(xt, k, stride=1, pad=1)
+    g = rng.normal(size=out.shape)
+    ad.backward(ad.tensor_sum(ad.mul(out, t(g))))
+    expect = _scatter_add_input_grad(x, k.data, g, 1, 1)
     assert xt.grad.tobytes() == expect.tobytes()
 
 
@@ -288,6 +321,61 @@ def test_batch_norm_rejects_input_that_is_not_4d():
     state = ad.BatchNormState.create(2)
     with pytest.raises(ShapeError, match=r"\[B x c x H x W\]"):
         ad.batch_norm(t(np.zeros((4, 2))), t(np.ones(2)), t(np.zeros(2)), state, "train")
+
+
+def _composed_batch_norm(x, gamma, beta, state, mode):
+    """Batch norm as a tape of elementwise nodes: the reference for the fused node."""
+    axes, view = (0, 2, 3), (1, -1, 1, 1)
+    if mode == "train":
+        mu = ad.tensor_mean(x, axis=axes, keepdims=True)
+        centered = ad.sub(x, mu)
+        var = ad.tensor_mean(ad.mul(centered, centered), axis=axes, keepdims=True)
+        m = state.momentum
+        state.running_mean = (1.0 - m) * state.running_mean + m * mu.data.reshape(-1)
+        state.running_var = (1.0 - m) * state.running_var + m * var.data.reshape(-1)
+    else:
+        mu = ad.Tensor(state.running_mean.reshape(view))
+        var = ad.Tensor(state.running_var.reshape(view))
+        centered = ad.sub(x, mu)
+    inv_std = ad.power(ad.add(var, ad.Tensor(state.eps)), -0.5)
+    normalized = ad.mul(centered, inv_std)
+    return ad.add(ad.mul(normalized, ad.reshape(gamma, view)), ad.reshape(beta, view))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_norm_bitwise_equals_composed_tape(mode, seed):
+    """Output, gradients and running statistics equal the composed tape's, byte for byte.
+
+    The same gamma and beta feed two batch-norm calls in one loss, so their
+    gradients accumulate from two nodes.
+    """
+    results = []
+    for norm in (_composed_batch_norm, ad.batch_norm):
+        rng = np.random.default_rng([10, seed])
+        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        x = t(rng.normal(loc=2.0, scale=3.0, size=shape), grad=True)
+        gamma = t(rng.normal(size=shape[1]), grad=True)
+        beta = t(rng.normal(size=shape[1]), grad=True)
+        state = ad.BatchNormState.create(shape[1])
+        state.running_mean = rng.normal(size=shape[1])
+        state.running_var = rng.uniform(0.5, 2.0, size=shape[1])
+        first = norm(x, gamma, beta, state, mode)
+        second = norm(ad.relu(x), gamma, beta, state, mode)
+        loss = ad.add(ad.tensor_sum(ad.mul(first, t(rng.normal(size=shape)))), ad.tensor_sum(ad.mul(second, second)))
+        ad.backward(loss)
+        results.append([first.data, second.data, x.grad, gamma.grad, beta.grad, state.running_mean, state.running_var])
+    for composed, fused in zip(*results):
+        assert fused.tobytes() == composed.tobytes()
+
+
+def test_batch_norm_is_one_tape_node():
+    rng = np.random.default_rng(11)
+    x = t(rng.normal(size=(4, 3, 2, 2)), grad=True)
+    gamma, beta = t(np.ones(3), grad=True), t(np.zeros(3), grad=True)
+    out = ad.batch_norm(x, gamma, beta, ad.BatchNormState.create(3), "train")
+    assert len(out._parents) == 3
+    assert all(p is q for p, q in zip(out._parents, (x, gamma, beta)))
 
 
 # -- activations and reductions ------------------------------------------------

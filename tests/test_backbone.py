@@ -1,4 +1,5 @@
 """Pipeline stages: Gram transform, encoder, identity adapter, heads."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +151,31 @@ def test_encode_train_mode_updates_bn_stats():
     rng = np.random.default_rng(5)
     backbone.encode(t(rng.normal(size=(6, 4, 4))), model, mode="train")
     assert not np.array_equal(model.bn_states[0].running_mean, np.zeros(3))
+
+
+def test_encode_train_step_peak_memory_bounded_by_activations_per_block():
+    """A train-mode encode step holds about 9 full [B x c x H x W] arrays per conv block.
+
+    The tape keeps 6 per block: the padded conv input, the conv and bias outputs,
+    the normalized input and output of batch norm, and the ReLU output. The rest is
+    gradients in flight. A batch norm of composed elementwise nodes keeps three more
+    full arrays per block, which puts the step above 12.
+    """
+    cfg = backbone.BackboneConfig(
+        n_electrodes=24, d_bands=4, conv_channels=(8, 8, 8, 8), embedding_dim=8, adapter_hidden=16
+    )
+    model = backbone.create_model(cfg, seed=0)
+    batch = 16
+    features = t(np.random.default_rng(12).normal(size=(batch, 24, 4)))
+    activation_bytes = sum(batch * c * 24 * 24 * 8 for c in cfg.conv_channels)
+    tracemalloc.start()
+    try:
+        ad.backward(ad.tensor_sum(backbone.encode(features, model, mode="train")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.theta.get("conv0_w").grad is not None
+    assert peak < 10.5 * activation_bytes
 
 
 @pytest.mark.parametrize("head", backbone.HEAD_KINDS)

@@ -526,6 +526,42 @@ def test_config_booleans_must_be_json_booleans():
             experiment_config_from_obj(obj)
 
 
+CROSS_FIELD = {
+    "supervised": (("supervised",), {"num_classes": 1}, "config supervised: num_classes must be at least 2, got 1"),
+    "backbone": (
+        ("backbone",),
+        {"d_bands": 5, "g2g_channels": 2},
+        "config backbone: d_bands 5 not divisible by g2g_channels 2",
+    ),
+    "synthetic": (
+        ("dataset", "synthetic"),
+        {"num_classes": 13},  # above the 4 x 3 feature dimension
+        "config dataset synthetic: feature dimension must be at least num_classes",
+    ),
+    "kernel": (
+        ("adapt",),
+        {"kernel": {"bandwidths": [1.0, 2.0], "weights": [1.0]}},
+        "config adapt kernel: one weight per bandwidth",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CROSS_FIELD)
+def test_config_cross_field_error_names_its_section(tmp_path, case):
+    path, entries, message = CROSS_FIELD[case]
+    obj = config_to_obj(CONFIG)
+    section = obj
+    for key in path:
+        section = section[key]
+    section.update(entries)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        experiment_config_from_obj(obj)
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match=re.escape(f"{config_file}: {message}")):
+        load_experiment_config(config_file)
+
+
 def _set(obj, path, value):
     for key in path[:-1]:
         obj = obj[key]
