@@ -276,9 +276,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"matmul batch dimensions disagree: {a.shape} x {b.shape}") from e
 
-    def grad_fn(g):
-        ga = _sum_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _sum_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+    def grad_fn(g):  # no product for an operand that takes no gradient
+        ga = gb = None
+        if a.requires_grad:
+            ga = _sum_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _sum_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return (ga, gb)
 
     return _make(data, (a, b), grad_fn)
@@ -319,10 +322,22 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 GCOLS_SLICE_BYTES = 8 << 20  # conv2d's input gradient builds its columns this much at a time
 
 
+def _pad(a: np.ndarray, pad: int) -> np.ndarray:
+    """[B x c x H x W] zero-padded by ``pad`` on both spatial sides (np.pad's values, faster)."""
+    if not pad:
+        return a
+    batch, channels, height, width = a.shape
+    out = np.zeros((batch, channels, height + 2 * pad, width + 2 * pad))
+    out[:, :, pad : pad + height, pad : pad + width] = a
+    return out
+
+
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of [B x c_in x H x W] with [c_out x c_in x h x w].
 
-    The input gradient builds its columns and scatters them one slice of batch
+    The node keeps its operands' arrays, not a padded copy of the input: the
+    backward pass pads again for the kernel gradient and frees that copy before
+    the input gradient builds its columns and scatters them one slice of batch
     rows at a time, at most ``GCOLS_SLICE_BYTES`` or one row.
     """
     if x.ndim != 4 or k.ndim != 4:
@@ -342,31 +357,33 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         )
     out_h = num_h // stride + 1
     out_w = num_w // stride + 1
+    x_data, k_data = x.data, k.data  # what the forward pass read, whatever the tensors hold later
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-
-    def tap(i, j):
-        """The [B x c_in x out_h*out_w] input positions that kernel tap (i, j) reads."""
+    def tap(xp, i, j):
+        """The [B x c_in x out_h*out_w] positions of padded input ``xp`` that kernel tap (i, j) reads."""
         view = xp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
         return view.reshape(batch, c_in, out_h * out_w)
 
     # Shift-and-accumulate (Dukhan 2019): one [c_out x c_in] product per tap, no
-    # im2col buffer; the tape keeps only the padded input.
+    # im2col buffer.
     taps = [(i, j) for i in range(kh) for j in range(kw)]
-    ktaps = k.data.transpose(2, 3, 0, 1).copy()  # contiguous [c_out x c_in] per tap
+    ktaps = k_data.transpose(2, 3, 0, 1).copy()  # contiguous [c_out x c_in] per tap
+    xp = _pad(x_data, pad)
     data = np.zeros((batch, c_out, out_h * out_w))
     for i, j in taps:
-        data += np.matmul(ktaps[i, j], tap(i, j))
+        data += np.matmul(ktaps[i, j], tap(xp, i, j))
     data = data.reshape(batch, c_out, out_h, out_w)
 
     def grad_fn(g):
         g2 = g.reshape(batch, c_out, -1)
-        gk = np.empty_like(k.data)
+        gk = np.empty_like(k_data)
+        xp = _pad(x_data, pad)
         for i, j in taps:
-            gk[:, :, i, j] = np.matmul(g2, tap(i, j).transpose(0, 2, 1)).sum(axis=0)
-        kmat_t = k.data.reshape(c_out, -1).T
+            gk[:, :, i, j] = np.matmul(g2, tap(xp, i, j).transpose(0, 2, 1)).sum(axis=0)
+        del xp  # before the gcols slices, so the two never coexist
+        kmat_t = k_data.reshape(c_out, -1).T
         slice_rows = max(1, GCOLS_SLICE_BYTES // (8 * c_in * kh * kw * out_h * out_w))
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((batch, c_in, height + 2 * pad, width + 2 * pad))
         for b0 in range(0, batch, slice_rows):  # matmul treats each batch row on its own
             part = slice(b0, b0 + slice_rows)
             gcols = np.matmul(kmat_t, g2[part]).reshape(-1, c_in, kh, kw, out_h, out_w)
@@ -402,6 +419,63 @@ class BatchNormState:
         return BatchNormState(self.running_mean.copy(), self.running_var.copy(), self.momentum, self.eps)
 
 
+_BN_AXES, _BN_VIEW = (0, 2, 3), (1, -1, 1, 1)
+
+
+def _bn_check(x: Tensor, mode: str) -> None:
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
+    if x.ndim != 4:
+        raise ShapeError(f"batch_norm expects [B x c x H x W] input, got {x.shape}")
+
+
+def _bn_stats(x: np.ndarray, state: BatchNormState, mode: str):
+    """Per-channel (mu, v_eps, inv_std) and x - mu; train mode also updates ``state``."""
+    if mode == "train":
+        mu = np.mean(x, axis=_BN_AXES, keepdims=True)
+        centered = x - mu
+        var = np.mean(centered * centered, axis=_BN_AXES, keepdims=True)
+        m = state.momentum
+        state.running_mean = (1.0 - m) * state.running_mean + m * mu.reshape(-1)
+        state.running_var = (1.0 - m) * state.running_var + m * var.reshape(-1)
+    else:
+        mu = state.running_mean.reshape(_BN_VIEW)
+        var = state.running_var.reshape(_BN_VIEW)
+        centered = x - mu
+    v_eps = var + np.array(state.eps)
+    return mu, v_eps, v_eps**-0.5, centered
+
+
+def _bn_backward(g, normalized, c, gamma_view, inv_std, v_eps, mode):
+    """Closed-form batch-norm gradients (g_x, g_gamma, g_beta), the last two [1 x c x 1 x 1].
+
+    ``c`` is x - mu. ``normalized`` may be None, for c * inv_std computed here as the
+    forward pass did. Each step repeats the arithmetic of the equivalent tape of
+    elementwise ops, in its order. Each full array is dropped once it is read for the
+    last time, so one the caller does not keep is freed early.
+    """
+    channel = (1, g.shape[1], 1, 1)
+    count = g.shape[0] * g.shape[2] * g.shape[3]
+    if normalized is None:
+        normalized = c * inv_std
+    g_gamma = _sum_to_shape(g * normalized, channel)
+    del normalized
+    g_beta = _sum_to_shape(g, channel)
+    g_norm = g * gamma_view
+    del g
+    if mode == "eval":
+        return g_norm * inv_std, g_gamma, g_beta
+    g_sq_c = _sum_to_shape(g_norm * c, channel) * -0.5 * v_eps**-1.5 / count * c
+    del c
+    g_x = g_norm
+    g_x *= inv_std  # in place: g_norm is not needed again
+    g_x += g_sq_c  # once for each factor of var = mean(c * c), in tape order
+    g_x += g_sq_c
+    del g_sq_c
+    g_x -= _sum_to_shape(g_x, channel) / count  # through mu = mean(x)
+    return g_x, g_gamma, g_beta
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: str) -> Tensor:
     """Normalize per channel; batch statistics in train mode, running ones in eval.
 
@@ -410,47 +484,50 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mo
     the arithmetic of the equivalent tape of elementwise ops, in its order, so
     outputs, gradients and running statistics are bitwise the same.
     """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-    if x.ndim != 4:
-        raise ShapeError(f"batch_norm expects [B x c x H x W] input, got {x.shape}")
-    axes, view = (0, 2, 3), (1, -1, 1, 1)
-    gamma_view = gamma.data.reshape(view)
-    channel = (1, x.shape[1], 1, 1)
-
-    if mode == "train":
-        mu = np.mean(x.data, axis=axes, keepdims=True)
-        centered = x.data - mu
-        var = np.mean(centered * centered, axis=axes, keepdims=True)
-        m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mu.reshape(-1)
-        state.running_var = (1.0 - m) * state.running_var + m * var.reshape(-1)
-    else:
-        mu = state.running_mean.reshape(view)
-        var = state.running_var.reshape(view)
-        centered = x.data - mu
-    v_eps = var + np.array(state.eps)
-    inv_std = v_eps ** -0.5
+    _bn_check(x, mode)
+    x_data, gamma_view = x.data, gamma.data.reshape(_BN_VIEW)
+    mu, v_eps, inv_std, centered = _bn_stats(x_data, state, mode)
     normalized = centered * inv_std
     del centered
-    count = x.shape[0] * x.shape[2] * x.shape[3]
 
     def grad_fn(g):
-        g_gamma = _sum_to_shape(g * normalized, channel).reshape(gamma.shape)
-        g_beta = _sum_to_shape(g, channel).reshape(beta.shape)
-        g_norm = g * gamma_view
-        if mode == "eval":
-            return (g_norm * inv_std, g_gamma, g_beta)
-        c = x.data - mu
-        g_sq_c = _sum_to_shape(g_norm * c, channel) * -0.5 * v_eps**-1.5 / count * c
-        g_x = g_norm
-        g_x *= inv_std  # in place: g_norm is not needed again
-        g_x += g_sq_c  # once for each factor of var = mean(c * c), in tape order
-        g_x += g_sq_c
-        g_x -= _sum_to_shape(g_x, channel) / count  # through mu = mean(x)
-        return (g_x, g_gamma, g_beta)
+        c = x_data - mu if mode == "train" else None  # eval mode reads no c
+        g_x, g_gamma, g_beta = _bn_backward(g, normalized, c, gamma_view, inv_std, v_eps, mode)
+        return g_x, g_gamma.reshape(gamma.shape), g_beta.reshape(beta.shape)
 
-    return _make(normalized * gamma_view + beta.data.reshape(view), (x, gamma, beta), grad_fn)
+    return _make(normalized * gamma_view + beta.data.reshape(_BN_VIEW), (x, gamma, beta), grad_fn)
+
+
+def bias_bn_relu(
+    x: Tensor, b: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: str
+) -> Tensor:
+    """relu(batch_norm(x + b)) with a per-channel bias ``b``, as one tape node.
+
+    The node keeps its input array, its output and the per-channel statistics;
+    the backward pass takes the ReLU mask from the output and recomputes x + b,
+    x + b - mean and the normalized input (in-place activated batch norm, Rota
+    Bulò et al., CVPR 2018). Outputs, gradients and running statistics are
+    bitwise those of ``relu(batch_norm(add(x, reshape(b, (1, -1, 1, 1)))))``.
+    """
+    _bn_check(x, mode)
+    x_data, b_view, gamma_view = x.data, b.data.reshape(_BN_VIEW), gamma.data.reshape(_BN_VIEW)
+    mu, v_eps, inv_std, bn = _bn_stats(x_data + b_view, state, mode)
+    bn *= inv_std  # normalized, in place: the backward pass recomputes it
+    bn *= gamma_view
+    bn += beta.data.reshape(_BN_VIEW)
+    out = np.where(bn > 0, bn, 0.0)
+    del bn
+
+    def grad_fn(g):
+        # out > 0 exactly where bn > 0. Nothing else holds the full arrays passed
+        # here, so _bn_backward frees each after its last read.
+        g_x, g_gamma, g_beta = _bn_backward(
+            g * (out > 0), None, x_data + b_view - mu, gamma_view, inv_std, v_eps, mode
+        )
+        g_b = _sum_to_shape(g_x, g_beta.shape)  # what add -> reshape(b) gave
+        return g_x, g_b.reshape(b.shape), g_gamma.reshape(gamma.shape), g_beta.reshape(beta.shape)
+
+    return _make(out, (x, b, gamma, beta), grad_fn)
 
 
 # -- backward pass -----------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Representation pipeline: grouped Gram transform, ConvNet encoder, adapter, heads.
 
-Stage layout: g2g -> 4 x (conv 3x3 s1 p1 -> batchnorm -> relu) -> global average
-pool -> flatten. The adapter is the only stage touched by test-time adaptation;
-it starts as an exact identity so adaptation-off equals the raw pipeline.
+Stage layout: g2g -> 4 x (conv 3x3 s1 p1 -> bias -> batchnorm -> relu) -> global
+average pool -> flatten. A conv block records two tape nodes, ``conv2d`` and
+``bias_bn_relu``, so the tape holds two activations per block. The adapter is
+the only stage touched by test-time adaptation; it starts as an exact identity
+so adaptation-off equals the raw pipeline.
 
 Every stage takes a batch: ``encode`` maps features [B x n x d] to rows
 [B x q], and ``adapt`` maps rows [m x q], or a stack [G x m x q], to the same
@@ -208,15 +210,14 @@ def encode(features: Tensor, model: Model, mode: str = "eval") -> Tensor:
         w = model.theta.get(f"conv{i}_w")
         b = model.theta.get(f"conv{i}_b")
         x = ad.conv2d(x, w, stride=1, pad=1)
-        x = ad.add(x, ad.reshape(b, (1, -1, 1, 1)))
-        x = ad.batch_norm(
+        x = ad.bias_bn_relu(
             x,
+            b,
             model.theta.get(f"bn{i}_gamma"),
             model.theta.get(f"bn{i}_beta"),
             model.bn_states[i],
             mode,
         )
-        x = ad.relu(x)
     return x.mean(axis=(2, 3))
 
 

@@ -271,9 +271,12 @@ def train_supervised_baseline(
     """Backbone + linear softmax classifier; best-validation snapshot returned.
 
     The adapter stays at its identity initialization: it exists for test-time
-    adaptation and takes no part in the supervised objective.
+    adaptation and takes no part in the supervised objective, so it takes no
+    gradient while training.
     """
     model = create_model(cfg.model_config(), seed=cfg.rng_seed)
+    for t in model.phi.tensors():
+        t.requires_grad = False
 
     def batch_losses(epoch: int):
         order = np.random.default_rng([cfg.rng_seed, 5, epoch]).permutation(len(train_pool))
@@ -284,4 +287,7 @@ def train_supervised_baseline(
             )
 
     validate = lambda: classify_pool(model, val_pool)[1]
-    return _train(model, [model.theta, model.w], cfg, batch_losses, validate)
+    best = _train(model, [model.theta, model.w], cfg, batch_losses, validate)
+    for t in best.phi.tensors():
+        t.requires_grad = True
+    return best

@@ -41,6 +41,16 @@ def test_matmul_batched_matches_loop():
         assert np.allclose(out.data[i], a[i] @ b[i])
 
 
+def test_matmul_backward_skips_operand_without_gradient():
+    rng = np.random.default_rng(2)
+    const, w = t(rng.normal(size=(4, 3))), t(rng.normal(size=(3, 2)), grad=True)
+    g = rng.normal(size=(4, 2))
+    ga, gb = ad.matmul(const, w)._grad_fn(g)
+    assert ga is None and gb.tobytes() == np.matmul(const.data.T, g).tobytes()
+    ga, gb = ad.matmul(w, t(rng.normal(size=(2, 5))))._grad_fn(rng.normal(size=(3, 5)))
+    assert gb is None and ga.shape == w.shape
+
+
 # -- conv2d ------------------------------------------------------------------
 
 def test_conv2d_identity_kernel():
@@ -170,6 +180,13 @@ def test_conv2d_backward_peak_memory_below_one_gcols_buffer():
         tracemalloc.stop()
     assert x.grad.shape == x.shape and k.grad.shape == k.shape
     assert peak < gcols_bytes
+
+
+@pytest.mark.parametrize("pad", [0, 1, 2])
+def test_pad_bitwise_equals_np_pad(pad):
+    a = np.random.default_rng([15, pad]).normal(size=(2, 3, 4, 5))
+    expect = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    assert ad._pad(a, pad).tobytes() == expect.tobytes()
 
 
 def test_conv2d_linearity():
@@ -376,6 +393,71 @@ def test_batch_norm_is_one_tape_node():
     out = ad.batch_norm(x, gamma, beta, ad.BatchNormState.create(3), "train")
     assert len(out._parents) == 3
     assert all(p is q for p, q in zip(out._parents, (x, gamma, beta)))
+
+
+def _composed_block_tail(x, b, gamma, beta, state, mode):
+    """The encoder block's tail as the tape of separate nodes it replaces."""
+    return ad.relu(ad.batch_norm(ad.add(x, ad.reshape(b, (1, -1, 1, 1))), gamma, beta, state, mode))
+
+
+def _block_leaves(seed):
+    """Conv input, kernel, bias, gamma, beta and running state of one random block."""
+    rng = np.random.default_rng([13, seed])
+    batch, c_in, c_out = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    height, width = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    state = ad.BatchNormState.create(c_out)
+    state.running_mean = rng.normal(size=c_out)
+    state.running_var = rng.uniform(0.5, 2.0, size=c_out)
+    leaves = (
+        t(rng.normal(loc=0.5, scale=2.0, size=(batch, c_in, height, width)), grad=True),
+        t(rng.normal(size=(c_out, c_in, 3, 3)), grad=True),
+        t(rng.normal(size=c_out), grad=True),
+        t(rng.uniform(0.5, 2.0, size=c_out), grad=True),
+        t(rng.normal(scale=0.3, size=c_out), grad=True),
+    )
+    return leaves, state, rng.normal(size=(batch, c_out, height, width))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("seed", range(4))
+def test_bias_bn_relu_bitwise_equals_composed_tape(mode, seed):
+    """Output, gradients and running statistics equal conv -> add(reshape(b)) -> batch_norm -> relu's."""
+    results = []
+    for tail in (_composed_block_tail, ad.bias_bn_relu):
+        (x, k, b, gamma, beta), state, weights = _block_leaves(seed)
+        out = tail(ad.conv2d(x, k, stride=1, pad=1), b, gamma, beta, state, mode)
+        ad.backward(ad.tensor_sum(ad.mul(out, t(weights))))
+        grads = [p.grad for p in (x, k, b, gamma, beta)]
+        results.append([out.data, *grads, state.running_mean, state.running_var])
+    assert 0 < np.count_nonzero(results[1][0]) < results[1][0].size  # the ReLU mask is not trivial
+    for composed, fused in zip(*results):
+        assert fused.tobytes() == composed.tobytes()
+
+
+def test_bias_bn_relu_is_one_tape_node():
+    rng = np.random.default_rng(14)
+    x = t(rng.normal(size=(4, 3, 2, 2)), grad=True)
+    b, gamma, beta = (t(rng.normal(size=3), grad=True) for _ in range(3))
+    out = ad.bias_bn_relu(x, b, gamma, beta, ad.BatchNormState.create(3), "train")
+    assert len(out._parents) == 4
+    assert all(p is q for p, q in zip(out._parents, (x, b, gamma, beta)))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_conv_block_gradients_ignore_parent_data_replaced_after_forward(mode):
+    """conv2d and the block tail read what their forward pass read, not what the tensors hold later."""
+    grads = []
+    for replace in (False, True):
+        (x, k, b, gamma, beta), state, weights = _block_leaves(5)
+        conv = ad.conv2d(x, k, stride=1, pad=1)
+        loss = ad.tensor_sum(ad.mul(ad.bias_bn_relu(conv, b, gamma, beta, state, mode), t(weights)))
+        if replace:
+            for tensor in (x, k, conv, b, gamma, beta):
+                tensor.data = np.full_like(tensor.data, 7.0)
+        ad.backward(loss)
+        grads.append([p.grad for p in (x, k, b, gamma, beta)])
+    for kept, replaced in zip(*grads):
+        assert replaced.tobytes() == kept.tobytes()
 
 
 # -- activations and reductions ------------------------------------------------

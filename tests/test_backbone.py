@@ -178,6 +178,29 @@ def test_encode_train_step_peak_memory_bounded_by_activations_per_block():
     assert peak < 10.5 * activation_bytes
 
 
+def test_encode_train_tape_holds_two_activations_per_block():
+    """After a train-mode encode forward pass, a block's tape holds its conv output and its output.
+
+    The block tail recomputes what its backward pass needs, and conv2d keeps its
+    input array rather than a padded copy; the rest is small per-channel arrays.
+    """
+    cfg = backbone.BackboneConfig(
+        n_electrodes=24, d_bands=4, conv_channels=(8, 8, 8, 8), embedding_dim=8, adapter_hidden=16
+    )
+    model = backbone.create_model(cfg, seed=0)
+    batch = 16
+    features = t(np.random.default_rng(12).normal(size=(batch, 24, 4)))
+    activation_bytes = sum(batch * c * 24 * 24 * 8 for c in cfg.conv_channels)
+    tracemalloc.start()
+    try:
+        out = backbone.encode(features, model, mode="train")
+        alive, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert alive < 2.5 * activation_bytes
+
+
 @pytest.mark.parametrize("head", backbone.HEAD_KINDS)
 def test_model_floats_counts_what_create_model_builds(head):
     wide = dict(g2g_channels=4, adapter_hidden=14, relation_hidden=7, num_classes=5)

@@ -639,3 +639,25 @@ def test_supervised_baseline_leaves_adapter_at_identity(trained_supervised):
     model, cfg = trained_supervised
     fresh = create_model(cfg.model_config(), seed=cfg.rng_seed)
     assert model.phi.state_bytes() == fresh.phi.state_bytes()
+
+
+def test_supervised_baseline_computes_no_adapter_gradient(separable_pools, monkeypatch):
+    """No backward pass fills the adapter's gradients, and the returned adapter still takes one."""
+    train, val, _ = separable_pools
+    models, phi_grads = [], []
+    original_create, original_backward = fsl.create_model, ad.backward
+
+    def recording_create(config, seed=0):
+        models.append(original_create(config, seed=seed))
+        return models[-1]
+
+    def recording_backward(loss):
+        original_backward(loss)
+        phi_grads.extend(p.grad for p in models[0].phi.tensors())
+
+    monkeypatch.setattr(fsl, "create_model", recording_create)
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    cfg = SupervisedConfig(backbone=SEPARABLE_BACKBONE, num_classes=3, max_epochs=2)
+    best = train_supervised_baseline(train, val, cfg)
+    assert phi_grads and all(g is None for g in phi_grads)
+    assert all(p.requires_grad for p in best.phi.tensors())
