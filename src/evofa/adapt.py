@@ -2,24 +2,28 @@
 
 Target embeddings are aligned to an ordered series of source snapshots
 (time buckets within a session, or one snapshot per training subject) by
-kernel two-sample distance. Only the adapter parameters move: the encoder
-and classifier head are frozen, so a sample's encoder row never changes
-during adaptation. The adaptation core therefore takes encoder rows: the
-train pool's (``backbone.encode_rows``), snapshots that index them, and the
+kernel two-sample distance. A snapshot draw is an int64 array
+[n_stages x 2 x snapshot_size] of train-pool rows: ``draw[k, 0]`` is stage
+k's support half and ``draw[k, 1]`` its query half, stages in order.
+
+Only the adapter parameters move: the encoder and classifier head are
+frozen, so a sample's encoder row never changes during adaptation. The
+adaptation core therefore takes encoder rows: the train pool's
+(``backbone.encode_rows``), snapshot draws that index them, and the
 target's. ``evofa_test`` encodes each of its pools once per call.
 
 The core runs on one episode or on a stack of G of them. A stack has target
-rows [G x t x q], one SnapshotSet per slice and a stacked adapter (weights
-[G x ...], biases [G x 1 x h]); the adapter and the fused ``mmd.mmd2`` node
-then run once per step for the whole stack, with a median-heuristic
-bandwidth per slice, and each loss is the [G] vector of slice losses.
-Episodes without persisted adaptation are independent, so ``evofa_test``
-adapts them EPISODE_GROUP at a time; persisted adaptation runs the same code
-on stacks of one.
+rows [G x t x q], draws [G x n x 2 x s] (``np.stack`` of one draw per slice)
+and a stacked adapter (weights [G x ...], biases [G x 1 x h]); the adapter
+and the fused ``mmd.mmd2`` node then run once per step for the whole stack,
+with a median-heuristic bandwidth per slice, and each loss is the [G] vector
+of slice losses. Episodes without persisted adaptation are independent, so
+``evofa_test`` adapts them EPISODE_GROUP at a time; persisted adaptation
+runs the same code on stacks of one.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,41 +36,6 @@ from .data import Count, DatasetIndex, Natural, Scale, check_fields
 from .errors import ConfigError, ContractError, ProtocolError, SamplingError
 from .fsl import Episode, classify_query, sample_episode
 from .mmd import KernelSpec, default_spec, mmd2
-
-
-@dataclass(frozen=True, eq=False)
-class Snapshot:
-    """One stage of the evolving source: disjoint support/query halves and a stage tag.
-
-    The halves are row indices into the train pool the snapshot was drawn from.
-    """
-
-    tag: int
-    spt: np.ndarray
-    qry: np.ndarray
-
-    def __post_init__(self):
-        if not len(self.spt) or not len(self.qry):
-            raise ProtocolError(f"snapshot {self.tag} has an empty half")
-        overlap = np.intersect1d(self.spt, self.qry)
-        if overlap.size:
-            raise ProtocolError(
-                f"snapshot {self.tag} halves overlap on rows {overlap[:3].tolist()}"
-            )
-
-
-@dataclass(frozen=True)
-class SnapshotSet:
-    """Ordered stages of the evolving source distribution."""
-
-    snapshots: tuple[Snapshot, ...]  # time buckets in order (intra) or one per subject (inter)
-
-    def __post_init__(self):
-        if not self.snapshots:
-            raise ProtocolError("snapshot set is empty")
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
 
 
 @dataclass(frozen=True)
@@ -95,29 +64,25 @@ class AdaptConfig:
             )
 
 
-Snapshots = SnapshotSet | Sequence[SnapshotSet]  # one set, or one per slice of a stack
-
-
 # -- snapshot sampling ------------------------------------------------------------
 
 
 def _draw_halves(
     stages: dict[int, np.ndarray], what: str, cfg: AdaptConfig, rng: np.random.Generator
-) -> SnapshotSet:
-    """One snapshot per stage, in order: disjoint halves drawn from the stage's pool rows."""
+) -> np.ndarray:
+    """One snapshot per stage, in order: disjoint halves of the stage's pool rows, [n x 2 x s]."""
     need = 2 * cfg.snapshot_size
-    snapshots = []
+    picks = []
     for tag, rows in stages.items():
         if len(rows) < need:
             raise SamplingError(f"{what} {tag} has {len(rows)} samples, needs {need}")
-        picks = rows[rng.choice(len(rows), size=need, replace=False)]
-        snapshots.append(Snapshot(tag, picks[: cfg.snapshot_size], picks[cfg.snapshot_size :]))
-    return SnapshotSet(tuple(snapshots))
+        picks.append(rows[rng.choice(len(rows), size=need, replace=False)])
+    return np.stack(picks).reshape(len(picks), 2, cfg.snapshot_size)
 
 
 def sample_snapshots_intra(
     train_pool: DatasetIndex, cfg: AdaptConfig, rng: np.random.Generator
-) -> SnapshotSet:
+) -> np.ndarray:
     """Cut the pool's timeline into n contiguous buckets and draw halves from each.
 
     A pool is in dataset order, which is chronological within its one session.
@@ -130,7 +95,7 @@ def sample_snapshots_intra(
 
 def sample_snapshots_inter(
     train_pool: DatasetIndex, cfg: AdaptConfig, rng: np.random.Generator
-) -> SnapshotSet:
+) -> np.ndarray:
     """One snapshot per training subject, capped at n subjects drawn without replacement."""
     subjects = train_pool.subjects()
     if not subjects:
@@ -146,14 +111,10 @@ def sample_snapshots_inter(
 # -- alignment losses -------------------------------------------------------------
 
 
-def _stage_rows(train_rows: np.ndarray, snapshots: Snapshots, half: str) -> list[np.ndarray]:
-    """Per stage, in order, the train rows of the snapshots' ``half`` ("spt" or "qry")."""
-    if isinstance(snapshots, SnapshotSet):
-        return [train_rows[getattr(snap, half)] for snap in snapshots.snapshots]
-    if len({len(sset) for sset in snapshots}) != 1:
-        raise ProtocolError("stacked snapshot sets differ in length")
-    stages = zip(*(sset.snapshots for sset in snapshots))
-    return [train_rows[np.stack([getattr(snap, half) for snap in stage])] for stage in stages]
+def _stage_rows(train_rows: np.ndarray, snapshots: np.ndarray, half: int) -> list[np.ndarray]:
+    """Per stage, in order, the train rows of one half (0 support, 1 query) of a draw or stack."""
+    rows = train_rows[snapshots[..., half, :]]
+    return [rows[..., k, :, :] for k in range(rows.shape[-3])]
 
 
 def _aligned(src: Tensor, tgt: Tensor, cfg: AdaptConfig) -> Tensor:
@@ -193,7 +154,7 @@ def _require_finite_grads(group: ParamGroup, where: str) -> None:
 def inner_adapt(
     model: Model,
     train_rows: np.ndarray,
-    snapshots: Snapshots,
+    snapshots: np.ndarray,
     target_rows: np.ndarray,
     cfg: AdaptConfig,
 ) -> ParamGroup:
@@ -206,7 +167,7 @@ def inner_adapt(
     phi = model.phi.copy()
     if cfg.eta_in == 0.0:
         return phi
-    for stage, src_enc in enumerate(_stage_rows(train_rows, snapshots, "spt")):
+    for stage, src_enc in enumerate(_stage_rows(train_rows, snapshots, 0)):
         phi.zero_grad()
         loss = _pair_loss(src_enc, target_rows, phi, cfg)
         if not loss.is_finite():
@@ -220,7 +181,7 @@ def inner_adapt(
 def alignment_loss(
     phi: ParamGroup,
     train_rows: np.ndarray,
-    snapshots: Snapshots,
+    snapshots: np.ndarray,
     target_rows: np.ndarray,
     cfg: AdaptConfig,
 ) -> Tensor:
@@ -229,7 +190,7 @@ def alignment_loss(
     The target goes through the adapter once and is shared by every snapshot's term.
     """
     tgt = _adapted_target(target_rows, phi)
-    stages = _stage_rows(train_rows, snapshots, "qry")
+    stages = _stage_rows(train_rows, snapshots, 1)
     total = None
     for src_enc in stages:
         term = _aligned(backbone.adapt(Tensor(src_enc), phi), tgt, cfg)
@@ -240,7 +201,7 @@ def alignment_loss(
 def mean_alignment(
     model: Model,
     train_rows: np.ndarray,
-    snapshots: SnapshotSet,
+    snapshots: np.ndarray,
     target_rows: np.ndarray,
     cfg: AdaptConfig,
 ) -> float:
@@ -253,7 +214,7 @@ def outer_update(
     model: Model,
     phi_n: ParamGroup,
     train_rows: np.ndarray,
-    snapshots: Snapshots,
+    snapshots: np.ndarray,
     target_rows: np.ndarray,
     cfg: AdaptConfig,
 ) -> None:
@@ -278,20 +239,17 @@ def outer_update(
     phi_n.zero_grad()
 
 
-SnapshotSource = Snapshots | Callable[[int], Snapshots]
-
-
 def evofa_run(
     model: Model,
     train_rows: np.ndarray,
-    snapshots: SnapshotSource,
+    snapshots: np.ndarray | Callable[[int], np.ndarray],
     target_rows: np.ndarray,
     cfg: AdaptConfig,
 ) -> Model:
     """max_iter rounds of inner adaptation plus outer update on the model's adapter.
 
-    snapshots index ``train_rows`` and are either a fixed SnapshotSet reused
-    every round or a callable iteration -> SnapshotSet giving a freshly
+    snapshots index ``train_rows``: either a fixed draw (or stack of draws)
+    reused every round, or a callable iteration -> draw giving a freshly
     sampled evolving source per round. The encoder and head never change.
     """
     for it in range(cfg.max_iter):
@@ -395,7 +353,7 @@ def evofa_test(
     adapted state from one episode to the next.
 
     Encoding happens once, up front: the test pool (and, when adapting, the
-    train pool) goes through ``encode_rows``. Snapshot halves, the target
+    train pool) goes through ``encode_rows``. The snapshot draws, the target
     support and the episode's support and query then index those row
     matrices; only the adapter and the head run per episode.
 
@@ -433,7 +391,7 @@ def evofa_test(
             ]
             # each adaptation round draws a fresh evolving source per episode
             rounds = [
-                [sampler(train_pool, adapt_cfg, rng(12, i, it)) for i in indices]
+                np.stack([sampler(train_pool, adapt_cfg, rng(12, i, it)) for i in indices])
                 for it in range(adapt_cfg.max_iter)
             ]
             phi = carried if persist else _stack_adapter(model.phi, len(indices))

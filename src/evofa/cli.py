@@ -8,10 +8,7 @@ partial results.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from dataclasses import asdict
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -83,23 +80,12 @@ def _cmd_synth_gen(args, out: _Outputs) -> int:
     out.track(manifest)
     for path in sorted((out_dir / "features").glob("*.evfa")):
         out.track(path)
-    _write_manifest_stub(out, out_dir, {"synthetic": asdict(cfg)})
+    out.track(write_run_manifest(out_dir, cfg))
     print(
         f"wrote {len(ds)} samples over {len(ds.subjects())} subjects "
         f"(schema {ds.schema[0]}x{ds.schema[1]}, {ds.num_classes} classes) to {manifest}"
     )
     return 0
-
-
-def _write_manifest_stub(out: _Outputs, out_dir: Path, dataset_obj: dict) -> None:
-    stub = {
-        "version": "evofa-cli",
-        "dataset": dataset_obj,
-        "created_unix": time.time(),
-    }
-    path = Path(out_dir) / "run-manifest.json"
-    atomic_write(path, (json.dumps(stub, indent=2) + "\n").encode())
-    out.track(path)
 
 
 def _cmd_import_check(args, out: _Outputs) -> int:

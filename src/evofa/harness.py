@@ -216,14 +216,18 @@ class ResultTable:
         return csv_path, json_path
 
 
-def write_run_manifest(out_dir: str | Path, cfg: ExperimentConfig) -> Path:
+def write_run_manifest(out_dir: str | Path, cfg: ExperimentConfig | DriftConfig) -> Path:
+    """run-manifest.json: the package version, the command's config and the time.
+
+    An experiment run records its seed and config; synth-gen records its
+    generator config as the ``dataset`` section an experiment config takes.
+    """
+    if isinstance(cfg, DriftConfig):
+        command = {"dataset": {"synthetic": asdict(cfg)}}
+    else:
+        command = {"seed": cfg.seed, "config": config_to_obj(cfg)}
+    manifest = {"version": f"evofa-{__version__}", **command, "created_unix": time.time()}
     path = Path(out_dir) / "run-manifest.json"
-    manifest = {
-        "version": f"evofa-{__version__}",
-        "seed": cfg.seed,
-        "config": config_to_obj(cfg),
-        "created_unix": time.time(),
-    }
     atomic_write(path, (json.dumps(manifest, indent=2) + "\n").encode())
     return path
 

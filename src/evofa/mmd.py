@@ -136,11 +136,9 @@ def mmd2(x: Tensor, y: Tensor, spec: KernelSpec | Sequence[KernelSpec]) -> Tenso
     return _make(value if x.ndim == 3 else value[0], (x, y), grad_fn)
 
 
-def median_heuristic(x: np.ndarray | Tensor, y: np.ndarray | Tensor) -> float:
+def median_heuristic(x: np.ndarray, y: np.ndarray) -> float:
     """Median pairwise Euclidean distance over the pooled sample, zeros excluded."""
-    xa = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    ya = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
-    pooled = np.concatenate([xa, ya], axis=0)
+    pooled = np.concatenate([np.asarray(a, dtype=np.float64) for a in (x, y)], axis=0)
     if pooled.shape[0] < 2:
         raise ShapeError(f"median heuristic needs at least 2 points, got {pooled.shape[0]}")
     upper = np.sqrt(_pair_sq_dists(pooled))
@@ -151,6 +149,6 @@ def median_heuristic(x: np.ndarray | Tensor, y: np.ndarray | Tensor) -> float:
     return float(np.median(upper))
 
 
-def default_spec(x, y) -> KernelSpec:
+def default_spec(x: np.ndarray, y: np.ndarray) -> KernelSpec:
     """Kernel ladder centered on the median-heuristic bandwidth of the pooled data."""
     return KernelSpec.around(median_heuristic(x, y))

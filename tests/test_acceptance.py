@@ -545,7 +545,7 @@ def test_criterion_08_alignment_descends():
         snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 51]))
         target = target_rows(m, test, 30, seed=seed)
         train_rows = encode_rows(m, train.features)
-        src_enc = train_rows[snaps.snapshots[0].spt]
+        src_enc = train_rows[snaps[0, 0]]
         with ad.no_grad():
             before = adapt_mod._pair_loss(src_enc, target, m.phi, cfg).item()
         phi_n = inner_adapt(m, train_rows, snaps, target, cfg)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evofa import adapt as adapt_mod
 from evofa import autodiff as ad
@@ -11,8 +12,6 @@ from evofa import backbone
 from evofa.adapt import (
     AdaptConfig,
     EvalConfig,
-    Snapshot,
-    SnapshotSet,
     alignment_loss,
     evofa_run,
     evofa_test,
@@ -88,26 +87,7 @@ def rows_of(model, pool):
     return encode_rows(model, pool.features)
 
 
-def halves(spt, qry):
-    return np.array(spt, dtype=np.int64), np.array(qry, dtype=np.int64)
-
-
-# -- snapshot types -----------------------------------------------------------------
-
-
-def test_snapshot_rejects_empty_half():
-    with pytest.raises(ProtocolError, match="empty"):
-        Snapshot(0, *halves([0], []))
-
-
-def test_snapshot_rejects_overlapping_halves():
-    with pytest.raises(ProtocolError, match="overlap on rows \\[3\\]"):
-        Snapshot(0, *halves([1, 3], [3, 4]))
-
-
-def test_snapshot_set_rejects_empty():
-    with pytest.raises(ProtocolError, match="empty"):
-        SnapshotSet(snapshots=())
+# -- config -------------------------------------------------------------------------
 
 
 def test_adapt_config_validation():
@@ -136,27 +116,25 @@ def test_adapt_config_rejects_non_finite_rates(field, value):
 def test_intra_buckets_partition_the_timeline(pools):
     train, _, _ = pools  # 300 samples, time_index 0..299
     cfg = AdaptConfig(n_snapshots=3, snapshot_size=20)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
-    assert len(snaps) == 3
-    for i, snap in enumerate(snaps.snapshots):
-        times = train.time[np.concatenate([snap.spt, snap.qry])]
+    draw = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
+    assert len(draw) == 3
+    for i, stage in enumerate(draw):
+        times = train.time[stage.ravel()]
         assert np.all((100 * i <= times) & (times < 100 * (i + 1)))
 
 
-def test_intra_tags_strictly_increase(pools):
+def test_intra_stages_in_chronological_order(pools):
     train, _, _ = pools
     cfg = AdaptConfig(n_snapshots=5, snapshot_size=10)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(1))
-    tags = [s.tag for s in snaps.snapshots]
-    assert tags == sorted(tags) and len(set(tags)) == len(tags)
+    stages = sample_snapshots_intra(train, cfg, np.random.default_rng(1)).reshape(5, -1)
+    assert np.all(stages.max(axis=1)[:-1] < stages.min(axis=1)[1:])
 
 
 def test_intra_half_sizes(pools):
     train, _, _ = pools
     cfg = AdaptConfig(n_snapshots=4, snapshot_size=12)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(2))
-    for snap in snaps.snapshots:
-        assert len(snap.spt) == 12 and len(snap.qry) == 12
+    draw = sample_snapshots_intra(train, cfg, np.random.default_rng(2))
+    assert draw.shape == (4, 2, 12) and draw.dtype == np.int64
 
 
 def test_intra_small_bucket_names_it(pools):
@@ -169,10 +147,9 @@ def test_intra_small_bucket_names_it(pools):
 def test_intra_deterministic_under_rng(pools):
     train, _, _ = pools
     cfg = AdaptConfig(n_snapshots=3, snapshot_size=15)
-    key = lambda ss: [np.concatenate([s.spt, s.qry]).tolist() for s in ss.snapshots]
     a = sample_snapshots_intra(train, cfg, np.random.default_rng(7))
     b = sample_snapshots_intra(train, cfg, np.random.default_rng(7))
-    assert key(a) == key(b)
+    assert np.array_equal(a, b)
 
 
 def test_drift_accumulates_across_buckets(pools):
@@ -181,9 +158,9 @@ def test_drift_accumulates_across_buckets(pools):
     cfg = AdaptConfig(n_snapshots=3, snapshot_size=30)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([0, 50]))
     flat = lambda rows: train.features[rows].reshape(len(rows), -1)
-    first = flat(snaps.snapshots[0].spt)
-    mid = flat(snaps.snapshots[1].spt)
-    last = flat(snaps.snapshots[2].spt)
+    first = flat(snaps[0, 0])
+    mid = flat(snaps[1, 0])
+    last = flat(snaps[2, 0])
     spec = default_spec(first, last)
     far = mmd2(Tensor(first), Tensor(last), spec).item()
     near = mmd2(Tensor(first), Tensor(mid), spec).item()
@@ -207,32 +184,95 @@ def multi_subject_pool():
 
 def test_inter_one_snapshot_per_subject(multi_subject_pool):
     cfg = AdaptConfig(n_snapshots=12, snapshot_size=10)
-    snaps = sample_snapshots_inter(multi_subject_pool, cfg, np.random.default_rng(0))
-    assert len(snaps) == 12
-    assert [s.tag for s in snaps.snapshots] == list(range(1, 13))
+    draw = sample_snapshots_inter(multi_subject_pool, cfg, np.random.default_rng(0))
+    assert len(draw) == 12
+    assert multi_subject_pool.subject[draw[:, 0, 0]].tolist() == list(range(1, 13))
 
 
 def test_inter_snapshots_are_single_subject(multi_subject_pool):
     cfg = AdaptConfig(n_snapshots=12, snapshot_size=10)
-    snaps = sample_snapshots_inter(multi_subject_pool, cfg, np.random.default_rng(0))
-    for snap in snaps.snapshots:
-        subjects = multi_subject_pool.subject[np.concatenate([snap.spt, snap.qry])]
-        assert set(subjects.tolist()) == {snap.tag}
+    draw = sample_snapshots_inter(multi_subject_pool, cfg, np.random.default_rng(0))
+    for k, stage in enumerate(draw):
+        subjects = multi_subject_pool.subject[stage.ravel()]
+        assert set(subjects.tolist()) == {k + 1}
 
 
 def test_inter_cap_chooses_without_replacement(multi_subject_pool):
     cfg = AdaptConfig(n_snapshots=5, snapshot_size=10)
     a = sample_snapshots_inter(multi_subject_pool, cfg, np.random.default_rng(4))
     b = sample_snapshots_inter(multi_subject_pool, cfg, np.random.default_rng(4))
-    tags = [s.tag for s in a.snapshots]
-    assert len(tags) == 5 and len(set(tags)) == 5
-    assert tags == [s.tag for s in b.snapshots]
+    subjects = multi_subject_pool.subject[a[:, 0, 0]].tolist()
+    assert len(subjects) == 5 and len(set(subjects)) == 5
+    assert np.array_equal(a, b)
 
 
 def test_inter_insufficient_subject_named(multi_subject_pool):
     cfg = AdaptConfig(n_snapshots=12, snapshot_size=16)  # 30 samples < 32 needed
     with pytest.raises(SamplingError, match="subject 1 "):
         sample_snapshots_inter(multi_subject_pool, cfg, np.random.default_rng(0))
+
+
+# -- draw invariants ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sampler", [sample_snapshots_intra, sample_snapshots_inter])
+def test_samplers_reject_empty_pool(pools, sampler):
+    empty = pools[0].select(subject=99)
+    with pytest.raises(SamplingError, match="empty pool"):
+        sampler(empty, AdaptConfig(), np.random.default_rng(0))
+
+
+def assert_disjoint_halves(draw, n, size):
+    assert draw.shape == (n, 2, size) and draw.dtype == np.int64
+    for stage in draw:  # 2s distinct rows: each half has no repeats, and the halves are disjoint
+        assert len(np.unique(stage)) == 2 * size
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_intra_draw_invariants(pools, data, n, seed):
+    train, _, _ = pools  # 300 samples in chronological order
+    buckets = np.array_split(np.arange(len(train)), n)
+    size = data.draw(st.integers(1, min(len(b) for b in buckets) // 2), label="snapshot_size")
+    cfg = AdaptConfig(n_snapshots=n, snapshot_size=size)
+    draw = sample_snapshots_intra(train, cfg, np.random.default_rng(seed))
+    assert_disjoint_halves(draw, n, size)
+    for stage, bucket in zip(draw, buckets):
+        assert np.all((bucket[0] <= stage) & (stage <= bucket[-1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 14), size=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
+def test_inter_draw_invariants(multi_subject_pool, n, size, seed):
+    pool = multi_subject_pool  # 12 subjects of 30 samples each
+    cfg = AdaptConfig(n_snapshots=n, snapshot_size=size)
+    draw = sample_snapshots_inter(pool, cfg, np.random.default_rng(seed))
+    stages = min(n, 12)
+    assert_disjoint_halves(draw, stages, size)
+    subjects = pool.subject[draw]
+    assert np.all(subjects == subjects[:, :1, :1])  # one subject per stage
+    order = subjects[:, 0, 0].tolist()
+    assert order == sorted(set(order))  # distinct, ascending
+    if n >= 12:
+        assert order == list(range(1, 13))
+
+
+@pytest.mark.parametrize("half", [0, 1])
+@pytest.mark.parametrize("kind", ["intra", "inter"])
+def test_stage_rows_of_a_stack_equal_each_draw_alone(pools, multi_subject_pool, model, kind, half):
+    train = pools[0] if kind == "intra" else multi_subject_pool
+    sampler = sample_snapshots_intra if kind == "intra" else sample_snapshots_inter
+    cfg = AdaptConfig(n_snapshots=3, snapshot_size=10)
+    train_rows = rows_of(model, train)
+    draws = [sampler(train, cfg, np.random.default_rng(g)) for g in range(5)]
+    stacked = adapt_mod._stage_rows(train_rows, np.stack(draws), half)
+    assert len(stacked) == 3
+    for k, rows in enumerate(stacked):
+        assert rows.shape == (5, 10, model.config.embedding_dim)
+        for g, draw in enumerate(draws):
+            alone = adapt_mod._stage_rows(train_rows, draw, half)[k]
+            assert alone.tobytes() == train_rows[draw[k, half]].tobytes()
+            assert rows[g].tobytes() == alone.tobytes()
 
 
 # -- inner loop -----------------------------------------------------------------------
@@ -262,7 +302,7 @@ def test_inner_pool_rows_equal_rows_encoded_alone(pools, model):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=1, snapshot_size=10, eta_in=1e-3)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(2))
-    spt = snaps.snapshots[0].spt
+    spt = snaps[0, 0]
     alone = np.zeros((len(train), model.config.embedding_dim))
     alone[spt] = np.concatenate([encode_rows(model, train.features[[i]]) for i in spt])
     target = rows_of(model, test)[:20]
@@ -300,7 +340,7 @@ def test_inner_step_does_not_increase_alignment():
         snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 51]))
         target = target_from(m, test, seed=seed)
         train_rows = rows_of(m, train)
-        src_enc = train_rows[snaps.snapshots[0].spt]
+        src_enc = train_rows[snaps[0, 0]]
         with ad.no_grad():
             before = adapt_mod._pair_loss(src_enc, target, m.phi, cfg).item()
         phi_n = inner_adapt(m, train_rows, snaps, target, cfg)
@@ -652,14 +692,14 @@ def test_adapted_group_peak_memory_below_stacked_pair_buffers(pools, model):
     group = adapt_mod.EPISODE_GROUP
     acfg = AdaptConfig(n_snapshots=3, snapshot_size=32)
     train_rows, test_rows = rows_of(model, train), rows_of(model, test)
-    sets = [sample_snapshots_intra(train, acfg, np.random.default_rng(k)) for k in range(group)]
+    draws = np.stack([sample_snapshots_intra(train, acfg, np.random.default_rng(k)) for k in range(group)])
     picks = [np.random.default_rng(k).choice(len(test), 30, replace=False) for k in range(group)]
     targets = test_rows[np.stack(picks)]
     stacked = lambda: replace(model, phi=adapt_mod._stack_adapter(model.phi, group))
-    evofa_run(stacked(), train_rows, sets, targets, acfg)  # warm caches
+    evofa_run(stacked(), train_rows, draws, targets, acfg)  # warm caches
     tracemalloc.start()
     try:
-        evofa_run(stacked(), train_rows, sets, targets, acfg)
+        evofa_run(stacked(), train_rows, draws, targets, acfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

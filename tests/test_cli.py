@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from evofa import __version__
 from evofa.checkpoint import load_checkpoint, save_checkpoint
 from evofa.backbone import BackboneConfig, create_model
 from evofa.cli import _Outputs, main
+from evofa.data import DriftConfig
 
 DATASET_OBJ = {
     "num_subjects": 2,
@@ -84,6 +86,16 @@ def test_synth_gen_writes_dataset(workspace, capsys):
     assert (out / "manifest.json").exists()
     assert (out / "run-manifest.json").exists()
     assert len(list((out / "features").glob("*.evfa"))) == 2 * 3 * 6
+
+
+def test_synth_gen_manifest_names_version_and_generator_config(workspace, tmp_path):
+    out = tmp_path / "data"
+    assert main(["synth-gen", "--config", str(workspace / "dataset.json"), "--out", str(out)]) == 0
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    assert manifest.keys() == {"version", "dataset", "created_unix"}
+    assert manifest["version"] == f"evofa-{__version__}"
+    assert manifest["created_unix"] > 0
+    assert DriftConfig(**manifest["dataset"]["synthetic"]) == DriftConfig(**DATASET_OBJ)
 
 
 def test_synth_gen_accepts_bare_generator_config(workspace, tmp_path, capsys):
