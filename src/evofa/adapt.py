@@ -12,6 +12,11 @@ adaptation core therefore takes encoder rows: the train pool's
 (``backbone.encode_rows``), snapshot draws that index them, and the
 target's. ``evofa_test`` encodes each of its pools once per call.
 
+A round is MAML with a first-order outer step, on one loss and one step
+rule. Each inner step takes ``alignment_loss`` on one stage's support half;
+the outer step takes it on all query halves at the inner result and steps
+the model's adapter with that gradient. Every step is ``autodiff.sgd_step``.
+
 The core runs on one episode or on a stack of G of them. A stack has target
 rows [G x t x q], draws [G x n x 2 x s] (``np.stack`` of one draw per slice)
 and a stacked adapter (weights [G x ...], biases [G x 1 x h]); the adapter
@@ -108,7 +113,7 @@ def sample_snapshots_inter(
     return _draw_halves(stages, "subject", cfg, rng)
 
 
-# -- alignment losses -------------------------------------------------------------
+# -- alignment loss and updates ------------------------------------------------------
 
 
 def _stage_rows(train_rows: np.ndarray, snapshots: np.ndarray, half: int) -> list[np.ndarray]:
@@ -117,38 +122,34 @@ def _stage_rows(train_rows: np.ndarray, snapshots: np.ndarray, half: int) -> lis
     return [rows[..., k, :, :] for k in range(rows.shape[-3])]
 
 
-def _aligned(src: Tensor, tgt: Tensor, cfg: AdaptConfig) -> Tensor:
-    """Squared MMD between adapted source and target sets, per slice for stacks."""
-    if isinstance(cfg.kernel, KernelSpec):
-        spec = cfg.kernel
-    elif src.ndim == 2:  # bandwidth from the current adapted embeddings, no gradient through it
-        spec = default_spec(src.data, tgt.data)
-    else:
-        spec = [default_spec(s, t) for s, t in zip(src.data, tgt.data)]
-    return mmd2(src, tgt, spec)
+def alignment_loss(
+    phi: ParamGroup, stages: list[np.ndarray], target_rows: np.ndarray, kernel: KernelSpec | str
+) -> Tensor:
+    """Mean squared MMD between each stage's source rows and the target rows, both adapted by phi.
 
-
-def _adapted_target(target_rows: np.ndarray, phi: ParamGroup) -> Tensor:
+    The target goes through the adapter once and is shared by every stage's
+    term; stacks give the [G] vector of slice losses. A fixed KernelSpec is
+    used as given. Otherwise each pair, or each slice of a stacked pair, gets
+    a median-heuristic bandwidth from its current adapted embeddings, with no
+    gradient through the pick.
+    """
     if target_rows.ndim not in (2, 3) or not target_rows.shape[-2]:
         raise ProtocolError(
             f"target support must be a nonempty [m x q] row matrix, got shape {target_rows.shape}"
         )
-    return backbone.adapt(Tensor(target_rows), phi)
-
-
-def _pair_loss(
-    src_enc: np.ndarray, tgt_enc: np.ndarray, phi: ParamGroup, cfg: AdaptConfig
-) -> Tensor:
-    """Squared MMD between two encoded sets after passing both through the adapter."""
-    return _aligned(backbone.adapt(Tensor(src_enc), phi), _adapted_target(tgt_enc, phi), cfg)
-
-
-def _require_finite_grads(group: ParamGroup, where: str) -> None:
-    for name, t in group.entries:
-        if t.grad is None:
-            raise ContractError(f"{where}: parameter {group.name}/{name} has no gradient")
-        if not np.all(np.isfinite(t.grad)):
-            raise ContractError(f"{where}: non-finite gradient in {group.name}/{name}")
+    tgt = backbone.adapt(Tensor(target_rows), phi)
+    total = None
+    for src_enc in stages:
+        src = backbone.adapt(Tensor(src_enc), phi)
+        if isinstance(kernel, KernelSpec):
+            spec = kernel
+        elif src.ndim == 2:
+            spec = default_spec(src.data, tgt.data)
+        else:
+            spec = [default_spec(s, t) for s, t in zip(src.data, tgt.data)]
+        term = mmd2(src, tgt, spec)
+        total = term if total is None else ad.add(total, term)
+    return ad.mul(total, Tensor(1.0 / len(stages)))
 
 
 def inner_adapt(
@@ -168,34 +169,12 @@ def inner_adapt(
     if cfg.eta_in == 0.0:
         return phi
     for stage, src_enc in enumerate(_stage_rows(train_rows, snapshots, 0)):
-        phi.zero_grad()
-        loss = _pair_loss(src_enc, target_rows, phi, cfg)
+        loss = alignment_loss(phi, [src_enc], target_rows, cfg.kernel)
         if not loss.is_finite():
             raise ContractError(f"non-finite alignment loss at snapshot stage {stage}")
         ad.backward(loss.sum())
-        _require_finite_grads(phi, f"inner step at snapshot stage {stage}")
         ad.sgd_step(phi, cfg.eta_in)
     return phi
-
-
-def alignment_loss(
-    phi: ParamGroup,
-    train_rows: np.ndarray,
-    snapshots: np.ndarray,
-    target_rows: np.ndarray,
-    cfg: AdaptConfig,
-) -> Tensor:
-    """Mean squared MMD between each snapshot's query half and the target rows.
-
-    The target goes through the adapter once and is shared by every snapshot's term.
-    """
-    tgt = _adapted_target(target_rows, phi)
-    stages = _stage_rows(train_rows, snapshots, 1)
-    total = None
-    for src_enc in stages:
-        term = _aligned(backbone.adapt(Tensor(src_enc), phi), tgt, cfg)
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(total, Tensor(1.0 / len(stages)))
 
 
 def mean_alignment(
@@ -205,9 +184,10 @@ def mean_alignment(
     target_rows: np.ndarray,
     cfg: AdaptConfig,
 ) -> float:
-    """alignment_loss evaluated at the model's current adapter, as a plain float."""
+    """alignment_loss of the query halves at the model's current adapter, as a plain float."""
     with ad.no_grad():
-        return alignment_loss(model.phi, train_rows, snapshots, target_rows, cfg).item()
+        stages = _stage_rows(train_rows, snapshots, 1)
+        return alignment_loss(model.phi, stages, target_rows, cfg.kernel).item()
 
 
 def outer_update(
@@ -221,22 +201,20 @@ def outer_update(
     """Aggregated adapter update: the gradient taken at phi_n steps the model's adapter.
 
     First-order rule: the inner trajectory is not differentiated through;
-    the gradient of the query-half alignment at phi_n is applied directly
-    to the stored adapter parameters.
+    the gradient of the query-half alignment at phi_n is handed to the
+    model's adapter, which takes one step on it.
     """
     if cfg.eta_out == 0.0:
         return
     if [n for n, _ in model.phi.entries] != [n for n, _ in phi_n.entries]:
         raise ContractError("adapter parameter tables disagree")
-    phi_n.zero_grad()
-    loss = alignment_loss(phi_n, train_rows, snapshots, target_rows, cfg)
+    loss = alignment_loss(phi_n, _stage_rows(train_rows, snapshots, 1), target_rows, cfg.kernel)
     if not loss.is_finite():
         raise ContractError("non-finite aggregated alignment loss")
     ad.backward(loss.sum())
-    _require_finite_grads(phi_n, "outer update")
     for (_, dst), (_, src) in zip(model.phi.entries, phi_n.entries):
-        dst.data = dst.data - cfg.eta_out * src.grad
-    phi_n.zero_grad()
+        dst.grad, src.grad = src.grad, None
+    ad.sgd_step(model.phi, cfg.eta_out)
 
 
 def evofa_run(

@@ -2,35 +2,34 @@
 
 The tape is rebuilt on every forward pass; calling :func:`backward` on a
 scalar walks it once and accumulates gradients into the leaves. Repeated
-backward calls accumulate until :meth:`ParamGroup.zero_grad` clears them.
+backward calls accumulate until :func:`sgd_step` applies and clears them.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 
-# Tape recording is per thread so concurrent evaluations cannot blind each other.
-_grad_state = threading.local()
+_recording = True  # tape recording; no_grad switches it off inside its block
 
 
 def _grad_enabled() -> bool:
-    return getattr(_grad_state, "enabled", True)
+    return _recording
 
 
 class no_grad:
     """Context manager that disables tape recording inside its block."""
 
     def __enter__(self):
-        self._prev = _grad_enabled()
-        _grad_state.enabled = False
+        global _recording
+        self._prev, _recording = _recording, False
         return self
 
     def __exit__(self, *exc):
-        _grad_state.enabled = self._prev
+        global _recording
+        _recording = self._prev
         return False
 
 
@@ -533,7 +532,7 @@ def bias_bn_relu(
 # -- backward pass -----------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar; accumulates into leaf .grad buffers."""
+    """Reverse-mode sweep from a scalar; accumulates into leaf .grad until sgd_step clears it."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
 
@@ -608,19 +607,25 @@ class ParamGroup:
             [(n, Tensor(t.data.copy(), requires_grad=t.requires_grad)) for n, t in self.entries],
         )
 
-    def zero_grad(self) -> None:
-        for _, t in self.entries:
-            t.grad = None
-
     def state_bytes(self) -> bytes:
         return b"".join(np.ascontiguousarray(t.data).tobytes() for _, t in self.entries)
 
 
 def sgd_step(group: ParamGroup, lr: float) -> ParamGroup:
-    """In-place p <- p - lr * grad for every entry, then clear grads."""
+    """In-place p <- p - lr * grad for every entry, then clear grads.
+
+    The one place a gradient is applied. Every entry's gradient is checked
+    before any entry moves: a missing, misshaped or non-finite one raises
+    ContractError naming ``group/param`` and leaves the parameters as they were.
+    """
     for name, t in group.entries:
+        where = f"parameter {group.name}/{name}"
         if t.grad is None:
-            raise ContractError(f"parameter {group.name}/{name} has no gradient")
+            raise ContractError(f"{where} has no gradient")
+        if t.grad.shape != t.data.shape:
+            raise ContractError(f"{where} has gradient shape {t.grad.shape}, expected {t.data.shape}")
+        if not np.isfinite(t.grad).all():
+            raise ContractError(f"{where} has a non-finite gradient")
     for _, t in group.entries:
         t.data = t.data - lr * t.grad
         t.grad = None

@@ -87,10 +87,6 @@ class Model:
     def groups(self) -> list[ParamGroup]:
         return [self.theta, self.phi, self.w]
 
-    def zero_grad(self) -> None:
-        for g in self.groups():
-            g.zero_grad()
-
     def copy(self) -> "Model":
         return Model(
             config=self.config,

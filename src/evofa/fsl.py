@@ -213,7 +213,6 @@ def _train(model: Model, groups: list[ParamGroup], cfg, step_losses, validate, o
         for loss in step_losses(epoch):
             if not loss.is_finite():
                 raise ContractError(f"non-finite {model.config.head_kind} loss at epoch {epoch}")
-            model.zero_grad()
             ad.backward(loss)
             del loss  # no step's tape may live on while the next step records its own
             for group in groups:

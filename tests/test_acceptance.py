@@ -547,10 +547,10 @@ def test_criterion_08_alignment_descends():
         train_rows = encode_rows(m, train.features)
         src_enc = train_rows[snaps[0, 0]]
         with ad.no_grad():
-            before = adapt_mod._pair_loss(src_enc, target, m.phi, cfg).item()
+            before = adapt_mod.alignment_loss(m.phi, [src_enc], target, cfg.kernel).item()
         phi_n = inner_adapt(m, train_rows, snaps, target, cfg)
         with ad.no_grad():
-            after = adapt_mod._pair_loss(src_enc, target, phi_n, cfg).item()
+            after = adapt_mod.alignment_loss(phi_n, [src_enc], target, cfg.kernel).item()
         step_wins += after <= before
     assert step_wins >= 45, f"inner step reduced alignment on only {step_wins}/{trials} trials"
     # (b) a full adaptation run lowers mean query-vs-target alignment

@@ -342,10 +342,10 @@ def test_inner_step_does_not_increase_alignment():
         train_rows = rows_of(m, train)
         src_enc = train_rows[snaps[0, 0]]
         with ad.no_grad():
-            before = adapt_mod._pair_loss(src_enc, target, m.phi, cfg).item()
+            before = adapt_mod.alignment_loss(m.phi, [src_enc], target, cfg.kernel).item()
         phi_n = inner_adapt(m, train_rows, snaps, target, cfg)
         with ad.no_grad():
-            after = adapt_mod._pair_loss(src_enc, target, phi_n, cfg).item()
+            after = adapt_mod.alignment_loss(phi_n, [src_enc], target, cfg.kernel).item()
         wins += after <= before
     assert wins >= 0.9 * trials
 
@@ -361,7 +361,8 @@ def test_alignment_loss_nonnegative_and_finite(pools, model):
         target = target_from(model, test, seed=seed)
         value = mean_alignment(model, rows_of(model, train), snaps, target, cfg)
         assert np.isfinite(value) and value >= 0.0
-        phi_value = alignment_loss(model.phi, rows_of(model, train), snaps, target, cfg).item()
+        stages = adapt_mod._stage_rows(rows_of(model, train), snaps, 1)
+        phi_value = alignment_loss(model.phi, stages, target, cfg.kernel).item()
         assert phi_value == value
 
 
@@ -400,6 +401,55 @@ def test_outer_rejects_foreign_parameter_table(pools, model):
     alien.add("other", Tensor(np.zeros((2, 2)), requires_grad=True))
     with pytest.raises(ContractError):
         outer_update(model, alien, rows_of(model, train), snaps, target_from(model, test), cfg)
+
+
+def test_outer_rejects_stacked_inner_result_for_plain_adapter(pools, model):
+    # the names agree, so only the gradient's shape can stop a broadcast into [G x ...] weights
+    train, _, test = pools
+    cfg = AdaptConfig(n_snapshots=2, snapshot_size=10)
+    rng = np.random.default_rng(0)
+    snaps = np.stack([sample_snapshots_intra(train, cfg, rng) for _ in range(4)])
+    target = np.stack([target_from(model, test, seed=g) for g in range(4)])
+    m = model.copy()
+    before = m.phi.state_bytes()
+    stacked = adapt_mod._stack_adapter(m.phi, 4)
+    with pytest.raises(ContractError, match=r"parameter phi/fc1_w has gradient shape \(4, 16, 32\)"):
+        outer_update(m, stacked, rows_of(m, train), snaps, target, cfg)
+    assert [t.shape for t in m.phi.tensors()] == [t.shape for t in model.phi.tensors()]
+    assert m.phi.state_bytes() == before
+
+
+def nan_gradient_mmd2(x, y, spec):
+    """mmd2 with its true, finite value and an all-NaN gradient."""
+    out = mmd2(x, y, spec)
+    grad_fn = out._grad_fn
+    out._grad_fn = lambda g: tuple(np.full_like(part, np.nan) for part in grad_fn(g))
+    return out
+
+
+def test_inner_step_rejects_non_finite_gradient(pools, model, monkeypatch):
+    train, _, test = pools
+    cfg = AdaptConfig(n_snapshots=2, snapshot_size=10)
+    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
+    before = model_bytes(model)
+    monkeypatch.setattr(adapt_mod, "mmd2", nan_gradient_mmd2)
+    with pytest.raises(ContractError, match=r"parameter phi/\w+ has a non-finite gradient"):
+        inner_adapt(model, rows_of(model, train), snaps, target_from(model, test), cfg)
+    assert model_bytes(model) == before
+
+
+def test_outer_step_rejects_non_finite_gradient(pools, model, monkeypatch):
+    train, _, test = pools
+    cfg = AdaptConfig(n_snapshots=2, snapshot_size=10)
+    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
+    m = model.copy()
+    target, train_rows = target_from(m, test), rows_of(m, train)
+    phi_n = inner_adapt(m, train_rows, snaps, target, cfg)
+    before = m.phi.state_bytes()
+    monkeypatch.setattr(adapt_mod, "mmd2", nan_gradient_mmd2)
+    with pytest.raises(ContractError, match=r"parameter phi/\w+ has a non-finite gradient"):
+        outer_update(m, phi_n, train_rows, snaps, target, cfg)
+    assert m.phi.state_bytes() == before
 
 
 # -- full adaptation runs ---------------------------------------------------------------

@@ -536,7 +536,7 @@ def test_backward_accumulates_until_reset():
     ad.backward(x.sum())
     ad.backward(x.sum())
     assert np.array_equal(x.grad, [2.0, 2.0])
-    ad.ParamGroup("phi", [("x", x)]).zero_grad()
+    ad.sgd_step(ad.ParamGroup("phi", [("x", x)]), 0.0)
     ad.backward(x.sum())
     assert np.array_equal(x.grad, [1.0, 1.0])
 
@@ -617,6 +617,24 @@ def test_sgd_step_missing_grad_rejected():
     g = ad.ParamGroup("w", [("p", t([1.0], grad=True))])
     with pytest.raises(ContractError):
         ad.sgd_step(g, 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sgd_step_rejects_non_finite_grad_naming_it(bad):
+    a, b = t([1.0, 2.0], grad=True), t([3.0], grad=True)
+    a.grad, b.grad = np.array([0.5, 0.5]), np.array([bad])
+    with pytest.raises(ContractError, match="parameter w/b has a non-finite gradient"):
+        ad.sgd_step(ad.ParamGroup("w", [("a", a), ("b", b)]), 0.1)
+    assert np.array_equal(a.data, [1.0, 2.0]) and np.array_equal(b.data, [3.0])
+
+
+def test_sgd_step_rejects_misshaped_grad_naming_it():
+    # a broadcastable gradient would silently reshape the parameter
+    p = t([[1.0, 2.0]], grad=True)
+    p.grad = np.ones((3, 1, 2))
+    with pytest.raises(ContractError, match=r"parameter phi/p has gradient shape \(3, 1, 2\), expected \(1, 2\)"):
+        ad.sgd_step(ad.ParamGroup("phi", [("p", p)]), 0.1)
+    assert p.shape == (1, 2)
 
 
 def test_sgd_step_deterministic():

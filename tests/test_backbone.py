@@ -264,7 +264,6 @@ def test_adapter_gradients_flow_to_phi():
     loss = f(None)
     ad.backward(loss)
     assert any(np.abs(p.grad).max() > 1e-6 for p in model.phi.tensors())
-    model.phi.zero_grad()
 
 
 def test_pipeline_accuracy_unchanged_by_identity_adapter():
@@ -360,7 +359,6 @@ def test_relation_gradients_reach_relation_weights():
     scores = model.head(t(rng.normal(size=(4, 3))), np.array([0, 1, 0, 1]), t(rng.normal(size=(3, 3))))
     ad.backward(scores.sum())
     assert all(p.grad is not None for p in model.w.tensors())
-    model.w.zero_grad()
 
 
 def test_head_missing_class_rejected():

@@ -545,6 +545,34 @@ def test_non_finite_loss_raises_naming_its_epoch(name, separable_pools, monkeypa
     assert len(calls) == steps + 1
 
 
+@pytest.mark.parametrize("name", TRAINERS)
+def test_non_finite_gradient_raises_at_its_step(name, separable_pools, monkeypatch):
+    """A finite loss with a non-finite gradient stops training at that step, before it moves theta."""
+    train, val, _ = separable_pools
+    trainer, cfg = small_trainer(name, max_epochs=2)
+    first = create_model(cfg.model_config()).theta.entries[0][0]
+    models, losses, before = [], [], []
+    original_create, original_backward = fsl.create_model, ad.backward
+
+    def recording_create(config, seed=0):
+        models.append(original_create(config, seed=seed))
+        return models[-1]
+
+    def poisoning_backward(loss):
+        losses.append(loss.item())
+        original_backward(loss)
+        if len(losses) == 3:
+            before.append(models[0].theta.state_bytes())
+            models[0].theta.tensors()[0].grad.flat[0] = np.nan
+
+    monkeypatch.setattr(fsl, "create_model", recording_create)
+    monkeypatch.setattr(ad, "backward", poisoning_backward)
+    with pytest.raises(ContractError, match=f"parameter theta/{first} has a non-finite gradient"):
+        trainer(train, val, cfg)
+    assert len(losses) == 3 and np.isfinite(losses).all()
+    assert models[0].theta.state_bytes() == before[0]
+
+
 def _tape_array_ref(loss):
     """A weakref to the first array of at least one dimension that the loss's tape recorded.
 
