@@ -275,17 +275,21 @@ class EvalReport:
     per_episode: tuple[float, ...]
 
 
-def _target_indices(episode: Episode, cfg: AdaptConfig, rng: np.random.Generator) -> np.ndarray:
-    """Rows of the episode's pool in the target: the support plus optional extra unlabeled draws.
+def _target_indices(
+    pool: DatasetIndex, episode: Episode, cfg: AdaptConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Target rows of ``pool``, the episode's pool: its support class by class, then extra draws.
 
-    Extras never include the episode's own samples (classifying the query
-    after aligning on it would be transductive). Supply shortfalls are
-    tolerated: at most the available sample count is drawn.
+    Extras top the target up to ``target_calibration_size`` rows and never
+    include the episode's own samples (classifying the query after aligning
+    on it would be transductive). Supply shortfalls are tolerated: at most
+    the available sample count is drawn.
     """
-    target = episode.support
+    support, query = episode
+    target = support.ravel()
     extra = cfg.target_calibration_size - len(target)
     if extra > 0:
-        rest = np.setdiff1d(np.arange(len(episode.pool)), np.concatenate([episode.support, episode.query]))
+        rest = np.setdiff1d(np.arange(len(pool)), np.concatenate([support, query], axis=1))
         if len(rest):
             picks = rng.choice(len(rest), size=min(extra, len(rest)), replace=False)
             target = np.concatenate([target, rest[picks]])
@@ -364,7 +368,7 @@ def evofa_test(
         adapters = [model.phi] * len(episodes)
         if adapt_cfg is not None:
             targets = [
-                _target_indices(episode, adapt_cfg, rng(11, i))
+                _target_indices(test_pool, episode, adapt_cfg, rng(11, i))
                 for episode, i in zip(episodes, indices)
             ]
             # each adaptation round draws a fresh evolving source per episode

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -127,9 +128,14 @@ def _cmd_evaluate(args, out: _Outputs) -> int:
     ds = load_dataset(cfg)
     subject, session = plan_cells(cfg, ds, args.subject, args.session)[0]
     model = load_checkpoint(args.checkpoint)
-    if model.config != cfg.train.model_config():
+    want = cfg.train.model_config()
+    differs = [f.name for f in fields(want) if getattr(model.config, f.name) != getattr(want, f.name)]
+    if differs:
+        name = differs[0]
         raise ConfigError(
-            "checkpoint architecture disagrees with the experiment backbone config"
+            f"checkpoint {args.checkpoint} architecture disagrees with the experiment backbone "
+            f"config: field {name!r} is {getattr(model.config, name)!r} in the checkpoint, "
+            f"{getattr(want, name)!r} in the config"
         )
     adapt_cfg = cfg.adapt if args.adapt == "on" else None
     pools = cell_pools(cfg, ds, subject, session)

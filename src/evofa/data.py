@@ -447,8 +447,8 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
                 trial_id, label, count = entry["id"], entry["label"], entry["count"]
                 if not (0 <= label < len(classes)):
                     raise DatasetSchemaError(
-                        f"label {label} outside class map (size {len(classes)}) for "
-                        f"subject {subject_id} session {session_id} trial {trial_id}"
+                        f"{manifest_path}: {where} {trial_id} field 'label' is {label}, "
+                        f"outside the class map (size {len(classes)})"
                     )
                 path = (base / entry["file"]).resolve()
                 if not path.is_relative_to(base):
@@ -461,7 +461,7 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
                 if bad.size:
                     row, i, j = bad[0]
                     raise DataError(
-                        f"non-finite value at subject {subject_id} session {session_id} "
+                        f"{path}: non-finite value at subject {subject_id} session {session_id} "
                         f"trial {trial_id} row {row} position ({i},{j})"
                     )
                 full = lambda value: np.full(count, value)

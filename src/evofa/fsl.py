@@ -1,6 +1,9 @@
 """Episodic few-shot learning: sampling, losses, classification, meta-training.
 
-An episode copies no data: it holds row indices into the pool it was drawn from.
+An episode copies no data: it is the pair ``(support, query)`` of int64 row
+indices [way x shot] and [way x queries] into the pool it was drawn from.
+Row k of each half holds the episode's k-th class, classes in ascending
+order, so the class id of local target k is ``pool.label[support[k, 0]]``.
 """
 from __future__ import annotations
 
@@ -17,44 +20,17 @@ from .errors import ConfigError, ContractError, ProtocolError, SamplingError
 
 _PROB_FLOOR = 1e-12
 
-
-@dataclass(frozen=True, eq=False)
-class Episode:
-    """N-way K-shot task: disjoint support and query sets over the same classes.
-
-    ``support`` and ``query`` are row indices into ``pool``, the DatasetIndex the
-    episode was drawn from. Each half lists its rows class by class, in
-    ``class_ids`` order, so a half's local targets are
-    ``np.repeat(np.arange(way), len(half) // way)``.
-    """
-
-    pool: DatasetIndex
-    class_ids: tuple[int, ...]
-    support: np.ndarray  # [way * shot] int
-    query: np.ndarray  # [way * queries] int
-
-    def __post_init__(self):
-        if not self.class_ids or len(set(self.class_ids)) != self.way:
-            raise ProtocolError(f"episode needs distinct classes, got {self.class_ids}")
-        for name, half in (("support", self.support), ("query", self.query)):
-            if len(half) % self.way:
-                raise ProtocolError(f"{name} of {len(half)} rows is not {self.way} whole classes")
-            if not np.array_equal(self.pool.label[half], np.repeat(self.class_ids, len(half) // self.way)):
-                raise ProtocolError(
-                    f"{name} rows are not {len(half) // self.way} per class "
-                    f"in class order {self.class_ids}"
-                )
-        overlap = np.intersect1d(self.support, self.query)
-        if overlap.size:
-            raise ProtocolError(f"support and query overlap on rows {overlap[:3].tolist()}")
-
-    @property
-    def way(self) -> int:
-        return len(self.class_ids)
+Episode = tuple[np.ndarray, np.ndarray]  # (support [way x shot], query [way x queries])
 
 
-def _local_targets(half: np.ndarray, way: int) -> np.ndarray:
-    return np.repeat(np.arange(way), len(half) // way)
+def _local_targets(half: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(half.shape[0]), half.shape[1])
+
+
+def _episode_rows(episode: Episode) -> np.ndarray:
+    """The episode's pool rows in encoder order: the support, then the query, each class by class."""
+    support, query = episode
+    return np.concatenate([support.ravel(), query.ravel()])
 
 
 def sample_episode(
@@ -71,20 +47,20 @@ def sample_episode(
             f"only {len(eligible)} qualify; deficient classes: {short}"
         )
     chosen = sorted(int(c) for c in rng.choice(eligible, size=way, replace=False))
-    support, query = [], []
-    for k in chosen:
+    drawn = np.empty((way, need), dtype=np.int64)
+    for i, k in enumerate(chosen):
         rows = np.flatnonzero(pool.label == k)
-        picks = rng.choice(len(rows), size=need, replace=False)
-        support.append(rows[picks[:shot]])
-        query.append(rows[picks[shot:]])
-    return Episode(pool, tuple(chosen), np.concatenate(support), np.concatenate(query))
+        drawn[i] = rows[rng.choice(len(rows), size=need, replace=False)]
+    return drawn[:, :shot], drawn[:, shot:]
 
 
 # -- episode forward and losses -----------------------------------------------------
 
-def episode_scores(episode: Episode, model: Model, mode: str = "eval") -> tuple[Tensor, np.ndarray]:
-    """Class scores [Q' x N] for the episode's queries, plus local targets."""
-    features = episode.pool.features[np.concatenate([episode.support, episode.query])]
+def episode_scores(
+    pool: DatasetIndex, episode: Episode, model: Model, mode: str = "eval"
+) -> tuple[Tensor, np.ndarray]:
+    """Class scores [Q' x N] for the queries of an episode drawn from ``pool``, plus local targets."""
+    features = pool.features[_episode_rows(episode)]
     emb = backbone.adapt(backbone.encode(Tensor(features), model, mode=mode), model.phi)
     return _scores_from_embeddings(episode, model, emb)
 
@@ -93,15 +69,15 @@ def _scores_from_embeddings(
     episode: Episode, model: Model, emb: Tensor
 ) -> tuple[Tensor, np.ndarray]:
     """episode_scores given the adapted embeddings [S+Q x q] of support then query."""
-    if model.config.num_classes != episode.way:
+    support, query = episode
+    if model.config.num_classes != len(support):
         raise ProtocolError(
-            f"model is {model.config.num_classes}-way, episode is {episode.way}-way"
+            f"model is {model.config.num_classes}-way, episode is {len(support)}-way"
         )
-    split = len(episode.support)
-    support_emb = ad.take(emb, slice(0, split))
-    query_emb = ad.take(emb, slice(split, emb.shape[0]))
-    scores = model.head(support_emb, _local_targets(episode.support, episode.way), query_emb)
-    return scores, _local_targets(episode.query, episode.way)
+    support_emb = ad.take(emb, slice(0, support.size))
+    query_emb = ad.take(emb, slice(support.size, emb.shape[0]))
+    scores = model.head(support_emb, _local_targets(support), query_emb)
+    return scores, _local_targets(query)
 
 
 def loss_from_scores(scores: Tensor, targets: np.ndarray, kind: str) -> Tensor:
@@ -122,26 +98,25 @@ def loss_from_scores(scores: Tensor, targets: np.ndarray, kind: str) -> Tensor:
     raise ConfigError(f"no episodic loss for head kind {kind!r}")
 
 
-def episode_loss(episode: Episode, model: Model, mode: str = "train") -> Tensor:
-    """Head-specific training loss over the episode's query set."""
-    return loss_from_scores(*episode_scores(episode, model, mode=mode), model.config.head_kind)
+def episode_loss(pool: DatasetIndex, episode: Episode, model: Model, mode: str = "train") -> Tensor:
+    """Head-specific training loss over the query set of an episode drawn from ``pool``."""
+    return loss_from_scores(*episode_scores(pool, episode, model, mode=mode), model.config.head_kind)
 
 
 def classify_query(
     episode: Episode, model: Model, pool_rows: np.ndarray, phi: ParamGroup
 ) -> tuple[np.ndarray, float]:
-    """Argmax predictions (original class ids, ties to the lowest id) and accuracy.
+    """Episode-local argmax predictions (ties to the lowest class) and accuracy.
 
+    A prediction k names the episode's k-th class, ``pool.label[support[k, 0]]``.
     The adapter ``phi`` and the head run, off the tape, on the episode's rows of
     ``pool_rows``, the frozen-encoder rows of the pool the episode was drawn from.
     """
-    rows = pool_rows[np.concatenate([episode.support, episode.query])]
+    rows = pool_rows[_episode_rows(episode)]
     with ad.no_grad():
         scores, targets = _scores_from_embeddings(episode, model, backbone.adapt(Tensor(rows), phi))
-    local = np.argmax(scores.data, axis=1)
-    predictions = np.array(episode.class_ids, dtype=np.int64)[local]
-    accuracy = float(np.mean(local == targets))
-    return predictions, accuracy
+    predictions = np.argmax(scores.data, axis=1)
+    return predictions, float(np.mean(predictions == targets))
 
 
 def _linear_scores(model: Model, features: np.ndarray, mode: str) -> Tensor:
@@ -236,7 +211,8 @@ def meta_train(train_pool: DatasetIndex, val_pool: DatasetIndex, cfg: TrainConfi
     def episode_losses(epoch: int):
         for i in range(cfg.episodes_per_epoch):
             rng = np.random.default_rng([cfg.rng_seed, 3, epoch, i])
-            yield episode_loss(sample_episode(train_pool, cfg.way, cfg.shot, cfg.queries, rng), model)
+            episode = sample_episode(train_pool, cfg.way, cfg.shot, cfg.queries, rng)
+            yield episode_loss(train_pool, episode, model)
 
     validate = lambda: validation_accuracy(model, val_pool, cfg)
     return _train(model, model.groups(), cfg, episode_losses, validate, on_epoch)

@@ -81,6 +81,11 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} names an entry more than once: {list(values)}")
+        if self.protocol == "intra" and self.sessions:
+            raise ConfigError(
+                f"sessions {list(self.sessions)} is for the inter protocol; an intra cell "
+                "splits sessions 1, 2 and 3 into train, validation and test"
+            )
 
 
 def derive_seed(*parts: int) -> int:

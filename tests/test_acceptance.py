@@ -279,7 +279,7 @@ def _composite_error(pool, head: str, seed: int) -> float:
     for t in params:
         t.data += 0.05 * rng.normal(size=t.data.shape)
     episode = sample_episode(pool, way=3, shot=1, queries=2, rng=rng)
-    return finite_diff_check(lambda _: episode_loss(episode, model, mode="train"), params)
+    return finite_diff_check(lambda _: episode_loss(pool, episode, model, mode="train"), params)
 
 
 def test_criterion_01_gradient_correctness():

@@ -628,7 +628,7 @@ def test_eval_without_adaptation_matches_classify_query(eval_setup):
         rng = np.random.default_rng([ecfg.rng_seed, 10, ep_idx])
         episode = sample_episode(test, ecfg.way, ecfg.shot, ecfg.queries, rng)
         with ad.no_grad():  # the episode's own features, encoded in one batch
-            scores, targets = episode_scores(episode, m, mode="eval")
+            scores, targets = episode_scores(test, episode, m, mode="eval")
         expect.append(float(np.mean(np.argmax(scores.data, axis=1) == targets)))
     assert report.per_episode == tuple(expect)
 
@@ -643,22 +643,22 @@ def test_target_features_support_plus_extras(pools):
     _, _, test = pools
     episode = sample_episode(test, 3, 1, 10, np.random.default_rng(0))
     cfg = AdaptConfig(target_calibration_size=20)
-    target = adapt_mod._target_indices(episode, cfg, np.random.default_rng(1))
+    target = adapt_mod._target_indices(test, episode, cfg, np.random.default_rng(1))
     assert target.shape == (20,)
-    assert np.array_equal(target[:3], episode.support)
+    assert np.array_equal(target[:3], episode[0].ravel())
     # the 17 extras are distinct pool rows from outside the episode
     extras = target[3:]
     assert len(set(extras.tolist())) == 17
     assert np.all((0 <= extras) & (extras < len(test)))
-    assert not np.intersect1d(extras, np.concatenate([episode.support, episode.query])).size
+    assert not np.intersect1d(extras, np.concatenate([episode[0], episode[1]], axis=1)).size
 
 
 def test_target_features_default_is_support_only(pools):
     _, _, test = pools
     episode = sample_episode(test, 3, 1, 10, np.random.default_rng(2))
     cfg = AdaptConfig()  # target_calibration_size 0
-    target = adapt_mod._target_indices(episode, cfg, np.random.default_rng(3))
-    assert np.array_equal(target, episode.support)
+    target = adapt_mod._target_indices(test, episode, cfg, np.random.default_rng(3))
+    assert np.array_equal(target, episode[0].ravel())
 
 
 # -- episode groups against the per-episode reference ------------------------------------
@@ -676,7 +676,7 @@ def per_episode_reference(model, test, train, kind, ecfg, acfg):
         rng = np.random.default_rng([ecfg.rng_seed, 10, ep_idx])
         episode = sample_episode(test, ecfg.way, ecfg.shot, ecfg.queries, rng)
         rng = np.random.default_rng([ecfg.rng_seed, 11, ep_idx])
-        target = adapt_mod._target_indices(episode, acfg, rng)
+        target = adapt_mod._target_indices(test, episode, acfg, rng)
         source = lambda it: sampler(train, acfg, np.random.default_rng([ecfg.rng_seed, 12, ep_idx, it]))
         evofa_run(work, train_rows, source, test_rows[target], acfg)
         accuracies.append(classify_query(episode, work, test_rows, work.phi)[1])

@@ -375,6 +375,23 @@ def test_evaluate_rejects_architecture_mismatch(workspace, tmp_path, capsys):
     assert not (tmp_path / "e" / "results.csv").exists()
 
 
+def test_evaluate_architecture_mismatch_names_checkpoint_and_first_differing_field(tmp_path, capsys):
+    trained_with, evaluated_with = tmp_path / "a.json", tmp_path / "b.json"
+    for path, channels in ((trained_with, [4, 4, 4, 8]), (evaluated_with, [4, 4, 6, 8])):
+        backbone = {**CONFIG_OBJ["backbone"], "conv_channels": channels}
+        backbone.update(embedding_dim=8, adapter_hidden=16)  # the widths a last conv of 8 needs
+        path.write_text(json.dumps({**CONFIG_OBJ, "backbone": backbone}))
+    assert main(["train", "--config", str(trained_with), "--out", str(tmp_path / "t")]) == 0
+    ckpt = tmp_path / "t" / "checkpoints" / "model.ckpt"
+    out = tmp_path / "e"
+    rc = main(["evaluate", "--config", str(evaluated_with), "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt} architecture disagrees" in err
+    assert "field 'conv_channels' is (4, 4, 4, 8) in the checkpoint, (4, 4, 6, 8) in the config" in err
+    assert not (out / "results.csv").exists()
+
+
 @pytest.mark.parametrize(
     "train", [{"way": 2}, {"head_kind": "matching"}, {"head_kind": "relation"}], ids=["way2", "matching", "relation"]
 )

@@ -1,5 +1,6 @@
 """Dataset container, importer, synthetic drift, and split protocols."""
 import json
+import re
 import struct
 import warnings
 
@@ -112,14 +113,17 @@ def test_import_bad_magic_rejected(tmp_path):
         data.import_features(write_manifest(tmp_path, trials, schema=(1, 1)))
 
 
-def test_import_non_finite_reports_coordinates(tmp_path):
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_import_non_finite_reports_coordinates(tmp_path, value):
     arr = np.zeros((3, 4, 2))
-    arr[1, 2, 0] = np.nan
+    arr[1, 2, 0] = value
     (tmp_path / "features").mkdir(exist_ok=True)
     write_binary(tmp_path / "features" / "t1.evfa", arr)
     trials = [{"id": 1, "label": 0, "file": "features/t1.evfa", "count": 3}]
-    with pytest.raises(DataError, match="trial 1 row 1"):
+    feature_file = (tmp_path / "features" / "t1.evfa").resolve()
+    with pytest.raises(DataError, match="trial 1 row 1") as err:
         data.import_features(write_manifest(tmp_path, trials))
+    assert str(err.value).startswith(f"{feature_file}: non-finite value")
 
 
 def test_import_signaling_nan_rejected_without_runtime_warning(tmp_path):
@@ -136,13 +140,16 @@ def test_import_signaling_nan_rejected_without_runtime_warning(tmp_path):
             data.import_features(write_manifest(tmp_path, trials))
 
 
-def test_import_label_outside_class_map_rejected(tmp_path):
+@pytest.mark.parametrize("label", [5, 3, -1])
+def test_import_label_outside_class_map_rejected(tmp_path, label):
     arr = np.zeros((1, 4, 2))
     (tmp_path / "features").mkdir(exist_ok=True)
     write_binary(tmp_path / "features" / "t1.evfa", arr)
-    trials = [{"id": 1, "label": 5, "file": "features/t1.evfa", "count": 1}]
-    with pytest.raises(DatasetSchemaError):
-        data.import_features(write_manifest(tmp_path, trials))
+    trials = [{"id": 1, "label": label, "file": "features/t1.evfa", "count": 1}]
+    manifest = write_manifest(tmp_path, trials)
+    says = f"{manifest}: subject 1 session 1 trial 1 field 'label' is {label}, outside the class map (size 3)"
+    with pytest.raises(DatasetSchemaError, match=re.escape(says)):
+        data.import_features(manifest)
 
 
 # where the error names the entry that lacks each field: trial, session or subject level

@@ -1,11 +1,11 @@
 """Tests for episodic sampling, the three few-shot losses, and the training loops."""
 import math
 import weakref
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evofa import autodiff as ad
@@ -15,7 +15,6 @@ from evofa.backbone import BackboneConfig, create_model, encode_rows
 from evofa.data import DatasetIndex, DriftConfig, generate_synthetic_drift, make_intra_split
 from evofa.errors import ConfigError, ContractError, ProtocolError, SamplingError
 from evofa.fsl import (
-    Episode,
     SupervisedConfig,
     TrainConfig,
     classify_pool,
@@ -64,86 +63,21 @@ def tiny_backbone(**overrides):
 
 
 def manual_episode(class_ids=(0, 1, 2), shot=1, queries=2, shape=(2, 2), seed=0):
-    """An episode over a toy pool holding, per class in ``class_ids`` order, shot then query samples."""
+    """A toy pool holding, per class in ``class_ids`` order, shot then query samples, and that episode."""
     per_class = shot + queries
     pool = toy_pool(len(class_ids), per_class, shape, seed)
     pool = replace(pool, label=np.repeat(class_ids, per_class), num_classes=max(class_ids) + 1)
     rows = np.arange(len(pool)).reshape(len(class_ids), per_class)
-    return Episode(pool, tuple(class_ids), rows[:, :shot].ravel(), rows[:, shot:].ravel())
-
-
-# -- Episode invariants ------------------------------------------------------------
-
-
-def test_episode_valid_construction():
-    ep = manual_episode()
-    assert ep.way == 3
-    assert len(ep.support) == 3
-    assert len(ep.query) == 6
-
-
-def test_episode_fields_are_pool_class_ids_and_row_indices():
-    assert [f.name for f in fields(Episode)] == ["pool", "class_ids", "support", "query"]
-
-
-def test_episode_rejects_duplicate_class_ids():
-    ep = manual_episode()
-    with pytest.raises(ProtocolError, match="distinct classes"):
-        replace(ep, class_ids=(0, 0, 2))
-    with pytest.raises(ProtocolError, match="distinct classes"):
-        replace(ep, class_ids=())
-
-
-def test_episode_rejects_wrong_support_size():
-    ep = manual_episode(shot=2)
-    with pytest.raises(ProtocolError, match="support of 5 rows is not 3 whole classes"):
-        replace(ep, support=ep.support[:5])
-
-
-def test_episode_rejects_wrong_query_size():
-    ep = manual_episode()
-    with pytest.raises(ProtocolError, match="query of 7 rows is not 3 whole classes"):
-        replace(ep, query=np.append(ep.query, 0))
-
-
-def test_episode_rejects_per_class_miscount():
-    ep = manual_episode(queries=2)
-    # right totals, wrong per-class composition: a class-1 query row stands in for a class-0 one
-    query = ep.query.copy()
-    query[0] = query[2]
-    with pytest.raises(ProtocolError, match="query rows are not 2 per class"):
-        replace(ep, query=query)
-
-
-def test_episode_rejects_half_not_grouped_in_class_id_order():
-    ep = manual_episode(queries=2)
-    with pytest.raises(ProtocolError, match="support rows are not 1 per class in class order"):
-        replace(ep, support=ep.support[::-1])
-    interleaved = ep.query.reshape(3, 2).T.ravel()  # classes 0, 1, 2, 0, 1, 2
-    with pytest.raises(ProtocolError, match="query rows are not 2 per class"):
-        replace(ep, query=interleaved)
-
-
-def test_episode_rejects_class_ids_the_rows_do_not_have():
-    ep = manual_episode()
-    with pytest.raises(ProtocolError, match="support rows"):
-        replace(ep, class_ids=(0, 1, 3))
-
-
-def test_episode_rejects_support_query_overlap():
-    ep = manual_episode()
-    query = ep.query.copy()
-    query[0] = ep.support[0]
-    with pytest.raises(ProtocolError, match="overlap"):
-        replace(ep, query=query)
+    return pool, (rows[:, :shot], rows[:, shot:])
 
 
 def test_episode_local_targets_follow_class_id_order():
-    ep = manual_episode(class_ids=(4, 7, 9))
+    pool, ep = manual_episode(class_ids=(4, 7, 9))
     model = create_model(tiny_backbone(), seed=0)
-    _, targets = episode_scores(ep, model)
+    _, targets = episode_scores(pool, ep, model)
     assert targets.tolist() == [0, 0, 1, 1, 2, 2]
-    assert [ep.class_ids[i] for i in targets] == ep.pool.label[ep.query].tolist()
+    support, query = ep
+    assert pool.label[support[targets, 0]].tolist() == pool.label[query.ravel()].tolist()
 
 
 # -- sample_episode ------------------------------------------------------------------
@@ -151,16 +85,16 @@ def test_episode_local_targets_follow_class_id_order():
 
 def test_sample_sizes_3way_1shot_10query():
     pool = toy_pool(num_classes=4, per_class=12)
-    ep = sample_episode(pool, 3, 1, 10, np.random.default_rng(0))
-    assert len(ep.support) == 3
-    assert len(ep.query) == 30
+    support, query = sample_episode(pool, 3, 1, 10, np.random.default_rng(0))
+    assert support.shape == (3, 1)
+    assert query.shape == (3, 10)
 
 
 def test_sample_sizes_5way_5shot_5query():
     pool = toy_pool(num_classes=6, per_class=11)
-    ep = sample_episode(pool, 5, 5, 5, np.random.default_rng(0))
-    assert len(ep.support) == 25
-    assert len(ep.query) == 25
+    support, query = sample_episode(pool, 5, 5, 5, np.random.default_rng(0))
+    assert support.shape == (5, 5)
+    assert query.shape == (5, 5)
 
 
 def test_sample_deficient_class_raises_naming_it():
@@ -171,25 +105,52 @@ def test_sample_deficient_class_raises_naming_it():
         sample_episode(short, 3, 1, 10, np.random.default_rng(0))
 
 
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.lists(st.integers(-3, 4), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_sampled_episode_is_disjoint_class_ordered_index_arrays(way, shot, queries, surplus, seed):
+    """Per class, ``shot + queries + surplus`` rows (none for a deficit), gapped class
+    ids, classes interleaved in the pool."""
+    need = shot + queries
+    assume(sum(n >= 0 for n in surplus) >= way)
+    counts = [max(need + n, 0) for n in surplus]
+    labels = np.random.default_rng(seed).permutation(np.repeat(2 * np.arange(len(counts)) + 1, counts))
+    pool = replace(toy_pool(1, len(labels)), label=labels, num_classes=2 * len(counts))
+    support, query = sample_episode(pool, way, shot, queries, np.random.default_rng(seed))
+    assert (support.shape, query.shape) == ((way, shot), (way, queries))
+    assert support.dtype == query.dtype == np.int64
+    labels = pool.label[np.concatenate([support, query], axis=1)]
+    assert np.all(labels == labels[:, :1])
+    assert np.all(np.diff(labels[:, 0]) > 0)
+    rows = np.concatenate([support.ravel(), query.ravel()])
+    assert len(np.unique(rows)) == rows.size
+    again = sample_episode(pool, way, shot, queries, np.random.default_rng(seed))
+    assert np.array_equal(again[0], support) and np.array_equal(again[1], query)
+
+
 def test_sample_composition_over_many_episodes():
     pool = toy_pool(num_classes=5, per_class=13)
     seen_classes = set()
     for j in range(10_000):
         rng = np.random.default_rng([11, j])
-        ep = sample_episode(pool, 3, 1, 10, rng)
-        # Episode.__post_init__ already enforces counts, per-class balance,
-        # and support/query disjointness; check the sampler-level contracts.
-        assert list(ep.class_ids) == sorted(ep.class_ids)
-        rows = np.concatenate([ep.support, ep.query])
+        support, query = sample_episode(pool, 3, 1, 10, rng)
+        class_ids = pool.label[support[:, 0]].tolist()
+        assert class_ids == sorted(class_ids)
+        assert np.all(pool.label[query] == pool.label[support[:, :1]])
+        rows = np.concatenate([support.ravel(), query.ravel()])
         assert len(set(rows.tolist())) == len(rows)
-        assert ep.pool is pool
-        seen_classes.update(ep.class_ids)
+        seen_classes.update(class_ids)
     assert seen_classes == {0, 1, 2, 3, 4}
 
 
 def test_sample_deterministic_given_rng():
     pool = toy_pool(num_classes=5, per_class=12)
-    key = lambda ep: (ep.class_ids, ep.support.tolist(), ep.query.tolist())
+    key = lambda ep: (ep[0].tolist(), ep[1].tolist())
     a = sample_episode(pool, 3, 1, 5, np.random.default_rng(42))
     b = sample_episode(pool, 3, 1, 5, np.random.default_rng(42))
     c = sample_episode(pool, 3, 1, 5, np.random.default_rng(43))
@@ -264,13 +225,13 @@ def test_loss_nonnegativity(seed):
 def test_linear_head_is_not_episodic():
     model = create_model(tiny_backbone(head_kind="linear"), seed=0)
     with pytest.raises(ProtocolError, match="linear head is not episodic"):
-        episode_scores(manual_episode(), model)
+        episode_scores(*manual_episode(), model)
 
 
 def test_way_mismatch_rejected():
     model = create_model(tiny_backbone(num_classes=2), seed=0)
     with pytest.raises(ProtocolError):
-        episode_scores(manual_episode(), model)
+        episode_scores(*manual_episode(), model)
 
 
 def support_order_losses(kind, shot, seed):
@@ -307,11 +268,11 @@ def test_episode_gradients_match_finite_differences():
         tiny_backbone(n_electrodes=3, d_bands=2, adapter_hidden=4, num_classes=2),
         seed=3,
     )
-    ep = manual_episode(class_ids=(0, 1), shot=1, queries=1, shape=(3, 2), seed=7)
+    pool, ep = manual_episode(class_ids=(0, 1), shot=1, queries=1, shape=(3, 2), seed=7)
     tensors = model.theta.tensors() + model.phi.tensors()
 
     def f(_):
-        return episode_loss(ep, model, mode="eval")
+        return episode_loss(pool, ep, model, mode="eval")
 
     assert finite_diff_check(f, tensors) < 1e-4
 
@@ -322,10 +283,11 @@ def test_episode_gradients_match_finite_differences():
 def test_tiebreak_picks_lowest_class_id():
     # all-zero features embed identically, so every class scores the same
     model = create_model(tiny_backbone(), seed=0)
-    ep = manual_episode(class_ids=(3, 5, 9), shot=1, queries=1)
-    ep = replace(ep, pool=replace(ep.pool, features=np.zeros((6, 2, 2))))
-    predictions, accuracy = classify_query(ep, model, encode_rows(model, ep.pool.features), model.phi)
-    assert predictions.tolist() == [3, 3, 3]
+    pool, ep = manual_episode(class_ids=(3, 5, 9), shot=1, queries=1)
+    pool = replace(pool, features=np.zeros((6, 2, 2)))
+    predictions, accuracy = classify_query(ep, model, encode_rows(model, pool.features), model.phi)
+    assert predictions.tolist() == [0, 0, 0]
+    assert pool.label[ep[0][predictions, 0]].tolist() == [3, 3, 3]
     assert accuracy == pytest.approx(1.0 / 3.0)
 
 
@@ -354,11 +316,11 @@ def test_classify_query_on_pool_rows_equals_episode_encoded_alone(head, monkeypa
         ep = sample_episode(pool, 3, j % 2 + 1, 4, np.random.default_rng([5, j]))
         predictions, accuracy = classify_query(ep, model, rows, phi)
         with ad.no_grad():
-            expect, targets = episode_scores(ep, adapted, mode="eval")
+            expect, targets = episode_scores(pool, ep, adapted, mode="eval")
         # scores[-2] was recorded inside classify_query, scores[-1] inside the reference
         assert scores[-2][0].data.tobytes() == expect.data.tobytes()
         local = np.argmax(expect.data, axis=1)
-        assert predictions.tolist() == [ep.class_ids[i] for i in local]
+        assert predictions.tolist() == local.tolist()
         assert accuracy == float(np.mean(local == targets))
 
 

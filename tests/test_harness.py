@@ -419,6 +419,7 @@ def test_config_round_trip_kernel_spec_and_import_path():
     cfg = replace(
         CONFIG,
         dataset="data/manifest.json",
+        protocol="inter",
         supervised=None,
         adapt=replace(CONFIG.adapt, kernel=KernelSpec((0.5, 1.0, 2.0), (1.0, 1.0, 1.0))),
         subjects=(1, 2),
@@ -638,6 +639,15 @@ def test_config_rejects_repeated_subjects_or_sessions(name, values):
         experiment_config_from_obj(obj)
     with pytest.raises(ConfigError, match=f"{name} names an entry more than once"):
         replace(CONFIG, **{name: tuple(values)})
+
+
+def test_config_rejects_sessions_under_the_intra_protocol_naming_field():
+    obj = {**config_to_obj(CONFIG), "sessions": [7, 9]}
+    with pytest.raises(ConfigError, match=r"sessions \[7, 9\] is for the inter protocol"):
+        experiment_config_from_obj(obj)
+    with pytest.raises(ConfigError, match="sessions .* is for the inter protocol"):
+        replace(CONFIG, sessions=(2,))
+    assert replace(CONFIG, protocol="inter", sessions=(2,)).sessions == (2,)
 
 
 def test_config_rejects_number_no_float_holds_naming_field():
