@@ -158,6 +158,37 @@ def test_sample_deterministic_given_rng():
     assert key(a) != key(c)
 
 
+def test_sample_draws_pinned_rows_class_by_class():
+    """Experiment results depend on the sampler's rng stream: classes first, then
+    ``shot + queries`` rows per chosen class in ascending class order. Class 2 has
+    too few rows to qualify."""
+    labels = np.random.default_rng(3).permutation(np.repeat([1, 2, 5, 8], [6, 4, 7, 7]))
+    pool = replace(toy_pool(1, len(labels)), label=labels, num_classes=9)
+    support, query = sample_episode(pool, 3, 2, 3, np.random.default_rng(17))
+    assert support.tolist() == [[4, 14], [13, 0], [7, 5]]
+    assert query.tolist() == [[19, 21, 6], [2, 17, 1], [22, 3, 16]]
+    assert pool.label[support[:, 0]].tolist() == [1, 5, 8]
+
+
+def test_episode_scores_encode_support_then_query_class_by_class(monkeypatch):
+    pool, ep = manual_episode(class_ids=(0, 1, 2), shot=2, queries=2)
+    support, query = ep
+    encoded = []
+
+    def recording_encode(x, model, mode="eval"):
+        encoded.append(x.data.copy())
+        return real_encode(x, model, mode=mode)
+
+    real_encode = backbone.encode
+    monkeypatch.setattr(backbone, "encode", recording_encode)
+    model = create_model(tiny_backbone(), seed=0)
+    scores, targets = episode_scores(pool, ep, model)
+    order = [*support[0], *support[1], *support[2], *query[0], *query[1], *query[2]]
+    assert np.array_equal(encoded[-1], pool.features[order])
+    assert scores.shape == (6, 3)
+    assert targets.tolist() == [0, 0, 1, 1, 2, 2]
+
+
 # -- loss oracles -----------------------------------------------------------------
 
 
