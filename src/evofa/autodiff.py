@@ -421,13 +421,6 @@ class BatchNormState:
 _BN_AXES, _BN_VIEW = (0, 2, 3), (1, -1, 1, 1)
 
 
-def _bn_check(x: Tensor, mode: str) -> None:
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-    if x.ndim != 4:
-        raise ShapeError(f"batch_norm expects [B x c x H x W] input, got {x.shape}")
-
-
 def _bn_stats(x: np.ndarray, state: BatchNormState, mode: str):
     """Per-channel (mu, v_eps, inv_std) and x - mu; train mode also updates ``state``."""
     if mode == "train":
@@ -445,18 +438,18 @@ def _bn_stats(x: np.ndarray, state: BatchNormState, mode: str):
     return mu, v_eps, v_eps**-0.5, centered
 
 
-def _bn_backward(g, normalized, c, gamma_view, inv_std, v_eps, mode):
+def _bn_backward(g, c, gamma_view, inv_std, v_eps, mode):
     """Closed-form batch-norm gradients (g_x, g_gamma, g_beta), the last two [1 x c x 1 x 1].
 
-    ``c`` is x - mu. ``normalized`` may be None, for c * inv_std computed here as the
-    forward pass did. Each step repeats the arithmetic of the equivalent tape of
-    elementwise ops, in its order. Each full array is dropped once it is read for the
-    last time, so one the caller does not keep is freed early.
+    ``c`` is x - mu; the normalized input c * inv_std is recomputed as the forward
+    pass computed it (Ioffe & Szegedy, ICML 2015). Each step repeats the arithmetic
+    of the equivalent tape of elementwise ops, in its order. Each full array is
+    dropped once it is read for the last time, so one the caller does not keep is
+    freed early.
     """
     channel = (1, g.shape[1], 1, 1)
     count = g.shape[0] * g.shape[2] * g.shape[3]
-    if normalized is None:
-        normalized = c * inv_std
+    normalized = c * inv_std
     g_gamma = _sum_to_shape(g * normalized, channel)
     del normalized
     g_beta = _sum_to_shape(g, channel)
@@ -475,40 +468,23 @@ def _bn_backward(g, normalized, c, gamma_view, inv_std, v_eps, mode):
     return g_x, g_gamma, g_beta
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: str) -> Tensor:
-    """Normalize per channel; batch statistics in train mode, running ones in eval.
-
-    One tape node with a closed-form backward pass (Ioffe & Szegedy, ICML 2015)
-    that keeps only the normalized input and recomputes x - mean. Each step repeats
-    the arithmetic of the equivalent tape of elementwise ops, in its order, so
-    outputs, gradients and running statistics are bitwise the same.
-    """
-    _bn_check(x, mode)
-    x_data, gamma_view = x.data, gamma.data.reshape(_BN_VIEW)
-    mu, v_eps, inv_std, centered = _bn_stats(x_data, state, mode)
-    normalized = centered * inv_std
-    del centered
-
-    def grad_fn(g):
-        c = x_data - mu if mode == "train" else None  # eval mode reads no c
-        g_x, g_gamma, g_beta = _bn_backward(g, normalized, c, gamma_view, inv_std, v_eps, mode)
-        return g_x, g_gamma.reshape(gamma.shape), g_beta.reshape(beta.shape)
-
-    return _make(normalized * gamma_view + beta.data.reshape(_BN_VIEW), (x, gamma, beta), grad_fn)
-
-
 def bias_bn_relu(
     x: Tensor, b: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: str
 ) -> Tensor:
-    """relu(batch_norm(x + b)) with a per-channel bias ``b``, as one tape node.
+    """relu(gamma * (x + b - mean) / sqrt(var + eps) + beta) per channel, as one tape node.
 
-    The node keeps its input array, its output and the per-channel statistics;
-    the backward pass takes the ReLU mask from the output and recomputes x + b,
-    x + b - mean and the normalized input (in-place activated batch norm, Rota
-    Bulò et al., CVPR 2018). Outputs, gradients and running statistics are
-    bitwise those of ``relu(batch_norm(add(x, reshape(b, (1, -1, 1, 1)))))``.
+    ``b`` is a per-channel bias. Train mode normalizes by batch statistics and
+    updates ``state``'s running ones; eval mode reads the running ones. The node
+    keeps its input array, its output and the per-channel statistics; the backward
+    pass takes the ReLU mask from the output and recomputes x + b, x + b - mean and
+    the normalized input (in-place activated batch norm, Rota Bulò et al., CVPR
+    2018). Outputs, gradients and running statistics are bitwise those of the same
+    arithmetic recorded as a tape of elementwise ops.
     """
-    _bn_check(x, mode)
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"batch norm mode must be 'train' or 'eval', got {mode!r}")
+    if x.ndim != 4:
+        raise ShapeError(f"batch norm expects [B x c x H x W] input, got {x.shape}")
     x_data, b_view, gamma_view = x.data, b.data.reshape(_BN_VIEW), gamma.data.reshape(_BN_VIEW)
     mu, v_eps, inv_std, bn = _bn_stats(x_data + b_view, state, mode)
     bn *= inv_std  # normalized, in place: the backward pass recomputes it
@@ -521,7 +497,7 @@ def bias_bn_relu(
         # out > 0 exactly where bn > 0. Nothing else holds the full arrays passed
         # here, so _bn_backward frees each after its last read.
         g_x, g_gamma, g_beta = _bn_backward(
-            g * (out > 0), None, x_data + b_view - mu, gamma_view, inv_std, v_eps, mode
+            g * (out > 0), x_data + b_view - mu, gamma_view, inv_std, v_eps, mode
         )
         g_b = _sum_to_shape(g_x, g_beta.shape)  # what add -> reshape(b) gave
         return g_x, g_b.reshape(b.shape), g_gamma.reshape(gamma.shape), g_beta.reshape(beta.shape)

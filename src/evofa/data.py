@@ -430,6 +430,7 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
     classes, subjects = [str(c) for c in manifest["classes"]], manifest["subjects"]
 
     base = manifest_path.parent.resolve()
+    owners = {}  # resolved feature file -> the trial that named it first
     parts = []  # per trial: features, then one array per column
     for subj_entry in _checked_entries(manifest_path, "subject", subjects, ("id", "sessions")):
         subject_id = subj_entry["id"]
@@ -456,6 +457,12 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
                         f"{manifest_path}: {where} {trial_id} field 'file' lies outside "
                         f"the manifest directory: {entry['file']!r}"
                     )
+                if path in owners:
+                    raise DatasetSchemaError(
+                        f"{manifest_path}: {where} {trial_id} field 'file' names the file of "
+                        f"{owners[path]}: {entry['file']!r}"
+                    )
+                owners[path] = f"{where} {trial_id}"
                 feats = _read_feature_file(path, count, schema)
                 bad = np.argwhere(~np.isfinite(feats))
                 if bad.size:

@@ -13,7 +13,8 @@ test the dataclass applies when built from Python, so a value out of range
 is rejected as the file is read, naming its section and field. The layout
 adds two rules: "backbone" is written once, at the top level, and
 shared by train and supervised; "dataset" wraps a generator section or a
-manifest path. Fields with another owner (``_SET_ELSEWHERE``) are rejected.
+manifest path. Fields with another owner (``_SET_ELSEWHERE``) and keys that
+name no field are rejected, naming the section and the key.
 """
 from __future__ import annotations
 
@@ -278,7 +279,10 @@ def plan_cells(
 def cell_seed(
     cfg: ExperimentConfig, stream: int, subject: int, session: int | None, *key: int
 ) -> int:
-    """Seed of one random stream of a cell: 1 meta-training, 2 evaluation, 4 supervised."""
+    """Seed of one random stream of a cell: 1 meta-training, 2 evaluation, 4 supervised.
+
+    "Seed derivation" in docs/data-format.md lists every stream of a run in one table.
+    """
     return derive_seed(cfg.seed, stream, subject, 0 if session is None else 1 + session, *key)
 
 
@@ -469,7 +473,7 @@ def _checked(cls, obj, where: str, **layout) -> dict:
     """obj's entries, each checked against the JSON kind of cls's field of that name.
 
     Lists load as tuples. ``layout`` gives the kinds of keys the layout puts beside
-    cls's fields. A field set elsewhere is rejected; an unknown key passes, for cls to reject.
+    cls's fields. A field set elsewhere and a key that names no field are rejected.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
@@ -483,35 +487,28 @@ def _checked(cls, obj, where: str, **layout) -> dict:
             raise ConfigError(f"{where} field {name!r} {elsewhere[name]}")
         elif name in annotations:
             _check(where, name, value, _JSON_KINDS[annotations[name]])
+        else:
+            raise ConfigError(f"{where} has unknown key {name!r}")
         out[name] = tuple(value) if isinstance(value, list) else value
     return out
 
 
-def _build(cls, where: str, what: str, kwargs: dict, **shared):
+def _build(cls, where: str, kwargs: dict, **shared):
     """A cls from checked kwargs; a rule that cls itself enforces fails naming ``where``."""
     try:
         return cls(**kwargs, **shared)
-    except TypeError as e:  # a key that names no field
-        raise ConfigError(f"bad {what} config: {e}") from e
     except ConfigError as e:  # a rule across fields, from __post_init__
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _read(cls, obj, where: str, what: str, **shared):
+def _read(cls, obj, where: str, **shared):
     """A cls from its JSON section; ``shared`` holds the fields the layout writes elsewhere."""
-    return _build(cls, where, what, _checked(cls, obj, where), **shared)
-
-
-def _reject_unknown(obj: dict, cls, what: str, *layout: str) -> None:
-    unknown = obj.keys() - {f.name for f in fields(cls)} - set(layout)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return _build(cls, where, _checked(cls, obj, where), **shared)
 
 
 def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     """Parse a config dict (from JSON); unknown keys and mistyped values are rejected."""
     top = _checked(ExperimentConfig, obj, "experiment config", backbone=_OBJECT)
-    _reject_unknown(top, ExperimentConfig, "config", "backbone")
     if "dataset" not in top:
         raise ConfigError("config needs a dataset entry")
     dataset = top["dataset"]
@@ -520,20 +517,16 @@ def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     [(kind, source)] = dataset.items()
     _check("config dataset", kind, source, _DATASET_KINDS[kind])
     if kind == "synthetic":
-        source = _read(DriftConfig, source, "config dataset synthetic", "synthetic dataset")
+        source = _read(DriftConfig, source, "config dataset synthetic")
     top["dataset"] = source
-    backbone = _read(BackboneConfig, top.pop("backbone", {}), "config backbone", "backbone")
-    top["train"] = _read(TrainConfig, top.get("train", {}), "config train", "train", backbone=backbone)
+    backbone = _read(BackboneConfig, top.pop("backbone", {}), "config backbone")
+    top["train"] = _read(TrainConfig, top.get("train", {}), "config train", backbone=backbone)
     adapt = _checked(AdaptConfig, top.get("adapt", {}), "config adapt")
     if isinstance(adapt.get("kernel"), dict):
-        kernel = _checked(KernelSpec, adapt["kernel"], "config adapt kernel")
-        _reject_unknown(kernel, KernelSpec, "kernel")
-        adapt["kernel"] = _build(KernelSpec, "config adapt kernel", "kernel", kernel)
-    top["adapt"] = _build(AdaptConfig, "config adapt", "adapt", adapt)
+        adapt["kernel"] = _read(KernelSpec, adapt["kernel"], "config adapt kernel")
+    top["adapt"] = _build(AdaptConfig, "config adapt", adapt)
     if top.get("supervised") is not None:
-        top["supervised"] = _read(
-            SupervisedConfig, top["supervised"], "config supervised", "supervised", backbone=backbone
-        )
+        top["supervised"] = _read(SupervisedConfig, top["supervised"], "config supervised", backbone=backbone)
     return ExperimentConfig(**top)
 
 
@@ -556,11 +549,14 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 
 def load_drift_config(path: str | Path) -> DriftConfig:
-    """A synthetic generator config file: the generator's fields, bare or under "synthetic"."""
+    """A synthetic generator config file: the generator's fields, bare or as the only key "synthetic"."""
     obj = read_json(path, "config")
-    if isinstance(obj, dict) and "synthetic" in obj:
-        obj = obj["synthetic"]
     try:
-        return _read(DriftConfig, obj, "synthetic dataset config", "synthetic dataset")
+        if isinstance(obj, dict) and "synthetic" in obj:
+            beside = sorted(obj.keys() - {"synthetic"})
+            if beside:
+                raise ConfigError(f'synthetic dataset config has unknown keys {beside} beside "synthetic"')
+            obj = obj["synthetic"]
+        return _read(DriftConfig, obj, "synthetic dataset config")
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e

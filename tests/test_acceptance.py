@@ -244,27 +244,27 @@ def _op_variants():
         w = rng.normal(size=(1, 3, 3, 3))
         return (lambda _: _dot(ad.conv2d(x, k, 2, 0), w)), [x, k]
 
-    @variant("batch_norm_train")
+    @variant("bias_bn_relu_train")
     def _(rng):
         x = _leaf(rng, (6, 3, 2, 2))
-        gamma, beta = _leaf(rng, (3,), "positive"), _leaf(rng, (3,))
+        b, gamma, beta = _leaf(rng, (3,)), _leaf(rng, (3,), "positive"), _leaf(rng, (3,))
         w = rng.normal(size=(6, 3, 2, 2))
 
         def f(_):
             # fresh state per call: train mode normalizes by batch statistics,
             # so mutating the running buffers never changes the value
             state = BatchNormState.create(3)
-            return _dot(ad.batch_norm(x, gamma, beta, state, "train"), w)
+            return _dot(ad.bias_bn_relu(x, b, gamma, beta, state, "train"), w)
 
-        return f, [x, gamma, beta]
+        return f, [x, b, gamma, beta]
 
-    @variant("batch_norm_eval")
+    @variant("bias_bn_relu_eval")
     def _(rng):
         x = _leaf(rng, (6, 3, 2, 2))
-        gamma, beta = _leaf(rng, (3,), "positive"), _leaf(rng, (3,))
+        b, gamma, beta = _leaf(rng, (3,)), _leaf(rng, (3,), "positive"), _leaf(rng, (3,))
         state = BatchNormState(rng.normal(size=3), np.abs(rng.normal(size=3)) + 0.5, 0.1, 1e-5)
         w = rng.normal(size=(6, 3, 2, 2))
-        return (lambda _: _dot(ad.batch_norm(x, gamma, beta, state, "eval"), w)), [x, gamma, beta]
+        return (lambda _: _dot(ad.bias_bn_relu(x, b, gamma, beta, state, "eval"), w)), [x, b, gamma, beta]
 
     return variants
 

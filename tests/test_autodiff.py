@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from evofa import autodiff as ad
 from evofa.errors import ConfigError, ContractError, ShapeError
@@ -268,76 +268,83 @@ def test_take_grad_with_repeated_indices_bitwise_equals_scatter_add():
 
 # -- batch norm ---------------------------------------------------------------
 
-def test_batch_norm_near_identity_on_standardized_batch():
+def _bn_relu(x, b, gamma, beta, state, mode="train"):
+    return ad.bias_bn_relu(t(x), t(b), t(gamma), t(beta), state, mode)
+
+
+def test_bias_bn_relu_near_identity_on_standardized_batch():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(64, 3, 1, 1))
     x = (x - x.mean(axis=0)) / x.std(axis=0)
     state = ad.BatchNormState.create(3)
-    out = ad.batch_norm(t(x), t(np.ones(3)), t(np.zeros(3)), state, "train")
+    # beta lifts every output above the ReLU kink, so only the normalization shows
+    out = _bn_relu(x, np.zeros(3), np.ones(3), np.full(3, 10.0), state)
     # the 1e-5 variance epsilon shifts unit-scale values by about 5e-6
-    assert np.allclose(out.data, x, atol=2e-5)
+    assert np.allclose(out.data - 10.0, x, atol=2e-5)
 
 
-def test_batch_norm_zero_gamma_gives_beta():
+def test_bias_bn_relu_zero_gamma_gives_relu_of_beta():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(8, 4, 2, 3))
     beta = np.array([1.0, -2.0, 0.5, 3.0])
     state = ad.BatchNormState.create(4)
-    out = ad.batch_norm(t(x), t(np.zeros(4)), t(beta), state, "train")
-    assert np.allclose(out.data, np.broadcast_to(beta[:, None, None], x.shape))
+    out = _bn_relu(x, rng.normal(size=4), np.zeros(4), beta, state)
+    assert np.allclose(out.data, np.broadcast_to(np.maximum(beta, 0.0)[:, None, None], x.shape))
 
 
-def test_batch_norm_eval_is_pure():
+def test_bias_bn_relu_eval_is_pure():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(8, 4, 2, 2))
     state = ad.BatchNormState.create(4)
     state.running_mean = rng.normal(size=4)
     state.running_var = rng.uniform(0.5, 2.0, size=4)
     before = (state.running_mean.copy(), state.running_var.copy())
-    g, b = t(np.ones(4)), t(np.zeros(4))
-    first = ad.batch_norm(t(x), g, b, state, "eval").data
-    second = ad.batch_norm(t(x), g, b, state, "eval").data
+    b, g, beta = t(rng.normal(size=4)), t(np.ones(4)), t(np.zeros(4))
+    first = ad.bias_bn_relu(t(x), b, g, beta, state, "eval").data
+    second = ad.bias_bn_relu(t(x), b, g, beta, state, "eval").data
     assert np.array_equal(first, second)
     assert np.array_equal(state.running_mean, before[0])
     assert np.array_equal(state.running_var, before[1])
 
 
-def test_batch_norm_train_updates_running_stats():
+def test_bias_bn_relu_train_updates_running_stats():
     rng = np.random.default_rng(8)
     x = rng.normal(loc=3.0, size=(32, 2, 2, 2))
+    b = np.array([0.5, -1.5])
     state = ad.BatchNormState.create(2, momentum=0.1)
-    ad.batch_norm(t(x), t(np.ones(2)), t(np.zeros(2)), state, "train")
-    expect_mean = 0.9 * np.zeros(2) + 0.1 * x.mean(axis=(0, 2, 3))
-    assert np.allclose(state.running_mean, expect_mean)
+    _bn_relu(x, b, np.ones(2), np.zeros(2), state)
+    shifted = x + b[:, None, None]
+    assert np.allclose(state.running_mean, 0.9 * np.zeros(2) + 0.1 * shifted.mean(axis=(0, 2, 3)))
+    assert np.allclose(state.running_var, 0.9 * np.ones(2) + 0.1 * shifted.var(axis=(0, 2, 3)))
 
 
-def test_batch_norm_zero_variance_is_guarded():
+def test_bias_bn_relu_zero_variance_is_guarded():
     x = np.ones((4, 2, 3, 3)) * 7.0
     state = ad.BatchNormState.create(2)
-    out = ad.batch_norm(t(x), t(np.ones(2)), t(np.zeros(2)), state, "train")
+    out = _bn_relu(x, np.array([1.0, -3.0]), np.ones(2), np.zeros(2), state)
     assert out.is_finite()
     assert np.allclose(out.data, 0.0)
 
 
-def test_batch_norm_4d_normalizes_per_channel():
+def test_bias_bn_relu_normalizes_per_channel():
     rng = np.random.default_rng(9)
     x = rng.normal(loc=2.0, scale=3.0, size=(8, 2, 4, 4))
     state = ad.BatchNormState.create(2)
-    out = ad.batch_norm(t(x), t(np.ones(2)), t(np.zeros(2)), state, "train").data
+    out = _bn_relu(x, np.array([4.0, -1.0]), np.ones(2), np.full(2, 10.0), state).data - 10.0
     assert np.allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
     assert np.allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
 
 
-def test_batch_norm_bad_mode_rejected():
+def test_bias_bn_relu_bad_mode_rejected():
     state = ad.BatchNormState.create(2)
-    with pytest.raises(ConfigError):
-        ad.batch_norm(t(np.zeros((4, 2, 1, 1))), t(np.ones(2)), t(np.zeros(2)), state, "test")
+    with pytest.raises(ConfigError, match="'train' or 'eval'"):
+        _bn_relu(np.zeros((4, 2, 1, 1)), np.zeros(2), np.ones(2), np.zeros(2), state, "test")
 
 
-def test_batch_norm_rejects_input_that_is_not_4d():
+def test_bias_bn_relu_rejects_input_that_is_not_4d():
     state = ad.BatchNormState.create(2)
     with pytest.raises(ShapeError, match=r"\[B x c x H x W\]"):
-        ad.batch_norm(t(np.zeros((4, 2))), t(np.ones(2)), t(np.zeros(2)), state, "train")
+        _bn_relu(np.zeros((4, 2)), np.zeros(2), np.ones(2), np.zeros(2), state)
 
 
 def _composed_batch_norm(x, gamma, beta, state, mode):
@@ -359,45 +366,35 @@ def _composed_batch_norm(x, gamma, beta, state, mode):
     return ad.add(ad.mul(normalized, ad.reshape(gamma, view)), ad.reshape(beta, view))
 
 
+def _composed_block_tail(x, b, gamma, beta, state, mode):
+    """The encoder block's tail as the tape of separate nodes that bias_bn_relu fuses."""
+    return ad.relu(_composed_batch_norm(ad.add(x, ad.reshape(b, (1, -1, 1, 1))), gamma, beta, state, mode))
+
+
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("seed", range(4))
-def test_batch_norm_bitwise_equals_composed_tape(mode, seed):
+def test_bias_bn_relu_shared_parameters_bitwise_equal_composed_tape(mode, seed):
     """Output, gradients and running statistics equal the composed tape's, byte for byte.
 
-    The same gamma and beta feed two batch-norm calls in one loss, so their
+    The same b, gamma and beta feed two block tails in one loss, so their
     gradients accumulate from two nodes.
     """
     results = []
-    for norm in (_composed_batch_norm, ad.batch_norm):
+    for tail in (_composed_block_tail, ad.bias_bn_relu):
         rng = np.random.default_rng([10, seed])
         shape = (int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 7)))
         x = t(rng.normal(loc=2.0, scale=3.0, size=shape), grad=True)
-        gamma = t(rng.normal(size=shape[1]), grad=True)
-        beta = t(rng.normal(size=shape[1]), grad=True)
+        b, gamma, beta = (t(rng.normal(size=shape[1]), grad=True) for _ in range(3))
         state = ad.BatchNormState.create(shape[1])
         state.running_mean = rng.normal(size=shape[1])
         state.running_var = rng.uniform(0.5, 2.0, size=shape[1])
-        first = norm(x, gamma, beta, state, mode)
-        second = norm(ad.relu(x), gamma, beta, state, mode)
+        first = tail(x, b, gamma, beta, state, mode)
+        second = tail(ad.relu(x), b, gamma, beta, state, mode)
         loss = ad.add(ad.tensor_sum(ad.mul(first, t(rng.normal(size=shape)))), ad.tensor_sum(ad.mul(second, second)))
         ad.backward(loss)
-        results.append([first.data, second.data, x.grad, gamma.grad, beta.grad, state.running_mean, state.running_var])
+        results.append([first.data, second.data, x.grad, b.grad, gamma.grad, beta.grad, state.running_mean, state.running_var])
     for composed, fused in zip(*results):
         assert fused.tobytes() == composed.tobytes()
-
-
-def test_batch_norm_is_one_tape_node():
-    rng = np.random.default_rng(11)
-    x = t(rng.normal(size=(4, 3, 2, 2)), grad=True)
-    gamma, beta = t(np.ones(3), grad=True), t(np.zeros(3), grad=True)
-    out = ad.batch_norm(x, gamma, beta, ad.BatchNormState.create(3), "train")
-    assert len(out._parents) == 3
-    assert all(p is q for p, q in zip(out._parents, (x, gamma, beta)))
-
-
-def _composed_block_tail(x, b, gamma, beta, state, mode):
-    """The encoder block's tail as the tape of separate nodes it replaces."""
-    return ad.relu(ad.batch_norm(ad.add(x, ad.reshape(b, (1, -1, 1, 1))), gamma, beta, state, mode))
 
 
 def _block_leaves(seed):
@@ -421,7 +418,7 @@ def _block_leaves(seed):
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("seed", range(4))
 def test_bias_bn_relu_bitwise_equals_composed_tape(mode, seed):
-    """Output, gradients and running statistics equal conv -> add(reshape(b)) -> batch_norm -> relu's."""
+    """Output, gradients and running statistics equal conv -> add(reshape(b)) -> batch norm -> relu's."""
     results = []
     for tail in (_composed_block_tail, ad.bias_bn_relu):
         (x, k, b, gamma, beta), state, weights = _block_leaves(seed)
@@ -751,11 +748,17 @@ def test_gradients_match_finite_differences_conv_and_bn(seed):
     k = t(rng.normal(size=(2, 2, 3, 3)) * 0.5, grad=True)
     gamma = t(rng.uniform(0.5, 1.5, size=2), grad=True)
     beta = t(rng.normal(size=2), grad=True)
-    state = ad.BatchNormState.create(2)
+    b = t(rng.normal(size=2), grad=True)
     # train-mode output depends only on the batch, so reusing state keeps f pure
-    assert _probe(lambda: ad.conv2d(x, k, stride=1, pad=1), [x, k], rng) < 1e-4
-    assert _probe(lambda: ad.batch_norm(x, gamma, beta, state, "train"), [x, gamma, beta], rng) < 1e-4
+    state = ad.BatchNormState.create(2)
     eval_state = ad.BatchNormState.create(2)
     eval_state.running_mean = rng.normal(size=2)
     eval_state.running_var = rng.uniform(0.5, 2.0, size=2)
-    assert _probe(lambda: ad.batch_norm(x, gamma, beta, eval_state, "eval"), [x, gamma, beta], rng) < 1e-4
+    for bn_state, mode in ((state, "train"), (eval_state, "eval")):
+        # central differences hold only away from the ReLU kink
+        pre = _composed_batch_norm(ad.add(x, ad.reshape(b, (1, -1, 1, 1))), gamma, beta, bn_state.copy(), mode)
+        assume(np.abs(pre.data).min() > 1e-3)
+    assert _probe(lambda: ad.conv2d(x, k, stride=1, pad=1), [x, k], rng) < 1e-4
+    for bn_state, mode in ((state, "train"), (eval_state, "eval")):
+        tail = lambda: ad.bias_bn_relu(x, b, gamma, beta, bn_state, mode)
+        assert _probe(tail, [x, b, gamma, beta], rng) < 1e-4

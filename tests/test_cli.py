@@ -119,6 +119,10 @@ SYNTH_GEN_DEFECTS = {
     "bare_bool_count": ({**DATASET_OBJ, "samples_per_trial": False}, "field 'samples_per_trial' must be a positive integer"),
     "string_scale": ({"synthetic": {**DATASET_OBJ, "noise_std": "1"}}, "field 'noise_std' must be a finite nonnegative number"),
     "not_an_object": ([DATASET_OBJ], "synthetic dataset config must be an object"),
+    "keys_beside_synthetic": (
+        {"synthetic": DATASET_OBJ, "seed": 5, "typo_key": 1},
+        "synthetic dataset config has unknown keys ['seed', 'typo_key'] beside \"synthetic\"",
+    ),
     "malformed": ('{"synthetic": {num_subjects: 2}}', "is not valid JSON"),
 }
 

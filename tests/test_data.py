@@ -237,6 +237,21 @@ def test_import_rejects_repeated_trial_id(tmp_path):
         data.import_features(path)
 
 
+def test_import_rejects_two_trials_naming_one_file(tmp_path):
+    write_binary(tmp_path / "features" / "t1.evfa", np.zeros((3, 4, 2)))
+    trials = [
+        {"id": 1, "label": 0, "file": "features/t1.evfa", "count": 3},
+        {"id": 2, "label": 1, "file": "features/./t1.evfa", "count": 3},  # the same file, spelled apart
+    ]
+    path = write_manifest(tmp_path, trials)
+    says = (
+        f"{path}: subject 1 session 1 trial 2 field 'file' names the file of "
+        "subject 1 session 1 trial 1: 'features/./t1.evfa'"
+    )
+    with pytest.raises(DatasetSchemaError, match=f"^{re.escape(says)}$"):
+        data.import_features(path)
+
+
 @pytest.mark.parametrize("where", ["parent", "absolute"])
 def test_import_rejects_file_outside_manifest_directory(tmp_path, where):
     container = tmp_path / "container"
