@@ -318,7 +318,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 # -- convolution ---------------------------------------------------------------
 
-GCOLS_SLICE_BYTES = 8 << 20  # conv2d's input gradient builds its columns this much at a time
+COLS_SLICE_BYTES = 2 << 20  # conv2d builds its columns (forward) and gcols (backward) this much at a time
 
 
 def _pad(a: np.ndarray, pad: int) -> np.ndarray:
@@ -334,10 +334,13 @@ def _pad(a: np.ndarray, pad: int) -> np.ndarray:
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of [B x c_in x H x W] with [c_out x c_in x h x w].
 
-    The node keeps its operands' arrays, not a padded copy of the input: the
-    backward pass pads again for the kernel gradient and frees that copy before
-    the input gradient builds its columns and scatters them one slice of batch
-    rows at a time, at most ``GCOLS_SLICE_BYTES`` or one row.
+    The forward pass is im2col (Chellapilla et al., 2006): one
+    [c_out x c_in·h·w] product per slice of batch rows, whose columns hold at
+    most ``COLS_SLICE_BYTES`` or one row. Each row's product is the same call
+    whatever the slice, so the output does not depend on the slicing. The node
+    keeps its operands' arrays, not a padded copy of the input: the backward
+    pass pads again for the kernel gradient and frees that copy before the
+    input gradient builds its columns and scatters them, one slice at a time.
     """
     if x.ndim != 4 or k.ndim != 4:
         raise ShapeError(f"conv2d needs [B x c x H x W] and [o x c x h x w]; got {x.shape}, {k.shape}")
@@ -358,19 +361,21 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     out_w = num_w // stride + 1
     x_data, k_data = x.data, k.data  # what the forward pass read, whatever the tensors hold later
 
-    def tap(xp, i, j):
-        """The [B x c_in x out_h*out_w] positions of padded input ``xp`` that kernel tap (i, j) reads."""
-        view = xp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
-        return view.reshape(batch, c_in, out_h * out_w)
+    def window(a, i, j):
+        """The [rows x c_in x out_h x out_w] positions of padded array ``a`` that kernel tap (i, j) reads."""
+        return a[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
 
-    # Shift-and-accumulate (Dukhan 2019): one [c_out x c_in] product per tap, no
-    # im2col buffer.
     taps = [(i, j) for i in range(kh) for j in range(kw)]
-    ktaps = k_data.transpose(2, 3, 0, 1).copy()  # contiguous [c_out x c_in] per tap
+    kmat = k_data.reshape(c_out, -1)  # columns in (c_in, i, j) order, as im2col's rows
+    slice_rows = max(1, COLS_SLICE_BYTES // (8 * c_in * kh * kw * out_h * out_w))
     xp = _pad(x_data, pad)
-    data = np.zeros((batch, c_out, out_h * out_w))
-    for i, j in taps:
-        data += np.matmul(ktaps[i, j], tap(xp, i, j))
+    data = np.empty((batch, c_out, out_h * out_w))
+    for b0 in range(0, batch, slice_rows):  # matmul treats each batch row on its own
+        rows = xp[b0 : b0 + slice_rows]
+        cols = np.empty((len(rows), c_in, kh, kw, out_h, out_w))
+        for i, j in taps:
+            cols[:, :, i, j] = window(rows, i, j)
+        np.matmul(kmat, cols.reshape(len(rows), c_in * kh * kw, -1), out=data[b0 : b0 + slice_rows])
     data = data.reshape(batch, c_out, out_h, out_w)
 
     def grad_fn(g):
@@ -378,21 +383,20 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         gk = np.empty_like(k_data)
         xp = _pad(x_data, pad)
         for i, j in taps:
-            gk[:, :, i, j] = np.matmul(g2, tap(xp, i, j).transpose(0, 2, 1)).sum(axis=0)
+            tap = window(xp, i, j).reshape(batch, c_in, -1)
+            gk[:, :, i, j] = np.matmul(g2, tap.transpose(0, 2, 1)).sum(axis=0)
+            del tap
         del xp  # before the gcols slices, so the two never coexist
-        kmat_t = k_data.reshape(c_out, -1).T
-        slice_rows = max(1, GCOLS_SLICE_BYTES // (8 * c_in * kh * kw * out_h * out_w))
         gxp = np.zeros((batch, c_in, height + 2 * pad, width + 2 * pad))
-        for b0 in range(0, batch, slice_rows):  # matmul treats each batch row on its own
+        for b0 in range(0, batch, slice_rows):
             part = slice(b0, b0 + slice_rows)
-            gcols = np.matmul(kmat_t, g2[part]).reshape(-1, c_in, kh, kw, out_h, out_w)
+            gcols = np.matmul(kmat.T, g2[part]).reshape(-1, c_in, kh, kw, out_h, out_w)
             # col2im one kernel tap at a time: a tap writes each padded position at
             # most once, and taps run in column order, so every element sums its
             # contributions in the same order as a scatter-add over the columns.
             for i, j in taps:
-                rows_ij = slice(i, i + stride * out_h, stride)
-                cols_ij = slice(j, j + stride * out_w, stride)
-                gxp[part, :, rows_ij, cols_ij] += gcols[:, :, i, j]
+                spots = window(gxp[part], i, j)
+                spots += gcols[:, :, i, j]
         gx = gxp[:, :, pad : pad + height, pad : pad + width] if pad else gxp
         return (gx, gk)
 

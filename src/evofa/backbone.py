@@ -1,10 +1,11 @@
 """Representation pipeline: grouped Gram transform, ConvNet encoder, adapter, heads.
 
 Stage layout: g2g -> 4 x (conv 3x3 s1 p1 -> bias -> batchnorm -> relu) -> global
-average pool -> flatten. A conv block records two tape nodes, ``conv2d`` and
-``bias_bn_relu``, so the tape holds two activations per block. The adapter is
-the only stage touched by test-time adaptation; it starts as an exact identity
-so adaptation-off equals the raw pipeline.
+average pool -> flatten. In train mode a conv block records two tape nodes,
+``conv2d`` and ``bias_bn_relu``, so the tape holds two activations per block. In
+eval mode a block folds its batch norm and bias into the conv (``_conv_block``).
+The adapter is the only stage touched by test-time adaptation; it starts as an
+exact identity so adaptation-off equals the raw pipeline.
 
 Every stage takes a batch: ``encode`` maps features [B x n x d] to rows
 [B x q], and ``adapt`` maps rows [m x q], or a stack [G x m x q], to the same
@@ -192,6 +193,26 @@ def g2g_transform(x: Tensor, projections: list[Tensor]) -> Tensor:
     return channels[0] if c == 1 else ad.concat(channels, axis=1)
 
 
+def _conv_block(x: Tensor, theta: ParamGroup, i: int, state: BatchNormState, mode: str) -> Tensor:
+    """Conv block ``i``: conv 3x3 s1 p1 -> bias -> batch norm -> relu, [B x c x H x W] in and out.
+
+    Train mode records ``conv2d`` then ``bias_bn_relu``, which normalizes by batch
+    statistics and updates ``state``'s running ones. Eval mode's batch norm is a fixed
+    per-channel affine map, so the block folds the running statistics, ``gamma``,
+    ``beta`` and the conv bias into the kernel and one shift (Jacob et al., CVPR 2018,
+    §3.2), built from tape ops so that it stays differentiable:
+    relu(conv2d(x, k * scale) + shift).
+    """
+    k, b = theta.get(f"conv{i}_w"), theta.get(f"conv{i}_b")
+    gamma, beta = theta.get(f"bn{i}_gamma"), theta.get(f"bn{i}_beta")
+    if mode != "eval":
+        return ad.bias_bn_relu(ad.conv2d(x, k, stride=1, pad=1), b, gamma, beta, state, mode)
+    scale = ad.mul(gamma, Tensor((state.running_var + state.eps) ** -0.5))
+    shift = ad.add(beta, ad.mul(ad.sub(b, Tensor(state.running_mean)), scale))
+    conv = ad.conv2d(x, ad.mul(k, ad.reshape(scale, (-1, 1, 1, 1))), stride=1, pad=1)
+    return ad.relu(ad.add(conv, ad.reshape(shift, (1, -1, 1, 1))))
+
+
 def encode(features: Tensor, model: Model, mode: str = "eval") -> Tensor:
     """g2g -> conv stack -> global average pool; [B x n x d] -> [B x q]."""
     cfg = model.config
@@ -202,18 +223,8 @@ def encode(features: Tensor, model: Model, mode: str = "eval") -> Tensor:
         )
     projections = [model.theta.get(f"g2g_p{k}") for k in range(cfg.g2g_channels)]
     x = g2g_transform(features, projections)
-    for i in range(4):
-        w = model.theta.get(f"conv{i}_w")
-        b = model.theta.get(f"conv{i}_b")
-        x = ad.conv2d(x, w, stride=1, pad=1)
-        x = ad.bias_bn_relu(
-            x,
-            b,
-            model.theta.get(f"bn{i}_gamma"),
-            model.theta.get(f"bn{i}_beta"),
-            model.bn_states[i],
-            mode,
-        )
+    for i, state in enumerate(model.bn_states):
+        x = _conv_block(x, model.theta, i, state, mode)
     return x.mean(axis=(2, 3))
 
 

@@ -84,10 +84,36 @@ def _header_dict(model: Model) -> tuple[dict, np.ndarray]:
     return header, payload
 
 
+def _check_values(path: Path, header: dict, payload: np.ndarray) -> None:
+    """Reject a float32 payload that holds a non-finite value or a negative running variance.
+
+    A float64 value beyond float32 range saves as inf, and a negative variance
+    would turn eval-mode batch norm into NaN.
+    """
+    for entry in header["params"]:
+        values = payload[entry["offset"] : entry["offset"] + int(np.prod(entry["shape"]))]
+        if not np.isfinite(values).all():
+            raise CheckpointError(
+                f"checkpoint {path} parameter {entry['group']}/{entry['name']} holds a non-finite float32 value"
+            )
+    for i, entry in enumerate(header["bn"]):
+        mean, var = (payload[entry[key] : entry[key] + entry["channels"]] for key in ("mean_offset", "var_offset"))
+        for stat, values in (("running_mean", mean), ("running_var", var)):
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"checkpoint {path} bn{i} {stat} holds a non-finite float32 value")
+        if (var < 0).any():
+            raise CheckpointError(f"checkpoint {path} bn{i} running_var holds a negative value")
+
+
 def save_checkpoint(model: Model, path: str | Path) -> Path:
-    """Serialize the model atomically; returns the written path."""
+    """Serialize the model atomically; returns the written path.
+
+    A model that would not load again (see ``_check_values``) raises CheckpointError
+    and writes nothing.
+    """
     path = Path(path)
     header, payload = _header_dict(model)
+    _check_values(path, header, payload)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob = (
         MAGIC
@@ -131,6 +157,7 @@ def load_checkpoint(path: str | Path) -> Model:
     The decoded header must be exactly the header that saving a model of the
     architecture it names writes: its parameter table ({group, name, shape,
     offset} entries), its batch-norm table, its float count and no other field.
+    Every payload float must be finite and every running variance non-negative.
     """
     path = Path(path)
     try:
@@ -186,6 +213,7 @@ def load_checkpoint(path: str | Path) -> Model:
     difference = _header_difference(header, want)
     if difference is not None:
         raise CheckpointError(f"checkpoint {path} header {difference}")
+    _check_values(path, want, payload)
     floats = lambda offset, size: payload[offset : offset + size].astype(np.float64)
     tensors = [t for group in model.groups() for _, t in group.entries]
     for t, entry in zip(tensors, want["params"]):

@@ -164,14 +164,19 @@ class TrainConfig:
 def validation_accuracy(model: Model, pool: DatasetIndex, cfg: TrainConfig) -> float:
     """Mean accuracy over fixed-seed validation episodes (stable across epochs).
 
-    The pool goes through the frozen encoder once per call; its episodes index the rows.
+    The episodes are drawn first. Only the union of their rows goes through the
+    frozen encoder, once per call, and each episode indexes into those rows.
     """
-    rows = encode_rows(model, pool.features)
+    episodes = [
+        sample_episode(pool, cfg.way, cfg.shot, cfg.queries, np.random.default_rng([cfg.rng_seed, 4, j]))
+        for j in range(cfg.validation_episodes)
+    ]
+    used = np.unique(np.concatenate([_episode_rows(episode) for episode in episodes]))
+    rows = encode_rows(model, pool.features[used])
     total = 0.0
-    for j in range(cfg.validation_episodes):
-        rng = np.random.default_rng([cfg.rng_seed, 4, j])
-        episode = sample_episode(pool, cfg.way, cfg.shot, cfg.queries, rng)
-        total += classify_query(episode, model, rows, model.phi)[1]
+    for support, query in episodes:
+        local = (np.searchsorted(used, support), np.searchsorted(used, query))
+        total += classify_query(local, model, rows, model.phi)[1]
     return total / cfg.validation_episodes
 
 

@@ -170,7 +170,7 @@ def test_conv2d_backward_peak_memory_below_one_gcols_buffer():
     x = t(rng.normal(size=(batch, c_in, side, side)), grad=True)
     k = t(rng.normal(size=(8, c_in, 3, 3)), grad=True)
     gcols_bytes = batch * c_in * 9 * side * side * 8  # 16.9 MiB, the whole batch's columns
-    assert gcols_bytes > ad.GCOLS_SLICE_BYTES  # so the batch is built in several slices
+    assert gcols_bytes > ad.COLS_SLICE_BYTES  # so the batch is built in several slices
     loss = ad.tensor_sum(ad.conv2d(x, k, stride=1, pad=1))
     tracemalloc.start()
     try:
@@ -239,13 +239,25 @@ def test_conv2d_input_grad_built_in_row_slices_bitwise_equals_scatter_add(monkey
     x = rng.normal(size=(5, 3, 7, 9))
     k = t(rng.normal(size=(4, 3, 3, 3)), grad=True)
     # one batch row of columns is 3·9·7·9 floats; 2 rows per slice leaves a short last slice
-    monkeypatch.setattr(ad, "GCOLS_SLICE_BYTES", rows * 3 * 9 * 7 * 9 * 8)
+    monkeypatch.setattr(ad, "COLS_SLICE_BYTES", rows * 3 * 9 * 7 * 9 * 8)
     xt = t(x, grad=True)
     out = ad.conv2d(xt, k, stride=1, pad=1)
     g = rng.normal(size=out.shape)
     ad.backward(ad.tensor_sum(ad.mul(out, t(g))))
     expect = _scatter_add_input_grad(x, k.data, g, 1, 1)
     assert xt.grad.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_conv2d_forward_built_in_row_slices_bitwise_equals_whole_batch(monkeypatch, rows):
+    rng = np.random.default_rng([10, rows])
+    x = t(rng.normal(size=(7, 3, 7, 9)))
+    k = t(rng.normal(size=(4, 3, 3, 3)))
+    row_bytes = 3 * 9 * 7 * 9 * 8  # one batch row of columns
+    monkeypatch.setattr(ad, "COLS_SLICE_BYTES", 7 * row_bytes)
+    whole = ad.conv2d(x, k, stride=1, pad=1).data
+    monkeypatch.setattr(ad, "COLS_SLICE_BYTES", rows * row_bytes)  # 2 and 5 leave a short last slice
+    assert ad.conv2d(x, k, stride=1, pad=1).data.tobytes() == whole.tobytes()
 
 
 def test_take_grad_with_repeated_indices_bitwise_equals_scatter_add():

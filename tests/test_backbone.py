@@ -202,6 +202,58 @@ def test_encode_train_tape_holds_two_activations_per_block():
     assert alive < 2.5 * activation_bytes
 
 
+def _nontrivial_eval_model(cfg, seed):
+    """A model whose running statistics, gamma, beta and conv biases are all away from their init."""
+    model = backbone.create_model(cfg, seed=seed)
+    rng = np.random.default_rng([seed, 17])
+    for i, state in enumerate(model.bn_states):
+        c = state.running_mean.size
+        state.running_mean = rng.normal(size=c)
+        state.running_var = rng.uniform(0.2, 3.0, size=c)
+        model.theta.get(f"conv{i}_b").data = rng.normal(size=c)
+        model.theta.get(f"bn{i}_gamma").data = rng.uniform(0.5, 2.0, size=c) * rng.choice([-1.0, 1.0], size=c)
+        model.theta.get(f"bn{i}_beta").data = rng.normal(size=c)
+    return model
+
+
+SEED_SHAPED = backbone.BackboneConfig(
+    n_electrodes=62, d_bands=5, conv_channels=(4, 4, 4, 8), embedding_dim=8, adapter_hidden=16
+)
+
+
+@pytest.mark.parametrize("cfg", [TINY, SEED_SHAPED], ids=["tiny", "62x5"])
+def test_folded_eval_blocks_match_conv_then_bias_bn_relu(cfg):
+    model = _nontrivial_eval_model(cfg, seed=4)
+    features = t(np.random.default_rng(5).normal(size=(3, cfg.n_electrodes, cfg.d_bands)))
+    projections = [model.theta.get(f"g2g_p{k}") for k in range(cfg.g2g_channels)]
+    x = backbone.g2g_transform(features, projections)
+    for i, state in enumerate(model.bn_states):
+        reference = ad.bias_bn_relu(
+            ad.conv2d(x, model.theta.get(f"conv{i}_w"), stride=1, pad=1),
+            model.theta.get(f"conv{i}_b"),
+            model.theta.get(f"bn{i}_gamma"),
+            model.theta.get(f"bn{i}_beta"),
+            state,
+            "eval",
+        )
+        folded = backbone._conv_block(x, model.theta, i, state, "eval")
+        assert np.abs(reference.data).max() > 0  # the block is not all ReLU zeros
+        assert np.abs(folded.data - reference.data).max() <= 1e-12 * np.abs(reference.data).max()
+        x = reference
+    pooled = x.data.mean(axis=(2, 3))
+    encoded = backbone.encode(features, model, mode="eval").data
+    assert np.abs(encoded - pooled).max() <= 1e-12 * np.abs(pooled).max()
+
+
+def test_folded_eval_encode_gradient_matches_finite_differences():
+    model = _nontrivial_eval_model(TINY, seed=6)
+    rng = np.random.default_rng(7)
+    features = t(rng.normal(size=(3, 4, 4)))
+    weights = t(rng.normal(size=(3, TINY.embedding_dim)))
+    loss = lambda theta: ad.tensor_sum(ad.mul(backbone.encode(features, model, mode="eval"), weights))
+    assert ad.finite_diff_check(loss, model.theta) < 1e-4
+
+
 @pytest.mark.parametrize("head", backbone.HEAD_KINDS)
 def test_model_floats_counts_what_create_model_builds(head):
     wide = dict(g2g_channels=4, adapter_hidden=14, relation_hidden=7, num_classes=5)

@@ -415,3 +415,63 @@ def test_forged_architecture_rejected_before_it_is_built(model, tmp_path):
         tracemalloc.stop()
     assert str(path) in str(err.value)
     assert peak < 4 * 2**20
+
+
+# -- payload values (each edited file is re-signed, so only the value check can catch it) --
+
+
+def set_payload_float(path, offset, value) -> None:
+    """Overwrite float32 number ``offset`` of the checkpoint's payload and re-sign the file."""
+    blob = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    struct.pack_into("<f", blob, 16 + header_len + 4 * offset, value)
+    path.write_bytes(_resigned(bytes(blob[:-8])))
+
+
+def header_of(path) -> dict:
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    return json.loads(blob[16 : 16 + header_len])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_parameter_rejected_naming_group_and_param(model, tmp_path, value):
+    path = save_checkpoint(model, tmp_path / "m.ckpt")
+    entry = next(e for e in header_of(path)["params"] if e["name"] == "conv1_w")
+    set_payload_float(path, entry["offset"] + 5, value)
+    with pytest.raises(CheckpointError, match="theta/conv1_w holds a non-finite") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("stat", ["mean", "var"])
+def test_non_finite_running_stat_rejected_naming_layer(model, tmp_path, stat):
+    path = save_checkpoint(model, tmp_path / "m.ckpt")
+    set_payload_float(path, header_of(path)["bn"][1][f"{stat}_offset"], float("nan"))
+    with pytest.raises(CheckpointError, match=f"bn1 running_{stat} holds a non-finite") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_negative_running_var_rejected_naming_layer(model, tmp_path):
+    path = save_checkpoint(model, tmp_path / "m.ckpt")
+    set_payload_float(path, header_of(path)["bn"][2]["var_offset"] + 1, -0.5)
+    with pytest.raises(CheckpointError, match="bn2 running_var holds a negative value") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_zero_running_var_loads(model, tmp_path):
+    path = save_checkpoint(model, tmp_path / "m.ckpt")
+    set_payload_float(path, header_of(path)["bn"][0]["var_offset"], 0.0)
+    assert load_checkpoint(path).bn_states[0].running_var[0] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_value_beyond_float32_range_is_not_saved(model, tmp_path):
+    model.phi.get("fc1_b").data[3] = 1e39  # float32 holds up to ~3.4e38; it would save as inf
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(CheckpointError, match="phi/fc1_b holds a non-finite float32 value") as err:
+        save_checkpoint(model, path)
+    assert str(path) in str(err.value)
+    assert list(tmp_path.iterdir()) == []

@@ -625,21 +625,31 @@ def test_validation_accuracy_is_stable_across_calls(separable_pools):
     assert validation_accuracy(model, val, cfg) == validation_accuracy(model, val, cfg)
 
 
-def test_validation_accuracy_encodes_each_pool_row_once_per_call(separable_pools, monkeypatch):
+def test_validation_accuracy_encodes_each_episode_row_once_per_call(separable_pools, monkeypatch):
     _, val, _ = separable_pools
     cfg = TrainConfig(backbone=SEPARABLE_BACKBONE, validation_episodes=6)
     model = create_model(cfg.model_config(), seed=1)
-    encoded = []
-    original = backbone.encode
+    episodes, encoded = [], []
+    original_sample, original_encode = fsl.sample_episode, backbone.encode
+
+    def recording(*args):
+        episodes.append(original_sample(*args))
+        return episodes[-1]
 
     def counting(features, model, mode="eval"):
         encoded.extend(row.tobytes() for row in features.data)
-        return original(features, model, mode=mode)
+        return original_encode(features, model, mode=mode)
 
+    monkeypatch.setattr(fsl, "sample_episode", recording)
     monkeypatch.setattr(backbone, "encode", counting)
     for calls in (1, 2):
-        validation_accuracy(model, val, cfg)
-        assert sorted(encoded) == sorted([row.tobytes() for row in val.features] * calls)
+        accuracy = validation_accuracy(model, val, cfg)
+        used = np.unique(np.concatenate([np.concatenate([s.ravel(), q.ravel()]) for s, q in episodes]))
+        assert len(used) < len(val)  # the episodes leave some pool rows out
+        assert sorted(encoded) == sorted([val.features[i].tobytes() for i in used] * calls)
+    # the same accuracy as indexing rows of the whole encoded pool
+    rows = encode_rows(model, val.features)
+    assert accuracy == sum(classify_query(e, model, rows, model.phi)[1] for e in episodes[:6]) / 6
 
 
 @pytest.fixture(scope="module")
