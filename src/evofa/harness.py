@@ -264,6 +264,10 @@ def plan_cells(
         if session is not None and subject is None:
             raise ConfigError(f"session {session} given without a subject to pick the cell")
         sessions = list(cfg.sessions) if cfg.sessions else ds.sessions()
+        if subject is not None and session is None:
+            raise ConfigError(
+                f"subject {subject} given without a session: an inter cell needs one of {sessions}"
+            )
         cells = [(subj, sess) for sess in sessions for subj in subjects]
     if not cells:
         source = "synthetic" if isinstance(cfg.dataset, DriftConfig) else str(cfg.dataset)
@@ -276,14 +280,13 @@ def plan_cells(
     return [wanted]
 
 
-def cell_seed(
-    cfg: ExperimentConfig, stream: int, subject: int, session: int | None, *key: int
-) -> int:
+def cell_seed(cfg: ExperimentConfig, stream: int, subject: int, session: int | None) -> int:
     """Seed of one random stream of a cell: 1 meta-training, 2 evaluation, 4 supervised.
 
-    "Seed derivation" in docs/data-format.md lists every stream of a run in one table.
+    A cell's stream has one seed, whatever the command or shot count. "Seed derivation"
+    in docs/data-format.md lists every stream of a run in one table.
     """
-    return derive_seed(cfg.seed, stream, subject, 0 if session is None else 1 + session, *key)
+    return derive_seed(cfg.seed, stream, subject, 0 if session is None else 1 + session)
 
 
 def cell_pools(cfg: ExperimentConfig, ds: DatasetIndex, subject: int, session: int | None):
@@ -310,7 +313,7 @@ def evaluate_cell(
     subject: int,
     session: int | None,
     adapt_cfgs,
-    shots: list[int] | None = None,
+    shots: list[int],
     supervised=None,
 ) -> list[ResultRow]:
     """Result rows of one cell, each timed by its own evaluation.
@@ -318,16 +321,10 @@ def evaluate_cell(
     The supervised model, if given, is scored on the whole test pool first. Then
     the episodic model runs once per (shot, adaptation config), ordered by shot
     and then by ``adapt_cfgs`` (None is the unadapted baseline); every config of
-    one shot sees the same episodes.
+    one shot sees the same episodes. Every shot draws from the cell's evaluation seed,
+    so ``compare`` and ``train`` + ``evaluate`` give a cell and shot the same rows.
     """
     train, _, test = pools
-    # compare (shots=None) evaluates the config's shot from the cell's evaluation
-    # seed; evaluate keys each requested shot's seed by k. The two stay apart:
-    # merging them would change the bytes of every results.csv either command wrote.
-    if shots is None:
-        plans = [(cfg.train.shot, cell_seed(cfg, 2, subject, session))]
-    else:
-        plans = [(k, cell_seed(cfg, 2, subject, session, k)) for k in shots]
     rows = []
 
     def add(method, k, episodes, mean, std, std_over, t0):
@@ -352,13 +349,13 @@ def evaluate_cell(
         t0 = time.perf_counter()
         _, acc = classify_pool(supervised, test)
         add("supervised", 0, 0, acc, 0.0, "pool", t0)
-    for k, seed in plans:
+    for k in shots:
         eval_cfg = EvalConfig(
             episodes=cfg.eval_episodes,
             way=cfg.train.way,
             shot=k,
             queries=cfg.train.queries,
-            rng_seed=seed,
+            rng_seed=cell_seed(cfg, 2, subject, session),
             persist_adaptation=cfg.persist_adaptation,
         )
         for adapt_cfg in adapt_cfgs:
@@ -384,7 +381,7 @@ def _run_cell(cfg: ExperimentConfig, ds: DatasetIndex, subject: int, session: in
         supervised = train_supervised_baseline(pools[0], pools[1], scfg)
         seconds["supervised"] = time.perf_counter() - t0
     rows = evaluate_cell(
-        cfg, model, pools, subject, session, (None, cfg.adapt), supervised=supervised
+        cfg, model, pools, subject, session, (None, cfg.adapt), [cfg.train.shot], supervised
     )
     # a model's training time is charged to its first row, so a cell's rows sum to its run time
     return [

@@ -23,7 +23,8 @@ from evofa.adapt import (
     mean_alignment,
     sample_snapshots_intra,
 )
-from evofa.autodiff import BatchNormState, Tensor, finite_diff_check
+from evofa import backbone
+from evofa.autodiff import BatchNormState, ParamGroup, Tensor, finite_diff_check
 from evofa.backbone import BackboneConfig, create_model, encode_rows
 from evofa.checkpoint import load_checkpoint, save_checkpoint
 from evofa.data import DriftConfig, generate_synthetic_drift, make_intra_split
@@ -265,6 +266,17 @@ def _op_variants():
         state = BatchNormState(rng.normal(size=3), np.abs(rng.normal(size=3)) + 0.5, 0.1, 1e-5)
         w = rng.normal(size=(6, 3, 2, 2))
         return (lambda _: _dot(ad.bias_bn_relu(x, b, gamma, beta, state, "eval"), w)), [x, b, gamma, beta]
+
+    @variant("conv_block_eval")
+    def _(rng):
+        # the folded block that eval-mode encode (and so encode_rows) runs; a signed
+        # gamma flips the sign of its channel's kernel scale
+        x, k = _leaf(rng, (2, 3, 4, 4)), _leaf(rng, (4, 3, 3, 3))
+        b, gamma, beta = _leaf(rng, (4,)), _leaf(rng, (4,)), _leaf(rng, (4,))
+        theta = ParamGroup("theta", [("conv0_w", k), ("conv0_b", b), ("bn0_gamma", gamma), ("bn0_beta", beta)])
+        state = BatchNormState(rng.normal(size=4), np.abs(rng.normal(size=4)) + 0.5, 0.1, 1e-5)
+        w = rng.normal(size=(2, 4, 4, 4))
+        return (lambda _: _dot(backbone._conv_block(x, theta, 0, state, "eval"), w)), [x, k, b, gamma, beta]
 
     return variants
 

@@ -221,12 +221,20 @@ def test_train_rejects_session_on_intra_config(workspace, tmp_path, capsys):
     assert not (tmp_path / "t" / "checkpoints" / "model.ckpt").exists()
 
 
-def test_train_rejects_session_without_subject_on_inter_config(workspace, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags, says",
+    [
+        (["--session", "2"], "session 2 given without a subject to pick the cell"),
+        (["--subject", "1"], "subject 1 given without a session: an inter cell needs one of [1, 3]"),
+    ],
+    ids=["session-only", "subject-only"],
+)
+def test_train_rejects_half_an_inter_cell(tmp_path, capsys, flags, says):
     config = tmp_path / "inter.json"
-    config.write_text(json.dumps({**CONFIG_OBJ, "protocol": "inter", "subjects": []}))
-    rc = main(["train", "--config", str(config), "--out", str(tmp_path / "t"), "--session", "2"])
+    config.write_text(json.dumps({**CONFIG_OBJ, "protocol": "inter", "subjects": [], "sessions": [1, 3]}))
+    rc = main(["train", "--config", str(config), "--out", str(tmp_path / "t"), *flags])
     assert rc == 1
-    assert "without a subject" in capsys.readouterr().err
+    assert says in capsys.readouterr().err
     assert not (tmp_path / "t" / "checkpoints" / "model.ckpt").exists()
 
 
@@ -425,6 +433,43 @@ def test_evaluate_missing_checkpoint(workspace, tmp_path, capsys):
     )
     assert rc == 1
     assert "cannot read checkpoint" in capsys.readouterr().err
+
+
+# -- one evaluation path -------------------------------------------------------------------
+
+# the inter protocol trains on 12 other subjects of the test subject's session
+INTER_DATASET_OBJ = {**DATASET_OBJ, "num_subjects": 14, "trials_per_session": 3, "samples_per_trial": 6}
+
+# per protocol: the config's overrides, whose plan is one cell, and the flags that pick that cell
+IDENTITY_CELLS = {
+    "intra": ({}, ["--subject", "1"]),
+    "inter": (
+        {
+            "dataset": {"synthetic": INTER_DATASET_OBJ},
+            "protocol": "inter",
+            "sessions": [2],
+            "train": {**CONFIG_OBJ["train"], "queries": 3},
+        },
+        ["--subject", "1", "--session", "2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", list(IDENTITY_CELLS))
+def test_train_then_evaluate_gives_compare_rows(tmp_path, capsys, protocol):
+    overrides, cell = IDENTITY_CELLS[protocol]
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({**CONFIG_OBJ, **overrides, "include_supervised": False}))
+    run = lambda *args: main([args[0], "--config", str(config), *args[1:]])
+    assert run("compare", "--out", str(tmp_path / "cmp")) == 0
+    assert run("train", "--out", str(tmp_path / "t"), *cell) == 0
+    ckpt = str(tmp_path / "t" / "checkpoints" / "model.ckpt")
+    for adapt in ("off", "on"):
+        assert run("evaluate", "--checkpoint", ckpt, "--out", str(tmp_path / adapt), "--adapt", adapt, *cell) == 0
+    compared = (tmp_path / "cmp" / "results.csv").read_text().splitlines()
+    evaluated = [(tmp_path / adapt / "results.csv").read_text().splitlines()[1] for adapt in ("off", "on")]
+    assert [line.split(",")[3] for line in evaluated] == ["fsl", "fsl+evofa"]
+    assert compared[1:3] == evaluated  # the cell's rows, byte for byte
 
 
 # -- compare and report -------------------------------------------------------------------

@@ -376,7 +376,7 @@ def test_evaluate_cell_orders_rows_by_shot_then_method(trained_cell):
     assert len(ResultTable(rows).with_aggregates().aggregate_rows()) == 4
 
 
-def test_compare_and_evaluate_draw_from_distinct_seeds(trained_cell, monkeypatch):
+def test_compare_and_evaluate_draw_every_shot_from_the_cell_evaluation_seed(dataset, trained_cell, monkeypatch):
     model, pools = trained_cell
     seeds = []
     real = harness.evofa_test
@@ -386,13 +386,11 @@ def test_compare_and_evaluate_draw_from_distinct_seeds(trained_cell, monkeypatch
         return real(*args)
 
     monkeypatch.setattr(harness, "evofa_test", spy)
-    evaluate_cell(CONFIG, model, pools, 1, None, (None,))  # compare: the config's shot
+    compared = replace(CONFIG, subjects=(1,), include_supervised=False)
+    run_protocol(compared, dataset)  # compare: fsl and fsl+evofa at the config's shot
     evaluate_cell(CONFIG, model, pools, 1, None, (None,), [1, 2])  # evaluate --shots 1,2
-    unkeyed = derive_seed(CONFIG.seed, 2, 1, 0)
-    per_shot = [derive_seed(CONFIG.seed, 2, 1, 0, k) for k in (1, 2)]
-    assert seeds == [unkeyed] + per_shot
-    assert len(set(seeds)) == 3
-    assert cell_seed(CONFIG, 2, 1, None) == unkeyed
+    assert seeds == [cell_seed(CONFIG, 2, 1, None)] * 4
+    assert cell_seed(CONFIG, 2, 1, None) == derive_seed(CONFIG.seed, 2, 1, 0)
     assert cell_seed(CONFIG, 2, 1, 2) == derive_seed(CONFIG.seed, 2, 1, 3)  # inter: 1 + session
 
 
