@@ -99,10 +99,12 @@ def main() -> int:
         max_iter=1,
     )
     print(f"supervised 0-shot: {supervised_accuracy:.4f}  (whole test pool, no calibration)")
+    # the encoder is frozen, so each pool goes through it once
+    rows = {"test_rows": encode_rows(model, test.features), "train_rows": encode_rows(model, train.features)}
     for shot in (1, 5):
         ecfg = EvalConfig(episodes=100, way=3, shot=shot, queries=10, rng_seed=10 + shot)
-        base = evofa_test(model, test, train, "intra", ecfg, None)
-        adapted = evofa_test(model, test, train, "intra", ecfg, adapt)
+        base = evofa_test(model, test, train, "intra", ecfg, None, **rows)
+        adapted = evofa_test(model, test, train, "intra", ecfg, adapt, **rows)
         print(
             f"fsl {shot}-shot:       {base.mean_accuracy:.4f}  "
             f"fsl+evofa: {adapted.mean_accuracy:.4f}  "
@@ -114,8 +116,7 @@ def main() -> int:
     fixed = replace(adapt, kernel=KernelSpec.single(2.0))
     snaps = sample_snapshots_intra(train, fixed, np.random.default_rng(7))
     picks = np.random.default_rng(8).choice(len(test), size=30, replace=False)
-    train_rows = encode_rows(model, train.features)  # the frozen encoder runs once
-    target = encode_rows(model, test.features[picks])
+    train_rows, target = rows["train_rows"], rows["test_rows"][picks]
     before = mean_alignment(model, train_rows, snaps, target, fixed)
     evofa_run(model, train_rows, snaps, target, fixed)
     after = mean_alignment(model, train_rows, snaps, target, fixed)

@@ -10,7 +10,7 @@ Only the adapter parameters move: the encoder and classifier head are
 frozen, so a sample's encoder row never changes during adaptation. The
 adaptation core therefore takes encoder rows: the train pool's
 (``backbone.encode_rows``), snapshot draws that index them, and the
-target's. ``evofa_test`` encodes each of its pools once per call.
+target's; so does ``evofa_test``, whose caller encodes each pool once.
 
 A round is MAML with a first-order outer step, on one loss and one step
 rule. Each inner step takes ``alignment_loss`` on one stage's support half;
@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone
 from .autodiff import ParamGroup, Tensor
-from .backbone import Model, encode_rows
+from .backbone import Model
 from .data import Count, DatasetIndex, Natural, Scale, check_fields
 from .errors import ConfigError, ContractError, ProtocolError, SamplingError
 from .fsl import Episode, classify_query, sample_episode
@@ -323,6 +323,9 @@ def evofa_test(
     split_kind: str,
     eval_cfg: EvalConfig,
     adapt_cfg: AdaptConfig | None = None,
+    *,
+    test_rows: np.ndarray,
+    train_rows: np.ndarray | None = None,
 ) -> EvalReport:
     """Per-episode test-time adaptation and classification.
 
@@ -332,12 +335,9 @@ def evofa_test(
     episode stream depends only on (rng_seed, episode index), so runs with
     adaptation on, off, or disabled consume identical episodes. The model
     itself is never modified, even when persist_adaptation carries the
-    adapted state from one episode to the next.
-
-    Encoding happens once, up front: the test pool (and, when adapting, the
-    train pool) goes through ``encode_rows``. The snapshot draws, the target
-    support and the episode's support and query then index those row
-    matrices; only the adapter and the head run per episode.
+    adapted state from one episode to the next. Episodes, targets and
+    snapshots index the pools' ``encode_rows`` rows, ``test_rows`` and (when
+    adapting) ``train_rows``, so only the adapter and the head run here.
 
     Episodes are independent unless adaptation persists, so they run in
     groups of EPISODE_GROUP: every episode of a group, its target and its
@@ -351,9 +351,6 @@ def evofa_test(
         sampler = sample_snapshots_inter
     else:
         raise ConfigError(f"split kind must be intra or inter, got {split_kind!r}")
-    test_rows = encode_rows(model, test_pool.features)
-    if adapt_cfg is not None:
-        train_rows = encode_rows(model, train_pool.features)
     persist = eval_cfg.persist_adaptation
     carried = _stack_adapter(model.phi, 1)  # persisted adaptation's state
     rng = lambda *stream: np.random.default_rng([eval_cfg.rng_seed, *stream])

@@ -13,7 +13,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import atomic_write, export_features, generate_synthetic_drift, import_features
+from .data import _is_number, atomic_write, export_features, generate_synthetic_drift, import_features
 from .errors import ConfigError
 from .harness import (
     ResultTable,
@@ -175,11 +175,13 @@ def _cmd_report(args, out: _Outputs) -> int:
     columns = ["protocol", "subject", "session", "method", "shots", "mean_accuracy", "std_accuracy"]
     widths = {c: len(c) for c in columns}
     rendered = []
-    for row in rows:
-        cells = {
-            c: (f"{row[c]:.4f}" if isinstance(row.get(c), float) else str(row.get(c, "")))
-            for c in columns
-        }
+    for i, row in enumerate(rows):
+        for c in columns:
+            if c not in row:
+                raise ConfigError(f"results {path} row {i} lacks field {c!r}")
+            if c.endswith("_accuracy") and not (_is_number(row[c]) and 0.0 <= row[c] <= 1.0):
+                raise ConfigError(f"results {path} row {i} field {c!r} is not a number in [0, 1]: {row[c]!r}")
+        cells = {c: (f"{row[c]:.4f}" if c.endswith("_accuracy") else str(row[c])) for c in columns}
         rendered.append(cells)
         for c in columns:
             widths[c] = max(widths[c], len(cells[c]))

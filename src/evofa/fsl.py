@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone
 from .autodiff import ParamGroup, Tensor
-from .backbone import ENCODE_BATCH, BackboneConfig, Model, create_model, encode_rows
+from .backbone import BackboneConfig, Model, create_model, encode_rows
 from .data import Count, DatasetIndex, Natural, Positive, check_fields
 from .errors import ConfigError, ContractError, ProtocolError, SamplingError
 
@@ -119,20 +119,16 @@ def classify_query(
     return predictions, float(np.mean(predictions == targets))
 
 
-def _linear_scores(model: Model, features: np.ndarray, mode: str) -> Tensor:
-    """Linear-head class scores [B x C] of a feature batch: encoder, adapter, head."""
-    emb = backbone.adapt(backbone.encode(Tensor(features), model, mode=mode), model.phi)
-    return backbone.linear_head(emb, model.w)
+def _linear_scores(model: Model, rows: Tensor) -> Tensor:
+    """Linear-head class scores [B x C] of encoder rows [B x q]: adapter, then head."""
+    return backbone.linear_head(backbone.adapt(rows, model.phi), model.w)
 
 
 def classify_pool(model: Model, pool: DatasetIndex) -> tuple[np.ndarray, float]:
     """Whole-pool classification for non-episodic (linear-head) models."""
-    predictions = []
     with ad.no_grad():
-        for start in range(0, len(pool), ENCODE_BATCH):
-            scores = _linear_scores(model, pool.features[start : start + ENCODE_BATCH], "eval")
-            predictions.append(np.argmax(scores.data, axis=1))
-    predictions = np.concatenate(predictions) if predictions else np.array([], dtype=np.int64)
+        scores = _linear_scores(model, Tensor(encode_rows(model, pool.features)))
+    predictions = np.argmax(scores.data, axis=1)
     accuracy = float(np.mean(predictions == pool.label)) if len(pool) else 0.0
     return predictions, accuracy
 
@@ -262,9 +258,8 @@ def train_supervised_baseline(
         order = np.random.default_rng([cfg.rng_seed, 5, epoch]).permutation(len(train_pool))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            yield loss_from_scores(
-                _linear_scores(model, train_pool.features[idx], "train"), train_pool.label[idx], "linear"
-            )
+            rows = backbone.encode(Tensor(train_pool.features[idx]), model, mode="train")
+            yield loss_from_scores(_linear_scores(model, rows), train_pool.label[idx], "linear")
 
     validate = lambda: classify_pool(model, val_pool)[1]
     best = _train(model, [model.theta, model.w], cfg, batch_losses, validate)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .adapt import AdaptConfig, EvalConfig, evofa_test
-from .backbone import BackboneConfig
+from .backbone import BackboneConfig, encode_rows
 from .data import (
     FIELD_RULES,
     Count,
@@ -139,8 +139,8 @@ class ResultRow:
     def __post_init__(self):
         if not (0.0 <= self.mean_accuracy <= 1.0):
             raise ConfigError(f"accuracy {self.mean_accuracy} outside [0, 1]")
-        if self.std_accuracy < 0.0:
-            raise ConfigError(f"negative std {self.std_accuracy}")
+        if not 0.0 <= self.std_accuracy < np.inf:
+            raise ConfigError(f"std {self.std_accuracy} is not a finite non-negative number")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
 
@@ -323,6 +323,7 @@ def evaluate_cell(
     and then by ``adapt_cfgs`` (None is the unadapted baseline); every config of
     one shot sees the same episodes. Every shot draws from the cell's evaluation seed,
     so ``compare`` and ``train`` + ``evaluate`` give a cell and shot the same rows.
+    The frozen encoder runs once per pool it needs; the first episodic row is charged for it.
     """
     train, _, test = pools
     rows = []
@@ -349,6 +350,9 @@ def evaluate_cell(
         t0 = time.perf_counter()
         _, acc = classify_pool(supervised, test)
         add("supervised", 0, 0, acc, 0.0, "pool", t0)
+    t0 = time.perf_counter()
+    test_rows = encode_rows(model, test.features)
+    train_rows = encode_rows(model, train.features) if any(a is not None for a in adapt_cfgs) else None
     for k in shots:
         eval_cfg = EvalConfig(
             episodes=cfg.eval_episodes,
@@ -359,9 +363,11 @@ def evaluate_cell(
             persist_adaptation=cfg.persist_adaptation,
         )
         for adapt_cfg in adapt_cfgs:
-            t0 = time.perf_counter()
-            r = evofa_test(model, test, train, cfg.protocol, eval_cfg, adapt_cfg)
+            r = evofa_test(
+                model, test, train, cfg.protocol, eval_cfg, adapt_cfg, test_rows=test_rows, train_rows=train_rows
+            )
             add(r.method, k, r.episodes, r.mean_accuracy, r.std_accuracy, "episodes", t0)
+            t0 = time.perf_counter()
     return rows
 
 

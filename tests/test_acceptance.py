@@ -87,6 +87,14 @@ def target_rows(model, pool, count: int, seed: int) -> np.ndarray:
     return encode_rows(model, pool.features[picks])
 
 
+def pool_rows(model, test, train=None) -> dict:
+    """evofa_test's row arguments: each pool encoded once, the train pool only if given."""
+    rows = {"test_rows": encode_rows(model, test.features)}
+    if train is not None:
+        rows["train_rows"] = encode_rows(model, train.features)
+    return rows
+
+
 # -- 1. gradient correctness ----------------------------------------------------------
 
 
@@ -369,14 +377,15 @@ def test_criterion_03_zero_rates_and_zero_iterations_are_noops():
     train, _, test = synthetic_pools(1.5, 2.0, seed=0)
     model = create_model(WIDE, seed=0)
     ecfg = EvalConfig(episodes=50, way=3, shot=1, queries=10, rng_seed=0)
-    base = evofa_test(model, test, train, "intra", ecfg, None)
+    rows = pool_rows(model, test, train)
+    base = evofa_test(model, test, train, "intra", ecfg, None, **rows)
     zero_rate = evofa_test(
         model, test, train, "intra", ecfg,
-        AdaptConfig(eta_in=0.0, eta_out=0.0, snapshot_size=20),
+        AdaptConfig(eta_in=0.0, eta_out=0.0, snapshot_size=20), **rows,
     )
     zero_iter = evofa_test(
         model, test, train, "intra", ecfg,
-        AdaptConfig(max_iter=0, snapshot_size=20),
+        AdaptConfig(max_iter=0, snapshot_size=20), **rows,
     )
     assert base.method == "fsl"
     assert zero_rate.method == "fsl+evofa" and zero_iter.method == "fsl+evofa"
@@ -398,13 +407,13 @@ def test_criterion_04_encoder_and_head_frozen_through_adaptation():
     phi0 = model.phi.state_bytes()
     acfg = AdaptConfig(n_snapshots=2, snapshot_size=8)
     ecfg = EvalConfig(episodes=10_000, way=3, shot=1, queries=3, rng_seed=5, persist_adaptation=True)
-    evofa_test(model, test, train, "intra", ecfg, acfg)
+    rows = pool_rows(model, test, train)
+    evofa_test(model, test, train, "intra", ecfg, acfg, **rows)
     assert model.theta.state_bytes() == theta0
     assert model.w.state_bytes() == w0
     # non-vacuity: the same settings really do move the adapter
     snaps = sample_snapshots_intra(train, acfg, np.random.default_rng(9))
-    train_rows = encode_rows(model, train.features)
-    evofa_run(model, train_rows, snaps, target_rows(model, test, 12, seed=10), acfg)
+    evofa_run(model, rows["train_rows"], snaps, target_rows(model, test, 12, seed=10), acfg)
     assert model.phi.state_bytes() != phi0
     assert model.theta.state_bytes() == theta0
     assert model.w.state_bytes() == w0
@@ -434,7 +443,7 @@ def separable_run():
     seconds = time.time() - t0
     report = evofa_test(
         model, test, train, "intra",
-        EvalConfig(episodes=200, way=3, shot=1, queries=10, rng_seed=1), None,
+        EvalConfig(episodes=200, way=3, shot=1, queries=10, rng_seed=1), None, **pool_rows(model, test),
     )
     return {"model": model, "train": train, "test": test, "report": report, "seconds": seconds}
 
@@ -451,7 +460,7 @@ def test_criterion_05_fsl_competence_and_untrained_chance(separable_run):
         m = create_model(replace(WIDE, head_kind=kind), seed=4)
         r = evofa_test(
             m, test0, train0, "intra",
-            EvalConfig(episodes=200, way=3, shot=1, queries=10, rng_seed=2), None,
+            EvalConfig(episodes=200, way=3, shot=1, queries=10, rng_seed=2), None, **pool_rows(m, test0),
         )
         chance[kind] = r.mean_accuracy
         assert abs(r.mean_accuracy - 1.0 / 3.0) <= 0.1, f"{kind}: {r.mean_accuracy:.4f}"
@@ -503,11 +512,12 @@ def drift_study():
         _, supervised_accuracy = classify_pool(supervised, test)
         e1 = EvalConfig(episodes=50, way=3, shot=1, queries=10, rng_seed=derive_seed(seed, 2, 1))
         e5 = EvalConfig(episodes=50, way=3, shot=5, queries=10, rng_seed=derive_seed(seed, 2, 5))
+        encoded = pool_rows(model, test, train)
         rows.append(
             {
-                "base1": evofa_test(model, test, train, "intra", e1, None),
-                "adapt1": evofa_test(model, test, train, "intra", e1, DRIFT_ADAPT),
-                "base5": evofa_test(model, test, train, "intra", e5, None),
+                "base1": evofa_test(model, test, train, "intra", e1, None, **encoded),
+                "adapt1": evofa_test(model, test, train, "intra", e1, DRIFT_ADAPT, **encoded),
+                "base5": evofa_test(model, test, train, "intra", e5, None, **encoded),
                 "supervised": supervised_accuracy,
             }
         )
@@ -641,6 +651,7 @@ def test_criterion_10_determinism_and_checkpoint_round_trip(tmp_path, separable_
     after = evofa_test(
         loaded, separable_run["test"], separable_run["train"], "intra",
         EvalConfig(episodes=200, way=3, shot=1, queries=10, rng_seed=1), None,
+        **pool_rows(loaded, separable_run["test"]),
     ).mean_accuracy
     assert abs(after - before) < 0.002
     print(

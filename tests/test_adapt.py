@@ -537,20 +537,22 @@ def test_run_reduces_query_alignment():
 
 @pytest.fixture(scope="module")
 def eval_setup(pools):
+    """Model, pools, eval config and the pools' encoder rows, each pool encoded once."""
     train, _, test = pools
     m = create_model(BACKBONE, seed=0)
     ecfg = EvalConfig(episodes=15, way=3, shot=1, queries=10, rng_seed=0)
-    return m, train, test, ecfg
+    rows = {"test_rows": rows_of(m, test), "train_rows": rows_of(m, train)}
+    return m, train, test, ecfg, rows
 
 
 def test_eval_noop_config_matches_baseline_exactly(eval_setup):
-    m, train, test, ecfg = eval_setup
-    base = evofa_test(m, test, train, "intra", ecfg, None)
+    m, train, test, ecfg, rows = eval_setup
+    base = evofa_test(m, test, train, "intra", ecfg, None, **rows)
     noop = evofa_test(
-        m, test, train, "intra", ecfg, AdaptConfig(eta_in=0.0, eta_out=0.0, snapshot_size=20)
+        m, test, train, "intra", ecfg, AdaptConfig(eta_in=0.0, eta_out=0.0, snapshot_size=20), **rows
     )
     frozen = evofa_test(
-        m, test, train, "intra", ecfg, AdaptConfig(max_iter=0, snapshot_size=20)
+        m, test, train, "intra", ecfg, AdaptConfig(max_iter=0, snapshot_size=20), **rows
     )
     assert noop.per_episode == base.per_episode
     assert frozen.per_episode == base.per_episode
@@ -558,7 +560,7 @@ def test_eval_noop_config_matches_baseline_exactly(eval_setup):
 
 
 def test_eval_restores_adapter(eval_setup):
-    m, train, test, ecfg = eval_setup
+    m, train, test, ecfg, rows = eval_setup
     before = model_bytes(m)
     evofa_test(
         m,
@@ -567,12 +569,13 @@ def test_eval_restores_adapter(eval_setup):
         "intra",
         ecfg,
         AdaptConfig(n_snapshots=3, snapshot_size=20, eta_in=1e-2, eta_out=1e-2),
+        **rows,
     )
     assert model_bytes(m) == before
 
 
 def test_eval_persist_mode_still_restores_on_exit(eval_setup):
-    m, train, test, _ = eval_setup
+    m, train, test, _, rows = eval_setup
     ecfg = EvalConfig(episodes=5, way=3, shot=1, queries=10, rng_seed=1, persist_adaptation=True)
     before = model_bytes(m)
     report = evofa_test(
@@ -582,14 +585,15 @@ def test_eval_persist_mode_still_restores_on_exit(eval_setup):
         "intra",
         ecfg,
         AdaptConfig(n_snapshots=2, snapshot_size=15, eta_in=1e-2, eta_out=1e-2),
+        **rows,
     )
     assert model_bytes(m) == before
     assert report.episodes == 5
 
 
 def test_eval_report_summary_matches_episodes(eval_setup):
-    m, train, test, ecfg = eval_setup
-    report = evofa_test(m, test, train, "intra", ecfg, None)
+    m, train, test, ecfg, rows = eval_setup
+    report = evofa_test(m, test, train, "intra", ecfg, None, **rows)
     arr = np.array(report.per_episode)
     assert report.mean_accuracy == pytest.approx(arr.mean(), abs=1e-15)
     assert report.std_accuracy == pytest.approx(arr.std(), abs=1e-15)
@@ -598,31 +602,32 @@ def test_eval_report_summary_matches_episodes(eval_setup):
 
 
 def test_eval_deterministic(eval_setup):
-    m, train, test, ecfg = eval_setup
+    m, train, test, ecfg, rows = eval_setup
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=15, eta_in=1e-2, eta_out=1e-2)
-    a = evofa_test(m, test, train, "intra", ecfg, cfg)
-    b = evofa_test(m, test, train, "intra", ecfg, cfg)
+    a = evofa_test(m, test, train, "intra", ecfg, cfg, **rows)
+    b = evofa_test(m, test, train, "intra", ecfg, cfg, **rows)
     assert a.per_episode == b.per_episode
 
 
-def test_eval_encodes_each_pool_sample_at_most_once(eval_setup, monkeypatch):
-    m, train, test, ecfg = eval_setup
+def test_eval_runs_no_encoder(eval_setup, monkeypatch):
+    """evofa_test only indexes the encoder rows it is given."""
+    m, train, test, ecfg, rows = eval_setup
     encoded = []
     original = backbone.encode
 
     def counting_encode(features, model, mode="eval"):
-        encoded.extend(row.tobytes() for row in features.data)
+        encoded.append(features.shape[0])
         return original(features, model, mode=mode)
 
     monkeypatch.setattr(backbone, "encode", counting_encode)
-    evofa_test(m, test, train, "intra", ecfg, AdaptConfig(n_snapshots=3, snapshot_size=20))
-    assert 0 < len(encoded) <= len(test) + len(train)
-    assert len(set(encoded)) == len(encoded)
+    evofa_test(m, test, train, "intra", ecfg, AdaptConfig(n_snapshots=3, snapshot_size=20), **rows)
+    evofa_test(m, test, train, "intra", ecfg, None, test_rows=rows["test_rows"])
+    assert encoded == []
 
 
 def test_eval_without_adaptation_matches_classify_query(eval_setup):
-    m, train, test, ecfg = eval_setup
-    report = evofa_test(m, test, train, "intra", ecfg, None)
+    m, train, test, ecfg, rows = eval_setup
+    report = evofa_test(m, test, train, "intra", ecfg, None, **rows)
     expect = []
     for ep_idx in range(ecfg.episodes):
         rng = np.random.default_rng([ecfg.rng_seed, 10, ep_idx])
@@ -634,9 +639,9 @@ def test_eval_without_adaptation_matches_classify_query(eval_setup):
 
 
 def test_eval_rejects_unknown_split(eval_setup):
-    m, train, test, ecfg = eval_setup
+    m, train, test, ecfg, rows = eval_setup
     with pytest.raises(ConfigError):
-        evofa_test(m, test, train, "cross", ecfg, None)
+        evofa_test(m, test, train, "cross", ecfg, None, **rows)
 
 
 def test_target_features_support_plus_extras(pools):
@@ -696,7 +701,8 @@ def grouped_run(monkeypatch, model, test, train, kind, ecfg, acfg):
         return stacked
 
     monkeypatch.setattr(adapt_mod, "evofa_run", recording_run)
-    return evofa_test(model, test, train, kind, ecfg, acfg), phis
+    rows = {"test_rows": rows_of(model, test), "train_rows": rows_of(model, train)}
+    return evofa_test(model, test, train, kind, ecfg, acfg, **rows), phis
 
 
 # case: (split kind, EvalConfig fields, AdaptConfig fields)

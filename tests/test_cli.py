@@ -559,6 +559,51 @@ def test_report_rejects_malformed_rows_naming_file_and_field(tmp_path, capsys, o
     assert f"results {path} must be an object whose field 'rows' is a list of objects" in err
 
 
+GOOD_ROW = {
+    "protocol": "intra", "subject": "1", "session": "3", "method": "fsl",
+    "shots": 1, "mean_accuracy": 0.5, "std_accuracy": 0.1,
+}
+RANGE = "is not a number in [0, 1]:"
+NAN = float("nan")
+
+
+def second_row(**change) -> list[dict]:
+    """A good row, then a copy of it with ``change`` applied; a value of None drops the field."""
+    return [GOOD_ROW, {k: v for k, v in {**GOOD_ROW, **change}.items() if v is not None}]
+
+
+# case: (rows of results.json, the error after "results <path> ")
+BAD_ROWS = {
+    "missing_method": (second_row(method=None), "row 1 lacks field 'method'"),
+    "missing_std": (second_row(std_accuracy=None), "row 1 lacks field 'std_accuracy'"),
+    "mean_nan": (second_row(mean_accuracy=NAN), f"row 1 field 'mean_accuracy' {RANGE} nan"),
+    "mean_above_one": (second_row(mean_accuracy=1.5), f"row 1 field 'mean_accuracy' {RANGE} 1.5"),
+    "mean_string": (second_row(mean_accuracy="0.5"), f"row 1 field 'mean_accuracy' {RANGE} '0.5'"),
+    "mean_bool": (second_row(mean_accuracy=True), f"row 1 field 'mean_accuracy' {RANGE} True"),
+    "std_nan": (second_row(std_accuracy=NAN), f"row 1 field 'std_accuracy' {RANGE} nan"),
+    "std_inf": (second_row(std_accuracy=float("inf")), f"row 1 field 'std_accuracy' {RANGE} inf"),
+    "std_negative": (second_row(std_accuracy=-0.1), f"row 1 field 'std_accuracy' {RANGE} -0.1"),
+    "nan_then_foreign": ([{"method": "fsl", "mean_accuracy": NAN}, {"foo": 1}], "row 0 lacks field 'protocol'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ROWS))
+def test_report_rejects_bad_row_naming_file_row_and_field(tmp_path, capsys, case):
+    rows, message = BAD_ROWS[case]
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps({"rows": rows}))  # NaN and Infinity as Python's json writes them
+    assert main(["report", "--results", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"results {path} {message}" in captured.err
+
+
+def test_report_prints_accuracies_to_four_places(tmp_path, capsys):
+    (tmp_path / "results.json").write_text(json.dumps({"rows": [GOOD_ROW]}))
+    assert main(["report", "--results", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["intra", "1", "3", "fsl", "1", "0.5000", "0.1000"]
+
+
 # -- parser behavior ------------------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evofa import harness
+from evofa import backbone, harness
 from evofa.adapt import AdaptConfig, EvalConfig
 from evofa.backbone import BackboneConfig
 from evofa.data import FIELD_RULES, DriftConfig, generate_synthetic_drift
@@ -116,9 +116,10 @@ def test_row_rejects_accuracy_outside_unit_interval():
         row(mean_accuracy=1.5)
 
 
-def test_row_rejects_negative_std():
-    with pytest.raises(ConfigError, match="negative std"):
-        row(std_accuracy=-0.1)
+@pytest.mark.parametrize("std", [-0.1, float("nan"), float("inf")])
+def test_row_rejects_negative_or_non_finite_std(std):
+    with pytest.raises(ConfigError, match="is not a finite non-negative number"):
+        row(std_accuracy=std)
 
 
 def test_row_rejects_unknown_method():
@@ -376,14 +377,33 @@ def test_evaluate_cell_orders_rows_by_shot_then_method(trained_cell):
     assert len(ResultTable(rows).with_aggregates().aggregate_rows()) == 4
 
 
+@pytest.mark.parametrize("adapted", [True, False], ids=["adapted", "unadapted"])
+def test_evaluate_cell_encodes_each_pool_once(trained_cell, monkeypatch, adapted):
+    """Eval-mode encoder rows over two shots: the test pool once, the train pool once if adapting."""
+    model, pools = trained_cell
+    train, _, test = pools
+    encoded = []
+    real = backbone.encode
+
+    def spy(features, model, mode="eval"):
+        if mode == "eval":
+            encoded.append(features.shape[0])
+        return real(features, model, mode=mode)
+
+    monkeypatch.setattr(backbone, "encode", spy)
+    adapt_cfgs = (None, CONFIG.adapt) if adapted else (None,)
+    evaluate_cell(CONFIG, model, pools, 1, None, adapt_cfgs, [1, 2])
+    assert sum(encoded) == len(test) + (len(train) if adapted else 0)
+
+
 def test_compare_and_evaluate_draw_every_shot_from_the_cell_evaluation_seed(dataset, trained_cell, monkeypatch):
     model, pools = trained_cell
     seeds = []
     real = harness.evofa_test
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         seeds.append(args[4].rng_seed)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "evofa_test", spy)
     compared = replace(CONFIG, subjects=(1,), include_supervised=False)
