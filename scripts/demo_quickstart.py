@@ -70,7 +70,6 @@ def main() -> int:
         train,
         val,
         TrainConfig(
-            backbone=BACKBONE,
             episodes_per_epoch=30,
             max_epochs=5,
             learning_rate=0.3,
@@ -78,15 +77,14 @@ def main() -> int:
             shot=1,
             queries=10,
             validation_episodes=20,
-            rng_seed=1,
         ),
+        BACKBONE,
+        seed=1,
     )
     print(f"meta-trained prototypical model in {time.time() - t0:.0f}s")
 
     supervised = train_supervised_baseline(
-        train,
-        val,
-        SupervisedConfig(backbone=BACKBONE, num_classes=3, max_epochs=20, rng_seed=4),
+        train, val, SupervisedConfig(num_classes=3, max_epochs=20), BACKBONE, seed=4
     )
     _, supervised_accuracy = classify_pool(supervised, test)
 

@@ -13,10 +13,12 @@ from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import _is_number, atomic_write, export_features, generate_synthetic_drift, import_features
+from .data import atomic_write, export_features, generate_synthetic_drift, import_features
 from .errors import ConfigError
 from .harness import (
+    ResultRow,
     ResultTable,
+    _checked,
     cell_pools,
     evaluate_cell,
     load_dataset,
@@ -128,7 +130,7 @@ def _cmd_evaluate(args, out: _Outputs) -> int:
     ds = load_dataset(cfg)
     subject, session = plan_cells(cfg, ds, args.subject, args.session)[0]
     model = load_checkpoint(args.checkpoint)
-    want = cfg.train.model_config()
+    want = cfg.train.model_config(cfg.backbone)
     differs = [f.name for f in fields(want) if getattr(model.config, f.name) != getattr(want, f.name)]
     if differs:
         name = differs[0]
@@ -176,11 +178,10 @@ def _cmd_report(args, out: _Outputs) -> int:
     widths = {c: len(c) for c in columns}
     rendered = []
     for i, row in enumerate(rows):
-        for c in columns:
-            if c not in row:
-                raise ConfigError(f"results {path} row {i} lacks field {c!r}")
-            if c.endswith("_accuracy") and not (_is_number(row[c]) and 0.0 <= row[c] <= 1.0):
-                raise ConfigError(f"results {path} row {i} field {c!r} is not a number in [0, 1]: {row[c]!r}")
+        lacking = [c for c in columns if c not in row]
+        if lacking:
+            raise ConfigError(f"results {path} row {i} lacks field {lacking[0]!r}")
+        _checked(ResultRow, {c: row[c] for c in columns}, f"results {path} row {i}")  # the rules a written row meets
         cells = {c: (f"{row[c]:.4f}" if c.endswith("_accuracy") else str(row[c])) for c in columns}
         rendered.append(cells)
         for c in columns:

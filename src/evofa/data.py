@@ -208,6 +208,7 @@ Count = int
 Natural = int  # a count that may be zero, or a seed: numpy seeds take no negative entropy
 Positive = float
 Scale = float
+Rate = float  # a fraction in [0, 1], such as an accuracy
 
 # each rule: (test its value must pass, what the value must be)
 FIELD_RULES = {
@@ -215,14 +216,15 @@ FIELD_RULES = {
     "Natural": (lambda value: _is_int(value, 0), "a nonnegative integer"),
     "Positive": (lambda value: _is_number(value) and value > 0, "a finite positive number"),
     "Scale": (lambda value: _is_number(value) and value >= 0, "a finite nonnegative number"),
+    "Rate": (lambda value: _is_number(value) and 0 <= value <= 1, "a number in [0, 1]"),
 }
 
 
-def check_fields(config) -> None:
-    """Raise ConfigError naming the first field of the dataclass ``config`` that breaks its rule."""
+def check_fields(config, rules: dict = FIELD_RULES) -> None:
+    """Raise ConfigError naming the first field of the dataclass ``config`` that breaks its rule in ``rules``."""
     for f in fields(config):
-        if f.type in FIELD_RULES:
-            test, must = FIELD_RULES[f.type]
+        if f.type in rules:
+            test, must = rules[f.type]
             value = getattr(config, f.name)
             if not test(value):
                 raise ConfigError(f"{f.name} must be {must}, got {value!r}")

@@ -7,7 +7,7 @@ order, so the class id of local target k is ``pool.label[support[k, 0]]``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,7 +139,6 @@ def classify_pool(model: Model, pool: DatasetIndex) -> tuple[np.ndarray, float]:
 class TrainConfig:
     """Episodic meta-training knobs."""
 
-    backbone: BackboneConfig = field(default_factory=BackboneConfig)
     head_kind: str = "proto"
     episodes_per_epoch: Count = 50
     max_epochs: Natural = 15
@@ -148,23 +147,22 @@ class TrainConfig:
     shot: Count = 1
     queries: Count = 10
     validation_episodes: Count = 40
-    rng_seed: Natural = 0
 
     def __post_init__(self):
         check_fields(self)
 
-    def model_config(self) -> BackboneConfig:
-        return replace(self.backbone, head_kind=self.head_kind, num_classes=self.way)
+    def model_config(self, arch: BackboneConfig) -> BackboneConfig:
+        return replace(arch, head_kind=self.head_kind, num_classes=self.way)
 
 
-def validation_accuracy(model: Model, pool: DatasetIndex, cfg: TrainConfig) -> float:
+def validation_accuracy(model: Model, pool: DatasetIndex, cfg: TrainConfig, seed: int) -> float:
     """Mean accuracy over fixed-seed validation episodes (stable across epochs).
 
     The episodes are drawn first. Only the union of their rows goes through the
     frozen encoder, once per call, and each episode indexes into those rows.
     """
     episodes = [
-        sample_episode(pool, cfg.way, cfg.shot, cfg.queries, np.random.default_rng([cfg.rng_seed, 4, j]))
+        sample_episode(pool, cfg.way, cfg.shot, cfg.queries, np.random.default_rng([seed, 4, j]))
         for j in range(cfg.validation_episodes)
     ]
     used = np.unique(np.concatenate([_episode_rows(episode) for episode in episodes]))
@@ -201,21 +199,23 @@ def _train(model: Model, groups: list[ParamGroup], cfg, step_losses, validate, o
     return best
 
 
-def meta_train(train_pool: DatasetIndex, val_pool: DatasetIndex, cfg: TrainConfig, on_epoch=None) -> Model:
-    """Episode-per-step training of every group; returns the best-validation snapshot.
+def meta_train(
+    train_pool: DatasetIndex, val_pool: DatasetIndex, cfg: TrainConfig, arch: BackboneConfig, seed: int, on_epoch=None
+) -> Model:
+    """Episode-per-step training of an ``arch`` model from ``seed``; returns the best-validation snapshot.
 
     on_epoch, if given, is called as on_epoch(epoch, validation_accuracy)
     after each epoch's validation pass.
     """
-    model = create_model(cfg.model_config(), seed=cfg.rng_seed)
+    model = create_model(cfg.model_config(arch), seed=seed)
 
     def episode_losses(epoch: int):
         for i in range(cfg.episodes_per_epoch):
-            rng = np.random.default_rng([cfg.rng_seed, 3, epoch, i])
+            rng = np.random.default_rng([seed, 3, epoch, i])
             episode = sample_episode(train_pool, cfg.way, cfg.shot, cfg.queries, rng)
             yield episode_loss(train_pool, episode, model)
 
-    validate = lambda: validation_accuracy(model, val_pool, cfg)
+    validate = lambda: validation_accuracy(model, val_pool, cfg, seed)
     return _train(model, model.groups(), cfg, episode_losses, validate, on_epoch)
 
 
@@ -223,39 +223,39 @@ def meta_train(train_pool: DatasetIndex, val_pool: DatasetIndex, cfg: TrainConfi
 class SupervisedConfig:
     """Minibatch cross-entropy baseline knobs."""
 
-    backbone: BackboneConfig = field(default_factory=BackboneConfig)
     num_classes: Count = 3
     batch_size: Count = 32
     learning_rate: Positive = 0.003
     max_epochs: Natural = 30
-    rng_seed: Natural = 0
 
     def __post_init__(self):
         check_fields(self)
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
 
-    def model_config(self) -> BackboneConfig:
-        return replace(self.backbone, head_kind="linear", num_classes=self.num_classes)
+    def model_config(self, arch: BackboneConfig) -> BackboneConfig:
+        return replace(arch, head_kind="linear", num_classes=self.num_classes)
 
 
 def train_supervised_baseline(
     train_pool: DatasetIndex,
     val_pool: DatasetIndex,
     cfg: SupervisedConfig,
+    arch: BackboneConfig,
+    seed: int,
 ) -> Model:
-    """Backbone + linear softmax classifier; best-validation snapshot returned.
+    """An ``arch`` encoder + linear softmax classifier from ``seed``; best-validation snapshot returned.
 
     The adapter stays at its identity initialization: it exists for test-time
     adaptation and takes no part in the supervised objective, so it takes no
     gradient while training.
     """
-    model = create_model(cfg.model_config(), seed=cfg.rng_seed)
+    model = create_model(cfg.model_config(arch), seed=seed)
     for t in model.phi.tensors():
         t.requires_grad = False
 
     def batch_losses(epoch: int):
-        order = np.random.default_rng([cfg.rng_seed, 5, epoch]).permutation(len(train_pool))
+        order = np.random.default_rng([seed, 5, epoch]).permutation(len(train_pool))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             rows = backbone.encode(Tensor(train_pool.features[idx]), model, mode="train")

@@ -11,10 +11,9 @@ test in ``_JSON_KINDS``, and a key left out takes the field's default. A
 number field's annotation names its range rule in ``data.FIELD_RULES``, the
 test the dataclass applies when built from Python, so a value out of range
 is rejected as the file is read, naming its section and field. The layout
-adds two rules: "backbone" is written once, at the top level, and
-shared by train and supervised; "dataset" wraps a generator section or a
-manifest path. Fields with another owner (``_SET_ELSEWHERE``) and keys that
-name no field are rejected, naming the section and the key.
+adds one rule: "dataset" wraps a generator section or a manifest path. Keys
+whose value another section owns (``_SET_ELSEWHERE``) and keys that name no
+field are rejected, naming the section and the key.
 """
 from __future__ import annotations
 
@@ -36,6 +35,8 @@ from .data import (
     DatasetIndex,
     DriftConfig,
     Natural,
+    Rate,
+    Scale,
     _is_int,
     _is_number,
     atomic_write,
@@ -56,13 +57,15 @@ from .fsl import (
 from .mmd import KernelSpec
 
 METHODS = ("supervised", "fsl", "fsl+evofa")
+Method = str  # one of METHODS
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: dataset, protocol, training recipe, adaptation recipe."""
+    """One experiment: dataset, the one backbone, protocol, training recipe, adaptation recipe."""
 
     dataset: DriftConfig | str  # synthetic generator config or a manifest path
+    backbone: BackboneConfig = field(default_factory=BackboneConfig)  # of every model the experiment trains
     protocol: str = "intra"
     train: TrainConfig = field(default_factory=TrainConfig)
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
@@ -76,6 +79,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
+        for name, owner in _SET_ELSEWHERE[BackboneConfig].items():
+            if getattr(self.backbone, name) != getattr(BackboneConfig, name):
+                raise ConfigError(f"config backbone field {name!r} {owner}")
         if self.protocol not in ("intra", "inter"):
             raise ConfigError(f"protocol must be intra or inter, got {self.protocol!r}")
         for name in ("subjects", "sessions"):
@@ -111,7 +117,7 @@ def _check_compatible(cfg: ExperimentConfig, ds: DatasetIndex) -> None:
             f"supervised num_classes {cfg.supervised.num_classes} must equal "
             f"the dataset's {ds.num_classes} classes"
         )
-    schema = (cfg.train.backbone.n_electrodes, cfg.train.backbone.d_bands)
+    schema = (cfg.backbone.n_electrodes, cfg.backbone.d_bands)
     if schema != ds.schema:
         raise ConfigError(f"backbone expects features {schema}, dataset provides {ds.schema}")
 
@@ -121,28 +127,23 @@ def _check_compatible(cfg: ExperimentConfig, ds: DatasetIndex) -> None:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One evaluated cell (or the aggregate across cells, subject == 'all')."""
+    """One evaluated cell (or the aggregate across cells, subject == 'all'); each field meets its annotated rule."""
 
     protocol: str
     subject: str
     session: str
-    method: str
-    shots: int
-    way: int
-    queries: int
-    episodes: int
-    mean_accuracy: float
-    std_accuracy: float
+    method: Method
+    shots: Natural  # 0 for the supervised row
+    way: Count
+    queries: Count
+    episodes: Natural
+    mean_accuracy: Rate
+    std_accuracy: Rate  # a std of rates in [0, 1] is at most 0.5
     std_over: str  # episodes | subjects | pool
-    wall_clock_seconds: float
+    wall_clock_seconds: Scale
 
     def __post_init__(self):
-        if not (0.0 <= self.mean_accuracy <= 1.0):
-            raise ConfigError(f"accuracy {self.mean_accuracy} outside [0, 1]")
-        if not 0.0 <= self.std_accuracy < np.inf:
-            raise ConfigError(f"std {self.std_accuracy} is not a finite non-negative number")
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        check_fields(self, _JSON_KINDS)
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name != "wall_clock_seconds")
@@ -302,8 +303,7 @@ def cell_pools(cfg: ExperimentConfig, ds: DatasetIndex, subject: int, session: i
 def train_cell(cfg: ExperimentConfig, pools, subject: int, session: int | None, on_epoch=None):
     """Meta-train the cell's episodic model on its train pool, validating on its val pool."""
     train, val, _ = pools
-    tcfg = replace(cfg.train, rng_seed=cell_seed(cfg, 1, subject, session))
-    return meta_train(train, val, tcfg, on_epoch=on_epoch)
+    return meta_train(train, val, cfg.train, cfg.backbone, cell_seed(cfg, 1, subject, session), on_epoch=on_epoch)
 
 
 def evaluate_cell(
@@ -379,12 +379,11 @@ def _run_cell(cfg: ExperimentConfig, ds: DatasetIndex, subject: int, session: in
     seconds = {"fsl": time.perf_counter() - t0}
     supervised = None
     if cfg.include_supervised:
-        base = cfg.supervised if cfg.supervised is not None else SupervisedConfig(
-            backbone=cfg.train.backbone, num_classes=ds.num_classes
-        )
-        scfg = replace(base, rng_seed=cell_seed(cfg, 4, subject, session))
+        scfg = cfg.supervised if cfg.supervised is not None else SupervisedConfig(num_classes=ds.num_classes)
         t0 = time.perf_counter()
-        supervised = train_supervised_baseline(pools[0], pools[1], scfg)
+        supervised = train_supervised_baseline(
+            pools[0], pools[1], scfg, cfg.backbone, cell_seed(cfg, 4, subject, session)
+        )
         seconds["supervised"] = time.perf_counter() - t0
     rows = evaluate_cell(
         cfg, model, pools, subject, session, (None, cfg.adapt), [cfg.train.shot], supervised
@@ -414,15 +413,12 @@ def run_protocol(cfg: ExperimentConfig, ds: DatasetIndex | None = None) -> Resul
 
 
 def config_to_obj(cfg: ExperimentConfig) -> dict:
-    """JSON-ready dict mirroring experiment_config_from_obj: asdict less the fields set elsewhere."""
+    """JSON-ready dict mirroring experiment_config_from_obj: asdict less the backbone fields set elsewhere."""
     obj = json.loads(json.dumps(asdict(cfg)))  # tuples become lists
-    backbone = obj["train"]["backbone"]
-    sections = ((BackboneConfig, backbone), (TrainConfig, obj["train"]), (SupervisedConfig, obj["supervised"]))
-    for cls, section in sections:
-        for name in _SET_ELSEWHERE[cls] if section is not None else ():
-            del section[name]
+    for name in _SET_ELSEWHERE[BackboneConfig]:
+        del obj["backbone"][name]
     kind = "synthetic" if isinstance(cfg.dataset, DriftConfig) else "import"
-    return {"dataset": {kind: obj.pop("dataset")}, "backbone": backbone, **obj}
+    return {"dataset": {kind: obj.pop("dataset")}, **obj}
 
 
 def _is_str(value) -> bool:
@@ -432,10 +428,11 @@ def _is_str(value) -> bool:
 _OBJECT = (lambda value: isinstance(value, dict), "an object")
 _INTS = (lambda value: isinstance(value, list) and all(map(_is_int, value)), "a list of integers")
 
-# a config field's JSON test and what its value must be, by the field's annotation
+# a config or result row field's JSON test and what its value must be, by the field's annotation
 _JSON_KINDS = {
     **FIELD_RULES,
     "str": (_is_str, "a string"),
+    "Method": (lambda value: value in METHODS, f"one of {METHODS}"),
     "bool": (lambda value: isinstance(value, bool), "true or false"),
     "tuple[int, ...]": _INTS,
     "tuple[int, int, int, int]": _INTS,
@@ -446,11 +443,12 @@ _JSON_KINDS = {
         lambda value: value == "median-auto" or isinstance(value, dict), '"median-auto" or an object'
     ),
     "DriftConfig | str": _OBJECT,
+    "BackboneConfig": _OBJECT,
     "TrainConfig": _OBJECT,
     "AdaptConfig": _OBJECT,
     "SupervisedConfig | None": (lambda value: value is None or isinstance(value, dict), "an object or null"),
 }
-# the fields of a section's class that the JSON layout does not take, and where each is set
+# the keys a section does not take, because another section owns what they would set
 _SECTION_SET_ELSEWHERE = {
     "backbone": "repeats the shared backbone: write it once, at the top level",
     "rng_seed": "is derived for each cell from the top-level seed",
@@ -472,11 +470,10 @@ def _check(where: str, name: str, value, kind) -> None:
         raise ConfigError(f"{where} field {name!r} must be {must}, got {value!r}")
 
 
-def _checked(cls, obj, where: str, **layout) -> dict:
+def _checked(cls, obj, where: str) -> dict:
     """obj's entries, each checked against the JSON kind of cls's field of that name.
 
-    Lists load as tuples. ``layout`` gives the kinds of keys the layout puts beside
-    cls's fields. A field set elsewhere and a key that names no field are rejected.
+    Lists load as tuples. A key set elsewhere and a key that names no field are rejected.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
@@ -484,9 +481,7 @@ def _checked(cls, obj, where: str, **layout) -> dict:
     elsewhere = _SET_ELSEWHERE.get(cls, {})
     out = {}
     for name, value in obj.items():
-        if name in layout:
-            _check(where, name, value, layout[name])
-        elif name in elsewhere:
+        if name in elsewhere:
             raise ConfigError(f"{where} field {name!r} {elsewhere[name]}")
         elif name in annotations:
             _check(where, name, value, _JSON_KINDS[annotations[name]])
@@ -496,22 +491,22 @@ def _checked(cls, obj, where: str, **layout) -> dict:
     return out
 
 
-def _build(cls, where: str, kwargs: dict, **shared):
+def _build(cls, where: str, kwargs: dict):
     """A cls from checked kwargs; a rule that cls itself enforces fails naming ``where``."""
     try:
-        return cls(**kwargs, **shared)
+        return cls(**kwargs)
     except ConfigError as e:  # a rule across fields, from __post_init__
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _read(cls, obj, where: str, **shared):
-    """A cls from its JSON section; ``shared`` holds the fields the layout writes elsewhere."""
-    return _build(cls, where, _checked(cls, obj, where), **shared)
+def _read(cls, obj, where: str):
+    """A cls from its JSON section."""
+    return _build(cls, where, _checked(cls, obj, where))
 
 
 def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     """Parse a config dict (from JSON); unknown keys and mistyped values are rejected."""
-    top = _checked(ExperimentConfig, obj, "experiment config", backbone=_OBJECT)
+    top = _checked(ExperimentConfig, obj, "experiment config")
     if "dataset" not in top:
         raise ConfigError("config needs a dataset entry")
     dataset = top["dataset"]
@@ -522,14 +517,14 @@ def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     if kind == "synthetic":
         source = _read(DriftConfig, source, "config dataset synthetic")
     top["dataset"] = source
-    backbone = _read(BackboneConfig, top.pop("backbone", {}), "config backbone")
-    top["train"] = _read(TrainConfig, top.get("train", {}), "config train", backbone=backbone)
+    top["backbone"] = _read(BackboneConfig, top.get("backbone", {}), "config backbone")
+    top["train"] = _read(TrainConfig, top.get("train", {}), "config train")
     adapt = _checked(AdaptConfig, top.get("adapt", {}), "config adapt")
     if isinstance(adapt.get("kernel"), dict):
         adapt["kernel"] = _read(KernelSpec, adapt["kernel"], "config adapt kernel")
     top["adapt"] = _build(AdaptConfig, "config adapt", adapt)
     if top.get("supervised") is not None:
-        top["supervised"] = _read(SupervisedConfig, top["supervised"], "config supervised", backbone=backbone)
+        top["supervised"] = _read(SupervisedConfig, top["supervised"], "config supervised")
     return ExperimentConfig(**top)
 
 

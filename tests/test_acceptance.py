@@ -423,7 +423,6 @@ def test_criterion_04_encoder_and_head_frozen_through_adaptation():
 # -- 5. few-shot competence -----------------------------------------------------------
 
 SEPARABLE_TRAIN = TrainConfig(
-    backbone=WIDE,
     episodes_per_epoch=30,
     max_epochs=15,
     learning_rate=0.3,
@@ -431,7 +430,6 @@ SEPARABLE_TRAIN = TrainConfig(
     shot=1,
     queries=10,
     validation_episodes=20,
-    rng_seed=0,
 )
 
 
@@ -439,7 +437,7 @@ SEPARABLE_TRAIN = TrainConfig(
 def separable_run():
     train, val, test = synthetic_pools(5.0, 0.0, seed=0)
     t0 = time.time()
-    model = meta_train(train, val, SEPARABLE_TRAIN)
+    model = meta_train(train, val, SEPARABLE_TRAIN, WIDE, 0)
     seconds = time.time() - t0
     report = evofa_test(
         model, test, train, "intra",
@@ -492,7 +490,6 @@ def drift_study():
         model = meta_train(
             train, val,
             TrainConfig(
-                backbone=WIDE,
                 episodes_per_epoch=30,
                 max_epochs=5,
                 learning_rate=0.3,
@@ -500,14 +497,12 @@ def drift_study():
                 shot=1,
                 queries=10,
                 validation_episodes=20,
-                rng_seed=derive_seed(seed, 1),
             ),
+            WIDE,
+            derive_seed(seed, 1),
         )
         supervised = train_supervised_baseline(
-            train, val,
-            SupervisedConfig(
-                backbone=WIDE, num_classes=3, max_epochs=20, rng_seed=derive_seed(seed, 4)
-            ),
+            train, val, SupervisedConfig(num_classes=3, max_epochs=20), WIDE, derive_seed(seed, 4)
         )
         _, supervised_accuracy = classify_pool(supervised, test)
         e1 = EvalConfig(episodes=50, way=3, shot=1, queries=10, rng_seed=derive_seed(seed, 2, 1))
@@ -621,9 +616,9 @@ MICRO_EXPERIMENT = ExperimentConfig(
         noise_std=1.0,
         rng_seed=11,
     ),
+    backbone=TINY,
     protocol="intra",
     train=TrainConfig(
-        backbone=TINY,
         episodes_per_epoch=5,
         max_epochs=2,
         learning_rate=0.1,
@@ -633,7 +628,7 @@ MICRO_EXPERIMENT = ExperimentConfig(
         validation_episodes=5,
     ),
     adapt=AdaptConfig(n_snapshots=2, snapshot_size=8),
-    supervised=SupervisedConfig(backbone=TINY, num_classes=3, max_epochs=3),
+    supervised=SupervisedConfig(num_classes=3, max_epochs=3),
     eval_episodes=6,
     seed=3,
 )

@@ -9,6 +9,7 @@ from evofa.checkpoint import load_checkpoint, save_checkpoint
 from evofa.backbone import BackboneConfig, create_model
 from evofa.cli import _Outputs, main
 from evofa.data import DriftConfig
+from evofa.harness import METHODS
 
 DATASET_OBJ = {
     "num_subjects": 2,
@@ -408,7 +409,7 @@ def test_evaluate_architecture_mismatch_names_checkpoint_and_first_differing_fie
     "train", [{"way": 2}, {"head_kind": "matching"}, {"head_kind": "relation"}], ids=["way2", "matching", "relation"]
 )
 def test_evaluate_accepts_the_checkpoint_train_wrote(tmp_path, capsys, train):
-    # train builds cfg.train.model_config(): head and way come from the train section, not the backbone
+    # train builds cfg.train.model_config(cfg.backbone): head and way come from the train section
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({**CONFIG_OBJ, "train": {**CONFIG_OBJ["train"], **train}}))
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "t")]) == 0
@@ -563,8 +564,10 @@ GOOD_ROW = {
     "protocol": "intra", "subject": "1", "session": "3", "method": "fsl",
     "shots": 1, "mean_accuracy": 0.5, "std_accuracy": 0.1,
 }
-RANGE = "is not a number in [0, 1]:"
+RANGE = "must be a number in [0, 1], got"
 NAN = float("nan")
+ORACLE = {"protocol": None, "subject": [1], "session": 3, "method": "oracle", "shots": -2.5,
+          "mean_accuracy": 0.5, "std_accuracy": 0.1}
 
 
 def second_row(**change) -> list[dict]:
@@ -584,6 +587,15 @@ BAD_ROWS = {
     "std_inf": (second_row(std_accuracy=float("inf")), f"row 1 field 'std_accuracy' {RANGE} inf"),
     "std_negative": (second_row(std_accuracy=-0.1), f"row 1 field 'std_accuracy' {RANGE} -0.1"),
     "nan_then_foreign": ([{"method": "fsl", "mean_accuracy": NAN}, {"foo": 1}], "row 0 lacks field 'protocol'"),
+    "oracle": ([ORACLE], "row 0 field 'protocol' must be a string, got None"),
+    "subject_list": (second_row(subject=[1]), "row 1 field 'subject' must be a string, got [1]"),
+    "session_int": (second_row(session=3), "row 1 field 'session' must be a string, got 3"),
+    "method_int": (second_row(method=1), f"row 1 field 'method' must be one of {METHODS}, got 1"),
+    "method_unknown": (second_row(method="oracle"), f"row 1 field 'method' must be one of {METHODS}, got 'oracle'"),
+    "shots_negative": (second_row(shots=-1), "row 1 field 'shots' must be a nonnegative integer, got -1"),
+    "shots_fraction": (second_row(shots=-2.5), "row 1 field 'shots' must be a nonnegative integer, got -2.5"),
+    "shots_string": (second_row(shots="1"), "row 1 field 'shots' must be a nonnegative integer, got '1'"),
+    "shots_bool": (second_row(shots=True), "row 1 field 'shots' must be a nonnegative integer, got True"),
 }
 
 

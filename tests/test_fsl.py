@@ -410,11 +410,11 @@ def test_learning_rate_must_be_finite(config, value):
         config(learning_rate=value)
 
 
-def test_train_config_propagates_head_and_way():
-    cfg = TrainConfig(head_kind="matching", way=5, shot=1, queries=5)
-    mc = cfg.model_config()
-    assert mc.head_kind == "matching"
-    assert mc.num_classes == 5
+def test_model_configs_take_the_architecture_and_set_head_and_classes():
+    arch = tiny_backbone(n_electrodes=6)
+    mc = TrainConfig(head_kind="matching", way=5, shot=1, queries=5).model_config(arch)
+    assert mc == replace(arch, head_kind="matching", num_classes=5)
+    assert SupervisedConfig(num_classes=4).model_config(arch) == replace(arch, head_kind="linear", num_classes=4)
 
 
 def test_supervised_config_rejects_bad_values():
@@ -467,7 +467,6 @@ def separable_pools():
 def trained_proto(separable_pools):
     train, val, _ = separable_pools
     cfg = TrainConfig(
-        backbone=SEPARABLE_BACKBONE,
         head_kind="proto",
         episodes_per_epoch=30,
         max_epochs=10,
@@ -476,15 +475,14 @@ def trained_proto(separable_pools):
         shot=1,
         queries=10,
         validation_episodes=40,
-        rng_seed=0,
     )
-    return meta_train(train, val, cfg), cfg
+    return meta_train(train, val, cfg, SEPARABLE_BACKBONE, 0), cfg
 
 
 def test_meta_train_reaches_high_validation_accuracy(trained_proto, separable_pools):
     model, cfg = trained_proto
     _, val, _ = separable_pools
-    assert validation_accuracy(model, val, cfg) >= 0.95
+    assert validation_accuracy(model, val, cfg, 0) >= 0.95
 
 
 def test_trained_model_separates_clusters_perfectly(trained_proto, separable_pools):
@@ -501,20 +499,22 @@ def test_trained_model_separates_clusters_perfectly(trained_proto, separable_poo
 TRAINERS = ["meta_train", "train_supervised_baseline"]
 
 
+SMALL_BACKBONE = tiny_backbone(n_electrodes=6, d_bands=4, adapter_hidden=4)
+
+
 def small_trainer(name, **overrides):
-    """A trainer and a small config for it, for the separable pools."""
-    small = tiny_backbone(n_electrodes=6, d_bands=4, adapter_hidden=4)
+    """A trainer and a small config for it, for SMALL_BACKBONE on the separable pools."""
     if name == "meta_train":
-        return meta_train, TrainConfig(backbone=small, episodes_per_epoch=3, validation_episodes=2, **overrides)
-    return train_supervised_baseline, SupervisedConfig(backbone=small, **overrides)
+        return meta_train, TrainConfig(episodes_per_epoch=3, validation_episodes=2, **overrides)
+    return train_supervised_baseline, SupervisedConfig(**overrides)
 
 
 @pytest.mark.parametrize("name", TRAINERS)
 def test_zero_epochs_returns_init(name, separable_pools):
     train, val, _ = separable_pools
-    trainer, cfg = small_trainer(name, max_epochs=0, rng_seed=9)
-    model = trainer(train, val, cfg)
-    fresh = create_model(cfg.model_config(), seed=9)
+    trainer, cfg = small_trainer(name, max_epochs=0)
+    model = trainer(train, val, cfg, SMALL_BACKBONE, 9)
+    fresh = create_model(cfg.model_config(SMALL_BACKBONE), seed=9)
     for got, want in zip(model.groups(), fresh.groups()):
         assert got.state_bytes() == want.state_bytes()
 
@@ -533,8 +533,8 @@ def test_non_finite_loss_raises_naming_its_epoch(name, separable_pools, monkeypa
         return ad.mul(loss, Tensor(np.nan)) if len(calls) > steps else loss
 
     monkeypatch.setattr(fsl, "loss_from_scores", nan_from_second_epoch)
-    with pytest.raises(ContractError, match=f"non-finite {cfg.model_config().head_kind} loss at epoch 1"):
-        trainer(train, val, cfg)
+    with pytest.raises(ContractError, match=f"non-finite {cfg.model_config(SMALL_BACKBONE).head_kind} loss at epoch 1"):
+        trainer(train, val, cfg, SMALL_BACKBONE, 0)
     assert len(calls) == steps + 1
 
 
@@ -543,7 +543,7 @@ def test_non_finite_gradient_raises_at_its_step(name, separable_pools, monkeypat
     """A finite loss with a non-finite gradient stops training at that step, before it moves theta."""
     train, val, _ = separable_pools
     trainer, cfg = small_trainer(name, max_epochs=2)
-    first = create_model(cfg.model_config()).theta.entries[0][0]
+    first = create_model(cfg.model_config(SMALL_BACKBONE)).theta.entries[0][0]
     models, losses, before = [], [], []
     original_create, original_backward = fsl.create_model, ad.backward
 
@@ -561,7 +561,7 @@ def test_non_finite_gradient_raises_at_its_step(name, separable_pools, monkeypat
     monkeypatch.setattr(fsl, "create_model", recording_create)
     monkeypatch.setattr(ad, "backward", poisoning_backward)
     with pytest.raises(ContractError, match=f"parameter theta/{first} has a non-finite gradient"):
-        trainer(train, val, cfg)
+        trainer(train, val, cfg, SMALL_BACKBONE, 0)
     assert len(losses) == 3 and np.isfinite(losses).all()
     assert models[0].theta.state_bytes() == before[0]
 
@@ -598,37 +598,31 @@ def test_no_step_tape_alive_when_next_step_encodes(name, separable_pools, monkey
 
     monkeypatch.setattr(ad, "backward", recording_backward)
     monkeypatch.setattr(backbone, "encode", checking_encode)
-    trainer(train, val, cfg)
+    trainer(train, val, cfg, SMALL_BACKBONE, 0)
     assert len(alive) > 2
     assert not any(alive), f"{sum(alive)} of {len(alive)} steps began with the last tape alive"
 
 
 def test_meta_train_deterministic_across_runs(separable_pools):
     train, val, _ = separable_pools
-    cfg = TrainConfig(
-        backbone=tiny_backbone(n_electrodes=6, d_bands=4, adapter_hidden=4),
-        episodes_per_epoch=5,
-        max_epochs=1,
-        validation_episodes=5,
-        rng_seed=3,
-    )
-    a = meta_train(train, val, cfg)
-    b = meta_train(train, val, cfg)
+    cfg = TrainConfig(episodes_per_epoch=5, max_epochs=1, validation_episodes=5)
+    a = meta_train(train, val, cfg, SMALL_BACKBONE, 3)
+    b = meta_train(train, val, cfg, SMALL_BACKBONE, 3)
     for got, want in zip(a.groups(), b.groups()):
         assert got.state_bytes() == want.state_bytes()
 
 
 def test_validation_accuracy_is_stable_across_calls(separable_pools):
     _, val, _ = separable_pools
-    cfg = TrainConfig(backbone=SEPARABLE_BACKBONE, validation_episodes=10)
-    model = create_model(cfg.model_config(), seed=1)
-    assert validation_accuracy(model, val, cfg) == validation_accuracy(model, val, cfg)
+    cfg = TrainConfig(validation_episodes=10)
+    model = create_model(cfg.model_config(SEPARABLE_BACKBONE), seed=1)
+    assert validation_accuracy(model, val, cfg, 0) == validation_accuracy(model, val, cfg, 0)
 
 
 def test_validation_accuracy_encodes_each_episode_row_once_per_call(separable_pools, monkeypatch):
     _, val, _ = separable_pools
-    cfg = TrainConfig(backbone=SEPARABLE_BACKBONE, validation_episodes=6)
-    model = create_model(cfg.model_config(), seed=1)
+    cfg = TrainConfig(validation_episodes=6)
+    model = create_model(cfg.model_config(SEPARABLE_BACKBONE), seed=1)
     episodes, encoded = [], []
     original_sample, original_encode = fsl.sample_episode, backbone.encode
 
@@ -643,7 +637,7 @@ def test_validation_accuracy_encodes_each_episode_row_once_per_call(separable_po
     monkeypatch.setattr(fsl, "sample_episode", recording)
     monkeypatch.setattr(backbone, "encode", counting)
     for calls in (1, 2):
-        accuracy = validation_accuracy(model, val, cfg)
+        accuracy = validation_accuracy(model, val, cfg, 0)
         used = np.unique(np.concatenate([np.concatenate([s.ravel(), q.ravel()]) for s, q in episodes]))
         assert len(used) < len(val)  # the episodes leave some pool rows out
         assert sorted(encoded) == sorted([val.features[i].tobytes() for i in used] * calls)
@@ -655,8 +649,8 @@ def test_validation_accuracy_encodes_each_episode_row_once_per_call(separable_po
 @pytest.fixture(scope="module")
 def trained_supervised(separable_pools):
     train, val, _ = separable_pools
-    cfg = SupervisedConfig(backbone=SEPARABLE_BACKBONE, num_classes=3, max_epochs=60, rng_seed=0)
-    return train_supervised_baseline(train, val, cfg), cfg
+    cfg = SupervisedConfig(num_classes=3, max_epochs=60)
+    return train_supervised_baseline(train, val, cfg, SEPARABLE_BACKBONE, 0), cfg
 
 
 def test_supervised_baseline_learns_stationary_data(trained_supervised, separable_pools):
@@ -668,7 +662,7 @@ def test_supervised_baseline_learns_stationary_data(trained_supervised, separabl
 
 def test_supervised_baseline_leaves_adapter_at_identity(trained_supervised):
     model, cfg = trained_supervised
-    fresh = create_model(cfg.model_config(), seed=cfg.rng_seed)
+    fresh = create_model(cfg.model_config(SEPARABLE_BACKBONE), seed=0)
     assert model.phi.state_bytes() == fresh.phi.state_bytes()
 
 
@@ -688,7 +682,7 @@ def test_supervised_baseline_computes_no_adapter_gradient(separable_pools, monke
 
     monkeypatch.setattr(fsl, "create_model", recording_create)
     monkeypatch.setattr(ad, "backward", recording_backward)
-    cfg = SupervisedConfig(backbone=SEPARABLE_BACKBONE, num_classes=3, max_epochs=2)
-    best = train_supervised_baseline(train, val, cfg)
+    cfg = SupervisedConfig(num_classes=3, max_epochs=2)
+    best = train_supervised_baseline(train, val, cfg, SEPARABLE_BACKBONE, 0)
     assert phi_grads and all(g is None for g in phi_grads)
     assert all(p.requires_grad for p in best.phi.tensors())

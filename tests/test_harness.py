@@ -61,9 +61,9 @@ DATASET = DriftConfig(
 
 CONFIG = ExperimentConfig(
     dataset=DATASET,
+    backbone=BACKBONE,
     protocol="intra",
     train=TrainConfig(
-        backbone=BACKBONE,
         episodes_per_epoch=5,
         max_epochs=2,
         learning_rate=0.1,
@@ -73,7 +73,7 @@ CONFIG = ExperimentConfig(
         validation_episodes=5,
     ),
     adapt=AdaptConfig(n_snapshots=2, snapshot_size=8),
-    supervised=SupervisedConfig(backbone=BACKBONE, num_classes=3, max_epochs=3),
+    supervised=SupervisedConfig(num_classes=3, max_epochs=3),
     eval_episodes=6,
     seed=3,
 )
@@ -112,14 +112,24 @@ def row(**overrides):
 
 
 def test_row_rejects_accuracy_outside_unit_interval():
-    with pytest.raises(ConfigError, match="outside"):
+    with pytest.raises(ConfigError, match=r"^mean_accuracy must be a number in \[0, 1\], got 1.5$"):
         row(mean_accuracy=1.5)
 
 
 @pytest.mark.parametrize("std", [-0.1, float("nan"), float("inf")])
 def test_row_rejects_negative_or_non_finite_std(std):
-    with pytest.raises(ConfigError, match="is not a finite non-negative number"):
+    with pytest.raises(ConfigError, match=r"^std_accuracy must be a number in \[0, 1\]"):
         row(std_accuracy=std)
+
+
+@pytest.mark.parametrize(
+    "field,value,must",
+    [("subject", 1, "a string"), ("shots", -1, "a nonnegative integer"), ("way", 0, "a positive integer"),
+     ("episodes", 2.5, "a nonnegative integer"), ("wall_clock_seconds", -1.0, "a finite nonnegative number")],
+)
+def test_row_holds_each_field_to_its_annotated_rule(field, value, must):
+    with pytest.raises(ConfigError, match=f"^{field} must be {must}, got {re.escape(repr(value))}$"):
+        row(**{field: value})
 
 
 def test_row_rejects_unknown_method():
@@ -216,9 +226,7 @@ def test_plan_cells_rejects_unknown_subject(dataset):
 
 
 def test_run_protocol_rejects_schema_mismatch(dataset):
-    wrong = replace(
-        CONFIG, train=replace(CONFIG.train, backbone=replace(BACKBONE, n_electrodes=6))
-    )
+    wrong = replace(CONFIG, backbone=replace(BACKBONE, n_electrodes=6))
     with pytest.raises(ConfigError, match="features"):
         run_protocol(wrong, dataset)
 
@@ -321,9 +329,9 @@ GOLDEN = {
                 d_bands=3,
                 rng_seed=5,
             ),
+            backbone=BACKBONE,
             protocol="inter",
             train=TrainConfig(
-                backbone=BACKBONE,
                 episodes_per_epoch=3,
                 max_epochs=2,
                 learning_rate=0.1,
@@ -340,7 +348,7 @@ GOLDEN = {
                 eta_out=0.5,
                 max_iter=2,
             ),
-            supervised=SupervisedConfig(backbone=BACKBONE, num_classes=3, max_epochs=2),
+            supervised=SupervisedConfig(num_classes=3, max_epochs=2),
             eval_episodes=3,
             seed=8,
             subjects=(2, 9),
@@ -412,6 +420,25 @@ def test_compare_and_evaluate_draw_every_shot_from_the_cell_evaluation_seed(data
     assert seeds == [cell_seed(CONFIG, 2, 1, None)] * 4
     assert cell_seed(CONFIG, 2, 1, None) == derive_seed(CONFIG.seed, 2, 1, 0)
     assert cell_seed(CONFIG, 2, 1, 2) == derive_seed(CONFIG.seed, 2, 1, 3)  # inter: 1 + session
+
+
+def test_run_protocol_trains_both_models_on_the_one_backbone(dataset, monkeypatch):
+    cfg = replace(CONFIG, subjects=(2,))
+    calls = []
+
+    def spy(name, real):
+        def trainer(*args, **kwargs):
+            calls.append((name, args[3], args[4]))
+            return real(*args, **kwargs)
+        return trainer
+
+    monkeypatch.setattr(harness, "meta_train", spy("fsl", harness.meta_train))
+    monkeypatch.setattr(harness, "train_supervised_baseline", spy("supervised", harness.train_supervised_baseline))
+    run_protocol(cfg, dataset)
+    assert [(name, seed) for name, _, seed in calls] == [
+        ("fsl", cell_seed(cfg, 1, 2, None)), ("supervised", cell_seed(cfg, 4, 2, None))
+    ]
+    assert all(arch is cfg.backbone for _, arch, _ in calls)
 
 
 # -- artifacts -------------------------------------------------------------------------
@@ -678,7 +705,7 @@ def test_config_rejects_number_no_float_holds_naming_field():
 def test_config_keys_left_out_take_the_dataclass_defaults():
     cfg = experiment_config_from_obj({"dataset": {"synthetic": {}}})
     assert cfg == ExperimentConfig(dataset=DriftConfig())
-    assert cfg.train.backbone == BackboneConfig() and cfg.supervised is None
+    assert cfg.backbone == BackboneConfig() and cfg.supervised is None
 
 
 SET_ELSEWHERE = [
@@ -702,19 +729,76 @@ def test_config_rejects_field_with_another_owner_naming_file_section_and_field(t
         load_experiment_config(path)
 
 
-def test_config_round_trip_leaves_out_fields_with_another_owner(tmp_path):
-    backbone = replace(BACKBONE, head_kind="relation", num_classes=5)
-    cfg = replace(
-        CONFIG,
-        train=replace(CONFIG.train, backbone=backbone, rng_seed=8),
-        supervised=replace(CONFIG.supervised, backbone=backbone, rng_seed=9),
+@pytest.mark.parametrize("section,key,value,owner", SET_ELSEWHERE[:2], ids=["head_kind", "num_classes"])
+def test_python_built_config_rejects_backbone_field_with_another_owner_as_the_reader_does(section, key, value, owner):
+    # the backbone's head and class count were dropped silently on the way to run-manifest.json
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'config {section} field {key!r} {owner}')}"):
+        replace(CONFIG, backbone=replace(BACKBONE, **{key: value}))
+
+
+COUNTS = st.integers(1, 10**6)
+NATURALS = st.integers(0, 2**63 - 1)
+POSITIVES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+SCALES = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def drift_configs(draw):
+    n_electrodes, d_bands = draw(COUNTS), draw(COUNTS)
+    return DriftConfig(
+        *draw(st.tuples(COUNTS, COUNTS, COUNTS, COUNTS)), draw(st.integers(1, min(n_electrodes * d_bands, 10**6))),
+        n_electrodes, d_bands, *draw(st.tuples(SCALES, SCALES, SCALES, SCALES)), draw(NATURALS),
     )
-    obj = config_to_obj(cfg)
-    assert not {"head_kind", "num_classes"} & obj["backbone"].keys()
-    assert "rng_seed" not in obj["train"] and "rng_seed" not in obj["supervised"]
-    assert experiment_config_from_obj(obj) == CONFIG  # the four fields at their defaults
-    manifest = json.loads(write_run_manifest(tmp_path, cfg).read_text())
-    assert experiment_config_from_obj(manifest["config"]) == CONFIG
+
+
+@st.composite
+def backbone_configs(draw):
+    widths = draw(st.tuples(COUNTS, COUNTS, COUNTS, COUNTS))
+    groups = draw(st.integers(1, 8))
+    return BackboneConfig(
+        n_electrodes=draw(COUNTS), d_bands=groups * draw(st.integers(1, 8)), g2g_channels=groups,
+        conv_channels=widths, embedding_dim=widths[-1], adapter_hidden=2 * widths[-1] + 2 * draw(st.integers(0, 8)),
+        matching_temperature=draw(POSITIVES), relation_hidden=draw(COUNTS),
+    )
+
+
+KERNELS = st.integers(1, 4).flatmap(
+    lambda n: st.builds(KernelSpec, st.tuples(*[POSITIVES] * n), st.tuples(*[st.integers(1, 9)] * n))
+)
+ADAPT_CONFIGS = st.builds(
+    AdaptConfig, COUNTS, COUNTS, SCALES, SCALES, NATURALS, NATURALS, st.just("median-auto") | KERNELS
+)
+TRAIN_CONFIGS = st.builds(
+    TrainConfig, st.sampled_from(backbone.HEAD_KINDS), COUNTS, NATURALS, POSITIVES, COUNTS, COUNTS, COUNTS, COUNTS
+)
+SUPERVISED_CONFIGS = st.builds(SupervisedConfig, st.integers(2, 10**6), COUNTS, POSITIVES, NATURALS)
+IDS = st.lists(st.integers(0, 10**6), unique=True, max_size=4).map(tuple)
+
+
+@st.composite
+def experiment_configs(draw):
+    protocol = draw(st.sampled_from(["intra", "inter"]))
+    return ExperimentConfig(
+        dataset=draw(drift_configs() | st.text()),
+        backbone=draw(backbone_configs()),
+        protocol=protocol,
+        train=draw(TRAIN_CONFIGS),
+        adapt=draw(ADAPT_CONFIGS),
+        supervised=draw(st.none() | SUPERVISED_CONFIGS),
+        eval_episodes=draw(COUNTS),
+        seed=draw(NATURALS),
+        subjects=draw(IDS),
+        sessions=draw(IDS) if protocol == "inter" else (),
+        persist_adaptation=draw(st.booleans()),
+        include_supervised=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(experiment_configs())
+def test_every_buildable_config_round_trips_through_json(cfg):
+    # every field has one owner, so the JSON document drops nothing that a Python-built config holds
+    assert experiment_config_from_obj(json.loads(json.dumps(config_to_obj(cfg)))) == cfg
 
 
 CONFIG_CLASSES = (ExperimentConfig, DriftConfig, BackboneConfig, TrainConfig, SupervisedConfig, AdaptConfig, KernelSpec)
@@ -746,12 +830,12 @@ RULED_FIELDS = {
     },
     TrainConfig: {
         "Count": ("episodes_per_epoch", "way", "shot", "queries", "validation_episodes"),
-        "Natural": ("max_epochs", "rng_seed"),
+        "Natural": ("max_epochs",),
         "Positive": ("learning_rate",),
     },
     SupervisedConfig: {
         "Count": ("num_classes", "batch_size"),
-        "Natural": ("max_epochs", "rng_seed"),
+        "Natural": ("max_epochs",),
         "Positive": ("learning_rate",),
     },
     AdaptConfig: {
