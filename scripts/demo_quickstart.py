@@ -115,9 +115,9 @@ def main() -> int:
     snaps = sample_snapshots_intra(train, fixed, np.random.default_rng(7))
     picks = np.random.default_rng(8).choice(len(test), size=30, replace=False)
     train_rows, target = rows["train_rows"], rows["test_rows"][picks]
-    before = mean_alignment(model, train_rows, snaps, target, fixed)
-    evofa_run(model, train_rows, snaps, target, fixed)
-    after = mean_alignment(model, train_rows, snaps, target, fixed)
+    before = mean_alignment(model.phi, train_rows, snaps, target, fixed)
+    evofa_run(model.phi, train_rows, [snaps] * fixed.max_iter, target, fixed)
+    after = mean_alignment(model.phi, train_rows, snaps, target, fixed)
     print(f"adapter alignment: snapshot-vs-target MMD^2 {before:.5f} -> {after:.5f}")
     return 0
 

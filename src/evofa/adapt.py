@@ -8,14 +8,14 @@ k's support half and ``draw[k, 1]`` its query half, stages in order.
 
 Only the adapter parameters move: the encoder and classifier head are
 frozen, so a sample's encoder row never changes during adaptation. The
-adaptation core therefore takes encoder rows: the train pool's
-(``backbone.encode_rows``), snapshot draws that index them, and the
-target's; so does ``evofa_test``, whose caller encodes each pool once.
+adaptation core takes only the adapter ``phi`` and encoder rows: the train
+pool's (``backbone.encode_rows``), snapshot draws that index them, and the
+target's. ``evofa_test`` takes rows too; its caller encodes each pool once.
 
 A round is MAML with a first-order outer step, on one loss and one step
 rule. Each inner step takes ``alignment_loss`` on one stage's support half;
 the outer step takes it on all query halves at the inner result and steps
-the model's adapter with that gradient. Every step is ``autodiff.sgd_step``.
+``phi`` with that gradient, one round per draw. Every step is ``autodiff.sgd_step``.
 
 The core runs on one episode or on a stack of G of them. A stack has target
 rows [G x t x q], draws [G x n x 2 x s] (``np.stack`` of one draw per slice)
@@ -28,8 +28,7 @@ runs the same code on stacks of one.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,22 +152,17 @@ def alignment_loss(
 
 
 def inner_adapt(
-    model: Model,
-    train_rows: np.ndarray,
-    snapshots: np.ndarray,
-    target_rows: np.ndarray,
-    cfg: AdaptConfig,
+    phi: ParamGroup, train_rows: np.ndarray, draw: np.ndarray, target_rows: np.ndarray, cfg: AdaptConfig
 ) -> ParamGroup:
-    """Sequential adapter steps, one per snapshot in order, toward the target rows.
+    """Sequential adapter steps, one per snapshot stage in order, toward the target rows.
 
-    Starts from the model's current adapter and returns the stepped copy,
-    leaving the model's own parameters untouched. Labels never enter: the
-    target is encoder rows only.
+    Returns a stepped copy of ``phi`` and leaves ``phi`` itself untouched.
+    Labels never enter: the target is encoder rows only.
     """
-    phi = model.phi.copy()
+    phi = phi.copy()
     if cfg.eta_in == 0.0:
         return phi
-    for stage, src_enc in enumerate(_stage_rows(train_rows, snapshots, 0)):
+    for stage, src_enc in enumerate(_stage_rows(train_rows, draw, 0)):
         loss = alignment_loss(phi, [src_enc], target_rows, cfg.kernel)
         if not loss.is_finite():
             raise ContractError(f"non-finite alignment loss at snapshot stage {stage}")
@@ -178,63 +172,48 @@ def inner_adapt(
 
 
 def mean_alignment(
-    model: Model,
-    train_rows: np.ndarray,
-    snapshots: np.ndarray,
-    target_rows: np.ndarray,
-    cfg: AdaptConfig,
+    phi: ParamGroup, train_rows: np.ndarray, draw: np.ndarray, target_rows: np.ndarray, cfg: AdaptConfig
 ) -> float:
-    """alignment_loss of the query halves at the model's current adapter, as a plain float."""
+    """alignment_loss of the draw's query halves at adapter ``phi``, as a plain float."""
     with ad.no_grad():
-        stages = _stage_rows(train_rows, snapshots, 1)
-        return alignment_loss(model.phi, stages, target_rows, cfg.kernel).item()
+        return alignment_loss(phi, _stage_rows(train_rows, draw, 1), target_rows, cfg.kernel).item()
 
 
 def outer_update(
-    model: Model,
-    phi_n: ParamGroup,
-    train_rows: np.ndarray,
-    snapshots: np.ndarray,
-    target_rows: np.ndarray,
-    cfg: AdaptConfig,
+    phi: ParamGroup, phi_n: ParamGroup, train_rows: np.ndarray, draw: np.ndarray,
+    target_rows: np.ndarray, cfg: AdaptConfig,
 ) -> None:
-    """Aggregated adapter update: the gradient taken at phi_n steps the model's adapter.
+    """Aggregated adapter update: the gradient taken at phi_n steps ``phi`` in place.
 
     First-order rule: the inner trajectory is not differentiated through;
-    the gradient of the query-half alignment at phi_n is handed to the
-    model's adapter, which takes one step on it.
+    the gradient of the query-half alignment at phi_n is handed to ``phi``,
+    which takes one step on it.
     """
     if cfg.eta_out == 0.0:
         return
-    if [n for n, _ in model.phi.entries] != [n for n, _ in phi_n.entries]:
+    if [n for n, _ in phi.entries] != [n for n, _ in phi_n.entries]:
         raise ContractError("adapter parameter tables disagree")
-    loss = alignment_loss(phi_n, _stage_rows(train_rows, snapshots, 1), target_rows, cfg.kernel)
+    loss = alignment_loss(phi_n, _stage_rows(train_rows, draw, 1), target_rows, cfg.kernel)
     if not loss.is_finite():
         raise ContractError("non-finite aggregated alignment loss")
     ad.backward(loss.sum())
-    for (_, dst), (_, src) in zip(model.phi.entries, phi_n.entries):
+    for (_, dst), (_, src) in zip(phi.entries, phi_n.entries):
         dst.grad, src.grad = src.grad, None
-    ad.sgd_step(model.phi, cfg.eta_out)
+    ad.sgd_step(phi, cfg.eta_out)
 
 
 def evofa_run(
-    model: Model,
-    train_rows: np.ndarray,
-    snapshots: np.ndarray | Callable[[int], np.ndarray],
-    target_rows: np.ndarray,
-    cfg: AdaptConfig,
-) -> Model:
-    """max_iter rounds of inner adaptation plus outer update on the model's adapter.
+    phi: ParamGroup, train_rows: np.ndarray, rounds: list[np.ndarray], target_rows: np.ndarray, cfg: AdaptConfig
+) -> ParamGroup:
+    """One round of inner adaptation plus outer update per draw in ``rounds``, in order.
 
-    snapshots index ``train_rows``: either a fixed draw (or stack of draws)
-    reused every round, or a callable iteration -> draw giving a freshly
-    sampled evolving source per round. The encoder and head never change.
+    Each draw (or stack of draws) indexes ``train_rows``; a fresh draw per
+    round is the evolving source. ``phi`` is stepped in place and returned.
     """
-    for it in range(cfg.max_iter):
-        snaps = snapshots(it) if callable(snapshots) else snapshots
-        phi_n = inner_adapt(model, train_rows, snaps, target_rows, cfg)
-        outer_update(model, phi_n, train_rows, snaps, target_rows, cfg)
-    return model
+    for draw in rounds:
+        phi_n = inner_adapt(phi, train_rows, draw, target_rows, cfg)
+        outer_update(phi, phi_n, train_rows, draw, target_rows, cfg)
+    return phi
 
 
 # -- episode-level evaluation -------------------------------------------------------
@@ -341,9 +320,9 @@ def evofa_test(
 
     Episodes are independent unless adaptation persists, so they run in
     groups of EPISODE_GROUP: every episode of a group, its target and its
-    per-round snapshots are drawn first, then one adaptation runs on the
-    group's stack with one adapter slice per episode. Persisted adaptation
-    runs the same code on groups of one, carrying its stack of one along.
+    per-round snapshots are drawn first, then ``evofa_run`` adapts the group's
+    stacked adapter, one slice per episode. Persisted adaptation runs the
+    same code on groups of one, carrying its stack of one along.
     """
     if split_kind == "intra":
         sampler = sample_snapshots_intra
@@ -374,8 +353,7 @@ def evofa_test(
                 for it in range(adapt_cfg.max_iter)
             ]
             phi = carried if persist else _stack_adapter(model.phi, len(indices))
-            stacked = replace(model, phi=phi)
-            evofa_run(stacked, train_rows, lambda it: rounds[it], test_rows[np.stack(targets)], adapt_cfg)
+            evofa_run(phi, train_rows, rounds, test_rows[np.stack(targets)], adapt_cfg)
             adapters = [_slice_adapter(phi, k) for k in range(len(indices))]
         for episode, adapter in zip(episodes, adapters):
             accuracies.append(classify_query(episode, model, test_rows, adapter)[1])

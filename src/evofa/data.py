@@ -26,6 +26,7 @@ from .errors import (
 
 FEATURE_MAGIC = b"EVFA"
 FEATURE_VERSION = 1
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # a float64 beyond it casts to inf
 
 
 COLUMNS = ("subject", "session", "trial", "time", "label")
@@ -281,6 +282,7 @@ def _class_means(cfg: DriftConfig) -> np.ndarray:
     return (cfg.class_separation * np.sqrt(cfg.dim / 2.0)) * q.T  # [num_classes x dim]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # features out of float32 range are rejected below
 def generate_synthetic_drift(cfg: DriftConfig) -> DatasetIndex:
     """Gaussian class clusters whose means drift linearly over the session clock."""
     means = _class_means(cfg)
@@ -299,14 +301,18 @@ def generate_synthetic_drift(cfg: DriftConfig) -> DatasetIndex:
             rng_noise = np.random.default_rng([cfg.rng_seed, 2, subject, session])
             tau = (session - 1) + time / n
             mean = means[label] + offset + (cfg.intra_drift_rate * tau)[:, None] * drift_dirs[label]
-            x = mean + cfg.noise_std * rng_noise.normal(size=(n, cfg.dim))
-            x32 = x.astype(np.float32).astype(np.float64)
-            features.append(x32.reshape(n, cfg.n_electrodes, cfg.d_bands))
+            features.append(mean + cfg.noise_std * rng_noise.normal(size=(n, cfg.dim)))
             subjects.append(np.full(n, subject))
             sessions.append(np.full(n, session))
+    x = np.concatenate(features)
+    if not np.all(np.abs(x) <= FLOAT32_MAX):  # NaN compares false
+        raise ConfigError(
+            "synthetic features beyond float32 range: lower class_separation,"
+            " intra_drift_rate, inter_subject_offset_scale or noise_std"
+        )
     repeat = lambda column: np.tile(column, cfg.num_subjects * cfg.num_sessions)
     return DatasetIndex(
-        features=np.concatenate(features),
+        features=x.astype(np.float32).astype(np.float64).reshape(-1, cfg.n_electrodes, cfg.d_bands),
         subject=np.concatenate(subjects),
         session=np.concatenate(sessions),
         trial=repeat(trial),
@@ -492,6 +498,13 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
 
 def export_features(ds: DatasetIndex, out_dir: str | Path) -> Path:
     """Write manifest.json plus per-trial binaries; returns the manifest path."""
+    bad = np.flatnonzero(~np.all(np.abs(ds.features) <= FLOAT32_MAX, axis=(1, 2)))
+    if bad.size:
+        i = bad[0]
+        raise DataError(
+            f"feature beyond float32 range or not finite at subject {ds.subject[i]}, "
+            f"session {ds.session[i]}, trial {ds.trial[i]}"
+        )
     out_dir = Path(out_dir)
     feat_dir = out_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)

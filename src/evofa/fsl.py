@@ -19,6 +19,7 @@ from .data import Count, DatasetIndex, Natural, Positive, check_fields
 from .errors import ConfigError, ContractError, ProtocolError, SamplingError
 
 _PROB_FLOOR = 1e-12
+EPISODIC_HEADS = tuple(kind for kind in backbone.HEAD_KINDS if kind != "linear")
 
 Episode = tuple[np.ndarray, np.ndarray]  # (support [way x shot], query [way x queries])
 
@@ -150,6 +151,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.head_kind not in EPISODIC_HEADS:
+            raise ConfigError(f"head_kind must be one of {EPISODIC_HEADS}, got {self.head_kind!r}")
 
     def model_config(self, arch: BackboneConfig) -> BackboneConfig:
         return replace(arch, head_kind=self.head_kind, num_classes=self.way)

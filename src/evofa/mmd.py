@@ -37,11 +37,14 @@ class KernelSpec:
             )
         if any(s <= 0 for s in self.bandwidths):
             raise ConfigError(f"bandwidths must be positive, got {self.bandwidths}")
+        # the kernel scales by 1/sigma^2: an overflow there makes every MMD^2 NaN or 0
+        if not all(0.0 < s * s < math.inf and 1.0 / (s * s) < math.inf for s in self.bandwidths):
+            raise ConfigError(f"bandwidths must have finite positive sigma^2 and 1/sigma^2, got {self.bandwidths}")
         if any(w < 0 for w in self.weights):
             raise ConfigError(f"weights must be nonnegative, got {self.weights}")
         total = float(sum(self.weights))
-        if total <= 0:
-            raise ConfigError("weights must not all be zero")
+        if not 0 < total < math.inf:
+            raise ConfigError(f"weights must not all be zero and must have a finite sum, got {self.weights}")
         if abs(total - 1.0) > 1e-9:
             object.__setattr__(self, "weights", tuple(w / total for w in self.weights))
 

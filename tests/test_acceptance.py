@@ -413,7 +413,8 @@ def test_criterion_04_encoder_and_head_frozen_through_adaptation():
     assert model.w.state_bytes() == w0
     # non-vacuity: the same settings really do move the adapter
     snaps = sample_snapshots_intra(train, acfg, np.random.default_rng(9))
-    evofa_run(model, rows["train_rows"], snaps, target_rows(model, test, 12, seed=10), acfg)
+    target = target_rows(model, test, 12, seed=10)
+    evofa_run(model.phi, rows["train_rows"], [snaps] * acfg.max_iter, target, acfg)
     assert model.phi.state_bytes() != phi0
     assert model.theta.state_bytes() == theta0
     assert model.w.state_bytes() == w0
@@ -565,7 +566,7 @@ def test_criterion_08_alignment_descends():
         src_enc = train_rows[snaps[0, 0]]
         with ad.no_grad():
             before = adapt_mod.alignment_loss(m.phi, [src_enc], target, cfg.kernel).item()
-        phi_n = inner_adapt(m, train_rows, snaps, target, cfg)
+        phi_n = inner_adapt(m.phi, train_rows, snaps, target, cfg)
         with ad.no_grad():
             after = adapt_mod.alignment_loss(phi_n, [src_enc], target, cfg.kernel).item()
         step_wins += after <= before
@@ -586,9 +587,9 @@ def test_criterion_08_alignment_descends():
         snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 53]))
         target = target_rows(m, test, 30, seed=seed)
         train_rows = encode_rows(m, train.features)
-        before = mean_alignment(m, train_rows, snaps, target, cfg)
-        evofa_run(m, train_rows, snaps, target, cfg)
-        run_wins += mean_alignment(m, train_rows, snaps, target, cfg) < before
+        before = mean_alignment(m.phi, train_rows, snaps, target, cfg)
+        evofa_run(m.phi, train_rows, [snaps] * cfg.max_iter, target, cfg)
+        run_wins += mean_alignment(m.phi, train_rows, snaps, target, cfg) < before
     assert run_wins >= 14, f"full run reduced alignment on only {run_wins}/20 seeds"
     print(f"\ncriterion 8: inner step {step_wins}/50 trials, full run {run_wins}/20 seeds")
 

@@ -1,6 +1,5 @@
 """Tests for snapshot sampling, adapter alignment updates, and adapted evaluation."""
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,19 +281,19 @@ def test_inner_zero_rate_is_exact_noop(pools, model):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=0.0)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
-    phi_n = inner_adapt(model, rows_of(model, train), snaps, target_from(model, test), cfg)
+    phi_n = inner_adapt(model.phi, rows_of(model, train), snaps, target_from(model, test), cfg)
     assert phi_n is not model.phi
     assert phi_n.state_bytes() == model.phi.state_bytes()
 
 
-def test_inner_leaves_model_parameters_untouched(pools, model):
+def test_inner_leaves_the_given_adapter_untouched(pools, model):
     train, _, test = pools
-    before = model_bytes(model)
+    before = model.phi.state_bytes()
     cfg = AdaptConfig(n_snapshots=3, snapshot_size=15, eta_in=1e-2)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(1))
-    phi_n = inner_adapt(model, rows_of(model, train), snaps, target_from(model, test), cfg)
-    assert model_bytes(model) == before
-    assert phi_n.state_bytes() != model.phi.state_bytes()
+    phi_n = inner_adapt(model.phi, rows_of(model, train), snaps, target_from(model, test), cfg)
+    assert model.phi.state_bytes() == before
+    assert phi_n.state_bytes() != before
 
 
 def test_inner_pool_rows_equal_rows_encoded_alone(pools, model):
@@ -306,8 +305,8 @@ def test_inner_pool_rows_equal_rows_encoded_alone(pools, model):
     alone = np.zeros((len(train), model.config.embedding_dim))
     alone[spt] = np.concatenate([encode_rows(model, train.features[[i]]) for i in spt])
     target = rows_of(model, test)[:20]
-    by_pool = inner_adapt(model, rows_of(model, train), snaps, target, cfg)
-    by_one = inner_adapt(model, alone, snaps, target, cfg)
+    by_pool = inner_adapt(model.phi, rows_of(model, train), snaps, target, cfg)
+    by_one = inner_adapt(model.phi, alone, snaps, target, cfg)
     assert by_pool.state_bytes() == by_one.state_bytes()
 
 
@@ -317,7 +316,7 @@ def test_inner_rejects_empty_target(pools, model):
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
     empty = np.zeros((0, model.config.embedding_dim))
     with pytest.raises(ProtocolError, match="nonempty"):
-        inner_adapt(model, rows_of(model, train), snaps, empty, cfg)
+        inner_adapt(model.phi, rows_of(model, train), snaps, empty, cfg)
 
 
 def test_inner_step_does_not_increase_alignment():
@@ -343,7 +342,7 @@ def test_inner_step_does_not_increase_alignment():
         src_enc = train_rows[snaps[0, 0]]
         with ad.no_grad():
             before = adapt_mod.alignment_loss(m.phi, [src_enc], target, cfg.kernel).item()
-        phi_n = inner_adapt(m, train_rows, snaps, target, cfg)
+        phi_n = inner_adapt(m.phi, train_rows, snaps, target, cfg)
         with ad.no_grad():
             after = adapt_mod.alignment_loss(phi_n, [src_enc], target, cfg.kernel).item()
         wins += after <= before
@@ -359,7 +358,7 @@ def test_alignment_loss_nonnegative_and_finite(pools, model):
         cfg = AdaptConfig(n_snapshots=3, snapshot_size=12)
         snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(seed))
         target = target_from(model, test, seed=seed)
-        value = mean_alignment(model, rows_of(model, train), snaps, target, cfg)
+        value = mean_alignment(model.phi, rows_of(model, train), snaps, target, cfg)
         assert np.isfinite(value) and value >= 0.0
         stages = adapt_mod._stage_rows(rows_of(model, train), snaps, 1)
         phi_value = alignment_loss(model.phi, stages, target, cfg.kernel).item()
@@ -371,25 +370,21 @@ def test_outer_zero_rate_leaves_adapter(pools, model):
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=1e-2, eta_out=0.0)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
     target, train_rows = target_from(model, test), rows_of(model, train)
-    phi_n = inner_adapt(model, train_rows, snaps, target, cfg)
+    phi_n = inner_adapt(model.phi, train_rows, snaps, target, cfg)
     before = model.phi.state_bytes()
-    outer_update(model, phi_n, train_rows, snaps, target, cfg)
+    outer_update(model.phi, phi_n, train_rows, snaps, target, cfg)
     assert model.phi.state_bytes() == before
 
 
-def test_outer_moves_only_the_adapter(pools):
+def test_outer_moves_the_adapter(pools):
     train, _, test = pools
     m = create_model(BACKBONE, seed=5)
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=15, eta_in=1e-2, eta_out=1e-2)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(3))
     target, train_rows = target_from(m, test), rows_of(m, train)
-    theta_before = m.theta.state_bytes()
-    w_before = m.w.state_bytes()
     phi_before = m.phi.state_bytes()
-    phi_n = inner_adapt(m, train_rows, snaps, target, cfg)
-    outer_update(m, phi_n, train_rows, snaps, target, cfg)
-    assert m.theta.state_bytes() == theta_before
-    assert m.w.state_bytes() == w_before
+    phi_n = inner_adapt(m.phi, train_rows, snaps, target, cfg)
+    outer_update(m.phi, phi_n, train_rows, snaps, target, cfg)
     assert m.phi.state_bytes() != phi_before
 
 
@@ -400,7 +395,7 @@ def test_outer_rejects_foreign_parameter_table(pools, model):
     alien = ParamGroup("phi")
     alien.add("other", Tensor(np.zeros((2, 2)), requires_grad=True))
     with pytest.raises(ContractError):
-        outer_update(model, alien, rows_of(model, train), snaps, target_from(model, test), cfg)
+        outer_update(model.phi, alien, rows_of(model, train), snaps, target_from(model, test), cfg)
 
 
 def test_outer_rejects_stacked_inner_result_for_plain_adapter(pools, model):
@@ -414,7 +409,7 @@ def test_outer_rejects_stacked_inner_result_for_plain_adapter(pools, model):
     before = m.phi.state_bytes()
     stacked = adapt_mod._stack_adapter(m.phi, 4)
     with pytest.raises(ContractError, match=r"parameter phi/fc1_w has gradient shape \(4, 16, 32\)"):
-        outer_update(m, stacked, rows_of(m, train), snaps, target, cfg)
+        outer_update(m.phi, stacked, rows_of(m, train), snaps, target, cfg)
     assert [t.shape for t in m.phi.tensors()] == [t.shape for t in model.phi.tensors()]
     assert m.phi.state_bytes() == before
 
@@ -434,7 +429,7 @@ def test_inner_step_rejects_non_finite_gradient(pools, model, monkeypatch):
     before = model_bytes(model)
     monkeypatch.setattr(adapt_mod, "mmd2", nan_gradient_mmd2)
     with pytest.raises(ContractError, match=r"parameter phi/\w+ has a non-finite gradient"):
-        inner_adapt(model, rows_of(model, train), snaps, target_from(model, test), cfg)
+        inner_adapt(model.phi, rows_of(model, train), snaps, target_from(model, test), cfg)
     assert model_bytes(model) == before
 
 
@@ -444,45 +439,52 @@ def test_outer_step_rejects_non_finite_gradient(pools, model, monkeypatch):
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
     m = model.copy()
     target, train_rows = target_from(m, test), rows_of(m, train)
-    phi_n = inner_adapt(m, train_rows, snaps, target, cfg)
+    phi_n = inner_adapt(m.phi, train_rows, snaps, target, cfg)
     before = m.phi.state_bytes()
     monkeypatch.setattr(adapt_mod, "mmd2", nan_gradient_mmd2)
     with pytest.raises(ContractError, match=r"parameter phi/\w+ has a non-finite gradient"):
-        outer_update(m, phi_n, train_rows, snaps, target, cfg)
+        outer_update(m.phi, phi_n, train_rows, snaps, target, cfg)
     assert m.phi.state_bytes() == before
 
 
 # -- full adaptation runs ---------------------------------------------------------------
 
 
-def test_run_zero_iterations_changes_nothing(pools, model):
+def spy_on_steps(monkeypatch):
+    """The draws ``inner_adapt`` and ``outer_update`` receive, in call order."""
+    seen = {"inner": [], "outer": []}
+    real_inner, real_outer = adapt_mod.inner_adapt, adapt_mod.outer_update
+
+    def inner(phi, train_rows, draw, *args):
+        seen["inner"].append(draw)
+        return real_inner(phi, train_rows, draw, *args)
+
+    def outer(phi, phi_n, train_rows, draw, *args):
+        seen["outer"].append(draw)
+        return real_outer(phi, phi_n, train_rows, draw, *args)
+
+    monkeypatch.setattr(adapt_mod, "inner_adapt", inner)
+    monkeypatch.setattr(adapt_mod, "outer_update", outer)
+    return seen
+
+
+def test_run_over_no_rounds_leaves_phi_and_takes_no_step(pools, model, monkeypatch):
     train, _, test = pools
-    cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, max_iter=0)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
-    before = model_bytes(model)
-    evofa_run(model, rows_of(model, train), snaps, target_from(model, test), cfg)
-    assert model_bytes(model) == before
+    cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=0.5, eta_out=0.5)
+    phi = model.phi.copy()
+    seen = spy_on_steps(monkeypatch)
+    assert evofa_run(phi, rows_of(model, train), [], target_from(model, test), cfg) is phi
+    assert phi.state_bytes() == model.phi.state_bytes()
+    assert seen == {"inner": [], "outer": []}
 
 
 def test_run_zero_rates_change_nothing(pools, model):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=0.0, eta_out=0.0, max_iter=3)
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
-    before = model_bytes(model)
-    evofa_run(model, rows_of(model, train), snaps, target_from(model, test), cfg)
-    assert model_bytes(model) == before
-
-
-def test_run_freezes_encoder_and_head(pools):
-    train, _, test = pools
-    m = create_model(BACKBONE, seed=6)
-    cfg = AdaptConfig(n_snapshots=3, snapshot_size=15, eta_in=1e-2, eta_out=1e-2, max_iter=2)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(1))
-    theta_before = m.theta.state_bytes()
-    w_before = m.w.state_bytes()
-    evofa_run(m, rows_of(m, train), snaps, target_from(m, test), cfg)
-    assert m.theta.state_bytes() == theta_before
-    assert m.w.state_bytes() == w_before
+    phi = model.phi.copy()
+    evofa_run(phi, rows_of(model, train), [snaps] * cfg.max_iter, target_from(model, test), cfg)
+    assert phi.state_bytes() == model.phi.state_bytes()
 
 
 def test_run_deterministic(pools):
@@ -491,22 +493,30 @@ def test_run_deterministic(pools):
     snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(4))
     m = create_model(BACKBONE, seed=7)
     target, train_rows = target_from(m, test), rows_of(m, train)
-    a = evofa_run(m, train_rows, snaps, target, cfg)
-    b = evofa_run(create_model(BACKBONE, seed=7), train_rows, snaps, target, cfg)
-    assert a.phi.state_bytes() == b.phi.state_bytes()
+    a = evofa_run(m.phi, train_rows, [snaps], target, cfg)
+    b = evofa_run(create_model(BACKBONE, seed=7).phi, train_rows, [snaps], target, cfg)
+    assert a.state_bytes() == b.state_bytes()
 
 
-def test_run_calls_snapshot_source_per_iteration(pools, model):
+def test_run_hands_each_draw_to_both_steps_in_order(pools, model, monkeypatch):
     train, _, test = pools
-    cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=0.0, eta_out=0.0, max_iter=3)
-    calls = []
+    cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=1e-2, eta_out=1e-2)
+    draws = [sample_snapshots_intra(train, cfg, np.random.default_rng([it])) for it in range(3)]
+    seen = spy_on_steps(monkeypatch)
+    evofa_run(model.phi.copy(), rows_of(model, train), draws, target_from(model, test), cfg)
+    assert [id(d) for d in seen["inner"]] == [id(d) for d in draws]
+    assert [id(d) for d in seen["outer"]] == [id(d) for d in draws]
 
-    def source(it):
-        calls.append(it)
-        return sample_snapshots_intra(train, cfg, np.random.default_rng([it]))
 
-    evofa_run(model, rows_of(model, train), source, target_from(model, test), cfg)
-    assert calls == [0, 1, 2]
+def test_run_over_two_draws_equals_two_one_draw_runs(pools, model):
+    train, _, test = pools
+    cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=0.05, eta_out=0.05)
+    d0, d1 = (sample_snapshots_intra(train, cfg, np.random.default_rng([it, 5])) for it in range(2))
+    target, train_rows = target_from(model, test), rows_of(model, train)
+    both = evofa_run(model.phi.copy(), train_rows, [d0, d1], target, cfg)
+    one_by_one = evofa_run(model.phi.copy(), train_rows, [d0], target, cfg)
+    evofa_run(one_by_one, train_rows, [d1], target, cfg)
+    assert both.state_bytes() == one_by_one.state_bytes() != model.phi.state_bytes()
 
 
 def test_run_reduces_query_alignment():
@@ -526,9 +536,9 @@ def test_run_reduces_query_alignment():
         )
         snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 53]))
         target, train_rows = target_from(m, test, seed=seed), rows_of(m, train)
-        before = mean_alignment(m, train_rows, snaps, target, cfg)
-        evofa_run(m, train_rows, snaps, target, cfg)
-        after = mean_alignment(m, train_rows, snaps, target, cfg)
+        before = mean_alignment(m.phi, train_rows, snaps, target, cfg)
+        evofa_run(m.phi, train_rows, [snaps] * cfg.max_iter, target, cfg)
+        after = mean_alignment(m.phi, train_rows, snaps, target, cfg)
         assert after < before
 
 
@@ -673,19 +683,22 @@ def per_episode_reference(model, test, train, kind, ecfg, acfg):
     """Accuracies and adapted adapters of the episode-at-a-time loop on 2-D rows."""
     sampler = sample_snapshots_intra if kind == "intra" else sample_snapshots_inter
     test_rows, train_rows = rows_of(model, test), rows_of(model, train)
-    work = model.copy()
+    phi = model.phi.copy()
     accuracies, phis = [], []
     for ep_idx in range(ecfg.episodes):
         if not ecfg.persist_adaptation:
-            work.phi = model.phi.copy()
+            phi = model.phi.copy()
         rng = np.random.default_rng([ecfg.rng_seed, 10, ep_idx])
         episode = sample_episode(test, ecfg.way, ecfg.shot, ecfg.queries, rng)
         rng = np.random.default_rng([ecfg.rng_seed, 11, ep_idx])
         target = adapt_mod._target_indices(test, episode, acfg, rng)
-        source = lambda it: sampler(train, acfg, np.random.default_rng([ecfg.rng_seed, 12, ep_idx, it]))
-        evofa_run(work, train_rows, source, test_rows[target], acfg)
-        accuracies.append(classify_query(episode, work, test_rows, work.phi)[1])
-        phis.append(work.phi.copy())
+        rounds = [
+            sampler(train, acfg, np.random.default_rng([ecfg.rng_seed, 12, ep_idx, it]))
+            for it in range(acfg.max_iter)
+        ]
+        evofa_run(phi, train_rows, rounds, test_rows[target], acfg)
+        accuracies.append(classify_query(episode, model, test_rows, phi)[1])
+        phis.append(phi.copy())
     return tuple(accuracies), phis
 
 
@@ -696,8 +709,8 @@ def grouped_run(monkeypatch, model, test, train, kind, ecfg, acfg):
 
     def recording_run(stacked, *args):
         real_run(stacked, *args)
-        slices = stacked.phi.entries[0][1].shape[0]
-        phis.extend(adapt_mod._slice_adapter(stacked.phi, k) for k in range(slices))
+        slices = stacked.entries[0][1].shape[0]
+        phis.extend(adapt_mod._slice_adapter(stacked, k) for k in range(slices))
         return stacked
 
     monkeypatch.setattr(adapt_mod, "evofa_run", recording_run)
@@ -751,11 +764,11 @@ def test_adapted_group_peak_memory_below_stacked_pair_buffers(pools, model):
     draws = np.stack([sample_snapshots_intra(train, acfg, np.random.default_rng(k)) for k in range(group)])
     picks = [np.random.default_rng(k).choice(len(test), 30, replace=False) for k in range(group)]
     targets = test_rows[np.stack(picks)]
-    stacked = lambda: replace(model, phi=adapt_mod._stack_adapter(model.phi, group))
-    evofa_run(stacked(), train_rows, draws, targets, acfg)  # warm caches
+    stacked = lambda: adapt_mod._stack_adapter(model.phi, group)
+    evofa_run(stacked(), train_rows, [draws], targets, acfg)  # warm caches
     tracemalloc.start()
     try:
-        evofa_run(stacked(), train_rows, draws, targets, acfg)
+        evofa_run(stacked(), train_rows, [draws], targets, acfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -3,6 +3,7 @@ import json
 import re
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -405,6 +406,24 @@ def test_export_import_round_trip_seed_convention(tmp_path):
         assert np.array_equal(getattr(ds, column), getattr(back, column)), column
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
+def test_export_refuses_a_feature_float32_cannot_hold_naming_its_trial(tmp_path, value):
+    # a finite 1e39 was written as inf, and the importer then rejected the container
+    ds = data.generate_synthetic_drift(SMALL)
+    features = ds.features.copy()
+    row = int(np.flatnonzero((ds.subject == 2) & (ds.session == 3) & (ds.trial == 4))[1])
+    features[row, 3, 2] = value
+    bad = data.DatasetIndex(
+        features, ds.subject, ds.session, ds.trial, ds.time, ds.label, ds.num_classes, ds.schema
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^feature beyond float32 range or not finite at subject 2, session 3, trial 4$"):
+            data.export_features(bad, tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+    assert not (tmp_path / "features").exists()
+
+
 # -- dataset invariants ---------------------------------------------------------
 
 def test_time_index_strictly_increasing_per_session():
@@ -514,6 +533,18 @@ def test_generator_config_rejects_bool_counts(field):
 def test_generator_rejects_non_finite_scales(field, value):
     with pytest.raises(ConfigError, match=field):
         data.DriftConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value", [("class_separation", 1e39), ("noise_std", 1e39), ("intra_drift_rate", 1e38), ("noise_std", 1e308)]
+)
+def test_generator_rejects_scales_whose_features_float32_cannot_hold(field, value):
+    # each value meets its Scale rule; the features came out inf, with only numpy's cast warning
+    cfg = replace(SMALL, **{field: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"beyond float32 range: .*{field}"):
+            data.generate_synthetic_drift(cfg)
 
 
 def test_class_separation_is_exact_in_the_noiseless_limit():

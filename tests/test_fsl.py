@@ -1,5 +1,6 @@
 """Tests for episodic sampling, the three few-shot losses, and the training loops."""
 import math
+import re
 import weakref
 from dataclasses import replace
 
@@ -401,6 +402,14 @@ def test_train_config_rejects_bad_values():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(max_epochs=-1)
+
+
+@pytest.mark.parametrize("kind", ["xyz", "linear", "Proto", ""])
+def test_train_config_rejects_a_head_that_is_not_episodic(kind):
+    # "linear" is a head kind, but only the supervised baseline's: it has no episode loss
+    with pytest.raises(ConfigError, match=re.escape(f"head_kind must be one of {fsl.EPISODIC_HEADS}, got {kind!r}")):
+        TrainConfig(head_kind=kind)
+    assert fsl.EPISODIC_HEADS == ("matching", "relation", "proto")
 
 
 @pytest.mark.parametrize("config", [TrainConfig, SupervisedConfig])

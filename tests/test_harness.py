@@ -14,7 +14,7 @@ from evofa.adapt import AdaptConfig, EvalConfig
 from evofa.backbone import BackboneConfig
 from evofa.data import FIELD_RULES, DriftConfig, generate_synthetic_drift
 from evofa.errors import ConfigError, ProtocolError
-from evofa.fsl import SupervisedConfig, TrainConfig
+from evofa.fsl import EPISODIC_HEADS, SupervisedConfig, TrainConfig
 from evofa.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -589,6 +589,25 @@ CROSS_FIELD = {
         {"kernel": {"bandwidths": [1.0, 2.0], "weights": [1.0]}},
         "config adapt kernel: one weight per bandwidth",
     ),
+    # each loaded and failed, or ran, only later: at the first cell, or as MMD^2 of 0 or NaN
+    **{
+        f"head_kind={kind}": (
+            ("train",),
+            {"head_kind": kind},
+            f"config train: head_kind must be one of ('matching', 'relation', 'proto'), got {kind!r}",
+        )
+        for kind in ("xyz", "linear")
+    },
+    "kernel-weight-sum": (
+        ("adapt",),
+        {"kernel": {"bandwidths": [1.0, 2.0], "weights": [1e308, 1e308]}},
+        "config adapt kernel: weights must not all be zero and must have a finite sum",
+    ),
+    "kernel-bandwidth": (
+        ("adapt",),
+        {"kernel": {"bandwidths": [1e-160], "weights": [1.0]}},
+        "config adapt kernel: bandwidths must have finite positive sigma^2 and 1/sigma^2",
+    ),
 }
 
 
@@ -762,14 +781,15 @@ def backbone_configs(draw):
     )
 
 
+BANDWIDTHS = st.floats(1e-150, 1e150)  # sigma^2 and 1/sigma^2 finite
 KERNELS = st.integers(1, 4).flatmap(
-    lambda n: st.builds(KernelSpec, st.tuples(*[POSITIVES] * n), st.tuples(*[st.integers(1, 9)] * n))
+    lambda n: st.builds(KernelSpec, st.tuples(*[BANDWIDTHS] * n), st.tuples(*[st.integers(1, 9)] * n))
 )
 ADAPT_CONFIGS = st.builds(
     AdaptConfig, COUNTS, COUNTS, SCALES, SCALES, NATURALS, NATURALS, st.just("median-auto") | KERNELS
 )
 TRAIN_CONFIGS = st.builds(
-    TrainConfig, st.sampled_from(backbone.HEAD_KINDS), COUNTS, NATURALS, POSITIVES, COUNTS, COUNTS, COUNTS, COUNTS
+    TrainConfig, st.sampled_from(EPISODIC_HEADS), COUNTS, NATURALS, POSITIVES, COUNTS, COUNTS, COUNTS, COUNTS
 )
 SUPERVISED_CONFIGS = st.builds(SupervisedConfig, st.integers(2, 10**6), COUNTS, POSITIVES, NATURALS)
 IDS = st.lists(st.integers(0, 10**6), unique=True, max_size=4).map(tuple)

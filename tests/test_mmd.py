@@ -43,6 +43,29 @@ def test_kernel_spec_rejects_non_finite(bad):
         mmd.KernelSpec((1.0, 2.0), (1.0, bad))
 
 
+@pytest.mark.parametrize("sigma", [1e-160, 1e-170, 1e155, 1e200])
+def test_kernel_spec_rejects_bandwidth_whose_square_or_inverse_square_overflows(sigma):
+    # 1e-160: -0.5 / sigma^2 is -inf and MMD^2 NaN; 1e200: sigma^2 is inf and MMD^2 exactly 0
+    with pytest.raises(ConfigError, match=r"^bandwidths must have finite positive sigma\^2 and 1/sigma\^2"):
+        mmd.KernelSpec.single(sigma)
+
+
+def test_kernel_spec_rejects_weights_whose_sum_overflows():
+    # the sum is inf, so normalizing would zero every weight and switch the loss off
+    with pytest.raises(ConfigError, match="^weights must not all be zero and must have a finite sum"):
+        mmd.KernelSpec((1.0, 2.0), (1e308, 1e308))
+    assert mmd.KernelSpec((1.0, 2.0), (1e307, 1e307)).weights == (0.5, 0.5)
+
+
+@pytest.mark.parametrize("sigma", [1e-150, 1e150])
+def test_kernel_spec_at_the_edges_of_its_range_gives_a_finite_mmd2(sigma):
+    x = t(np.random.default_rng(0).normal(size=(6, 3)), grad=True)
+    loss = mmd.mmd2(x, t(x.data + 1.0), mmd.KernelSpec.single(sigma))
+    ad.backward(loss)
+    assert np.isfinite(loss.item()) and loss.item() >= 0.0
+    assert np.all(np.isfinite(x.grad))
+
+
 def test_kernel_ladder_around_sigma():
     spec = mmd.KernelSpec.around(2.0)
     assert spec.bandwidths == (1.0, 2.0, 4.0)
