@@ -245,9 +245,6 @@ class EvalReport:
     """Accuracy summary over evaluation episodes (std is population std, ddof 0)."""
 
     method: str
-    way: int
-    shot: int
-    queries: int
     episodes: int
     mean_accuracy: float
     std_accuracy: float
@@ -360,9 +357,6 @@ def evofa_test(
     arr = np.array(accuracies)
     return EvalReport(
         method="fsl" if adapt_cfg is None else "fsl+evofa",
-        way=eval_cfg.way,
-        shot=eval_cfg.shot,
-        queries=eval_cfg.queries,
         episodes=eval_cfg.episodes,
         mean_accuracy=float(arr.mean()),
         std_accuracy=float(arr.std()),

@@ -74,17 +74,6 @@ class Model:
     w: ParamGroup
     bn_states: list[BatchNormState] = field(default_factory=list)
 
-    def head(self, support: Tensor, support_labels: np.ndarray, query: Tensor) -> Tensor:
-        return head_forward(
-            support,
-            support_labels,
-            query,
-            self.w,
-            self.config.head_kind,
-            self.config.num_classes,
-            temperature=self.config.matching_temperature,
-        )
-
     def groups(self) -> list[ParamGroup]:
         return [self.theta, self.phi, self.w]
 
@@ -252,54 +241,28 @@ def adapt(embedding: Tensor, phi: ParamGroup) -> Tensor:
 
 # -- classification heads ---------------------------------------------------------
 
-def _check_support_classes(support_labels: np.ndarray, num_classes: int) -> None:
-    present = set(int(v) for v in support_labels)
-    missing = [k for k in range(num_classes) if k not in present]
-    if missing:
-        raise ProtocolError(f"classes {missing} absent from support set")
+def head_forward(model: Model, support: Tensor, query: Tensor) -> Tensor:
+    """Per-query class scores [Q x N] of the model's episodic head.
 
-
-def _class_onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    onehot = np.zeros((num_classes, labels.size))
-    onehot[labels, np.arange(labels.size)] = 1.0
-    return onehot
-
-
-def head_forward(
-    support: Tensor,
-    support_labels: np.ndarray,
-    query: Tensor,
-    w: ParamGroup,
-    head_kind: str,
-    num_classes: int,
-    temperature: float = 10.0,
-) -> Tensor:
-    """Per-query class scores [Q x N] of an episodic head; semantics depend on the head kind."""
-    if head_kind not in HEAD_KINDS:
-        raise ConfigError(f"unknown head kind {head_kind!r}")
-    if head_kind == "linear":
+    ``support`` [S x q] holds the episode's support rows in N = ``num_classes``
+    class blocks: its first S/N rows are class 0, the next S/N class 1, and so on.
+    """
+    cfg = model.config
+    if cfg.head_kind == "linear":
         raise ProtocolError("linear head is not episodic; use classify_pool")
+    num_classes = cfg.num_classes
+    onehot = np.repeat(np.eye(num_classes), support.shape[0] // num_classes, axis=1)  # [N x S]
 
-    support_labels = np.asarray(support_labels, dtype=np.int64)
-    if support.ndim != 2 or query.ndim != 2 or support.shape[1] != query.shape[1]:
-        raise ShapeError(
-            f"support {support.shape} and query {query.shape} must be [m x q] with equal q"
-        )
-    if support_labels.shape != (support.shape[0],):
-        raise ShapeError("one label per support row required")
-    _check_support_classes(support_labels, num_classes)
-    onehot = _class_onehot(support_labels, num_classes)  # [N x S]
-
-    if head_kind == "proto":
+    if cfg.head_kind == "proto":
         weights = onehot / onehot.sum(axis=1, keepdims=True)
         prototypes = ad.matmul(Tensor(weights), support)  # [N x q]
         return ad.neg(ad.sq_euclidean_pairwise(query, prototypes))
 
-    if head_kind == "matching":
+    if cfg.head_kind == "matching":
         qn = _row_normalize(query)
         sn = _row_normalize(support)
         sims = ad.matmul(qn, ad.transpose(sn))  # [Q x S]
-        attention = ad.softmax(ad.mul(sims, Tensor(temperature)), axis=-1)
+        attention = ad.softmax(ad.mul(sims, Tensor(cfg.matching_temperature)), axis=-1)
         return ad.matmul(attention, Tensor(onehot.T))  # [Q x N]
 
     # relation: learned scorer over [query (+) class-summed support]
@@ -308,8 +271,8 @@ def head_forward(
     q_rep = ad.take(query, np.repeat(np.arange(num_query), num_classes))
     s_rep = ad.take(sums, np.tile(np.arange(num_classes), num_query))
     pairs = ad.concat([q_rep, s_rep], axis=1)  # [Q*N x 2q]
-    hidden = ad.relu(ad.add(ad.matmul(pairs, w.get("rel_w1")), w.get("rel_b1")))
-    scores = ad.sigmoid(ad.add(ad.matmul(hidden, w.get("rel_w2")), w.get("rel_b2")))
+    hidden = ad.relu(ad.add(ad.matmul(pairs, model.w.get("rel_w1")), model.w.get("rel_b1")))
+    scores = ad.sigmoid(ad.add(ad.matmul(hidden, model.w.get("rel_w2")), model.w.get("rel_b2")))
     return ad.reshape(scores, (num_query, num_classes))
 
 

@@ -112,7 +112,8 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
     and writes nothing.
     """
     path = Path(path)
-    header, payload = _header_dict(model)
+    with np.errstate(over="ignore"):  # a value beyond float32 range casts to inf, which _check_values rejects
+        header, payload = _header_dict(model)
     _check_values(path, header, payload)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob = (

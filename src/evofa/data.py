@@ -379,9 +379,9 @@ _FIELDS = {
     "subjects": (_is_list, "a list"),
     "sessions": (_is_list, "a list"),
     "trials": (_is_list, "a list"),
-    "id": (_is_int, "an integer"),
+    "id": FIELD_RULES["Natural"],  # subject and session ids seed their cell's random streams
     "label": (_is_int, "an integer"),
-    "count": (lambda value: _is_int(value, 0), "a nonnegative integer"),
+    "count": FIELD_RULES["Natural"],
     "file": (lambda value: isinstance(value, str), "a string"),
 }
 

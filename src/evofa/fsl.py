@@ -77,7 +77,7 @@ def _scores_from_embeddings(
         )
     support_emb = ad.take(emb, slice(0, support.size))
     query_emb = ad.take(emb, slice(support.size, emb.shape[0]))
-    scores = model.head(support_emb, _local_targets(support), query_emb)
+    scores = backbone.head_forward(model, support_emb, query_emb)
     return scores, _local_targets(query)
 
 

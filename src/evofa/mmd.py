@@ -108,9 +108,10 @@ def mmd2(x: Tensor, y: Tensor, spec: KernelSpec | Sequence[KernelSpec]) -> Tenso
     for square, points in zip(dist2, z):  # per slice: pair buffers for a whole stack are G times larger
         square[rows, cols] = square[cols, rows] = _pair_sq_dists(points)
     kernels = []
-    for s in sigma.T:
-        scaled = dist2 * (-0.5 / (s * s))[:, None, None]
-        kernels.append(np.exp(scaled))  # numpy runs exp(<temporary>) in place, 5x slower
+    with np.errstate(over="ignore"):  # a product beyond float64 range is -inf, and exp(-inf) = 0 is exact
+        for s in sigma.T:
+            scaled = dist2 * (-0.5 / (s * s))[:, None, None]
+            kernels.append(np.exp(scaled))  # numpy runs exp(<temporary>) in place, 5x slower
     # The mixture sums in ladder order and each block mean reduces a contiguous
     # copy, so the value is bitwise that of three separate kernel matrices.
     mix = None

@@ -323,10 +323,9 @@ def test_pipeline_accuracy_unchanged_by_identity_adapter():
     rng = np.random.default_rng(8)
     support = backbone.encode(t(rng.normal(size=(6, 4, 4))), model)
     query = backbone.encode(t(rng.normal(size=(9, 4, 4))), model)
-    labels = np.array([0, 1, 2, 0, 1, 2])
-    raw = model.head(support, labels, query).data
-    adapted = model.head(
-        backbone.adapt(support, model.phi), labels, backbone.adapt(query, model.phi)
+    raw = backbone.head_forward(model, support, query).data
+    adapted = backbone.head_forward(
+        model, backbone.adapt(support, model.phi), backbone.adapt(query, model.phi)
     ).data
     assert np.argmax(raw, axis=1).tolist() == np.argmax(adapted, axis=1).tolist()
     assert np.allclose(raw, adapted, atol=1e-7)
@@ -337,9 +336,8 @@ def test_pipeline_accuracy_unchanged_by_identity_adapter():
 def test_proto_one_shot_prototype_is_the_support_point():
     model = backbone.create_model(TINY, seed=7)
     support = t([[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0]])
-    labels = np.array([0, 1, 2])
     query = t([[1.0, 0.0, 0.0, 0.0, 0.0]])
-    scores = model.head(support, labels, query).data
+    scores = backbone.head_forward(model, support, query).data
     assert scores[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert scores[0, 1] == pytest.approx(-2.0, abs=1e-12)
     assert np.argmax(scores[0]) == 0
@@ -351,12 +349,11 @@ def test_proto_prototype_is_class_mean():
         embedding_dim=2, adapter_hidden=4, head_kind="proto", num_classes=2,
     )
     model = backbone.create_model(cfg, seed=0)
-    support = t([[1.0, 1.0], [3.0, 3.0], [5.0, 0.0]])
-    labels = np.array([0, 0, 1])
+    support = t([[1.0, 1.0], [3.0, 3.0], [5.0, 0.0], [5.0, 2.0]])  # two class blocks of two
     query = t([[2.0, 2.0]])
-    scores = model.head(support, labels, query).data
+    scores = backbone.head_forward(model, support, query).data
     assert scores[0, 0] == pytest.approx(0.0, abs=1e-12)  # prototype lands on (2,2)
-    assert scores[0, 1] == pytest.approx(-13.0, abs=1e-12)
+    assert scores[0, 1] == pytest.approx(-10.0, abs=1e-12)  # and on (5,1)
 
 
 def test_matching_attention_concentrates_on_identical_support():
@@ -366,9 +363,8 @@ def test_matching_attention_concentrates_on_identical_support():
     )
     model = backbone.create_model(cfg, seed=0)
     support = t(np.eye(3))  # mutually orthogonal support points
-    labels = np.array([0, 1, 2])
     query = t([[1.0, 0.0, 0.0]])
-    scores = model.head(support, labels, query).data
+    scores = backbone.head_forward(model, support, query).data
     assert scores[0, 0] > 1.0 - 1e-3
     assert scores.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -380,9 +376,7 @@ def test_matching_scores_form_a_distribution():
     )
     model = backbone.create_model(cfg, seed=1)
     rng = np.random.default_rng(9)
-    scores = model.head(
-        t(rng.normal(size=(6, 3))), np.array([0, 1, 0, 1, 0, 1]), t(rng.normal(size=(4, 3)))
-    ).data
+    scores = backbone.head_forward(model, t(rng.normal(size=(6, 3))), t(rng.normal(size=(4, 3)))).data
     assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
     assert (scores >= 0).all()
 
@@ -394,9 +388,7 @@ def test_relation_scores_are_sigmoid_bounded():
     )
     model = backbone.create_model(cfg, seed=2)
     rng = np.random.default_rng(10)
-    scores = model.head(
-        t(rng.normal(size=(6, 3))), np.array([0, 1, 2, 0, 1, 2]), t(rng.normal(size=(5, 3)))
-    )
+    scores = backbone.head_forward(model, t(rng.normal(size=(6, 3))), t(rng.normal(size=(5, 3))))
     assert scores.shape == (5, 3)
     assert (scores.data > 0).all() and (scores.data < 1).all()
 
@@ -408,15 +400,9 @@ def test_relation_gradients_reach_relation_weights():
     )
     model = backbone.create_model(cfg, seed=3)
     rng = np.random.default_rng(11)
-    scores = model.head(t(rng.normal(size=(4, 3))), np.array([0, 1, 0, 1]), t(rng.normal(size=(3, 3))))
+    scores = backbone.head_forward(model, t(rng.normal(size=(4, 3))), t(rng.normal(size=(3, 3))))
     ad.backward(scores.sum())
     assert all(p.grad is not None for p in model.w.tensors())
-
-
-def test_head_missing_class_rejected():
-    model = backbone.create_model(TINY, seed=8)
-    with pytest.raises(ProtocolError):
-        model.head(t(np.zeros((2, 5))), np.array([0, 1]), t(np.zeros((1, 5))))
 
 
 def test_linear_head_ignores_support():
@@ -431,19 +417,52 @@ def test_linear_head_ignores_support():
     expect = query.data @ model.w.get("lin_w").data + model.w.get("lin_b").data
     assert np.allclose(scores.data, expect)
     with pytest.raises(ProtocolError, match="linear head is not episodic"):
-        model.head(t(np.zeros((0, 3))), np.array([], dtype=np.int64), query)
+        backbone.head_forward(model, t(np.zeros((0, 3))), query)
 
 
 def test_proto_argmax_translation_invariant():
     model = backbone.create_model(TINY, seed=9)
     rng = np.random.default_rng(13)
     support = rng.normal(size=(6, 5))
-    labels = np.array([0, 1, 2, 0, 1, 2])
     query = rng.normal(size=(8, 5))
     shift = rng.normal(size=5)
-    base = model.head(t(support), labels, t(query)).data
-    moved = model.head(t(support + shift), labels, t(query + shift)).data
+    base = backbone.head_forward(model, t(support), t(query)).data
+    moved = backbone.head_forward(model, t(support + shift), t(query + shift)).data
     assert np.array_equal(np.argmax(base, axis=1), np.argmax(moved, axis=1))
+
+
+def reference_head(model, support, query):
+    """Per-query class scores written out loop by loop, for support in class blocks."""
+    cfg, w = model.config, {name: v.data for name, v in model.w.entries}
+    blocks = np.split(support, cfg.num_classes)
+    if cfg.head_kind == "proto":
+        return np.array([[-np.sum((q - b.mean(axis=0)) ** 2) for b in blocks] for q in query])
+    if cfg.head_kind == "matching":
+        unit = lambda v: v / np.linalg.norm(v)
+        scores = []
+        for q in query:
+            e = np.array([np.exp(cfg.matching_temperature * unit(q) @ unit(s)) for s in support])
+            scores.append([block.sum() / e.sum() for block in np.split(e, cfg.num_classes)])
+        return np.array(scores)
+    relu = lambda v: np.maximum(v, 0.0)
+    score = lambda q, b: relu(np.concatenate([q, b.sum(axis=0)]) @ w["rel_w1"] + w["rel_b1"]) @ w["rel_w2"] + w["rel_b2"]
+    return np.array([[1.0 / (1.0 + np.exp(-score(q, b)[0])) for b in blocks] for q in query])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    head=st.sampled_from(["proto", "matching", "relation"]),
+    way=st.integers(2, 4),
+    shot=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_head_on_class_block_support_equals_a_reference(head, way, shot, seed):
+    model = backbone.create_model(replace(TINY, head_kind=head, num_classes=way), seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    support, query = rng.normal(size=(way * shot, 5)), rng.normal(size=(4, 5))
+    scores = backbone.head_forward(model, t(support), t(query)).data
+    assert scores.shape == (4, way)
+    assert np.allclose(scores, reference_head(model, support, query), rtol=1e-12, atol=1e-12)
 
 
 # -- shape totality sweep ------------------------------------------------------------
@@ -473,9 +492,8 @@ def test_pipeline_shape_total_over_random_configs(seed):
     shots = int(rng.integers(1, 3))
     support_x = Tensor(rng.normal(size=(num_classes * shots, n, d)))
     query_x = Tensor(rng.normal(size=(4, n, d)))
-    labels = np.tile(np.arange(num_classes), shots)
     support = backbone.adapt(backbone.encode(support_x, model), model.phi)
     query = backbone.adapt(backbone.encode(query_x, model), model.phi)
-    scores = model.head(support, labels, query)
+    scores = backbone.head_forward(model, support, query)
     assert scores.shape == (4, num_classes)
     assert scores.is_finite()

@@ -467,7 +467,6 @@ def test_zero_running_var_loads(model, tmp_path):
     assert load_checkpoint(path).bn_states[0].running_var[0] == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 def test_value_beyond_float32_range_is_not_saved(model, tmp_path):
     model.phi.get("fc1_b").data[3] = 1e39  # float32 holds up to ~3.4e38; it would save as inf
     path = tmp_path / "m.ckpt"

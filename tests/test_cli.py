@@ -157,6 +157,21 @@ def test_import_check_reports_inventory(workspace, capsys):
     assert "ok: 360 samples, 2 subjects, sessions [1, 2, 3], schema 4x3, 3 classes" in line
 
 
+def test_import_check_rejects_a_negative_subject_id_naming_manifest_entry_and_field(workspace, tmp_path, capsys):
+    # a subject id seeds its cell's random streams, so -1 must fail here, not once training starts
+    out = tmp_path / "data"
+    assert main(["synth-gen", "--config", str(workspace / "dataset.json"), "--out", str(out)]) == 0
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["subjects"][0]["id"] = -1
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["import-check", "--manifest", str(manifest_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{manifest_path}: subject -1 field 'id' must be a nonnegative integer, got -1" in captured.err
+
+
 def test_import_check_missing_manifest(tmp_path, capsys):
     rc = main(["import-check", "--manifest", str(tmp_path / "absent.json")])
     assert rc == 1

@@ -192,9 +192,13 @@ WRONG_TYPE = [
     ("trial", "label", None, "trial 7 field 'label' must be an integer"),
     ("trial", "label", "1", "trial 7 field 'label' must be an integer"),
     ("trial", "file", 5, "trial 7 field 'file' must be a string"),
-    ("trial", "id", "x", "trial at position 0 field 'id' must be an integer"),
-    ("trial", "id", 1.7, "trial at position 0 field 'id' must be an integer"),
-    ("trial", "id", True, "trial at position 0 field 'id' must be an integer"),
+    ("trial", "id", "x", "trial at position 0 field 'id' must be a nonnegative integer"),
+    ("trial", "id", 1.7, "trial at position 0 field 'id' must be a nonnegative integer"),
+    ("trial", "id", True, "trial at position 0 field 'id' must be a nonnegative integer"),
+    # ids seed the random streams of their cell, and numpy seeds take no negative entropy
+    ("subject", "id", -1, "subject -1 field 'id' must be a nonnegative integer, got -1"),
+    ("session", "id", -1, "subject 1 session -1 field 'id' must be a nonnegative integer, got -1"),
+    ("trial", "id", -1, "subject 1 session 1 trial -1 field 'id' must be a nonnegative integer, got -1"),
     ("trial", "count", "a", "trial 7 field 'count' must be a nonnegative integer"),
     ("trial", "count", -1, "trial 7 field 'count' must be a nonnegative integer"),
     ("schema", "electrodes", "x", "schema field 'electrodes' must be an integer"),

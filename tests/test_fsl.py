@@ -267,17 +267,15 @@ def test_way_mismatch_rejected():
 
 
 def support_order_losses(kind, shot, seed):
-    """A 3-way loss through ``backbone.head_forward``, support rows in class order then shuffled."""
+    """A 3-way loss through ``backbone.head_forward``, support rows in class blocks, then
+    reversed within each block."""
     model = create_model(tiny_backbone(head_kind=kind), seed=0)
     rng = np.random.default_rng(seed)
     support, query = rng.normal(size=(3 * shot, 2)), rng.normal(size=(6, 2))
-    labels = np.repeat(np.arange(3), shot)
+    blocks = np.arange(3 * shot).reshape(3, shot)
     losses = []
-    for order in (np.arange(len(labels)), rng.permutation(len(labels))):
-        scores = backbone.head_forward(
-            Tensor(support[order]), labels[order], Tensor(query), model.w, kind, 3,
-            temperature=model.config.matching_temperature,
-        )
+    for order in (blocks.ravel(), blocks[:, ::-1].ravel()):
+        scores = backbone.head_forward(model, Tensor(support[order]), Tensor(query))
         losses.append(loss_from_scores(scores, np.repeat(np.arange(3), 2), kind).item())
     return losses
 

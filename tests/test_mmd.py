@@ -66,6 +66,18 @@ def test_kernel_spec_at_the_edges_of_its_range_gives_a_finite_mmd2(sigma):
     assert np.all(np.isfinite(x.grad))
 
 
+def test_mmd2_of_the_smallest_bandwidths_is_exact_without_a_warning():
+    # with sigma = 1e-154 a squared distance beyond ~3.6 overflows -dist2 / (2 sigma^2) to -inf,
+    # whose kernel value exp(-inf) = 0 is exact: only the diagonal is left, so MMD^2 = 1/6 + 1/6
+    x = t(np.random.default_rng(0).normal(size=(6, 3)), grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = mmd.mmd2(x, t(x.data + 1.0), mmd.KernelSpec.single(1e-154))
+        ad.backward(loss)
+    assert loss.item() == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert np.all(np.isfinite(x.grad))
+
+
 def test_kernel_ladder_around_sigma():
     spec = mmd.KernelSpec.around(2.0)
     assert spec.bandwidths == (1.0, 2.0, 4.0)
