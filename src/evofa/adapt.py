@@ -287,11 +287,6 @@ def _stack_adapter(phi: ParamGroup, count: int) -> ParamGroup:
     )
 
 
-def _slice_adapter(stacked: ParamGroup, index: int) -> ParamGroup:
-    """Slice ``index`` of a stacked adapter; a bias keeps its row axis, [1 x h]."""
-    return ParamGroup(stacked.name, [(n, Tensor(t.data[index])) for n, t in stacked.entries])
-
-
 def evofa_test(
     model: Model,
     test_pool: DatasetIndex,
@@ -318,8 +313,10 @@ def evofa_test(
     Episodes are independent unless adaptation persists, so they run in
     groups of EPISODE_GROUP: every episode of a group, its target and its
     per-round snapshots are drawn first, then ``evofa_run`` adapts the group's
-    stacked adapter, one slice per episode. Persisted adaptation runs the
-    same code on groups of one, carrying its stack of one along.
+    stacked adapter, one slice per episode, and ``classify_query`` scores the
+    group as one stack with it (with the model's adapter when not adapting).
+    Persisted adaptation runs the same code on groups of one, carrying its
+    stack of one along.
     """
     if split_kind == "intra":
         sampler = sample_snapshots_intra
@@ -338,7 +335,7 @@ def evofa_test(
             sample_episode(test_pool, eval_cfg.way, eval_cfg.shot, eval_cfg.queries, rng(10, i))
             for i in indices
         ]
-        adapters = [model.phi] * len(episodes)
+        phi = model.phi
         if adapt_cfg is not None:
             targets = [
                 _target_indices(test_pool, episode, adapt_cfg, rng(11, i))
@@ -351,9 +348,7 @@ def evofa_test(
             ]
             phi = carried if persist else _stack_adapter(model.phi, len(indices))
             evofa_run(phi, train_rows, rounds, test_rows[np.stack(targets)], adapt_cfg)
-            adapters = [_slice_adapter(phi, k) for k in range(len(indices))]
-        for episode, adapter in zip(episodes, adapters):
-            accuracies.append(classify_query(episode, model, test_rows, adapter)[1])
+        accuracies.extend(classify_query(episodes, model, test_rows, phi)[1])
     arr = np.array(accuracies)
     return EvalReport(
         method="fsl" if adapt_cfg is None else "fsl+evofa",

@@ -79,10 +79,7 @@ def _cmd_synth_gen(args, out: _Outputs) -> int:
     cfg = load_drift_config(args.config)
     ds = generate_synthetic_drift(cfg)
     out_dir = Path(args.out)
-    manifest = export_features(ds, out_dir)
-    out.track(manifest)
-    for path in sorted((out_dir / "features").glob("*.evfa")):
-        out.track(path)
+    manifest = [out.track(path) for path in export_features(ds, out_dir)][-1]
     out.track(write_run_manifest(out_dir, cfg))
     print(
         f"wrote {len(ds)} samples over {len(ds.subjects())} subjects "

@@ -7,6 +7,7 @@ pass through float32 on generation so export/import round-trips exactly.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -350,24 +351,52 @@ def _read_feature_file(path: Path, count: int, schema: tuple[int, int]) -> np.nd
     return arr.reshape(count, schema[0], schema[1])
 
 
-def atomic_write(path: Path, blob: bytes) -> None:
-    """Write ``blob`` to ``<name>.tmp`` beside ``path``, then rename it over ``path``.
+def atomic_write(path: Path, blob: bytes) -> Path:
+    """Write ``blob`` to ``<name>.tmp`` beside ``path``, then rename it over ``path``; returns ``path``.
 
-    A reader sees the old file or the whole new one, never a partial write.
+    A reader sees the old file or the whole new one, never a partial write. A
+    failed write removes its ``.tmp`` and raises an OSError that names ``path``.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    except OSError as e:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise OSError(e.errno, e.strerror, str(path)) from e
+    return path
 
 
-def _write_feature_file(path: Path, features: np.ndarray) -> None:
+def write_files(files) -> list[Path]:
+    """``atomic_write`` each ``(path, blob)`` that ``files`` yields, in order; returns the paths.
+
+    All or nothing: if a write fails or ``files`` raises, the files already
+    written are removed before the error propagates.
+    """
+    written = []
+    try:
+        for path, blob in files:
+            written.append(atomic_write(path, blob))
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        raise
+    return written
+
+
+def _feature_blob(features: np.ndarray) -> bytes:
     payload = np.ascontiguousarray(features, dtype="<f4").tobytes()
-    atomic_write(path, FEATURE_MAGIC + struct.pack("<I", FEATURE_VERSION) + payload)
+    return FEATURE_MAGIC + struct.pack("<I", FEATURE_VERSION) + payload
 
 
 _SCHEMA_MAX = 2**16  # electrodes or bands per sample
 _is_list = lambda value: isinstance(value, list)
+_is_class_list = lambda value: (
+    _is_list(value) and all(isinstance(c, str) for c in value) and len(set(value)) == len(value)
+)
 _in_schema = lambda value: _is_int(value, 1, _SCHEMA_MAX)
 
 # every manifest field: (test its value must pass, what the value must be)
@@ -375,7 +404,7 @@ _FIELDS = {
     "schema": (lambda value: isinstance(value, dict), "an object"),
     "electrodes": (_in_schema, f"an integer from 1 to {_SCHEMA_MAX}"),
     "bands": (_in_schema, f"an integer from 1 to {_SCHEMA_MAX}"),
-    "classes": (_is_list, "a list"),
+    "classes": (_is_class_list, "a list of distinct strings"),
     "subjects": (_is_list, "a list"),
     "sessions": (_is_list, "a list"),
     "trials": (_is_list, "a list"),
@@ -435,7 +464,7 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
     _check_fields(manifest_path, "manifest", manifest, ("schema", "classes", "subjects"))
     _check_fields(manifest_path, "manifest schema", manifest["schema"], ("electrodes", "bands"))
     schema = (manifest["schema"]["electrodes"], manifest["schema"]["bands"])
-    classes, subjects = [str(c) for c in manifest["classes"]], manifest["subjects"]
+    classes, subjects = manifest["classes"], manifest["subjects"]
 
     base = manifest_path.parent.resolve()
     owners = {}  # resolved feature file -> the trial that named it first
@@ -496,8 +525,8 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
     )
 
 
-def export_features(ds: DatasetIndex, out_dir: str | Path) -> Path:
-    """Write manifest.json plus per-trial binaries; returns the manifest path."""
+def export_features(ds: DatasetIndex, out_dir: str | Path) -> list[Path]:
+    """Write per-trial binaries plus manifest.json, all or nothing; returns their paths, the manifest last."""
     bad = np.flatnonzero(~np.all(np.abs(ds.features) <= FLOAT32_MAX, axis=(1, 2)))
     if bad.size:
         i = bad[0]
@@ -505,11 +534,15 @@ def export_features(ds: DatasetIndex, out_dir: str | Path) -> Path:
             f"feature beyond float32 range or not finite at subject {ds.subject[i]}, "
             f"session {ds.session[i]}, trial {ds.trial[i]}"
         )
+    names = list(ds.class_names or (f"class{k}" for k in range(ds.num_classes)))
+    if not _is_class_list(names) or len(names) != ds.num_classes:
+        raise DataError(f"class names must be {ds.num_classes} distinct strings, got {names!r}")
     out_dir = Path(out_dir)
-    feat_dir = out_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
-    names = ds.class_names or tuple(f"class{k}" for k in range(ds.num_classes))
+    return write_files(_container_files(ds, out_dir, names))
 
+
+def _container_files(ds: DatasetIndex, out_dir: Path, names: list[str]):
+    """Yield each trial's ``(path, blob)`` under ``features/``, then the manifest's."""
     # rows are sorted, so each (subject, session, trial) is one contiguous run
     keys = np.stack([ds.subject, ds.session, ds.trial], axis=1)
     starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
@@ -517,7 +550,7 @@ def export_features(ds: DatasetIndex, out_dir: str | Path) -> Path:
     for start, stop in zip(starts, np.r_[starts[1:], len(ds)]):
         subject, session, trial = keys[start].tolist()
         fname = f"sub{subject:02d}_ses{session}_trial{trial:02d}.evfa"
-        _write_feature_file(feat_dir / fname, ds.features[start:stop])
+        yield out_dir / "features" / fname, _feature_blob(ds.features[start:stop])
         if not subjects_json or subjects_json[-1]["id"] != subject:
             subjects_json.append({"id": subject, "sessions": []})
         sessions_json = subjects_json[-1]["sessions"]
@@ -534,9 +567,7 @@ def export_features(ds: DatasetIndex, out_dir: str | Path) -> Path:
 
     manifest = {
         "schema": {"electrodes": ds.schema[0], "bands": ds.schema[1]},
-        "classes": list(names),
+        "classes": names,
         "subjects": subjects_json,
     }
-    manifest_path = out_dir / "manifest.json"
-    atomic_write(manifest_path, json.dumps(manifest, indent=2).encode())
-    return manifest_path
+    yield out_dir / "manifest.json", json.dumps(manifest, indent=2).encode()

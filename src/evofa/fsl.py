@@ -105,19 +105,23 @@ def episode_loss(pool: DatasetIndex, episode: Episode, model: Model, mode: str =
 
 
 def classify_query(
-    episode: Episode, model: Model, pool_rows: np.ndarray, phi: ParamGroup
-) -> tuple[np.ndarray, float]:
-    """Episode-local argmax predictions (ties to the lowest class) and accuracy.
+    episodes: list[Episode], model: Model, pool_rows: np.ndarray, phi: ParamGroup
+) -> tuple[np.ndarray, list[float]]:
+    """Episode-local argmax predictions [E x Q'] (ties to the lowest class) and E accuracies.
 
-    A prediction k names the episode's k-th class, ``pool.label[support[k, 0]]``.
-    The adapter ``phi`` and the head run, off the tape, on the episode's rows of
-    ``pool_rows``, the frozen-encoder rows of the pool the episode was drawn from.
+    A prediction k names its episode's k-th class, ``pool.label[support[k, 0]]``.
+    Off the tape, ``phi`` runs once on the episodes' rows of ``pool_rows``, their
+    pool's frozen-encoder rows, as one stack [E x (S+Q) x q]: a stacked adapter
+    adapts episode k with slice k, the model's adapter broadcasts over them all.
     """
-    rows = pool_rows[_episode_rows(episode)]
+    rows = pool_rows[np.stack([_episode_rows(episode) for episode in episodes])]
+    predictions, accuracies = [], []
     with ad.no_grad():
-        scores, targets = _scores_from_embeddings(episode, model, backbone.adapt(Tensor(rows), phi))
-    predictions = np.argmax(scores.data, axis=1)
-    return predictions, float(np.mean(predictions == targets))
+        for episode, emb in zip(episodes, backbone.adapt(Tensor(rows), phi).data):
+            scores, targets = _scores_from_embeddings(episode, model, Tensor(emb))
+            predictions.append(np.argmax(scores.data, axis=1))
+            accuracies.append(float(np.mean(predictions[-1] == targets)))
+    return np.stack(predictions), accuracies
 
 
 def _linear_scores(model: Model, rows: Tensor) -> Tensor:
@@ -162,18 +166,18 @@ def validation_accuracy(model: Model, pool: DatasetIndex, cfg: TrainConfig, seed
     """Mean accuracy over fixed-seed validation episodes (stable across epochs).
 
     The episodes are drawn first. Only the union of their rows goes through the
-    frozen encoder, once per call, and each episode indexes into those rows.
+    frozen encoder, once per call, into a pool-sized array at their own indices.
     """
     episodes = [
         sample_episode(pool, cfg.way, cfg.shot, cfg.queries, np.random.default_rng([seed, 4, j]))
         for j in range(cfg.validation_episodes)
     ]
     used = np.unique(np.concatenate([_episode_rows(episode) for episode in episodes]))
-    rows = encode_rows(model, pool.features[used])
-    total = 0.0
-    for support, query in episodes:
-        local = (np.searchsorted(used, support), np.searchsorted(used, query))
-        total += classify_query(local, model, rows, model.phi)[1]
+    rows = np.zeros((len(pool), model.config.embedding_dim))
+    rows[used] = encode_rows(model, pool.features[used])
+    total = 0.0  # left to right in episode order; sum() compensates from Python 3.12 on
+    for accuracy in classify_query(episodes, model, rows, model.phi)[1]:
+        total += accuracy
     return total / cfg.validation_episodes
 
 

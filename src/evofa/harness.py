@@ -45,6 +45,7 @@ from .data import (
     import_features,
     make_inter_split,
     make_intra_split,
+    write_files,
 )
 from .errors import ConfigError, ProtocolError
 from .fsl import (
@@ -215,12 +216,12 @@ class ResultTable:
         }
 
     def write(self, out_dir: str | Path) -> tuple[Path, Path]:
+        """Write results.csv and results.json into ``out_dir``, both or neither."""
         out = Path(out_dir)
-        csv_path = out / "results.csv"
-        json_path = out / "results.json"
-        atomic_write(csv_path, self.to_csv_text().encode())
-        atomic_write(json_path, (json.dumps(self.to_json_obj(), indent=2) + "\n").encode())
-        return csv_path, json_path
+        return tuple(write_files([
+            (out / "results.csv", self.to_csv_text().encode()),
+            (out / "results.json", (json.dumps(self.to_json_obj(), indent=2) + "\n").encode()),
+        ]))
 
 
 def write_run_manifest(out_dir: str | Path, cfg: ExperimentConfig | DriftConfig) -> Path:

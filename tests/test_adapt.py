@@ -697,7 +697,7 @@ def per_episode_reference(model, test, train, kind, ecfg, acfg):
             for it in range(acfg.max_iter)
         ]
         evofa_run(phi, train_rows, rounds, test_rows[target], acfg)
-        accuracies.append(classify_query(episode, model, test_rows, phi)[1])
+        accuracies.extend(classify_query([episode], model, test_rows, phi)[1])
         phis.append(phi.copy())
     return tuple(accuracies), phis
 
@@ -710,7 +710,7 @@ def grouped_run(monkeypatch, model, test, train, kind, ecfg, acfg):
     def recording_run(stacked, *args):
         real_run(stacked, *args)
         slices = stacked.entries[0][1].shape[0]
-        phis.extend(adapt_mod._slice_adapter(stacked, k) for k in range(slices))
+        phis.extend([(n, t.data[k]) for n, t in stacked.entries] for k in range(slices))
         return stacked
 
     monkeypatch.setattr(adapt_mod, "evofa_run", recording_run)
@@ -744,8 +744,8 @@ def test_episode_groups_equal_per_episode_reference(case, pools, multi_subject_p
     assert report.per_episode == want_acc
     assert len(phis) == len(want_phis) == ecfg.episodes
     for got, want in zip(phis, want_phis):
-        for (name, g), (_, w) in zip(got.entries, want.entries):
-            assert np.max(np.abs(g.data.reshape(w.shape) - w.data)) <= 1e-15, name
+        for (name, g), (_, w) in zip(got, want.entries):
+            assert np.max(np.abs(g.reshape(w.shape) - w.data)) <= 1e-15, name
     moved = max(np.abs(p.entries[0][1].data - model.phi.entries[0][1].data).max() for p in want_phis)
     assert moved > 1e-6  # the adapters really moved
 

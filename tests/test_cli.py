@@ -172,6 +172,40 @@ def test_import_check_rejects_a_negative_subject_id_naming_manifest_entry_and_fi
     assert f"{manifest_path}: subject -1 field 'id' must be a nonnegative integer, got -1" in captured.err
 
 
+@pytest.mark.parametrize("classes", [[None, {}, []], ["a", "a", "b"]], ids=["not-strings", "repeated"])
+def test_import_check_rejects_class_names_naming_manifest_and_field(workspace, tmp_path, capsys, classes):
+    out = tmp_path / "data"
+    assert main(["synth-gen", "--config", str(workspace / "dataset.json"), "--out", str(out)]) == 0
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["classes"] = classes
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["import-check", "--manifest", str(manifest_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{manifest_path}: manifest field 'classes' must be a list of distinct strings, got {classes!r}" in captured.err
+
+
+def test_synth_gen_whose_manifest_cannot_be_written_leaves_no_file(workspace, tmp_path, capsys):
+    out = tmp_path / "c"
+    (out / "manifest.json").mkdir(parents=True)
+    assert main(["synth-gen", "--config", str(workspace / "dataset.json"), "--out", str(out)]) == 1
+    assert f"Is a directory: '{out / 'manifest.json'}'" in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if not p.is_dir()] == []
+
+
+def test_failing_synth_gen_keeps_the_files_it_did_not_write(workspace, tmp_path, capsys):
+    out = tmp_path / "c"
+    (out / "run-manifest.json").mkdir(parents=True)
+    older = out / "features" / "sub99_ses1_trial01.evfa"
+    older.parent.mkdir()
+    older.write_text("an earlier container's file")
+    assert main(["synth-gen", "--config", str(workspace / "dataset.json"), "--out", str(out)]) == 1
+    assert f"Is a directory: '{out / 'run-manifest.json'}'" in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if not p.is_dir()] == [older]
+
+
 def test_import_check_missing_manifest(tmp_path, capsys):
     rc = main(["import-check", "--manifest", str(tmp_path / "absent.json")])
     assert rc == 1
@@ -267,6 +301,14 @@ def test_failing_train_discards_partial_outputs(workspace, tmp_path, monkeypatch
     assert "disk full" in capsys.readouterr().err
     assert not (out / "checkpoints" / "model.ckpt").exists()
     assert not (out / "logs" / "train_log.csv").exists()
+
+
+def test_compare_whose_results_json_cannot_be_written_leaves_no_file(workspace, tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "results.json").mkdir(parents=True)
+    assert main(["compare", "--config", str(workspace / "exp.json"), "--out", str(out)]) == 1
+    assert f"Is a directory: '{out / 'results.json'}'" in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if not p.is_dir()] == []
 
 
 # -- evaluate ---------------------------------------------------------------------------

@@ -205,6 +205,9 @@ WRONG_TYPE = [
     ("schema", "bands", 0, "schema field 'bands' must be an integer"),
     ("manifest", "subjects", {}, "field 'subjects' must be a list"),
     ("manifest", "classes", "abc", "field 'classes' must be a list"),
+    # class names were read through str(), so these imported as 'None', '{}' and '[]', or twice as 'a'
+    ("manifest", "classes", [None, {}, []], "field 'classes' must be a list of distinct strings, got [None, {}, []]"),
+    ("manifest", "classes", ["a", "a", "b"], "field 'classes' must be a list of distinct strings, got ['a', 'a', 'b']"),
 ]
 
 
@@ -280,7 +283,7 @@ FUZZ_SOURCE = data.DriftConfig(
 @pytest.fixture(scope="module")
 def fuzz_container(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    manifest = data.export_features(data.generate_synthetic_drift(FUZZ_SOURCE), root / "c")
+    manifest = data.export_features(data.generate_synthetic_drift(FUZZ_SOURCE), root / "c")[-1]
     write_binary(root / "outside.evfa", np.zeros((2, 2, 1)))  # loadable, were paths unconfined
     return manifest, json.loads(manifest.read_text())
 
@@ -313,7 +316,7 @@ def test_mutated_manifest_loads_or_raises_ingest_error(fuzz_container, draw):
 def feature_container(tmp_path_factory):
     manifest = data.export_features(
         data.generate_synthetic_drift(FUZZ_SOURCE), tmp_path_factory.mktemp("evfa")
-    )
+    )[-1]
     blobs = {path: path.read_bytes() for path in sorted(manifest.parent.glob("features/*.evfa"))}
     return manifest, manifest.read_text(), blobs
 
@@ -401,7 +404,9 @@ def test_export_import_round_trip_seed_convention(tmp_path):
         rng_seed=11,
     )
     ds = data.generate_synthetic_drift(cfg)
-    manifest = data.export_features(ds, tmp_path)
+    *binaries, manifest = data.export_features(ds, tmp_path)
+    assert manifest == tmp_path / "manifest.json"
+    assert sorted(binaries) == sorted((tmp_path / "features").iterdir())
     back = data.import_features(manifest)
     assert len(back) == len(ds) == 15 * 3 * 15 * 2
     assert back.schema == (62, 5)
@@ -426,6 +431,32 @@ def test_export_refuses_a_feature_float32_cannot_hold_naming_its_trial(tmp_path,
             data.export_features(bad, tmp_path)
     assert not (tmp_path / "manifest.json").exists()
     assert not (tmp_path / "features").exists()
+
+
+@pytest.mark.parametrize("names", [("a", "a", "b"), ("a", None, "c"), ("a", "b"), ("a", "b", "c", "d")])
+def test_export_refuses_class_names_import_would_reject_before_writing(tmp_path, names):
+    ds = replace(data.generate_synthetic_drift(SMALL), class_names=names)
+    with pytest.raises(DataError, match="^class names must be 3 distinct strings, got "):
+        data.export_features(ds, tmp_path / "c")
+    assert not (tmp_path / "c").exists()
+
+
+def test_atomic_write_that_fails_keeps_no_tmp_and_names_its_destination(tmp_path):
+    dest = tmp_path / "results.json"
+    dest.mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        data.atomic_write(dest, b"x")
+    assert f"Is a directory: '{dest}'" in str(err.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.json"]
+
+
+def test_write_files_removes_the_files_it_wrote_when_a_later_one_fails(tmp_path):
+    (tmp_path / "b").mkdir()
+    with pytest.raises(IsADirectoryError):
+        data.write_files([(tmp_path / "a", b"1"), (tmp_path / "b", b"2"), (tmp_path / "c", b"3")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b"]
+    assert data.write_files([(tmp_path / "a", b"1")]) == [tmp_path / "a"]
+    assert (tmp_path / "a").read_bytes() == b"1"
 
 
 # -- dataset invariants ---------------------------------------------------------

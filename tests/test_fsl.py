@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from evofa import autodiff as ad
 from evofa import backbone, fsl
-from evofa.autodiff import Tensor, finite_diff_check
+from evofa.autodiff import ParamGroup, Tensor, finite_diff_check
 from evofa.backbone import BackboneConfig, create_model, encode_rows
 from evofa.data import DatasetIndex, DriftConfig, generate_synthetic_drift, make_intra_split
 from evofa.errors import ConfigError, ContractError, ProtocolError, SamplingError
@@ -61,6 +61,14 @@ def tiny_backbone(**overrides):
     )
     base.update(overrides)
     return BackboneConfig(**base)
+
+
+def in_order_sum(values):
+    """Left-to-right float sum (sum() compensates from Python 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def manual_episode(class_ids=(0, 1, 2), shot=1, queries=2, shape=(2, 2), seed=0):
@@ -315,7 +323,7 @@ def test_tiebreak_picks_lowest_class_id():
     model = create_model(tiny_backbone(), seed=0)
     pool, ep = manual_episode(class_ids=(3, 5, 9), shot=1, queries=1)
     pool = replace(pool, features=np.zeros((6, 2, 2)))
-    predictions, accuracy = classify_query(ep, model, encode_rows(model, pool.features), model.phi)
+    (predictions,), (accuracy,) = classify_query([ep], model, encode_rows(model, pool.features), model.phi)
     assert predictions.tolist() == [0, 0, 0]
     assert pool.label[ep[0][predictions, 0]].tolist() == [3, 3, 3]
     assert accuracy == pytest.approx(1.0 / 3.0)
@@ -344,7 +352,7 @@ def test_classify_query_on_pool_rows_equals_episode_encoded_alone(head, monkeypa
     rows = encode_rows(model, pool.features)
     for j in range(6):
         ep = sample_episode(pool, 3, j % 2 + 1, 4, np.random.default_rng([5, j]))
-        predictions, accuracy = classify_query(ep, model, rows, phi)
+        (predictions,), (accuracy,) = classify_query([ep], model, rows, phi)
         with ad.no_grad():
             expect, targets = episode_scores(pool, ep, adapted, mode="eval")
         # scores[-2] was recorded inside classify_query, scores[-1] inside the reference
@@ -352,6 +360,61 @@ def test_classify_query_on_pool_rows_equals_episode_encoded_alone(head, monkeypa
         local = np.argmax(expect.data, axis=1)
         assert predictions.tolist() == local.tolist()
         assert accuracy == float(np.mean(local == targets))
+
+
+def scored_alone(episode, model, pool_rows, phi):
+    """One episode scored by hand: its rows, a 2-D adapter, the head, argmax, accuracy."""
+    support, query = episode
+    rows = pool_rows[np.concatenate([support.ravel(), query.ravel()])]
+    with ad.no_grad():
+        emb = backbone.adapt(Tensor(rows), phi).data
+        scores = backbone.head_forward(model, Tensor(emb[: support.size]), Tensor(emb[support.size :]))
+    predictions = np.argmax(scores.data, axis=1)
+    targets = np.repeat(np.arange(len(query)), query.shape[1])
+    return scores.data, predictions, float(np.mean(predictions == targets))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    head=st.sampled_from(fsl.EPISODIC_HEADS),
+    count=st.integers(1, 4),
+    shot=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_classify_query_equals_each_episode_scored_alone(head, count, shot, seed):
+    """A stack of E episodes against each episode scored alone, with the model's
+    adapter and with a stacked adapter whose slices differ; validation_accuracy
+    against the in-order mean of the accuracies scored alone."""
+    pool = toy_pool(per_class=8, seed=seed)
+    config = tiny_backbone(head_kind=head, conv_channels=(2, 2, 2, 3), embedding_dim=3, adapter_hidden=6)
+    model = create_model(config, seed=seed)
+    rows = encode_rows(model, pool.features)
+    rng = np.random.default_rng(seed)
+    slices = [
+        ParamGroup("phi", [(n, Tensor(t.data + rng.normal(size=t.shape))) for n, t in model.phi.entries])
+        for _ in range(count)
+    ]
+    # biases [h] stack to [E x 1 x h], as adapt._stack_adapter lays them out
+    stacked = ParamGroup(
+        "phi",
+        [(n, Tensor(np.stack([s.get(n).data.reshape(-1, t.shape[-1]) for s in slices])))
+         for n, t in model.phi.entries],
+    )
+    cfg = TrainConfig(head_kind=head, shot=shot, queries=2, validation_episodes=count)
+    episodes = [sample_episode(pool, 3, shot, 2, np.random.default_rng([seed, 4, j])) for j in range(count)]
+    real = fsl._scores_from_embeddings
+    for phi, alone in ((model.phi, [model.phi] * count), (stacked, slices)):
+        recorded = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fsl, "_scores_from_embeddings", lambda *a: recorded.append(real(*a)) or recorded[-1])
+            predictions, accuracies = classify_query(episodes, model, rows, phi)
+        want = [scored_alone(e, model, rows, p) for e, p in zip(episodes, alone)]
+        assert [s.data.tobytes() for s, _ in recorded] == [w[0].tobytes() for w in want]
+        assert predictions.shape == (count, 6)
+        assert predictions.tolist() == [w[1].tolist() for w in want]
+        assert accuracies == [w[2] for w in want]
+    want = in_order_sum(scored_alone(e, model, rows, model.phi)[2] for e in episodes) / count
+    assert validation_accuracy(model, pool, cfg, seed) == want
 
 
 def test_untrained_model_sits_at_chance():
@@ -375,12 +438,8 @@ def test_untrained_model_sits_at_chance():
         seed=0,
     )
     rows = encode_rows(model, pool.features)
-    total = 0.0
-    episodes = 200
-    for j in range(episodes):
-        ep = sample_episode(pool, 3, 1, 10, np.random.default_rng([7, j]))
-        total += classify_query(ep, model, rows, model.phi)[1]
-    assert abs(total / episodes - 1.0 / 3.0) < 0.1
+    episodes = [sample_episode(pool, 3, 1, 10, np.random.default_rng([7, j])) for j in range(200)]
+    assert abs(np.mean(classify_query(episodes, model, rows, model.phi)[1]) - 1.0 / 3.0) < 0.1
 
 
 def test_classify_pool_empty_is_defined():
@@ -496,11 +555,8 @@ def test_trained_model_separates_clusters_perfectly(trained_proto, separable_poo
     model, _ = trained_proto
     _, _, test = separable_pools
     rows = encode_rows(model, test.features)
-    accs = []
-    for j in range(20):
-        ep = sample_episode(test, 3, 1, 10, np.random.default_rng([13, j]))
-        accs.append(classify_query(ep, model, rows, model.phi)[1])
-    assert np.mean(accs) == 1.0
+    episodes = [sample_episode(test, 3, 1, 10, np.random.default_rng([13, j])) for j in range(20)]
+    assert np.mean(classify_query(episodes, model, rows, model.phi)[1]) == 1.0
 
 
 TRAINERS = ["meta_train", "train_supervised_baseline"]
@@ -650,7 +706,7 @@ def test_validation_accuracy_encodes_each_episode_row_once_per_call(separable_po
         assert sorted(encoded) == sorted([val.features[i].tobytes() for i in used] * calls)
     # the same accuracy as indexing rows of the whole encoded pool
     rows = encode_rows(model, val.features)
-    assert accuracy == sum(classify_query(e, model, rows, model.phi)[1] for e in episodes[:6]) / 6
+    assert accuracy == in_order_sum(classify_query(episodes[:6], model, rows, model.phi)[1]) / 6
 
 
 @pytest.fixture(scope="module")

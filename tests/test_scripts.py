@@ -1,4 +1,5 @@
-"""The README walkthrough script and the benchmark's smoke run work against the current code."""
+"""The README walkthrough script and the benchmark's smoke run and tracer work against the current code."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,3 +41,23 @@ def test_perfbench_smoke_passes():
     )
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
     assert result.stdout.splitlines()[-1] == "smoke ok", result.stdout[-4000:]
+
+
+def test_perfbench_tracer_wraps_and_restores_every_binding():
+    # a fast guard for the slow smoke run: a rename in the package that the tracer names fails here
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        targets = [tracer_mod._resolve(module, attr)[1] for module, attr, _, _ in tracer_mod.WRAPS]
+        assert all(tracer_mod._is_wrapped(fn) for fn in targets)
+        sites = [s for s in tracer_mod.REQUIRED_SITES if tracer_mod._site_value(s) is not None]
+        assert [s for s in sites if not tracer_mod._is_wrapped(tracer_mod._site_value(s))] == []
+        assert "evofa.adapt.classify_query" in sites
+    finally:
+        restored = tracer.uninstall()
+    assert restored
+    targets = [tracer_mod._resolve(module, attr)[1] for module, attr, _, _ in tracer_mod.WRAPS]
+    assert not any(tracer_mod._is_wrapped(fn) for fn in targets)
