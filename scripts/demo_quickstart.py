@@ -111,13 +111,14 @@ def main() -> int:
 
     # what adaptation actually optimizes: source-vs-target alignment,
     # measured under one fixed kernel so before/after are comparable
-    fixed = replace(adapt, kernel=KernelSpec.single(2.0))
-    snaps = sample_snapshots_intra(train, fixed, np.random.default_rng(7))
+    # (one draw and one target, each a stack of one, with the model's own adapter)
+    fixed = replace(adapt, kernel=KernelSpec((2.0,), (1.0,)))
+    snaps = sample_snapshots_intra(train, fixed, np.random.default_rng(7))[None]
     picks = np.random.default_rng(8).choice(len(test), size=30, replace=False)
-    train_rows, target = rows["train_rows"], rows["test_rows"][picks]
-    before = mean_alignment(model.phi, train_rows, snaps, target, fixed)
+    train_rows, target = rows["train_rows"], rows["test_rows"][picks][None]
+    before = mean_alignment(model.phi, train_rows, snaps, target, fixed)[0]
     evofa_run(model.phi, train_rows, [snaps] * fixed.max_iter, target, fixed)
-    after = mean_alignment(model.phi, train_rows, snaps, target, fixed)
+    after = mean_alignment(model.phi, train_rows, snaps, target, fixed)[0]
     print(f"adapter alignment: snapshot-vs-target MMD^2 {before:.5f} -> {after:.5f}")
     return 0
 

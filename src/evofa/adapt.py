@@ -17,14 +17,15 @@ rule. Each inner step takes ``alignment_loss`` on one stage's support half;
 the outer step takes it on all query halves at the inner result and steps
 ``phi`` with that gradient, one round per draw. Every step is ``autodiff.sgd_step``.
 
-The core runs on one episode or on a stack of G of them. A stack has target
-rows [G x t x q], draws [G x n x 2 x s] (``np.stack`` of one draw per slice)
-and a stacked adapter (weights [G x ...], biases [G x 1 x h]); the adapter
-and the fused ``mmd.mmd2`` node then run once per step for the whole stack,
-with a median-heuristic bandwidth per slice, and each loss is the [G] vector
-of slice losses. Episodes without persisted adaptation are independent, so
-``evofa_test`` adapts them EPISODE_GROUP at a time; persisted adaptation
-runs the same code on stacks of one.
+The core runs on a stack of G episodes; one episode is a stack of one. A
+stack has target rows [G x t x q], draws [G x n x 2 x s] (``np.stack`` of
+one draw per slice) and an adapter: a stacked one (weights [G x ...], biases
+[G x 1 x h]) adapts slice k with its slice k, the model's own broadcasts over
+every slice. The adapter and the fused ``mmd.mmd2`` node run once per step
+for the whole stack, with a median-heuristic bandwidth per slice, and each
+loss is the [G] vector of slice losses. Episodes without persisted
+adaptation are independent, so ``evofa_test`` adapts them EPISODE_GROUP at a
+time; persisted adaptation runs the same code on stacks of one.
 """
 from __future__ import annotations
 
@@ -116,25 +117,27 @@ def sample_snapshots_inter(
 
 
 def _stage_rows(train_rows: np.ndarray, snapshots: np.ndarray, half: int) -> list[np.ndarray]:
-    """Per stage, in order, the train rows of one half (0 support, 1 query) of a draw or stack."""
-    rows = train_rows[snapshots[..., half, :]]
-    return [rows[..., k, :, :] for k in range(rows.shape[-3])]
+    """Per stage, in order, the [G x s x q] train rows of one half (0 support, 1 query) of a stack of draws."""
+    if snapshots.ndim != 4:
+        raise ProtocolError(f"snapshot draws must be a [G x n x 2 x s] stack, got shape {snapshots.shape}")
+    rows = train_rows[snapshots[:, :, half]]
+    return [rows[:, k] for k in range(rows.shape[1])]
 
 
 def alignment_loss(
     phi: ParamGroup, stages: list[np.ndarray], target_rows: np.ndarray, kernel: KernelSpec | str
 ) -> Tensor:
-    """Mean squared MMD between each stage's source rows and the target rows, both adapted by phi.
+    """The [G] mean squared MMDs between each stage's source rows and the target rows, both adapted by phi.
 
-    The target goes through the adapter once and is shared by every stage's
-    term; stacks give the [G] vector of slice losses. A fixed KernelSpec is
-    used as given. Otherwise each pair, or each slice of a stacked pair, gets
+    Stage rows and target rows are stacks [G x s x q] and [G x m x q]. The
+    target goes through the adapter once and is shared by every stage's term.
+    A fixed KernelSpec is used as given. Otherwise each slice of each pair gets
     a median-heuristic bandwidth from its current adapted embeddings, with no
     gradient through the pick.
     """
-    if target_rows.ndim not in (2, 3) or not target_rows.shape[-2]:
+    if target_rows.ndim != 3 or not target_rows.shape[-2]:
         raise ProtocolError(
-            f"target support must be a nonempty [m x q] row matrix, got shape {target_rows.shape}"
+            f"target support must be a [G x m x q] stack of nonempty row matrices, got shape {target_rows.shape}"
         )
     tgt = backbone.adapt(Tensor(target_rows), phi)
     total = None
@@ -142,8 +145,6 @@ def alignment_loss(
         src = backbone.adapt(Tensor(src_enc), phi)
         if isinstance(kernel, KernelSpec):
             spec = kernel
-        elif src.ndim == 2:
-            spec = default_spec(src.data, tgt.data)
         else:
             spec = [default_spec(s, t) for s, t in zip(src.data, tgt.data)]
         term = mmd2(src, tgt, spec)
@@ -172,11 +173,11 @@ def inner_adapt(
 
 
 def mean_alignment(
-    phi: ParamGroup, train_rows: np.ndarray, draw: np.ndarray, target_rows: np.ndarray, cfg: AdaptConfig
-) -> float:
-    """alignment_loss of the draw's query halves at adapter ``phi``, as a plain float."""
+    phi: ParamGroup, train_rows: np.ndarray, draws: np.ndarray, target_rows: np.ndarray, cfg: AdaptConfig
+) -> np.ndarray:
+    """The [G] alignment_loss values of a stack of draws' query halves at adapter ``phi``, off the tape."""
     with ad.no_grad():
-        return alignment_loss(phi, _stage_rows(train_rows, draw, 1), target_rows, cfg.kernel).item()
+        return alignment_loss(phi, _stage_rows(train_rows, draws, 1), target_rows, cfg.kernel).data
 
 
 def outer_update(

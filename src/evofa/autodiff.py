@@ -57,11 +57,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() on tensor of size {self.data.size}")
-        return float(self.data.reshape(()))
-
     def is_finite(self) -> bool:
         """Validity check: True iff the data holds no NaN or Inf."""
         return bool(np.isfinite(self.data).all())
@@ -71,9 +66,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False) -> "Tensor":
         return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
@@ -425,24 +417,19 @@ class BatchNormState:
 _BN_AXES, _BN_VIEW = (0, 2, 3), (1, -1, 1, 1)
 
 
-def _bn_stats(x: np.ndarray, state: BatchNormState, mode: str):
-    """Per-channel (mu, v_eps, inv_std) and x - mu; train mode also updates ``state``."""
-    if mode == "train":
-        mu = np.mean(x, axis=_BN_AXES, keepdims=True)
-        centered = x - mu
-        var = np.mean(centered * centered, axis=_BN_AXES, keepdims=True)
-        m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mu.reshape(-1)
-        state.running_var = (1.0 - m) * state.running_var + m * var.reshape(-1)
-    else:
-        mu = state.running_mean.reshape(_BN_VIEW)
-        var = state.running_var.reshape(_BN_VIEW)
-        centered = x - mu
+def _bn_stats(x: np.ndarray, state: BatchNormState):
+    """Per-channel batch (mu, v_eps, inv_std) and x - mu; updates ``state``'s running statistics."""
+    mu = np.mean(x, axis=_BN_AXES, keepdims=True)
+    centered = x - mu
+    var = np.mean(centered * centered, axis=_BN_AXES, keepdims=True)
+    m = state.momentum
+    state.running_mean = (1.0 - m) * state.running_mean + m * mu.reshape(-1)
+    state.running_var = (1.0 - m) * state.running_var + m * var.reshape(-1)
     v_eps = var + np.array(state.eps)
     return mu, v_eps, v_eps**-0.5, centered
 
 
-def _bn_backward(g, c, gamma_view, inv_std, v_eps, mode):
+def _bn_backward(g, c, gamma_view, inv_std, v_eps):
     """Closed-form batch-norm gradients (g_x, g_gamma, g_beta), the last two [1 x c x 1 x 1].
 
     ``c`` is x - mu; the normalized input c * inv_std is recomputed as the forward
@@ -459,8 +446,6 @@ def _bn_backward(g, c, gamma_view, inv_std, v_eps, mode):
     g_beta = _sum_to_shape(g, channel)
     g_norm = g * gamma_view
     del g
-    if mode == "eval":
-        return g_norm * inv_std, g_gamma, g_beta
     g_sq_c = _sum_to_shape(g_norm * c, channel) * -0.5 * v_eps**-1.5 / count * c
     del c
     g_x = g_norm
@@ -472,25 +457,22 @@ def _bn_backward(g, c, gamma_view, inv_std, v_eps, mode):
     return g_x, g_gamma, g_beta
 
 
-def bias_bn_relu(
-    x: Tensor, b: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: str
-) -> Tensor:
+def bias_bn_relu(x: Tensor, b: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Tensor:
     """relu(gamma * (x + b - mean) / sqrt(var + eps) + beta) per channel, as one tape node.
 
-    ``b`` is a per-channel bias. Train mode normalizes by batch statistics and
-    updates ``state``'s running ones; eval mode reads the running ones. The node
-    keeps its input array, its output and the per-channel statistics; the backward
-    pass takes the ReLU mask from the output and recomputes x + b, x + b - mean and
-    the normalized input (in-place activated batch norm, Rota Bulò et al., CVPR
-    2018). Outputs, gradients and running statistics are bitwise those of the same
-    arithmetic recorded as a tape of elementwise ops.
+    ``b`` is a per-channel bias. This is the train-mode block tail: it normalizes
+    by batch statistics and updates ``state``'s running ones (eval mode folds batch
+    norm into the conv instead, ``backbone._conv_block``). The node keeps its input
+    array, its output and the per-channel statistics; the backward pass takes the
+    ReLU mask from the output and recomputes x + b, x + b - mean and the normalized
+    input (in-place activated batch norm, Rota Bulò et al., CVPR 2018). Outputs,
+    gradients and running statistics are bitwise those of the same arithmetic
+    recorded as a tape of elementwise ops.
     """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"batch norm mode must be 'train' or 'eval', got {mode!r}")
     if x.ndim != 4:
         raise ShapeError(f"batch norm expects [B x c x H x W] input, got {x.shape}")
     x_data, b_view, gamma_view = x.data, b.data.reshape(_BN_VIEW), gamma.data.reshape(_BN_VIEW)
-    mu, v_eps, inv_std, bn = _bn_stats(x_data + b_view, state, mode)
+    mu, v_eps, inv_std, bn = _bn_stats(x_data + b_view, state)
     bn *= inv_std  # normalized, in place: the backward pass recomputes it
     bn *= gamma_view
     bn += beta.data.reshape(_BN_VIEW)
@@ -500,9 +482,7 @@ def bias_bn_relu(
     def grad_fn(g):
         # out > 0 exactly where bn > 0. Nothing else holds the full arrays passed
         # here, so _bn_backward frees each after its last read.
-        g_x, g_gamma, g_beta = _bn_backward(
-            g * (out > 0), x_data + b_view - mu, gamma_view, inv_std, v_eps, mode
-        )
+        g_x, g_gamma, g_beta = _bn_backward(g * (out > 0), x_data + b_view - mu, gamma_view, inv_std, v_eps)
         g_b = _sum_to_shape(g_x, g_beta.shape)  # what add -> reshape(b) gave
         return g_x, g_b.reshape(b.shape), g_gamma.reshape(gamma.shape), g_beta.reshape(beta.shape)
 
@@ -587,9 +567,6 @@ class ParamGroup:
             [(n, Tensor(t.data.copy(), requires_grad=t.requires_grad)) for n, t in self.entries],
         )
 
-    def state_bytes(self) -> bytes:
-        return b"".join(np.ascontiguousarray(t.data).tobytes() for _, t in self.entries)
-
 
 def sgd_step(group: ParamGroup, lr: float) -> ParamGroup:
     """In-place p <- p - lr * grad for every entry, then clear grads.
@@ -611,39 +588,3 @@ def sgd_step(group: ParamGroup, lr: float) -> ParamGroup:
         t.grad = None
     return group
 
-
-# -- gradient verification --------------------------------------------------------------
-
-def finite_diff_check(f, params, eps: float = 1e-5) -> float:
-    """Compare reverse-mode gradients of ``f(params)`` against central differences.
-
-    ``f`` must be pure. Returns the maximum relative error over all parameter
-    entries. The denominator is floored at 1e-3: central differences at step
-    eps cannot certify tighter than ~1e-7 absolute, so sub-1e-3 gradients are
-    compared absolutely. Parameter values are restored; grads are cleared.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    tensors = params.tensors() if isinstance(params, ParamGroup) else list(params)
-    for t in tensors:
-        t.grad = None
-    loss = f(params)
-    backward(loss)
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
-    for t in tensors:
-        t.grad = None
-
-    worst = 0.0
-    for t, ga in zip(tensors, analytic):
-        ga_flat = ga.flatten()
-        for i in range(t.data.size):
-            saved = t.data.flat[i]  # .flat writes through any memory layout
-            t.data.flat[i] = saved + eps
-            up = f(params).item()
-            t.data.flat[i] = saved - eps
-            down = f(params).item()
-            t.data.flat[i] = saved
-            numeric = (up - down) / (2.0 * eps)
-            denom = max(abs(ga_flat[i]), abs(numeric), 1e-3)
-            worst = max(worst, abs(ga_flat[i] - numeric) / denom)
-    return worst

@@ -194,8 +194,8 @@ def _conv_block(x: Tensor, theta: ParamGroup, i: int, state: BatchNormState, mod
     """
     k, b = theta.get(f"conv{i}_w"), theta.get(f"conv{i}_b")
     gamma, beta = theta.get(f"bn{i}_gamma"), theta.get(f"bn{i}_beta")
-    if mode != "eval":
-        return ad.bias_bn_relu(ad.conv2d(x, k, stride=1, pad=1), b, gamma, beta, state, mode)
+    if mode == "train":
+        return ad.bias_bn_relu(ad.conv2d(x, k, stride=1, pad=1), b, gamma, beta, state)
     scale = ad.mul(gamma, Tensor((state.running_var + state.eps) ** -0.5))
     shift = ad.add(beta, ad.mul(ad.sub(b, Tensor(state.running_mean)), scale))
     conv = ad.conv2d(x, ad.mul(k, ad.reshape(scale, (-1, 1, 1, 1))), stride=1, pad=1)
@@ -204,6 +204,8 @@ def _conv_block(x: Tensor, theta: ParamGroup, i: int, state: BatchNormState, mod
 
 def encode(features: Tensor, model: Model, mode: str = "eval") -> Tensor:
     """g2g -> conv stack -> global average pool; [B x n x d] -> [B x q]."""
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"encode mode must be 'train' or 'eval', got {mode!r}")
     cfg = model.config
     if features.shape[-2:] != (cfg.n_electrodes, cfg.d_bands):
         raise ShapeError(

@@ -8,6 +8,8 @@ partial results.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -32,22 +34,41 @@ from .harness import (
 )
 
 
-class _Outputs:
-    """Tracks files a command creates so failures can clean up after themselves."""
+def _dirs(out_dir: Path) -> list[Path]:
+    """The directories at and under ``out_dir``, deepest first, then its ancestors, nearest first."""
+    return [Path(d) for d, _, _ in os.walk(out_dir, topdown=False)] + list(out_dir.parents)
 
-    def __init__(self):
+
+class _Outputs:
+    """Tracks what a command creates so a failing command can remove it.
+
+    ``out_dir`` is the command's output directory, or None for a command that
+    writes none; the directories at, under and above it that exist before the
+    command runs are noted, so that a failure removes only those it made.
+    """
+
+    def __init__(self, out_dir: str | None):
         self.paths: list[Path] = []
+        self.out_dir = None if out_dir is None else Path(out_dir)
+        self.existing = set() if out_dir is None else {d for d in _dirs(self.out_dir) if d.is_dir()}
 
     def track(self, path: Path) -> Path:
         self.paths.append(Path(path))
         return path
 
     def discard_all(self) -> None:
+        """Remove the tracked files, then each directory the command made that is left empty, deepest first."""
         for path in self.paths:
             try:
                 path.unlink(missing_ok=True)
             except OSError:
                 pass
+        if self.out_dir is None:
+            return
+        for d in _dirs(self.out_dir):
+            if d not in self.existing:
+                with contextlib.suppress(OSError):  # not empty: it holds files the command did not make
+                    d.rmdir()
 
 
 def _fail(message: str) -> int:
@@ -236,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    outputs = _Outputs()
+    outputs = _Outputs(getattr(args, "out", None))
     try:
         return args.func(args, outputs)
     except Exception as e:  # config, data, and contract errors all end the run

@@ -110,16 +110,6 @@ class DatasetIndex:
             **{name: getattr(self, name)[keep] for name in COLUMNS},
         )
 
-    def select(
-        self, subject: int | None = None, session: int | None = None, trial: int | None = None
-    ) -> "DatasetIndex":
-        """The rows matching every given id, in dataset order."""
-        keep = np.ones(len(self), dtype=bool)
-        for name, value in (("subject", subject), ("session", session), ("trial", trial)):
-            if value is not None:
-                keep &= getattr(self, name) == value
-        return self._subset(keep)
-
 
 # -- split protocols -----------------------------------------------------------
 

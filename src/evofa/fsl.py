@@ -57,19 +57,13 @@ def sample_episode(
 
 # -- episode forward and losses -----------------------------------------------------
 
-def episode_scores(
-    pool: DatasetIndex, episode: Episode, model: Model, mode: str = "eval"
-) -> tuple[Tensor, np.ndarray]:
-    """Class scores [Q' x N] for the queries of an episode drawn from ``pool``, plus local targets."""
-    features = pool.features[_episode_rows(episode)]
-    emb = backbone.adapt(backbone.encode(Tensor(features), model, mode=mode), model.phi)
-    return _scores_from_embeddings(episode, model, emb)
-
-
 def _scores_from_embeddings(
     episode: Episode, model: Model, emb: Tensor
 ) -> tuple[Tensor, np.ndarray]:
-    """episode_scores given the adapted embeddings [S+Q x q] of support then query."""
+    """Class scores [Q' x N] for the episode's queries, plus local targets.
+
+    ``emb`` holds the adapted embeddings [S+Q x q] of its support then query.
+    """
     support, query = episode
     if model.config.num_classes != len(support):
         raise ProtocolError(
@@ -99,9 +93,14 @@ def loss_from_scores(scores: Tensor, targets: np.ndarray, kind: str) -> Tensor:
     raise ConfigError(f"no episodic loss for head kind {kind!r}")
 
 
-def episode_loss(pool: DatasetIndex, episode: Episode, model: Model, mode: str = "train") -> Tensor:
-    """Head-specific training loss over the query set of an episode drawn from ``pool``."""
-    return loss_from_scores(*episode_scores(pool, episode, model, mode=mode), model.config.head_kind)
+def episode_loss(pool: DatasetIndex, episode: Episode, model: Model) -> Tensor:
+    """Head-specific training loss over the query set of an episode drawn from ``pool``.
+
+    The episode's rows go through the encoder in train mode, then the adapter and the head.
+    """
+    features = pool.features[_episode_rows(episode)]
+    emb = backbone.adapt(backbone.encode(Tensor(features), model, mode="train"), model.phi)
+    return loss_from_scores(*_scores_from_embeddings(episode, model, emb), model.config.head_kind)
 
 
 def classify_query(

@@ -49,10 +49,6 @@ class KernelSpec:
             object.__setattr__(self, "weights", tuple(w / total for w in self.weights))
 
     @classmethod
-    def single(cls, sigma: float) -> "KernelSpec":
-        return cls((float(sigma),), (1.0,))
-
-    @classmethod
     def around(cls, sigma: float) -> "KernelSpec":
         """Default three-kernel ladder {sigma/2, sigma, 2*sigma}, equal weights."""
         return cls((sigma / 2.0, sigma, 2.0 * sigma), (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
@@ -81,22 +77,21 @@ def _pair_sq_dists(z: np.ndarray) -> np.ndarray:
 def mmd2(x: Tensor, y: Tensor, spec: KernelSpec | Sequence[KernelSpec]) -> Tensor:
     """Biased squared MMD: mean K(X,X) + mean K(Y,Y) - 2 mean K(X,Y), as one tape node.
 
-    Two sample sets [m x e], [n x e] give a scalar. Stacks [G x m x e],
-    [G x n x e] give the [G] values of their slices; ``spec`` is then one
-    KernelSpec for every slice or one per slice. On the pooled Z = [X; Y]
+    Stacks of sample sets [G x m x e], [G x n x e] give the [G] values of their
+    slices; one pair of sets is a stack of one. ``spec`` is one KernelSpec for
+    every slice or one per slice. On each slice's pooled Z = [X; Y]
     the loss is sum_j w_j sum_ab S_ab K_j(a, b), with block weights S of
     1/m^2, 1/n^2 and -1/(mn), so its gradient has the closed form
     dL/dZ = -sum_j (w_j / sigma_j^2) (diag(M_j 1) - M_j) Z with M_j = 2 S * K_j.
     """
-    if x.ndim not in (2, 3) or y.ndim != x.ndim or x.shape[-1] != y.shape[-1]:
-        raise ShapeError(f"mmd2 needs [m x e], [n x e] sets or stacks of them, got {x.shape}, {y.shape}")
-    if x.ndim == 3 and x.shape[0] != y.shape[0]:
+    if x.ndim != 3 or y.ndim != 3 or x.shape[-1] != y.shape[-1]:
+        raise ShapeError(f"mmd2 needs stacks [G x m x e], [G x n x e] of sample sets, got {x.shape}, {y.shape}")
+    if x.shape[0] != y.shape[0]:
         raise ShapeError(f"mmd2 stacks hold {x.shape[0]} and {y.shape[0]} slices")
     m, n = x.shape[-2], y.shape[-2]
     if m < 1 or n < 1:
         raise ShapeError(f"mmd2 needs nonempty sample sets, got {m} and {n} rows")
     z = np.concatenate([x.data, y.data], axis=-2)
-    z = z if x.ndim == 3 else z[None]
     specs = [spec] * len(z) if isinstance(spec, KernelSpec) else list(spec)
     if len(specs) != len(z) or len({len(s.bandwidths) for s in specs}) != 1:
         raise ShapeError(f"mmd2 needs one kernel spec per slice, all of one length, for {len(z)} slices")
@@ -134,10 +129,9 @@ def mmd2(x: Tensor, y: Tensor, spec: KernelSpec | Sequence[KernelSpec]) -> Tenso
     def grad_fn(g):
         ag = a * np.reshape(g, (-1, 1, 1))
         gz = np.matmul(ag, z) - ag.sum(axis=2, keepdims=True) * z
-        gz = gz if x.ndim == 3 else gz[0]
-        return gz[..., :m, :], gz[..., m:, :]
+        return gz[:, :m, :], gz[:, m:, :]
 
-    return _make(value if x.ndim == 3 else value[0], (x, y), grad_fn)
+    return _make(value, (x, y), grad_fn)
 
 
 def median_heuristic(x: np.ndarray, y: np.ndarray) -> float:

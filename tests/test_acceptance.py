@@ -24,7 +24,7 @@ from evofa.adapt import (
     sample_snapshots_intra,
 )
 from evofa import backbone
-from evofa.autodiff import BatchNormState, ParamGroup, Tensor, finite_diff_check
+from evofa.autodiff import BatchNormState, ParamGroup, Tensor
 from evofa.backbone import BackboneConfig, create_model, encode_rows
 from evofa.checkpoint import load_checkpoint, save_checkpoint
 from evofa.data import DriftConfig, generate_synthetic_drift, make_intra_split
@@ -39,6 +39,7 @@ from evofa.fsl import (
 )
 from evofa.harness import ExperimentConfig, derive_seed, run_protocol
 from evofa.mmd import KernelSpec, mmd2
+from helpers import composed_block_tail, finite_diff_check, scalar, state_bytes
 
 pytestmark = pytest.mark.slow
 
@@ -263,17 +264,18 @@ def _op_variants():
             # fresh state per call: train mode normalizes by batch statistics,
             # so mutating the running buffers never changes the value
             state = BatchNormState.create(3)
-            return _dot(ad.bias_bn_relu(x, b, gamma, beta, state, "train"), w)
+            return _dot(ad.bias_bn_relu(x, b, gamma, beta, state), w)
 
         return f, [x, b, gamma, beta]
 
-    @variant("bias_bn_relu_eval")
+    @variant("block_tail_eval")
     def _(rng):
+        # the composed eval-mode tail: the reference that the folded block reproduces
         x = _leaf(rng, (6, 3, 2, 2))
         b, gamma, beta = _leaf(rng, (3,)), _leaf(rng, (3,), "positive"), _leaf(rng, (3,))
         state = BatchNormState(rng.normal(size=3), np.abs(rng.normal(size=3)) + 0.5, 0.1, 1e-5)
         w = rng.normal(size=(6, 3, 2, 2))
-        return (lambda _: _dot(ad.bias_bn_relu(x, b, gamma, beta, state, "eval"), w)), [x, b, gamma, beta]
+        return (lambda _: _dot(composed_block_tail(x, b, gamma, beta, state, "eval"), w)), [x, b, gamma, beta]
 
     @variant("conv_block_eval")
     def _(rng):
@@ -299,7 +301,7 @@ def _composite_error(pool, head: str, seed: int) -> float:
     for t in params:
         t.data += 0.05 * rng.normal(size=t.data.shape)
     episode = sample_episode(pool, way=3, shot=1, queries=2, rng=rng)
-    return finite_diff_check(lambda _: episode_loss(pool, episode, model, mode="train"), params)
+    return finite_diff_check(lambda _: episode_loss(pool, episode, model), params)
 
 
 def test_criterion_01_gradient_correctness():
@@ -357,15 +359,15 @@ def test_criterion_02_mmd_matches_brute_force_oracle():
                 bandwidths=tuple(float(np.exp(rng.uniform(-1.0, 1.2))) for _ in range(ladder)),
                 weights=tuple(float(rng.uniform(0.2, 1.0)) for _ in range(ladder)),
             )
-            err = abs(mmd2(Tensor(x), Tensor(y), spec).item() - _mmd_oracle(x, y, spec))
+            err = abs(scalar(mmd2(Tensor(x[None]), Tensor(y[None]), spec)) - _mmd_oracle(x, y, spec))
             worst = max(worst, err)
             assert err < 1e-12, f"instance {i}: oracle gap {err:.3e}"
         for i in range(20):
             rng = np.random.default_rng([203, i])
             x = rng.normal(size=(int(rng.integers(2, 9)), int(rng.integers(1, 5))))
-            self_value = abs(mmd2(Tensor(x), Tensor(x), KernelSpec.single(1.3)).item())
+            self_value = abs(scalar(mmd2(Tensor(x[None]), Tensor(x[None]), KernelSpec((1.3,), (1.0,)))))
             assert self_value < 1e-12, f"self instance {i}: {self_value:.3e}"
-        hand = mmd2(Tensor([[0.0]]), Tensor([[1.0]]), KernelSpec.single(1.0)).item()
+        hand = scalar(mmd2(Tensor([[[0.0]]]), Tensor([[[1.0]]]), KernelSpec((1.0,), (1.0,))))
     assert abs(hand - 0.78694) < 1e-5
     print(f"\ncriterion 2: worst oracle gap {worst:.2e}, hand value {hand:.6f}")
 
@@ -402,22 +404,22 @@ def test_criterion_03_zero_rates_and_zero_iterations_are_noops():
 def test_criterion_04_encoder_and_head_frozen_through_adaptation():
     train, _, test = synthetic_pools(3.0, 0.5, seed=11, schema="tiny")
     model = create_model(TINY, seed=2)
-    theta0 = model.theta.state_bytes()
-    w0 = model.w.state_bytes()
-    phi0 = model.phi.state_bytes()
+    theta0 = state_bytes(model.theta)
+    w0 = state_bytes(model.w)
+    phi0 = state_bytes(model.phi)
     acfg = AdaptConfig(n_snapshots=2, snapshot_size=8)
     ecfg = EvalConfig(episodes=10_000, way=3, shot=1, queries=3, rng_seed=5, persist_adaptation=True)
     rows = pool_rows(model, test, train)
     evofa_test(model, test, train, "intra", ecfg, acfg, **rows)
-    assert model.theta.state_bytes() == theta0
-    assert model.w.state_bytes() == w0
+    assert state_bytes(model.theta) == theta0
+    assert state_bytes(model.w) == w0
     # non-vacuity: the same settings really do move the adapter
-    snaps = sample_snapshots_intra(train, acfg, np.random.default_rng(9))
-    target = target_rows(model, test, 12, seed=10)
+    snaps = sample_snapshots_intra(train, acfg, np.random.default_rng(9))[None]
+    target = target_rows(model, test, 12, seed=10)[None]
     evofa_run(model.phi, rows["train_rows"], [snaps] * acfg.max_iter, target, acfg)
-    assert model.phi.state_bytes() != phi0
-    assert model.theta.state_bytes() == theta0
-    assert model.w.state_bytes() == w0
+    assert state_bytes(model.phi) != phi0
+    assert state_bytes(model.theta) == theta0
+    assert state_bytes(model.w) == w0
     print("\ncriterion 4: encoder and head checksums stable across 10000 adapted episodes")
 
 
@@ -558,17 +560,18 @@ def test_criterion_08_alignment_descends():
             snapshot_size=30,
             eta_in=1e-2,
             eta_out=0.0,
-            kernel=KernelSpec.single(2.0),
+            kernel=KernelSpec((2.0,), (1.0,)),
         )
-        snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 51]))
-        target = target_rows(m, test, 30, seed=seed)
+        # one draw and one target, each a stack of one
+        snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 51]))[None]
+        target = target_rows(m, test, 30, seed=seed)[None]
         train_rows = encode_rows(m, train.features)
-        src_enc = train_rows[snaps[0, 0]]
+        src_enc = train_rows[snaps[:, 0, 0]]
         with ad.no_grad():
-            before = adapt_mod.alignment_loss(m.phi, [src_enc], target, cfg.kernel).item()
+            before = scalar(adapt_mod.alignment_loss(m.phi, [src_enc], target, cfg.kernel))
         phi_n = inner_adapt(m.phi, train_rows, snaps, target, cfg)
         with ad.no_grad():
-            after = adapt_mod.alignment_loss(phi_n, [src_enc], target, cfg.kernel).item()
+            after = scalar(adapt_mod.alignment_loss(phi_n, [src_enc], target, cfg.kernel))
         step_wins += after <= before
     assert step_wins >= 45, f"inner step reduced alignment on only {step_wins}/{trials} trials"
     # (b) a full adaptation run lowers mean query-vs-target alignment
@@ -582,14 +585,14 @@ def test_criterion_08_alignment_descends():
             eta_in=1e-2,
             eta_out=1e-2,
             max_iter=1,
-            kernel=KernelSpec.single(2.0),
+            kernel=KernelSpec((2.0,), (1.0,)),
         )
-        snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 53]))
-        target = target_rows(m, test, 30, seed=seed)
+        snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 53]))[None]
+        target = target_rows(m, test, 30, seed=seed)[None]
         train_rows = encode_rows(m, train.features)
-        before = mean_alignment(m.phi, train_rows, snaps, target, cfg)
+        before = mean_alignment(m.phi, train_rows, snaps, target, cfg)[0]
         evofa_run(m.phi, train_rows, [snaps] * cfg.max_iter, target, cfg)
-        run_wins += mean_alignment(m.phi, train_rows, snaps, target, cfg) < before
+        run_wins += mean_alignment(m.phi, train_rows, snaps, target, cfg)[0] < before
     assert run_wins >= 14, f"full run reduced alignment on only {run_wins}/20 seeds"
     print(f"\ncriterion 8: inner step {step_wins}/50 trials, full run {run_wins}/20 seeds")
 

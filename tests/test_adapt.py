@@ -24,8 +24,9 @@ from evofa.autodiff import ParamGroup, Tensor
 from evofa.backbone import BackboneConfig, create_model, encode_rows
 from evofa.data import DriftConfig, generate_synthetic_drift, make_intra_split
 from evofa.errors import ConfigError, ContractError, ProtocolError, SamplingError
-from evofa.fsl import classify_query, episode_scores, sample_episode
+from evofa.fsl import classify_query, sample_episode
 from evofa.mmd import KernelSpec, default_spec, mmd2
+from helpers import eval_scores, scalar, select_rows, state_bytes
 
 BACKBONE = BackboneConfig(
     n_electrodes=6,
@@ -72,14 +73,19 @@ def model():
 
 
 def model_bytes(m):
-    return tuple(g.state_bytes() for g in m.groups())
+    return tuple(state_bytes(g) for g in m.groups())
 
 
 def target_from(model, pool, count=30, seed=0):
-    """Encoder rows of ``count`` samples drawn from the pool."""
+    """Encoder rows of ``count`` samples drawn from the pool, as a stack of one [1 x count x q]."""
     rng = np.random.default_rng([seed, 90])
     picks = rng.choice(len(pool), size=count, replace=False)
-    return encode_rows(model, pool.features[picks])
+    return encode_rows(model, pool.features[picks])[None]
+
+
+def one_draw(train, cfg, rng):
+    """One intra snapshot draw as a stack of one, [1 x n x 2 x s]."""
+    return sample_snapshots_intra(train, cfg, rng)[None]
 
 
 def rows_of(model, pool):
@@ -161,8 +167,8 @@ def test_drift_accumulates_across_buckets(pools):
     mid = flat(snaps[1, 0])
     last = flat(snaps[2, 0])
     spec = default_spec(first, last)
-    far = mmd2(Tensor(first), Tensor(last), spec).item()
-    near = mmd2(Tensor(first), Tensor(mid), spec).item()
+    far = scalar(mmd2(Tensor(first[None]), Tensor(last[None]), spec))
+    near = scalar(mmd2(Tensor(first[None]), Tensor(mid[None]), spec))
     assert far > near
 
 
@@ -178,7 +184,7 @@ def multi_subject_pool():
         samples_per_trial=10,
         inter_subject_offset_scale=1.0,
     )
-    return ds.select(session=1)
+    return select_rows(ds, session=1)
 
 
 def test_inter_one_snapshot_per_subject(multi_subject_pool):
@@ -216,7 +222,7 @@ def test_inter_insufficient_subject_named(multi_subject_pool):
 
 @pytest.mark.parametrize("sampler", [sample_snapshots_intra, sample_snapshots_inter])
 def test_samplers_reject_empty_pool(pools, sampler):
-    empty = pools[0].select(subject=99)
+    empty = select_rows(pools[0], subject=99)
     with pytest.raises(SamplingError, match="empty pool"):
         sampler(empty, AdaptConfig(), np.random.default_rng(0))
 
@@ -269,7 +275,7 @@ def test_stage_rows_of_a_stack_equal_each_draw_alone(pools, multi_subject_pool, 
     for k, rows in enumerate(stacked):
         assert rows.shape == (5, 10, model.config.embedding_dim)
         for g, draw in enumerate(draws):
-            alone = adapt_mod._stage_rows(train_rows, draw, half)[k]
+            alone = adapt_mod._stage_rows(train_rows, draw[None], half)[k][0]
             assert alone.tobytes() == train_rows[draw[k, half]].tobytes()
             assert rows[g].tobytes() == alone.tobytes()
 
@@ -280,43 +286,64 @@ def test_stage_rows_of_a_stack_equal_each_draw_alone(pools, multi_subject_pool, 
 def test_inner_zero_rate_is_exact_noop(pools, model):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=0.0)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
+    snaps = one_draw(train, cfg, np.random.default_rng(0))
     phi_n = inner_adapt(model.phi, rows_of(model, train), snaps, target_from(model, test), cfg)
     assert phi_n is not model.phi
-    assert phi_n.state_bytes() == model.phi.state_bytes()
+    assert state_bytes(phi_n) == state_bytes(model.phi)
 
 
 def test_inner_leaves_the_given_adapter_untouched(pools, model):
     train, _, test = pools
-    before = model.phi.state_bytes()
+    before = state_bytes(model.phi)
     cfg = AdaptConfig(n_snapshots=3, snapshot_size=15, eta_in=1e-2)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(1))
+    snaps = one_draw(train, cfg, np.random.default_rng(1))
     phi_n = inner_adapt(model.phi, rows_of(model, train), snaps, target_from(model, test), cfg)
-    assert model.phi.state_bytes() == before
-    assert phi_n.state_bytes() != before
+    assert state_bytes(model.phi) == before
+    assert state_bytes(phi_n) != before
 
 
 def test_inner_pool_rows_equal_rows_encoded_alone(pools, model):
     # pool rows encoded in batches of 64 step the adapter exactly as rows encoded alone
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=1, snapshot_size=10, eta_in=1e-3)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(2))
-    spt = snaps[0, 0]
+    snaps = one_draw(train, cfg, np.random.default_rng(2))
+    spt = snaps[0, 0, 0]
     alone = np.zeros((len(train), model.config.embedding_dim))
     alone[spt] = np.concatenate([encode_rows(model, train.features[[i]]) for i in spt])
-    target = rows_of(model, test)[:20]
+    target = rows_of(model, test)[None, :20]
     by_pool = inner_adapt(model.phi, rows_of(model, train), snaps, target, cfg)
     by_one = inner_adapt(model.phi, alone, snaps, target, cfg)
-    assert by_pool.state_bytes() == by_one.state_bytes()
+    assert state_bytes(by_pool) == state_bytes(by_one)
 
 
 def test_inner_rejects_empty_target(pools, model):
     train, _, _ = pools
     cfg = AdaptConfig(n_snapshots=1, snapshot_size=10)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
-    empty = np.zeros((0, model.config.embedding_dim))
+    snaps = one_draw(train, cfg, np.random.default_rng(0))
+    empty = np.zeros((1, 0, model.config.embedding_dim))
     with pytest.raises(ProtocolError, match="nonempty"):
         inner_adapt(model.phi, rows_of(model, train), snaps, empty, cfg)
+
+
+def test_steps_reject_a_draw_that_is_not_a_stack(pools, model):
+    # one episode's draw is a stack of one: an [n x 2 x s] draw alone is not accepted
+    train, _, test = pools
+    cfg = AdaptConfig(n_snapshots=2, snapshot_size=10)
+    draw = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
+    train_rows, target = rows_of(model, train), target_from(model, test)
+    with pytest.raises(ProtocolError, match=r"\[G x n x 2 x s\] stack, got shape \(2, 2, 10\)"):
+        inner_adapt(model.phi, train_rows, draw, target, cfg)
+    with pytest.raises(ProtocolError, match=r"\[G x n x 2 x s\] stack"):
+        mean_alignment(model.phi, train_rows, draw, target, cfg)
+
+
+def test_alignment_loss_rejects_target_that_is_not_a_stack(pools, model):
+    # one episode's target is a stack of one: [m x q] rows alone are not accepted
+    train, _, test = pools
+    cfg = AdaptConfig(n_snapshots=1, snapshot_size=10)
+    stages = adapt_mod._stage_rows(rows_of(model, train), one_draw(train, cfg, np.random.default_rng(0)), 1)
+    with pytest.raises(ProtocolError, match=r"\[G x m x q\] stack"):
+        alignment_loss(model.phi, stages, target_from(model, test)[0], cfg.kernel)
 
 
 def test_inner_step_does_not_increase_alignment():
@@ -334,17 +361,17 @@ def test_inner_step_does_not_increase_alignment():
             snapshot_size=30,
             eta_in=1e-2,
             eta_out=0.0,
-            kernel=KernelSpec.single(2.0),
+            kernel=KernelSpec((2.0,), (1.0,)),
         )
-        snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 51]))
+        snaps = one_draw(train, cfg, np.random.default_rng([seed, 51]))
         target = target_from(m, test, seed=seed)
         train_rows = rows_of(m, train)
-        src_enc = train_rows[snaps[0, 0]]
+        src_enc = train_rows[snaps[:, 0, 0]]
         with ad.no_grad():
-            before = adapt_mod.alignment_loss(m.phi, [src_enc], target, cfg.kernel).item()
+            before = scalar(adapt_mod.alignment_loss(m.phi, [src_enc], target, cfg.kernel))
         phi_n = inner_adapt(m.phi, train_rows, snaps, target, cfg)
         with ad.no_grad():
-            after = adapt_mod.alignment_loss(phi_n, [src_enc], target, cfg.kernel).item()
+            after = scalar(adapt_mod.alignment_loss(phi_n, [src_enc], target, cfg.kernel))
         wins += after <= before
     assert wins >= 0.9 * trials
 
@@ -356,42 +383,58 @@ def test_alignment_loss_nonnegative_and_finite(pools, model):
     train, _, test = pools
     for seed in range(5):
         cfg = AdaptConfig(n_snapshots=3, snapshot_size=12)
-        snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(seed))
+        snaps = one_draw(train, cfg, np.random.default_rng(seed))
         target = target_from(model, test, seed=seed)
         value = mean_alignment(model.phi, rows_of(model, train), snaps, target, cfg)
-        assert np.isfinite(value) and value >= 0.0
+        assert value.shape == (1,)
+        assert np.isfinite(value[0]) and value[0] >= 0.0
         stages = adapt_mod._stage_rows(rows_of(model, train), snaps, 1)
-        phi_value = alignment_loss(model.phi, stages, target, cfg.kernel).item()
-        assert phi_value == value
+        phi_value = scalar(alignment_loss(model.phi, stages, target, cfg.kernel))
+        assert phi_value == value[0]
+
+
+def test_mean_alignment_of_a_stack_equals_its_stacks_of_one(pools, model):
+    # the [G] values of a group of draws and targets, each the value of its episode alone
+    train, _, test = pools
+    cfg = AdaptConfig(n_snapshots=3, snapshot_size=12)
+    draws = np.concatenate([one_draw(train, cfg, np.random.default_rng(seed)) for seed in range(3)])
+    targets = np.concatenate([target_from(model, test, seed=seed) for seed in range(3)])
+    train_rows = rows_of(model, train)
+    values = mean_alignment(model.phi, train_rows, draws, targets, cfg)
+    assert values.shape == (3,)
+    assert len(set(values.tolist())) == 3
+    for g in range(3):
+        alone = mean_alignment(model.phi, train_rows, draws[g : g + 1], targets[g : g + 1], cfg)
+        assert values[g] == alone[0]
 
 
 def test_outer_zero_rate_leaves_adapter(pools, model):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=1e-2, eta_out=0.0)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
+    snaps = one_draw(train, cfg, np.random.default_rng(0))
     target, train_rows = target_from(model, test), rows_of(model, train)
     phi_n = inner_adapt(model.phi, train_rows, snaps, target, cfg)
-    before = model.phi.state_bytes()
+    before = state_bytes(model.phi)
     outer_update(model.phi, phi_n, train_rows, snaps, target, cfg)
-    assert model.phi.state_bytes() == before
+    assert state_bytes(model.phi) == before
 
 
 def test_outer_moves_the_adapter(pools):
     train, _, test = pools
     m = create_model(BACKBONE, seed=5)
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=15, eta_in=1e-2, eta_out=1e-2)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(3))
+    snaps = one_draw(train, cfg, np.random.default_rng(3))
     target, train_rows = target_from(m, test), rows_of(m, train)
-    phi_before = m.phi.state_bytes()
+    phi_before = state_bytes(m.phi)
     phi_n = inner_adapt(m.phi, train_rows, snaps, target, cfg)
     outer_update(m.phi, phi_n, train_rows, snaps, target, cfg)
-    assert m.phi.state_bytes() != phi_before
+    assert state_bytes(m.phi) != phi_before
 
 
 def test_outer_rejects_foreign_parameter_table(pools, model):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=1, snapshot_size=10)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
+    snaps = one_draw(train, cfg, np.random.default_rng(0))
     alien = ParamGroup("phi")
     alien.add("other", Tensor(np.zeros((2, 2)), requires_grad=True))
     with pytest.raises(ContractError):
@@ -404,14 +447,14 @@ def test_outer_rejects_stacked_inner_result_for_plain_adapter(pools, model):
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10)
     rng = np.random.default_rng(0)
     snaps = np.stack([sample_snapshots_intra(train, cfg, rng) for _ in range(4)])
-    target = np.stack([target_from(model, test, seed=g) for g in range(4)])
+    target = np.concatenate([target_from(model, test, seed=g) for g in range(4)])
     m = model.copy()
-    before = m.phi.state_bytes()
+    before = state_bytes(m.phi)
     stacked = adapt_mod._stack_adapter(m.phi, 4)
     with pytest.raises(ContractError, match=r"parameter phi/fc1_w has gradient shape \(4, 16, 32\)"):
         outer_update(m.phi, stacked, rows_of(m, train), snaps, target, cfg)
     assert [t.shape for t in m.phi.tensors()] == [t.shape for t in model.phi.tensors()]
-    assert m.phi.state_bytes() == before
+    assert state_bytes(m.phi) == before
 
 
 def nan_gradient_mmd2(x, y, spec):
@@ -425,7 +468,7 @@ def nan_gradient_mmd2(x, y, spec):
 def test_inner_step_rejects_non_finite_gradient(pools, model, monkeypatch):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
+    snaps = one_draw(train, cfg, np.random.default_rng(0))
     before = model_bytes(model)
     monkeypatch.setattr(adapt_mod, "mmd2", nan_gradient_mmd2)
     with pytest.raises(ContractError, match=r"parameter phi/\w+ has a non-finite gradient"):
@@ -436,15 +479,15 @@ def test_inner_step_rejects_non_finite_gradient(pools, model, monkeypatch):
 def test_outer_step_rejects_non_finite_gradient(pools, model, monkeypatch):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
+    snaps = one_draw(train, cfg, np.random.default_rng(0))
     m = model.copy()
     target, train_rows = target_from(m, test), rows_of(m, train)
     phi_n = inner_adapt(m.phi, train_rows, snaps, target, cfg)
-    before = m.phi.state_bytes()
+    before = state_bytes(m.phi)
     monkeypatch.setattr(adapt_mod, "mmd2", nan_gradient_mmd2)
     with pytest.raises(ContractError, match=r"parameter phi/\w+ has a non-finite gradient"):
         outer_update(m.phi, phi_n, train_rows, snaps, target, cfg)
-    assert m.phi.state_bytes() == before
+    assert state_bytes(m.phi) == before
 
 
 # -- full adaptation runs ---------------------------------------------------------------
@@ -474,34 +517,34 @@ def test_run_over_no_rounds_leaves_phi_and_takes_no_step(pools, model, monkeypat
     phi = model.phi.copy()
     seen = spy_on_steps(monkeypatch)
     assert evofa_run(phi, rows_of(model, train), [], target_from(model, test), cfg) is phi
-    assert phi.state_bytes() == model.phi.state_bytes()
+    assert state_bytes(phi) == state_bytes(model.phi)
     assert seen == {"inner": [], "outer": []}
 
 
 def test_run_zero_rates_change_nothing(pools, model):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=0.0, eta_out=0.0, max_iter=3)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(0))
+    snaps = one_draw(train, cfg, np.random.default_rng(0))
     phi = model.phi.copy()
     evofa_run(phi, rows_of(model, train), [snaps] * cfg.max_iter, target_from(model, test), cfg)
-    assert phi.state_bytes() == model.phi.state_bytes()
+    assert state_bytes(phi) == state_bytes(model.phi)
 
 
 def test_run_deterministic(pools):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=12, eta_in=1e-2, eta_out=1e-2)
-    snaps = sample_snapshots_intra(train, cfg, np.random.default_rng(4))
+    snaps = one_draw(train, cfg, np.random.default_rng(4))
     m = create_model(BACKBONE, seed=7)
     target, train_rows = target_from(m, test), rows_of(m, train)
     a = evofa_run(m.phi, train_rows, [snaps], target, cfg)
     b = evofa_run(create_model(BACKBONE, seed=7).phi, train_rows, [snaps], target, cfg)
-    assert a.state_bytes() == b.state_bytes()
+    assert state_bytes(a) == state_bytes(b)
 
 
 def test_run_hands_each_draw_to_both_steps_in_order(pools, model, monkeypatch):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=1e-2, eta_out=1e-2)
-    draws = [sample_snapshots_intra(train, cfg, np.random.default_rng([it])) for it in range(3)]
+    draws = [one_draw(train, cfg, np.random.default_rng([it])) for it in range(3)]
     seen = spy_on_steps(monkeypatch)
     evofa_run(model.phi.copy(), rows_of(model, train), draws, target_from(model, test), cfg)
     assert [id(d) for d in seen["inner"]] == [id(d) for d in draws]
@@ -511,12 +554,12 @@ def test_run_hands_each_draw_to_both_steps_in_order(pools, model, monkeypatch):
 def test_run_over_two_draws_equals_two_one_draw_runs(pools, model):
     train, _, test = pools
     cfg = AdaptConfig(n_snapshots=2, snapshot_size=10, eta_in=0.05, eta_out=0.05)
-    d0, d1 = (sample_snapshots_intra(train, cfg, np.random.default_rng([it, 5])) for it in range(2))
+    d0, d1 = (one_draw(train, cfg, np.random.default_rng([it, 5])) for it in range(2))
     target, train_rows = target_from(model, test), rows_of(model, train)
     both = evofa_run(model.phi.copy(), train_rows, [d0, d1], target, cfg)
     one_by_one = evofa_run(model.phi.copy(), train_rows, [d0], target, cfg)
     evofa_run(one_by_one, train_rows, [d1], target, cfg)
-    assert both.state_bytes() == one_by_one.state_bytes() != model.phi.state_bytes()
+    assert state_bytes(both) == state_bytes(one_by_one) != state_bytes(model.phi)
 
 
 def test_run_reduces_query_alignment():
@@ -532,9 +575,9 @@ def test_run_reduces_query_alignment():
             eta_in=1e-2,
             eta_out=1e-2,
             max_iter=1,
-            kernel=KernelSpec.single(2.0),
+            kernel=KernelSpec((2.0,), (1.0,)),
         )
-        snaps = sample_snapshots_intra(train, cfg, np.random.default_rng([seed, 53]))
+        snaps = one_draw(train, cfg, np.random.default_rng([seed, 53]))
         target, train_rows = target_from(m, test, seed=seed), rows_of(m, train)
         before = mean_alignment(m.phi, train_rows, snaps, target, cfg)
         evofa_run(m.phi, train_rows, [snaps] * cfg.max_iter, target, cfg)
@@ -643,7 +686,7 @@ def test_eval_without_adaptation_matches_classify_query(eval_setup):
         rng = np.random.default_rng([ecfg.rng_seed, 10, ep_idx])
         episode = sample_episode(test, ecfg.way, ecfg.shot, ecfg.queries, rng)
         with ad.no_grad():  # the episode's own features, encoded in one batch
-            scores, targets = episode_scores(test, episode, m, mode="eval")
+            scores, targets = eval_scores(test, episode, m)
         expect.append(float(np.mean(np.argmax(scores.data, axis=1) == targets)))
     assert report.per_episode == tuple(expect)
 
@@ -680,7 +723,7 @@ def test_target_features_default_is_support_only(pools):
 
 
 def per_episode_reference(model, test, train, kind, ecfg, acfg):
-    """Accuracies and adapted adapters of the episode-at-a-time loop on 2-D rows."""
+    """Accuracies and adapted adapters of the episode-at-a-time loop: each episode a stack of one, adapted by an unstacked adapter."""
     sampler = sample_snapshots_intra if kind == "intra" else sample_snapshots_inter
     test_rows, train_rows = rows_of(model, test), rows_of(model, train)
     phi = model.phi.copy()
@@ -693,10 +736,10 @@ def per_episode_reference(model, test, train, kind, ecfg, acfg):
         rng = np.random.default_rng([ecfg.rng_seed, 11, ep_idx])
         target = adapt_mod._target_indices(test, episode, acfg, rng)
         rounds = [
-            sampler(train, acfg, np.random.default_rng([ecfg.rng_seed, 12, ep_idx, it]))
+            sampler(train, acfg, np.random.default_rng([ecfg.rng_seed, 12, ep_idx, it]))[None]
             for it in range(acfg.max_iter)
         ]
-        evofa_run(phi, train_rows, rounds, test_rows[target], acfg)
+        evofa_run(phi, train_rows, rounds, test_rows[target][None], acfg)
         accuracies.extend(classify_query([episode], model, test_rows, phi)[1])
         phis.append(phi.copy())
     return tuple(accuracies), phis

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from evofa import autodiff as ad
+from evofa import backbone
 from evofa.errors import ConfigError, ContractError, ShapeError
+from helpers import composed_batch_norm, composed_block_tail, finite_diff_check
 
 
 def t(data, grad=False):
@@ -280,8 +282,8 @@ def test_take_grad_with_repeated_indices_bitwise_equals_scatter_add():
 
 # -- batch norm ---------------------------------------------------------------
 
-def _bn_relu(x, b, gamma, beta, state, mode="train"):
-    return ad.bias_bn_relu(t(x), t(b), t(gamma), t(beta), state, mode)
+def _bn_relu(x, b, gamma, beta, state):
+    return ad.bias_bn_relu(t(x), t(b), t(gamma), t(beta), state)
 
 
 def test_bias_bn_relu_near_identity_on_standardized_batch():
@@ -302,21 +304,6 @@ def test_bias_bn_relu_zero_gamma_gives_relu_of_beta():
     state = ad.BatchNormState.create(4)
     out = _bn_relu(x, rng.normal(size=4), np.zeros(4), beta, state)
     assert np.allclose(out.data, np.broadcast_to(np.maximum(beta, 0.0)[:, None, None], x.shape))
-
-
-def test_bias_bn_relu_eval_is_pure():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(8, 4, 2, 2))
-    state = ad.BatchNormState.create(4)
-    state.running_mean = rng.normal(size=4)
-    state.running_var = rng.uniform(0.5, 2.0, size=4)
-    before = (state.running_mean.copy(), state.running_var.copy())
-    b, g, beta = t(rng.normal(size=4)), t(np.ones(4)), t(np.zeros(4))
-    first = ad.bias_bn_relu(t(x), b, g, beta, state, "eval").data
-    second = ad.bias_bn_relu(t(x), b, g, beta, state, "eval").data
-    assert np.array_equal(first, second)
-    assert np.array_equal(state.running_mean, before[0])
-    assert np.array_equal(state.running_var, before[1])
 
 
 def test_bias_bn_relu_train_updates_running_stats():
@@ -347,52 +334,21 @@ def test_bias_bn_relu_normalizes_per_channel():
     assert np.allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
 
 
-def test_bias_bn_relu_bad_mode_rejected():
-    state = ad.BatchNormState.create(2)
-    with pytest.raises(ConfigError, match="'train' or 'eval'"):
-        _bn_relu(np.zeros((4, 2, 1, 1)), np.zeros(2), np.ones(2), np.zeros(2), state, "test")
-
-
 def test_bias_bn_relu_rejects_input_that_is_not_4d():
     state = ad.BatchNormState.create(2)
     with pytest.raises(ShapeError, match=r"\[B x c x H x W\]"):
         _bn_relu(np.zeros((4, 2)), np.zeros(2), np.ones(2), np.zeros(2), state)
 
 
-def _composed_batch_norm(x, gamma, beta, state, mode):
-    """Batch norm as a tape of elementwise nodes: the reference for the fused node."""
-    axes, view = (0, 2, 3), (1, -1, 1, 1)
-    if mode == "train":
-        mu = ad.tensor_mean(x, axis=axes, keepdims=True)
-        centered = ad.sub(x, mu)
-        var = ad.tensor_mean(ad.mul(centered, centered), axis=axes, keepdims=True)
-        m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mu.data.reshape(-1)
-        state.running_var = (1.0 - m) * state.running_var + m * var.data.reshape(-1)
-    else:
-        mu = ad.Tensor(state.running_mean.reshape(view))
-        var = ad.Tensor(state.running_var.reshape(view))
-        centered = ad.sub(x, mu)
-    inv_std = ad.power(ad.add(var, ad.Tensor(state.eps)), -0.5)
-    normalized = ad.mul(centered, inv_std)
-    return ad.add(ad.mul(normalized, ad.reshape(gamma, view)), ad.reshape(beta, view))
-
-
-def _composed_block_tail(x, b, gamma, beta, state, mode):
-    """The encoder block's tail as the tape of separate nodes that bias_bn_relu fuses."""
-    return ad.relu(_composed_batch_norm(ad.add(x, ad.reshape(b, (1, -1, 1, 1))), gamma, beta, state, mode))
-
-
-@pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("seed", range(4))
-def test_bias_bn_relu_shared_parameters_bitwise_equal_composed_tape(mode, seed):
+def test_bias_bn_relu_shared_parameters_bitwise_equal_composed_tape(seed):
     """Output, gradients and running statistics equal the composed tape's, byte for byte.
 
     The same b, gamma and beta feed two block tails in one loss, so their
     gradients accumulate from two nodes.
     """
     results = []
-    for tail in (_composed_block_tail, ad.bias_bn_relu):
+    for tail in (composed_block_tail, ad.bias_bn_relu):
         rng = np.random.default_rng([10, seed])
         shape = (int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 7)))
         x = t(rng.normal(loc=2.0, scale=3.0, size=shape), grad=True)
@@ -400,8 +356,8 @@ def test_bias_bn_relu_shared_parameters_bitwise_equal_composed_tape(mode, seed):
         state = ad.BatchNormState.create(shape[1])
         state.running_mean = rng.normal(size=shape[1])
         state.running_var = rng.uniform(0.5, 2.0, size=shape[1])
-        first = tail(x, b, gamma, beta, state, mode)
-        second = tail(ad.relu(x), b, gamma, beta, state, mode)
+        first = tail(x, b, gamma, beta, state)
+        second = tail(ad.relu(x), b, gamma, beta, state)
         loss = ad.add(ad.tensor_sum(ad.mul(first, t(rng.normal(size=shape)))), ad.tensor_sum(ad.mul(second, second)))
         ad.backward(loss)
         results.append([first.data, second.data, x.grad, b.grad, gamma.grad, beta.grad, state.running_mean, state.running_var])
@@ -427,14 +383,13 @@ def _block_leaves(seed):
     return leaves, state, rng.normal(size=(batch, c_out, height, width))
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("seed", range(4))
-def test_bias_bn_relu_bitwise_equals_composed_tape(mode, seed):
+def test_bias_bn_relu_bitwise_equals_composed_tape(seed):
     """Output, gradients and running statistics equal conv -> add(reshape(b)) -> batch norm -> relu's."""
     results = []
-    for tail in (_composed_block_tail, ad.bias_bn_relu):
+    for tail in (composed_block_tail, ad.bias_bn_relu):
         (x, k, b, gamma, beta), state, weights = _block_leaves(seed)
-        out = tail(ad.conv2d(x, k, stride=1, pad=1), b, gamma, beta, state, mode)
+        out = tail(ad.conv2d(x, k, stride=1, pad=1), b, gamma, beta, state)
         ad.backward(ad.tensor_sum(ad.mul(out, t(weights))))
         grads = [p.grad for p in (x, k, b, gamma, beta)]
         results.append([out.data, *grads, state.running_mean, state.running_var])
@@ -447,19 +402,18 @@ def test_bias_bn_relu_is_one_tape_node():
     rng = np.random.default_rng(14)
     x = t(rng.normal(size=(4, 3, 2, 2)), grad=True)
     b, gamma, beta = (t(rng.normal(size=3), grad=True) for _ in range(3))
-    out = ad.bias_bn_relu(x, b, gamma, beta, ad.BatchNormState.create(3), "train")
+    out = ad.bias_bn_relu(x, b, gamma, beta, ad.BatchNormState.create(3))
     assert len(out._parents) == 4
     assert all(p is q for p, q in zip(out._parents, (x, b, gamma, beta)))
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
-def test_conv_block_gradients_ignore_parent_data_replaced_after_forward(mode):
+def test_conv_block_gradients_ignore_parent_data_replaced_after_forward():
     """conv2d and the block tail read what their forward pass read, not what the tensors hold later."""
     grads = []
     for replace in (False, True):
         (x, k, b, gamma, beta), state, weights = _block_leaves(5)
         conv = ad.conv2d(x, k, stride=1, pad=1)
-        loss = ad.tensor_sum(ad.mul(ad.bias_bn_relu(conv, b, gamma, beta, state, mode), t(weights)))
+        loss = ad.tensor_sum(ad.mul(ad.bias_bn_relu(conv, b, gamma, beta, state), t(weights)))
         if replace:
             for tensor in (x, k, conv, b, gamma, beta):
                 tensor.data = np.full_like(tensor.data, 7.0)
@@ -572,7 +526,7 @@ def test_backward_two_layer_net_matches_finite_differences():
         err = ad.sub(pred, y)
         return ad.mul(err, err).mean()
 
-    assert ad.finite_diff_check(f, [w1, b1, w2, b2], eps=1e-5) < 1e-4
+    assert finite_diff_check(f, [w1, b1, w2, b2], eps=1e-5) < 1e-4
 
 
 def test_no_grad_blocks_tape():
@@ -664,18 +618,18 @@ def test_finite_diff_check_quadratic():
     def f(_):
         return ad.mul(x, x).sum()
 
-    assert ad.finite_diff_check(f, [x], eps=1e-5) < 1e-7
+    assert finite_diff_check(f, [x], eps=1e-5) < 1e-7
 
 
 def test_finite_diff_check_rejects_zero_eps():
     x = t([1.0], grad=True)
     with pytest.raises(ValueError):
-        ad.finite_diff_check(lambda _: x.sum(), [x], eps=0.0)
+        finite_diff_check(lambda _: x.sum(), [x], eps=0.0)
 
 
 def test_finite_diff_check_restores_values_and_grads():
     x = t([1.0, 2.0], grad=True)
-    ad.finite_diff_check(lambda _: ad.mul(x, x).sum(), [x], eps=1e-5)
+    finite_diff_check(lambda _: ad.mul(x, x).sum(), [x], eps=1e-5)
     assert np.array_equal(x.data, [1.0, 2.0])
     assert x.grad is None
 
@@ -704,7 +658,7 @@ def _probe(builder, leaves, rng):
     def f(_):
         return ad.mul(builder(), weights).sum()
 
-    return ad.finite_diff_check(f, leaves, eps=1e-5)
+    return finite_diff_check(f, leaves, eps=1e-5)
 
 
 def _away_from_zero(rng, shape, margin=0.05):
@@ -766,11 +720,13 @@ def test_gradients_match_finite_differences_conv_and_bn(seed):
     eval_state = ad.BatchNormState.create(2)
     eval_state.running_mean = rng.normal(size=2)
     eval_state.running_var = rng.uniform(0.5, 2.0, size=2)
-    for bn_state, mode in ((state, "train"), (eval_state, "eval")):
-        # central differences hold only away from the ReLU kink
-        pre = _composed_batch_norm(ad.add(x, ad.reshape(b, (1, -1, 1, 1))), gamma, beta, bn_state.copy(), mode)
+    theta = ad.ParamGroup("theta", [("conv0_w", k), ("conv0_b", b), ("bn0_gamma", gamma), ("bn0_beta", beta)])
+    # central differences hold only away from the ReLU kink: the train tail's, on x,
+    # and the eval-mode folded block's, on conv2d(x, k)
+    for bn_input, bn_state, mode in ((x, state, "train"), (ad.conv2d(x, k, 1, 1), eval_state, "eval")):
+        pre = composed_batch_norm(ad.add(bn_input, ad.reshape(b, (1, -1, 1, 1))), gamma, beta, bn_state.copy(), mode)
         assume(np.abs(pre.data).min() > 1e-3)
     assert _probe(lambda: ad.conv2d(x, k, stride=1, pad=1), [x, k], rng) < 1e-4
-    for bn_state, mode in ((state, "train"), (eval_state, "eval")):
-        tail = lambda: ad.bias_bn_relu(x, b, gamma, beta, bn_state, mode)
-        assert _probe(tail, [x, b, gamma, beta], rng) < 1e-4
+    assert _probe(lambda: ad.bias_bn_relu(x, b, gamma, beta, state), [x, b, gamma, beta], rng) < 1e-4
+    folded = lambda: backbone._conv_block(x, theta, 0, eval_state, "eval")
+    assert _probe(folded, [x, k, b, gamma, beta], rng) < 1e-4

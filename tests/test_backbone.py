@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from evofa import autodiff as ad, backbone
 from evofa.autodiff import Tensor
 from evofa.errors import ConfigError, ProtocolError, ShapeError
+from helpers import composed_block_tail, finite_diff_check, state_bytes
 
 TINY = backbone.BackboneConfig(
     n_electrodes=4,
@@ -146,6 +147,12 @@ def test_encode_schema_mismatch_rejected():
         backbone.encode(t(np.zeros((1, 5, 4))), model)
 
 
+def test_encode_bad_mode_rejected():
+    model = backbone.create_model(TINY, seed=0)
+    with pytest.raises(ConfigError, match="'train' or 'eval', got 'test'"):
+        backbone.encode(t(np.zeros((1, 4, 4))), model, mode="test")
+
+
 def test_encode_train_mode_updates_bn_stats():
     model = backbone.create_model(TINY, seed=3)
     rng = np.random.default_rng(5)
@@ -228,7 +235,7 @@ def test_folded_eval_blocks_match_conv_then_bias_bn_relu(cfg):
     projections = [model.theta.get(f"g2g_p{k}") for k in range(cfg.g2g_channels)]
     x = backbone.g2g_transform(features, projections)
     for i, state in enumerate(model.bn_states):
-        reference = ad.bias_bn_relu(
+        reference = composed_block_tail(
             ad.conv2d(x, model.theta.get(f"conv{i}_w"), stride=1, pad=1),
             model.theta.get(f"conv{i}_b"),
             model.theta.get(f"bn{i}_gamma"),
@@ -245,13 +252,49 @@ def test_folded_eval_blocks_match_conv_then_bias_bn_relu(cfg):
     assert np.abs(encoded - pooled).max() <= 1e-12 * np.abs(pooled).max()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_folded_eval_block_with_shared_parameters_matches_composed_tape(seed):
+    """The folded eval block's output and gradients equal conv -> the composed eval tail's.
+
+    The same theta feeds two blocks in one loss, so its gradients accumulate from
+    two folded convs. Neither block moves the running statistics.
+    """
+    results = []
+    for folded in (False, True):
+        rng = np.random.default_rng([15, seed])
+        batch, c_in, c_out = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        height, width = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        x = t(rng.normal(loc=0.5, scale=2.0, size=(batch, c_in, height, width)), grad=True)
+        k = t(rng.normal(size=(c_out, c_in, 3, 3)), grad=True)
+        b = t(rng.normal(size=c_out), grad=True)
+        gamma = t(rng.uniform(0.5, 2.0, size=c_out), grad=True)
+        beta = t(rng.normal(scale=0.3, size=c_out), grad=True)
+        theta = ad.ParamGroup("theta", [("conv0_w", k), ("conv0_b", b), ("bn0_gamma", gamma), ("bn0_beta", beta)])
+        state = ad.BatchNormState.create(c_out)
+        state.running_mean = rng.normal(size=c_out)
+        state.running_var = rng.uniform(0.5, 2.0, size=c_out)
+        before = (state.running_mean.copy(), state.running_var.copy())
+        if folded:
+            block = lambda inp: backbone._conv_block(inp, theta, 0, state, "eval")
+        else:
+            block = lambda inp: composed_block_tail(ad.conv2d(inp, k, stride=1, pad=1), b, gamma, beta, state, "eval")
+        first, second = block(x), block(ad.relu(x))
+        weights = t(rng.normal(size=first.shape))
+        ad.backward(ad.add(ad.tensor_sum(ad.mul(first, weights)), ad.tensor_sum(ad.mul(second, second))))
+        assert np.array_equal(state.running_mean, before[0]) and np.array_equal(state.running_var, before[1])
+        results.append([first.data, second.data, x.grad, k.grad, b.grad, gamma.grad, beta.grad])
+    assert 0 < np.count_nonzero(results[1][0]) < results[1][0].size  # the ReLU mask is not trivial
+    for composed, folded in zip(*results):
+        assert np.abs(folded - composed).max() <= 1e-12 * max(np.abs(composed).max(), 1.0)
+
+
 def test_folded_eval_encode_gradient_matches_finite_differences():
     model = _nontrivial_eval_model(TINY, seed=6)
     rng = np.random.default_rng(7)
     features = t(rng.normal(size=(3, 4, 4)))
     weights = t(rng.normal(size=(3, TINY.embedding_dim)))
     loss = lambda theta: ad.tensor_sum(ad.mul(backbone.encode(features, model, mode="eval"), weights))
-    assert ad.finite_diff_check(loss, model.theta) < 1e-4
+    assert finite_diff_check(loss, model.theta) < 1e-4
 
 
 @pytest.mark.parametrize("head", backbone.HEAD_KINDS)
@@ -268,7 +311,7 @@ def test_create_model_deterministic():
     a = backbone.create_model(TINY, seed=9)
     b = backbone.create_model(TINY, seed=9)
     for ga, gb in zip(a.groups(), b.groups()):
-        assert ga.state_bytes() == gb.state_bytes()
+        assert state_bytes(ga) == state_bytes(gb)
 
 
 def test_encode_rows_batches_of_64_equal_rows_encoded_alone(monkeypatch):
@@ -312,7 +355,7 @@ def test_adapter_gradients_flow_to_phi():
     def f(_):
         return ad.mul(backbone.adapt(x, model.phi), weights).sum()
 
-    assert ad.finite_diff_check(f, model.phi, eps=1e-5) < 1e-4
+    assert finite_diff_check(f, model.phi, eps=1e-5) < 1e-4
     loss = f(None)
     ad.backward(loss)
     assert any(np.abs(p.grad).max() > 1e-6 for p in model.phi.tensors())

@@ -21,6 +21,7 @@ from evofa.checkpoint import (
 )
 from evofa.errors import CheckpointError, ConfigError
 
+from helpers import state_bytes
 from jsonfuzz import mutated, mutation_lists
 
 TINY = BackboneConfig(
@@ -139,7 +140,7 @@ def test_load_is_deterministic(model, tmp_path):
     path = save_checkpoint(model, tmp_path / "m.ckpt")
     a, b = load_checkpoint(path), load_checkpoint(path)
     for ga, gb in zip(a.groups(), b.groups()):
-        assert ga.state_bytes() == gb.state_bytes()
+        assert state_bytes(ga) == state_bytes(gb)
 
 
 # -- error taxonomy ----------------------------------------------------------------

@@ -195,6 +195,30 @@ def test_synth_gen_whose_manifest_cannot_be_written_leaves_no_file(workspace, tm
     assert [p for p in out.rglob("*") if not p.is_dir()] == []
 
 
+def test_failing_synth_gen_removes_the_directories_it_made(tmp_path, capsys):
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({"num_subjects": 1, "trials_per_session": 3, "samples_per_trial": 2}))
+    out = tmp_path / "c"
+    (out / "manifest.json").mkdir(parents=True)
+    assert main(["synth-gen", "--config", str(config), "--out", str(out)]) == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert list(out.rglob("*")) == [out / "manifest.json"]  # features/ went with its files
+
+
+def test_failing_command_keeps_an_out_directory_that_existed_empty(workspace, tmp_path, monkeypatch, capsys):
+    import evofa.cli as cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(cli, "write_run_manifest", boom)
+    out = tmp_path / "existing"
+    out.mkdir()
+    assert main(["synth-gen", "--config", str(workspace / "dataset.json"), "--out", str(out)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
 def test_failing_synth_gen_keeps_the_files_it_did_not_write(workspace, tmp_path, capsys):
     out = tmp_path / "c"
     (out / "run-manifest.json").mkdir(parents=True)
@@ -301,6 +325,7 @@ def test_failing_train_discards_partial_outputs(workspace, tmp_path, monkeypatch
     assert "disk full" in capsys.readouterr().err
     assert not (out / "checkpoints" / "model.ckpt").exists()
     assert not (out / "logs" / "train_log.csv").exists()
+    assert not out.exists()  # nor the directories the command made for them
 
 
 def test_compare_whose_results_json_cannot_be_written_leaves_no_file(workspace, tmp_path, capsys):
@@ -695,7 +720,7 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 def test_outputs_discard_tolerates_missing(tmp_path):
-    out = _Outputs()
+    out = _Outputs(None)
     real = tmp_path / "a.txt"
     real.write_text("x")
     out.track(real)

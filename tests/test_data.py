@@ -20,6 +20,7 @@ from evofa.errors import (
     ProtocolError,
 )
 
+from helpers import scalar, select_rows
 from jsonfuzz import mutated, mutation_lists
 
 SMALL = data.DriftConfig(
@@ -465,7 +466,7 @@ def test_time_index_strictly_increasing_per_session():
     ds = data.generate_synthetic_drift(SMALL)
     for subject in ds.subjects():
         for session in ds.sessions(subject):
-            times = ds.select(subject=subject, session=session).time
+            times = select_rows(ds, subject=subject, session=session).time
             assert np.all(np.diff(times) > 0)
 
 
@@ -507,9 +508,9 @@ def test_dataset_names_first_bad_label_and_repeated_time():
         data.DatasetIndex(**columns, num_classes=ds.num_classes, schema=ds.schema)
 
 
-def test_select_keeps_dataset_order_and_metadata():
+def test_split_select_keeps_dataset_order_and_metadata():
     ds = data.generate_synthetic_drift(SMALL)
-    part = ds.select(session=2)
+    part = data.SplitSpec(frozenset({(2, 2), (1, 2)}), frozenset(), frozenset()).select(ds, "train")
     assert isinstance(part, data.DatasetIndex)
     assert len(part) == SMALL.num_subjects * SMALL.samples_per_session
     assert part.subjects() == [1, 2] and part.sessions() == [2]
@@ -533,7 +534,7 @@ def test_labels_constant_within_trial():
     for subject in ds.subjects():
         for session in ds.sessions(subject):
             for trial in range(1, SMALL.trials_per_session + 1):
-                labels = ds.select(subject=subject, session=session, trial=trial).label
+                labels = select_rows(ds, subject=subject, session=session, trial=trial).label
                 assert len(set(labels.tolist())) == 1
 
 
@@ -610,7 +611,7 @@ def test_class_separation_is_exact_in_the_noiseless_limit():
 
 
 def _session_features(ds, subject, session):
-    rows = ds.select(subject=subject, session=session)
+    rows = select_rows(ds, subject=subject, session=session)
     return rows.features.reshape(len(rows), -1)
 
 
@@ -632,8 +633,8 @@ def test_no_drift_sessions_are_stationary():
     ds = data.generate_synthetic_drift(cfg)
     s1_all, s3_all = _session_features(ds, 1, 1), _session_features(ds, 1, 3)
     for label in range(3):
-        s1 = s1_all[ds.select(subject=1, session=1).label == label]
-        s3 = s3_all[ds.select(subject=1, session=3).label == label]
+        s1 = s1_all[select_rows(ds, subject=1, session=1).label == label]
+        s3 = s3_all[select_rows(ds, subject=1, session=3).label == label]
         count = len(s1)
         gap = np.mean(s1, axis=0) - np.mean(s3, axis=0)
         rms = np.linalg.norm(gap) / np.sqrt(gap.size)
@@ -659,8 +660,8 @@ def test_drift_raises_between_session_mmd():
     a0, b0 = _session_features(still, 1, 1), _session_features(still, 1, 3)
     a1, b1 = _session_features(moved, 1, 1), _session_features(moved, 1, 3)
     spec = mmd.default_spec(a0, b0)
-    quiet = mmd.mmd2(Tensor(a0), Tensor(b0), spec).item()
-    drifted = mmd.mmd2(Tensor(a1), Tensor(b1), spec).item()
+    quiet = scalar(mmd.mmd2(Tensor(a0[None]), Tensor(b0[None]), spec))
+    drifted = scalar(mmd.mmd2(Tensor(a1[None]), Tensor(b1[None]), spec))
     assert drifted > quiet
 
 
@@ -685,14 +686,14 @@ def test_no_drift_mmd_within_permutation_null(seed, pair):
     x = _session_features(ds, 1, pair[0])
     y = _session_features(ds, 1, pair[1])
     spec = mmd.default_spec(x, y)
-    observed = mmd.mmd2(Tensor(x), Tensor(y), spec).item()
+    observed = scalar(mmd.mmd2(Tensor(x[None]), Tensor(y[None]), spec))
     pooled = np.concatenate([x, y], axis=0)
     rng = np.random.default_rng(seed)
     null = []
     for _ in range(100):
         perm = rng.permutation(len(pooled))
         px, py = pooled[perm[: len(x)]], pooled[perm[len(x) :]]
-        null.append(mmd.mmd2(Tensor(px), Tensor(py), spec).item())
+        null.append(scalar(mmd.mmd2(Tensor(px[None]), Tensor(py[None]), spec)))
     assert observed < np.quantile(null, 0.95)
 
 
@@ -708,7 +709,7 @@ def test_intra_split_maps_sessions():
     assert val.sessions() == [2]
     assert test.sessions() == [3]
     assert train.subjects() == val.subjects() == test.subjects() == [1]
-    assert len(train) == len(ds.select(subject=1, session=1))
+    assert len(train) == len(select_rows(ds, subject=1, session=1))
 
 
 def test_intra_split_disjoint():

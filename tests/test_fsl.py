@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from evofa import autodiff as ad
 from evofa import backbone, fsl
-from evofa.autodiff import ParamGroup, Tensor, finite_diff_check
+from evofa.autodiff import ParamGroup, Tensor
 from evofa.backbone import BackboneConfig, create_model, encode_rows
 from evofa.data import DatasetIndex, DriftConfig, generate_synthetic_drift, make_intra_split
 from evofa.errors import ConfigError, ContractError, ProtocolError, SamplingError
@@ -21,13 +21,13 @@ from evofa.fsl import (
     classify_pool,
     classify_query,
     episode_loss,
-    episode_scores,
     loss_from_scores,
     meta_train,
     sample_episode,
     train_supervised_baseline,
     validation_accuracy,
 )
+from helpers import eval_scores, finite_diff_check, scalar, select_rows, state_bytes
 
 # -- helpers ---------------------------------------------------------------------
 
@@ -83,7 +83,7 @@ def manual_episode(class_ids=(0, 1, 2), shot=1, queries=2, shape=(2, 2), seed=0)
 def test_episode_local_targets_follow_class_id_order():
     pool, ep = manual_episode(class_ids=(4, 7, 9))
     model = create_model(tiny_backbone(), seed=0)
-    _, targets = episode_scores(pool, ep, model)
+    _, targets = eval_scores(pool, ep, model)
     assert targets.tolist() == [0, 0, 1, 1, 2, 2]
     support, query = ep
     assert pool.label[support[targets, 0]].tolist() == pool.label[query.ravel()].tolist()
@@ -179,23 +179,28 @@ def test_sample_draws_pinned_rows_class_by_class():
     assert pool.label[support[:, 0]].tolist() == [1, 5, 8]
 
 
-def test_episode_scores_encode_support_then_query_class_by_class(monkeypatch):
+def test_episode_loss_encodes_support_then_query_class_by_class_in_train_mode(monkeypatch):
     pool, ep = manual_episode(class_ids=(0, 1, 2), shot=2, queries=2)
     support, query = ep
-    encoded = []
+    encoded, scored = [], []
 
     def recording_encode(x, model, mode="eval"):
-        encoded.append(x.data.copy())
+        encoded.append((x.data.copy(), mode))
         return real_encode(x, model, mode=mode)
 
-    real_encode = backbone.encode
+    def recording_loss(scores, targets, kind):
+        scored.append((scores.shape, targets.tolist()))
+        return real_loss(scores, targets, kind)
+
+    real_encode, real_loss = backbone.encode, fsl.loss_from_scores
     monkeypatch.setattr(backbone, "encode", recording_encode)
+    monkeypatch.setattr(fsl, "loss_from_scores", recording_loss)
     model = create_model(tiny_backbone(), seed=0)
-    scores, targets = episode_scores(pool, ep, model)
+    episode_loss(pool, ep, model)
     order = [*support[0], *support[1], *support[2], *query[0], *query[1], *query[2]]
-    assert np.array_equal(encoded[-1], pool.features[order])
-    assert scores.shape == (6, 3)
-    assert targets.tolist() == [0, 0, 1, 1, 2, 2]
+    assert np.array_equal(encoded[-1][0], pool.features[order])
+    assert encoded[-1][1] == "train"
+    assert scored == [((6, 3), [0, 0, 1, 1, 2, 2])]
 
 
 # -- loss oracles -----------------------------------------------------------------
@@ -213,7 +218,7 @@ def test_proto_loss_closed_form():
 def test_proto_loss_vanishes_for_distant_prototypes():
     scores = Tensor([[0.0, -50.0, -50.0]])
     loss = loss_from_scores(scores, np.array([0]), "proto")
-    assert 0.0 <= loss.item() < 1e-20
+    assert 0.0 <= scalar(loss) < 1e-20
 
 
 def test_matching_uniform_attention_is_ln_n():
@@ -226,7 +231,7 @@ def test_matching_uniform_attention_is_ln_n():
 def test_relation_exact_match_is_zero():
     onehot = np.eye(3)[[0, 1, 2, 1]]
     loss = loss_from_scores(Tensor(onehot), np.array([0, 1, 2, 1]), "relation")
-    assert loss.item() == 0.0
+    assert scalar(loss) == 0.0
 
 
 def test_relation_hand_value():
@@ -238,7 +243,7 @@ def test_relation_hand_value():
 def test_matching_zero_probability_stays_finite():
     scores = Tensor([[0.0, 1.0]])
     loss = loss_from_scores(scores, np.array([0]), "matching")
-    assert np.isfinite(loss.item())
+    assert np.isfinite(scalar(loss))
     assert loss.data == pytest.approx(-np.log(1e-12), rel=1e-9)
 
 
@@ -253,25 +258,25 @@ def test_loss_nonnegativity(seed):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-30.0, 30.0, size=(4, 3))
     targets = rng.integers(0, 3, size=4)
-    assert loss_from_scores(Tensor(raw), targets, "proto").item() >= 0.0
-    assert loss_from_scores(Tensor(raw), targets, "relation").item() >= 0.0
+    assert scalar(loss_from_scores(Tensor(raw), targets, "proto")) >= 0.0
+    assert scalar(loss_from_scores(Tensor(raw), targets, "relation")) >= 0.0
     probs = rng.dirichlet(np.ones(3), size=4)
-    assert loss_from_scores(Tensor(probs), targets, "matching").item() >= 0.0
+    assert scalar(loss_from_scores(Tensor(probs), targets, "matching")) >= 0.0
 
 
-# -- episode_scores contracts --------------------------------------------------------
+# -- episode_loss contracts --------------------------------------------------------
 
 
 def test_linear_head_is_not_episodic():
     model = create_model(tiny_backbone(head_kind="linear"), seed=0)
     with pytest.raises(ProtocolError, match="linear head is not episodic"):
-        episode_scores(*manual_episode(), model)
+        episode_loss(*manual_episode(), model)
 
 
 def test_way_mismatch_rejected():
     model = create_model(tiny_backbone(num_classes=2), seed=0)
     with pytest.raises(ProtocolError):
-        episode_scores(*manual_episode(), model)
+        episode_loss(*manual_episode(), model)
 
 
 def support_order_losses(kind, shot, seed):
@@ -284,7 +289,7 @@ def support_order_losses(kind, shot, seed):
     losses = []
     for order in (blocks.ravel(), blocks[:, ::-1].ravel()):
         scores = backbone.head_forward(model, Tensor(support[order]), Tensor(query))
-        losses.append(loss_from_scores(scores, np.repeat(np.arange(3), 2), kind).item())
+        losses.append(scalar(loss_from_scores(scores, np.repeat(np.arange(3), 2), kind)))
     return losses
 
 
@@ -310,7 +315,7 @@ def test_episode_gradients_match_finite_differences():
     tensors = model.theta.tensors() + model.phi.tensors()
 
     def f(_):
-        return episode_loss(pool, ep, model, mode="eval")
+        return loss_from_scores(*eval_scores(pool, ep, model), "proto")
 
     assert finite_diff_check(f, tensors) < 1e-4
 
@@ -354,7 +359,7 @@ def test_classify_query_on_pool_rows_equals_episode_encoded_alone(head, monkeypa
         ep = sample_episode(pool, 3, j % 2 + 1, 4, np.random.default_rng([5, j]))
         (predictions,), (accuracy,) = classify_query([ep], model, rows, phi)
         with ad.no_grad():
-            expect, targets = episode_scores(pool, ep, adapted, mode="eval")
+            expect, targets = eval_scores(pool, ep, adapted)
         # scores[-2] was recorded inside classify_query, scores[-1] inside the reference
         assert scores[-2][0].data.tobytes() == expect.data.tobytes()
         local = np.argmax(expect.data, axis=1)
@@ -432,7 +437,7 @@ def test_untrained_model_sits_at_chance():
         noise_std=1.0,
         rng_seed=2,
     )
-    pool = generate_synthetic_drift(cfg).select(subject=1, session=1)
+    pool = select_rows(generate_synthetic_drift(cfg), subject=1, session=1)
     model = create_model(
         tiny_backbone(n_electrodes=4, d_bands=3, conv_channels=(4, 4, 4, 8), embedding_dim=8, adapter_hidden=16),
         seed=0,
@@ -579,7 +584,7 @@ def test_zero_epochs_returns_init(name, separable_pools):
     model = trainer(train, val, cfg, SMALL_BACKBONE, 9)
     fresh = create_model(cfg.model_config(SMALL_BACKBONE), seed=9)
     for got, want in zip(model.groups(), fresh.groups()):
-        assert got.state_bytes() == want.state_bytes()
+        assert state_bytes(got) == state_bytes(want)
 
 
 @pytest.mark.parametrize("name", TRAINERS)
@@ -615,10 +620,10 @@ def test_non_finite_gradient_raises_at_its_step(name, separable_pools, monkeypat
         return models[-1]
 
     def poisoning_backward(loss):
-        losses.append(loss.item())
+        losses.append(scalar(loss))
         original_backward(loss)
         if len(losses) == 3:
-            before.append(models[0].theta.state_bytes())
+            before.append(state_bytes(models[0].theta))
             models[0].theta.tensors()[0].grad.flat[0] = np.nan
 
     monkeypatch.setattr(fsl, "create_model", recording_create)
@@ -626,7 +631,7 @@ def test_non_finite_gradient_raises_at_its_step(name, separable_pools, monkeypat
     with pytest.raises(ContractError, match=f"parameter theta/{first} has a non-finite gradient"):
         trainer(train, val, cfg, SMALL_BACKBONE, 0)
     assert len(losses) == 3 and np.isfinite(losses).all()
-    assert models[0].theta.state_bytes() == before[0]
+    assert state_bytes(models[0].theta) == before[0]
 
 
 def _tape_array_ref(loss):
@@ -672,7 +677,7 @@ def test_meta_train_deterministic_across_runs(separable_pools):
     a = meta_train(train, val, cfg, SMALL_BACKBONE, 3)
     b = meta_train(train, val, cfg, SMALL_BACKBONE, 3)
     for got, want in zip(a.groups(), b.groups()):
-        assert got.state_bytes() == want.state_bytes()
+        assert state_bytes(got) == state_bytes(want)
 
 
 def test_validation_accuracy_is_stable_across_calls(separable_pools):
@@ -726,7 +731,7 @@ def test_supervised_baseline_learns_stationary_data(trained_supervised, separabl
 def test_supervised_baseline_leaves_adapter_at_identity(trained_supervised):
     model, cfg = trained_supervised
     fresh = create_model(cfg.model_config(SEPARABLE_BACKBONE), seed=0)
-    assert model.phi.state_bytes() == fresh.phi.state_bytes()
+    assert state_bytes(model.phi) == state_bytes(fresh.phi)
 
 
 def test_supervised_baseline_computes_no_adapter_gradient(separable_pools, monkeypatch):

@@ -7,13 +7,23 @@ from hypothesis import given, settings, strategies as st
 
 from evofa import autodiff as ad, mmd
 from evofa.errors import ConfigError, ShapeError
+from helpers import finite_diff_check, scalar
 
 
 def t(data, grad=False):
     return ad.Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad)
 
 
-SINGLE = mmd.KernelSpec.single(1.0)
+def one(data, grad=False):
+    """A sample set [m x e] as mmd2 takes it: a stack of one, [1 x m x e]."""
+    return t(np.asarray(data, dtype=np.float64)[None], grad)
+
+
+def single(sigma: float) -> mmd.KernelSpec:
+    return mmd.KernelSpec((sigma,), (1.0,))
+
+
+SINGLE = single(1.0)
 
 
 # -- KernelSpec ----------------------------------------------------------------
@@ -47,7 +57,7 @@ def test_kernel_spec_rejects_non_finite(bad):
 def test_kernel_spec_rejects_bandwidth_whose_square_or_inverse_square_overflows(sigma):
     # 1e-160: -0.5 / sigma^2 is -inf and MMD^2 NaN; 1e200: sigma^2 is inf and MMD^2 exactly 0
     with pytest.raises(ConfigError, match=r"^bandwidths must have finite positive sigma\^2 and 1/sigma\^2"):
-        mmd.KernelSpec.single(sigma)
+        single(sigma)
 
 
 def test_kernel_spec_rejects_weights_whose_sum_overflows():
@@ -59,22 +69,22 @@ def test_kernel_spec_rejects_weights_whose_sum_overflows():
 
 @pytest.mark.parametrize("sigma", [1e-150, 1e150])
 def test_kernel_spec_at_the_edges_of_its_range_gives_a_finite_mmd2(sigma):
-    x = t(np.random.default_rng(0).normal(size=(6, 3)), grad=True)
-    loss = mmd.mmd2(x, t(x.data + 1.0), mmd.KernelSpec.single(sigma))
+    x = one(np.random.default_rng(0).normal(size=(6, 3)), grad=True)
+    loss = mmd.mmd2(x, t(x.data + 1.0), single(sigma))
     ad.backward(loss)
-    assert np.isfinite(loss.item()) and loss.item() >= 0.0
+    assert np.isfinite(scalar(loss)) and scalar(loss) >= 0.0
     assert np.all(np.isfinite(x.grad))
 
 
 def test_mmd2_of_the_smallest_bandwidths_is_exact_without_a_warning():
     # with sigma = 1e-154 a squared distance beyond ~3.6 overflows -dist2 / (2 sigma^2) to -inf,
     # whose kernel value exp(-inf) = 0 is exact: only the diagonal is left, so MMD^2 = 1/6 + 1/6
-    x = t(np.random.default_rng(0).normal(size=(6, 3)), grad=True)
+    x = one(np.random.default_rng(0).normal(size=(6, 3)), grad=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loss = mmd.mmd2(x, t(x.data + 1.0), mmd.KernelSpec.single(1e-154))
+        loss = mmd.mmd2(x, t(x.data + 1.0), single(1e-154))
         ad.backward(loss)
-    assert loss.item() == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert scalar(loss) == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert np.all(np.isfinite(x.grad))
 
 
@@ -88,12 +98,12 @@ def test_kernel_ladder_around_sigma():
 
 def test_mmd2_identical_sets_is_zero():
     rng = np.random.default_rng(2)
-    x = t(rng.normal(size=(7, 5)))
-    assert abs(mmd.mmd2(x, x, mmd.KernelSpec.around(1.0)).item()) < 1e-12
+    x = one(rng.normal(size=(7, 5)))
+    assert abs(scalar(mmd.mmd2(x, x, mmd.KernelSpec.around(1.0)))) < 1e-12
 
 
 def test_mmd2_hand_value():
-    value = mmd.mmd2(t([[0.0]]), t([[1.0]]), SINGLE).item()
+    value = scalar(mmd.mmd2(one([[0.0]]), one([[1.0]]), SINGLE))
     assert value == pytest.approx(2.0 - 2.0 * np.exp(-0.5), abs=1e-9)
     assert value == pytest.approx(0.78694, abs=1e-5)
 
@@ -112,17 +122,25 @@ def test_mmd2_matches_brute_force():
     kyy = np.mean([[k(a, b) for b in y] for a in y])
     kxy = np.mean([[k(a, b) for b in y] for a in x])
     expect = kxx + kyy - 2 * kxy
-    assert mmd.mmd2(t(x), t(y), spec).item() == pytest.approx(expect, abs=1e-12)
+    assert scalar(mmd.mmd2(one(x), one(y), spec)) == pytest.approx(expect, abs=1e-12)
 
 
 def test_mmd2_empty_set_rejected():
     with pytest.raises(ShapeError):
-        mmd.mmd2(t(np.zeros((0, 3))), t(np.zeros((4, 3))), SINGLE)
+        mmd.mmd2(one(np.zeros((0, 3))), one(np.zeros((4, 3))), SINGLE)
+
+
+def test_mmd2_rejects_sets_that_are_not_stacks():
+    # one pair of sets is a stack of one: [m x e] alone is not accepted
+    with pytest.raises(ShapeError, match=r"stacks \[G x m x e\]"):
+        mmd.mmd2(t(np.zeros((2, 3))), t(np.zeros((4, 3))), SINGLE)
+    with pytest.raises(ShapeError, match=r"stacks \[G x m x e\]"):
+        mmd.mmd2(one(np.zeros((2, 3))), t(np.zeros((4, 3))), SINGLE)
 
 
 def test_mmd2_dim_mismatch_rejected():
     with pytest.raises(ShapeError):
-        mmd.mmd2(t(np.zeros((2, 3))), t(np.zeros((2, 4))), SINGLE)
+        mmd.mmd2(one(np.zeros((2, 3))), one(np.zeros((2, 4))), SINGLE)
     with pytest.raises(ShapeError):
         mmd.mmd2(t(np.zeros((2, 2, 3))), t(np.zeros((3, 2, 3))), SINGLE)
     with pytest.raises(ShapeError):
@@ -131,10 +149,10 @@ def test_mmd2_dim_mismatch_rejected():
 
 def test_mmd2_symmetric_in_its_arguments():
     rng = np.random.default_rng(1)
-    x = t(rng.normal(size=(5, 4)))
-    y = t(rng.normal(size=(3, 4)))
+    x = one(rng.normal(size=(5, 4)))
+    y = one(rng.normal(size=(3, 4)))
     spec = mmd.KernelSpec.around(1.5)
-    assert mmd.mmd2(x, y, spec).item() == pytest.approx(mmd.mmd2(y, x, spec).item(), abs=1e-15)
+    assert scalar(mmd.mmd2(x, y, spec)) == pytest.approx(scalar(mmd.mmd2(y, x, spec)), abs=1e-15)
 
 
 # -- the fused node against the composed tape ------------------------------------
@@ -171,18 +189,18 @@ def test_fused_mmd2_value_bitwise_and_grad_match_composed_tape(seed):
     rng = np.random.default_rng(seed)
     xs, ys = random_sets(rng)
     spec = mmd.default_spec(xs, ys) if rng.random() < 0.5 else mmd.KernelSpec((0.7, 1.9), (0.3, 0.7))
-    x, y, xr, yr = t(xs, True), t(ys, True), t(xs, True), t(ys, True)
+    x, y, xr, yr = one(xs, True), one(ys, True), t(xs, True), t(ys, True)
     fused, ref = mmd.mmd2(x, y, spec), composed_mmd2(xr, yr, spec)
-    assert fused.item() == ref.item()  # bitwise
+    assert scalar(fused) == scalar(ref)  # bitwise
     ad.backward(fused)
     ad.backward(ref)
-    for got, want in ((x.grad, xr.grad), (y.grad, yr.grad)):  # atol: entries that cancel to ~0
+    for got, want in ((x.grad[0], xr.grad), (y.grad[0], yr.grad)):  # atol: entries that cancel to ~0
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15 + 1e-12 * np.abs(want).max())
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_stacked_mmd2_slices_equal_single_calls(seed):
+def test_stacked_mmd2_slices_equal_stacks_of_one(seed):
     rng = np.random.default_rng(seed)
     xs, ys = random_sets(rng, slices=int(rng.integers(1, 6)))
     specs = [mmd.default_spec(a, b) for a, b in zip(xs, ys)]
@@ -191,12 +209,12 @@ def test_stacked_mmd2_slices_equal_single_calls(seed):
     assert stacked.shape == (len(xs),)
     ad.backward(stacked.sum())
     for g, spec in enumerate(specs):
-        xg, yg = t(xs[g], True), t(ys[g], True)
-        single = mmd.mmd2(xg, yg, spec)
-        ad.backward(single)
-        assert stacked.data[g] == single.item()
-        np.testing.assert_array_equal(x.grad[g], xg.grad)
-        np.testing.assert_array_equal(y.grad[g], yg.grad)
+        xg, yg = one(xs[g], True), one(ys[g], True)
+        alone = mmd.mmd2(xg, yg, spec)
+        ad.backward(alone)
+        assert stacked.data[g] == scalar(alone)
+        np.testing.assert_array_equal(x.grad[g], xg.grad[0])
+        np.testing.assert_array_equal(y.grad[g], yg.grad[0])
 
 
 def test_stacked_mmd2_gradient_matches_finite_differences():
@@ -209,28 +227,28 @@ def test_stacked_mmd2_gradient_matches_finite_differences():
     def f(_):
         return ad.mul(mmd.mmd2(x, y, specs), weights).sum()
 
-    assert ad.finite_diff_check(f, [x, y], eps=1e-6) < 1e-6
+    assert finite_diff_check(f, [x, y], eps=1e-6) < 1e-6
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_mmd2_nonnegative(seed):
     rng = np.random.default_rng(seed)
-    x = t(rng.normal(size=(rng.integers(1, 8), 3)))
-    y = t(rng.normal(loc=rng.normal(), size=(rng.integers(1, 8), 3)))
-    assert mmd.mmd2(x, y, mmd.KernelSpec.around(1.0)).item() >= 0.0
+    x = one(rng.normal(size=(rng.integers(1, 8), 3)))
+    y = one(rng.normal(loc=rng.normal(), size=(rng.integers(1, 8), 3)))
+    assert scalar(mmd.mmd2(x, y, mmd.KernelSpec.around(1.0))) >= 0.0
 
 
 def test_mmd2_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
-    x = t(rng.normal(size=(5, 3)), grad=True)
-    y = t(rng.normal(loc=0.5, size=(4, 3)), grad=True)
+    x = one(rng.normal(size=(5, 3)), grad=True)
+    y = one(rng.normal(loc=0.5, size=(4, 3)), grad=True)
     spec = mmd.KernelSpec.around(1.2)
 
     def f(_):
         return mmd.mmd2(x, y, spec)
 
-    assert ad.finite_diff_check(f, [x, y], eps=1e-5) < 1e-4
+    assert finite_diff_check(f, [x, y], eps=1e-5) < 1e-4
 
 
 def test_mmd2_monotone_in_mean_gap():
@@ -238,7 +256,7 @@ def test_mmd2_monotone_in_mean_gap():
     base = rng.normal(size=(30, 4))
     target = rng.normal(size=(30, 4))
     spec = mmd.KernelSpec.around(np.sqrt(2.0 * 4))
-    values = [mmd.mmd2(t(base + delta), t(target), spec).item() for delta in (0.0, 1.0, 2.0)]
+    values = [scalar(mmd.mmd2(one(base + delta), one(target), spec)) for delta in (0.0, 1.0, 2.0)]
     assert values[0] < values[1] < values[2]
 
 
