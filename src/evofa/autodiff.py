@@ -397,21 +397,22 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
 # -- batch normalization --------------------------------------------------------
 
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # running-statistics update rate; variance floor
+
+
 @dataclass
 class BatchNormState:
     """Running statistics for one batch-norm stage."""
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
     @classmethod
-    def create(cls, channels: int, momentum: float = 0.1, eps: float = 1e-5) -> "BatchNormState":
-        return cls(np.zeros(channels), np.ones(channels), momentum, eps)
+    def create(cls, channels: int) -> "BatchNormState":
+        return cls(np.zeros(channels), np.ones(channels))
 
     def copy(self) -> "BatchNormState":
-        return BatchNormState(self.running_mean.copy(), self.running_var.copy(), self.momentum, self.eps)
+        return BatchNormState(self.running_mean.copy(), self.running_var.copy())
 
 
 _BN_AXES, _BN_VIEW = (0, 2, 3), (1, -1, 1, 1)
@@ -422,10 +423,10 @@ def _bn_stats(x: np.ndarray, state: BatchNormState):
     mu = np.mean(x, axis=_BN_AXES, keepdims=True)
     centered = x - mu
     var = np.mean(centered * centered, axis=_BN_AXES, keepdims=True)
-    m = state.momentum
+    m = BN_MOMENTUM
     state.running_mean = (1.0 - m) * state.running_mean + m * mu.reshape(-1)
     state.running_var = (1.0 - m) * state.running_var + m * var.reshape(-1)
-    v_eps = var + np.array(state.eps)
+    v_eps = var + np.array(BN_EPS)
     return mu, v_eps, v_eps**-0.5, centered
 
 
@@ -457,22 +458,22 @@ def _bn_backward(g, c, gamma_view, inv_std, v_eps):
     return g_x, g_gamma, g_beta
 
 
-def bias_bn_relu(x: Tensor, b: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Tensor:
-    """relu(gamma * (x + b - mean) / sqrt(var + eps) + beta) per channel, as one tape node.
+def bn_relu(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Tensor:
+    """relu(gamma * (x - mean) / sqrt(var + eps) + beta) per channel, as one tape node.
 
-    ``b`` is a per-channel bias. This is the train-mode block tail: it normalizes
-    by batch statistics and updates ``state``'s running ones (eval mode folds batch
-    norm into the conv instead, ``backbone._conv_block``). The node keeps its input
-    array, its output and the per-channel statistics; the backward pass takes the
-    ReLU mask from the output and recomputes x + b, x + b - mean and the normalized
-    input (in-place activated batch norm, Rota Bulò et al., CVPR 2018). Outputs,
-    gradients and running statistics are bitwise those of the same arithmetic
-    recorded as a tape of elementwise ops.
+    This is the train-mode block tail: it normalizes by batch statistics and
+    updates ``state``'s running ones (eval mode folds batch norm into the conv
+    instead, ``backbone._conv_block``). The node keeps its input array, its output
+    and the per-channel statistics; the backward pass takes the ReLU mask from the
+    output and recomputes x - mean and the normalized input (in-place activated
+    batch norm, Rota Bulò et al., CVPR 2018). Outputs, gradients and running
+    statistics are bitwise those of the same arithmetic recorded as a tape of
+    elementwise ops.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch norm expects [B x c x H x W] input, got {x.shape}")
-    x_data, b_view, gamma_view = x.data, b.data.reshape(_BN_VIEW), gamma.data.reshape(_BN_VIEW)
-    mu, v_eps, inv_std, bn = _bn_stats(x_data + b_view, state)
+    x_data, gamma_view = x.data, gamma.data.reshape(_BN_VIEW)
+    mu, v_eps, inv_std, bn = _bn_stats(x_data, state)
     bn *= inv_std  # normalized, in place: the backward pass recomputes it
     bn *= gamma_view
     bn += beta.data.reshape(_BN_VIEW)
@@ -482,11 +483,10 @@ def bias_bn_relu(x: Tensor, b: Tensor, gamma: Tensor, beta: Tensor, state: Batch
     def grad_fn(g):
         # out > 0 exactly where bn > 0. Nothing else holds the full arrays passed
         # here, so _bn_backward frees each after its last read.
-        g_x, g_gamma, g_beta = _bn_backward(g * (out > 0), x_data + b_view - mu, gamma_view, inv_std, v_eps)
-        g_b = _sum_to_shape(g_x, g_beta.shape)  # what add -> reshape(b) gave
-        return g_x, g_b.reshape(b.shape), g_gamma.reshape(gamma.shape), g_beta.reshape(beta.shape)
+        g_x, g_gamma, g_beta = _bn_backward(g * (out > 0), x_data - mu, gamma_view, inv_std, v_eps)
+        return g_x, g_gamma.reshape(gamma.shape), g_beta.reshape(beta.shape)
 
-    return _make(out, (x, b, gamma, beta), grad_fn)
+    return _make(out, (x, gamma, beta), grad_fn)
 
 
 # -- backward pass -----------------------------------------------------------------

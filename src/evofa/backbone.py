@@ -1,9 +1,10 @@
 """Representation pipeline: grouped Gram transform, ConvNet encoder, adapter, heads.
 
-Stage layout: g2g -> 4 x (conv 3x3 s1 p1 -> bias -> batchnorm -> relu) -> global
-average pool -> flatten. In train mode a conv block records two tape nodes,
-``conv2d`` and ``bias_bn_relu``, so the tape holds two activations per block. In
-eval mode a block folds its batch norm and bias into the conv (``_conv_block``).
+Stage layout: g2g -> 4 x (conv 3x3 s1 p1 -> batchnorm -> relu) -> global average
+pool -> flatten. A conv has no bias: batch norm's mean subtraction would cancel
+it, and ``beta`` takes its role. In train mode a conv block records two tape
+nodes, ``conv2d`` and ``bn_relu``, so the tape holds two activations per block. In
+eval mode a block folds its batch norm into the conv (``_conv_block``).
 The adapter is the only stage touched by test-time adaptation; it starts as an
 exact identity so adaptation-off equals the raw pipeline.
 
@@ -97,7 +98,7 @@ def model_floats(config: BackboneConfig) -> int:
     total = config.g2g_channels * config.group_width**2
     c_in = config.g2g_channels
     for c_out in config.conv_channels:
-        total += c_out * c_in * 9 + 5 * c_out  # kernel, bias, gamma, beta, two running stats
+        total += c_out * c_in * 9 + 4 * c_out  # kernel, gamma, beta, two running stats
         c_in = c_out
     total += 2 * q * h + h + q  # adapter
     if config.head_kind == "relation":
@@ -119,7 +120,6 @@ def create_model(config: BackboneConfig, seed: int = 0) -> Model:
         fan_in = c_in * 9
         w = rng.normal(size=(c_out, c_in, 3, 3)) * np.sqrt(2.0 / fan_in)
         theta.add(f"conv{i}_w", Tensor(w, requires_grad=True))
-        theta.add(f"conv{i}_b", Tensor(np.zeros(c_out), requires_grad=True))
         theta.add(f"bn{i}_gamma", Tensor(np.ones(c_out), requires_grad=True))
         theta.add(f"bn{i}_beta", Tensor(np.zeros(c_out), requires_grad=True))
         c_in = c_out
@@ -183,21 +183,19 @@ def g2g_transform(x: Tensor, projections: list[Tensor]) -> Tensor:
 
 
 def _conv_block(x: Tensor, theta: ParamGroup, i: int, state: BatchNormState, mode: str) -> Tensor:
-    """Conv block ``i``: conv 3x3 s1 p1 -> bias -> batch norm -> relu, [B x c x H x W] in and out.
+    """Conv block ``i``: conv 3x3 s1 p1 -> batch norm -> relu, [B x c x H x W] in and out.
 
-    Train mode records ``conv2d`` then ``bias_bn_relu``, which normalizes by batch
+    Train mode records ``conv2d`` then ``bn_relu``, which normalizes by batch
     statistics and updates ``state``'s running ones. Eval mode's batch norm is a fixed
-    per-channel affine map, so the block folds the running statistics, ``gamma``,
-    ``beta`` and the conv bias into the kernel and one shift (Jacob et al., CVPR 2018,
-    §3.2), built from tape ops so that it stays differentiable:
-    relu(conv2d(x, k * scale) + shift).
+    per-channel affine map, so the block folds the running statistics, ``gamma`` and
+    ``beta`` into the kernel and one shift (Jacob et al., CVPR 2018, §3.2), built from
+    tape ops so that it stays differentiable: relu(conv2d(x, k * scale) + shift).
     """
-    k, b = theta.get(f"conv{i}_w"), theta.get(f"conv{i}_b")
-    gamma, beta = theta.get(f"bn{i}_gamma"), theta.get(f"bn{i}_beta")
+    k, gamma, beta = theta.get(f"conv{i}_w"), theta.get(f"bn{i}_gamma"), theta.get(f"bn{i}_beta")
     if mode == "train":
-        return ad.bias_bn_relu(ad.conv2d(x, k, stride=1, pad=1), b, gamma, beta, state)
-    scale = ad.mul(gamma, Tensor((state.running_var + state.eps) ** -0.5))
-    shift = ad.add(beta, ad.mul(ad.sub(b, Tensor(state.running_mean)), scale))
+        return ad.bn_relu(ad.conv2d(x, k, stride=1, pad=1), gamma, beta, state)
+    scale = ad.mul(gamma, Tensor((state.running_var + ad.BN_EPS) ** -0.5))
+    shift = ad.sub(beta, ad.mul(Tensor(state.running_mean), scale))
     conv = ad.conv2d(x, ad.mul(k, ad.reshape(scale, (-1, 1, 1, 1))), stride=1, pad=1)
     return ad.relu(ad.add(conv, ad.reshape(shift, (1, -1, 1, 1))))
 

@@ -24,7 +24,7 @@ from .data import atomic_write
 from .errors import CheckpointError
 
 MAGIC = b"EVCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # CRC-64/ECMA-182: polynomial 0x42F0E1EBA9EA3693, no reflection, zero init/xorout.
 _POLY = 0x42F0E1EBA9EA3693
@@ -66,15 +66,7 @@ def _header_dict(model: Model) -> tuple[dict, np.ndarray]:
     for state in model.bn_states:
         mean = state.running_mean.astype(np.float32)
         var = state.running_var.astype(np.float32)
-        bn.append(
-            {
-                "mean_offset": offset,
-                "var_offset": offset + mean.size,
-                "channels": int(mean.size),
-                "momentum": state.momentum,
-                "eps": state.eps,
-            }
-        )
+        bn.append({"mean_offset": offset, "var_offset": offset + mean.size, "channels": int(mean.size)})
         parts.extend([mean, var])
         offset += mean.size + var.size
     config = asdict(model.config)

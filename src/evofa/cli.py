@@ -134,11 +134,11 @@ def _cmd_train(args, out: _Outputs) -> int:
     atomic_write(log_path, ("\n".join(log_lines) + "\n").encode())
     out.track(log_path)
     out.track(write_run_manifest(out_dir, cfg))
-    best = max((a for _, a in history), default=float("nan"))
-    print(
-        f"trained subject {subject} ({cfg.protocol}); best validation accuracy "
-        f"{best:.4f}; checkpoint {ckpt_path}"
-    )
+    if history:
+        validation = f"best validation accuracy {max(a for _, a in history):.4f}"
+    else:
+        validation = "no validation epoch ran (train.max_epochs is 0)"
+    print(f"trained subject {subject} ({cfg.protocol}); {validation}; checkpoint {ckpt_path}")
     return 0
 
 

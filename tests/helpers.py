@@ -59,25 +59,25 @@ def composed_batch_norm(x, gamma, beta, state, mode):
         mu = ad.tensor_mean(x, axis=axes, keepdims=True)
         centered = ad.sub(x, mu)
         var = ad.tensor_mean(ad.mul(centered, centered), axis=axes, keepdims=True)
-        m = state.momentum
+        m = ad.BN_MOMENTUM
         state.running_mean = (1.0 - m) * state.running_mean + m * mu.data.reshape(-1)
         state.running_var = (1.0 - m) * state.running_var + m * var.data.reshape(-1)
     else:
         mu = ad.Tensor(state.running_mean.reshape(view))
         var = ad.Tensor(state.running_var.reshape(view))
         centered = ad.sub(x, mu)
-    inv_std = ad.power(ad.add(var, ad.Tensor(state.eps)), -0.5)
+    inv_std = ad.power(ad.add(var, ad.Tensor(ad.BN_EPS)), -0.5)
     normalized = ad.mul(centered, inv_std)
     return ad.add(ad.mul(normalized, ad.reshape(gamma, view)), ad.reshape(beta, view))
 
 
-def composed_block_tail(x, b, gamma, beta, state, mode="train"):
-    """An encoder block's tail, bias -> batch norm -> relu, as a tape of separate nodes.
+def composed_block_tail(x, gamma, beta, state, mode="train"):
+    """An encoder block's tail, batch norm -> relu, as a tape of separate nodes.
 
-    In train mode it is the reference for the fused ``ad.bias_bn_relu``; in eval
+    In train mode it is the reference for the fused ``ad.bn_relu``; in eval
     mode, for the block that ``backbone._conv_block`` folds into its conv.
     """
-    return ad.relu(composed_batch_norm(ad.add(x, ad.reshape(b, (1, -1, 1, 1))), gamma, beta, state, mode))
+    return ad.relu(composed_batch_norm(x, gamma, beta, state, mode))
 
 
 def eval_scores(pool, episode, model):

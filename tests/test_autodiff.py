@@ -282,91 +282,120 @@ def test_take_grad_with_repeated_indices_bitwise_equals_scatter_add():
 
 # -- batch norm ---------------------------------------------------------------
 
-def _bn_relu(x, b, gamma, beta, state):
-    return ad.bias_bn_relu(t(x), t(b), t(gamma), t(beta), state)
+def _bn_relu(x, gamma, beta, state):
+    return ad.bn_relu(t(x), t(gamma), t(beta), state)
 
 
-def test_bias_bn_relu_near_identity_on_standardized_batch():
+def test_bn_relu_near_identity_on_standardized_batch():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(64, 3, 1, 1))
     x = (x - x.mean(axis=0)) / x.std(axis=0)
     state = ad.BatchNormState.create(3)
     # beta lifts every output above the ReLU kink, so only the normalization shows
-    out = _bn_relu(x, np.zeros(3), np.ones(3), np.full(3, 10.0), state)
+    out = _bn_relu(x, np.ones(3), np.full(3, 10.0), state)
     # the 1e-5 variance epsilon shifts unit-scale values by about 5e-6
     assert np.allclose(out.data - 10.0, x, atol=2e-5)
 
 
-def test_bias_bn_relu_zero_gamma_gives_relu_of_beta():
+def test_bn_relu_zero_gamma_gives_relu_of_beta():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(8, 4, 2, 3))
     beta = np.array([1.0, -2.0, 0.5, 3.0])
     state = ad.BatchNormState.create(4)
-    out = _bn_relu(x, rng.normal(size=4), np.zeros(4), beta, state)
+    out = _bn_relu(x, np.zeros(4), beta, state)
     assert np.allclose(out.data, np.broadcast_to(np.maximum(beta, 0.0)[:, None, None], x.shape))
 
 
-def test_bias_bn_relu_train_updates_running_stats():
+def test_bn_relu_train_updates_running_stats():
     rng = np.random.default_rng(8)
     x = rng.normal(loc=3.0, size=(32, 2, 2, 2))
-    b = np.array([0.5, -1.5])
-    state = ad.BatchNormState.create(2, momentum=0.1)
-    _bn_relu(x, b, np.ones(2), np.zeros(2), state)
-    shifted = x + b[:, None, None]
-    assert np.allclose(state.running_mean, 0.9 * np.zeros(2) + 0.1 * shifted.mean(axis=(0, 2, 3)))
-    assert np.allclose(state.running_var, 0.9 * np.ones(2) + 0.1 * shifted.var(axis=(0, 2, 3)))
+    state = ad.BatchNormState.create(2)
+    _bn_relu(x, np.ones(2), np.zeros(2), state)
+    assert np.allclose(state.running_mean, 0.9 * np.zeros(2) + 0.1 * x.mean(axis=(0, 2, 3)))
+    assert np.allclose(state.running_var, 0.9 * np.ones(2) + 0.1 * x.var(axis=(0, 2, 3)))
 
 
-def test_bias_bn_relu_zero_variance_is_guarded():
+def test_bn_relu_zero_variance_is_guarded():
     x = np.ones((4, 2, 3, 3)) * 7.0
     state = ad.BatchNormState.create(2)
-    out = _bn_relu(x, np.array([1.0, -3.0]), np.ones(2), np.zeros(2), state)
+    out = _bn_relu(x, np.ones(2), np.zeros(2), state)
     assert out.is_finite()
     assert np.allclose(out.data, 0.0)
 
 
-def test_bias_bn_relu_normalizes_per_channel():
+def test_bn_relu_normalizes_per_channel():
     rng = np.random.default_rng(9)
     x = rng.normal(loc=2.0, scale=3.0, size=(8, 2, 4, 4))
     state = ad.BatchNormState.create(2)
-    out = _bn_relu(x, np.array([4.0, -1.0]), np.ones(2), np.full(2, 10.0), state).data - 10.0
+    out = _bn_relu(x, np.ones(2), np.full(2, 10.0), state).data - 10.0
     assert np.allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
     assert np.allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
 
 
-def test_bias_bn_relu_rejects_input_that_is_not_4d():
+def test_bn_relu_rejects_input_that_is_not_4d():
     state = ad.BatchNormState.create(2)
     with pytest.raises(ShapeError, match=r"\[B x c x H x W\]"):
-        _bn_relu(np.zeros((4, 2)), np.zeros(2), np.ones(2), np.zeros(2), state)
+        _bn_relu(np.zeros((4, 2)), np.ones(2), np.zeros(2), state)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_bias_bn_relu_shared_parameters_bitwise_equal_composed_tape(seed):
+def test_bn_relu_cancels_a_per_channel_constant_added_to_its_input(seed):
+    """Why an encoder conv has no bias: the batch mean absorbs a per-channel constant c.
+
+    bn_relu(x + c) equals bn_relu(x) in its output and in the gradients of x,
+    gamma and beta, up to round-off. Of the running statistics only the mean sees
+    c, moved by momentum * c (Ioffe & Szegedy, ICML 2015, §3.2).
+    """
+    rng = np.random.default_rng([16, seed])
+    shape = (int(rng.integers(2, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+    x0 = rng.normal(loc=0.5, scale=2.0, size=shape)
+    c = rng.normal(scale=3.0, size=shape[1])
+    gamma0, beta0 = rng.uniform(0.5, 2.0, size=shape[1]), rng.normal(scale=0.3, size=shape[1])
+    mean0, var0 = rng.normal(size=shape[1]), rng.uniform(0.5, 2.0, size=shape[1])
+    weights = rng.normal(size=shape)
+    runs = []
+    for shift in (np.zeros(shape[1]), c):
+        x, gamma, beta = t(x0 + shift[:, None, None], grad=True), t(gamma0, grad=True), t(beta0, grad=True)
+        state = ad.BatchNormState(mean0.copy(), var0.copy())
+        out = ad.bn_relu(x, gamma, beta, state)
+        ad.backward(ad.tensor_sum(ad.mul(out, t(weights))))
+        runs.append([out.data, x.grad, gamma.grad, beta.grad, state.running_mean, state.running_var])
+    (*plain, mean, var), (*shifted, mean_c, var_c) = runs
+    assert 0 < np.count_nonzero(plain[0]) < plain[0].size  # the ReLU mask is not trivial
+    close = lambda got, want: np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for got, want in zip(shifted, plain):
+        assert close(got, want)
+    assert close(var_c, var)
+    assert close(mean_c - mean, ad.BN_MOMENTUM * c)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bn_relu_shared_parameters_bitwise_equal_composed_tape(seed):
     """Output, gradients and running statistics equal the composed tape's, byte for byte.
 
-    The same b, gamma and beta feed two block tails in one loss, so their
+    The same gamma and beta feed two block tails in one loss, so their
     gradients accumulate from two nodes.
     """
     results = []
-    for tail in (composed_block_tail, ad.bias_bn_relu):
+    for tail in (composed_block_tail, ad.bn_relu):
         rng = np.random.default_rng([10, seed])
         shape = (int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 7)))
         x = t(rng.normal(loc=2.0, scale=3.0, size=shape), grad=True)
-        b, gamma, beta = (t(rng.normal(size=shape[1]), grad=True) for _ in range(3))
+        gamma, beta = (t(rng.normal(size=shape[1]), grad=True) for _ in range(2))
         state = ad.BatchNormState.create(shape[1])
         state.running_mean = rng.normal(size=shape[1])
         state.running_var = rng.uniform(0.5, 2.0, size=shape[1])
-        first = tail(x, b, gamma, beta, state)
-        second = tail(ad.relu(x), b, gamma, beta, state)
+        first = tail(x, gamma, beta, state)
+        second = tail(ad.relu(x), gamma, beta, state)
         loss = ad.add(ad.tensor_sum(ad.mul(first, t(rng.normal(size=shape)))), ad.tensor_sum(ad.mul(second, second)))
         ad.backward(loss)
-        results.append([first.data, second.data, x.grad, b.grad, gamma.grad, beta.grad, state.running_mean, state.running_var])
+        results.append([first.data, second.data, x.grad, gamma.grad, beta.grad, state.running_mean, state.running_var])
     for composed, fused in zip(*results):
         assert fused.tobytes() == composed.tobytes()
 
 
 def _block_leaves(seed):
-    """Conv input, kernel, bias, gamma, beta and running state of one random block."""
+    """Conv input, kernel, gamma, beta and running state of one random block."""
     rng = np.random.default_rng([13, seed])
     batch, c_in, c_out = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
     height, width = int(rng.integers(1, 7)), int(rng.integers(1, 7))
@@ -376,7 +405,6 @@ def _block_leaves(seed):
     leaves = (
         t(rng.normal(loc=0.5, scale=2.0, size=(batch, c_in, height, width)), grad=True),
         t(rng.normal(size=(c_out, c_in, 3, 3)), grad=True),
-        t(rng.normal(size=c_out), grad=True),
         t(rng.uniform(0.5, 2.0, size=c_out), grad=True),
         t(rng.normal(scale=0.3, size=c_out), grad=True),
     )
@@ -384,41 +412,41 @@ def _block_leaves(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_bias_bn_relu_bitwise_equals_composed_tape(seed):
-    """Output, gradients and running statistics equal conv -> add(reshape(b)) -> batch norm -> relu's."""
+def test_bn_relu_bitwise_equals_composed_tape(seed):
+    """Output, gradients and running statistics equal conv -> batch norm -> relu's as separate nodes."""
     results = []
-    for tail in (composed_block_tail, ad.bias_bn_relu):
-        (x, k, b, gamma, beta), state, weights = _block_leaves(seed)
-        out = tail(ad.conv2d(x, k, stride=1, pad=1), b, gamma, beta, state)
+    for tail in (composed_block_tail, ad.bn_relu):
+        (x, k, gamma, beta), state, weights = _block_leaves(seed)
+        out = tail(ad.conv2d(x, k, stride=1, pad=1), gamma, beta, state)
         ad.backward(ad.tensor_sum(ad.mul(out, t(weights))))
-        grads = [p.grad for p in (x, k, b, gamma, beta)]
+        grads = [p.grad for p in (x, k, gamma, beta)]
         results.append([out.data, *grads, state.running_mean, state.running_var])
     assert 0 < np.count_nonzero(results[1][0]) < results[1][0].size  # the ReLU mask is not trivial
     for composed, fused in zip(*results):
         assert fused.tobytes() == composed.tobytes()
 
 
-def test_bias_bn_relu_is_one_tape_node():
+def test_bn_relu_is_one_tape_node():
     rng = np.random.default_rng(14)
     x = t(rng.normal(size=(4, 3, 2, 2)), grad=True)
-    b, gamma, beta = (t(rng.normal(size=3), grad=True) for _ in range(3))
-    out = ad.bias_bn_relu(x, b, gamma, beta, ad.BatchNormState.create(3))
-    assert len(out._parents) == 4
-    assert all(p is q for p, q in zip(out._parents, (x, b, gamma, beta)))
+    gamma, beta = (t(rng.normal(size=3), grad=True) for _ in range(2))
+    out = ad.bn_relu(x, gamma, beta, ad.BatchNormState.create(3))
+    assert len(out._parents) == 3
+    assert all(p is q for p, q in zip(out._parents, (x, gamma, beta)))
 
 
 def test_conv_block_gradients_ignore_parent_data_replaced_after_forward():
     """conv2d and the block tail read what their forward pass read, not what the tensors hold later."""
     grads = []
     for replace in (False, True):
-        (x, k, b, gamma, beta), state, weights = _block_leaves(5)
+        (x, k, gamma, beta), state, weights = _block_leaves(5)
         conv = ad.conv2d(x, k, stride=1, pad=1)
-        loss = ad.tensor_sum(ad.mul(ad.bias_bn_relu(conv, b, gamma, beta, state), t(weights)))
+        loss = ad.tensor_sum(ad.mul(ad.bn_relu(conv, gamma, beta, state), t(weights)))
         if replace:
-            for tensor in (x, k, conv, b, gamma, beta):
+            for tensor in (x, k, conv, gamma, beta):
                 tensor.data = np.full_like(tensor.data, 7.0)
         ad.backward(loss)
-        grads.append([p.grad for p in (x, k, b, gamma, beta)])
+        grads.append([p.grad for p in (x, k, gamma, beta)])
     for kept, replaced in zip(*grads):
         assert replaced.tobytes() == kept.tobytes()
 
@@ -714,19 +742,18 @@ def test_gradients_match_finite_differences_conv_and_bn(seed):
     k = t(rng.normal(size=(2, 2, 3, 3)) * 0.5, grad=True)
     gamma = t(rng.uniform(0.5, 1.5, size=2), grad=True)
     beta = t(rng.normal(size=2), grad=True)
-    b = t(rng.normal(size=2), grad=True)
     # train-mode output depends only on the batch, so reusing state keeps f pure
     state = ad.BatchNormState.create(2)
     eval_state = ad.BatchNormState.create(2)
     eval_state.running_mean = rng.normal(size=2)
     eval_state.running_var = rng.uniform(0.5, 2.0, size=2)
-    theta = ad.ParamGroup("theta", [("conv0_w", k), ("conv0_b", b), ("bn0_gamma", gamma), ("bn0_beta", beta)])
+    theta = ad.ParamGroup("theta", [("conv0_w", k), ("bn0_gamma", gamma), ("bn0_beta", beta)])
     # central differences hold only away from the ReLU kink: the train tail's, on x,
     # and the eval-mode folded block's, on conv2d(x, k)
     for bn_input, bn_state, mode in ((x, state, "train"), (ad.conv2d(x, k, 1, 1), eval_state, "eval")):
-        pre = composed_batch_norm(ad.add(bn_input, ad.reshape(b, (1, -1, 1, 1))), gamma, beta, bn_state.copy(), mode)
+        pre = composed_batch_norm(bn_input, gamma, beta, bn_state.copy(), mode)
         assume(np.abs(pre.data).min() > 1e-3)
     assert _probe(lambda: ad.conv2d(x, k, stride=1, pad=1), [x, k], rng) < 1e-4
-    assert _probe(lambda: ad.bias_bn_relu(x, b, gamma, beta, state), [x, b, gamma, beta], rng) < 1e-4
+    assert _probe(lambda: ad.bn_relu(x, gamma, beta, state), [x, gamma, beta], rng) < 1e-4
     folded = lambda: backbone._conv_block(x, theta, 0, eval_state, "eval")
-    assert _probe(folded, [x, k, b, gamma, beta], rng) < 1e-4
+    assert _probe(folded, [x, k, gamma, beta], rng) < 1e-4

@@ -163,11 +163,11 @@ def test_encode_train_mode_updates_bn_stats():
 def test_encode_train_step_peak_memory_bounded_by_activations_per_block():
     """A train-mode encode step peaks near 5 full [B x c x H x W] arrays per conv block.
 
-    A block is two tape nodes, conv2d and bias_bn_relu, and the tape keeps 2 full
+    A block is two tape nodes, conv2d and bn_relu, and the tape keeps 2 full
     arrays per block: the conv output and the block's output, which is the next
     conv's input. The rest is gradients in flight and the normalized input that
-    the block tail recomputes in its backward pass. Four tape nodes per block
-    (conv2d, bias add, batch norm, ReLU) put the step above 8.
+    the block tail recomputes in its backward pass. Separate tape nodes for
+    batch norm's steps and the ReLU would each keep a full array more.
     """
     cfg = backbone.BackboneConfig(
         n_electrodes=24, d_bands=4, conv_channels=(8, 8, 8, 8), embedding_dim=8, adapter_hidden=16
@@ -210,14 +210,13 @@ def test_encode_train_tape_holds_two_activations_per_block():
 
 
 def _nontrivial_eval_model(cfg, seed):
-    """A model whose running statistics, gamma, beta and conv biases are all away from their init."""
+    """A model whose running statistics, gamma and beta are all away from their init."""
     model = backbone.create_model(cfg, seed=seed)
     rng = np.random.default_rng([seed, 17])
     for i, state in enumerate(model.bn_states):
         c = state.running_mean.size
         state.running_mean = rng.normal(size=c)
         state.running_var = rng.uniform(0.2, 3.0, size=c)
-        model.theta.get(f"conv{i}_b").data = rng.normal(size=c)
         model.theta.get(f"bn{i}_gamma").data = rng.uniform(0.5, 2.0, size=c) * rng.choice([-1.0, 1.0], size=c)
         model.theta.get(f"bn{i}_beta").data = rng.normal(size=c)
     return model
@@ -229,7 +228,7 @@ SEED_SHAPED = backbone.BackboneConfig(
 
 
 @pytest.mark.parametrize("cfg", [TINY, SEED_SHAPED], ids=["tiny", "62x5"])
-def test_folded_eval_blocks_match_conv_then_bias_bn_relu(cfg):
+def test_folded_eval_blocks_match_conv_then_bn_relu(cfg):
     model = _nontrivial_eval_model(cfg, seed=4)
     features = t(np.random.default_rng(5).normal(size=(3, cfg.n_electrodes, cfg.d_bands)))
     projections = [model.theta.get(f"g2g_p{k}") for k in range(cfg.g2g_channels)]
@@ -237,7 +236,6 @@ def test_folded_eval_blocks_match_conv_then_bias_bn_relu(cfg):
     for i, state in enumerate(model.bn_states):
         reference = composed_block_tail(
             ad.conv2d(x, model.theta.get(f"conv{i}_w"), stride=1, pad=1),
-            model.theta.get(f"conv{i}_b"),
             model.theta.get(f"bn{i}_gamma"),
             model.theta.get(f"bn{i}_beta"),
             state,
@@ -266,10 +264,9 @@ def test_folded_eval_block_with_shared_parameters_matches_composed_tape(seed):
         height, width = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         x = t(rng.normal(loc=0.5, scale=2.0, size=(batch, c_in, height, width)), grad=True)
         k = t(rng.normal(size=(c_out, c_in, 3, 3)), grad=True)
-        b = t(rng.normal(size=c_out), grad=True)
         gamma = t(rng.uniform(0.5, 2.0, size=c_out), grad=True)
         beta = t(rng.normal(scale=0.3, size=c_out), grad=True)
-        theta = ad.ParamGroup("theta", [("conv0_w", k), ("conv0_b", b), ("bn0_gamma", gamma), ("bn0_beta", beta)])
+        theta = ad.ParamGroup("theta", [("conv0_w", k), ("bn0_gamma", gamma), ("bn0_beta", beta)])
         state = ad.BatchNormState.create(c_out)
         state.running_mean = rng.normal(size=c_out)
         state.running_var = rng.uniform(0.5, 2.0, size=c_out)
@@ -277,12 +274,12 @@ def test_folded_eval_block_with_shared_parameters_matches_composed_tape(seed):
         if folded:
             block = lambda inp: backbone._conv_block(inp, theta, 0, state, "eval")
         else:
-            block = lambda inp: composed_block_tail(ad.conv2d(inp, k, stride=1, pad=1), b, gamma, beta, state, "eval")
+            block = lambda inp: composed_block_tail(ad.conv2d(inp, k, stride=1, pad=1), gamma, beta, state, "eval")
         first, second = block(x), block(ad.relu(x))
         weights = t(rng.normal(size=first.shape))
         ad.backward(ad.add(ad.tensor_sum(ad.mul(first, weights)), ad.tensor_sum(ad.mul(second, second))))
         assert np.array_equal(state.running_mean, before[0]) and np.array_equal(state.running_var, before[1])
-        results.append([first.data, second.data, x.grad, k.grad, b.grad, gamma.grad, beta.grad])
+        results.append([first.data, second.data, x.grad, k.grad, gamma.grad, beta.grad])
     assert 0 < np.count_nonzero(results[1][0]) < results[1][0].size  # the ReLU mask is not trivial
     for composed, folded in zip(*results):
         assert np.abs(folded - composed).max() <= 1e-12 * max(np.abs(composed).max(), 1.0)

@@ -111,8 +111,6 @@ def test_loaded_model_matches_original_structure(model, tmp_path):
             assert a.data.dtype == np.float64
             assert a.requires_grad
     for got, want in zip(loaded.bn_states, model.bn_states):
-        assert got.momentum == want.momentum
-        assert got.eps == want.eps
         assert got.running_mean.shape == want.running_mean.shape
 
 
@@ -166,11 +164,14 @@ def test_bad_magic(model, tmp_path):
         load_checkpoint(path)
 
 
-def test_version_mismatch(model, tmp_path):
+@pytest.mark.parametrize("version", [1, FORMAT_VERSION + 1])
+def test_version_mismatch(model, tmp_path, version):
+    # format 1 held a conv bias per block and momentum and eps per batch-norm entry;
+    # such a file is rejected by its version, before its tables are read
     path = save_checkpoint(model, tmp_path / "m.ckpt")
     blob = path.read_bytes()
-    path.write_bytes(refix_crc(blob[:4] + struct.pack("<I", FORMAT_VERSION + 1) + blob[8:]))
-    with pytest.raises(CheckpointError, match="format version"):
+    path.write_bytes(refix_crc(blob[:4] + struct.pack("<I", version) + blob[8:]))
+    with pytest.raises(CheckpointError, match=f"format version {version}, expected {FORMAT_VERSION}"):
         load_checkpoint(path)
 
 
@@ -269,7 +270,7 @@ def set_first(table, key, value):
 
 
 HEADER_DEFECTS = {
-    "no_fc2_b": (drop_param("fc2_b"), "field 'params' entry 20 is None, the architecture has {"),
+    "no_fc2_b": (drop_param("fc2_b"), "field 'params' entry 16 is None, the architecture has {"),
     "no_bn": (lambda h: h.pop("bn"), "header field 'bn' is missing"),
     "no_backbone": (lambda h: h.pop("backbone"), "header field 'backbone' is invalid: KeyError('backbone')"),
     "no_params": (lambda h: h.pop("params"), "header field 'params' is missing"),
@@ -291,17 +292,20 @@ HEADER_DEFECTS = {
     "wrong_shape": (set_first("params", "shape", [5, 5]), "header field 'params' entry 0 is"),
     "renamed_param": (set_first("params", "name", "other"), "header field 'params' entry 0 is"),
     "offset_not_int": (set_first("params", "offset", "0"), "header field 'params' entry 0 is"),
-    "repeated_param": (lambda h: h["params"].append(h["params"][0]), "'params' entry 21 is {"),
+    "repeated_param": (lambda h: h["params"].append(h["params"][0]), "'params' entry 17 is {"),
     "bn_channels": (set_first("bn", "channels", 1), "header field 'bn' entry 0 is"),
     "bn_missing_layer": (lambda h: h["bn"].pop(), "header field 'bn' entry 3 is None"),
-    "bn_no_eps": (lambda h: h["bn"][0].pop("eps"), "header field 'bn' entry 0 is"),
-    "params_not_list": (lambda h: h.update(params={}), "header field 'params' is {}, not a list of 21 entries"),
+    "bn_no_var_offset": (lambda h: h["bn"][0].pop("var_offset"), "header field 'bn' entry 0 is"),
+    "bn_format_1_entry": (
+        lambda h: h["bn"][0].update(momentum=0.1, eps=1e-5), "header field 'bn' entry 0 is"
+    ),
+    "params_not_list": (lambda h: h.update(params={}), "header field 'params' is {}, not a list of 17 entries"),
     "extra_field": (lambda h: h.update(comment=1), "header field 'comment' is not one saving writes"),
     "total_floats_off": (
         lambda h: h.update(total_floats=h["total_floats"] + 1), "header field 'total_floats' is "
     ),
     "bn_channels_as_float": (set_first("bn", "channels", 2.0), "header field 'bn' entry 0 is"),
-    "params_trailing_null": (lambda h: h["params"].append(None), "header field 'params' entry 21 is None"),
+    "params_trailing_null": (lambda h: h["params"].append(None), "header field 'params' entry 17 is None"),
     "backbone_default_left_out": (
         lambda h: h["backbone"].pop("matching_temperature"), "header field 'backbone' is {"
     ),

@@ -260,6 +260,18 @@ def test_train_reports_best_validation(workspace, tmp_path, capsys):
     assert "best validation accuracy" in line
 
 
+def test_train_with_no_epochs_says_no_validation_ran(workspace, tmp_path, capsys):
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({**CONFIG_OBJ, "train": {**CONFIG_OBJ["train"], "max_epochs": 0}}))
+    out = tmp_path / "t"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert "no validation epoch ran (train.max_epochs is 0)" in line
+    assert "best validation accuracy" not in line
+    assert (out / "logs" / "train_log.csv").read_text() == "epoch,val_accuracy\n"
+    load_checkpoint(out / "checkpoints" / "model.ckpt")  # the initial parameters
+
+
 def test_train_rejects_subject_outside_plan(workspace, tmp_path, capsys):
     rc = main(
         [
