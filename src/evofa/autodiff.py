@@ -418,73 +418,49 @@ class BatchNormState:
 _BN_AXES, _BN_VIEW = (0, 2, 3), (1, -1, 1, 1)
 
 
-def _bn_stats(x: np.ndarray, state: BatchNormState):
-    """Per-channel batch (mu, v_eps, inv_std) and x - mu; updates ``state``'s running statistics."""
-    mu = np.mean(x, axis=_BN_AXES, keepdims=True)
-    centered = x - mu
-    var = np.mean(centered * centered, axis=_BN_AXES, keepdims=True)
-    m = BN_MOMENTUM
-    state.running_mean = (1.0 - m) * state.running_mean + m * mu.reshape(-1)
-    state.running_var = (1.0 - m) * state.running_var + m * var.reshape(-1)
-    v_eps = var + np.array(BN_EPS)
-    return mu, v_eps, v_eps**-0.5, centered
-
-
-def _bn_backward(g, c, gamma_view, inv_std, v_eps):
-    """Closed-form batch-norm gradients (g_x, g_gamma, g_beta), the last two [1 x c x 1 x 1].
-
-    ``c`` is x - mu; the normalized input c * inv_std is recomputed as the forward
-    pass computed it (Ioffe & Szegedy, ICML 2015). Each step repeats the arithmetic
-    of the equivalent tape of elementwise ops, in its order. Each full array is
-    dropped once it is read for the last time, so one the caller does not keep is
-    freed early.
-    """
-    channel = (1, g.shape[1], 1, 1)
-    count = g.shape[0] * g.shape[2] * g.shape[3]
-    normalized = c * inv_std
-    g_gamma = _sum_to_shape(g * normalized, channel)
-    del normalized
-    g_beta = _sum_to_shape(g, channel)
-    g_norm = g * gamma_view
-    del g
-    g_sq_c = _sum_to_shape(g_norm * c, channel) * -0.5 * v_eps**-1.5 / count * c
-    del c
-    g_x = g_norm
-    g_x *= inv_std  # in place: g_norm is not needed again
-    g_x += g_sq_c  # once for each factor of var = mean(c * c), in tape order
-    g_x += g_sq_c
-    del g_sq_c
-    g_x -= _sum_to_shape(g_x, channel) / count  # through mu = mean(x)
-    return g_x, g_gamma, g_beta
-
-
 def bn_relu(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Tensor:
     """relu(gamma * (x - mean) / sqrt(var + eps) + beta) per channel, as one tape node.
 
     This is the train-mode block tail: it normalizes by batch statistics and
     updates ``state``'s running ones (eval mode folds batch norm into the conv
-    instead, ``backbone._conv_block``). The node keeps its input array, its output
-    and the per-channel statistics; the backward pass takes the ReLU mask from the
-    output and recomputes x - mean and the normalized input (in-place activated
-    batch norm, Rota Bulò et al., CVPR 2018). Outputs, gradients and running
-    statistics are bitwise those of the same arithmetic recorded as a tape of
-    elementwise ops.
+    instead, ``backbone._conv_block``). Both passes are batch norm's closed form
+    with per-channel coefficients (Ioffe & Szegedy, ICML 2015, Algorithm 1 and
+    its backward pass). Forward, the centred input becomes the output in place;
+    backward, g_x = scale * g' - k2 * (x - mean) - k3 from two channel
+    reductions. Every reduction past the pairwise mean reads the centred input,
+    not x, so a large channel offset costs no digits. The node keeps its input
+    array, its output and per-channel vectors, and takes the ReLU mask from the
+    output (in-place activated batch norm, Rota Bulò et al., CVPR 2018).
     """
     if x.ndim != 4:
         raise ShapeError(f"batch norm expects [B x c x H x W] input, got {x.shape}")
-    x_data, gamma_view = x.data, gamma.data.reshape(_BN_VIEW)
-    mu, v_eps, inv_std, bn = _bn_stats(x_data, state)
-    bn *= inv_std  # normalized, in place: the backward pass recomputes it
-    bn *= gamma_view
-    bn += beta.data.reshape(_BN_VIEW)
-    out = np.where(bn > 0, bn, 0.0)
-    del bn
+    x_data = x.data
+    count = x_data.size // x.shape[1]
+    mu = np.mean(x_data, axis=_BN_AXES, keepdims=True)
+    out = x_data - mu
+    var = np.einsum("bchw,bchw->c", out, out) / count
+    m = BN_MOMENTUM
+    state.running_mean = (1.0 - m) * state.running_mean + m * mu.reshape(-1)
+    state.running_var = (1.0 - m) * state.running_var + m * var
+    inv_std = (var + BN_EPS) ** -0.5
+    scale = gamma.data * inv_std
+    out *= scale.reshape(_BN_VIEW)
+    out += beta.data.reshape(_BN_VIEW)
+    np.maximum(out, 0.0, out=out)
 
     def grad_fn(g):
-        # out > 0 exactly where bn > 0. Nothing else holds the full arrays passed
-        # here, so _bn_backward frees each after its last read.
-        g_x, g_gamma, g_beta = _bn_backward(g * (out > 0), x_data - mu, gamma_view, inv_std, v_eps)
-        return g_x, g_gamma.reshape(gamma.shape), g_beta.reshape(beta.shape)
+        g = g * (out > 0)  # g', the gradient at the pre-activation
+        centred = x_data - mu
+        g_beta = g.sum(axis=_BN_AXES)
+        g_gamma = np.einsum("bchw,bchw->c", g, centred) * inv_std
+        # scale * (g' - mean(g') - x_hat * mean(g' * x_hat)), x_hat = (x - mu) * inv_std
+        k2 = scale * inv_std * g_gamma / count
+        k3 = scale * g_beta / count
+        centred *= k2.reshape(_BN_VIEW)
+        g *= scale.reshape(_BN_VIEW)
+        g -= centred
+        g -= k3.reshape(_BN_VIEW)
+        return g, g_gamma.reshape(gamma.shape), g_beta.reshape(beta.shape)
 
     return _make(out, (x, gamma, beta), grad_fn)
 

@@ -338,6 +338,11 @@ def test_bn_relu_rejects_input_that_is_not_4d():
         _bn_relu(np.zeros((4, 2)), np.ones(2), np.zeros(2), state)
 
 
+def _close(got, want):
+    """Equal up to round-off: max |got - want| <= 1e-12 * max |want|."""
+    return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_bn_relu_cancels_a_per_channel_constant_added_to_its_input(seed):
     """Why an encoder conv has no bias: the batch mean absorbs a per-channel constant c.
@@ -362,16 +367,15 @@ def test_bn_relu_cancels_a_per_channel_constant_added_to_its_input(seed):
         runs.append([out.data, x.grad, gamma.grad, beta.grad, state.running_mean, state.running_var])
     (*plain, mean, var), (*shifted, mean_c, var_c) = runs
     assert 0 < np.count_nonzero(plain[0]) < plain[0].size  # the ReLU mask is not trivial
-    close = lambda got, want: np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     for got, want in zip(shifted, plain):
-        assert close(got, want)
-    assert close(var_c, var)
-    assert close(mean_c - mean, ad.BN_MOMENTUM * c)
+        assert _close(got, want)
+    assert _close(var_c, var)
+    assert _close(mean_c - mean, ad.BN_MOMENTUM * c)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_bn_relu_shared_parameters_bitwise_equal_composed_tape(seed):
-    """Output, gradients and running statistics equal the composed tape's, byte for byte.
+def test_bn_relu_shared_parameters_equal_composed_tape(seed):
+    """Output, gradients and running statistics equal the composed tape's up to round-off.
 
     The same gamma and beta feed two block tails in one loss, so their
     gradients accumulate from two nodes.
@@ -391,7 +395,7 @@ def test_bn_relu_shared_parameters_bitwise_equal_composed_tape(seed):
         ad.backward(loss)
         results.append([first.data, second.data, x.grad, gamma.grad, beta.grad, state.running_mean, state.running_var])
     for composed, fused in zip(*results):
-        assert fused.tobytes() == composed.tobytes()
+        assert _close(fused, composed)
 
 
 def _block_leaves(seed):
@@ -412,8 +416,8 @@ def _block_leaves(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_bn_relu_bitwise_equals_composed_tape(seed):
-    """Output, gradients and running statistics equal conv -> batch norm -> relu's as separate nodes."""
+def test_bn_relu_equals_composed_tape(seed):
+    """Output, gradients and running statistics equal conv -> batch norm -> relu's as separate nodes, up to round-off."""
     results = []
     for tail in (composed_block_tail, ad.bn_relu):
         (x, k, gamma, beta), state, weights = _block_leaves(seed)
@@ -423,7 +427,90 @@ def test_bn_relu_bitwise_equals_composed_tape(seed):
         results.append([out.data, *grads, state.running_mean, state.running_var])
     assert 0 < np.count_nonzero(results[1][0]) < results[1][0].size  # the ReLU mask is not trivial
     for composed, fused in zip(*results):
-        assert fused.tobytes() == composed.tobytes()
+        assert _close(fused, composed)
+
+
+def _tail_results(tail, x0, gamma0, beta0, weights):
+    """Output, the x, gamma and beta gradients and the running statistics of one block tail."""
+    x, gamma, beta = t(x0, grad=True), t(gamma0, grad=True), t(beta0, grad=True)
+    state = ad.BatchNormState.create(x0.shape[1])
+    out = tail(x, gamma, beta, state)
+    ad.backward(ad.tensor_sum(ad.mul(out, t(weights))))
+    return [out.data, x.grad, gamma.grad, beta.grad, state.running_mean, state.running_var]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bn_relu_keeps_its_digits_at_large_channel_offsets(seed):
+    """Channel means of +-2e4 with std 2 still match the composed tape to 1e-12.
+
+    The node's reductions read the centred input. A mean by einsum, or the
+    backward reduction taken on x as sum(g' * x) - mean * sum(g'), drifts by
+    several 1e-12 here.
+    """
+    rng = np.random.default_rng([18, seed])
+    shape = (int(rng.integers(2, 17)), int(rng.integers(1, 5)), int(rng.integers(2, 13)), int(rng.integers(2, 13)))
+    x0 = rng.choice([-2e4, 2e4], size=shape[1])[:, None, None] + rng.normal(scale=2.0, size=shape)
+    gamma0, beta0 = rng.uniform(0.5, 2.0, size=shape[1]), rng.normal(scale=0.3, size=shape[1])
+    weights = rng.normal(size=shape)
+    reference = _tail_results(composed_block_tail, x0, gamma0, beta0, weights)
+    for got, want in zip(_tail_results(ad.bn_relu, x0, gamma0, beta0, weights), reference):
+        assert _close(got, want)
+
+
+def test_bn_relu_single_value_per_channel_takes_the_eps_path():
+    """B * H * W = 1: the batch variance is 0, so eps alone sets the scale, and the output is relu(beta)."""
+    rng = np.random.default_rng(19)
+    x0, gamma0, beta0 = rng.normal(size=(1, 3, 1, 1)), rng.uniform(0.5, 2.0, size=3), np.array([0.4, -0.2, 1.5])
+    weights = rng.normal(size=x0.shape)
+    got = _tail_results(ad.bn_relu, x0, gamma0, beta0, weights)
+    assert all(np.isfinite(a).all() for a in got)
+    assert np.array_equal(got[0].reshape(-1), np.maximum(beta0, 0.0))
+    for a, want in zip(got, _tail_results(composed_block_tail, x0, gamma0, beta0, weights)):
+        assert _close(a, want)
+
+
+def test_bn_relu_dead_channel_gets_no_gamma_or_beta_gradient():
+    """A channel whose pre-activations are all <= 0 passes no gradient through the ReLU."""
+    rng = np.random.default_rng(20)
+    x0 = rng.normal(size=(6, 3, 4, 5))
+    gamma0 = rng.uniform(0.5, 2.0, size=3)
+    beta0 = np.array([0.2, -(np.sqrt(6 * 4 * 5) + 1.0) * gamma0[1], -0.1])  # |x_hat| < sqrt(B * H * W)
+    weights = rng.normal(size=x0.shape)
+    got = _tail_results(ad.bn_relu, x0, gamma0, beta0, weights)
+    out, g_x, g_gamma, g_beta = got[:4]
+    assert all(np.isfinite(a).all() for a in got)
+    assert not out[:, 1].any() and out[:, [0, 2]].any()
+    assert g_gamma[1] == 0.0 and g_beta[1] == 0.0 and not g_x[:, 1].any()
+    for a, want in zip(got, _tail_results(composed_block_tail, x0, gamma0, beta0, weights)):
+        assert _close(a, want)
+
+
+def test_bn_relu_allocates_one_full_array_forward_and_two_backward():
+    """At [16 x 8 x 24 x 24] the forward pass peaks under 1.5 full arrays and the backward pass under 2.5.
+
+    The forward pass centres the input into the array that becomes its output.
+    The backward pass allocates the masked gradient, which becomes g_x, and the
+    re-centred input; the incoming gradient is the caller's and is not counted.
+    """
+    rng = np.random.default_rng(21)
+    shape = (16, 8, 24, 24)
+    full_bytes = np.prod(shape) * 8
+    x = t(rng.normal(size=shape), grad=True)
+    gamma, beta = t(rng.uniform(0.5, 2.0, size=8), grad=True), t(rng.normal(size=8), grad=True)
+    g = rng.normal(size=shape)
+    tracemalloc.start()
+    try:
+        out = ad.bn_relu(x, gamma, beta, ad.BatchNormState.create(8))
+        _, forward_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        g_x, _, _ = out._grad_fn(g)
+        _, backward_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g_x.shape == shape
+    assert forward_peak < 1.5 * full_bytes
+    assert backward_peak - held < 2.5 * full_bytes
 
 
 def test_bn_relu_is_one_tape_node():

@@ -165,9 +165,10 @@ def test_encode_train_step_peak_memory_bounded_by_activations_per_block():
 
     A block is two tape nodes, conv2d and bn_relu, and the tape keeps 2 full
     arrays per block: the conv output and the block's output, which is the next
-    conv's input. The rest is gradients in flight and the normalized input that
-    the block tail recomputes in its backward pass. Separate tape nodes for
-    batch norm's steps and the ReLU would each keep a full array more.
+    conv's input. The rest is gradients in flight and the re-centred input of
+    the block tail's coefficient-form backward pass (Ioffe & Szegedy, Algorithm
+    1). Separate tape nodes for batch norm's steps and the ReLU would each keep
+    a full array more.
     """
     cfg = backbone.BackboneConfig(
         n_electrodes=24, d_bands=4, conv_channels=(8, 8, 8, 8), embedding_dim=8, adapter_hidden=16
