@@ -156,8 +156,8 @@ def log(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _make(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    out = np.maximum(a.data, 0.0)  # NaN stays NaN
+    return _make(out, (a,), lambda g: (g * (out > 0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:

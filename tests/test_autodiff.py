@@ -583,6 +583,16 @@ def test_relu_cases():
     assert np.array_equal(out.data, [0.0, 0.0, 0.0, 0.5, 2.0])
 
 
+def test_relu_propagates_nan():
+    """A NaN input stays NaN in the output, so it cannot pass as a zero activation; its gradient is 0."""
+    x = t([np.nan, -1.0, 3.0], grad=True)
+    out = ad.relu(x)
+    assert np.isnan(out.data[0])
+    assert np.array_equal(out.data[1:], [0.0, 3.0])
+    ad.backward(out.sum())
+    assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
+
+
 def test_validity_check_flags_nan_and_inf():
     assert t([1.0, 2.0]).is_finite()
     assert not t([1.0, np.nan]).is_finite()

@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line entry points."""
+import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from evofa import __version__
+from evofa import __version__, cli
 from evofa.checkpoint import load_checkpoint, save_checkpoint
 from evofa.backbone import BackboneConfig, create_model
 from evofa.cli import _Outputs, main
@@ -739,3 +741,70 @@ def test_outputs_discard_tolerates_missing(tmp_path):
     out.track(tmp_path / "never-created.txt")
     out.discard_all()
     assert not real.exists()
+
+
+# -- malloc settings of the command's process ----------------------------------------------
+
+# glibc's malloc.h: M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_TOP_PAD, and the values main sets
+HEAP_SETTINGS = [(-3, 1 << 30), (-1, 1 << 30), (-2, 64 << 20)]
+
+
+class FakeLibc:
+    """Stands in for the C library: records each ``mallopt`` call and returns ``accepts``."""
+
+    def __init__(self):
+        self.calls = []
+        self.accepts = 1
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return self.accepts
+
+        self.mallopt = mallopt  # a function, so that argtypes and restype can be set on it
+
+
+@pytest.fixture
+def libc(monkeypatch):
+    fake = FakeLibc()
+    monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36" if name == "CS_GNU_LIBC_VERSION" else None)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: fake)
+    return fake
+
+
+def report(tmp_path) -> list[str]:
+    (tmp_path / "results.json").write_text(json.dumps({"rows": [GOOD_ROW]}))
+    return ["report", "--results", str(tmp_path)]
+
+
+def test_main_sets_mmap_threshold_then_trim_threshold_then_top_pad(tmp_path, capsys, libc):
+    assert main(report(tmp_path)) == 0
+    assert libc.calls == HEAP_SETTINGS
+
+
+def test_main_stops_after_a_refused_mmap_threshold(tmp_path, capsys, libc):
+    """Either threshold set alone switches off glibc's dynamic threshold, so a refusal ends the settings."""
+    libc.accepts = 0
+    assert main(report(tmp_path)) == 0
+    assert libc.calls == HEAP_SETTINGS[:1]
+
+
+def _not_configurable(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr", [lambda name: None, _not_configurable], ids=["unset", "unknown_name"])
+def test_main_leaves_malloc_alone_without_glibc(tmp_path, capsys, libc, monkeypatch, confstr):
+    monkeypatch.setattr(cli.os, "confstr", confstr)
+    assert main(report(tmp_path)) == 0
+    assert libc.calls == []
+
+
+def test_import_and_library_runs_leave_malloc_alone(workspace, libc, monkeypatch):
+    """Only the command's process is tuned: a fresh ``import evofa`` and ``run_protocol`` make no call."""
+    for name in [n for n in sys.modules if n == "evofa" or n.startswith("evofa.")]:
+        monkeypatch.delitem(sys.modules, name)
+    assert importlib.import_module("evofa.cli") is not cli
+    harness = sys.modules["evofa.harness"]
+    table = harness.run_protocol(harness.load_experiment_config(workspace / "exp.json"))
+    assert table.rows
+    assert libc.calls == []
