@@ -310,7 +310,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 # -- convolution ---------------------------------------------------------------
 
-COLS_SLICE_BYTES = 2 << 20  # conv2d builds its columns (forward) and gcols (backward) this much at a time
+COLS_SLICE_BYTES = 2 << 20  # conv2d runs both passes on slices of batch rows whose columns hold at most this
 
 
 def _pad(a: np.ndarray, pad: int) -> np.ndarray:
@@ -326,13 +326,15 @@ def _pad(a: np.ndarray, pad: int) -> np.ndarray:
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of [B x c_in x H x W] with [c_out x c_in x h x w].
 
-    The forward pass is im2col (Chellapilla et al., 2006): one
-    [c_out x c_in·h·w] product per slice of batch rows, whose columns hold at
-    most ``COLS_SLICE_BYTES`` or one row. Each row's product is the same call
-    whatever the slice, so the output does not depend on the slicing. The node
-    keeps its operands' arrays, not a padded copy of the input: the backward
-    pass pads again for the kernel gradient and frees that copy before the
-    input gradient builds its columns and scatters them, one slice at a time.
+    Both passes are im2col (Chellapilla et al., 2006) over slices of batch
+    rows whose columns hold at most ``COLS_SLICE_BYTES`` or one row, and each
+    pads only its current slice. Forward, a slice is one [c_out x c_in·h·w]
+    product. Backward, a slice adds its per-tap [c_out x P] @ [P x c_in]
+    products onto the running kernel gradient row by row, so the sum keeps the
+    whole batch's order and bits, then scatters its gcols into a slice-sized
+    padded buffer (col2im) whose interior is the slice's input gradient. No
+    result depends on the slicing. The node keeps its operands' arrays, not a
+    padded copy of the input.
     """
     if x.ndim != 4 or k.ndim != 4:
         raise ShapeError(f"conv2d needs [B x c x H x W] and [o x c x h x w]; got {x.shape}, {k.shape}")
@@ -360,36 +362,39 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     taps = [(i, j) for i in range(kh) for j in range(kw)]
     kmat = k_data.reshape(c_out, -1)  # columns in (c_in, i, j) order, as im2col's rows
     slice_rows = max(1, COLS_SLICE_BYTES // (8 * c_in * kh * kw * out_h * out_w))
-    xp = _pad(x_data, pad)
+    parts = [slice(b0, b0 + slice_rows) for b0 in range(0, batch, slice_rows)]
     data = np.empty((batch, c_out, out_h * out_w))
-    for b0 in range(0, batch, slice_rows):  # matmul treats each batch row on its own
-        rows = xp[b0 : b0 + slice_rows]
+    for part in parts:  # matmul treats each batch row on its own
+        rows = _pad(x_data[part], pad)
         cols = np.empty((len(rows), c_in, kh, kw, out_h, out_w))
         for i, j in taps:
             cols[:, :, i, j] = window(rows, i, j)
-        np.matmul(kmat, cols.reshape(len(rows), c_in * kh * kw, -1), out=data[b0 : b0 + slice_rows])
+        np.matmul(kmat, cols.reshape(len(rows), c_in * kh * kw, -1), out=data[part])
     data = data.reshape(batch, c_out, out_h, out_w)
 
     def grad_fn(g):
         g2 = g.reshape(batch, c_out, -1)
         gk = np.empty_like(k_data)
-        xp = _pad(x_data, pad)
-        for i, j in taps:
-            tap = window(xp, i, j).reshape(batch, c_in, -1)
-            gk[:, :, i, j] = np.matmul(g2, tap.transpose(0, 2, 1)).sum(axis=0)
-            del tap
-        del xp  # before the gcols slices, so the two never coexist
-        gxp = np.zeros((batch, c_in, height + 2 * pad, width + 2 * pad))
-        for b0 in range(0, batch, slice_rows):
-            part = slice(b0, b0 + slice_rows)
+        gx = np.empty_like(x_data)
+        for part in parts:
+            rows = _pad(x_data[part], pad)
+            for i, j in taps:
+                tap = window(rows, i, j).reshape(len(rows), c_in, -1)
+                prod = np.matmul(g2[part], tap.transpose(0, 2, 1))
+                if part.start:  # continue the batch sum where the last slice left it
+                    prod[0] += gk[:, :, i, j]
+                gk[:, :, i, j] = prod.sum(axis=0)
+            del rows, tap, prod  # before gcols, so the two never coexist
             gcols = np.matmul(kmat.T, g2[part]).reshape(-1, c_in, kh, kw, out_h, out_w)
+            gxp = np.zeros((len(gcols), c_in, height + 2 * pad, width + 2 * pad))
             # col2im one kernel tap at a time: a tap writes each padded position at
             # most once, and taps run in column order, so every element sums its
             # contributions in the same order as a scatter-add over the columns.
             for i, j in taps:
-                spots = window(gxp[part], i, j)
+                spots = window(gxp, i, j)
                 spots += gcols[:, :, i, j]
-        gx = gxp[:, :, pad : pad + height, pad : pad + width] if pad else gxp
+            gx[part] = gxp[:, :, pad : pad + height, pad : pad + width]
+            del gcols, gxp, spots  # before the next slice's
         return (gx, gk)
 
     return _make(data, (x, k), grad_fn)
@@ -468,7 +473,12 @@ def bn_relu(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Te
 # -- backward pass -----------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar; accumulates into leaf .grad until sgd_step clears it."""
+    """Reverse-mode sweep from a scalar; accumulates into leaf .grad until sgd_step clears it.
+
+    Each node's gradient leaves ``grads`` as it goes into the node's grad_fn,
+    and the sweep keeps no other reference to it, so a grad_fn can free its
+    incoming gradient once it has built its own.
+    """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
 
@@ -490,17 +500,23 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
+        if id(node) not in grads or not node.requires_grad:
             continue
         if node._grad_fn is not None:
-            for parent, pg in zip(node._parents, node._grad_fn(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
-        elif node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            _accumulate(grads, node._parents, node._grad_fn(grads.pop(id(node))))
+        elif node.grad is None:
+            node.grad = grads.pop(id(node)).copy()
+        else:
+            node.grad = node.grad + grads.pop(id(node))
+
+
+def _accumulate(grads: dict[int, np.ndarray], parents: tuple[Tensor, ...], parent_grads) -> None:
+    """Add each parent's gradient into ``grads``; returning drops this frame's references to them."""
+    for parent, pg in zip(parents, parent_grads):
+        if pg is None or not parent.requires_grad:
+            continue
+        acc = grads.get(id(parent))
+        grads[id(parent)] = pg if acc is None else acc + pg
 
 
 # -- parameter groups -----------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Test-side references and probes: gradient checks, parameter bytes, composed tapes, episode scores, row selection."""
+"""Test-side references and probes: gradient checks, memory peaks, parameter bytes, composed tapes, episode scores, row selection."""
+import tracemalloc
+
 import numpy as np
 
 from evofa import autodiff as ad, backbone, fsl
@@ -45,6 +47,21 @@ def finite_diff_check(f, params, eps: float = 1e-5) -> float:
             denom = max(abs(ga_flat[i]), abs(numeric), 1e-3)
             worst = max(worst, abs(ga_flat[i] - numeric) / denom)
     return worst
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the most memory it held at once, by tracemalloc.
+
+    Tracing starts just before the call, so memory held before it is not
+    counted, and neither is any of it that the call frees.
+    """
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def state_bytes(group: ParamGroup) -> bytes:

@@ -1,5 +1,4 @@
 """Tests for snapshot sampling, adapter alignment updates, and adapted evaluation."""
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from evofa.data import DriftConfig, generate_synthetic_drift, make_intra_split
 from evofa.errors import ConfigError, ContractError, ProtocolError, SamplingError
 from evofa.fsl import classify_query, sample_episode
 from evofa.mmd import KernelSpec, default_spec, mmd2
-from helpers import eval_scores, scalar, select_rows, state_bytes
+from helpers import eval_scores, scalar, select_rows, state_bytes, traced_peak
 
 BACKBONE = BackboneConfig(
     n_electrodes=6,
@@ -809,12 +808,7 @@ def test_adapted_group_peak_memory_below_stacked_pair_buffers(pools, model):
     targets = test_rows[np.stack(picks)]
     stacked = lambda: adapt_mod._stack_adapter(model.phi, group)
     evofa_run(stacked(), train_rows, [draws], targets, acfg)  # warm caches
-    tracemalloc.start()
-    try:
-        evofa_run(stacked(), train_rows, [draws], targets, acfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: evofa_run(stacked(), train_rows, [draws], targets, acfg))
     pairs = 62 * 61 // 2
     bound = 3 * group * pairs * 16 * 8
     assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"

@@ -1,6 +1,4 @@
 """Numeric core: forward oracles, gradient checks, determinism."""
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from evofa import autodiff as ad
 from evofa import backbone
 from evofa.errors import ConfigError, ContractError, ShapeError
-from helpers import composed_batch_norm, composed_block_tail, finite_diff_check
+from helpers import composed_batch_norm, composed_block_tail, finite_diff_check, traced_peak
 
 
 def t(data, grad=False):
@@ -156,32 +154,46 @@ def test_conv2d_forward_peak_memory_below_one_im2col_buffer():
     x = t(rng.normal(size=(batch, c_in, side, side)), grad=True)
     k = t(rng.normal(size=(8, c_in, 3, 3)), grad=True)
     im2col_bytes = batch * c_in * 9 * side * side * 8  # 16.9 MiB
-    tracemalloc.start()
-    try:
-        out = ad.conv2d(x, k, stride=1, pad=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: ad.conv2d(x, k, stride=1, pad=1))
     assert out.shape == (batch, 8, side, side)
     assert peak < im2col_bytes
 
 
 def test_conv2d_backward_peak_memory_below_one_gcols_buffer():
+    """The backward pass holds the incoming gradient, the input gradient and one slice's buffers at a time.
+
+    Two input-sized arrays (the incoming gradient, and the input gradient with
+    the leaf's copy of it) plus two column slices bound it at 7.75 MiB, under
+    one whole-batch gcols buffer of 16.9 MiB. A whole-batch padded input or tap
+    copy would not fit.
+    """
     rng = np.random.default_rng(8)
     batch, c_in, side = 8, 8, 62
     x = t(rng.normal(size=(batch, c_in, side, side)), grad=True)
     k = t(rng.normal(size=(8, c_in, 3, 3)), grad=True)
-    gcols_bytes = batch * c_in * 9 * side * side * 8  # 16.9 MiB, the whole batch's columns
-    assert gcols_bytes > ad.COLS_SLICE_BYTES  # so the batch is built in several slices
+    assert batch * c_in * 9 * side * side * 8 > ad.COLS_SLICE_BYTES  # so the batch is built in several slices
     loss = ad.tensor_sum(ad.conv2d(x, k, stride=1, pad=1))
-    tracemalloc.start()
-    try:
-        ad.backward(loss)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: ad.backward(loss))
     assert x.grad.shape == x.shape and k.grad.shape == k.shape
-    assert peak < gcols_bytes
+    assert peak < 2 * x.data.nbytes + 2 * ad.COLS_SLICE_BYTES
+
+
+def test_backward_peak_memory_below_two_and_a_half_widest_activations():
+    """conv2d -> bn_relu -> mean at [8 x 8 x 62 x 62] into 16 channels, under 2.5 conv outputs.
+
+    backward hands each node its gradient and keeps no reference to it, so
+    bn_relu drops its incoming gradient once it has built g', and conv2d builds
+    both of its gradients one slice of batch rows at a time.
+    """
+    rng = np.random.default_rng(22)
+    x = t(rng.normal(size=(8, 8, 62, 62)), grad=True)
+    k = t(rng.normal(size=(16, 8, 3, 3)), grad=True)
+    gamma, beta = t(rng.uniform(0.5, 2.0, size=16), grad=True), t(rng.normal(size=16), grad=True)
+    out = ad.bn_relu(ad.conv2d(x, k, stride=1, pad=1), gamma, beta, ad.BatchNormState.create(16))
+    loss = ad.tensor_mean(out)
+    _, peak = traced_peak(lambda: ad.backward(loss))
+    assert x.grad.shape == x.shape
+    assert peak < 2.5 * out.data.nbytes
 
 
 @pytest.mark.parametrize("pad", [0, 1, 2])
@@ -248,6 +260,37 @@ def test_conv2d_input_grad_built_in_row_slices_bitwise_equals_scatter_add(monkey
     ad.backward(ad.tensor_sum(ad.mul(out, t(g))))
     expect = _scatter_add_input_grad(x, k.data, g, 1, 1)
     assert xt.grad.tobytes() == expect.tobytes()
+
+
+def _per_tap_weight_grad(x, g, kshape, stride, pad):
+    """Reference conv2d kernel gradient: per tap, one batched GEMM over the whole batch, summed over its rows."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    batch, c_out, out_h, out_w = g.shape
+    g2 = g.reshape(batch, c_out, -1)
+    gk = np.empty(kshape)
+    for i in range(kshape[2]):
+        for j in range(kshape[3]):
+            tap = xp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+            tap = tap.reshape(batch, x.shape[1], -1)
+            gk[:, :, i, j] = np.matmul(g2, tap.transpose(0, 2, 1)).sum(axis=0)
+    return gk
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("c_in", [1, 3])
+def test_conv2d_kernel_grad_built_in_row_slices_bitwise_equals_whole_batch(monkeypatch, rows, stride, pad, c_in):
+    rng = np.random.default_rng([12, rows, stride, pad, c_in])
+    x = rng.normal(size=(7, c_in, 7, 9))
+    k = t(rng.normal(size=(4, c_in, 3, 3)), grad=True)
+    out_h, out_w = (7 + 2 * pad - 3) // stride + 1, (9 + 2 * pad - 3) // stride + 1
+    # 2 and 5 rows per slice leave a short last slice
+    monkeypatch.setattr(ad, "COLS_SLICE_BYTES", rows * c_in * 9 * out_h * out_w * 8)
+    out = ad.conv2d(t(x), k, stride=stride, pad=pad)
+    g = rng.normal(size=out.shape)
+    ad.backward(ad.tensor_sum(ad.mul(out, t(g))))
+    assert k.grad.tobytes() == _per_tap_weight_grad(x, g, k.shape, stride, pad).tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 5])
@@ -498,19 +541,11 @@ def test_bn_relu_allocates_one_full_array_forward_and_two_backward():
     x = t(rng.normal(size=shape), grad=True)
     gamma, beta = t(rng.uniform(0.5, 2.0, size=8), grad=True), t(rng.normal(size=8), grad=True)
     g = rng.normal(size=shape)
-    tracemalloc.start()
-    try:
-        out = ad.bn_relu(x, gamma, beta, ad.BatchNormState.create(8))
-        _, forward_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        held, _ = tracemalloc.get_traced_memory()
-        g_x, _, _ = out._grad_fn(g)
-        _, backward_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, forward_peak = traced_peak(lambda: ad.bn_relu(x, gamma, beta, ad.BatchNormState.create(8)))
+    (g_x, _, _), backward_peak = traced_peak(lambda: out._grad_fn(g))
     assert g_x.shape == shape
     assert forward_peak < 1.5 * full_bytes
-    assert backward_peak - held < 2.5 * full_bytes
+    assert backward_peak < 2.5 * full_bytes
 
 
 def test_bn_relu_is_one_tape_node():

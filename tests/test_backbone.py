@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from evofa import autodiff as ad, backbone
 from evofa.autodiff import Tensor
 from evofa.errors import ConfigError, ProtocolError, ShapeError
-from helpers import composed_block_tail, finite_diff_check, state_bytes
+from helpers import composed_block_tail, finite_diff_check, state_bytes, traced_peak
 
 TINY = backbone.BackboneConfig(
     n_electrodes=4,
@@ -177,12 +177,7 @@ def test_encode_train_step_peak_memory_bounded_by_activations_per_block():
     batch = 16
     features = t(np.random.default_rng(12).normal(size=(batch, 24, 4)))
     activation_bytes = sum(batch * c * 24 * 24 * 8 for c in cfg.conv_channels)
-    tracemalloc.start()
-    try:
-        ad.backward(ad.tensor_sum(backbone.encode(features, model, mode="train")))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: ad.backward(ad.tensor_sum(backbone.encode(features, model, mode="train"))))
     assert model.theta.get("conv0_w").grad is not None
     assert peak < 6.0 * activation_bytes
 
