@@ -1,11 +1,10 @@
-"""Model persistence: a single self-describing binary file per model.
+"""Model persistence: a single binary file per model.
 
 Layout: magic "EVCK", format version (u32 LE), JSON header length (u64 LE),
 JSON header, float32 LE payload, trailing CRC-64 (u64 LE) over everything
-before it. The header carries the architecture, a named parameter table with
-offsets into the payload, and the batch-norm running statistics table, so a
-file can be loaded without any out-of-band knowledge. Parameters are stored
-as float32; loading widens back to float64.
+before it. The header is ``{"backbone": {...}}``, the architecture config; the
+payload's order follows from it (``_payload``), so the format version names
+that order. Parameters are stored as float32; loading widens back to float64.
 
 Loading accepts only the exact header that saving the named architecture writes.
 """
@@ -13,8 +12,8 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Iterator
 from dataclasses import asdict
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from .data import atomic_write
 from .errors import CheckpointError
 
 MAGIC = b"EVCK"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # CRC-64/ECMA-182: polynomial 0x42F0E1EBA9EA3693, no reflection, zero init/xorout.
 _POLY = 0x42F0E1EBA9EA3693
@@ -50,51 +49,33 @@ def crc64(data: bytes, crc: int = 0) -> int:
     return crc
 
 
-def _header_dict(model: Model) -> tuple[dict, np.ndarray]:
-    parts: list[np.ndarray] = []
-    params = []
-    offset = 0
+def _payload(model: Model) -> Iterator[tuple[str, np.ndarray]]:
+    """The model's ``(name, array)`` pairs in payload order.
+
+    Each group's parameters in ``create_model`` order, named ``group/param``,
+    then each batch-norm stage's running statistics, ``bn<i> running_mean`` and
+    ``bn<i> running_var``. The arrays are the model's own.
+    """
     for group in model.groups():
         for name, t in group.entries:
-            flat = np.ascontiguousarray(t.data, dtype=np.float32).ravel()
-            params.append(
-                {"group": group.name, "name": name, "shape": list(t.shape), "offset": offset}
-            )
-            parts.append(flat)
-            offset += flat.size
-    bn = []
-    for state in model.bn_states:
-        mean = state.running_mean.astype(np.float32)
-        var = state.running_var.astype(np.float32)
-        bn.append({"mean_offset": offset, "var_offset": offset + mean.size, "channels": int(mean.size)})
-        parts.extend([mean, var])
-        offset += mean.size + var.size
-    config = asdict(model.config)
-    config["conv_channels"] = list(config["conv_channels"])
-    header = {"backbone": config, "params": params, "bn": bn, "total_floats": offset}
-    payload = np.concatenate(parts) if parts else np.zeros(0, dtype=np.float32)
-    return header, payload
+            yield f"{group.name}/{name}", t.data
+    for i, state in enumerate(model.bn_states):
+        yield f"bn{i} running_mean", state.running_mean
+        yield f"bn{i} running_var", state.running_var
 
 
-def _check_values(path: Path, header: dict, payload: np.ndarray) -> None:
-    """Reject a float32 payload that holds a non-finite value or a negative running variance.
+def _check_values(path: Path, pairs: list[tuple[str, np.ndarray]]) -> None:
+    """Reject float32 payload values that are non-finite or a negative running variance.
 
     A float64 value beyond float32 range saves as inf, and a negative variance
     would turn eval-mode batch norm into NaN.
     """
-    for entry in header["params"]:
-        values = payload[entry["offset"] : entry["offset"] + int(np.prod(entry["shape"]))]
+    for name, values in pairs:
         if not np.isfinite(values).all():
-            raise CheckpointError(
-                f"checkpoint {path} parameter {entry['group']}/{entry['name']} holds a non-finite float32 value"
-            )
-    for i, entry in enumerate(header["bn"]):
-        mean, var = (payload[entry[key] : entry[key] + entry["channels"]] for key in ("mean_offset", "var_offset"))
-        for stat, values in (("running_mean", mean), ("running_var", var)):
-            if not np.isfinite(values).all():
-                raise CheckpointError(f"checkpoint {path} bn{i} {stat} holds a non-finite float32 value")
-        if (var < 0).any():
-            raise CheckpointError(f"checkpoint {path} bn{i} running_var holds a negative value")
+            what = f"parameter {name}" if "/" in name else name
+            raise CheckpointError(f"checkpoint {path} {what} holds a non-finite float32 value")
+        if name.endswith("running_var") and (values < 0).any():
+            raise CheckpointError(f"checkpoint {path} {name} holds a negative value")
 
 
 def save_checkpoint(model: Model, path: str | Path) -> Path:
@@ -105,52 +86,29 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
     """
     path = Path(path)
     with np.errstate(over="ignore"):  # a value beyond float32 range casts to inf, which _check_values rejects
-        header, payload = _header_dict(model)
-    _check_values(path, header, payload)
+        pairs = [(name, array.astype("<f4")) for name, array in _payload(model)]
+    _check_values(path, pairs)
+    header = {"backbone": asdict(model.config)}  # the conv_channels tuple encodes as a JSON list
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob = (
         MAGIC
         + struct.pack("<I", FORMAT_VERSION)
         + struct.pack("<Q", len(header_bytes))
         + header_bytes
-        + payload.astype("<f4").tobytes()
+        + b"".join(values.tobytes() for _, values in pairs)
     )
     blob += struct.pack("<Q", crc64(blob))
     atomic_write(path, blob)
     return path
 
 
-def _header_difference(have: dict, want: dict) -> str | None:
-    """The first field (and list entry) where ``have`` is not exactly ``want``, or None.
-
-    Values compare as the JSON they encode to, so ``1`` differs from ``true`` and ``1.0``.
-    """
-    text = lambda value: json.dumps(value, sort_keys=True)
-    for name in [*want, *sorted(have.keys() - want.keys())]:
-        if name not in want:
-            return f"field {name!r} is not one saving writes"
-        if name not in have:
-            return f"field {name!r} is missing"
-        a, b = have[name], want[name]
-        if text(a) == text(b):
-            continue
-        if isinstance(a, list) and isinstance(b, list):
-            i = next(i for i, (x, y) in enumerate(zip_longest(map(text, a), map(text, b))) if x != y)
-            x, y = (entries[i] if i < len(entries) else None for entries in (a, b))
-            return f"field {name!r} entry {i} is {x}, the architecture has {y}"
-        if isinstance(b, list):
-            return f"field {name!r} is {a!r}, not a list of {len(b)} entries"
-        return f"field {name!r} is {a!r}, the architecture has {b!r}"
-    return None
-
-
 def load_checkpoint(path: str | Path) -> Model:
     """Verify a checkpoint file and rebuild its model; parameters widen to float64.
 
     The decoded header must be exactly the header that saving a model of the
-    architecture it names writes: its parameter table ({group, name, shape,
-    offset} entries), its batch-norm table, its float count and no other field.
-    Every payload float must be finite and every running variance non-negative.
+    architecture it names writes: ``backbone`` with every config field, encoded
+    as saving encodes it, and no other field. The payload must hold that
+    architecture's floats, each finite, with every running variance non-negative.
     """
     path = Path(path)
     try:
@@ -194,6 +152,15 @@ def load_checkpoint(path: str | Path) -> Model:
         config = BackboneConfig(**backbone)
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint {path} header field 'backbone' is invalid: {e!r}") from e
+    # values compare as the JSON they encode to, so 2.0 or true where saving writes 2 or 1 differs
+    want = asdict(config)
+    if json.dumps(header["backbone"], sort_keys=True) != json.dumps(want, sort_keys=True):
+        raise CheckpointError(
+            f"checkpoint {path} header field 'backbone' is {header['backbone']!r}, the architecture has {want!r}"
+        )
+    extra = sorted(header.keys() - {"backbone"})
+    if extra:
+        raise CheckpointError(f"checkpoint {path} header field {extra[0]!r} is not one saving writes")
     # sized before it is built, so a forged header cannot make loading allocate at will
     size = model_floats(config)
     if payload.size != size:
@@ -202,16 +169,9 @@ def load_checkpoint(path: str | Path) -> Model:
             f"from the payload: it holds {size} floats, the payload {payload.size}"
         )
     model = create_model(config)
-    want, _ = _header_dict(model)
-    difference = _header_difference(header, want)
-    if difference is not None:
-        raise CheckpointError(f"checkpoint {path} header {difference}")
-    _check_values(path, want, payload)
-    floats = lambda offset, size: payload[offset : offset + size].astype(np.float64)
-    tensors = [t for group in model.groups() for _, t in group.entries]
-    for t, entry in zip(tensors, want["params"]):
-        t.data = floats(entry["offset"], t.size).reshape(t.shape)
-    for state, entry in zip(model.bn_states, want["bn"]):
-        state.running_mean = floats(entry["mean_offset"], entry["channels"])
-        state.running_var = floats(entry["var_offset"], entry["channels"])
+    arrays = list(_payload(model))
+    stored = np.split(payload, np.cumsum([array.size for _, array in arrays])[:-1])
+    _check_values(path, [(name, values) for (name, _), values in zip(arrays, stored)])
+    for (_, array), values in zip(arrays, stored):
+        array[...] = values.reshape(array.shape)  # float32 widens to the model's float64
     return model

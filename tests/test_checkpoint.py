@@ -2,7 +2,7 @@
 import json
 import struct
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from evofa.backbone import BackboneConfig, Model, adapt, create_model, encode, m
 from evofa.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
+    _payload,
     crc64,
     load_checkpoint,
     save_checkpoint,
@@ -38,8 +39,57 @@ def model():
     return create_model(TINY, seed=5)
 
 
-def refix_crc(blob: bytes) -> bytes:
-    return blob[:-8] + struct.pack("<Q", crc64(blob[:-8]))
+def resign(body: bytes) -> bytes:
+    """A checkpoint file of ``body``, everything before the trailer, signed with crc64."""
+    return body + struct.pack("<Q", crc64(body))
+
+
+# -- payload layout ----------------------------------------------------------------
+
+_SHARED = [  # theta then phi: the same under every head
+    ("theta/g2g_p0", (3, 3)),
+    ("theta/conv0_w", (2, 1, 3, 3)), ("theta/bn0_gamma", (2,)), ("theta/bn0_beta", (2,)),
+    ("theta/conv1_w", (2, 2, 3, 3)), ("theta/bn1_gamma", (2,)), ("theta/bn1_beta", (2,)),
+    ("theta/conv2_w", (2, 2, 3, 3)), ("theta/bn2_gamma", (2,)), ("theta/bn2_beta", (2,)),
+    ("theta/conv3_w", (4, 2, 3, 3)), ("theta/bn3_gamma", (4,)), ("theta/bn3_beta", (4,)),
+    ("phi/fc1_w", (4, 8)), ("phi/fc1_b", (8,)), ("phi/fc2_w", (8, 4)), ("phi/fc2_b", (4,)),
+]
+_HEAD = {
+    "matching": [],
+    "relation": [("w/rel_w1", (8, 32)), ("w/rel_b1", (32,)), ("w/rel_w2", (32, 1)), ("w/rel_b2", (1,))],
+    "proto": [],
+    "linear": [("w/lin_w", (4, 3)), ("w/lin_b", (3,))],
+}
+_BN = [
+    ("bn0 running_mean", (2,)), ("bn0 running_var", (2,)),
+    ("bn1 running_mean", (2,)), ("bn1 running_var", (2,)),
+    ("bn2 running_mean", (2,)), ("bn2 running_var", (2,)),
+    ("bn3 running_mean", (4,)), ("bn3 running_var", (4,)),
+]
+
+
+def layout(kind: str = "proto") -> list[tuple[str, tuple[int, ...]]]:
+    """TINY's payload under head ``kind``, written out by hand: (name, shape) in file order."""
+    return _SHARED + _HEAD[kind] + _BN
+
+
+def offset_of(name: str) -> int:
+    """The payload float where TINY's (proto head) array ``name`` starts."""
+    names = [n for n, _ in layout()]
+    return sum(int(np.prod(shape)) for _, shape in layout()[: names.index(name)])
+
+
+@pytest.mark.parametrize("kind", ["matching", "relation", "proto", "linear"])
+def test_payload_layout_is_pinned(kind, tmp_path):
+    """The header names only the architecture, so the payload order is part of the format."""
+    model = create_model(replace(TINY, head_kind=kind), seed=5)
+    walked = list(_payload(model))
+    assert [(name, array.shape) for name, array in walked] == layout(kind), (
+        "the checkpoint payload order changed: bump checkpoint.FORMAT_VERSION and update this layout"
+    )
+    blob = save_checkpoint(model, tmp_path / "m.ckpt").read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    assert blob[16 + header_len : -8] == b"".join(array.astype("<f4").tobytes() for _, array in walked)
 
 
 # -- checksum ----------------------------------------------------------------------
@@ -83,20 +133,13 @@ def test_save_returns_path_and_leaves_no_tmp(model, tmp_path):
 
 
 def test_read_checkpoint_structure(model, tmp_path):
-    """The file's own bytes describe it: version, architecture, both tables, float count."""
+    """The file's bytes: version, a header naming only the architecture, then its floats."""
     blob = save_checkpoint(model, tmp_path / "m.ckpt").read_bytes()
     assert struct.unpack_from("<I", blob, 4) == (FORMAT_VERSION,)
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16 : 16 + header_len])
-    assert header["backbone"] == {**asdict(TINY), "conv_channels": list(TINY.conv_channels)}
-    assert [(e["group"], e["name"]) for e in header["params"]] == [
-        (group.name, name) for group in model.groups() for name, _ in group.entries
-    ]
-    assert len(header["bn"]) == len(model.bn_states)
-    sizes = sum(int(np.prod(e["shape"])) for e in header["params"])
-    sizes += sum(2 * e["channels"] for e in header["bn"])
-    assert header["total_floats"] == sizes == model_floats(TINY)
-    assert len(blob) - 8 - (16 + header_len) == 4 * sizes
+    assert header == {"backbone": {**asdict(TINY), "conv_channels": list(TINY.conv_channels)}}
+    assert len(blob) - 8 - (16 + header_len) == 4 * model_floats(TINY)
 
 
 def test_loaded_model_matches_original_structure(model, tmp_path):
@@ -164,15 +207,16 @@ def test_bad_magic(model, tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, FORMAT_VERSION + 1])
+@pytest.mark.parametrize("version", [1, 2, FORMAT_VERSION + 1])
 def test_version_mismatch(model, tmp_path, version):
-    # format 1 held a conv bias per block and momentum and eps per batch-norm entry;
-    # such a file is rejected by its version, before its tables are read
+    # format 1 held a conv bias per block and momentum and eps per batch-norm entry, format 2
+    # a parameter table, a batch-norm table and a float count; either is rejected by its version
     path = save_checkpoint(model, tmp_path / "m.ckpt")
     blob = path.read_bytes()
-    path.write_bytes(refix_crc(blob[:4] + struct.pack("<I", version) + blob[8:]))
-    with pytest.raises(CheckpointError, match=f"format version {version}, expected {FORMAT_VERSION}"):
+    path.write_bytes(resign(blob[:4] + struct.pack("<I", version) + blob[8:-8]))
+    with pytest.raises(CheckpointError, match=f"format version {version}, expected {FORMAT_VERSION}") as err:
         load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 def test_truncated_inside_header(model, tmp_path):
@@ -198,7 +242,7 @@ def test_unreadable_header(model, tmp_path):
     blob = bytearray(path.read_bytes())
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     blob[16 : 16 + header_len] = b"{" * header_len
-    path.write_bytes(refix_crc(bytes(blob)))
+    path.write_bytes(resign(bytes(blob[:-8])))
     with pytest.raises(CheckpointError, match="unreadable header"):
         load_checkpoint(path)
 
@@ -213,37 +257,13 @@ def fake_file(tmp_path, header: dict, floats: int) -> "Path":
         + np.zeros(floats, dtype="<f4").tobytes()
     )
     path = tmp_path / "fake.ckpt"
-    path.write_bytes(blob + struct.pack("<Q", crc64(blob)))
+    path.write_bytes(resign(blob))
     return path
 
 
 def test_payload_size_mismatch(tmp_path):
     path = fake_file(tmp_path, {"total_floats": 5}, floats=4)
     with pytest.raises(CheckpointError, match="header field 'backbone' is invalid"):
-        load_checkpoint(path)
-
-
-def test_parameter_outside_payload(tmp_path):
-    backbone = asdict(TINY)
-    backbone["conv_channels"] = list(backbone["conv_channels"])
-    size = model_floats(TINY)  # the architecture's float count, so the table check is reached
-    header = {
-        "backbone": backbone,
-        "params": [{"group": "theta", "name": "stray", "shape": [4], "offset": 10 * size}],
-        "bn": [],
-        "total_floats": size,
-    }
-    path = fake_file(tmp_path, header, floats=size)
-    with pytest.raises(CheckpointError, match="field 'params' entry 0 is .*'stray'"):
-        load_checkpoint(path)
-
-
-def test_unknown_group_rejected(model, tmp_path):
-    path = save_checkpoint(model, tmp_path / "m.ckpt")
-    blob = path.read_bytes()
-    assert b'"group":"theta"' in blob
-    path.write_bytes(refix_crc(blob.replace(b'"group":"theta"', b'"group":"bogus"', 1)))
-    with pytest.raises(CheckpointError, match="field 'params' entry 0 is .*'group': 'bogus'"):
         load_checkpoint(path)
 
 
@@ -258,22 +278,11 @@ def rewrite_header(path, edit) -> None:
     edit(header)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     body = blob[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + blob[16 + header_len : -8]
-    path.write_bytes(body + struct.pack("<Q", crc64(body)))
-
-
-def drop_param(name):
-    return lambda h: h.update(params=[e for e in h["params"] if e["name"] != name])
-
-
-def set_first(table, key, value):
-    return lambda h: h[table][0].update({key: value})
+    path.write_bytes(resign(body))
 
 
 HEADER_DEFECTS = {
-    "no_fc2_b": (drop_param("fc2_b"), "field 'params' entry 16 is None, the architecture has {"),
-    "no_bn": (lambda h: h.pop("bn"), "header field 'bn' is missing"),
     "no_backbone": (lambda h: h.pop("backbone"), "header field 'backbone' is invalid: KeyError('backbone')"),
-    "no_params": (lambda h: h.pop("params"), "header field 'params' is missing"),
     "unknown_backbone_key": (
         lambda h: h["backbone"].update(depth=7), "header field 'backbone' is invalid"
     ),
@@ -289,23 +298,15 @@ HEADER_DEFECTS = {
     "d_bands_past_int64": (
         lambda h: h["backbone"].update(d_bands=2**70), "header field 'backbone' is invalid"
     ),
-    "wrong_shape": (set_first("params", "shape", [5, 5]), "header field 'params' entry 0 is"),
-    "renamed_param": (set_first("params", "name", "other"), "header field 'params' entry 0 is"),
-    "offset_not_int": (set_first("params", "offset", "0"), "header field 'params' entry 0 is"),
-    "repeated_param": (lambda h: h["params"].append(h["params"][0]), "'params' entry 17 is {"),
-    "bn_channels": (set_first("bn", "channels", 1), "header field 'bn' entry 0 is"),
-    "bn_missing_layer": (lambda h: h["bn"].pop(), "header field 'bn' entry 3 is None"),
-    "bn_no_var_offset": (lambda h: h["bn"][0].pop("var_offset"), "header field 'bn' entry 0 is"),
-    "bn_format_1_entry": (
-        lambda h: h["bn"][0].update(momentum=0.1, eps=1e-5), "header field 'bn' entry 0 is"
-    ),
-    "params_not_list": (lambda h: h.update(params={}), "header field 'params' is {}, not a list of 17 entries"),
     "extra_field": (lambda h: h.update(comment=1), "header field 'comment' is not one saving writes"),
-    "total_floats_off": (
-        lambda h: h.update(total_floats=h["total_floats"] + 1), "header field 'total_floats' is "
+    "format_2_tables": (  # format 2's tables, in a file that says format 3
+        lambda h: h.update(
+            params=[{"group": "theta", "name": "g2g_p0", "shape": [3, 3], "offset": 0}],
+            bn=[{"mean_offset": 0, "var_offset": 2, "channels": 2}],
+            total_floats=model_floats(TINY),
+        ),
+        "header field 'bn' is not one saving writes",
     ),
-    "bn_channels_as_float": (set_first("bn", "channels", 2.0), "header field 'bn' entry 0 is"),
-    "params_trailing_null": (lambda h: h["params"].append(None), "header field 'params' entry 17 is None"),
     "backbone_default_left_out": (
         lambda h: h["backbone"].pop("matching_temperature"), "header field 'backbone' is {"
     ),
@@ -330,12 +331,8 @@ def test_tampered_header_raises_checkpoint_error_naming_path_and_field(model, tm
 # -- fuzzing: every mutated file loads or is rejected with the package's own errors ------
 
 CHECKPOINT_FUZZ_VALUES = (
-    None, True, -1, 0, 1, 2, 3, 1.5, 2**70, float("nan"), "x", "", [], {}, [{}], [2, 2, 2, 4], "theta", "phi",
+    None, True, -1, 0, 1, 2, 3, 1.5, 2**70, float("nan"), "x", "", [], {}, [{}], [2, 2, 2, 4], "proto",
 )
-
-
-def _resigned(body: bytes) -> bytes:
-    return body + struct.pack("<Q", crc64(body))
 
 
 @st.composite
@@ -359,7 +356,7 @@ def mutated_checkpoints(draw, blob: bytes) -> bytes:
         extra = draw(st.binary(max_size=16))
         header_len = draw(st.sampled_from((header_len, header_len - 1, header_len + 4, 0, 2**63)))
         body = blob[:8] + struct.pack("<Q", header_len) + blob[16:cut] + extra
-    return _resigned(body) if draw(st.booleans()) or kind == "header" else body + blob[-8:]
+    return resign(body) if draw(st.booleans()) or kind == "header" else body + blob[-8:]
 
 
 @pytest.fixture(scope="module")
@@ -386,7 +383,7 @@ def test_mutated_checkpoint_loads_or_raises_checkpoint_error(fuzz_checkpoint, dr
 def test_payload_not_whole_floats_rejected(model, tmp_path):
     path = save_checkpoint(model, tmp_path / "m.ckpt")
     blob = path.read_bytes()
-    path.write_bytes(_resigned(blob[:-8] + b"\x00"))
+    path.write_bytes(resign(blob[:-8] + b"\x00"))
     with pytest.raises(CheckpointError, match="not a whole number of floats"):
         load_checkpoint(path)
 
@@ -430,20 +427,13 @@ def set_payload_float(path, offset, value) -> None:
     blob = bytearray(path.read_bytes())
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     struct.pack_into("<f", blob, 16 + header_len + 4 * offset, value)
-    path.write_bytes(_resigned(bytes(blob[:-8])))
-
-
-def header_of(path) -> dict:
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack_from("<Q", blob, 8)
-    return json.loads(blob[16 : 16 + header_len])
+    path.write_bytes(resign(bytes(blob[:-8])))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
 def test_non_finite_parameter_rejected_naming_group_and_param(model, tmp_path, value):
     path = save_checkpoint(model, tmp_path / "m.ckpt")
-    entry = next(e for e in header_of(path)["params"] if e["name"] == "conv1_w")
-    set_payload_float(path, entry["offset"] + 5, value)
+    set_payload_float(path, offset_of("theta/conv1_w") + 5, value)
     with pytest.raises(CheckpointError, match="theta/conv1_w holds a non-finite") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
@@ -452,7 +442,7 @@ def test_non_finite_parameter_rejected_naming_group_and_param(model, tmp_path, v
 @pytest.mark.parametrize("stat", ["mean", "var"])
 def test_non_finite_running_stat_rejected_naming_layer(model, tmp_path, stat):
     path = save_checkpoint(model, tmp_path / "m.ckpt")
-    set_payload_float(path, header_of(path)["bn"][1][f"{stat}_offset"], float("nan"))
+    set_payload_float(path, offset_of(f"bn1 running_{stat}"), float("nan"))
     with pytest.raises(CheckpointError, match=f"bn1 running_{stat} holds a non-finite") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
@@ -460,7 +450,7 @@ def test_non_finite_running_stat_rejected_naming_layer(model, tmp_path, stat):
 
 def test_negative_running_var_rejected_naming_layer(model, tmp_path):
     path = save_checkpoint(model, tmp_path / "m.ckpt")
-    set_payload_float(path, header_of(path)["bn"][2]["var_offset"] + 1, -0.5)
+    set_payload_float(path, offset_of("bn2 running_var") + 1, -0.5)
     with pytest.raises(CheckpointError, match="bn2 running_var holds a negative value") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
@@ -468,7 +458,7 @@ def test_negative_running_var_rejected_naming_layer(model, tmp_path):
 
 def test_zero_running_var_loads(model, tmp_path):
     path = save_checkpoint(model, tmp_path / "m.ckpt")
-    set_payload_float(path, header_of(path)["bn"][0]["var_offset"], 0.0)
+    set_payload_float(path, offset_of("bn0 running_var"), 0.0)
     assert load_checkpoint(path).bn_states[0].running_var[0] == 0.0
 
 
