@@ -73,10 +73,10 @@ def layout(kind: str = "proto") -> list[tuple[str, tuple[int, ...]]]:
     return _SHARED + _HEAD[kind] + _BN
 
 
-def offset_of(name: str) -> int:
-    """The payload float where TINY's (proto head) array ``name`` starts."""
-    names = [n for n, _ in layout()]
-    return sum(int(np.prod(shape)) for _, shape in layout()[: names.index(name)])
+def offset_of(name: str, kind: str = "proto") -> int:
+    """The payload float where TINY's array ``name`` starts under head ``kind``."""
+    names = [n for n, _ in layout(kind)]
+    return sum(int(np.prod(shape)) for _, shape in layout(kind)[: names.index(name)])
 
 
 @pytest.mark.parametrize("kind", ["matching", "relation", "proto", "linear"])
@@ -124,6 +124,23 @@ def test_save_load_save_byte_identical(model, tmp_path):
     save_checkpoint(model, first)
     save_checkpoint(load_checkpoint(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["matching", "relation", "proto", "linear"])
+def test_load_restores_every_payload_array_under_each_head(kind, tmp_path):
+    """Loading writes each stored array back to the place it was saved from."""
+    model = create_model(replace(TINY, head_kind=kind), seed=5)
+    rng = np.random.default_rng(7)
+    for state in model.bn_states:  # distinct statistics, so a mean/var or stage swap shows
+        state.running_mean[...] = rng.normal(size=state.running_mean.shape)
+        state.running_var[...] = rng.uniform(0.5, 2.0, size=state.running_var.shape)
+    loaded = load_checkpoint(save_checkpoint(model, tmp_path / "m.ckpt"))
+    assert loaded.config == model.config
+    got, want = list(_payload(loaded)), list(_payload(model))
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, a), (_, b) in zip(got, want):
+        assert a.dtype == np.float64, name
+        assert np.array_equal(a, b.astype(np.float32)), name
 
 
 def test_save_returns_path_and_leaves_no_tmp(model, tmp_path):
@@ -307,6 +324,17 @@ HEADER_DEFECTS = {
         ),
         "header field 'bn' is not one saving writes",
     ),
+    "format_2_params": (
+        lambda h: h.update(params=[{"group": "theta", "name": "g2g_p0", "shape": [3, 3], "offset": 0}]),
+        "header field 'params' is not one saving writes",
+    ),
+    "format_2_bn": (
+        lambda h: h.update(bn=[{"mean_offset": 0, "var_offset": 2, "channels": 2}]),
+        "header field 'bn' is not one saving writes",
+    ),
+    "format_2_total_floats": (
+        lambda h: h.update(total_floats=model_floats(TINY)), "header field 'total_floats' is not one saving writes"
+    ),
     "backbone_default_left_out": (
         lambda h: h["backbone"].pop("matching_temperature"), "header field 'backbone' is {"
     ),
@@ -435,6 +463,16 @@ def test_non_finite_parameter_rejected_naming_group_and_param(model, tmp_path, v
     path = save_checkpoint(model, tmp_path / "m.ckpt")
     set_payload_float(path, offset_of("theta/conv1_w") + 5, value)
     with pytest.raises(CheckpointError, match="theta/conv1_w holds a non-finite") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("kind, name", [("relation", "w/rel_w2"), ("linear", "w/lin_b")])
+def test_non_finite_head_parameter_rejected_naming_it(tmp_path, kind, name):
+    model = create_model(replace(TINY, head_kind=kind), seed=5)
+    path = save_checkpoint(model, tmp_path / "m.ckpt")
+    set_payload_float(path, offset_of(name, kind), float("nan"))
+    with pytest.raises(CheckpointError, match=f"{name} holds a non-finite") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
 
