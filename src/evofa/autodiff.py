@@ -544,14 +544,11 @@ class ParamGroup:
         self.entries.append((name, tensor))
         return tensor
 
-    def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.entries]
-
     def get(self, name: str) -> Tensor:
         for n, t in self.entries:
             if n == name:
                 return t
-        raise KeyError(name)
+        raise ContractError(f"no parameter {self.name}/{name}")
 
     def copy(self) -> "ParamGroup":
         return ParamGroup(

@@ -6,7 +6,9 @@ it, and ``beta`` takes its role. In train mode a conv block records two tape
 nodes, ``conv2d`` and ``bn_relu``, so the tape holds two activations per block. In
 eval mode a block folds its batch norm into the conv (``_conv_block``).
 The adapter is the only stage touched by test-time adaptation; it starts as an
-exact identity so adaptation-off equals the raw pipeline.
+exact identity so adaptation-off equals the raw pipeline. Only the episodic heads
+have one: a linear-head model, the supervised baseline, is an encoder and its head,
+and its ``phi`` group is empty.
 
 Every stage takes a batch: ``encode`` maps features [B x n x d] to rows
 [B x q], and ``adapt`` maps rows [m x q], or a stack [G x m x q], to the same
@@ -100,11 +102,11 @@ def model_floats(config: BackboneConfig) -> int:
     for c_out in config.conv_channels:
         total += c_out * c_in * 9 + 4 * c_out  # kernel, gamma, beta, two running stats
         c_in = c_out
+    if config.head_kind == "linear":
+        return total + (q + 1) * config.num_classes  # no adapter
     total += 2 * q * h + h + q  # adapter
     if config.head_kind == "relation":
         total += 2 * q * config.relation_hidden + 2 * config.relation_hidden + 1
-    elif config.head_kind == "linear":
-        total += (q + 1) * config.num_classes
     return total
 
 
@@ -125,7 +127,8 @@ def create_model(config: BackboneConfig, seed: int = 0) -> Model:
         c_in = c_out
     bn_states = [BatchNormState.create(c) for c in config.conv_channels]
 
-    phi = _identity_adapter(config, np.random.default_rng([seed, 202]))
+    linear = config.head_kind == "linear"
+    phi = ParamGroup("phi") if linear else _identity_adapter(config, np.random.default_rng([seed, 202]))
 
     w_group = ParamGroup("w")
     q = config.embedding_dim
@@ -136,7 +139,7 @@ def create_model(config: BackboneConfig, seed: int = 0) -> Model:
         w_group.add("rel_b1", Tensor(np.zeros(r), requires_grad=True))
         w_group.add("rel_w2", Tensor(rng_w.normal(size=(r, 1)) * np.sqrt(2.0 / r), requires_grad=True))
         w_group.add("rel_b2", Tensor(np.zeros(1), requires_grad=True))
-    elif config.head_kind == "linear":
+    elif linear:
         w_group.add("lin_w", Tensor(rng_w.normal(size=(q, config.num_classes)) * np.sqrt(1.0 / q), requires_grad=True))
         w_group.add("lin_b", Tensor(np.zeros(config.num_classes), requires_grad=True))
     return Model(config=config, theta=theta, phi=phi, w=w_group, bn_states=bn_states)

@@ -23,7 +23,7 @@ from .data import atomic_write
 from .errors import CheckpointError
 
 MAGIC = b"EVCK"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # CRC-64/ECMA-182: polynomial 0x42F0E1EBA9EA3693, no reflection, zero init/xorout.
 _POLY = 0x42F0E1EBA9EA3693

@@ -4,6 +4,9 @@ An episode copies no data: it is the pair ``(support, query)`` of int64 row
 indices [way x shot] and [way x queries] into the pool it was drawn from.
 Row k of each half holds the episode's k-th class, classes in ascending
 order, so the class id of local target k is ``pool.label[support[k, 0]]``.
+
+The supervised baseline is an encoder and a linear head with no adapter, and
+both trainers step every parameter group of their model.
 """
 from __future__ import annotations
 
@@ -123,15 +126,10 @@ def classify_query(
     return np.stack(predictions), accuracies
 
 
-def _linear_scores(model: Model, rows: Tensor) -> Tensor:
-    """Linear-head class scores [B x C] of encoder rows [B x q]: adapter, then head."""
-    return backbone.linear_head(backbone.adapt(rows, model.phi), model.w)
-
-
 def classify_pool(model: Model, pool: DatasetIndex) -> tuple[np.ndarray, float]:
-    """Whole-pool classification for non-episodic (linear-head) models."""
+    """Whole-pool classification for non-episodic (linear-head) models: encoder rows, then the head."""
     with ad.no_grad():
-        scores = _linear_scores(model, Tensor(encode_rows(model, pool.features)))
+        scores = backbone.linear_head(Tensor(encode_rows(model, pool.features)), model.w)
     predictions = np.argmax(scores.data, axis=1)
     accuracy = float(np.mean(predictions == pool.label)) if len(pool) else 0.0
     return predictions, accuracy
@@ -180,8 +178,8 @@ def validation_accuracy(model: Model, pool: DatasetIndex, cfg: TrainConfig, seed
     return total / cfg.validation_episodes
 
 
-def _train(model: Model, groups: list[ParamGroup], cfg, step_losses, validate, on_epoch=None) -> Model:
-    """SGD on ``groups`` for ``cfg.max_epochs`` epochs; returns the best-validation snapshot.
+def _train(model: Model, cfg, step_losses, validate, on_epoch=None) -> Model:
+    """SGD on every group of ``model`` for ``cfg.max_epochs`` epochs; returns the best-validation snapshot.
 
     Epoch ``e`` takes one step at ``cfg.learning_rate`` per loss that ``step_losses(e)``
     yields, then passes ``validate()`` to ``on_epoch(e, accuracy)`` if given. A snapshot
@@ -195,7 +193,7 @@ def _train(model: Model, groups: list[ParamGroup], cfg, step_losses, validate, o
                 raise ContractError(f"non-finite {model.config.head_kind} loss at epoch {epoch}")
             ad.backward(loss)
             del loss  # no step's tape may live on while the next step records its own
-            for group in groups:
+            for group in model.groups():
                 ad.sgd_step(group, cfg.learning_rate)
         acc = validate()
         if on_epoch is not None:
@@ -222,7 +220,7 @@ def meta_train(
             yield episode_loss(train_pool, episode, model)
 
     validate = lambda: validation_accuracy(model, val_pool, cfg, seed)
-    return _train(model, model.groups(), cfg, episode_losses, validate, on_epoch)
+    return _train(model, cfg, episode_losses, validate, on_epoch)
 
 
 @dataclass(frozen=True)
@@ -252,23 +250,17 @@ def train_supervised_baseline(
 ) -> Model:
     """An ``arch`` encoder + linear softmax classifier from ``seed``; best-validation snapshot returned.
 
-    The adapter stays at its identity initialization: it exists for test-time
-    adaptation and takes no part in the supervised objective, so it takes no
-    gradient while training.
+    The model has no adapter: it is trained once and then frozen, and only the
+    episodic models are adapted at test time.
     """
     model = create_model(cfg.model_config(arch), seed=seed)
-    for t in model.phi.tensors():
-        t.requires_grad = False
 
     def batch_losses(epoch: int):
         order = np.random.default_rng([seed, 5, epoch]).permutation(len(train_pool))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             rows = backbone.encode(Tensor(train_pool.features[idx]), model, mode="train")
-            yield loss_from_scores(_linear_scores(model, rows), train_pool.label[idx], "linear")
+            yield loss_from_scores(backbone.linear_head(rows, model.w), train_pool.label[idx], "linear")
 
     validate = lambda: classify_pool(model, val_pool)[1]
-    best = _train(model, [model.theta, model.w], cfg, batch_losses, validate)
-    for t in best.phi.tensors():
-        t.requires_grad = True
-    return best
+    return _train(model, cfg, batch_losses, validate)

@@ -25,7 +25,7 @@ def finite_diff_check(f, params, eps: float = 1e-5) -> float:
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    tensors = params.tensors() if isinstance(params, ParamGroup) else list(params)
+    tensors = [t for _, t in params.entries] if isinstance(params, ParamGroup) else list(params)
     for t in tensors:
         t.grad = None
     ad.backward(f(params))

@@ -294,7 +294,7 @@ def _op_variants():
 def _composite_error(pool, head: str, seed: int) -> float:
     rng = np.random.default_rng([107, seed])
     model = create_model(replace(TINY, head_kind=head), seed=seed)
-    params = [t for g in model.groups() for t in g.tensors()]
+    params = [t for g in model.groups() for _, t in g.entries]
     # evaluate at a generic point: freshly initialized nets can sit exactly on
     # relu kinks (or go fully dead), where subgradients and central differences
     # legitimately disagree

@@ -452,7 +452,7 @@ def test_outer_rejects_stacked_inner_result_for_plain_adapter(pools, model):
     stacked = adapt_mod._stack_adapter(m.phi, 4)
     with pytest.raises(ContractError, match=r"parameter phi/fc1_w has gradient shape \(4, 16, 32\)"):
         outer_update(m.phi, stacked, rows_of(m, train), snaps, target, cfg)
-    assert [t.shape for t in m.phi.tensors()] == [t.shape for t in model.phi.tensors()]
+    assert [t.shape for _, t in m.phi.entries] == [t.shape for _, t in model.phi.entries]
     assert state_bytes(m.phi) == before
 
 

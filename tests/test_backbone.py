@@ -295,7 +295,7 @@ def test_model_floats_counts_what_create_model_builds(head):
     wide = dict(g2g_channels=4, adapter_hidden=14, relation_hidden=7, num_classes=5)
     for cfg in (replace(TINY, head_kind=head), replace(TINY, head_kind=head, **wide)):
         model = backbone.create_model(cfg, seed=0)
-        params = sum(t.size for g in model.groups() for t in g.tensors())
+        params = sum(t.size for g in model.groups() for _, t in g.entries)
         stats = sum(s.running_mean.size + s.running_var.size for s in model.bn_states)
         assert backbone.model_floats(cfg) == params + stats
 
@@ -351,7 +351,7 @@ def test_adapter_gradients_flow_to_phi():
     assert finite_diff_check(f, model.phi, eps=1e-5) < 1e-4
     loss = f(None)
     ad.backward(loss)
-    assert any(np.abs(p.grad).max() > 1e-6 for p in model.phi.tensors())
+    assert any(np.abs(p.grad).max() > 1e-6 for _, p in model.phi.entries)
 
 
 def test_pipeline_accuracy_unchanged_by_identity_adapter():
@@ -438,7 +438,7 @@ def test_relation_gradients_reach_relation_weights():
     rng = np.random.default_rng(11)
     scores = backbone.head_forward(model, t(rng.normal(size=(4, 3))), t(rng.normal(size=(3, 3))))
     ad.backward(scores.sum())
-    assert all(p.grad is not None for p in model.w.tensors())
+    assert all(p.grad is not None for _, p in model.w.entries)
 
 
 def test_linear_head_ignores_support():

@@ -46,18 +46,18 @@ def resign(body: bytes) -> bytes:
 
 # -- payload layout ----------------------------------------------------------------
 
-_SHARED = [  # theta then phi: the same under every head
+_THETA = [  # the same under every head
     ("theta/g2g_p0", (3, 3)),
     ("theta/conv0_w", (2, 1, 3, 3)), ("theta/bn0_gamma", (2,)), ("theta/bn0_beta", (2,)),
     ("theta/conv1_w", (2, 2, 3, 3)), ("theta/bn1_gamma", (2,)), ("theta/bn1_beta", (2,)),
     ("theta/conv2_w", (2, 2, 3, 3)), ("theta/bn2_gamma", (2,)), ("theta/bn2_beta", (2,)),
     ("theta/conv3_w", (4, 2, 3, 3)), ("theta/bn3_gamma", (4,)), ("theta/bn3_beta", (4,)),
-    ("phi/fc1_w", (4, 8)), ("phi/fc1_b", (8,)), ("phi/fc2_w", (8, 4)), ("phi/fc2_b", (4,)),
 ]
-_HEAD = {
-    "matching": [],
-    "relation": [("w/rel_w1", (8, 32)), ("w/rel_b1", (32,)), ("w/rel_w2", (32, 1)), ("w/rel_b2", (1,))],
-    "proto": [],
+_PHI = [("phi/fc1_w", (4, 8)), ("phi/fc1_b", (8,)), ("phi/fc2_w", (8, 4)), ("phi/fc2_b", (4,))]
+_HEAD = {  # phi then w: the linear head has no adapter
+    "matching": _PHI,
+    "relation": _PHI + [("w/rel_w1", (8, 32)), ("w/rel_b1", (32,)), ("w/rel_w2", (32, 1)), ("w/rel_b2", (1,))],
+    "proto": _PHI,
     "linear": [("w/lin_w", (4, 3)), ("w/lin_b", (3,))],
 }
 _BN = [
@@ -70,7 +70,7 @@ _BN = [
 
 def layout(kind: str = "proto") -> list[tuple[str, tuple[int, ...]]]:
     """TINY's payload under head ``kind``, written out by hand: (name, shape) in file order."""
-    return _SHARED + _HEAD[kind] + _BN
+    return _THETA + _HEAD[kind] + _BN
 
 
 def offset_of(name: str, kind: str = "proto") -> int:
@@ -224,10 +224,11 @@ def test_bad_magic(model, tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, FORMAT_VERSION + 1])
+@pytest.mark.parametrize("version", [1, 2, 3, FORMAT_VERSION + 1])
 def test_version_mismatch(model, tmp_path, version):
     # format 1 held a conv bias per block and momentum and eps per batch-norm entry, format 2
-    # a parameter table, a batch-norm table and a float count; either is rejected by its version
+    # a parameter table, a batch-norm table and a float count, format 3 an adapter under the
+    # linear head; each is rejected by its version
     path = save_checkpoint(model, tmp_path / "m.ckpt")
     blob = path.read_bytes()
     path.write_bytes(resign(blob[:4] + struct.pack("<I", version) + blob[8:-8]))
@@ -316,7 +317,7 @@ HEADER_DEFECTS = {
         lambda h: h["backbone"].update(d_bands=2**70), "header field 'backbone' is invalid"
     ),
     "extra_field": (lambda h: h.update(comment=1), "header field 'comment' is not one saving writes"),
-    "format_2_tables": (  # format 2's tables, in a file that says format 3
+    "format_2_tables": (  # format 2's tables, in a file of the current format
         lambda h: h.update(
             params=[{"group": "theta", "name": "g2g_p0", "shape": [3, 3], "offset": 0}],
             bn=[{"mean_offset": 0, "var_offset": 2, "channels": 2}],

@@ -6,12 +6,14 @@ adaptation steps is differentiated once:
 
 - the head's episode loss, which ``meta_train`` steps every group on;
 - for the linear head, the supervised loss instead, which
-  ``train_supervised_baseline`` steps ``theta`` and ``w`` on (the adapter stays
-  frozen there);
-- the alignment loss, which ``inner_adapt`` and ``outer_update`` step ``phi`` on.
+  ``train_supervised_baseline`` steps every group on: ``theta`` and ``w``, as
+  a linear model has no adapter;
+- for an episodic head, the alignment loss, which ``inner_adapt`` and
+  ``outer_update`` step ``phi`` on.
 
 A parameter is dead when, in every loss that steps it, its largest gradient
-entry is at most ``DEAD`` times that loss's largest entry over all it steps.
+entry is at most ``DEAD`` times that loss's largest entry over all it steps. A
+model parameter that no loss steps is dead too.
 """
 from dataclasses import replace
 
@@ -31,10 +33,6 @@ ALLOWED = {
     ("proto", "phi/fc2_b"): (
         "proto scores (squared distances to class means) and MMD are both translation invariant, "
         "so shifting every adapted row moves neither loss"
-    ),
-    ("linear", "phi/fc2_b"): (
-        "the supervised loss leaves the adapter frozen, and MMD is translation invariant, "
-        "so the alignment loss, the one loss that steps it, does not move it"
     ),
 }
 
@@ -60,8 +58,8 @@ def _head_loss(model: backbone.Model, rng: np.random.Generator) -> tuple[ad.Tens
         return fsl.episode_loss(POOL, episode, model), model.groups()
     rows = rng.choice(len(POOL), size=12, replace=False)
     encoded = backbone.encode(Tensor(POOL.features[rows]), model, mode="train")
-    scores = backbone.linear_head(backbone.adapt(encoded, model.phi), model.w)
-    return fsl.loss_from_scores(scores, POOL.label[rows], "linear"), [model.theta, model.w]
+    scores = backbone.linear_head(encoded, model.w)
+    return fsl.loss_from_scores(scores, POOL.label[rows], "linear"), model.groups()
 
 
 def _alignment(model: backbone.Model, rng: np.random.Generator) -> tuple[ad.Tensor, list[ad.ParamGroup]]:
@@ -88,10 +86,11 @@ def _relative_gradients(loss: ad.Tensor, groups: list[ad.ParamGroup]) -> dict[st
 def test_every_parameter_is_moved_by_a_loss_that_steps_it(kind):
     rng = np.random.default_rng([7, backbone.HEAD_KINDS.index(kind)])
     model = _moved_model(kind, rng)
-    live: dict[str, bool] = {}
-    for loss_of in (_head_loss, _alignment):
+    live = {f"{group.name}/{name}": False for group in model.groups() for name, _ in group.entries}
+    losses = [_head_loss] + ([_alignment] if kind in fsl.EPISODIC_HEADS else [])  # only episodic models adapt
+    for loss_of in losses:
         for name, ratio in _relative_gradients(*loss_of(model.copy(), rng)).items():
-            live[name] = live.get(name, False) or ratio > DEAD
+            live[name] = live[name] or ratio > DEAD
     dead = sorted(name for name, moved in live.items() if not moved)
     allowed = sorted(name for k, name in ALLOWED if k == kind)
     assert dead == allowed, (

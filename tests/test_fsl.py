@@ -268,9 +268,13 @@ def test_loss_nonnegativity(seed):
 
 
 def test_linear_head_is_not_episodic():
+    """A linear model has no adapter, so the episodic paths name the parameter they miss."""
     model = create_model(tiny_backbone(head_kind="linear"), seed=0)
-    with pytest.raises(ProtocolError, match="linear head is not episodic"):
-        episode_loss(*manual_episode(), model)
+    pool, episode = manual_episode()
+    with pytest.raises(ContractError, match="no parameter phi/fc1_w"):
+        episode_loss(pool, episode, model)
+    with pytest.raises(ContractError, match="no parameter phi/fc1_w"):
+        classify_query([episode], model, encode_rows(model, pool.features), model.phi)
 
 
 def test_way_mismatch_rejected():
@@ -312,7 +316,7 @@ def test_episode_gradients_match_finite_differences():
         seed=3,
     )
     pool, ep = manual_episode(class_ids=(0, 1), shot=1, queries=1, shape=(3, 2), seed=7)
-    tensors = model.theta.tensors() + model.phi.tensors()
+    tensors = [t for group in (model.theta, model.phi) for _, t in group.entries]
 
     def f(_):
         return loss_from_scores(*eval_scores(pool, ep, model), "proto")
@@ -624,7 +628,7 @@ def test_non_finite_gradient_raises_at_its_step(name, separable_pools, monkeypat
         original_backward(loss)
         if len(losses) == 3:
             before.append(state_bytes(models[0].theta))
-            models[0].theta.tensors()[0].grad.flat[0] = np.nan
+            models[0].theta.entries[0][1].grad.flat[0] = np.nan
 
     monkeypatch.setattr(fsl, "create_model", recording_create)
     monkeypatch.setattr(ad, "backward", poisoning_backward)
@@ -728,29 +732,11 @@ def test_supervised_baseline_learns_stationary_data(trained_supervised, separabl
     assert accuracy >= 0.95
 
 
-def test_supervised_baseline_leaves_adapter_at_identity(trained_supervised):
+def test_supervised_baseline_has_no_adapter_and_moves_encoder_and_head(trained_supervised):
     model, cfg = trained_supervised
+    assert model.phi.entries == []
     fresh = create_model(cfg.model_config(SEPARABLE_BACKBONE), seed=0)
-    assert state_bytes(model.phi) == state_bytes(fresh.phi)
-
-
-def test_supervised_baseline_computes_no_adapter_gradient(separable_pools, monkeypatch):
-    """No backward pass fills the adapter's gradients, and the returned adapter still takes one."""
-    train, val, _ = separable_pools
-    models, phi_grads = [], []
-    original_create, original_backward = fsl.create_model, ad.backward
-
-    def recording_create(config, seed=0):
-        models.append(original_create(config, seed=seed))
-        return models[-1]
-
-    def recording_backward(loss):
-        original_backward(loss)
-        phi_grads.extend(p.grad for p in models[0].phi.tensors())
-
-    monkeypatch.setattr(fsl, "create_model", recording_create)
-    monkeypatch.setattr(ad, "backward", recording_backward)
-    cfg = SupervisedConfig(num_classes=3, max_epochs=2)
-    best = train_supervised_baseline(train, val, cfg, SEPARABLE_BACKBONE, 0)
-    assert phi_grads and all(g is None for g in phi_grads)
-    assert all(p.requires_grad for p in best.phi.tensors())
+    assert fresh.phi.entries == []
+    for group, start in ((model.theta, fresh.theta), (model.w, fresh.w)):
+        for (name, moved), (_, initial) in zip(group.entries, start.entries):
+            assert not np.array_equal(moved.data, initial.data), f"{group.name}/{name} did not move"
