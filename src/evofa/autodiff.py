@@ -370,6 +370,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         for i, j in taps:
             cols[:, :, i, j] = window(rows, i, j)
         np.matmul(kmat, cols.reshape(len(rows), c_in * kh * kw, -1), out=data[part])
+        del rows, cols  # before the next slice's, so two slices never coexist
     data = data.reshape(batch, c_out, out_h, out_w)
 
     def grad_fn(g):

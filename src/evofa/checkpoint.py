@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import BackboneConfig, Model, create_model, model_floats
-from .data import atomic_write
-from .errors import CheckpointError
+from .data import _OBJECT, atomic_write, field_kinds, read_fields, read_versioned
+from .errors import CheckpointError, ConfigError
 
 MAGIC = b"EVCK"
 FORMAT_VERSION = 4
@@ -41,6 +41,8 @@ def _build_table() -> list[int]:
 
 
 _TABLE = _build_table()
+
+_HEADER = {"backbone": _OBJECT}  # the header's one field; saving writes every field of each object
 
 
 def crc64(data: bytes, crc: int = 0) -> int:
@@ -106,24 +108,14 @@ def load_checkpoint(path: str | Path) -> Model:
     """Verify a checkpoint file and rebuild its model; parameters widen to float64.
 
     The decoded header must be exactly the header that saving a model of the
-    architecture it names writes: ``backbone`` with every config field, encoded
-    as saving encodes it, and no other field. The payload must hold that
+    architecture it names writes: ``backbone`` and no other field, holding every
+    config field, each of its JSON kind, and no other. The payload must hold that
     architecture's floats, each finite, with every running variance non-negative.
     """
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+    raw = read_versioned(path, MAGIC, FORMAT_VERSION, "checkpoint", CheckpointError)
     if len(raw) < 4 + 4 + 8 + 8:
         raise CheckpointError(f"checkpoint {path} is truncated ({len(raw)} bytes)")
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"checkpoint {path} has bad magic {raw[:4]!r}")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has format version {version}, expected {FORMAT_VERSION}"
-        )
     (header_len,) = struct.unpack_from("<Q", raw, 8)
     header_end = 16 + header_len
     if header_end + 8 > len(raw):
@@ -139,28 +131,19 @@ def load_checkpoint(path: str | Path) -> Model:
         header = json.loads(raw[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"checkpoint {path} has an unreadable header: {e}") from e
-    if not isinstance(header, dict):
-        raise CheckpointError(f"checkpoint {path} header is not a JSON object")
     if (len(raw) - 8 - header_end) % 4:
         raise CheckpointError(
             f"checkpoint {path} payload of {len(raw) - 8 - header_end} bytes is not a whole number of floats"
         )
     payload = np.frombuffer(raw[header_end:-8], dtype="<f4")
+    where = f"checkpoint {path} header"
+    read_fields(header, _HEADER, where, CheckpointError, _HEADER)
+    kinds = field_kinds(BackboneConfig)
+    backbone = read_fields(header["backbone"], kinds, f"{where} backbone", CheckpointError, kinds)
     try:
-        backbone = dict(header["backbone"])
-        backbone["conv_channels"] = tuple(backbone["conv_channels"])
-        config = BackboneConfig(**backbone)
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"checkpoint {path} header field 'backbone' is invalid: {e!r}") from e
-    # values compare as the JSON they encode to, so 2.0 or true where saving writes 2 or 1 differs
-    want = asdict(config)
-    if json.dumps(header["backbone"], sort_keys=True) != json.dumps(want, sort_keys=True):
-        raise CheckpointError(
-            f"checkpoint {path} header field 'backbone' is {header['backbone']!r}, the architecture has {want!r}"
-        )
-    extra = sorted(header.keys() - {"backbone"})
-    if extra:
-        raise CheckpointError(f"checkpoint {path} header field {extra[0]!r} is not one saving writes")
+        config = BackboneConfig(**{**backbone, "conv_channels": tuple(backbone["conv_channels"])})
+    except ConfigError as e:  # a rule across fields, from __post_init__
+        raise CheckpointError(f"{where} backbone: {e}") from e
     # sized before it is built, so a forged header cannot make loading allocate at will
     size = model_floats(config)
     if payload.size != size:

@@ -16,19 +16,26 @@ from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import atomic_write, export_features, generate_synthetic_drift, import_features
+from .data import (
+    atomic_write,
+    export_features,
+    field_kinds,
+    generate_synthetic_drift,
+    import_features,
+    read_fields,
+    read_json,
+)
 from .errors import ConfigError
 from .harness import (
+    _JSON_KINDS,
     ResultRow,
     ResultTable,
-    _checked,
     cell_pools,
     evaluate_cell,
     load_dataset,
     load_drift_config,
     load_experiment_config,
     plan_cells,
-    read_json,
     run_protocol,
     train_cell,
     write_run_manifest,
@@ -213,7 +220,7 @@ def _cmd_report(args, out: _Outputs) -> int:
     path = Path(args.results)
     if path.is_dir():
         path = path / "results.json"
-    obj = read_json(path, "results")
+    obj = read_json(path, "results", ConfigError)
     rows = obj.get("rows", []) if isinstance(obj, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ConfigError(f"results {path} must be an object whose field 'rows' is a list of objects")
@@ -221,12 +228,10 @@ def _cmd_report(args, out: _Outputs) -> int:
         raise ConfigError(f"results {path} holds no rows")
     columns = ["protocol", "subject", "session", "method", "shots", "mean_accuracy", "std_accuracy"]
     widths = {c: len(c) for c in columns}
+    kinds = field_kinds(ResultRow, _JSON_KINDS)  # the rules a written row meets
     rendered = []
     for i, row in enumerate(rows):
-        lacking = [c for c in columns if c not in row]
-        if lacking:
-            raise ConfigError(f"results {path} row {i} lacks field {lacking[0]!r}")
-        _checked(ResultRow, {c: row[c] for c in columns}, f"results {path} row {i}")  # the rules a written row meets
+        read_fields(row, kinds, f"results {path} row {i}", ConfigError, kinds)
         cells = {c: (f"{row[c]:.4f}" if c.endswith("_accuracy") else str(row[c])) for c in columns}
         rendered.append(cells)
         for c in columns:

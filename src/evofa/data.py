@@ -4,6 +4,9 @@ On-disk container: a JSON manifest plus one raw binary per (subject, session,
 trial). Binary layout: magic ``EVFA``, version u32 little-endian, then
 count x electrodes x bands float32 little-endian, row-major. Feature values
 pass through float32 on generation so export/import round-trips exactly.
+
+Every file the package takes in is read by ``read_json`` or ``read_versioned``,
+and each JSON object in it is checked by ``read_fields``.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from .errors import (
     ConfigError,
     DataError,
     DatasetSchemaError,
-    IngestError,
     ProtocolError,
 )
 
@@ -211,6 +213,26 @@ FIELD_RULES = {
     "Rate": (lambda value: _is_number(value) and 0 <= value <= 1, "a number in [0, 1]"),
 }
 
+_is_str = lambda value: isinstance(value, str)
+_OBJECT = (lambda value: isinstance(value, dict), "an object")
+_INTS = (lambda value: isinstance(value, list) and all(map(_is_int, value)), "a list of integers")
+# each JSON value's (test, what it must be), by the annotation of the field it fills
+JSON_KINDS = {
+    **FIELD_RULES,
+    "str": (_is_str, "a string"),
+    "bool": (lambda value: isinstance(value, bool), "true or false"),
+    "tuple[int, ...]": _INTS,
+    "tuple[int, int, int, int]": _INTS,
+    "tuple[float, ...]": (
+        lambda value: isinstance(value, list) and all(map(_is_number, value)), "a list of finite numbers"
+    ),
+}
+
+
+def field_kinds(cls, kinds: dict = JSON_KINDS) -> dict:
+    """Each field of the dataclass ``cls`` mapped to the JSON kind of its annotation in ``kinds``."""
+    return {f.name: kinds[f.type] for f in fields(cls)}
+
 
 def check_fields(config, rules: dict = FIELD_RULES) -> None:
     """Raise ConfigError naming the first field of the dataclass ``config`` that breaks its rule in ``rules``."""
@@ -315,23 +337,64 @@ def generate_synthetic_drift(cfg: DriftConfig) -> DatasetIndex:
     )
 
 
-# -- binary feature container --------------------------------------------------------
+# -- readers: every file the package takes in goes through one of these -------------------
 
-def _read_feature_file(path: Path, count: int, schema: tuple[int, int]) -> np.ndarray:
+def read_json(path: str | Path, what: str, error: type[Exception]):
+    """The JSON document in the ``what`` file at ``path``; an unreadable or malformed file raises ``error``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise error(f"cannot read {what} {path}: {e}") from e
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise error(f"{what} {path} is not valid JSON: {e}") from e
+
+
+def read_fields(obj, kinds: dict, where: str, error: type[Exception], required) -> dict:
+    """``obj``, once it is checked to be an object that holds every ``required`` key and no key
+    that ``kinds`` lacks, each value passing its key's ``(test, what it must be)`` in ``kinds``.
+
+    The first check that fails raises ``error``, naming ``where`` and the key.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be an object, got {type(obj).__name__}")
+    for name in required:
+        if name not in obj:
+            raise error(f"{where} is missing field {name!r}")
+    for name, value in obj.items():
+        if name not in kinds:
+            raise error(f"{where} has unknown key {name!r}")
+        test, must = kinds[name]
+        if not test(value):
+            raise error(f"{where} field {name!r} must be {must}, got {value!r}")
+    return obj
+
+
+def read_versioned(path: Path, magic: bytes, version: int, what: str, error: type[Exception]) -> bytes:
+    """The bytes of the ``what`` file at ``path``, which open with ``magic`` and then ``version`` as a u32 LE.
+
+    An unreadable file, one too short for those, a wrong magic or another version
+    raises ``error`` naming the file.
+    """
     try:
         blob = path.read_bytes()
     except OSError as e:
-        raise IngestError(f"cannot read feature file {path}: {e}") from e
-    head = len(FEATURE_MAGIC) + 4
-    if len(blob) < head:
-        raise DatasetSchemaError(f"feature file truncated before header: {path}")
-    if blob[:4] != FEATURE_MAGIC:
-        raise DatasetSchemaError(f"bad magic in {path}: {blob[:4]!r}")
-    (version,) = struct.unpack("<I", blob[4:8])
-    if version != FEATURE_VERSION:
-        raise DatasetSchemaError(f"unsupported feature file version {version} in {path}")
+        raise error(f"cannot read {what} {path}: {e}") from e
+    if len(blob) < len(magic) + 4:
+        raise error(f"{what} {path} is truncated ({len(blob)} bytes)")
+    if blob[: len(magic)] != magic:
+        raise error(f"{what} {path} has bad magic {blob[: len(magic)]!r}")
+    (found,) = struct.unpack_from("<I", blob, len(magic))
+    if found != version:
+        raise error(f"{what} {path} has format version {found}, expected {version}")
+    return blob
+
+
+# -- binary feature container --------------------------------------------------------
+
+def _read_feature_file(path: Path, count: int, schema: tuple[int, int]) -> np.ndarray:
+    blob = read_versioned(path, FEATURE_MAGIC, FEATURE_VERSION, "feature file", DatasetSchemaError)
     expect = count * schema[0] * schema[1] * 4
-    payload = blob[head:]
+    payload = blob[len(FEATURE_MAGIC) + 4 :]
     if len(payload) != expect:
         raise DatasetSchemaError(
             f"feature file {path} holds {len(payload)} payload bytes, manifest implies {expect}"
@@ -383,53 +446,29 @@ def _feature_blob(features: np.ndarray) -> bytes:
 
 
 _SCHEMA_MAX = 2**16  # electrodes or bands per sample
-_is_list = lambda value: isinstance(value, list)
+_LIST = (lambda value: isinstance(value, list), "a list")
 _is_class_list = lambda value: (
-    _is_list(value) and all(isinstance(c, str) for c in value) and len(set(value)) == len(value)
+    isinstance(value, list) and all(isinstance(c, str) for c in value) and len(set(value)) == len(value)
 )
-_in_schema = lambda value: _is_int(value, 1, _SCHEMA_MAX)
-
-# every manifest field: (test its value must pass, what the value must be)
-_FIELDS = {
-    "schema": (lambda value: isinstance(value, dict), "an object"),
-    "electrodes": (_in_schema, f"an integer from 1 to {_SCHEMA_MAX}"),
-    "bands": (_in_schema, f"an integer from 1 to {_SCHEMA_MAX}"),
-    "classes": (_is_class_list, "a list of distinct strings"),
-    "subjects": (_is_list, "a list"),
-    "sessions": (_is_list, "a list"),
-    "trials": (_is_list, "a list"),
-    "id": FIELD_RULES["Natural"],  # subject and session ids seed their cell's random streams
-    "label": (_is_int, "an integer"),
-    "count": FIELD_RULES["Natural"],
-    "file": (lambda value: isinstance(value, str), "a string"),
-}
+_SCHEMA_SIZE = (lambda value: _is_int(value, 1, _SCHEMA_MAX), f"an integer from 1 to {_SCHEMA_MAX}")
+_ID = FIELD_RULES["Natural"]  # subject and session ids seed their cell's random streams
+# each manifest object's fields: (test its value must pass, what the value must be); all are required
+_MANIFEST = {"schema": _OBJECT, "classes": (_is_class_list, "a list of distinct strings"), "subjects": _LIST}
+_SCHEMA = {"electrodes": _SCHEMA_SIZE, "bands": _SCHEMA_SIZE}
+_SUBJECT = {"id": _ID, "sessions": _LIST}
+_SESSION = {"id": _ID, "trials": _LIST}
+_TRIAL = {"id": _ID, "label": (_is_int, "an integer"), "file": JSON_KINDS["str"], "count": FIELD_RULES["Natural"]}
 
 
-def _check_fields(manifest_path: Path, where: str, entry, fields: tuple) -> None:
-    """Raise, naming the manifest, the entry and the field, unless each field is valid."""
-    if not isinstance(entry, dict):
-        raise DatasetSchemaError(
-            f"{manifest_path}: {where} must be an object, got {type(entry).__name__}"
-        )
-    for name in fields:
-        if name not in entry:
-            raise DatasetSchemaError(f"{manifest_path}: {where} is missing field {name!r}")
-        test, kind = _FIELDS[name]
-        if not test(entry[name]):
-            raise DatasetSchemaError(
-                f"{manifest_path}: {where} field {name!r} must be {kind}, got {entry[name]!r}"
-            )
-
-
-def _checked_entries(manifest_path: Path, where: str, entries: list, fields: tuple) -> list:
-    """Manifest entries sorted by id, each checked for its fields; ids must be unique.
+def _checked_entries(manifest_path: Path, where: str, entries: list, kinds: dict) -> list:
+    """Manifest entries sorted by id, each holding exactly the fields of ``kinds``; ids must be unique.
 
     ``where`` names the entry kind and its parents, e.g. "subject 2 session 1 trial".
     """
     for position, entry in enumerate(entries):
         named = isinstance(entry, dict) and _is_int(entry.get("id"))
         name = entry["id"] if named else f"at position {position}"
-        _check_fields(manifest_path, f"{where} {name}", entry, fields)
+        read_fields(entry, kinds, f"{manifest_path}: {where} {name}", DatasetSchemaError, kinds)
     entries = sorted(entries, key=lambda e: e["id"])
     for a, b in zip(entries, entries[1:]):
         if a["id"] == b["id"]:
@@ -442,36 +481,29 @@ def _checked_entries(manifest_path: Path, where: str, entries: list, fields: tup
 def import_features(manifest_path: str | Path) -> DatasetIndex:
     """Load a manifest plus its binaries into a sorted, validated DatasetIndex.
 
-    Every feature file must lie inside the manifest's directory.
+    Every feature file must lie inside the manifest's directory, and every
+    manifest object holds exactly its fields.
     """
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except OSError as e:
-        raise IngestError(f"cannot read manifest {manifest_path}: {e}") from e
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DatasetSchemaError(f"manifest is not valid JSON: {manifest_path}: {e}") from e
-    _check_fields(manifest_path, "manifest", manifest, ("schema", "classes", "subjects"))
-    _check_fields(manifest_path, "manifest schema", manifest["schema"], ("electrodes", "bands"))
+    manifest = read_json(manifest_path, "manifest", DatasetSchemaError)
+    read_fields(manifest, _MANIFEST, f"{manifest_path}: manifest", DatasetSchemaError, _MANIFEST)
+    read_fields(manifest["schema"], _SCHEMA, f"{manifest_path}: manifest schema", DatasetSchemaError, _SCHEMA)
     schema = (manifest["schema"]["electrodes"], manifest["schema"]["bands"])
     classes, subjects = manifest["classes"], manifest["subjects"]
 
     base = manifest_path.parent.resolve()
     owners = {}  # resolved feature file -> the trial that named it first
     parts = []  # per trial: features, then one array per column
-    for subj_entry in _checked_entries(manifest_path, "subject", subjects, ("id", "sessions")):
+    for subj_entry in _checked_entries(manifest_path, "subject", subjects, _SUBJECT):
         subject_id = subj_entry["id"]
         sessions = _checked_entries(
-            manifest_path, f"subject {subject_id} session", subj_entry["sessions"], ("id", "trials")
+            manifest_path, f"subject {subject_id} session", subj_entry["sessions"], _SESSION
         )
         for sess_entry in sessions:
             session_id = sess_entry["id"]
             where = f"subject {subject_id} session {session_id} trial"
             time_index = 0
-            trials = _checked_entries(
-                manifest_path, where, sess_entry["trials"], ("id", "label", "file", "count")
-            )
-            for entry in trials:
+            for entry in _checked_entries(manifest_path, where, sess_entry["trials"], _TRIAL):
                 trial_id, label, count = entry["id"], entry["label"], entry["count"]
                 if not (0 <= label < len(classes)):
                     raise DatasetSchemaError(

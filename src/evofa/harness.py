@@ -30,21 +30,24 @@ from . import __version__
 from .adapt import AdaptConfig, EvalConfig, evofa_test
 from .backbone import BackboneConfig, encode_rows
 from .data import (
-    FIELD_RULES,
+    _OBJECT,
+    JSON_KINDS,
     Count,
     DatasetIndex,
     DriftConfig,
     Natural,
     Rate,
     Scale,
-    _is_int,
-    _is_number,
+    _is_str,
     atomic_write,
     check_fields,
+    field_kinds,
     generate_synthetic_drift,
     import_features,
     make_inter_split,
     make_intra_split,
+    read_fields,
+    read_json,
     write_files,
 )
 from .errors import ConfigError, ProtocolError
@@ -422,24 +425,10 @@ def config_to_obj(cfg: ExperimentConfig) -> dict:
     return {"dataset": {kind: obj.pop("dataset")}, **obj}
 
 
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-_OBJECT = (lambda value: isinstance(value, dict), "an object")
-_INTS = (lambda value: isinstance(value, list) and all(map(_is_int, value)), "a list of integers")
-
 # a config or result row field's JSON test and what its value must be, by the field's annotation
 _JSON_KINDS = {
-    **FIELD_RULES,
-    "str": (_is_str, "a string"),
+    **JSON_KINDS,
     "Method": (lambda value: value in METHODS, f"one of {METHODS}"),
-    "bool": (lambda value: isinstance(value, bool), "true or false"),
-    "tuple[int, ...]": _INTS,
-    "tuple[int, int, int, int]": _INTS,
-    "tuple[float, ...]": (
-        lambda value: isinstance(value, list) and all(map(_is_number, value)), "a list of finite numbers"
-    ),
     "KernelSpec | str": (
         lambda value: value == "median-auto" or isinstance(value, dict), '"median-auto" or an object'
     ),
@@ -465,31 +454,17 @@ _SET_ELSEWHERE = {
 _DATASET_KINDS = {"synthetic": _OBJECT, "import": (_is_str, "a manifest path string")}
 
 
-def _check(where: str, name: str, value, kind) -> None:
-    test, must = kind
-    if not test(value):
-        raise ConfigError(f"{where} field {name!r} must be {must}, got {value!r}")
-
-
 def _checked(cls, obj, where: str) -> dict:
     """obj's entries, each checked against the JSON kind of cls's field of that name.
 
     Lists load as tuples. A key set elsewhere and a key that names no field are rejected.
     """
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
-    annotations = {f.name: f.type for f in fields(cls)}
     elsewhere = _SET_ELSEWHERE.get(cls, {})
-    out = {}
-    for name, value in obj.items():
+    for name in obj if isinstance(obj, dict) else ():
         if name in elsewhere:
             raise ConfigError(f"{where} field {name!r} {elsewhere[name]}")
-        elif name in annotations:
-            _check(where, name, value, _JSON_KINDS[annotations[name]])
-        else:
-            raise ConfigError(f"{where} has unknown key {name!r}")
-        out[name] = tuple(value) if isinstance(value, list) else value
-    return out
+    obj = read_fields(obj, field_kinds(cls, _JSON_KINDS), where, ConfigError, ())
+    return {name: tuple(value) if isinstance(value, list) else value for name, value in obj.items()}
 
 
 def _build(cls, where: str, kwargs: dict):
@@ -510,11 +485,10 @@ def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     top = _checked(ExperimentConfig, obj, "experiment config")
     if "dataset" not in top:
         raise ConfigError("config needs a dataset entry")
-    dataset = top["dataset"]
-    if len(dataset) != 1 or not {"synthetic", "import"} & set(dataset):
+    dataset = read_fields(top["dataset"], _DATASET_KINDS, "config dataset", ConfigError, ())
+    if len(dataset) != 1:
         raise ConfigError('dataset must be {"synthetic": {...}} or {"import": "path"}')
     [(kind, source)] = dataset.items()
-    _check("config dataset", kind, source, _DATASET_KINDS[kind])
     if kind == "synthetic":
         source = _read(DriftConfig, source, "config dataset synthetic")
     top["dataset"] = source
@@ -529,18 +503,8 @@ def experiment_config_from_obj(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(**top)
 
 
-def read_json(path: str | Path, what: str):
-    """The JSON document in a file; an unreadable or malformed file raises ConfigError naming it."""
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as e:
-        raise ConfigError(f"cannot read {what} {path}: {e}") from e
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigError(f"{what} {path} is not valid JSON: {e}") from e
-
-
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    obj = read_json(path, "config")
+    obj = read_json(path, "config", ConfigError)
     try:
         return experiment_config_from_obj(obj)
     except ConfigError as e:
@@ -549,13 +513,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 def load_drift_config(path: str | Path) -> DriftConfig:
     """A synthetic generator config file: the generator's fields, bare or as the only key "synthetic"."""
-    obj = read_json(path, "config")
+    obj = read_json(path, "config", ConfigError)
     try:
         if isinstance(obj, dict) and "synthetic" in obj:
-            beside = sorted(obj.keys() - {"synthetic"})
-            if beside:
-                raise ConfigError(f'synthetic dataset config has unknown keys {beside} beside "synthetic"')
-            obj = obj["synthetic"]
+            obj = read_fields(obj, {"synthetic": _OBJECT}, "synthetic dataset config", ConfigError, ())["synthetic"]
         return _read(DriftConfig, obj, "synthetic dataset config")
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e

@@ -281,7 +281,7 @@ def fake_file(tmp_path, header: dict, floats: int) -> "Path":
 
 def test_payload_size_mismatch(tmp_path):
     path = fake_file(tmp_path, {"total_floats": 5}, floats=4)
-    with pytest.raises(CheckpointError, match="header field 'backbone' is invalid"):
+    with pytest.raises(CheckpointError, match="header is missing field 'backbone'"):
         load_checkpoint(path)
 
 
@@ -300,46 +300,48 @@ def rewrite_header(path, edit) -> None:
 
 
 HEADER_DEFECTS = {
-    "no_backbone": (lambda h: h.pop("backbone"), "header field 'backbone' is invalid: KeyError('backbone')"),
-    "unknown_backbone_key": (
-        lambda h: h["backbone"].update(depth=7), "header field 'backbone' is invalid"
-    ),
+    "no_backbone": (lambda h: h.pop("backbone"), "header is missing field 'backbone'"),
+    "unknown_backbone_key": (lambda h: h["backbone"].update(depth=7), "header backbone has unknown key 'depth'"),
     "bad_backbone_value": (
-        lambda h: h["backbone"].update(conv_channels=[2, 2]), "header field 'backbone' is invalid"
+        lambda h: h["backbone"].update(conv_channels=[2, 2]),
+        "header backbone: conv_channels must be 4 positive widths, got (2, 2)",
     ),
     "nan_temperature": (
-        lambda h: h["backbone"].update(matching_temperature=float("nan")), "header field 'backbone' is invalid"
+        lambda h: h["backbone"].update(matching_temperature=float("nan")),
+        "header backbone field 'matching_temperature' must be a finite positive number, got nan",
     ),
     "inf_temperature": (
-        lambda h: h["backbone"].update(matching_temperature=float("inf")), "header field 'backbone' is invalid"
+        lambda h: h["backbone"].update(matching_temperature=float("inf")),
+        "header backbone field 'matching_temperature' must be a finite positive number, got inf",
     ),
     "d_bands_past_int64": (
-        lambda h: h["backbone"].update(d_bands=2**70), "header field 'backbone' is invalid"
+        lambda h: h["backbone"].update(d_bands=2**70),
+        f"header backbone field 'd_bands' must be a positive integer, got {2**70}",
     ),
-    "extra_field": (lambda h: h.update(comment=1), "header field 'comment' is not one saving writes"),
+    "extra_field": (lambda h: h.update(comment=1), "header has unknown key 'comment'"),
     "format_2_tables": (  # format 2's tables, in a file of the current format
         lambda h: h.update(
             params=[{"group": "theta", "name": "g2g_p0", "shape": [3, 3], "offset": 0}],
             bn=[{"mean_offset": 0, "var_offset": 2, "channels": 2}],
             total_floats=model_floats(TINY),
         ),
-        "header field 'bn' is not one saving writes",
+        "header has unknown key 'bn'",
     ),
     "format_2_params": (
         lambda h: h.update(params=[{"group": "theta", "name": "g2g_p0", "shape": [3, 3], "offset": 0}]),
-        "header field 'params' is not one saving writes",
+        "header has unknown key 'params'",
     ),
     "format_2_bn": (
         lambda h: h.update(bn=[{"mean_offset": 0, "var_offset": 2, "channels": 2}]),
-        "header field 'bn' is not one saving writes",
+        "header has unknown key 'bn'",
     ),
     "format_2_total_floats": (
-        lambda h: h.update(total_floats=model_floats(TINY)), "header field 'total_floats' is not one saving writes"
+        lambda h: h.update(total_floats=model_floats(TINY)), "header has unknown key 'total_floats'"
     ),
     "backbone_default_left_out": (
-        lambda h: h["backbone"].pop("matching_temperature"), "header field 'backbone' is {"
+        lambda h: h["backbone"].pop("matching_temperature"), "header backbone is missing field 'matching_temperature'"
     ),
-    "header_not_object": (None, "header is not a JSON object"),
+    "header_not_object": (None, "header must be an object, got list"),
 }
 
 
@@ -355,6 +357,15 @@ def test_tampered_header_raises_checkpoint_error_naming_path_and_field(model, tm
         load_checkpoint(path)
     assert str(path) in str(err.value)
     assert says in str(err.value)
+
+
+def test_header_number_loads_as_written_and_saves_back_unchanged(tmp_path):
+    """A Positive field written as an integer loads as that integer, so saving the loaded model writes the same file."""
+    path = save_checkpoint(create_model(TINY, seed=5), tmp_path / "m.ckpt")
+    rewrite_header(path, lambda h: h["backbone"].update(matching_temperature=10))
+    loaded = load_checkpoint(path)
+    assert loaded.config.matching_temperature == 10
+    assert save_checkpoint(loaded, tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 # -- fuzzing: every mutated file loads or is rejected with the package's own errors ------
@@ -421,7 +432,7 @@ def test_payload_not_whole_floats_rejected(model, tmp_path):
 def test_non_integer_conv_width_rejected(model, tmp_path, width):
     path = save_checkpoint(model, tmp_path / "m.ckpt")
     rewrite_header(path, lambda h: h["backbone"].update(conv_channels=[2, 2, width, 4]))
-    with pytest.raises(CheckpointError, match="header field 'backbone' is invalid"):
+    with pytest.raises(CheckpointError, match="header backbone field 'conv_channels' must be a list of integers"):
         load_checkpoint(path)
 
 

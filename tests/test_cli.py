@@ -124,7 +124,7 @@ SYNTH_GEN_DEFECTS = {
     "not_an_object": ([DATASET_OBJ], "synthetic dataset config must be an object"),
     "keys_beside_synthetic": (
         {"synthetic": DATASET_OBJ, "seed": 5, "typo_key": 1},
-        "synthetic dataset config has unknown keys ['seed', 'typo_key'] beside \"synthetic\"",
+        "synthetic dataset config has unknown key 'seed'",
     ),
     "malformed": ('{"synthetic": {num_subjects: 2}}', "is not valid JSON"),
 }
@@ -657,13 +657,13 @@ def test_report_rejects_malformed_rows_naming_file_and_field(tmp_path, capsys, o
 
 
 GOOD_ROW = {
-    "protocol": "intra", "subject": "1", "session": "3", "method": "fsl",
-    "shots": 1, "mean_accuracy": 0.5, "std_accuracy": 0.1,
+    "protocol": "intra", "subject": "1", "session": "3", "method": "fsl", "shots": 1, "way": 3,
+    "queries": 10, "episodes": 200, "mean_accuracy": 0.5, "std_accuracy": 0.1, "std_over": "episodes",
+    "wall_clock_seconds": 1.5,
 }
 RANGE = "must be a number in [0, 1], got"
 NAN = float("nan")
-ORACLE = {"protocol": None, "subject": [1], "session": 3, "method": "oracle", "shots": -2.5,
-          "mean_accuracy": 0.5, "std_accuracy": 0.1}
+ORACLE = {**GOOD_ROW, "protocol": None, "subject": [1], "session": 3, "method": "oracle", "shots": -2.5}
 
 
 def second_row(**change) -> list[dict]:
@@ -673,8 +673,8 @@ def second_row(**change) -> list[dict]:
 
 # case: (rows of results.json, the error after "results <path> ")
 BAD_ROWS = {
-    "missing_method": (second_row(method=None), "row 1 lacks field 'method'"),
-    "missing_std": (second_row(std_accuracy=None), "row 1 lacks field 'std_accuracy'"),
+    "missing_method": (second_row(method=None), "row 1 is missing field 'method'"),
+    "missing_std": (second_row(std_accuracy=None), "row 1 is missing field 'std_accuracy'"),
     "mean_nan": (second_row(mean_accuracy=NAN), f"row 1 field 'mean_accuracy' {RANGE} nan"),
     "mean_above_one": (second_row(mean_accuracy=1.5), f"row 1 field 'mean_accuracy' {RANGE} 1.5"),
     "mean_string": (second_row(mean_accuracy="0.5"), f"row 1 field 'mean_accuracy' {RANGE} '0.5'"),
@@ -682,7 +682,7 @@ BAD_ROWS = {
     "std_nan": (second_row(std_accuracy=NAN), f"row 1 field 'std_accuracy' {RANGE} nan"),
     "std_inf": (second_row(std_accuracy=float("inf")), f"row 1 field 'std_accuracy' {RANGE} inf"),
     "std_negative": (second_row(std_accuracy=-0.1), f"row 1 field 'std_accuracy' {RANGE} -0.1"),
-    "nan_then_foreign": ([{"method": "fsl", "mean_accuracy": NAN}, {"foo": 1}], "row 0 lacks field 'protocol'"),
+    "nan_then_foreign": ([{"method": "fsl", "mean_accuracy": NAN}, {"foo": 1}], "row 0 is missing field 'protocol'"),
     "oracle": ([ORACLE], "row 0 field 'protocol' must be a string, got None"),
     "subject_list": (second_row(subject=[1]), "row 1 field 'subject' must be a string, got [1]"),
     "session_int": (second_row(session=3), "row 1 field 'session' must be a string, got 3"),

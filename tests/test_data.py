@@ -389,7 +389,7 @@ def test_import_missing_manifest(tmp_path):
 def test_import_non_utf8_manifest_names_it(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_bytes('{"classes": ["\xe9"]}'.encode("latin-1"))
-    with pytest.raises(DatasetSchemaError, match=f"manifest is not valid JSON: {path}"):
+    with pytest.raises(DatasetSchemaError, match=f"manifest {path} is not valid JSON"):
         data.import_features(path)
 
 

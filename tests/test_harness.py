@@ -505,7 +505,7 @@ def test_config_rejects_malformed_dataset():
     with pytest.raises(ConfigError, match="synthetic.*import"):
         experiment_config_from_obj(obj)
     obj["dataset"] = {"records": []}
-    with pytest.raises(ConfigError, match="synthetic.*import"):
+    with pytest.raises(ConfigError, match="^config dataset has unknown key 'records'$"):
         experiment_config_from_obj(obj)
     obj["dataset"] = {"import": {"manifest": "data/manifest.json"}}
     with pytest.raises(ConfigError, match="import.*path string"):
