@@ -1,14 +1,13 @@
 """Command-line interface.
 
 Subcommands: synth-gen, import-check, train, evaluate, compare, report.
-Every artifact-producing run writes a run-manifest.json beside its outputs;
-files created by a failing run are removed so output trees never hold
-partial results.
+Every artifact-producing run writes a run-manifest.json beside its outputs.
+Each command runs inside one ``data.all_or_nothing`` block, so a failing
+command leaves the output tree as it found it: no partial results.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import ctypes
 import os
 import sys
@@ -17,6 +16,9 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
+    _LIST,
+    _OBJECT,
+    all_or_nothing,
     atomic_write,
     export_features,
     field_kinds,
@@ -40,43 +42,6 @@ from .harness import (
     train_cell,
     write_run_manifest,
 )
-
-
-def _dirs(out_dir: Path) -> list[Path]:
-    """The directories at and under ``out_dir``, deepest first, then its ancestors, nearest first."""
-    return [Path(d) for d, _, _ in os.walk(out_dir, topdown=False)] + list(out_dir.parents)
-
-
-class _Outputs:
-    """Tracks what a command creates so a failing command can remove it.
-
-    ``out_dir`` is the command's output directory, or None for a command that
-    writes none; the directories at, under and above it that exist before the
-    command runs are noted, so that a failure removes only those it made.
-    """
-
-    def __init__(self, out_dir: str | None):
-        self.paths: list[Path] = []
-        self.out_dir = None if out_dir is None else Path(out_dir)
-        self.existing = set() if out_dir is None else {d for d in _dirs(self.out_dir) if d.is_dir()}
-
-    def track(self, path: Path) -> Path:
-        self.paths.append(Path(path))
-        return path
-
-    def discard_all(self) -> None:
-        """Remove the tracked files, then each directory the command made that is left empty, deepest first."""
-        for path in self.paths:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-        if self.out_dir is None:
-            return
-        for d in _dirs(self.out_dir):
-            if d not in self.existing:
-                with contextlib.suppress(OSError):  # not empty: it holds files the command did not make
-                    d.rmdir()
 
 
 # glibc's mallopt parameters (malloc.h)
@@ -122,20 +87,18 @@ def _parse_shots(text: str) -> list[int]:
     return shots
 
 
-def _write_results(out: _Outputs, out_dir: Path, table: ResultTable, cfg) -> Path:
-    csv_path, json_path = table.write(out_dir)
-    out.track(csv_path)
-    out.track(json_path)
-    out.track(write_run_manifest(out_dir, cfg))
+def _write_results(out_dir: Path, table: ResultTable, cfg) -> Path:
+    csv_path, _ = table.write(out_dir)
+    write_run_manifest(out_dir, cfg)
     return csv_path
 
 
-def _cmd_synth_gen(args, out: _Outputs) -> int:
+def _cmd_synth_gen(args) -> int:
     cfg = load_drift_config(args.config)
     ds = generate_synthetic_drift(cfg)
     out_dir = Path(args.out)
-    manifest = [out.track(path) for path in export_features(ds, out_dir)][-1]
-    out.track(write_run_manifest(out_dir, cfg))
+    manifest = export_features(ds, out_dir)[-1]
+    write_run_manifest(out_dir, cfg)
     print(
         f"wrote {len(ds)} samples over {len(ds.subjects())} subjects "
         f"(schema {ds.schema[0]}x{ds.schema[1]}, {ds.num_classes} classes) to {manifest}"
@@ -143,7 +106,7 @@ def _cmd_synth_gen(args, out: _Outputs) -> int:
     return 0
 
 
-def _cmd_import_check(args, out: _Outputs) -> int:
+def _cmd_import_check(args) -> int:
     ds = import_features(args.manifest)
     print(
         f"ok: {len(ds)} samples, {len(ds.subjects())} subjects, sessions {ds.sessions()}, "
@@ -152,7 +115,7 @@ def _cmd_import_check(args, out: _Outputs) -> int:
     return 0
 
 
-def _cmd_train(args, out: _Outputs) -> int:
+def _cmd_train(args) -> int:
     cfg = load_experiment_config(args.config)
     ds = load_dataset(cfg)
     subject, session = plan_cells(cfg, ds, args.subject, args.session)[0]
@@ -162,12 +125,10 @@ def _cmd_train(args, out: _Outputs) -> int:
         cfg, pools, subject, session, on_epoch=lambda e, a: history.append((e, a))
     )
     out_dir = Path(args.out)
-    ckpt_path = out.track(save_checkpoint(model, out_dir / "checkpoints" / "model.ckpt"))
+    ckpt_path = save_checkpoint(model, out_dir / "checkpoints" / "model.ckpt")
     log_lines = ["epoch,val_accuracy"] + [f"{e},{a:.12g}" for e, a in history]
-    log_path = out_dir / "logs" / "train_log.csv"
-    atomic_write(log_path, ("\n".join(log_lines) + "\n").encode())
-    out.track(log_path)
-    out.track(write_run_manifest(out_dir, cfg))
+    atomic_write(out_dir / "logs" / "train_log.csv", ("\n".join(log_lines) + "\n").encode())
+    write_run_manifest(out_dir, cfg)
     if history:
         validation = f"best validation accuracy {max(a for _, a in history):.4f}"
     else:
@@ -176,7 +137,7 @@ def _cmd_train(args, out: _Outputs) -> int:
     return 0
 
 
-def _cmd_evaluate(args, out: _Outputs) -> int:
+def _cmd_evaluate(args) -> int:
     cfg = load_experiment_config(args.config)
     shots = _parse_shots(args.shots) if args.shots is not None else [cfg.train.shot]
     ds = load_dataset(cfg)
@@ -194,7 +155,7 @@ def _cmd_evaluate(args, out: _Outputs) -> int:
     adapt_cfg = cfg.adapt if args.adapt == "on" else None
     pools = cell_pools(cfg, ds, subject, session)
     rows = evaluate_cell(cfg, model, pools, subject, session, (adapt_cfg,), shots)
-    _write_results(out, Path(args.out), ResultTable(rows).with_aggregates(), cfg)
+    _write_results(Path(args.out), ResultTable(rows).with_aggregates(), cfg)
     for row in rows:
         print(
             f"{row.method} {row.shots}-shot: {row.mean_accuracy:.4f} "
@@ -203,10 +164,10 @@ def _cmd_evaluate(args, out: _Outputs) -> int:
     return 0
 
 
-def _cmd_compare(args, out: _Outputs) -> int:
+def _cmd_compare(args) -> int:
     cfg = load_experiment_config(args.config)
     table = run_protocol(cfg)
-    csv_path = _write_results(out, Path(args.out), table, cfg)
+    csv_path = _write_results(Path(args.out), table, cfg)
     for row in table.aggregate_rows():
         print(
             f"{row.method} {row.shots}-shot: {row.mean_accuracy:.4f} "
@@ -216,14 +177,16 @@ def _cmd_compare(args, out: _Outputs) -> int:
     return 0
 
 
-def _cmd_report(args, out: _Outputs) -> int:
+# the top level of results.json, as ResultTable.to_json_obj writes it; read_fields checks each row
+_RESULTS = {"version": _JSON_KINDS["str"], "std_semantics": _OBJECT, "rows": _LIST}
+
+
+def _cmd_report(args) -> int:
     path = Path(args.results)
     if path.is_dir():
         path = path / "results.json"
     obj = read_json(path, "results", ConfigError)
-    rows = obj.get("rows", []) if isinstance(obj, dict) else None
-    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-        raise ConfigError(f"results {path} must be an object whose field 'rows' is a list of objects")
+    rows = read_fields(obj, _RESULTS, f"results {path}", ConfigError, ("rows",))["rows"]
     if not rows:
         raise ConfigError(f"results {path} holds no rows")
     columns = ["protocol", "subject", "session", "method", "shots", "mean_accuracy", "std_accuracy"]
@@ -289,13 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; only here, not on import, is the process's malloc tuned."""
     _keep_freed_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    outputs = _Outputs(getattr(args, "out", None))
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, outputs)
+        with all_or_nothing():  # a command that raises, an interrupt too, undoes what it wrote
+            return args.func(args)
     except Exception as e:  # config, data, and contract errors all end the run
-        outputs.discard_all()
         return _fail(str(e))
 
 

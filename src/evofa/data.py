@@ -404,40 +404,74 @@ def _read_feature_file(path: Path, count: int, schema: tuple[int, int]) -> np.nd
     return arr.reshape(count, schema[0], schema[1])
 
 
+# inside an all_or_nothing block: each file written and directory made -> the .old link to what it replaced, or None
+_made: dict[Path, Path | None] | None = None
+
+
+@contextlib.contextmanager
+def all_or_nothing():
+    """Context manager under which every ``atomic_write`` is undone if the block raises.
+
+    Inside the block each file written and each directory made that did not
+    exist before is noted, with a hard link ``<name>.old`` to the bytes a file
+    held before it was first overwritten. If the block raises (any
+    BaseException), the noted files and directories are removed, newest first,
+    and each overwritten file gets its old bytes back; a directory that still
+    holds something else stays. A block inside another joins it: the outer
+    block keeps or undoes both.
+    """
+    global _made
+    if _made is not None:
+        yield
+        return
+    made = _made = {}
+    try:
+        yield
+    except BaseException:
+        for path, old in reversed(made.items()):
+            with contextlib.suppress(OSError):  # gone already, or a directory that holds something else
+                if old is not None:
+                    os.replace(old, path)
+                    old.unlink(missing_ok=True)  # the rename does nothing if both names are one file already
+                elif path.is_dir():
+                    path.rmdir()
+                else:
+                    path.unlink()
+        raise
+    finally:
+        _made = None
+    for old in filter(None, made.values()):
+        with contextlib.suppress(OSError):
+            old.unlink()
+
+
 def atomic_write(path: Path, blob: bytes) -> Path:
     """Write ``blob`` to ``<name>.tmp`` beside ``path``, then rename it over ``path``; returns ``path``.
 
     A reader sees the old file or the whole new one, never a partial write. A
     failed write removes its ``.tmp`` and raises an OSError that names ``path``.
+    Inside an ``all_or_nothing`` block the write can be undone.
     """
-    tmp = path.with_name(path.name + ".tmp")
+    tmp, old = path.with_name(path.name + ".tmp"), path.with_name(path.name + ".old")
+    first = _made is not None and path not in _made  # a block gives back what its first write to a file replaced
     try:
+        if _made is not None and not path.parent.is_dir():
+            _made.update(dict.fromkeys(d for d in reversed(path.parents) if not d.is_dir()))
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_bytes(blob)
+        if first:
+            old.unlink(missing_ok=True)  # left by a run that was killed
+            with contextlib.suppress(OSError):  # no file there, or one that cannot be linked: nothing to give back
+                os.link(path, old)
+                _made[path] = old
         os.replace(tmp, path)
     except OSError as e:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
         raise OSError(e.errno, e.strerror, str(path)) from e
+    if first:
+        _made.setdefault(path, None)
     return path
-
-
-def write_files(files) -> list[Path]:
-    """``atomic_write`` each ``(path, blob)`` that ``files`` yields, in order; returns the paths.
-
-    All or nothing: if a write fails or ``files`` raises, the files already
-    written are removed before the error propagates.
-    """
-    written = []
-    try:
-        for path, blob in files:
-            written.append(atomic_write(path, blob))
-    except BaseException:
-        for path in written:
-            with contextlib.suppress(OSError):
-                path.unlink(missing_ok=True)
-        raise
-    return written
 
 
 def _feature_blob(features: np.ndarray) -> bytes:
@@ -482,7 +516,8 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
     """Load a manifest plus its binaries into a sorted, validated DatasetIndex.
 
     Every feature file must lie inside the manifest's directory, and every
-    manifest object holds exactly its fields.
+    manifest object holds exactly its fields. The whole manifest is checked
+    before any feature file is read.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path, "manifest", DatasetSchemaError)
@@ -493,7 +528,7 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
 
     base = manifest_path.parent.resolve()
     owners = {}  # resolved feature file -> the trial that named it first
-    parts = []  # per trial: features, then one array per column
+    trials = []  # per trial: its file, count, then subject, session, trial, label and first time
     for subj_entry in _checked_entries(manifest_path, "subject", subjects, _SUBJECT):
         subject_id = subj_entry["id"]
         sessions = _checked_entries(
@@ -522,20 +557,21 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
                         f"{owners[path]}: {entry['file']!r}"
                     )
                 owners[path] = f"{where} {trial_id}"
-                feats = _read_feature_file(path, count, schema)
-                bad = np.argwhere(~np.isfinite(feats))
-                if bad.size:
-                    row, i, j = bad[0]
-                    raise DataError(
-                        f"{path}: non-finite value at subject {subject_id} session {session_id} "
-                        f"trial {trial_id} row {row} position ({i},{j})"
-                    )
-                full = lambda value: np.full(count, value)
-                time = np.arange(time_index, time_index + count)
-                parts.append(
-                    (feats, full(subject_id), full(session_id), full(trial_id), time, full(label))
-                )
+                trials.append((path, count, subject_id, session_id, trial_id, label, time_index))
                 time_index += count
+    parts = []  # per trial: features, then one array per column
+    for path, count, subject_id, session_id, trial_id, label, time_index in trials:
+        feats = _read_feature_file(path, count, schema)
+        bad = np.argwhere(~np.isfinite(feats))
+        if bad.size:
+            row, i, j = bad[0]
+            raise DataError(
+                f"{path}: non-finite value at subject {subject_id} session {session_id} "
+                f"trial {trial_id} row {row} position ({i},{j})"
+            )
+        full = lambda value: np.full(count, value)
+        time = np.arange(time_index, time_index + count)
+        parts.append((feats, full(subject_id), full(session_id), full(trial_id), time, full(label)))
     empty = [np.empty((0, *schema))] + [np.empty(0, dtype=np.int64)] * len(COLUMNS)
     features, *columns = [np.concatenate(p) for p in zip(*parts)] or empty
     return DatasetIndex(
@@ -559,8 +595,8 @@ def export_features(ds: DatasetIndex, out_dir: str | Path) -> list[Path]:
     names = list(ds.class_names or (f"class{k}" for k in range(ds.num_classes)))
     if not _is_class_list(names) or len(names) != ds.num_classes:
         raise DataError(f"class names must be {ds.num_classes} distinct strings, got {names!r}")
-    out_dir = Path(out_dir)
-    return write_files(_container_files(ds, out_dir, names))
+    with all_or_nothing():
+        return [atomic_write(path, blob) for path, blob in _container_files(ds, Path(out_dir), names)]
 
 
 def _container_files(ds: DatasetIndex, out_dir: Path, names: list[str]):

@@ -39,6 +39,7 @@ from .data import (
     Rate,
     Scale,
     _is_str,
+    all_or_nothing,
     atomic_write,
     check_fields,
     field_kinds,
@@ -48,7 +49,6 @@ from .data import (
     make_intra_split,
     read_fields,
     read_json,
-    write_files,
 )
 from .errors import ConfigError, ProtocolError
 from .fsl import (
@@ -221,10 +221,11 @@ class ResultTable:
     def write(self, out_dir: str | Path) -> tuple[Path, Path]:
         """Write results.csv and results.json into ``out_dir``, both or neither."""
         out = Path(out_dir)
-        return tuple(write_files([
-            (out / "results.csv", self.to_csv_text().encode()),
-            (out / "results.json", (json.dumps(self.to_json_obj(), indent=2) + "\n").encode()),
-        ]))
+        with all_or_nothing():
+            return (
+                atomic_write(out / "results.csv", self.to_csv_text().encode()),
+                atomic_write(out / "results.json", (json.dumps(self.to_json_obj(), indent=2) + "\n").encode()),
+            )
 
 
 def write_run_manifest(out_dir: str | Path, cfg: ExperimentConfig | DriftConfig) -> Path:

@@ -1,9 +1,13 @@
-"""Test-side references and probes: gradient checks, memory peaks, parameter bytes, composed tapes, episode scores, row selection."""
+"""Test-side references and probes: gradient checks, memory peaks, parameter bytes, composed tapes, episode scores,
+row selection, a failing rename."""
+import errno
+import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 
-from evofa import autodiff as ad, backbone, fsl
+from evofa import autodiff as ad, backbone, data, fsl
 from evofa.autodiff import ParamGroup
 
 
@@ -110,3 +114,18 @@ def select_rows(ds, **ids):
     for name, value in ids.items():
         keep &= getattr(ds, name) == value
     return ds._subset(keep)
+
+
+def fail_replace_at(monkeypatch, k: int) -> list:
+    """Make the ``k``-th ``os.replace`` that ``evofa.data`` calls from now on (1-based) raise as a full disk
+    would, and the others rename as usual; k=0 fails none. Returns the destinations of the calls so far."""
+    calls = []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == k:
+            raise OSError(errno.ENOSPC, "No space left on device (injected)")
+        os.replace(src, dst)
+
+    monkeypatch.setattr(data, "os", SimpleNamespace(**{**vars(os), "replace": replace}))
+    return calls

@@ -9,9 +9,11 @@ import pytest
 from evofa import __version__, cli
 from evofa.checkpoint import load_checkpoint, save_checkpoint
 from evofa.backbone import BackboneConfig, create_model
-from evofa.cli import _Outputs, main
+from evofa.cli import main
 from evofa.data import DriftConfig
 from evofa.harness import METHODS
+
+from helpers import fail_replace_at
 
 DATASET_OBJ = {
     "num_subjects": 2,
@@ -230,6 +232,40 @@ def test_failing_synth_gen_keeps_the_files_it_did_not_write(workspace, tmp_path,
     assert main(["synth-gen", "--config", str(workspace / "dataset.json"), "--out", str(out)]) == 1
     assert f"Is a directory: '{out / 'run-manifest.json'}'" in capsys.readouterr().err
     assert [p for p in out.rglob("*") if not p.is_dir()] == [older]
+
+
+def command_argv(command: str, workspace: Path, trained: Path, out: Path) -> list[str]:
+    """The argv of ``command`` on the workspace's tiny configs, writing to ``out``."""
+    if command == "synth-gen":
+        generator = workspace / "tiny-generator.json"
+        generator.write_text(json.dumps({**DATASET_OBJ, "num_subjects": 1, "num_sessions": 1, "trials_per_session": 2}))
+        return ["synth-gen", "--config", str(generator), "--out", str(out)]
+    argv = [command, "--config", str(workspace / "exp.json"), "--out", str(out)]
+    return argv + ["--checkpoint", str(trained / "checkpoints" / "model.ckpt")] if command == "evaluate" else argv
+
+
+def snapshot(root: Path) -> dict:
+    """Each path at and under ``root`` mapped to its bytes, or to None for a directory."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in [root, *root.rglob("*")]}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new_nested_out", "out_with_a_previous_run"])
+@pytest.mark.parametrize("command", ["synth-gen", "train", "evaluate", "compare"])
+def test_a_write_failing_anywhere_leaves_the_tree_as_it_was(workspace, trained, tmp_path, monkeypatch, capsys, command, existing):
+    out = tmp_path / "run" if existing else tmp_path / "a" / "b"
+    counted = out if existing else tmp_path / "counted"
+    if existing:
+        out.mkdir()
+        (out / "unrelated.txt").write_text("not the command's")
+    renames = fail_replace_at(monkeypatch, 0)
+    assert main(command_argv(command, workspace, trained, counted)) == 0  # the previous run, or a count of its writes
+    assert len(renames) == (4 if command == "synth-gen" else 3)  # synth-gen: two trials, manifest, run manifest
+    before = snapshot(tmp_path)
+    for k in range(1, len(renames) + 1):
+        fail_replace_at(monkeypatch, k)
+        assert main(command_argv(command, workspace, trained, out)) == 1
+        assert "No space left on device (injected)" in capsys.readouterr().err
+        assert snapshot(tmp_path) == before, f"the {k}-th of {len(renames)} renames failed"
 
 
 def test_import_check_missing_manifest(tmp_path, capsys):
@@ -647,13 +683,20 @@ def test_report_rejects_empty_rows(tmp_path, capsys):
     assert "holds no rows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("obj", [[1, 2], {"rows": [1]}, {"rows": "abc"}], ids=["list", "row_not_object", "rows_string"])
-def test_report_rejects_malformed_rows_naming_file_and_field(tmp_path, capsys, obj):
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([1, 2], "must be an object, got list"),
+        ({"rows": [1]}, "row 0 must be an object, got int"),
+        ({"rows": "abc"}, "field 'rows' must be a list, got 'abc'"),
+    ],
+    ids=["list", "row_not_object", "rows_string"],
+)
+def test_report_rejects_malformed_rows_naming_file_and_field(tmp_path, capsys, obj, message):
     path = tmp_path / "results.json"
     path.write_text(json.dumps(obj))
     assert main(["report", "--results", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert f"results {path} must be an object whose field 'rows' is a list of objects" in err
+    assert f"results {path} {message}" in capsys.readouterr().err
 
 
 GOOD_ROW = {
@@ -706,6 +749,25 @@ def test_report_rejects_bad_row_naming_file_row_and_field(tmp_path, capsys, case
     assert f"results {path} {message}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"row": [GOOD_ROW]}, "is missing field 'rows'"),
+        ({"rows": [GOOD_ROW], "note": 1}, "has unknown key 'note'"),
+        ({"rows": [GOOD_ROW], "version": 7}, "field 'version' must be a string, got 7"),
+        ({"rows": [GOOD_ROW], "std_semantics": "population"}, "field 'std_semantics' must be an object, got 'population'"),
+    ],
+    ids=["misspelled_rows", "unknown_key", "version_int", "std_semantics_string"],
+)
+def test_report_holds_the_top_level_to_the_fields_results_are_written_with(tmp_path, capsys, obj, message):
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(obj))
+    assert main(["report", "--results", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"results {path} {message}" in captured.err
+
+
 def test_report_prints_accuracies_to_four_places(tmp_path, capsys):
     (tmp_path / "results.json").write_text(json.dumps({"rows": [GOOD_ROW]}))
     assert main(["report", "--results", str(tmp_path)]) == 0
@@ -731,16 +793,6 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
-
-
-def test_outputs_discard_tolerates_missing(tmp_path):
-    out = _Outputs(None)
-    real = tmp_path / "a.txt"
-    real.write_text("x")
-    out.track(real)
-    out.track(tmp_path / "never-created.txt")
-    out.discard_all()
-    assert not real.exists()
 
 
 # -- malloc settings of the command's process ----------------------------------------------

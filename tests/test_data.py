@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evofa import data, mmd
+from evofa import data, harness, mmd
 from evofa.autodiff import Tensor
 from evofa.errors import (
     ConfigError,
@@ -20,7 +20,7 @@ from evofa.errors import (
     ProtocolError,
 )
 
-from helpers import scalar, select_rows
+from helpers import fail_replace_at, scalar, select_rows
 from jsonfuzz import mutated, mutation_lists
 
 SMALL = data.DriftConfig(
@@ -273,6 +273,27 @@ def test_import_rejects_file_outside_manifest_directory(tmp_path, where):
         data.import_features(path)
 
 
+@pytest.mark.parametrize(
+    "defect, says",
+    [
+        ({"lable": 0}, "trial 6 has unknown key 'lable'"),
+        ({"file": "../outside.evfa"}, "trial 6 field 'file' lies outside the manifest directory"),
+    ],
+    ids=["unknown_key", "file_outside"],
+)
+def test_import_checks_the_whole_manifest_before_it_reads_a_feature_file(tmp_path, monkeypatch, defect, says):
+    *binaries, path = data.export_features(data.generate_synthetic_drift(SMALL), tmp_path)
+    manifest = json.loads(path.read_text())
+    manifest["subjects"][-1]["sessions"][-1]["trials"][-1].update(defect)  # the last trial of all
+    path.write_text(json.dumps(manifest))
+    binaries[0].unlink()  # a manifest defect wins over an unreadable file that comes before it
+    reads = []
+    monkeypatch.setattr(data, "read_versioned", lambda *args: reads.append(args))
+    with pytest.raises(DatasetSchemaError, match=f"^{re.escape(str(path))}: subject 2 session 3 {re.escape(says)}"):
+        data.import_features(path)
+    assert reads == []
+
+
 # -- manifest fuzzing ---------------------------------------------------------------
 
 FUZZ_SOURCE = data.DriftConfig(
@@ -451,13 +472,64 @@ def test_atomic_write_that_fails_keeps_no_tmp_and_names_its_destination(tmp_path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["results.json"]
 
 
-def test_write_files_removes_the_files_it_wrote_when_a_later_one_fails(tmp_path):
+def test_all_or_nothing_removes_the_files_it_wrote_when_a_later_one_fails(tmp_path):
     (tmp_path / "b").mkdir()
-    with pytest.raises(IsADirectoryError):
-        data.write_files([(tmp_path / "a", b"1"), (tmp_path / "b", b"2"), (tmp_path / "c", b"3")])
+    with pytest.raises(IsADirectoryError), data.all_or_nothing():
+        for name in "abc":
+            data.atomic_write(tmp_path / name, name.encode())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b"]
-    assert data.write_files([(tmp_path / "a", b"1")]) == [tmp_path / "a"]
+    with data.all_or_nothing():
+        assert data.atomic_write(tmp_path / "a", b"1") == tmp_path / "a"
     assert (tmp_path / "a").read_bytes() == b"1"
+
+
+def tree(root) -> dict:
+    """Each path under ``root``, relative, mapped to its bytes, or to None for a directory."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+def test_all_or_nothing_undoes_a_failed_block_newest_first(tmp_path):
+    kept = tmp_path / "kept.txt"
+    kept.write_text("before")
+    (tmp_path / "x").mkdir()
+    with pytest.raises(KeyboardInterrupt), data.all_or_nothing():
+        data.atomic_write(tmp_path / "x" / "y" / "made.bin", b"1")
+        with data.all_or_nothing():  # joins the outer block, which undoes it too
+            data.atomic_write(tmp_path / "new" / "deep" / "vanished.bin", b"2")
+            data.atomic_write(kept, b"after")
+            data.atomic_write(kept, b"after again")
+        (tmp_path / "new" / "deep" / "vanished.bin").unlink()  # already gone when the block undoes it
+        (tmp_path / "x" / "y" / "other.txt").write_text("not the block's")
+        raise KeyboardInterrupt
+    # x/y was made by the block but holds another file, so it stays; new/ and new/deep go
+    assert tree(tmp_path) == {"kept.txt": b"before", "x": None, "x/y": None, "x/y/other.txt": b"not the block's"}
+
+
+def test_all_or_nothing_that_ends_keeps_its_writes_and_no_old_bytes(tmp_path):
+    kept = tmp_path / "kept.txt"
+    kept.write_text("before")
+    (tmp_path / "stale.txt.old").write_text("left by a killed run")
+    with data.all_or_nothing():
+        data.atomic_write(kept, b"after")
+        data.atomic_write(tmp_path / "stale.txt", b"new")
+        data.atomic_write(tmp_path / "d" / "new.txt", b"new")
+    assert tree(tmp_path) == {"kept.txt": b"after", "stale.txt": b"new", "d": None, "d/new.txt": b"new"}
+    data.atomic_write(kept, b"outside a block")  # notes nothing
+    assert tree(tmp_path)["kept.txt"] == b"outside a block"
+
+
+LIBRARY_WRITERS = {
+    "export_features": lambda out: data.export_features(data.generate_synthetic_drift(SMALL), out),
+    "ResultTable.write": lambda out: harness.ResultTable([]).write(out),
+}
+
+
+@pytest.mark.parametrize("writer", list(LIBRARY_WRITERS))
+def test_a_failing_library_writer_leaves_no_file_or_directory_it_made(tmp_path, monkeypatch, writer):
+    fail_replace_at(monkeypatch, 2)
+    with pytest.raises(OSError, match=r"No space left on device \(injected\)"):
+        LIBRARY_WRITERS[writer](tmp_path / "a" / "b")
+    assert tree(tmp_path) == {}
 
 
 # -- dataset invariants ---------------------------------------------------------

@@ -5,7 +5,9 @@ header, a results.json row) is read by ``data.read_json``, ``data.read_versioned
 and ``data.read_fields``. The property tests add a key that no reader knows to
 any object of a valid input and require the package's own error naming that key.
 The structural guard fails naming any call in ``src/evofa`` that reads a file or
-decodes JSON outside those readers, so a second reader cannot grow back.
+decodes JSON outside those readers, so a second reader cannot grow back, and
+any call that writes, makes or removes a file or directory outside
+``data.atomic_write`` and ``data.all_or_nothing``, so a second writer cannot either.
 """
 import ast
 import contextlib
@@ -166,24 +168,27 @@ def test_checkpoint_header_rejects_an_unknown_key(inputs, draw):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_report_rejects_an_unknown_key_in_a_row(inputs, draw):
+def test_report_rejects_an_unknown_key_at_the_top_or_in_a_row(inputs, draw):
     path = inputs["results"]
     original = path.read_text()
     doc = json.loads(original)
-    doc, key = with_key(doc, draw.draw, only=[("rows", i) for i in range(len(doc["rows"]))])
+    doc, key = with_key(doc, draw.draw, only=[()] + [("rows", i) for i in range(len(doc["rows"]))])
     path.write_text(json.dumps(doc))
     try:
         status, err = quiet(["report", "--results", str(path)])
     finally:
         path.write_text(original)
     assert status == 1
-    assert f"results {path} row " in err and f" has unknown key {key!r}" in err
+    assert re.search(f"results {re.escape(str(path))}( row [0-9]+)? has unknown key {re.escape(repr(key))}", err)
 
 
-# -- structural guard: only the readers read ------------------------------------------
+# -- structural guard: only the readers read, only the writer writes ---------------------------
+
+READS = {"json.loads", ".read_text(", ".read_bytes(", "open(", ".open("}
+WRITES = {".write_bytes(", ".write_text(", "os.replace", "os.link", ".mkdir(", ".unlink(", ".rmdir("}
 
 # (qualname, call) -> why that call may read or decode there
-ALLOWED = {
+ALLOWED_READS = {
     ("data.read_json", "json.loads"): "the reader of every JSON file: config, manifest, results.json",
     ("data.read_json", ".read_text("): "the reader of every JSON file: config, manifest, results.json",
     ("data.read_versioned", ".read_bytes("): "the reader of every binary file: .evfa feature files, checkpoints",
@@ -194,41 +199,59 @@ ALLOWED = {
         "round-trips the package's own config to turn tuples into lists; reads no file"
     ),
 }
+# (qualname, call) -> why that call may write, make or remove a file or directory there
+ALLOWED_WRITES = {
+    ("data.atomic_write", ".mkdir("): "makes the directories a file goes in, noting them for all_or_nothing",
+    ("data.atomic_write", ".write_bytes("): "writes the .tmp that is renamed over the file",
+    ("data.atomic_write", "os.replace"): "renames the .tmp over the file: a reader sees all of it or none",
+    ("data.atomic_write", "os.link"): "keeps the bytes a file held before, as .old, for all_or_nothing to give back",
+    ("data.atomic_write", ".unlink("): "removes a failed write's .tmp, and an .old that a killed run left",
+    ("data.all_or_nothing", "os.replace"): "gives a file overwritten in a failed block its old bytes back",
+    ("data.all_or_nothing", ".unlink("): "removes a failed block's new files, or the .old of a block that ended",
+    ("data.all_or_nothing", ".rmdir("): "removes the directories a failed block made, if they are empty",
+}
 
 
-def reading_call(node: ast.Call) -> str | None:
-    """The reading or decoding call ``node`` makes, or None."""
+def named_call(node: ast.Call) -> str | None:
+    """``node``'s call as the guards name it: ``open(``, ``json.loads``, ``os.replace``, ``.attr(``."""
     func = node.func
-    if isinstance(func, ast.Name) and func.id == "open":
-        return "open("
+    if isinstance(func, ast.Name):
+        return f"{func.id}("
     if not isinstance(func, ast.Attribute):
         return None
-    if func.attr == "loads" and isinstance(func.value, ast.Name) and func.value.id == "json":
-        return "json.loads"
-    if func.attr in ("read_text", "read_bytes", "open"):
-        return f".{func.attr}("
-    return None
+    if isinstance(func.value, ast.Name) and func.value.id in ("json", "os"):
+        return f"{func.value.id}.{func.attr}"
+    return f".{func.attr}("
 
 
-def reads_under(node, scope: list[str]):
-    """(qualname, call) of each reading or decoding call under ``node``, whose qualname is ``scope``."""
+def calls_under(node, scope: list[str], names: set[str]):
+    """(qualname, call) of each call in ``names`` under ``node``, whose qualname is ``scope``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from reads_under(child, scope + [child.name])
+            yield from calls_under(child, scope + [child.name], names)
             continue
-        if isinstance(child, ast.Call) and (call := reading_call(child)):
-            yield ".".join(scope), call
-        yield from reads_under(child, scope)
+        if isinstance(child, ast.Call) and named_call(child) in names:
+            yield ".".join(scope), named_call(child)
+        yield from calls_under(child, scope, names)
 
 
-def package_reads() -> set[tuple[str, str]]:
-    """(module.function qualname, call) of every reading or decoding call in ``src/evofa``."""
+def package_calls(names: set[str]) -> set[tuple[str, str]]:
+    """(module.function qualname, call) of every call in ``names`` in ``src/evofa``."""
     sources = sorted(Path(evofa.__file__).parent.glob("*.py"))
-    return {read for source in sources for read in reads_under(ast.parse(source.read_text()), [source.stem])}
+    return {call for source in sources for call in calls_under(ast.parse(source.read_text()), [source.stem], names)}
+
+
+def check_guard(names: set[str], allowed: dict, only: str) -> None:
+    """Fail naming each call in ``names`` that ``allowed`` does not list, then each entry that names no call."""
+    calls = package_calls(names)
+    stray = sorted(calls - allowed.keys())
+    assert stray == [], f"called outside {only}: {stray}"
+    assert sorted(allowed.keys() - calls) == [], "an allowlist entry names no call: delete it"
 
 
 def test_only_the_readers_read_files_or_decode_json():
-    reads = package_reads()
-    stray = sorted(reads - ALLOWED.keys())
-    assert stray == [], f"read or decoded outside data.read_json / data.read_versioned: {stray}"
-    assert sorted(ALLOWED.keys() - reads) == [], "an allowlist entry names no call: delete it"
+    check_guard(READS, ALLOWED_READS, "data.read_json / data.read_versioned")
+
+
+def test_only_the_writer_writes_makes_or_removes_files():
+    check_guard(WRITES, ALLOWED_WRITES, "data.atomic_write / data.all_or_nothing")
