@@ -1,5 +1,5 @@
 """Test-side references and probes: gradient checks, memory peaks, parameter bytes, composed tapes, episode scores,
-row selection, a failing rename."""
+row selection, a failing rename, a file tree's bytes."""
 import errno
 import os
 import tracemalloc
@@ -129,3 +129,8 @@ def fail_replace_at(monkeypatch, k: int) -> list:
 
     monkeypatch.setattr(data, "os", SimpleNamespace(**{**vars(os), "replace": replace}))
     return calls
+
+
+def tree(root) -> dict:
+    """Each path under ``root``, relative, mapped to its bytes, or to None for a directory."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}

@@ -13,7 +13,7 @@ from evofa.cli import main
 from evofa.data import DriftConfig
 from evofa.harness import METHODS
 
-from helpers import fail_replace_at
+from helpers import fail_replace_at, tree
 
 DATASET_OBJ = {
     "num_subjects": 2,
@@ -244,11 +244,6 @@ def command_argv(command: str, workspace: Path, trained: Path, out: Path) -> lis
     return argv + ["--checkpoint", str(trained / "checkpoints" / "model.ckpt")] if command == "evaluate" else argv
 
 
-def snapshot(root: Path) -> dict:
-    """Each path at and under ``root`` mapped to its bytes, or to None for a directory."""
-    return {p: None if p.is_dir() else p.read_bytes() for p in [root, *root.rglob("*")]}
-
-
 @pytest.mark.parametrize("existing", [False, True], ids=["new_nested_out", "out_with_a_previous_run"])
 @pytest.mark.parametrize("command", ["synth-gen", "train", "evaluate", "compare"])
 def test_a_write_failing_anywhere_leaves_the_tree_as_it_was(workspace, trained, tmp_path, monkeypatch, capsys, command, existing):
@@ -260,12 +255,12 @@ def test_a_write_failing_anywhere_leaves_the_tree_as_it_was(workspace, trained, 
     renames = fail_replace_at(monkeypatch, 0)
     assert main(command_argv(command, workspace, trained, counted)) == 0  # the previous run, or a count of its writes
     assert len(renames) == (4 if command == "synth-gen" else 3)  # synth-gen: two trials, manifest, run manifest
-    before = snapshot(tmp_path)
+    before = tree(tmp_path)  # at and above --out
     for k in range(1, len(renames) + 1):
         fail_replace_at(monkeypatch, k)
         assert main(command_argv(command, workspace, trained, out)) == 1
         assert "No space left on device (injected)" in capsys.readouterr().err
-        assert snapshot(tmp_path) == before, f"the {k}-th of {len(renames)} renames failed"
+        assert tree(tmp_path) == before, f"the {k}-th of {len(renames)} renames failed"
 
 
 def test_import_check_missing_manifest(tmp_path, capsys):
@@ -376,6 +371,17 @@ def test_failing_train_discards_partial_outputs(workspace, tmp_path, monkeypatch
     assert not (out / "checkpoints" / "model.ckpt").exists()
     assert not (out / "logs" / "train_log.csv").exists()
     assert not out.exists()  # nor the directories the command made for them
+
+
+def test_interrupted_command_removes_its_outputs_and_is_not_caught(workspace, tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_run_manifest", interrupt)
+    out = tmp_path / "t"
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--config", str(workspace / "exp.json"), "--out", str(out)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_whose_results_json_cannot_be_written_leaves_no_file(workspace, tmp_path, capsys):
@@ -683,22 +689,6 @@ def test_report_rejects_empty_rows(tmp_path, capsys):
     assert "holds no rows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "obj, message",
-    [
-        ([1, 2], "must be an object, got list"),
-        ({"rows": [1]}, "row 0 must be an object, got int"),
-        ({"rows": "abc"}, "field 'rows' must be a list, got 'abc'"),
-    ],
-    ids=["list", "row_not_object", "rows_string"],
-)
-def test_report_rejects_malformed_rows_naming_file_and_field(tmp_path, capsys, obj, message):
-    path = tmp_path / "results.json"
-    path.write_text(json.dumps(obj))
-    assert main(["report", "--results", str(path)]) == 1
-    assert f"results {path} {message}" in capsys.readouterr().err
-
-
 GOOD_ROW = {
     "protocol": "intra", "subject": "1", "session": "3", "method": "fsl", "shots": 1, "way": 3,
     "queries": 10, "episodes": 200, "mean_accuracy": 0.5, "std_accuracy": 0.1, "std_over": "episodes",
@@ -752,14 +742,17 @@ def test_report_rejects_bad_row_naming_file_row_and_field(tmp_path, capsys, case
 @pytest.mark.parametrize(
     "obj, message",
     [
+        ([1, 2], "must be an object, got list"),
+        ({"rows": [1]}, "row 0 must be an object, got int"),
+        ({"rows": "abc"}, "field 'rows' must be a list, got 'abc'"),
         ({"row": [GOOD_ROW]}, "is missing field 'rows'"),
         ({"rows": [GOOD_ROW], "note": 1}, "has unknown key 'note'"),
         ({"rows": [GOOD_ROW], "version": 7}, "field 'version' must be a string, got 7"),
         ({"rows": [GOOD_ROW], "std_semantics": "population"}, "field 'std_semantics' must be an object, got 'population'"),
     ],
-    ids=["misspelled_rows", "unknown_key", "version_int", "std_semantics_string"],
+    ids=["list", "row_not_object", "rows_string", "misspelled_rows", "unknown_key", "version_int", "std_semantics_string"],
 )
-def test_report_holds_the_top_level_to_the_fields_results_are_written_with(tmp_path, capsys, obj, message):
+def test_report_rejects_malformed_rows_naming_file_and_field(tmp_path, capsys, obj, message):
     path = tmp_path / "results.json"
     path.write_text(json.dumps(obj))
     assert main(["report", "--results", str(path)]) == 1

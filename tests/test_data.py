@@ -20,7 +20,7 @@ from evofa.errors import (
     ProtocolError,
 )
 
-from helpers import fail_replace_at, scalar, select_rows
+from helpers import fail_replace_at, scalar, select_rows, tree
 from jsonfuzz import mutated, mutation_lists
 
 SMALL = data.DriftConfig(
@@ -481,11 +481,6 @@ def test_all_or_nothing_removes_the_files_it_wrote_when_a_later_one_fails(tmp_pa
     with data.all_or_nothing():
         assert data.atomic_write(tmp_path / "a", b"1") == tmp_path / "a"
     assert (tmp_path / "a").read_bytes() == b"1"
-
-
-def tree(root) -> dict:
-    """Each path under ``root``, relative, mapped to its bytes, or to None for a directory."""
-    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
 
 
 def test_all_or_nothing_undoes_a_failed_block_newest_first(tmp_path):
