@@ -509,8 +509,8 @@ def test_all_or_nothing_that_ends_keeps_its_writes_and_no_old_bytes(tmp_path):
         data.atomic_write(tmp_path / "stale.txt", b"new")
         data.atomic_write(tmp_path / "d" / "new.txt", b"new")
     assert tree(tmp_path) == {"kept.txt": b"after", "stale.txt": b"new", "d": None, "d/new.txt": b"new"}
-    data.atomic_write(kept, b"outside a block")  # notes nothing
-    assert tree(tmp_path)["kept.txt"] == b"outside a block"
+    data.atomic_write(kept, b"outside a block")  # keeps no .old
+    assert tree(tmp_path) == {"kept.txt": b"outside a block", "stale.txt": b"new", "d": None, "d/new.txt": b"new"}
 
 
 LIBRARY_WRITERS = {
