@@ -404,21 +404,22 @@ def _read_feature_file(path: Path, count: int, schema: tuple[int, int]) -> np.nd
     return arr.reshape(count, schema[0], schema[1])
 
 
-# inside an all_or_nothing block: each file written and directory made -> the .old link to what it replaced, or None
-_made: dict[Path, Path | None] | None = None
+# inside an all_or_nothing block: each file written -> its .evofa-old link or None, each directory made -> _DIR
+_DIR = "directory"
+_made: dict[Path, Path | str | None] | None = None
 
 
 @contextlib.contextmanager
 def all_or_nothing():
     """Context manager under which every ``atomic_write`` is undone if the block raises.
 
-    Inside the block each file written and each directory made that did not
-    exist before is noted, with a hard link ``<name>.old`` to the bytes a file
-    held before it was first overwritten. If the block raises (any
-    BaseException), the noted files and directories are removed, newest first,
-    and each overwritten file gets its old bytes back; a directory that still
-    holds something else stays. A block inside another joins it: the outer
-    block keeps or undoes both.
+    Inside the block each file written, and each directory made where nothing
+    stood before, is noted, with a hard link ``<name>.evofa-old`` to the bytes a
+    file held before it was first overwritten. If the block raises (any
+    BaseException), newest first, the noted files are removed, each overwritten
+    file gets its old bytes back, and the noted directories are removed with
+    ``rmdir`` only, so one that holds something else stays. A block inside
+    another joins it: the outer block keeps or undoes both.
     """
     global _made
     if _made is not None:
@@ -430,17 +431,17 @@ def all_or_nothing():
     except BaseException:
         for path, old in reversed(made.items()):
             with contextlib.suppress(OSError):  # gone already, or a directory that holds something else
-                if old is not None:
+                if old is _DIR:
+                    path.rmdir()
+                elif old is not None:
                     os.replace(old, path)
                     old.unlink(missing_ok=True)  # the rename does nothing if both names are one file already
-                elif path.is_dir():
-                    path.rmdir()
                 else:
                     path.unlink()
         raise
     finally:
         _made = None
-    for old in filter(None, made.values()):
+    for old in set(made.values()) - {None, _DIR}:  # the .evofa-old links
         with contextlib.suppress(OSError):
             old.unlink()
 
@@ -452,11 +453,11 @@ def atomic_write(path: Path, blob: bytes) -> Path:
     failed write removes its ``.tmp`` and raises an OSError that names ``path``.
     Inside an ``all_or_nothing`` block the write can be undone.
     """
-    tmp, old = path.with_name(path.name + ".tmp"), path.with_name(path.name + ".old")
+    tmp, old = path.with_name(path.name + ".tmp"), path.with_name(path.name + ".evofa-old")
     first = _made is not None and path not in _made  # a block gives back what its first write to a file replaced
     try:
         if _made is not None and not path.parent.is_dir():
-            _made.update(dict.fromkeys(d for d in reversed(path.parents) if not d.is_dir()))
+            _made.update(dict.fromkeys((d for d in reversed(path.parents) if not os.path.lexists(d)), _DIR))
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_bytes(blob)
         if first:

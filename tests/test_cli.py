@@ -263,6 +263,41 @@ def test_a_write_failing_anywhere_leaves_the_tree_as_it_was(workspace, trained, 
         assert tree(tmp_path) == before, f"the {k}-th of {len(renames)} renames failed"
 
 
+@pytest.mark.parametrize("parent", ["file", "dangling_symlink"])
+def test_failing_command_keeps_what_stands_where_out_needs_a_directory(workspace, tmp_path, capsys, parent):
+    notes = tmp_path / "notes.txt"
+    if parent == "file":
+        notes.write_text("the user's notes")
+    else:
+        notes.symlink_to(tmp_path / "nowhere")
+    out = notes / "run"
+    assert main(["synth-gen", "--config", str(workspace / "dataset.json"), "--out", str(out)]) == 1
+    assert str(out) in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+    if parent == "file":
+        assert notes.read_text() == "the user's notes"
+    else:
+        assert notes.is_symlink() and notes.readlink() == tmp_path / "nowhere"
+
+
+def test_a_command_keeps_the_users_old_files_whether_it_fails_or_ends(workspace, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    argv = ["synth-gen", "--config", str(workspace / "dataset.json"), "--out", str(out)]
+    assert main(argv) == 0  # a previous run, whose files the next two overwrite
+    for path in [p for p in out.rglob("*") if p.is_file()]:
+        path.with_name(path.name + ".old").write_text(f"the user's backup of {path.name}")
+    before = tree(tmp_path)
+    fail_replace_at(monkeypatch, 2)
+    assert main(argv) == 1
+    assert "No space left on device (injected)" in capsys.readouterr().err
+    assert tree(tmp_path) == before
+    fail_replace_at(monkeypatch, 0)
+    assert main(argv) == 0
+    after = tree(tmp_path)  # the same paths, and every .old holds the user's bytes; run-manifest.json's time moves
+    assert after.keys() == before.keys()
+    assert {k: v for k, v in after.items() if k.endswith(".old")} == {k: v for k, v in before.items() if k.endswith(".old")}
+
+
 def test_import_check_missing_manifest(tmp_path, capsys):
     rc = main(["import-check", "--manifest", str(tmp_path / "absent.json")])
     assert rc == 1

@@ -503,13 +503,13 @@ def test_all_or_nothing_undoes_a_failed_block_newest_first(tmp_path):
 def test_all_or_nothing_that_ends_keeps_its_writes_and_no_old_bytes(tmp_path):
     kept = tmp_path / "kept.txt"
     kept.write_text("before")
-    (tmp_path / "stale.txt.old").write_text("left by a killed run")
+    (tmp_path / "stale.txt.evofa-old").write_text("left by a killed run")
     with data.all_or_nothing():
         data.atomic_write(kept, b"after")
         data.atomic_write(tmp_path / "stale.txt", b"new")
         data.atomic_write(tmp_path / "d" / "new.txt", b"new")
     assert tree(tmp_path) == {"kept.txt": b"after", "stale.txt": b"new", "d": None, "d/new.txt": b"new"}
-    data.atomic_write(kept, b"outside a block")  # keeps no .old
+    data.atomic_write(kept, b"outside a block")  # keeps no .evofa-old
     assert tree(tmp_path) == {"kept.txt": b"outside a block", "stale.txt": b"new", "d": None, "d/new.txt": b"new"}
 
 

@@ -204,10 +204,12 @@ ALLOWED_WRITES = {
     ("data.atomic_write", ".mkdir("): "makes the directories a file goes in, noting them for all_or_nothing",
     ("data.atomic_write", ".write_bytes("): "writes the .tmp that is renamed over the file",
     ("data.atomic_write", "os.replace"): "renames the .tmp over the file: a reader sees all of it or none",
-    ("data.atomic_write", "os.link"): "keeps the bytes a file held before, as .old, for all_or_nothing to give back",
-    ("data.atomic_write", ".unlink("): "removes a failed write's .tmp, and an .old that a killed run left",
+    ("data.atomic_write", "os.link"): (
+        "keeps the bytes a file held before, as .evofa-old, for all_or_nothing to give back"
+    ),
+    ("data.atomic_write", ".unlink("): "removes a failed write's .tmp, and an .evofa-old that a killed run left",
     ("data.all_or_nothing", "os.replace"): "gives a file overwritten in a failed block its old bytes back",
-    ("data.all_or_nothing", ".unlink("): "removes a failed block's new files, or the .old of a block that ended",
+    ("data.all_or_nothing", ".unlink("): "removes a failed block's new files, or the .evofa-old of a block that ended",
     ("data.all_or_nothing", ".rmdir("): "removes the directories a failed block made, if they are empty",
 }
 
