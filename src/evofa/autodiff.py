@@ -310,7 +310,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 # -- convolution ---------------------------------------------------------------
 
-COLS_SLICE_BYTES = 2 << 20  # conv2d runs both passes on slices of batch rows whose columns hold at most this
+SLICE_BYTES = 2 << 20  # most bytes one slice holds: conv2d's columns of batch rows, bn_relu's backward channels
 
 
 def _pad(a: np.ndarray, pad: int) -> np.ndarray:
@@ -327,7 +327,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of [B x c_in x H x W] with [c_out x c_in x h x w].
 
     Both passes are im2col (Chellapilla et al., 2006) over slices of batch
-    rows whose columns hold at most ``COLS_SLICE_BYTES`` or one row, and each
+    rows whose columns hold at most ``SLICE_BYTES`` or one row, and each
     pads only its current slice. Forward, a slice is one [c_out x c_in·h·w]
     product. Backward, a slice adds its per-tap [c_out x P] @ [P x c_in]
     products onto the running kernel gradient row by row, so the sum keeps the
@@ -361,7 +361,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     taps = [(i, j) for i in range(kh) for j in range(kw)]
     kmat = k_data.reshape(c_out, -1)  # columns in (c_in, i, j) order, as im2col's rows
-    slice_rows = max(1, COLS_SLICE_BYTES // (8 * c_in * kh * kw * out_h * out_w))
+    slice_rows = max(1, SLICE_BYTES // (8 * c_in * kh * kw * out_h * out_w))
     parts = [slice(b0, b0 + slice_rows) for b0 in range(0, batch, slice_rows)]
     data = np.empty((batch, c_out, out_h * out_w))
     for part in parts:  # matmul treats each batch row on its own
@@ -431,17 +431,22 @@ def bn_relu(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Te
     updates ``state``'s running ones (eval mode folds batch norm into the conv
     instead, ``backbone._conv_block``). Both passes are batch norm's closed form
     with per-channel coefficients (Ioffe & Szegedy, ICML 2015, Algorithm 1 and
-    its backward pass). Forward, the centred input becomes the output in place;
-    backward, g_x = scale * g' - k2 * (x - mean) - k3 from two channel
-    reductions. Every reduction past the pairwise mean reads the centred input,
-    not x, so a large channel offset costs no digits. The node keeps its input
-    array, its output and per-channel vectors, and takes the ReLU mask from the
-    output (in-place activated batch norm, Rota Bulò et al., CVPR 2018).
+    its backward pass). Forward, the centred input becomes the output in place.
+    Backward writes into the incoming gradient, which the node owns: the ReLU
+    mask makes it g', and g_x = scale * g' - k2 * (x - mean) - k3 replaces it
+    one slice of channels at a time, each slice centring its own part of x
+    (at most ``SLICE_BYTES`` or one channel). So the pass allocates no
+    full-size array but the mask, and never writes into x. Every reduction
+    past the pairwise mean reads the centred input, not x, so a large channel
+    offset costs no digits. The node keeps its input array, its output and
+    per-channel vectors, and takes the ReLU mask from the output (in-place
+    activated batch norm, Rota Bulò et al., CVPR 2018).
     """
     if x.ndim != 4:
         raise ShapeError(f"batch norm expects [B x c x H x W] input, got {x.shape}")
     x_data = x.data
-    count = x_data.size // x.shape[1]
+    batch, channels, height, width = x.shape
+    count = batch * height * width
     mu = np.mean(x_data, axis=_BN_AXES, keepdims=True)
     out = x_data - mu
     var = np.einsum("bchw,bchw->c", out, out) / count
@@ -453,19 +458,25 @@ def bn_relu(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Te
     out *= scale.reshape(_BN_VIEW)
     out += beta.data.reshape(_BN_VIEW)
     np.maximum(out, 0.0, out=out)
+    per_slice = max(1, SLICE_BYTES // (8 * count))
 
     def grad_fn(g):
-        g = g * (out > 0)  # g', the gradient at the pre-activation
-        centred = x_data - mu
-        g_beta = g.sum(axis=_BN_AXES)
-        g_gamma = np.einsum("bchw,bchw->c", g, centred) * inv_std
-        # scale * (g' - mean(g') - x_hat * mean(g' * x_hat)), x_hat = (x - mu) * inv_std
-        k2 = scale * inv_std * g_gamma / count
+        g *= out > 0  # g', the gradient at the pre-activation
+        g_beta = g.sum(axis=_BN_AXES)  # over the whole array: a sliced sum can differ in its last bit
+        g_gamma = np.empty(channels)
         k3 = scale * g_beta / count
-        centred *= k2.reshape(_BN_VIEW)
-        g *= scale.reshape(_BN_VIEW)
-        g -= centred
-        g -= k3.reshape(_BN_VIEW)
+        # scale * (g' - mean(g') - x_hat * mean(g' * x_hat)), x_hat = (x - mu) * inv_std
+        for c0 in range(0, channels, per_slice):
+            part = slice(c0, c0 + per_slice)
+            g_part = g[:, part]
+            centred = x_data[:, part] - mu[:, part]
+            g_gamma[part] = np.einsum("bchw,bchw->c", g_part, centred) * inv_std[part]
+            k2 = scale[part] * inv_std[part] * g_gamma[part] / count
+            centred *= k2.reshape(_BN_VIEW)
+            g_part *= scale[part].reshape(_BN_VIEW)
+            g_part -= centred
+            g_part -= k3[part].reshape(_BN_VIEW)
+            del centred  # before the next slice's, so two slices never coexist
         return g, g_gamma.reshape(gamma.shape), g_beta.reshape(beta.shape)
 
     return _make(out, (x, gamma, beta), grad_fn)
@@ -476,9 +487,15 @@ def bn_relu(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Te
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar; accumulates into leaf .grad until sgd_step clears it.
 
+    The sweep consumes the graph. Each node leaves the sweep's order as it is
+    processed, and once its grad_fn has run it drops its grad_fn and parents,
+    so the arrays that only a processed node kept are freed as the sweep goes.
+    A later ``backward`` that reaches a consumed node raises ContractError
+    before any gradient moves; a new forward pass builds a new graph.
+
     Each node's gradient leaves ``grads`` as it goes into the node's grad_fn,
-    and the sweep keeps no other reference to it, so a grad_fn can free its
-    incoming gradient once it has built its own.
+    and the sweep keeps no reference to it. The grad_fn owns that array: it
+    may write into it, and ``_accumulate`` never hands one array to two parents.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -493,6 +510,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._grad_fn is _CONSUMED:
+            raise ContractError("backward reached a graph that an earlier backward consumed; run the forward pass again")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -500,22 +519,38 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()  # the last reference to a processed node goes with the next pop
+        grad_fn, parents = node._grad_fn, node._parents
+        if grad_fn is not None:
+            node._grad_fn, node._parents = _CONSUMED, ()
         if id(node) not in grads or not node.requires_grad:
             continue
-        if node._grad_fn is not None:
-            _accumulate(grads, node._parents, node._grad_fn(grads.pop(id(node))))
+        if grad_fn is not None:
+            _accumulate(grads, parents, grad_fn(grads.pop(id(node))))
         elif node.grad is None:
             node.grad = grads.pop(id(node)).copy()
         else:
             node.grad = node.grad + grads.pop(id(node))
 
 
+_CONSUMED = object()  # the grad_fn of a node that a backward sweep has processed
+
+
 def _accumulate(grads: dict[int, np.ndarray], parents: tuple[Tensor, ...], parent_grads) -> None:
-    """Add each parent's gradient into ``grads``; returning drops this frame's references to them."""
+    """Add each parent's gradient into ``grads``; returning drops this frame's references to them.
+
+    A parent owns the array it receives, so one array given to two parents
+    (``add`` returns its incoming gradient to both operands of equal shape)
+    goes to the second as a copy.
+    """
+    given: set[int] = set()
     for parent, pg in zip(parents, parent_grads):
         if pg is None or not parent.requires_grad:
             continue
+        if id(pg) in given:
+            pg = pg.copy()
+        given.add(id(pg))
         acc = grads.get(id(parent))
         grads[id(parent)] = pg if acc is None else acc + pg
 

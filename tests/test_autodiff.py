@@ -1,4 +1,6 @@
 """Numeric core: forward oracles, gradient checks, determinism."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -161,7 +163,7 @@ def test_conv2d_forward_peak_memory_is_output_and_one_slice():
     x = t(rng.normal(size=(batch, c_in, side, side)), grad=True)
     k = t(rng.normal(size=(8, c_in, 3, 3)), grad=True)
     row_cols = c_in * 9 * side * side * 8
-    rows = max(1, ad.COLS_SLICE_BYTES // row_cols)
+    rows = max(1, ad.SLICE_BYTES // row_cols)
     assert rows < batch  # so the batch is built in several slices
     out, peak = traced_peak(lambda: ad.conv2d(x, k, stride=1, pad=1))
     assert out.shape == (batch, 8, side, side)
@@ -180,11 +182,11 @@ def test_conv2d_backward_peak_memory_below_one_gcols_buffer():
     batch, c_in, side = 8, 8, 62
     x = t(rng.normal(size=(batch, c_in, side, side)), grad=True)
     k = t(rng.normal(size=(8, c_in, 3, 3)), grad=True)
-    assert batch * c_in * 9 * side * side * 8 > ad.COLS_SLICE_BYTES  # so the batch is built in several slices
+    assert batch * c_in * 9 * side * side * 8 > ad.SLICE_BYTES  # so the batch is built in several slices
     loss = ad.tensor_sum(ad.conv2d(x, k, stride=1, pad=1))
     _, peak = traced_peak(lambda: ad.backward(loss))
     assert x.grad.shape == x.shape and k.grad.shape == k.shape
-    assert peak < 2 * x.data.nbytes + 2 * ad.COLS_SLICE_BYTES
+    assert peak < 2 * x.data.nbytes + 2 * ad.SLICE_BYTES
 
 
 def test_backward_peak_memory_below_two_and_a_half_widest_activations():
@@ -262,7 +264,7 @@ def test_conv2d_input_grad_built_in_row_slices_bitwise_equals_scatter_add(monkey
     x = rng.normal(size=(5, 3, 7, 9))
     k = t(rng.normal(size=(4, 3, 3, 3)), grad=True)
     # one batch row of columns is 3·9·7·9 floats; 2 rows per slice leaves a short last slice
-    monkeypatch.setattr(ad, "COLS_SLICE_BYTES", rows * 3 * 9 * 7 * 9 * 8)
+    monkeypatch.setattr(ad, "SLICE_BYTES", rows * 3 * 9 * 7 * 9 * 8)
     xt = t(x, grad=True)
     out = ad.conv2d(xt, k, stride=1, pad=1)
     g = rng.normal(size=out.shape)
@@ -295,7 +297,7 @@ def test_conv2d_kernel_grad_built_in_row_slices_bitwise_equals_whole_batch(monke
     k = t(rng.normal(size=(4, c_in, 3, 3)), grad=True)
     out_h, out_w = (7 + 2 * pad - 3) // stride + 1, (9 + 2 * pad - 3) // stride + 1
     # 2 and 5 rows per slice leave a short last slice
-    monkeypatch.setattr(ad, "COLS_SLICE_BYTES", rows * c_in * 9 * out_h * out_w * 8)
+    monkeypatch.setattr(ad, "SLICE_BYTES", rows * c_in * 9 * out_h * out_w * 8)
     out = ad.conv2d(t(x), k, stride=stride, pad=pad)
     g = rng.normal(size=out.shape)
     ad.backward(ad.tensor_sum(ad.mul(out, t(g))))
@@ -308,9 +310,9 @@ def test_conv2d_forward_built_in_row_slices_bitwise_equals_whole_batch(monkeypat
     x = t(rng.normal(size=(7, 3, 7, 9)))
     k = t(rng.normal(size=(4, 3, 3, 3)))
     row_bytes = 3 * 9 * 7 * 9 * 8  # one batch row of columns
-    monkeypatch.setattr(ad, "COLS_SLICE_BYTES", 7 * row_bytes)
+    monkeypatch.setattr(ad, "SLICE_BYTES", 7 * row_bytes)
     whole = ad.conv2d(x, k, stride=1, pad=1).data
-    monkeypatch.setattr(ad, "COLS_SLICE_BYTES", rows * row_bytes)  # 2 and 5 leave a short last slice
+    monkeypatch.setattr(ad, "SLICE_BYTES", rows * row_bytes)  # 2 and 5 leave a short last slice
     assert ad.conv2d(x, k, stride=1, pad=1).data.tobytes() == whole.tobytes()
 
 
@@ -537,24 +539,102 @@ def test_bn_relu_dead_channel_gets_no_gamma_or_beta_gradient():
         assert _close(a, want)
 
 
-def test_bn_relu_allocates_one_full_array_forward_and_two_backward():
-    """At [16 x 8 x 24 x 24] the forward pass peaks under 1.5 full arrays and the backward pass under 2.5.
+def test_bn_relu_allocates_one_full_array_forward_and_only_the_mask_backward(monkeypatch):
+    """At [16 x 8 x 24 x 24] the forward pass peaks under 1.5 full arrays; the backward pass holds the mask and a slice.
 
     The forward pass centres the input into the array that becomes its output.
-    The backward pass allocates the masked gradient, which becomes g_x, and the
-    re-centred input; the incoming gradient is the caller's and is not counted.
+    The backward pass writes g' and then g_x into the incoming gradient, which
+    the node owns, so it allocates only the ReLU mask (one byte per element)
+    and one slice of re-centred channels at a time, here two of the eight.
+    The margin is two of numpy's iteration buffers, which a strided slice or
+    the mask's cast to float takes, and 16 KiB for the per-channel vectors and
+    the views. With a full-size g' and a full-size re-centred input it would
+    peak near 2 full arrays.
     """
     rng = np.random.default_rng(21)
     shape = (16, 8, 24, 24)
     full_bytes = np.prod(shape) * 8
+    channel_bytes = full_bytes // shape[1]
+    monkeypatch.setattr(ad, "SLICE_BYTES", 2 * channel_bytes)
     x = t(rng.normal(size=shape), grad=True)
     gamma, beta = t(rng.uniform(0.5, 2.0, size=8), grad=True), t(rng.normal(size=8), grad=True)
     g = rng.normal(size=shape)
     out, forward_peak = traced_peak(lambda: ad.bn_relu(x, gamma, beta, ad.BatchNormState.create(8)))
     (g_x, _, _), backward_peak = traced_peak(lambda: out._grad_fn(g))
-    assert g_x.shape == shape
+    assert g_x is g
     assert forward_peak < 1.5 * full_bytes
-    assert backward_peak < 2.5 * full_bytes
+    assert backward_peak < full_bytes // 8 + 2 * channel_bytes + 2 * np.getbufsize() * 8 + (16 << 10)
+
+
+def _whole_array_bn_relu(x0, gamma0, beta0, g):
+    """The reference block tail over whole arrays: output, g_x, g_gamma and g_beta for incoming gradient ``g``.
+
+    It is Ioffe & Szegedy's closed form (ICML 2015, Algorithm 1 and its
+    backward pass), each step one whole-array operation in ``ad.bn_relu``'s order.
+    """
+    axes, view = (0, 2, 3), (1, -1, 1, 1)
+    count = x0.size // x0.shape[1]
+    mu = np.mean(x0, axis=axes, keepdims=True)
+    centred = x0 - mu
+    var = np.einsum("bchw,bchw->c", centred, centred) / count
+    inv_std = (var + ad.BN_EPS) ** -0.5
+    scale = gamma0 * inv_std
+    out = np.maximum(centred * scale.reshape(view) + beta0.reshape(view), 0.0)
+    g = g * (out > 0)
+    g_beta = g.sum(axis=axes)
+    g_gamma = np.einsum("bchw,bchw->c", g, centred) * inv_std
+    k2 = scale * inv_std * g_gamma / count
+    k3 = scale * g_beta / count
+    g_x = g * scale.reshape(view) - centred * k2.reshape(view) - k3.reshape(view)
+    return out, g_x, g_gamma, g_beta
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("per_slice", [1, 2, None], ids=["1", "2", "all"])
+def test_bn_relu_gradients_built_in_channel_slices_bitwise_equal_whole_arrays(monkeypatch, seed, per_slice):
+    """The backward pass gives the whole-array result's bytes with 1, 2 or all channels per slice.
+
+    g_beta is reduced over the whole masked gradient before the slices; each
+    slice re-centres its channels, reduces their g_gamma and forms their g_x.
+    """
+    rng = np.random.default_rng([23, seed])
+    shape = (int(rng.integers(1, 9)), int(rng.integers(3, 7)), int(rng.integers(1, 31)), int(rng.integers(2, 31)))
+    count = shape[0] * shape[2] * shape[3]
+    monkeypatch.setattr(ad, "SLICE_BYTES", (per_slice or shape[1]) * 8 * count)
+    x0 = rng.normal(loc=3.0, scale=2.0, size=shape) + rng.normal(scale=50.0, size=shape[1])[:, None, None]
+    gamma0, beta0 = rng.uniform(0.5, 2.0, size=shape[1]), rng.normal(scale=0.3, size=shape[1])
+    weights = rng.normal(size=shape)
+    out, g_x, g_gamma, g_beta = _tail_results(ad.bn_relu, x0, gamma0, beta0, weights)[:4]
+    want = _whole_array_bn_relu(x0, gamma0, beta0, weights)
+    assert 0 < np.count_nonzero(out) < out.size  # the ReLU mask is not trivial
+    for got, expect in zip((out, g_x, g_gamma, g_beta), want):
+        assert got.tobytes() == expect.tobytes()
+
+
+def test_two_parents_given_one_gradient_object_each_get_their_own():
+    """add hands its incoming gradient to both operands of equal shape; a block tail behind each writes into it.
+
+    backward gives the second parent a copy, so each tail's gradients carry the
+    bytes of a graph in which that tail alone feeds the same weights.
+    """
+    rng = np.random.default_rng(24)
+    shape = (3, 2, 4, 5)
+    tails = [
+        (rng.normal(size=shape), rng.uniform(0.5, 2.0, size=2), rng.normal(scale=0.3, size=2)) for _ in range(2)
+    ]
+    weights = t(rng.normal(size=shape))
+
+    def gradients(feed_both):
+        leaves = [tuple(t(a, grad=True) for a in tail) for tail in tails]
+        outs = [ad.bn_relu(*leaf, ad.BatchNormState.create(2)) for leaf in leaves]
+        if feed_both:
+            ad.backward(ad.tensor_sum(ad.mul(ad.add(*outs), weights)))
+        else:
+            for out in outs:
+                ad.backward(ad.tensor_sum(ad.mul(out, weights)))
+        return [p.grad.tobytes() for leaf in leaves for p in leaf]
+
+    assert gradients(feed_both=True) == gradients(feed_both=False)
 
 
 def test_bn_relu_is_one_tape_node():
@@ -671,6 +751,31 @@ def test_backward_accumulates_until_reset():
     ad.sgd_step(ad.ParamGroup("phi", [("x", x)]), 0.0)
     ad.backward(x.sum())
     assert np.array_equal(x.grad, [1.0, 1.0])
+
+
+def test_backward_consumes_the_graph_and_a_second_sweep_over_it_raises():
+    """A processed node drops its grad_fn and parents: a second backward that reaches it raises, moving no gradient."""
+    data = np.array([1.0, -2.0, 3.0])
+    x = t(data, grad=True)
+    y = ad.mul(x, x)
+    loss = y.sum()
+    ad.backward(loss)
+    assert np.array_equal(x.grad, 2.0 * data)
+    for again in (loss, ad.mul(y, x).sum()):  # the same loss, and a new one built on a consumed node
+        with pytest.raises(ContractError, match="consumed"):
+            ad.backward(again)
+        assert np.array_equal(x.grad, 2.0 * data)
+
+
+def test_backward_frees_the_arrays_of_processed_nodes():
+    """Once backward returns, no array that only the tape kept is alive, though the caller still holds the loss."""
+    x = t(np.arange(6.0).reshape(2, 3), grad=True)
+    hidden = ad.relu(ad.mul(x, x))
+    inner = weakref.ref(hidden.data)
+    loss = ad.tensor_sum(ad.exp(hidden))
+    del hidden
+    ad.backward(loss)
+    assert inner() is None and x.grad is not None
 
 
 def test_backward_reused_node_accumulates():
