@@ -528,6 +528,7 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
     classes, subjects = manifest["classes"], manifest["subjects"]
 
     base = manifest_path.parent.resolve()
+    real_dirs = {}  # a feature file's directory as the manifest spells it -> that directory resolved
     owners = {}  # resolved feature file -> the trial that named it first
     trials = []  # per trial: its file, count, then subject, session, trial, label and first time
     for subj_entry in _checked_entries(manifest_path, "subject", subjects, _SUBJECT):
@@ -546,7 +547,11 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
                         f"{manifest_path}: {where} {trial_id} field 'label' is {label}, "
                         f"outside the class map (size {len(classes)})"
                     )
-                path = (base / entry["file"]).resolve()
+                if "\0" in entry["file"]:  # no path holds one; os calls raise a bare ValueError on it
+                    raise DatasetSchemaError(
+                        f"{manifest_path}: {where} {trial_id} field 'file' holds a NUL character: {entry['file']!r}"
+                    )
+                path = _resolved(base / entry["file"], real_dirs)
                 if not path.is_relative_to(base):
                     raise DatasetSchemaError(
                         f"{manifest_path}: {where} {trial_id} field 'file' lies outside "
@@ -582,6 +587,19 @@ def import_features(manifest_path: str | Path) -> DatasetIndex:
         schema=schema,
         class_names=tuple(classes),
     )
+
+
+def _resolved(path: Path, real_dirs: dict[Path, Path]) -> Path:
+    """``path.resolve()``, resolving each distinct directory once through ``real_dirs``.
+
+    Below a resolved directory, a plain name that is not a symlink (one lstat)
+    is its own resolution; a symlink, or a final ``..``, takes a full resolve.
+    """
+    real_dir = real_dirs.get(path.parent)
+    if real_dir is None:
+        real_dir = real_dirs[path.parent] = path.parent.resolve()
+    joined = real_dir / path.name
+    return joined.resolve() if path.name in ("", "..") or os.path.islink(joined) else joined
 
 
 def export_features(ds: DatasetIndex, out_dir: str | Path) -> list[Path]:

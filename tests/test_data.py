@@ -200,6 +200,7 @@ WRONG_TYPE = [
     ("subject", "id", -1, "subject -1 field 'id' must be a nonnegative integer, got -1"),
     ("session", "id", -1, "subject 1 session -1 field 'id' must be a nonnegative integer, got -1"),
     ("trial", "id", -1, "subject 1 session 1 trial -1 field 'id' must be a nonnegative integer, got -1"),
+    ("trial", "file", "features/t\0.evfa", "trial 7 field 'file' holds a NUL character: 'features/t\\x00.evfa'"),
     ("trial", "count", "a", "trial 7 field 'count' must be a nonnegative integer"),
     ("trial", "count", -1, "trial 7 field 'count' must be a nonnegative integer"),
     ("schema", "electrodes", "x", "schema field 'electrodes' must be an integer"),
@@ -246,30 +247,43 @@ def test_import_rejects_repeated_trial_id(tmp_path):
         data.import_features(path)
 
 
-def test_import_rejects_two_trials_naming_one_file(tmp_path):
+@pytest.mark.parametrize(
+    "spelling", ["features/./t1.evfa", "features/link.evfa", "alias/t1.evfa"], ids=["dot", "file_symlink", "dir_symlink"]
+)
+def test_import_rejects_two_trials_naming_one_file(tmp_path, spelling):
     write_binary(tmp_path / "features" / "t1.evfa", np.zeros((3, 4, 2)))
+    (tmp_path / "features" / "link.evfa").symlink_to("t1.evfa")
+    (tmp_path / "alias").symlink_to("features", target_is_directory=True)
     trials = [
         {"id": 1, "label": 0, "file": "features/t1.evfa", "count": 3},
-        {"id": 2, "label": 1, "file": "features/./t1.evfa", "count": 3},  # the same file, spelled apart
+        {"id": 2, "label": 1, "file": spelling, "count": 3},  # the same file, spelled apart
     ]
     path = write_manifest(tmp_path, trials)
     says = (
         f"{path}: subject 1 session 1 trial 2 field 'file' names the file of "
-        "subject 1 session 1 trial 1: 'features/./t1.evfa'"
+        f"subject 1 session 1 trial 1: {spelling!r}"
     )
     with pytest.raises(DatasetSchemaError, match=f"^{re.escape(says)}$"):
         data.import_features(path)
 
 
-@pytest.mark.parametrize("where", ["parent", "absolute"])
+@pytest.mark.parametrize("where", ["parent", "absolute", "file_symlink", "dir_symlink"])
 def test_import_rejects_file_outside_manifest_directory(tmp_path, where):
     container = tmp_path / "container"
     outside = tmp_path / "outside.evfa"
     write_binary(outside, np.zeros((1, 4, 2)))  # the file exists: only its place is wrong
-    file = "../outside.evfa" if where == "parent" else str(outside)
+    file = {"parent": "../outside.evfa", "absolute": str(outside)}.get(where, "features/t1.evfa")
+    if where == "file_symlink":
+        (container / "features").mkdir(parents=True)
+        (container / "features" / "t1.evfa").symlink_to(outside)
+    elif where == "dir_symlink":
+        write_binary(tmp_path / "elsewhere" / "t1.evfa", np.zeros((1, 4, 2)))
+        container.mkdir()
+        (container / "features").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
     trials = [{"id": 1, "label": 0, "file": file, "count": 1}]
     path = write_manifest(container, trials)
-    with pytest.raises(DatasetSchemaError, match="trial 1 field 'file' lies outside"):
+    says = f"{path}: subject 1 session 1 trial 1 field 'file' lies outside the manifest directory: {file!r}"
+    with pytest.raises(DatasetSchemaError, match=f"^{re.escape(says)}$"):
         data.import_features(path)
 
 
