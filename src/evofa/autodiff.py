@@ -1,8 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The tape is rebuilt on every forward pass; calling :func:`backward` on a
-scalar walks it once and accumulates gradients into the leaves. Repeated
-backward calls accumulate until :func:`sgd_step` applies and clears them.
+scalar walks it once, consuming it, and accumulates gradients into the
+leaves. Backward calls over new tapes accumulate until :func:`sgd_step`
+applies and clears them.
 """
 from __future__ import annotations
 
@@ -484,11 +485,14 @@ def bn_relu(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Te
 
 # -- backward pass -----------------------------------------------------------------
 
+_CONSUMED = object()  # the grad_fn of a node that a backward sweep has processed
+
+
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar; accumulates into leaf .grad until sgd_step clears it.
 
-    The sweep consumes the graph. Each node leaves the sweep's order as it is
-    processed, and once its grad_fn has run it drops its grad_fn and parents,
+    The sweep consumes the graph. It pops each node from its order and drops
+    the node's grad_fn and parents, keeping them only while that grad_fn runs,
     so the arrays that only a processed node kept are freed as the sweep goes.
     A later ``backward`` that reaches a consumed node raises ContractError
     before any gradient moves; a new forward pass builds a new graph.
@@ -511,7 +515,9 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         if node._grad_fn is _CONSUMED:
-            raise ContractError("backward reached a graph that an earlier backward consumed; run the forward pass again")
+            raise ContractError(
+                "backward reached a graph that an earlier backward consumed; run the forward pass again"
+            )
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -532,9 +538,6 @@ def backward(loss: Tensor) -> None:
             node.grad = grads.pop(id(node)).copy()
         else:
             node.grad = node.grad + grads.pop(id(node))
-
-
-_CONSUMED = object()  # the grad_fn of a node that a backward sweep has processed
 
 
 def _accumulate(grads: dict[int, np.ndarray], parents: tuple[Tensor, ...], parent_grads) -> None:

@@ -593,7 +593,8 @@ def _resolved(path: Path, real_dirs: dict[Path, Path]) -> Path:
     """``path.resolve()``, resolving each distinct directory once through ``real_dirs``.
 
     Below a resolved directory, a plain name that is not a symlink (one lstat)
-    is its own resolution; a symlink, or a final ``..``, takes a full resolve.
+    is its own resolution; a symlink, a final ``..`` or an empty name (the
+    root) takes a full resolve.
     """
     real_dir = real_dirs.get(path.parent)
     if real_dir is None:

@@ -189,12 +189,16 @@ def test_conv2d_backward_peak_memory_below_one_gcols_buffer():
     assert peak < 2 * x.data.nbytes + 2 * ad.SLICE_BYTES
 
 
-def test_backward_peak_memory_below_two_and_a_half_widest_activations():
-    """conv2d -> bn_relu -> mean at [8 x 8 x 62 x 62] into 16 channels, under 2.5 conv outputs.
+def test_backward_peak_memory_below_two_and_a_quarter_widest_activations():
+    """conv2d -> bn_relu -> mean at [8 x 8 x 62 x 62] into 16 channels, under 2.25 conv outputs.
 
-    backward hands each node its gradient and keeps no reference to it, so
-    bn_relu drops its incoming gradient once it has built g', and conv2d builds
-    both of its gradients one slice of batch rows at a time.
+    backward hands each node its gradient and keeps no other reference to it.
+    bn_relu writes g' and then g_x into the gradient it receives, allocating
+    only its ReLU mask, and conv2d builds both of its gradients one slice of
+    batch rows at a time. So the peak is in conv2d's backward pass: its
+    incoming gradient (one conv output), the input gradient (half of one) and
+    one slice's columns, about 2.18 conv outputs. The margin, 0.07 of one
+    (0.27 MiB), is for numpy's iteration buffers and the views.
     """
     rng = np.random.default_rng(22)
     x = t(rng.normal(size=(8, 8, 62, 62)), grad=True)
@@ -204,7 +208,7 @@ def test_backward_peak_memory_below_two_and_a_half_widest_activations():
     loss = ad.tensor_mean(out)
     _, peak = traced_peak(lambda: ad.backward(loss))
     assert x.grad.shape == x.shape
-    assert peak < 2.5 * out.data.nbytes
+    assert peak < 2.25 * out.data.nbytes
 
 
 @pytest.mark.parametrize("pad", [0, 1, 2])

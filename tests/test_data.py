@@ -248,7 +248,9 @@ def test_import_rejects_repeated_trial_id(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spelling", ["features/./t1.evfa", "features/link.evfa", "alias/t1.evfa"], ids=["dot", "file_symlink", "dir_symlink"]
+    "spelling",
+    ["features/./t1.evfa", "features/link.evfa", "alias/t1.evfa"],
+    ids=["dot", "file_symlink", "dir_symlink"],
 )
 def test_import_rejects_two_trials_naming_one_file(tmp_path, spelling):
     write_binary(tmp_path / "features" / "t1.evfa", np.zeros((3, 4, 2)))
