@@ -1,125 +1,62 @@
 #!/usr/bin/env python3
-"""End-to-end walkthrough on synthetic drifting features, no files needed.
+"""End-to-end walkthrough of README's minimal synthetic config, no files needed.
 
-Generates one subject whose class means drift over the session clock, trains
-on session 1, then evaluates on session 3 three ways: a supervised classifier
-(trained once, frozen), plain episodic few-shot evaluation, and episodic
-evaluation with evolvable test-time adaptation. Under drift the supervised
-model collapses while support-calibrated episodes hold up; adaptation then
-nudges the aligned embedding further. Runs in about a minute.
+Its one intra cell is trained and evaluated by the harness calls ``evofa compare`` makes, so the supervised
+and 1-shot rows equal compare's cell rows. Added: 5-shot rows on the same episodes, and the alignment drop of
+one adaptation round under a fixed kernel. Runs in about 5 seconds on 2 vCPUs.
 """
 import time
 from dataclasses import replace
 
 import numpy as np
 
-from evofa.adapt import (
-    AdaptConfig,
-    EvalConfig,
-    evofa_run,
-    evofa_test,
-    mean_alignment,
-    sample_snapshots_intra,
-)
-from evofa.backbone import BackboneConfig, encode_rows
-from evofa.data import DriftConfig, generate_synthetic_drift, make_intra_split
-from evofa.fsl import (
-    SupervisedConfig,
-    TrainConfig,
-    classify_pool,
-    meta_train,
-    train_supervised_baseline,
-)
+from evofa import harness
+from evofa.adapt import evofa_run, mean_alignment, sample_snapshots_intra
+from evofa.backbone import encode_rows
 from evofa.mmd import KernelSpec
 
-BACKBONE = BackboneConfig(
-    n_electrodes=6,
-    d_bands=4,
-    conv_channels=(8, 8, 8, 16),
-    embedding_dim=16,
-    adapter_hidden=32,
-)
+# README's "Minimal synthetic example", key for key
+CONFIG = harness.experiment_config_from_obj({
+    "dataset": {"synthetic": {"num_subjects": 1, "num_sessions": 3, "trials_per_session": 15, "samples_per_trial": 20,
+        "num_classes": 3, "n_electrodes": 6, "d_bands": 4, "class_separation": 1.0, "intra_drift_rate": 2.0,
+        "inter_subject_offset_scale": 0.0, "noise_std": 1.0, "rng_seed": 0}},
+    "protocol": "intra",
+    "backbone": {"n_electrodes": 6, "d_bands": 4, "conv_channels": [8, 8, 8, 16], "embedding_dim": 16,
+        "adapter_hidden": 32},
+    "train": {"episodes_per_epoch": 30, "max_epochs": 5, "learning_rate": 0.3, "way": 3, "shot": 1, "queries": 10,
+        "validation_episodes": 20},
+    "adapt": {"n_snapshots": 3, "snapshot_size": 32, "eta_in": 0.01, "eta_out": 0.01, "max_iter": 1,
+        "target_calibration_size": 30},
+    "supervised": {"num_classes": 3, "max_epochs": 20}, "eval_episodes": 200, "seed": 0,
+})
 
 
 def main() -> int:
-    ds = generate_synthetic_drift(
-        DriftConfig(
-            num_subjects=1,
-            num_sessions=3,
-            trials_per_session=15,
-            samples_per_trial=20,
-            num_classes=3,
-            n_electrodes=6,
-            d_bands=4,
-            class_separation=1.0,
-            intra_drift_rate=2.0,
-            inter_subject_offset_scale=0.0,
-            noise_std=1.0,
-            rng_seed=0,
-        )
-    )
-    split = make_intra_split(ds, subject_id=1)
-    train = split.select(ds, "train")
-    val = split.select(ds, "val")
-    test = split.select(ds, "test")
+    ds = harness.load_dataset(CONFIG)
+    [cell] = harness.plan_cells(CONFIG, ds)
+    pools = harness.cell_pools(CONFIG, ds, *cell)
+    train, val, test = pools
     print(f"dataset: {len(ds)} samples, schema {ds.schema}, {ds.num_classes} classes")
     print(f"splits: train {len(train)} / val {len(val)} / test {len(test)} (sessions 1/2/3)")
-
     t0 = time.time()
-    model = meta_train(
-        train,
-        val,
-        TrainConfig(
-            episodes_per_epoch=30,
-            max_epochs=5,
-            learning_rate=0.3,
-            way=3,
-            shot=1,
-            queries=10,
-            validation_episodes=20,
-        ),
-        BACKBONE,
-        seed=1,
-    )
+    model = harness.train_cell(CONFIG, pools, *cell)
     print(f"meta-trained prototypical model in {time.time() - t0:.0f}s")
-
-    supervised = train_supervised_baseline(
-        train, val, SupervisedConfig(num_classes=3, max_epochs=20), BACKBONE, seed=4
-    )
-    _, supervised_accuracy = classify_pool(supervised, test)
-
-    adapt = AdaptConfig(
-        n_snapshots=3,
-        snapshot_size=32,
-        target_calibration_size=30,
-        eta_in=1e-2,
-        eta_out=1e-2,
-        max_iter=1,
-    )
-    print(f"supervised 0-shot: {supervised_accuracy:.4f}  (whole test pool, no calibration)")
-    # the encoder is frozen, so each pool goes through it once
-    rows = {"test_rows": encode_rows(model, test.features), "train_rows": encode_rows(model, train.features)}
+    supervised = harness.train_supervised_cell(CONFIG, pools, *cell)
+    rows = harness.evaluate_cell(CONFIG, model, pools, *cell, (None, CONFIG.adapt), [1, 5], supervised)
+    acc = {(r.method, r.shots): r.mean_accuracy for r in rows}
+    print(f"supervised 0-shot: {acc['supervised', 0]:.4f}  (whole test pool, no calibration)")
     for shot in (1, 5):
-        ecfg = EvalConfig(episodes=100, way=3, shot=shot, queries=10, rng_seed=10 + shot)
-        base = evofa_test(model, test, train, "intra", ecfg, None, **rows)
-        adapted = evofa_test(model, test, train, "intra", ecfg, adapt, **rows)
-        print(
-            f"fsl {shot}-shot:       {base.mean_accuracy:.4f}  "
-            f"fsl+evofa: {adapted.mean_accuracy:.4f}  "
-            f"(paired delta {adapted.mean_accuracy - base.mean_accuracy:+.4f})"
-        )
-
-    # what adaptation actually optimizes: source-vs-target alignment,
-    # measured under one fixed kernel so before/after are comparable
-    # (one draw and one target, each a stack of one, with the model's own adapter)
-    fixed = replace(adapt, kernel=KernelSpec((2.0,), (1.0,)))
+        base, adapted = acc["fsl", shot], acc["fsl+evofa", shot]
+        print(f"fsl {shot}-shot:       {base:.4f}  fsl+evofa: {adapted:.4f}  (paired delta {adapted - base:+.4f})")
+    # what adaptation optimizes, under a fixed kernel so that before and after compare; these draws feed no row
+    fixed = replace(CONFIG.adapt, kernel=KernelSpec((2.0,), (1.0,)))
     snaps = sample_snapshots_intra(train, fixed, np.random.default_rng(7))[None]
-    picks = np.random.default_rng(8).choice(len(test), size=30, replace=False)
-    train_rows, target = rows["train_rows"], rows["test_rows"][picks][None]
-    before = mean_alignment(model.phi, train_rows, snaps, target, fixed)[0]
+    picks = np.random.default_rng(8).choice(len(test), size=fixed.target_calibration_size, replace=False)
+    train_rows, target = encode_rows(model, train.features), encode_rows(model, test.features)[picks][None]
+    alignment = lambda: mean_alignment(model.phi, train_rows, snaps, target, fixed)[0]
+    before = alignment()
     evofa_run(model.phi, train_rows, [snaps] * fixed.max_iter, target, fixed)
-    after = mean_alignment(model.phi, train_rows, snaps, target, fixed)[0]
-    print(f"adapter alignment: snapshot-vs-target MMD^2 {before:.5f} -> {after:.5f}")
+    print(f"adapter alignment: snapshot-vs-target MMD^2 {before:.5f} -> {alignment():.5f}")
     return 0
 
 

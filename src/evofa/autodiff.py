@@ -229,9 +229,7 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     in_shape = a.shape
 
     def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, in_shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, in_shape).copy(),)
 
@@ -247,9 +245,7 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         count = int(np.prod([in_shape[ax] for ax in axes]))
 
     def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, in_shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / count, in_shape).copy(),)
 

@@ -311,6 +311,17 @@ def train_cell(cfg: ExperimentConfig, pools, subject: int, session: int | None, 
     return meta_train(train, val, cfg.train, cfg.backbone, cell_seed(cfg, 1, subject, session), on_epoch=on_epoch)
 
 
+def train_supervised_cell(cfg: ExperimentConfig, pools, subject: int, session: int | None):
+    """Train the cell's supervised baseline on its train pool, validating on its val pool.
+
+    Without a supervised section the baseline takes ``SupervisedConfig``'s defaults
+    for the pool's class count, which every pool keeps from its dataset.
+    """
+    train, val, _ = pools
+    scfg = cfg.supervised if cfg.supervised is not None else SupervisedConfig(num_classes=train.num_classes)
+    return train_supervised_baseline(train, val, scfg, cfg.backbone, cell_seed(cfg, 4, subject, session))
+
+
 def evaluate_cell(
     cfg: ExperimentConfig,
     model,
@@ -384,11 +395,8 @@ def _run_cell(cfg: ExperimentConfig, ds: DatasetIndex, subject: int, session: in
     seconds = {"fsl": time.perf_counter() - t0}
     supervised = None
     if cfg.include_supervised:
-        scfg = cfg.supervised if cfg.supervised is not None else SupervisedConfig(num_classes=ds.num_classes)
         t0 = time.perf_counter()
-        supervised = train_supervised_baseline(
-            pools[0], pools[1], scfg, cfg.backbone, cell_seed(cfg, 4, subject, session)
-        )
+        supervised = train_supervised_cell(cfg, pools, subject, session)
         seconds["supervised"] = time.perf_counter() - t0
     rows = evaluate_cell(
         cfg, model, pools, subject, session, (None, cfg.adapt), [cfg.train.shot], supervised

@@ -30,6 +30,7 @@ from evofa.harness import (
     plan_cells,
     run_protocol,
     train_cell,
+    train_supervised_cell,
     write_run_manifest,
 )
 from evofa.mmd import KernelSpec
@@ -439,6 +440,20 @@ def test_run_protocol_trains_both_models_on_the_one_backbone(dataset, monkeypatc
         ("fsl", cell_seed(cfg, 1, 2, None)), ("supervised", cell_seed(cfg, 4, 2, None))
     ]
     assert all(arch is cfg.backbone for _, arch, _ in calls)
+
+
+@pytest.mark.parametrize("section", [None, SupervisedConfig(num_classes=3, max_epochs=2)])
+def test_train_supervised_cell_passes_the_cells_pools_seed_and_supervised_section(dataset, monkeypatch, section):
+    # with no supervised section, SupervisedConfig's defaults at the class count the pool keeps from its dataset
+    cfg = replace(CONFIG, supervised=section)
+    calls = []
+    monkeypatch.setattr(harness, "train_supervised_baseline", lambda *args: calls.append(args))
+    pools = cell_pools(cfg, dataset, 2, None)
+    train_supervised_cell(cfg, pools, 2, None)
+    [(train, val, scfg, arch, seed)] = calls
+    assert train is pools[0] and val is pools[1] and arch is cfg.backbone
+    assert scfg == (section or SupervisedConfig(num_classes=dataset.num_classes))
+    assert seed == cell_seed(cfg, 4, 2, None)
 
 
 # -- artifacts -------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evofa import autodiff as ad, mmd
 from evofa.errors import ConfigError, ShapeError
@@ -183,12 +183,24 @@ def random_sets(rng, slices=None):
     return x, y
 
 
+def checked_default_spec(x, y):
+    """default_spec, which must warn of its fallback exactly when every pooled point is the same."""
+    pooled = np.concatenate([x, y])
+    if np.all(pooled == pooled[0]):  # m = n = 1 with the duplicate branch
+        with pytest.warns(UserWarning, match="all points identical; falling back to bandwidth 1.0"):
+            return mmd.default_spec(x, y)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "all points identical")
+        return mmd.default_spec(x, y)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=4060)  # a degenerate draw: one point per set, the same point
 def test_fused_mmd2_value_bitwise_and_grad_match_composed_tape(seed):
     rng = np.random.default_rng(seed)
     xs, ys = random_sets(rng)
-    spec = mmd.default_spec(xs, ys) if rng.random() < 0.5 else mmd.KernelSpec((0.7, 1.9), (0.3, 0.7))
+    spec = checked_default_spec(xs, ys) if rng.random() < 0.5 else mmd.KernelSpec((0.7, 1.9), (0.3, 0.7))
     x, y, xr, yr = one(xs, True), one(ys, True), t(xs, True), t(ys, True)
     fused, ref = mmd.mmd2(x, y, spec), composed_mmd2(xr, yr, spec)
     assert scalar(fused) == scalar(ref)  # bitwise
@@ -200,10 +212,11 @@ def test_fused_mmd2_value_bitwise_and_grad_match_composed_tape(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=1662)  # every slice degenerate: one point per set, the same point
 def test_stacked_mmd2_slices_equal_stacks_of_one(seed):
     rng = np.random.default_rng(seed)
     xs, ys = random_sets(rng, slices=int(rng.integers(1, 6)))
-    specs = [mmd.default_spec(a, b) for a, b in zip(xs, ys)]
+    specs = [checked_default_spec(a, b) for a, b in zip(xs, ys)]
     x, y = t(xs, True), t(ys, True)
     stacked = mmd.mmd2(x, y, specs)
     assert stacked.shape == (len(xs),)

@@ -1,17 +1,42 @@
 """The README walkthrough script and the benchmark's smoke run and tracer work against the current code."""
+import csv
 import importlib.util
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from evofa.cli import main as evofa_main
+from evofa.harness import experiment_config_from_obj
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def import_by_path(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def readme_config_obj() -> dict:
+    """The JSON block under README's "Minimal synthetic example"."""
+    text = (ROOT / "README.md").read_text()
+    return json.loads(re.search(r"Minimal\s+synthetic example:\s*```json\n(.*?)```", text, re.DOTALL).group(1))
+
+
+def test_readme_config_is_the_quickstart_config():
+    # README, the quickstart script and `evofa compare` on README's JSON run one config
+    quickstart = import_by_path("demo_quickstart", ROOT / "scripts" / "demo_quickstart.py")
+    assert experiment_config_from_obj(readme_config_obj()) == quickstart.CONFIG
+
+
 @pytest.mark.slow
-def test_demo_quickstart_runs_and_prints_summary():
+def test_demo_quickstart_runs_and_prints_summary(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -30,6 +55,16 @@ def test_demo_quickstart_runs_and_prints_summary():
         "adapter alignment: snapshot-vs-target MMD^2",
     ):
         assert any(line.startswith(prefix) for line in lines), (prefix, result.stdout)
+    supervised = re.search(r"^supervised 0-shot: (\S+)", result.stdout, re.M).group(1)
+    fsl, adapted = re.search(r"^fsl 1-shot: +(\S+)  fsl\+evofa: (\S+)", result.stdout, re.M).groups()
+
+    (tmp_path / "exp.json").write_text(json.dumps(readme_config_obj()))
+    assert evofa_main(["compare", "--config", str(tmp_path / "exp.json"), "--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run" / "results.csv", newline="") as f:
+        cells = [row for row in csv.DictReader(f) if row["subject"] != "all"]
+    assert [(row["method"], row["shots"]) for row in cells] == [("supervised", "0"), ("fsl", "1"), ("fsl+evofa", "1")]
+    printed = {"supervised": supervised, "fsl": fsl, "fsl+evofa": adapted}
+    assert {row["method"]: f"{float(row['mean_accuracy']):.4f}" for row in cells} == printed
 
 
 @pytest.mark.slow
@@ -45,9 +80,7 @@ def test_perfbench_smoke_passes():
 
 def test_perfbench_tracer_wraps_and_restores_every_binding():
     # a fast guard for the slow smoke run: a rename in the package that the tracer names fails here
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_mod)
+    tracer_mod = import_by_path("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = tracer_mod.Tracer()
     try:
         tracer.install()
